@@ -1,7 +1,16 @@
-"""Sparse finite-difference minimization of the defect functionals.
+"""Minimization of the defect functionals on a disk.
 
-All problems share one discretization: the clamped-plate energy on a
-disk is written as the Laplacian Gram form
+The pure-trace problems (the split clamped disclination and the elastic
+correction of the renormalized energy) need a biharmonic field on the
+whole disk with prescribed value and normal derivative on r = R. Mode
+by mode it has Almansi's closed form ``a_k r^|k| + b_k r^(|k|+2)``
+(Michell 1899): an FFT of the two traces and a 2x2 solve per mode give
+the coefficients, the plate energies are exact sums over modes, and the
+reported grid field is the summed series.
+
+The core-constrained problem lives on a punctured disk and is solved by
+sparse finite differences: the clamped-plate energy on a disk is
+written as the Laplacian Gram form
 ``(1 - nu^2)/(2E) * sum_c w_c (L v)_c^2 dx`` over cut cells, where L is
 the 5-point Laplacian and w_c exact area fractions. Squaring L yields
 the 13-point bilaplacian stencil. Boundary traces (value and normal
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +35,6 @@ from scipy.sparse.linalg import splu, cg
 
 from .core import (
     DiskDomain,
-    Disclination,
     Dislocation,
     ElasticConstants,
     NumericalError,
@@ -43,13 +51,9 @@ from .closedform import (
     SumField,
 )
 from .fields import (
-    CORE,
-    INTERIOR,
     OUTSIDE,
-    Grid,
     ScalarField,
     build_mask,
-    disk_cell_fractions,
     grid_for_disk,
     region_weights,
 )
@@ -98,8 +102,8 @@ class _Discretization:
     as ``v = P u + q``.
     """
 
-    def __init__(self, domain: DiskDomain, n: int, cores=(),
-                 core_offset_field=None, trace_field=None, pad: int = 4,
+    def __init__(self, domain: DiskDomain, n: int, trace_field, cores=(),
+                 core_offset_field=None, pad: int = 4,
                  weight_cores: bool = True):
         self.domain = domain
         self.grid = grid_for_disk(domain, n, pad)
@@ -126,7 +130,8 @@ class _Discretization:
             for dj in (-1, 0, 1):
                 needed[(ci + di) * ny + (cj + dj)] = True
         # also cover the 13-point bilaplacian footprint of every inside
-        # node, so the consistent equation form can be assembled
+        # node: the field carries ghost values there, and the pointwise
+        # 13-point equation can be assembled on the same unknowns
         ii, jj = np.unravel_index(np.nonzero(inside)[0], (nx, ny))
         if ii.min() < 2 or jj.min() < 2 or ii.max() > nx - 3 or jj.max() > ny - 3:
             raise NumericalError("ghost padding too small for the inside region")
@@ -208,7 +213,6 @@ class _Discretization:
         R = domain.radius_R
         h = g.delta
         t_probe = 1.5 * h
-        self._ghost_trace = {}
         for gid in self.ghost_ids:
             px, py = xs[gid], ys[gid]
             r = math.hypot(px - cx, py - cy)
@@ -236,13 +240,8 @@ class _Discretization:
             wy = _lagrange_weights(ty)
             rho = (t_g / t_m) ** 2
 
-            if trace_field is None:
-                g_D = 0.0
-                g_N = 0.0
-            else:
-                g_D = -float(trace_field.value(bpt)[0])
-                g_N = -float(trace_field.gradient(bpt)[0] @ nhat)
-            self._ghost_trace[int(gid)] = (bpt, nhat, g_D, g_N)
+            g_D = -float(trace_field.value(bpt)[0])
+            g_N = -float(trace_field.gradient(bpt)[0] @ nhat)
             offset = g_D * (1.0 - rho) + g_N * (t_g + rho * t_m)
 
             acc = 0.0
@@ -281,11 +280,6 @@ class _Discretization:
         self.L = sp.csr_matrix((lv, (lr, lc)), shape=(n_cells, n_nodes))
         self.M = (self.L @ self.P).tocsr()
         self.Lq = self.L @ q
-
-    def cell_points(self) -> np.ndarray:
-        return np.stack(
-            [self.node_x[self.cell_ids], self.node_y[self.cell_ids]], axis=-1
-        )
 
     def node_values(self, u: np.ndarray) -> np.ndarray:
         return self.P @ u + self.q
@@ -342,131 +336,185 @@ def _gram_factor(elastic: ElasticConstants) -> float:
     return (1.0 - elastic.poisson_nu**2) / elastic.young_E
 
 
-_BIHARMONIC_STENCIL = (
-    ((0, 0), 20.0),
-    ((1, 0), -8.0), ((-1, 0), -8.0), ((0, 1), -8.0), ((0, -1), -8.0),
-    ((1, 1), 2.0), ((1, -1), 2.0), ((-1, 1), 2.0), ((-1, -1), 2.0),
-    ((2, 0), 1.0), ((-2, 0), 1.0), ((0, 2), 1.0), ((0, -2), 1.0),
-)
-
-
-def _solve_biharmonic_equation(disc: _Discretization, tol: float):
-    """Solve the 13-point bilaplacian equation at every free node.
-
-    Unlike minimizing the cut-cell Gram form, the pointwise equation is
-    consistent up to the boundary (ghost rows carry the trace data), so
-    the solution and the energy evaluated at it converge second order;
-    the Gram minimizer instead digs a first-order boundary layer.
-    """
-    g = disc.grid
-    ny = g.ny
-    free = disc.free_ids
-    nf = len(free)
-    if disc.n_unknowns != nf:
-        raise NumericalError("equation form requires a pure-trace problem")
-    h4 = g.delta**4
-    rows = []
-    cols = []
-    vals = []
-    for (di, dj), c in _BIHARMONIC_STENCIL:
-        rows.append(np.arange(nf))
-        cols.append(free + di * ny + dj)
-        vals.append(np.full(nf, c / h4))
-    B = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nf, g.nx * ny),
-    )
-    S = (B @ disc.P).tocsc()
-    rhs = -B @ disc.q
-    t0 = time.perf_counter()
-    u = splu(S).solve(rhs)
-    solve_time = time.perf_counter() - t0
-    scale = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(S @ u - rhs)) / (scale if scale > 0.0 else 1.0)
-    if residual > max(1e-8, 10.0 * tol):
-        raise NumericalError(f"biharmonic solve residual too large: {residual}")
-    return u, residual, solve_time
-
-
-def _gram_value(disc: _Discretization, factor: float, u: np.ndarray) -> float:
-    r = disc.Lq + disc.M @ u
-    return 0.5 * factor * disc.grid.delta**2 * float(np.sum(disc.cell_w * r * r))
-
-
-def _boundary_nodes(domain: DiskDomain, n_quad: int = 512):
-    th = 2.0 * math.pi * np.arange(n_quad) / n_quad
+def _boundary_nodes(domain: DiskDomain, n_quad: int = 512, shift: float = 0.0):
+    """``n_quad`` equispaced points on r = R, offset by ``shift`` spacings."""
+    th = 2.0 * math.pi * (np.arange(n_quad) + shift) / n_quad
     nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
     pts = np.asarray(domain.center) + domain.radius_R * nhat
     ring = 2.0 * math.pi * domain.radius_R
     return pts, nhat, ring
 
 
+# The trace fit doubles the sample count M from _FIRST_SAMPLES until the
+# traces are reproduced to _FIT_TARGET between the samples; the cap keeps
+# the samples a few MB and still resolves a singular site at 0.999 R.
+_FIRST_SAMPLES = 64
+_MAX_SAMPLES = 2**16
+_FIT_TARGET = 1e-13
+
+
+def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
+                 floor: float) -> np.ndarray:
+    """Re sum_k c_k (A_k + B_k |w|^2) w^k at points |w| <= 1, where c_0 = 1
+    and c_k = 2 for k >= 1 (the conjugate modes k < 0). Points go by
+    growing |w| in chunks; a chunk sums only the modes whose bound
+    (|A_k| + |B_k|) |w|^k exceeds ``floor``, so deep nodes cost few."""
+    c = np.where(np.arange(len(A)) > 0, 2.0, 1.0)
+    A, B = c * A, c * B
+    bound = np.abs(A) + np.abs(B)
+    out = np.empty(len(w))
+    order = np.argsort(np.abs(w))
+    for idx in np.array_split(order, max(1, len(w) // 8192)):
+        wc = w[idx]
+        live = np.nonzero(bound * np.abs(wc).max() ** np.arange(len(A)) > floor)[0]
+        sa = sb = 0.0
+        for j in range(live[-1] if len(live) else 0, -1, -1):  # Horner
+            sa, sb = sa * wc + A[j], sb * wc + B[j]
+        out[idx] = (sa + np.abs(wc) ** 2 * sb).real
+    return out
+
+
+class _AlmansiSeries:
+    """Biharmonic z on the disk whose value and normal derivative on
+    r = R are those of ``-trace_field``.
+
+    With rho = r / R, z = Re sum_{k >= 0} c_k (A_k rho^k + B_k rho^(k+2))
+    e^{ik theta} (c as in ``_almansi_sum``). The FFT coefficients F_k of
+    the value trace and G_k of R times the normal-derivative trace fix
+    A_k + B_k = F_k and k A_k + (k + 2) B_k = G_k (determinant 2).
+    """
+
+    def __init__(self, domain: DiskDomain, trace_field, tol: float):
+        R = domain.radius_R
+
+        def traces(m: int, shift: float):
+            pts, nhat, _ = _boundary_nodes(domain, m, shift)
+            # an empty SumField evaluates to the scalar 0
+            f = np.zeros(m) - trace_field.value(pts)
+            return f, -R * (trace_field.gradient(pts) * nhat).sum(axis=-1)
+
+        # a residual scale that does not vanish with the traces (those of
+        # a centered dislocation are roundoff): the field on r = R / 2
+        pts, _, _ = _boundary_nodes(domain, _FIRST_SAMPLES)
+        with np.errstate(all="ignore"):
+            inner = np.abs(np.zeros(_FIRST_SAMPLES) + trace_field.value(
+                0.5 * (pts + np.asarray(domain.center))))
+        inner_scale = float(inner[np.isfinite(inner)].max(initial=0.0))
+
+        m = _FIRST_SAMPLES
+        f, g = traces(m, 0.0)
+        while True:
+            F, G = np.fft.rfft(f) / m, np.fft.rfft(g) / m
+            F[-1] = G[-1] = 0.0  # the Nyquist mode has no shifted value
+            # the interpolated traces against new samples half-way between
+            fs, gs = traces(m, 0.5)
+            phase = m * np.exp(1j * math.pi * np.arange(len(F)) / m)
+            miss = max(np.abs(np.fft.irfft(F * phase, m) - fs).max(),
+                       np.abs(np.fft.irfft(G * phase, m) - gs).max())
+            scale = max(inner_scale, np.abs(f).max(), np.abs(g).max())
+            residual = float(miss / scale if scale > 0.0 else miss)
+            if not residual > _FIT_TARGET or m >= _MAX_SAMPLES:
+                break
+            f, g = np.stack([f, fs], -1).ravel(), np.stack([g, gs], -1).ravel()
+            m *= 2
+        if not residual <= max(1e-8, 10.0 * tol):
+            raise NumericalError(f"trace fit residual {residual} with {m} samples")
+        k = np.arange(len(F))
+        self.A, self.B = 0.5 * ((k + 2.0) * F - G), 0.5 * (G - k * F)
+        self.samples, self.residual = m, residual
+        self.floor = np.finfo(float).eps * scale
+        self.domain = domain
+
+    def squares(self) -> tuple[float, float]:
+        """Integrals over the disk of (Delta z)^2 and |4 d_z^2 z|^2, d_z
+        the complex derivative. Mode k of Delta z is 4 (k + 1) B_k rho^k
+        / R^2; for k >= 1 only, 4 d_z^2 z has 4 (k (k - 1) A_k rho^(k-2)
+        + k (k + 1) B_k rho^k) / R^2 in mode k - 2."""
+        k = np.arange(len(self.A), dtype=float)
+        A, B = self.A, self.B
+        lap = np.where(k > 0, 2.0, 1.0) * (k + 1.0) * np.abs(B) ** 2
+        wirt = k * (k * (k - 1.0) * np.abs(A) ** 2 + k * (k + 1.0) * np.abs(B) ** 2
+                    + 2.0 * (k * k - 1.0) * (A * np.conj(B)).real)
+        scale = 16.0 * math.pi / self.domain.radius_R**2
+        return scale * float(np.sum(lap)), scale * float(np.sum(wirt))
+
+    def sample(self, n: int):
+        """Grid, mask, live nodes and values of z on the grid of size n.
+
+        Inside nodes carry the series. Ghost nodes (outside, within two
+        cells of an inside node) carry its second-order Taylor extension
+        along the normal from r = R: the series itself diverges outside
+        once a singular site is close to the circle.
+        """
+        grid = grid_for_disk(self.domain, n)
+        mask = build_mask(grid, self.domain)
+        inside = mask != OUTSIDE
+        ghost = np.zeros_like(inside)
+        for di in range(-2, 3):
+            for dj in range(-2, 3):
+                ghost |= np.roll(inside, (di, dj), axis=(0, 1))
+        ghost &= ~inside
+        X, Y = grid.meshgrid()
+        cx, cy = self.domain.center
+        w = ((X - cx) + 1j * (Y - cy)) / self.domain.radius_R
+        values = np.zeros(X.shape)
+        values[inside] = _almansi_sum(self.A, self.B, w[inside], self.floor)
+        t = np.abs(w[ghost]) - 1.0
+        unit = w[ghost] / (1.0 + t)
+        k, A, B = np.arange(len(self.A)), self.A, self.B
+        for order, (ca, cb) in enumerate(
+            ((1, 1), (k, k + 2), (k * (k - 1), (k + 2) * (k + 1)))
+        ):
+            # d^order z / d rho^order on r = R, times t^order / order!
+            values[ghost] += t**order / math.factorial(order) * _almansi_sum(
+                ca * A + cb * B, 0.0 * A, unit, self.floor)
+        return grid, mask, inside | ghost, values
+
+
+def _series_report(series: _AlmansiSeries, n: int, value: float,
+                   fit_seconds: float, extras: dict,
+                   singular=None) -> SolveReport:
+    """Report with the field ``singular + z`` sampled on the grid."""
+    t0 = time.perf_counter()
+    grid, mask, live, values = series.sample(n)
+    if singular is not None:
+        values[live] += singular.value(grid.points()[live.ravel()])
+    sample_seconds = time.perf_counter() - t0
+    return SolveReport(
+        field=ScalarField(grid=grid, values=values, mask=mask), value=value,
+        residual=series.residual, method="fourier", grid_n=n,
+        delta=grid.delta, iterations=0, assemble_seconds=fit_seconds,
+        solve_seconds=sample_seconds,
+        extras={**extras, "modes": series.samples,
+                "trace_fit_residual": series.residual},
+    )
+
+
 def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
                                disclinations, n: int = 256,
                                solver: str = "direct",
-                               tol: float = 1e-10,
-                               method: str = "split") -> SolveReport:
+                               tol: float = 1e-10) -> SolveReport:
     """Minimize G(v) + sum_k s_k v(y_k) over clamped fields on the disk.
 
-    method="split" (default) subtracts the fundamental potential of each
-    charge analytically: the point loads then cancel exactly against the
-    cross term of the Gram form, leaving a pure quadratic problem for a
-    smooth correction with prescribed boundary traces, plus closed-form
-    constants (pairwise potential values and circle integrals). This
-    restores second-order accuracy of the minimum value.
-
-    method="nodal" keeps every charge as a load on the value at the
-    nearest grid node; simpler, but only first-order accurate because of
-    the unresolved logarithmic singularity of the curvature.
+    The fundamental potential of each charge is subtracted analytically:
+    the point loads then cancel exactly against the cross term of the
+    Gram form, leaving closed-form constants (pairwise potential values
+    and circle integrals) plus a pure quadratic problem for a smooth
+    biharmonic correction with prescribed boundary traces, solved
+    exactly in Fourier modes. The value does not depend on ``n``, which
+    only sets the grid of the reported field; ``solver`` is ignored and
+    ``tol`` bounds the trace-fit residual.
     """
     disclinations = list(disclinations)
     fl = _gram_factor(elastic)
-    if method == "nodal" or not disclinations:
-        t0 = time.perf_counter()
-        disc = _Discretization(domain, n)
-        g = disc.grid
-        load = np.zeros(disc.n_unknowns)
-        snapped = []
-        for d in disclinations:
-            if domain.boundary_distance(d.site) < 4.0 * g.delta:
-                raise ValidationError(
-                    f"disclination site {d.site} closer than 4 grid cells "
-                    "to the boundary"
-                )
-            i, j = g.nearest_index(d.site)
-            node = i * g.ny + j
-            if disc.unk_of[node] < 0:
-                raise NumericalError(f"site {d.site} snapped to a non-interior node")
-            load[disc.unk_of[node]] += d.frank_angle_s
-            snapped.append([float(g.x0 + i * g.delta), float(g.y0 + j * g.delta)])
-        assemble = time.perf_counter() - t0
-
-        d_cells = np.zeros(len(disc.cell_ids))
-        u, value, residual, meth, iters, solve_s = _minimize(
-            disc, fl, d_cells, load, solver, tol
-        )
-        values = disc.node_values(u).reshape(g.nx, g.ny)
-        sf = ScalarField(grid=g, values=values, mask=disc.mask)
-        return SolveReport(
-            field=sf, value=value, residual=residual, method=meth, grid_n=n,
-            delta=g.delta, iterations=iters, assemble_seconds=assemble,
-            solve_seconds=solve_s,
-            extras={"snapped_sites": snapped, "scheme": "nodal"},
-        )
-    if method != "split":
-        raise ValidationError(f"unknown disclination scheme {method!r}")
-
     sites = [np.asarray(d.site, dtype=float) for d in disclinations]
     charges = [float(d.frank_angle_s) for d in disclinations]
     for p in sites:
         if domain.boundary_distance(p) <= 0.0:
             raise ValidationError(f"disclination site {tuple(p)} outside the domain")
     fund = FundamentalAiry(elastic)
-    parts = [
-        ScaledField(-s, ShiftedField(tuple(p), fund))
-        for s, p in zip(charges, sites)
-    ]
-    v_sing = SumField(tuple(parts))
+    v_sing = SumField(tuple(ScaledField(-s, ShiftedField(tuple(p), fund))
+                            for s, p in zip(charges, sites)))
 
     # closed-form constant: -(1/2) sum_ij s_i s_j [vbar(y_i - y_j)
     #   + f oint (Delta vbar_i d_n vbar_j - (d_n Delta vbar_i) vbar_j)]
@@ -490,31 +538,14 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
             constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q_ij)
 
     t0 = time.perf_counter()
-    disc = _Discretization(domain, n, trace_field=v_sing)
-    assemble = time.perf_counter() - t0
-    g = disc.grid
-    u, residual, solve_s = _solve_biharmonic_equation(disc, tol)
-    meth, iters = "direct", 0
-    gram_value = _gram_value(disc, fl, u)
-    value = constant + gram_value
-
-    z_nodes = disc.node_values(u)
-    live = disc.mask.ravel() != OUTSIDE
-    live = live.copy()
-    live[disc.ghost_ids] = True
-    v_nodes = np.zeros(g.nx * g.ny)
-    pts_live = np.stack([disc.node_x[live], disc.node_y[live]], axis=-1)
-    v_nodes[live] = v_sing.value(pts_live) + z_nodes[live]
-    sf = ScalarField(grid=g, values=v_nodes.reshape(g.nx, g.ny), mask=disc.mask)
-    return SolveReport(
-        field=sf, value=value, residual=residual, method=meth, grid_n=n,
-        delta=g.delta, iterations=iters, assemble_seconds=assemble,
-        solve_seconds=solve_s,
-        extras={
-            "scheme": "split",
-            "closed_form_constant": constant,
-            "gram_objective": gram_value,
-        },
+    series = _AlmansiSeries(domain, v_sing, tol)
+    gram_value = 0.5 * fl * series.squares()[0]
+    fit_seconds = time.perf_counter() - t0
+    return _series_report(
+        series, n, constant + gram_value, fit_seconds,
+        {"scheme": "split", "closed_form_constant": constant,
+         "gram_objective": gram_value},
+        singular=v_sing,
     )
 
 
@@ -574,19 +605,16 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
             acc += sign * ring_r * float(np.mean(lap_f * g_dn - dnlap_f * g_val))
         return acc
 
-    bpts, bn, bring = _boundary_nodes(domain)
-    rings = [(1.0, bpts, bn, bring)]
-    n_quad = 512
-    th = 2.0 * math.pi * np.arange(n_quad) / n_quad
-    nh = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    bpts, nh, bring = _boundary_nodes(domain)
+    rings = [(1.0, bpts, nh, bring)]
     for p in sites:
         rings.append((-1.0, p + eps * nh, nh, 2.0 * math.pi * eps))
 
     C0 = 0.5 * fl * sum(pair2(term, rings) for term in W_p.terms)
 
     cores = [(d.site, eps) for d in dislocations]
-    disc = _Discretization(domain, n, cores=cores, core_offset_field=W_p,
-                           trace_field=W_p, weight_cores=False)
+    disc = _Discretization(domain, n, W_p, cores=cores, core_offset_field=W_p,
+                           weight_cores=False)
     if eps < 4.0 * disc.grid.delta:
         raise ValidationError(
             f"core radius eps={eps} unresolved: needs eps >= 4*delta"
@@ -667,12 +695,7 @@ def solve_dipole_core(elastic: ElasticConstants, domain: DiskDomain,
     extras = dict(report.extras)
     extras["spacing_h"] = [dip.spacing_h for dip in dipoles]
     extras["load_h_independent"] = True
-    return SolveReport(
-        field=report.field, value=report.value, residual=report.residual,
-        method=report.method, grid_n=report.grid_n, delta=report.delta,
-        iterations=report.iterations, assemble_seconds=report.assemble_seconds,
-        solve_seconds=report.solve_seconds, extras=extras,
-    )
+    return replace(report, extras=extras)
 
 
 def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
@@ -681,10 +704,13 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
                              tol: float = 1e-10) -> SolveReport:
     """Biharmonic boundary-relaxation solve.
 
-    Minimizes the plate energy among fields whose boundary traces cancel
-    those of the summed zero-core dislocation profiles; the reported
-    value adds the analytic boundary pairing terms, i.e. it is the
-    elastic part of the renormalized energy.
+    The correction is the biharmonic field whose boundary traces cancel
+    those of the summed zero-core dislocation profiles, solved exactly
+    in Fourier modes, with its plate energy as an exact mode sum; the
+    reported value adds the analytic boundary pairing terms, i.e. it is
+    the elastic part of the renormalized energy. The value does not
+    depend on ``n``, which only sets the grid of the reported field;
+    ``solver`` is ignored and ``tol`` bounds the trace-fit residual.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -697,42 +723,22 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     W0 = SumField(tuple(W0_terms))
 
     t0 = time.perf_counter()
-    disc = _Discretization(domain, n, trace_field=W0)
-    assemble = time.perf_counter() - t0
-
-    u, residual, solve_s = _solve_biharmonic_equation(disc, tol)
-    method, iters = "direct", 0
-    gram_value = _gram_value(disc, _gram_factor(elastic), u)
-
-    g = disc.grid
-    v = disc.node_values(u).reshape(g.nx, g.ny)
-
-    # Hessian-form energy of the (non-clamped) correction by central
-    # differences; ghost values supply the stencils at boundary cells.
-    h = g.delta
-    vxx = np.zeros_like(v)
-    vyy = np.zeros_like(v)
-    vxy = np.zeros_like(v)
-    vxx[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / h**2
-    vyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h**2
-    vxy[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * h**2)
+    series = _AlmansiSeries(domain, W0, tol)
+    # Hessian-form energy of the (non-clamped) correction, with
+    # |D^2 v|^2 = ((Delta v)^2 + |4 d_z^2 v|^2) / 2
     nu, E = elastic.poisson_nu, elastic.young_E
-    dens = (1.0 + nu) / (2.0 * E) * (
-        vxx**2 + 2.0 * vxy**2 + vyy**2 - nu * (vxx + vyy) ** 2
-    )
-    G_hess = float(np.sum(dens.ravel()[disc.cell_ids] * disc.cell_w)) * h * h
+    lap_square, wirt_square = series.squares()
+    G_hess = (1.0 + nu) / (2.0 * E) * ((0.5 - nu) * lap_square + 0.5 * wirt_square)
+    gram_value = 0.5 * _gram_factor(elastic) * lap_square
+    fit_seconds = time.perf_counter() - t0
 
     # analytic boundary pairing on the admissible set: traces equal the
     # negated profile traces, so every term is a closed-form circle
     # integral
-    n_quad = 512
-    th = 2.0 * math.pi * np.arange(n_quad) / n_quad
-    nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    bpts = np.asarray(domain.center) + domain.radius_R * nhat
+    bpts, nhat, ring = _boundary_nodes(domain)
     W0_val = W0.value(bpts)
     W0_grad = W0.gradient(bpts)
     W0_dn = (W0_grad * nhat).sum(axis=-1)
-    ring = 2.0 * math.pi * domain.radius_R
     boundary = 0.0
     for term in W0_terms:
         dn_lap = (term.grad_laplacian(bpts) * nhat).sum(axis=-1)
@@ -746,15 +752,8 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
             )
         )
 
-    value = G_hess + boundary
-    sf = ScalarField(grid=g, values=v, mask=disc.mask)
-    return SolveReport(
-        field=sf, value=value, residual=residual, method=method, grid_n=n,
-        delta=g.delta, iterations=iters, assemble_seconds=assemble,
-        solve_seconds=solve_s,
-        extras={
-            "gram_objective": gram_value,
-            "hessian_energy": G_hess,
-            "boundary_pairing": boundary,
-        },
+    return _series_report(
+        series, n, G_hess + boundary, fit_seconds,
+        {"gram_objective": gram_value, "hessian_energy": G_hess,
+         "boundary_pairing": boundary},
     )

@@ -2,15 +2,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from airy_defects.core import (
     Disclination,
     DisclinationDipole,
     Dislocation,
     DiskDomain,
+    NumericalError,
     ValidationError,
 )
-from airy_defects.closedform import DislocationCoreAiry, SingleDisclinationClamped
+from airy_defects import solver
+from airy_defects.closedform import (
+    DislocationCoreAiry,
+    DislocationLimitAiry,
+    FundamentalAiry,
+    ScaledField,
+    ShiftedField,
+    SingleDisclinationClamped,
+    SumField,
+)
 from airy_defects.energy import single_dislocation_min_value
 from airy_defects.solver import (
     solve_clamped_disclination,
@@ -20,6 +32,73 @@ from airy_defects.solver import (
 )
 
 CENTERED = [Disclination((0.0, 0.0), 1.0)]
+
+_BIHARMONIC_STENCIL = (
+    ((0, 0), 20.0),
+    ((1, 0), -8.0), ((-1, 0), -8.0), ((0, 1), -8.0), ((0, -1), -8.0),
+    ((1, 1), 2.0), ((1, -1), 2.0), ((-1, 1), 2.0), ((-1, -1), 2.0),
+    ((2, 0), 1.0), ((-2, 0), 1.0), ((0, 2), 1.0), ((0, -2), 1.0),
+)
+
+
+def _fd_oracle(elastic, domain, trace_field, n):
+    """Finite-difference oracle of the pure-trace problems.
+
+    Solves the 13-point bilaplacian equation at every inside node for
+    the field z whose traces on r = R are those of ``-trace_field``
+    (ghost rows of ``solver._Discretization`` carry the trace data) and
+    returns its cut-cell Gram objective (1 - nu^2)/(2E) int (Delta z)^2
+    and its central-difference Hessian energy
+    (1 + nu)/(2E) int |D^2 z|^2 - nu (Delta z)^2, both second order.
+    """
+    disc = solver._Discretization(domain, n, trace_field)
+    g = disc.grid
+    free = disc.free_ids
+    rows, cols, vals = [], [], []
+    for (di, dj), c in _BIHARMONIC_STENCIL:
+        rows.append(np.arange(len(free)))
+        cols.append(free + di * g.ny + dj)
+        vals.append(np.full(len(free), c / g.delta**4))
+    B = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(free), g.nx * g.ny),
+    )
+    u = spla.splu((B @ disc.P).tocsc()).solve(-B @ disc.q)
+    h = g.delta
+    lap = disc.Lq + disc.M @ u
+    gram = 0.5 * (1.0 - elastic.poisson_nu**2) / elastic.young_E * h * h * float(
+        np.sum(disc.cell_w * lap * lap)
+    )
+    v = disc.node_values(u).reshape(g.nx, g.ny)
+    vxx = np.zeros_like(v)
+    vyy = np.zeros_like(v)
+    vxy = np.zeros_like(v)
+    vxx[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / h**2
+    vyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h**2
+    vxy[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * h**2)
+    nu, E = elastic.poisson_nu, elastic.young_E
+    dens = (1.0 + nu) / (2.0 * E) * (
+        vxx**2 + 2.0 * vxy**2 + vyy**2 - nu * (vxx + vyy) ** 2
+    )
+    return gram, float(np.sum(dens.ravel()[disc.cell_ids] * disc.cell_w)) * h * h
+
+
+def _singular_part(elastic, disclinations):
+    """Subtracted singular field of the split disclination problem."""
+    fund = FundamentalAiry(elastic)
+    return SumField(tuple(
+        ScaledField(-d.frank_angle_s, ShiftedField(d.site, fund))
+        for d in disclinations
+    ))
+
+
+def _limit_profiles(elastic, domain, dislocations):
+    """Summed zero-core profiles whose traces the elastic correction cancels."""
+    return SumField(tuple(
+        DislocationLimitAiry(elastic=elastic, burgers_b=d.burgers_b,
+                             radius_R=domain.radius_R, site=d.site)
+        for d in dislocations
+    ))
 
 
 class TestDisclinationSolve:
@@ -41,14 +120,27 @@ class TestDisclinationSolve:
         assert math.sqrt(float(np.sum((num - ref) ** 2))) / denom < 1e-8
 
     def test_off_center_converges(self, elastic, unit_disk):
-        defects = [Disclination((0.3, -0.2), 1.0)]
-        vals = [
-            solve_clamped_disclination(elastic, unit_disk, defects, n=n).value
-            for n in (64, 128, 256)
-        ]
-        d1 = abs(vals[1] - vals[0])
-        d2 = abs(vals[2] - vals[1])
-        assert d2 < d1
+        # the Fourier value is exact, so n only sets the reported grid; the
+        # 13-point oracle converges to it at second order (error / 4 per
+        # doubling, at least / 3 required)
+        disc = [Disclination((0.3, -0.2), 1.0)]
+        pair = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)]
+        for solve, defects, key, trace, oracle_key in (
+            (solve_clamped_disclination, disc, "gram_objective",
+             _singular_part(elastic, disc), 0),
+            (solve_elastic_correction, pair, "hessian_energy",
+             _limit_profiles(elastic, unit_disk, pair), 1),
+        ):
+            exact = [
+                solve(elastic, unit_disk, defects, n=n).extras[key]
+                for n in (64, 128, 256)
+            ]
+            assert max(abs(v - exact[0]) for v in exact) <= 1e-14 * abs(exact[0])
+            errors = [
+                abs(_fd_oracle(elastic, unit_disk, trace, n)[oracle_key] - exact[0])
+                for n in (64, 128, 256)
+            ]
+            assert errors[0] > 3.0 * errors[1] > 9.0 * errors[2] > 0.0
 
     def test_superposition_of_charges(self, elastic, unit_disk):
         # the minimizer is linear in the charges; the value is quadratic,
@@ -71,6 +163,57 @@ class TestDisclinationSolve:
         d = report.to_dict()
         for key in ("value", "residual", "method", "grid_n", "delta"):
             assert key in d
+
+    def test_report_says_what_ran(self, elastic, unit_disk):
+        report = solve_clamped_disclination(
+            elastic, unit_disk, CENTERED, n=64, solver="cg"
+        )
+        assert report.method == "fourier" and report.iterations == 0
+        assert report.extras["trace_fit_residual"] == report.residual < 1e-13
+
+    def test_empty_configuration_is_zero(self, elastic, unit_disk):
+        report = solve_clamped_disclination(elastic, unit_disk, [], n=64)
+        assert report.value == 0.0
+        assert not np.any(report.field.values)
+
+    def test_exact_traces_stop_at_first_fit(self, elastic, unit_disk):
+        # the centered charge has a constant normal-derivative trace and a
+        # roundoff value trace; the centered dislocation has roundoff
+        # traces only
+        disc = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=64)
+        corr = solve_elastic_correction(
+            elastic, unit_disk, [Dislocation((0.0, 0.0), (0.0, 1.0))], n=64
+        )
+        for report in (disc, corr):
+            assert report.extras["modes"] == solver._FIRST_SAMPLES
+
+    def test_site_near_boundary_has_bounded_ghosts(self, elastic, unit_disk):
+        report = solve_clamped_disclination(
+            elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)], n=256
+        )
+        v = report.field.values
+        assert np.all(np.isfinite(v))
+        inside = report.field.mask != 0
+        assert np.abs(v[~inside]).max() <= np.abs(v[inside]).max()
+
+    def test_unresolvable_traces_raise(self, elastic, unit_disk, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_SAMPLES", 128)
+        with pytest.raises(NumericalError, match="trace fit residual"):
+            solve_clamped_disclination(
+                elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)], n=64
+            )
+
+    def test_trace_solvers_do_not_factor(self, elastic, unit_disk, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse factorization on a trace problem")
+
+        monkeypatch.setattr(solver, "splu", refuse)
+        solve_clamped_disclination(
+            elastic, unit_disk, [Disclination((0.3, -0.2), 1.0)], n=64
+        )
+        solve_elastic_correction(
+            elastic, unit_disk, [Dislocation((0.4, 0.0), (0.0, 1.0))], n=64
+        )
 
 
 class TestCoreConstrainedSolve:
