@@ -26,8 +26,8 @@ from .core import (
     rotate_burgers,
 )
 from .closedform import DipoleAiry, DislocationLimitAiry
-from .energy import energy_density
-from .fields import fmt17
+from .energy import _pair_energy_boundary, energy_density
+from .fields import circle_nodes, fmt17
 from .solver import (
     SolveReport,
     solve_clamped_disclination,
@@ -145,8 +145,7 @@ def _dipole_energy_quadrature(elastic: ElasticConstants, s: float, R: float,
     integrable log^2 spike there).
     """
     field = DipoleAiry(elastic=elastic, burgers_b=(0.0, s), spacing_h=h)
-    th = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
 
     def shell(r: float) -> float:
         dens = energy_density(field.hessian(r * ring), elastic)
@@ -162,7 +161,6 @@ def _dipole_energy_quadrature(elastic: ElasticConstants, s: float, R: float,
 
 def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
                          h_list, include_solver: bool = False, n: int = 256,
-                         solver: str = "direct", tol: float = 1e-10,
                          n_theta: int = 512) -> list[dict]:
     """Normalized pair-field energies over decreasing spacings.
 
@@ -202,8 +200,7 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
                     Disclination(site=(0.5 * h, 0.0), frank_angle_s=s),
                     Disclination(site=(-0.5 * h, 0.0), frank_angle_s=-s),
                 ]
-                rep = solve_clamped_disclination(elastic, domain, charges, n,
-                                                 solver, tol)
+                rep = solve_clamped_disclination(elastic, domain, charges, n)
                 row["solver_value"] = rep.value
                 row["solver_normalized"] = rep.value / (h**2 * abs(math.log(h)))
                 row["solver_limit"] = -limit
@@ -239,8 +236,8 @@ def angular_quartic_integral(n_quad: int = 64) -> float:
 
 
 def _pair_integrand_means(h: float, n_theta: int):
-    th = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(th), np.sin(th)
+    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
+    ct, st = ring[:, 0], ring[:, 1]
 
     def means(r: float) -> tuple[float, float, float]:
         x1 = r * ct
@@ -377,45 +374,9 @@ class RenormalizedEnergy:
         }
 
 
-def _circle_nodes(center, radius: float, n_quad: int):
-    th = 2.0 * math.pi * np.arange(n_quad) / n_quad
-    nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    return np.asarray(center, dtype=float) + radius * nhat, nhat, \
-        2.0 * math.pi * radius
-
-
-def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
-                          ) -> float:
-    """Energy cross term of two biharmonic closed forms by boundary
-    reduction: (1+nu)/E of the three-kernel circle pairing.
-
-    ``rings`` are (sign, points, ball-outward normals, circumference)
-    tuples whose signed sum is the region boundary with region-outward
-    orientation on the first entry.
-    """
-    nu, E = elastic.poisson_nu, elastic.young_E
-    acc = 0.0
-    for sign, pts, nhat, ring in rings:
-        dn_lap = (term_f.grad_laplacian(pts) * nhat).sum(axis=-1)
-        lap = term_f.laplacian(pts)
-        hess_n = np.einsum("nij,nj->ni", term_f.hessian(pts), nhat)
-        g_val = term_g.value(pts)
-        g_grad = term_g.gradient(pts)
-        g_dn = (g_grad * nhat).sum(axis=-1)
-        acc += sign * ring * float(
-            np.mean(
-                (hess_n * g_grad).sum(axis=-1)
-                - nu * lap * g_dn
-                - (1.0 - nu) * dn_lap * g_val
-            )
-        )
-    return (1.0 + nu) / E * acc
-
-
 def renormalized_energy(dislocations, elastic: ElasticConstants,
                         domain: DiskDomain, D_override: float | None = None,
                         n: int = 256, n_quad: int = 512,
-                        solver: str = "direct", tol: float = 1e-10,
                         ) -> RenormalizedEnergy:
     """Self/interaction/elastic decomposition plus the geometry constant.
 
@@ -462,11 +423,11 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
                              radius_R=R, site=d.site)
         for d in dislocations
     ]
-    outer = _circle_nodes(domain.center, R, n_quad)
+    outer = circle_nodes(domain.center, R, n_quad)
 
     F_self = 0.0
     for j, term in enumerate(terms):
-        rings = [(1.0, *outer), (-1.0, *_circle_nodes(sites[j], D, n_quad))]
+        rings = [(1.0, *outer), (-1.0, *circle_nodes(sites[j], D, n_quad))]
         F_self += 0.5 * _pair_energy_boundary(term, term, rings, elastic)
         mag = math.hypot(*dislocations[j].burgers_b)
         F_self += K * mag**2 / (8.0 * math.pi) * math.log(D)
@@ -480,8 +441,7 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
         F_int += _pair_energy_boundary(terms[j], terms[k], [(1.0, *outer)],
                                        elastic) + load_k
 
-    F_elastic = solve_elastic_correction(elastic, domain, dislocations, n,
-                                         solver, tol).value
+    F_elastic = solve_elastic_correction(elastic, domain, dislocations, n).value
     f_DR = sum(
         vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
         for d in dislocations
@@ -504,8 +464,7 @@ def _analytic_slope(dislocations, elastic: ElasticConstants) -> float:
 
 def expansion_check(dislocations, elastic: ElasticConstants,
                     domain: DiskDomain, eps_list, n: int = 256,
-                    fit_tail: int = 3, solver: str = "direct",
-                    tol: float = 1e-10,
+                    fit_tail: int = 3,
                     reports: list[SolveReport] | None = None) -> ExpansionFit:
     """Solver values over a decreasing core-radius list, fitted against
     |log eps| and compared with the renormalized-energy constant.
@@ -523,16 +482,14 @@ def expansion_check(dislocations, elastic: ElasticConstants,
     eps_values = _check_decreasing(eps_list, "core radius")
     values = []
     for eps in eps_values:
-        rep = solve_core_constrained(elastic, domain, dislocations, eps, n,
-                                     solver, tol)
+        rep = solve_core_constrained(elastic, domain, dislocations, eps, n)
         if reports is not None:
             reports.append(rep)
         values.append(rep.value)
     slope, constant, s_err, c_err, residual, eps2 = _fit_log_expansion(
         eps_values, values, fit_tail, eps2_term=True
     )
-    renorm = renormalized_energy(dislocations, elastic, domain, n=n,
-                                 solver=solver, tol=tol)
+    renorm = renormalized_energy(dislocations, elastic, domain, n=n)
     return ExpansionFit(
         param_name="eps", params=tuple(eps_values), values=tuple(values),
         slope=slope, constant=constant, slope_stderr=s_err,
@@ -544,8 +501,7 @@ def expansion_check(dislocations, elastic: ElasticConstants,
 
 def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
                           domain: DiskDomain, h_list, n: int = 256,
-                          fit_tail: int = 3, solver: str = "direct",
-                          tol: float = 1e-10) -> ExpansionFit:
+                          fit_tail: int = 3) -> ExpansionFit:
     """Joint spacing/core limit: per spacing h the core radius is
     eps(h) = sqrt(h), clipped below the separation radius; samples whose
     eps is unresolved by the grid (eps < 4 delta) or not above h are
@@ -565,7 +521,7 @@ def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
             skipped.append({"h": h, "eps": eps, "reason": "unresolved"})
             continue
         sized = [replace(dip, spacing_h=h) for dip in dipoles]
-        rep = solve_dipole_core(elastic, domain, sized, eps, n, solver, tol)
+        rep = solve_dipole_core(elastic, domain, sized, eps, n)
         eps_used.append(eps)
         values.append(rep.value)
     if len(values) < 2:

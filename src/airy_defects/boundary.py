@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiskDomain, ValidationError
-from .fields import OUTSIDE, ScalarField, SplineField
+from .fields import ScalarField, SplineField
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     DefectConfiguration,
-    DiskDomain,
     ElasticConstants,
     NumericalError,
     ValidationError,
@@ -299,24 +298,21 @@ def _cmd_solve(args) -> None:
         )
     if config.disclinations:
         report = solve_clamped_disclination(
-            config.elastic, config.domain, config.disclinations,
-            n=args.grid_n, solver=args.solver, tol=args.tol,
+            config.elastic, config.domain, config.disclinations, n=args.grid_n,
         )
     elif config.dislocations:
         if config.core_radius is None:
             raise ValidationError("dislocation solve needs core_radius")
         report = solve_core_constrained(
             config.elastic, config.domain, config.dislocations,
-            config.core_radius, n=args.grid_n, solver=args.solver,
-            tol=args.tol,
+            config.core_radius, n=args.grid_n,
         )
     else:
         if config.core_radius is None:
             raise ValidationError("dipole solve needs core_radius")
         report = solve_dipole_core(
             config.elastic, config.domain, config.dipoles,
-            config.core_radius, n=args.grid_n, solver=args.solver,
-            tol=args.tol,
+            config.core_radius, n=args.grid_n,
         )
     if args.field_csv:
         report.field.to_csv(args.field_csv)
@@ -339,8 +335,7 @@ def _cmd_sweep_dipole(args) -> None:
         R = args.R
         s = args.s
     rows = dipole_scaling_sweep(
-        elastic, s, R, args.h, include_solver=args.include_solver,
-        n=args.grid_n, solver=args.solver, tol=args.tol,
+        elastic, s, R, args.h, include_solver=args.include_solver, n=args.grid_n,
     )
     if args.csv:
         sweep_to_csv(rows, args.csv)
@@ -353,8 +348,7 @@ def _cmd_sweep_core(args) -> None:
         raise ValidationError("sweep-core needs dislocations in the config")
     fit = expansion_check(
         config.dislocations, config.elastic, config.domain, args.eps,
-        n=args.grid_n, fit_tail=args.fit_tail, solver=args.solver,
-        tol=args.tol,
+        n=args.grid_n, fit_tail=args.fit_tail,
     )
     _emit(args, fit.to_dict())
 
@@ -365,7 +359,7 @@ def _cmd_renormalize(args) -> None:
         raise ValidationError("renormalize needs dislocations in the config")
     ren = renormalized_energy(
         config.dislocations, config.elastic, config.domain,
-        D_override=args.D, n=args.grid_n, solver=args.solver, tol=args.tol,
+        D_override=args.D, n=args.grid_n,
     )
     _emit(args, ren.to_dict())
 
@@ -376,8 +370,7 @@ def _cmd_diagonal(args) -> None:
         raise ValidationError("diagonal needs dipoles in the config")
     fit = diagonal_dipole_limit(
         config.dipoles, config.elastic, config.domain, args.h,
-        n=args.grid_n, fit_tail=args.fit_tail, solver=args.solver,
-        tol=args.tol,
+        n=args.grid_n, fit_tail=args.fit_tail,
     )
     _emit(args, fit.to_dict())
 
@@ -424,8 +417,6 @@ def _build_parser() -> _Parser:
         if grid:
             p.add_argument("--grid-n", type=int, default=256,
                            help="cells across the diameter")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--solver", choices=("direct", "cg"), default="direct")
         p.add_argument("--out", help="write the JSON report here (default stdout)")
 
     p = sub.add_parser("constants", help="derived elastic constants")

@@ -591,27 +591,6 @@ class DislocationCoreAiry(_FrameField):
         g[:, 1] = -2.0 * xi[:, 0] * xi[:, 1] / u**2
         return c3 * (g @ Q)
 
-    def hessian_smooth(self, x):
-        """Annulus-branch Hessian extended across the core circle."""
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        if np.any(u == 0.0):
-            raise ValidationError("smooth branch undefined at the site")
-        cc = self.coeffs
-        c0 = self.magnitude * self.K / (16.0 * math.pi)
-        dphi = -cc.beta / u**2 + cc.gamma + 2.0 / u
-        d2phi = 2.0 * cc.beta / u**3 - 2.0 / u**2
-        x1 = xi[:, 0]
-        H = 4.0 * d2phi[:, None, None] * xi[:, :, None] * xi[:, None, :] * x1[:, None, None]
-        ey = 2.0 * dphi[:, None] * xi
-        H[:, 0, 0] += 2.0 * dphi * x1 + 2.0 * ey[:, 0]
-        H[:, 1, 1] += 2.0 * dphi * x1
-        H[:, 0, 1] += ey[:, 1]
-        H[:, 1, 0] += ey[:, 1]
-        H = c0 * H
-        return np.einsum("ai,nab,bj->nij", Q, H, Q)
-
 
 @dataclass(frozen=True)
 class DislocationLimitAiry(_FrameField):

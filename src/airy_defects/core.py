@@ -295,7 +295,10 @@ class DefectConfiguration:
                 for d in doc.get("dipoles", [])
             )
             core = doc.get("core_radius")
-        except (KeyError, TypeError) as exc:
+            core_radius = None if core is None else float(core)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed configuration document: {exc}") from exc
         return cls(
             elastic=elastic,
@@ -303,7 +306,7 @@ class DefectConfiguration:
             disclinations=disclinations,
             dislocations=dislocations,
             dipoles=dipoles,
-            core_radius=None if core is None else float(core),
+            core_radius=core_radius,
         )
 
     def to_json(self) -> str:

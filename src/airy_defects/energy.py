@@ -17,11 +17,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .core import (
-    DefectConfiguration,
     DiskDomain,
     ElasticConstants,
     NumericalError,
     ValidationError,
+    min_separation_D,
     rotate_burgers,
 )
 from .fields import (
@@ -30,6 +30,7 @@ from .fields import (
     SplineField,
     TensorField,
     circle_integral,
+    circle_nodes,
     grid_for_disk,
     integrate,
     region_weights,
@@ -56,14 +57,6 @@ def clamped_energy_density(laplacian: np.ndarray, elastic: ElasticConstants) -> 
     nu, E = elastic.poisson_nu, elastic.young_E
     lap = np.asarray(laplacian, dtype=float)
     return (1.0 - nu**2) / (2.0 * E) * lap**2
-
-
-def strain_energy_density(strain: np.ndarray, elastic: ElasticConstants) -> np.ndarray:
-    """(1/2)(lambda tr(eps)^2 + 2 mu |eps|^2)."""
-    e = np.asarray(strain, dtype=float)
-    lam, mu = elastic.lame_lambda, elastic.lame_mu
-    tr = e[..., 0, 0] + e[..., 1, 1]
-    return 0.5 * (lam * tr**2 + 2.0 * mu * (e**2).sum(axis=(-2, -1)))
 
 
 def stress_energy_density(stress: np.ndarray, elastic: ElasticConstants) -> np.ndarray:
@@ -174,8 +167,7 @@ def polar_energy(field, elastic: ElasticConstants, center,
             f"need 0 <= r_inner < r_outer, got {r_inner}, {r_outer}"
         )
     c = np.asarray(center, dtype=float)
-    th = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    ring = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    _, ring, _ = circle_nodes(c, 1.0, n_theta)
 
     def ring_means(r: float) -> tuple[float, float]:
         H = field.hessian(c + r * ring)
@@ -196,15 +188,32 @@ def polar_energy(field, elastic: ElasticConstants, center,
     )
 
 
-def grid_inner_product(f1, f2, grid, weights: np.ndarray,
-                       elastic: ElasticConstants) -> float:
-    """Energy bilinear form of two analytic fields over a weighted grid."""
-    pts = grid.points()
-    w = np.asarray(weights, dtype=float).ravel()
-    live = w > 0.0
-    d = np.zeros(pts.shape[0])
-    d[live] = inner_product_density(f1.hessian(pts[live]), f2.hessian(pts[live]), elastic)
-    return integrate(d.reshape(weights.shape), weights, grid.delta)
+def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
+                          ) -> float:
+    """Energy cross term of two biharmonic closed forms by boundary
+    reduction: (1+nu)/E of the three-kernel circle pairing.
+
+    ``rings`` are (sign, points, ball-outward normals, circumference)
+    tuples whose signed sum is the region boundary with region-outward
+    orientation on the first entry.
+    """
+    nu, E = elastic.poisson_nu, elastic.young_E
+    acc = 0.0
+    for sign, pts, nhat, ring in rings:
+        dn_lap = (term_f.grad_laplacian(pts) * nhat).sum(axis=-1)
+        lap = term_f.laplacian(pts)
+        hess_n = np.einsum("nij,nj->ni", term_f.hessian(pts), nhat)
+        g_val = term_g.value(pts)
+        g_grad = term_g.gradient(pts)
+        g_dn = (g_grad * nhat).sum(axis=-1)
+        acc += sign * ring * float(
+            np.mean(
+                (hess_n * g_grad).sum(axis=-1)
+                - nu * lap * g_dn
+                - (1.0 - nu) * dn_lap * g_val
+            )
+        )
+    return (1.0 + nu) / E * acc
 
 
 # ---------------------------------------------------------------------------
@@ -262,54 +271,6 @@ def affine_core_defect(field, site, eps: float, n_sample: int = 64) -> float:
 # ---------------------------------------------------------------------------
 
 
-def disclination_functional(field, elastic: ElasticConstants,
-                            domain: DiskDomain, disclinations,
-                            n_theta: int = 256) -> float:
-    """G(v; B_R) + sum of s_k v(y_k) for analytic fields."""
-    G = polar_energy(field, elastic, domain.center, domain.radius_R,
-                     n_theta=n_theta).energy
-    load = 0.0
-    for d in disclinations:
-        load += d.frank_angle_s * float(field.value(np.asarray(d.site))[0])
-    return G + load
-
-
-def dislocation_core_functional(field, elastic: ElasticConstants,
-                                domain: DiskDomain, burgers_b, eps: float,
-                                site=None, n_quad: int = 256) -> float:
-    """G(w; annulus) + core gradient load, for a single centered core."""
-    if site is None:
-        site = domain.center
-    G = polar_energy(field, elastic, site, domain.radius_R, r_inner=eps).energy
-    return G + core_gradient_load(field, site, burgers_b, eps, n_quad)
-
-
-def dipole_core_functional(field, elastic: ElasticConstants,
-                           domain: DiskDomain, burgers_b, eps: float,
-                           h: float, site=None, n_quad: int = 256) -> float:
-    """G(w; B_R) + finite-h pair load, for a single centered core.
-
-    On the affine-core class the bulk integral over the core ball
-    vanishes, so G is taken over the annulus as well.
-    """
-    if site is None:
-        site = domain.center
-    G = polar_energy(field, elastic, site, domain.radius_R, r_inner=eps).energy
-    return G + dipole_pair_load(field, site, burgers_b, eps, h, n_quad)
-
-
-def system_core_loads(field, config: DefectConfiguration,
-                      n_quad: int = 256) -> float:
-    """Sum of core gradient loads over all dislocations of a configuration."""
-    if config.core_radius is None:
-        raise ValidationError("configuration has no core radius")
-    total = 0.0
-    for d in config.dislocations:
-        total += core_gradient_load(field, d.site, d.burgers_b,
-                                    config.core_radius, n_quad)
-    return total
-
-
 def single_dislocation_min_value(elastic: ElasticConstants, radius_R: float,
                                  magnitude: float, eps: float) -> float:
     """Minimal core functional value for one centered dislocation:
@@ -361,27 +322,9 @@ def as_airy(w):
     return w
 
 
-def _fd_hessian_raw(v: ScalarField):
-    """Raw central differences over the whole array (NaN on the rim).
-
-    Unlike :meth:`ScalarField.hessian_fd` this reads values at masked-out
-    nodes; solver outputs carry ghost values there, which is exactly what
-    boundary-adjacent cells need.
-    """
-    a = v.values
-    h = v.grid.delta
-    vxx = np.full_like(a, np.nan)
-    vyy = np.full_like(a, np.nan)
-    vxy = np.full_like(a, np.nan)
-    vxx[1:-1, :] = (a[2:, :] - 2.0 * a[1:-1, :] + a[:-2, :]) / h**2
-    vyy[:, 1:-1] = (a[:, 2:] - 2.0 * a[:, 1:-1] + a[:, :-2]) / h**2
-    vxy[1:-1, 1:-1] = (a[2:, 2:] - a[2:, :-2] - a[:-2, 2:] + a[:-2, :-2]) / (4.0 * h**2)
-    return vxx, vxy, vyy
-
-
 def _grid_bulk_G(v: ScalarField, elastic: ElasticConstants,
                  weights: np.ndarray) -> float:
-    vxx, vxy, vyy = _fd_hessian_raw(v)
+    vxx, vxy, vyy = v.central_hessian()
     w = np.asarray(weights, dtype=float)
     live = w > 0.0
     if np.any(~np.isfinite(vxx[live])) or np.any(~np.isfinite(vxy[live])) \
@@ -420,8 +363,8 @@ def airy_inner_product(v: ScalarField, w: ScalarField,
     if v.grid != w.grid:
         raise ValidationError("fields live on different grids")
     wts = _default_weights(v, region)
-    vh = _fd_hessian_raw(v)
-    wh = _fd_hessian_raw(w)
+    vh = v.central_hessian()
+    wh = w.central_hessian()
     nu, E = elastic.poisson_nu, elastic.young_E
     live = wts > 0.0
     dens = np.zeros_like(wts)
@@ -549,8 +492,6 @@ def system_functional_I0(w, dislocations, eps: float,
     dislocations = list(dislocations)
     if not dislocations:
         raise ValidationError("need at least one dislocation")
-    from .core import min_separation_D
-
     D = min_separation_D([d.site for d in dislocations], domain)
     if not (0.0 < eps < D):
         raise ValidationError(
@@ -562,36 +503,5 @@ def system_functional_I0(w, dislocations, eps: float,
     load = sum(
         core_gradient_load(field, d.site, d.burgers_b, eps, n_quad)
         for d in dislocations
-    )
-    return G + load
-
-
-def dipole_system_functional(w, dipoles, eps: float,
-                             elastic: ElasticConstants, domain: DiskDomain,
-                             n: int = 256, n_quad: int = 256) -> float:
-    """Finite-spacing system functional: bulk over the punctured disk plus
-    per-dipole difference-quotient loads on shrunken core circles."""
-    dipoles = list(dipoles)
-    if not dipoles:
-        raise ValidationError("need at least one dipole")
-    from .core import min_separation_D
-
-    D = min_separation_D([d.center for d in dipoles], domain)
-    if not (0.0 < eps < D):
-        raise ValidationError(
-            f"cores overlap or touch the boundary: eps={eps}, D={D}"
-        )
-    for dip in dipoles:
-        if not (0.0 < dip.spacing_h < eps):
-            raise ValidationError(
-                f"need 0 < h < eps, got h={dip.spacing_h}, eps={eps}"
-            )
-    field = as_airy(w)
-    cores = tuple((dip.center, eps) for dip in dipoles)
-    G = _system_bulk_G(w, elastic, domain, cores, n)
-    load = sum(
-        dipole_pair_load(field, dip.center, dip.burgers_b, eps, dip.spacing_h,
-                         n_quad)
-        for dip in dipoles
     )
     return G + load

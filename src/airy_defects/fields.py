@@ -233,11 +233,12 @@ class ScalarField:
                                          1 + dj : self.grid.ny - 1 + dj]
         return ok
 
-    def hessian_fd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Second-order central-difference Hessian.
+    def central_hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw central differences (v_xx, v_xy, v_yy) over the whole array.
 
-        Returns (v_xx, v_xy, v_yy, ok) where ``ok`` flags nodes with a
-        full stencil; values elsewhere are NaN, never extrapolated.
+        NaN on the array rim only: unlike :meth:`hessian_fd` this reads
+        values at masked-out nodes, where solver outputs carry ghost
+        values that boundary-adjacent cells need.
         """
         v = self.values
         h = self.grid.delta
@@ -249,6 +250,15 @@ class ScalarField:
         vxy[1:-1, 1:-1] = (
             v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
         ) / (4.0 * h**2)
+        return vxx, vxy, vyy
+
+    def hessian_fd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Second-order central-difference Hessian.
+
+        Returns (v_xx, v_xy, v_yy, ok) where ``ok`` flags nodes with a
+        full stencil; values elsewhere are NaN, never extrapolated.
+        """
+        vxx, vxy, vyy = self.central_hessian()
         ok = self.stencil_ok()
         bad = ~ok
         vxx[bad] = np.nan
@@ -449,6 +459,19 @@ def integrate(values, weights: np.ndarray | None = None,
     return float(np.sum(contrib)) * delta * delta
 
 
+def circle_nodes(center, radius: float, n: int, shift: float = 0.0):
+    """``n`` equispaced points on a circle, offset by ``shift`` spacings.
+
+    Returns (points, outward unit normals, circumference); the mean of
+    a periodic integrand over the points times the circumference is the
+    trapezoidal circle integral.
+    """
+    th = 2.0 * math.pi * (np.arange(n) + shift) / n
+    nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    return (np.asarray(center, dtype=float) + radius * nhat, nhat,
+            2.0 * math.pi * radius)
+
+
 def circle_integral(g, center, radius: float, n_quad: int = 256) -> float:
     """Trapezoidal rule on equispaced angles for a closed circle integral.
 
@@ -459,9 +482,6 @@ def circle_integral(g, center, radius: float, n_quad: int = 256) -> float:
         raise ValidationError(f"circle radius must be positive, got {radius}")
     if n_quad < 8:
         raise ValidationError(f"need n_quad >= 8, got {n_quad}")
-    th = 2.0 * math.pi * np.arange(n_quad) / n_quad
-    pts = np.stack(
-        [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=-1
-    )
+    pts, _, _ = circle_nodes(center, radius, n_quad)
     vals = np.asarray(g(pts), dtype=float)
     return float(np.mean(vals)) * 2.0 * math.pi * radius

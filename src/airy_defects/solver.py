@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu, cg
+from scipy.sparse.linalg import splu
 
 from .core import (
     DiskDomain,
@@ -50,10 +50,12 @@ from .closedform import (
     ShiftedField,
     SumField,
 )
+from .energy import _pair_energy_boundary
 from .fields import (
     OUTSIDE,
     ScalarField,
     build_mask,
+    circle_nodes,
     grid_for_disk,
     region_weights,
 )
@@ -99,17 +101,17 @@ class _Discretization:
     The unknown vector ``u`` stacks the values of free inside nodes and
     then three affine parameters per core (value and two slopes in
     site-centered coordinates). ``P`` and ``q`` express all node values
-    as ``v = P u + q``.
+    as ``v = P u + q``. Ghost rows carry the negated traces of
+    ``trace_field`` on r = R and core nodes its negated values, so
+    ``trace_field + v`` is affine on every core.
     """
 
-    def __init__(self, domain: DiskDomain, n: int, trace_field, cores=(),
-                 core_offset_field=None, pad: int = 4,
-                 weight_cores: bool = True):
+    def __init__(self, domain: DiskDomain, n: int, trace_field, cores=()):
         self.domain = domain
-        self.grid = grid_for_disk(domain, n, pad)
+        self.grid = grid_for_disk(domain, n)
         g = self.grid
         self.mask = build_mask(g, domain, cores)
-        self.weights = region_weights(g, domain, cores if weight_cores else ())
+        self.weights = region_weights(g, domain)
         self.cores = list(cores)
 
         nx, ny = g.nx, g.ny
@@ -172,10 +174,8 @@ class _Discretization:
         cols.extend(unk_of[self.free_ids].tolist())
         vals.extend([1.0] * self.n_free)
 
-        # core nodes: affine parametrization minus analytic offset
+        # core nodes: affine parametrization minus the trace field
         core_nodes = np.nonzero(core_of >= 0)[0]
-        if len(core_nodes) and core_offset_field is None:
-            raise ValidationError("core constraint requires an offset field")
         for node in core_nodes:
             k = core_of[node]
             site = self.cores[k][0]
@@ -185,7 +185,7 @@ class _Discretization:
             vals.extend([1.0, xs[node] - site[0], ys[node] - site[1]])
         if len(core_nodes):
             pts = np.stack([xs[core_nodes], ys[core_nodes]], axis=-1)
-            q[core_nodes] = -core_offset_field.value(pts)
+            q[core_nodes] = -trace_field.value(pts)
 
         # row cache for ghost composition
         row_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
@@ -285,64 +285,41 @@ class _Discretization:
         return self.P @ u + self.q
 
 
-def _minimize(disc: _Discretization, factor: float, d_cells: np.ndarray,
-              load: np.ndarray, solver: str, tol: float):
-    """Minimize (factor/2) sum w (d + M u + L q)^2 dx + load . u."""
+# Largest relative residual a solve may leave: the stationarity residual
+# of the factored system, or the trace-fit residual of a mode sum.
+_RESIDUAL_BOUND = 1e-8
+
+# trapezoid nodes on each circle of the boundary pairings
+_N_QUAD = 512
+
+
+def _minimize(disc: _Discretization, factor: float, load: np.ndarray):
+    """Minimize (factor/2) sum w (M u + L q)^2 dx + load . u."""
     h2 = disc.grid.delta**2
-    e = disc.Lq + d_cells
     W = sp.diags(disc.cell_w)
     A = (factor * h2) * (disc.M.T @ (W @ disc.M))
     A = A.tocsc()
-    b = -(factor * h2) * (disc.M.T @ (disc.cell_w * e)) - load
+    b = -(factor * h2) * (disc.M.T @ (disc.cell_w * disc.Lq)) - load
 
-    iterations = 0
     t0 = time.perf_counter()
-    method = solver
-    if solver == "direct":
-        try:
-            lu = splu(A)
-            u = lu.solve(b)
-        except RuntimeError:
-            method = "cg"
-            u = None
-    if solver == "cg" or (solver == "direct" and u is None):
-        diag = A.diagonal()
-        if np.any(diag <= 0.0):
-            raise NumericalError("assembled system is not positive definite")
-        pre = sp.diags(1.0 / diag)
-        counter = {"n": 0}
-
-        def cb(_):
-            counter["n"] += 1
-
-        u, info = cg(A, b, rtol=tol, atol=0.0, M=pre, maxiter=20000, callback=cb)
-        iterations = counter["n"]
-        if info != 0:
-            raise NumericalError(f"conjugate gradient failed to converge (info={info})")
-        method = "cg"
+    try:
+        u = splu(A).solve(b)
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse factorization failed: {exc}") from exc
     solve_time = time.perf_counter() - t0
 
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(A @ u - b)) / (bnorm if bnorm > 0.0 else 1.0)
-    if residual > max(1e-8, 10.0 * tol):
+    if residual > _RESIDUAL_BOUND:
         raise NumericalError(f"stationarity residual too large: {residual}")
 
-    r = e + disc.M @ u
+    r = disc.Lq + disc.M @ u
     value = 0.5 * factor * h2 * float(np.sum(disc.cell_w * r * r)) + float(load @ u)
-    return u, value, residual, method, iterations, solve_time
+    return u, value, residual, solve_time
 
 
 def _gram_factor(elastic: ElasticConstants) -> float:
     return (1.0 - elastic.poisson_nu**2) / elastic.young_E
-
-
-def _boundary_nodes(domain: DiskDomain, n_quad: int = 512, shift: float = 0.0):
-    """``n_quad`` equispaced points on r = R, offset by ``shift`` spacings."""
-    th = 2.0 * math.pi * (np.arange(n_quad) + shift) / n_quad
-    nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
-    pts = np.asarray(domain.center) + domain.radius_R * nhat
-    ring = 2.0 * math.pi * domain.radius_R
-    return pts, nhat, ring
 
 
 # The trace fit doubles the sample count M from _FIRST_SAMPLES until the
@@ -384,18 +361,18 @@ class _AlmansiSeries:
     A_k + B_k = F_k and k A_k + (k + 2) B_k = G_k (determinant 2).
     """
 
-    def __init__(self, domain: DiskDomain, trace_field, tol: float):
+    def __init__(self, domain: DiskDomain, trace_field):
         R = domain.radius_R
 
         def traces(m: int, shift: float):
-            pts, nhat, _ = _boundary_nodes(domain, m, shift)
+            pts, nhat, _ = circle_nodes(domain.center, R, m, shift)
             # an empty SumField evaluates to the scalar 0
             f = np.zeros(m) - trace_field.value(pts)
             return f, -R * (trace_field.gradient(pts) * nhat).sum(axis=-1)
 
         # a residual scale that does not vanish with the traces (those of
         # a centered dislocation are roundoff): the field on r = R / 2
-        pts, _, _ = _boundary_nodes(domain, _FIRST_SAMPLES)
+        pts, _, _ = circle_nodes(domain.center, R, _FIRST_SAMPLES)
         with np.errstate(all="ignore"):
             inner = np.abs(np.zeros(_FIRST_SAMPLES) + trace_field.value(
                 0.5 * (pts + np.asarray(domain.center))))
@@ -417,7 +394,7 @@ class _AlmansiSeries:
                 break
             f, g = np.stack([f, fs], -1).ravel(), np.stack([g, gs], -1).ravel()
             m *= 2
-        if not residual <= max(1e-8, 10.0 * tol):
+        if not residual <= _RESIDUAL_BOUND:
             raise NumericalError(f"trace fit residual {residual} with {m} samples")
         k = np.arange(len(F))
         self.A, self.B = 0.5 * ((k + 2.0) * F - G), 0.5 * (G - k * F)
@@ -491,9 +468,7 @@ def _series_report(series: _AlmansiSeries, n: int, value: float,
 
 
 def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
-                               disclinations, n: int = 256,
-                               solver: str = "direct",
-                               tol: float = 1e-10) -> SolveReport:
+                               disclinations, n: int = 256) -> SolveReport:
     """Minimize G(v) + sum_k s_k v(y_k) over clamped fields on the disk.
 
     The fundamental potential of each charge is subtracted analytically:
@@ -502,8 +477,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     and circle integrals) plus a pure quadratic problem for a smooth
     biharmonic correction with prescribed boundary traces, solved
     exactly in Fourier modes. The value does not depend on ``n``, which
-    only sets the grid of the reported field; ``solver`` is ignored and
-    ``tol`` bounds the trace-fit residual.
+    only sets the grid of the reported field.
     """
     disclinations = list(disclinations)
     fl = _gram_factor(elastic)
@@ -518,7 +492,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
 
     # closed-form constant: -(1/2) sum_ij s_i s_j [vbar(y_i - y_j)
     #   + f oint (Delta vbar_i d_n vbar_j - (d_n Delta vbar_i) vbar_j)]
-    bpts, nhat, ring = _boundary_nodes(domain)
+    bpts, nhat, ring = circle_nodes(domain.center, domain.radius_R, _N_QUAD)
     m = len(sites)
     lap = np.empty((m, bpts.shape[0]))
     dnlap = np.empty_like(lap)
@@ -538,7 +512,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
             constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q_ij)
 
     t0 = time.perf_counter()
-    series = _AlmansiSeries(domain, v_sing, tol)
+    series = _AlmansiSeries(domain, v_sing)
     gram_value = 0.5 * fl * series.squares()[0]
     fit_seconds = time.perf_counter() - t0
     return _series_report(
@@ -563,9 +537,7 @@ def _core_plastic_field(elastic: ElasticConstants, domain: DiskDomain,
 
 
 def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
-                           dislocations, eps: float, n: int = 256,
-                           solver: str = "direct",
-                           tol: float = 1e-10) -> SolveReport:
+                           dislocations, eps: float, n: int = 256) -> SolveReport:
     """Minimize the core-regularized dislocation functional.
 
     The unknown is split as w = W_p + z, where W_p sums the closed-form
@@ -605,16 +577,14 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
             acc += sign * ring_r * float(np.mean(lap_f * g_dn - dnlap_f * g_val))
         return acc
 
-    bpts, nh, bring = _boundary_nodes(domain)
-    rings = [(1.0, bpts, nh, bring)]
+    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
     for p in sites:
-        rings.append((-1.0, p + eps * nh, nh, 2.0 * math.pi * eps))
+        rings.append((-1.0, *circle_nodes(p, eps, _N_QUAD)))
 
     C0 = 0.5 * fl * sum(pair2(term, rings) for term in W_p.terms)
 
     cores = [(d.site, eps) for d in dislocations]
-    disc = _Discretization(domain, n, W_p, cores=cores, core_offset_field=W_p,
-                           weight_cores=False)
+    disc = _Discretization(domain, n, W_p, cores=cores)
     if eps < 4.0 * disc.grid.delta:
         raise ValidationError(
             f"core radius eps={eps} unresolved: needs eps >= 4*delta"
@@ -624,12 +594,11 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     # integrals, plus the slope load <grad a_k, Pi(b_k)>
     load = np.zeros(disc.n_unknowns)
     for k, d in enumerate(dislocations):
-        cpts = sites[k] + eps * nh
+        _, cpts, nh, ring = rings[k + 1]  # core circles follow the outer one
         lap_p = sum(t.laplacian_smooth(cpts) for t in W_p.terms)
         dnlap_p = sum(
             (t.grad_laplacian_smooth(cpts) * nh).sum(axis=-1) for t in W_p.terms
         )
-        ring = 2.0 * math.pi * eps
         base = disc.n_free + 3 * k
         load[base] += fl * ring * float(np.mean(dnlap_p))
         load[base + 1] += -fl * ring * float(
@@ -643,10 +612,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         load[base + 2] += Pi[1]
     assemble = time.perf_counter() - t0
 
-    d_cells = np.zeros(len(disc.cell_ids))
-    u, value, residual, method, iters, solve_s = _minimize(
-        disc, fl, d_cells, load, solver, tol
-    )
+    u, value, residual, solve_s = _minimize(disc, fl, load)
     value -= C0
 
     g = disc.grid
@@ -664,16 +630,15 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         base = disc.n_free + 3 * k
         affine[f"core_{k}"] = [float(u[base]), float(u[base + 1]), float(u[base + 2])]
     return SolveReport(
-        field=sf, value=value, residual=residual, method=method, grid_n=n,
-        delta=g.delta, iterations=iters, assemble_seconds=assemble,
+        field=sf, value=value, residual=residual, method="direct", grid_n=n,
+        delta=g.delta, iterations=0, assemble_seconds=assemble,
         solve_seconds=solve_s,
         extras={"eps": eps, "core_affine": affine, "separation_D": D},
     )
 
 
 def solve_dipole_core(elastic: ElasticConstants, domain: DiskDomain,
-                      dipoles, eps: float, n: int = 256,
-                      solver: str = "direct", tol: float = 1e-10) -> SolveReport:
+                      dipoles, eps: float, n: int = 256) -> SolveReport:
     """Minimize the finite-h dipole functional on the affine-core class.
 
     On that class the pair load is a difference quotient of an affine
@@ -690,8 +655,7 @@ def solve_dipole_core(elastic: ElasticConstants, domain: DiskDomain,
     dislocations = [
         Dislocation(site=dip.center, burgers_b=dip.burgers_b) for dip in dipoles
     ]
-    report = solve_core_constrained(elastic, domain, dislocations, eps, n,
-                                    solver, tol)
+    report = solve_core_constrained(elastic, domain, dislocations, eps, n)
     extras = dict(report.extras)
     extras["spacing_h"] = [dip.spacing_h for dip in dipoles]
     extras["load_h_independent"] = True
@@ -699,9 +663,7 @@ def solve_dipole_core(elastic: ElasticConstants, domain: DiskDomain,
 
 
 def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
-                             dislocations, n: int = 256,
-                             solver: str = "direct",
-                             tol: float = 1e-10) -> SolveReport:
+                             dislocations, n: int = 256) -> SolveReport:
     """Biharmonic boundary-relaxation solve.
 
     The correction is the biharmonic field whose boundary traces cancel
@@ -709,8 +671,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     in Fourier modes, with its plate energy as an exact mode sum; the
     reported value adds the analytic boundary pairing terms, i.e. it is
     the elastic part of the renormalized energy. The value does not
-    depend on ``n``, which only sets the grid of the reported field;
-    ``solver`` is ignored and ``tol`` bounds the trace-fit residual.
+    depend on ``n``, which only sets the grid of the reported field.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -723,7 +684,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     W0 = SumField(tuple(W0_terms))
 
     t0 = time.perf_counter()
-    series = _AlmansiSeries(domain, W0, tol)
+    series = _AlmansiSeries(domain, W0)
     # Hessian-form energy of the (non-clamped) correction, with
     # |D^2 v|^2 = ((Delta v)^2 + |4 d_z^2 v|^2) / 2
     nu, E = elastic.poisson_nu, elastic.young_E
@@ -735,22 +696,9 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     # analytic boundary pairing on the admissible set: traces equal the
     # negated profile traces, so every term is a closed-form circle
     # integral
-    bpts, nhat, ring = _boundary_nodes(domain)
-    W0_val = W0.value(bpts)
-    W0_grad = W0.gradient(bpts)
-    W0_dn = (W0_grad * nhat).sum(axis=-1)
-    boundary = 0.0
-    for term in W0_terms:
-        dn_lap = (term.grad_laplacian(bpts) * nhat).sum(axis=-1)
-        hess_n = np.einsum("nij,nj->ni", term.hessian(bpts), nhat)
-        lap = term.laplacian(bpts)
-        boundary += (1.0 + nu) / E * ring * float(
-            np.mean(
-                (1.0 - nu) * dn_lap * W0_val
-                - (hess_n * W0_grad).sum(axis=-1)
-                + nu * lap * W0_dn
-            )
-        )
+    outer = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
+    boundary = -sum(_pair_energy_boundary(term, W0, outer, elastic)
+                    for term in W0_terms)
 
     return _series_report(
         series, n, G_hess + boundary, fit_seconds,

@@ -13,11 +13,14 @@ from airy_defects.core import (
     rotate_burgers,
 )
 from airy_defects.closedform import DislocationLimitAiry
-from airy_defects.energy import polar_energy, single_dislocation_min_value
-from airy_defects.asymptotics import (
-    _circle_nodes,
-    _fit_log_expansion,
+from airy_defects.energy import (
     _pair_energy_boundary,
+    polar_energy,
+    single_dislocation_min_value,
+)
+from airy_defects.fields import circle_nodes
+from airy_defects.asymptotics import (
+    _fit_log_expansion,
     angular_quartic_integral,
     annulus_energy_closed_form,
     appendix_b_integrals,
@@ -190,8 +193,8 @@ class TestRenormalizedEnergy:
             for d in pair
         )
         rho = 1e-4
-        rings = [(1.0, *_circle_nodes((0.0, 0.0), 1.0, 512))] + [
-            (-1.0, *_circle_nodes(d.site, rho, 512)) for d in pair
+        rings = [(1.0, *circle_nodes((0.0, 0.0), 1.0, 512))] + [
+            (-1.0, *circle_nodes(d.site, rho, 512)) for d in pair
         ]
         cross = _pair_energy_boundary(tj, tk, rings, elastic)
         loads = sum(

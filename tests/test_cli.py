@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from airy_defects import solver
 from airy_defects.cli import main
 
 DISC = {
@@ -155,3 +156,36 @@ class TestReports:
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["param"] == "eps"
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("patch", [
+        {"E": "abc"},
+        {"disclinations": [{"site": [0], "s": 1.0}]},
+        {"core_radius": "x"},
+    ])
+    def test_bad_values_are_validation_errors(self, patch, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**DISC, **patch}))
+        out = tmp_path / "never.json"
+        code = main(["energy", "--config", str(cfg), "--grid-n", "64",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "malformed configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--solver", "cg"], ["--tol", "1e-10"]])
+    def test_solver_knobs_are_gone(self, flag, configs, capsys):
+        assert main(["solve", "--config", configs["disc"], *flag]) == 1
+
+    def test_failed_factorization_exits_numerical(self, configs, tmp_path,
+                                                  monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver, "splu", singular)
+        out = tmp_path / "never.json"
+        code = main(["solve", "--config", configs["disl"], "--grid-n", "96",
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()

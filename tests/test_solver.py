@@ -24,6 +24,7 @@ from airy_defects.closedform import (
     SumField,
 )
 from airy_defects.energy import single_dislocation_min_value
+from airy_defects.fields import ScalarField
 from airy_defects.solver import (
     solve_clamped_disclination,
     solve_core_constrained,
@@ -69,13 +70,9 @@ def _fd_oracle(elastic, domain, trace_field, n):
     gram = 0.5 * (1.0 - elastic.poisson_nu**2) / elastic.young_E * h * h * float(
         np.sum(disc.cell_w * lap * lap)
     )
-    v = disc.node_values(u).reshape(g.nx, g.ny)
-    vxx = np.zeros_like(v)
-    vyy = np.zeros_like(v)
-    vxy = np.zeros_like(v)
-    vxx[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / h**2
-    vyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h**2
-    vxy[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * h**2)
+    v = ScalarField(grid=g, values=disc.node_values(u).reshape(g.nx, g.ny),
+                    mask=disc.mask)
+    vxx, vxy, vyy = v.central_hessian()
     nu, E = elastic.poisson_nu, elastic.young_E
     dens = (1.0 + nu) / (2.0 * E) * (
         vxx**2 + 2.0 * vxy**2 + vyy**2 - nu * (vxx + vyy) ** 2
@@ -151,13 +148,6 @@ class TestDisclinationSolve:
         )
         assert two.value == pytest.approx(4.0 * one.value, rel=1e-10)
 
-    def test_cg_matches_direct(self, elastic, unit_disk):
-        direct = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=96)
-        cg = solve_clamped_disclination(
-            elastic, unit_disk, CENTERED, n=96, solver="cg", tol=1e-12
-        )
-        assert cg.value == pytest.approx(direct.value, rel=1e-8)
-
     def test_report_dict(self, elastic, unit_disk):
         report = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=64)
         d = report.to_dict()
@@ -165,9 +155,7 @@ class TestDisclinationSolve:
             assert key in d
 
     def test_report_says_what_ran(self, elastic, unit_disk):
-        report = solve_clamped_disclination(
-            elastic, unit_disk, CENTERED, n=64, solver="cg"
-        )
+        report = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=64)
         assert report.method == "fourier" and report.iterations == 0
         assert report.extras["trace_fit_residual"] == report.residual < 1e-13
 
@@ -240,6 +228,24 @@ class TestCoreConstrainedSolve:
         defects = [Dislocation((0.0, 0.0), (0.0, 1.0))]
         with pytest.raises(ValidationError):
             solve_core_constrained(elastic, unit_disk, defects, 0.01, n=64)
+
+    def test_report_says_what_ran(self, elastic, unit_disk):
+        defects = [Dislocation((0.2, 0.0), (0.0, 1.0))]
+        report = solve_core_constrained(elastic, unit_disk, defects, 0.2, n=64)
+        assert report.method == "direct" and report.iterations == 0
+        assert report.residual <= solver._RESIDUAL_BOUND
+
+    def test_failed_factorization_raises(self, elastic, unit_disk,
+                                         monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver, "splu", singular)
+        with pytest.raises(NumericalError, match="factorization failed"):
+            solve_core_constrained(
+                elastic, unit_disk, [Dislocation((0.0, 0.0), (0.0, 1.0))],
+                0.1, n=96,
+            )
 
     def test_dipole_solve_delegates(self, elastic, unit_disk):
         dipoles = [DisclinationDipole((0.0, 0.0), (0.0, 1.0), 0.02)]
