@@ -1,9 +1,9 @@
 """Airy stress function toolkit for planar lattice defects.
 
-Closed-form potentials, energy functionals, a clamped-biharmonic finite
-difference solver with affine-core constraints, asymptotic sweeps and
-boundary-condition checks for wedge disclinations, disclination dipoles
-and edge dislocations on disk domains.
+Closed-form potentials, energy functionals, clamped-biharmonic series
+solvers (with affine-core constraints on the punctured disk), asymptotic
+sweeps and boundary-condition checks for wedge disclinations,
+disclination dipoles and edge dislocations on disk domains.
 """
 
 import os as _os

@@ -1,6 +1,6 @@
 """Scaling-law sweeps, annulus closed forms and the renormalized energy.
 
-Sweeps drive the closed-form quadratures and the sparse solver over
+Sweeps drive the closed-form quadratures and the series solvers over
 decreasing spacing/core-radius samples and fit the leading |log eps|
 expansion; the renormalized-energy decomposition provides the constant
 term the fits are checked against.
@@ -167,8 +167,8 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
     Each row reports G(pair field; B_R) / (h^2 log(R/h)) against its
     limit K s^2 / (8 pi); with ``include_solver`` the minimizer value of
     the two-charge functional is added, normalized by h^2 |log h|
-    against -K s^2 / (8 pi). Spacings unresolved by the solver grid
-    (h < 4 delta) get a flagged row without a solver value.
+    against -K s^2 / (8 pi). The solver value is an exact mode sum at
+    every spacing; ``n`` only sets the grid of its unused field.
     """
     h_values = _check_decreasing(h_list, "spacing")
     if any(not (0.0 < h < R) for h in h_values):
@@ -192,18 +192,14 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
         }
         if include_solver:
             domain = DiskDomain(center=(0.0, 0.0), radius_R=R)
-            delta = 2.0 * R / n
-            if h < 4.0 * delta:
-                row["solver_skipped"] = True
-            else:
-                charges = [
-                    Disclination(site=(0.5 * h, 0.0), frank_angle_s=s),
-                    Disclination(site=(-0.5 * h, 0.0), frank_angle_s=-s),
-                ]
-                rep = solve_clamped_disclination(elastic, domain, charges, n)
-                row["solver_value"] = rep.value
-                row["solver_normalized"] = rep.value / (h**2 * abs(math.log(h)))
-                row["solver_limit"] = -limit
+            charges = [
+                Disclination(site=(0.5 * h, 0.0), frank_angle_s=s),
+                Disclination(site=(-0.5 * h, 0.0), frank_angle_s=-s),
+            ]
+            rep = solve_clamped_disclination(elastic, domain, charges, n)
+            row["solver_value"] = rep.value
+            row["solver_normalized"] = rep.value / (h**2 * abs(math.log(h)))
+            row["solver_limit"] = -limit
         rows.append(row)
     return rows
 
@@ -504,21 +500,19 @@ def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
                           fit_tail: int = 3) -> ExpansionFit:
     """Joint spacing/core limit: per spacing h the core radius is
     eps(h) = sqrt(h), clipped below the separation radius; samples whose
-    eps is unresolved by the grid (eps < 4 delta) or not above h are
-    skipped with a flag."""
+    eps is not above h are skipped with a flag."""
     dipoles = list(dipoles)
     if not dipoles:
         raise ValidationError("need at least one dipole")
     h_values = _check_decreasing(h_list, "spacing")
     D = min_separation_D([dip.center for dip in dipoles], domain)
-    delta = 2.0 * domain.radius_R / n
     eps_used = []
     values = []
     skipped = []
     for h in h_values:
         eps = min(math.sqrt(h), 0.95 * D)
-        if not (h < eps) or eps < 4.0 * delta:
-            skipped.append({"h": h, "eps": eps, "reason": "unresolved"})
+        if not (h < eps):
+            skipped.append({"h": h, "eps": eps, "reason": "h >= eps"})
             continue
         sized = [replace(dip, spacing_h=h) for dip in dipoles]
         rep = solve_dipole_core(elastic, domain, sized, eps, n)

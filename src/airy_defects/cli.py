@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -211,7 +212,19 @@ def _write_text(path, text: str) -> None:
         f.write(text)
 
 
+def _all_finite(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
 def _emit(args, doc, csv_rows=None) -> None:
+    doc = _jsonable(doc)
+    # JSON has no inf or NaN, and a report holding one is no result
+    if not _all_finite(doc):
+        raise NumericalError("the report holds a non-finite number")
     text = dump_json(doc)
     if getattr(args, "out", None):
         _write_text(args.out, text)

@@ -26,8 +26,8 @@ def lame_from_young_poisson(E: float, nu: float) -> tuple[float, float]:
     Admissible range: E > 0 and -1 < nu < 1/2 (open interval; boundary
     values would break positive definiteness of the elasticity tensor).
     """
-    if not (E > 0.0):
-        raise ValidationError(f"Young modulus must satisfy E > 0, got E={E}")
+    if not (0.0 < E < math.inf):
+        raise ValidationError(f"Young modulus must be finite with E > 0, got E={E}")
     if not (-1.0 < nu < 0.5):
         raise ValidationError(
             f"Poisson ratio must satisfy -1 < nu < 1/2, got nu={nu}"
@@ -85,6 +85,8 @@ def rotate_burgers(b) -> np.ndarray:
 
 def _as_point(p) -> tuple[float, float]:
     q = np.asarray(p, dtype=float).reshape(2)
+    if not np.all(np.isfinite(q)):
+        raise ValidationError(f"point coordinates must be finite, got {tuple(q)}")
     return (float(q[0]), float(q[1]))
 
 
@@ -97,8 +99,11 @@ class DiskDomain:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", _as_point(self.center))
-        if not (self.radius_R > 0.0):
-            raise ValidationError(f"disk radius must be positive, got {self.radius_R}")
+        # the closed forms take R^2, which must neither overflow nor vanish
+        if not (self.radius_R > 0.0 and 0.0 < self.radius_R * self.radius_R < math.inf):
+            raise ValidationError(
+                f"disk radius must be positive with a finite nonzero square, "
+                f"got {self.radius_R}")
 
     def contains(self, p, margin: float = 0.0) -> bool:
         p = np.asarray(p, dtype=float)
@@ -118,8 +123,9 @@ class Disclination:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "site", _as_point(self.site))
-        if self.frank_angle_s == 0.0:
-            raise ValidationError("Frank angle s must be nonzero")
+        if not (self.frank_angle_s != 0.0 and math.isfinite(self.frank_angle_s)):
+            raise ValidationError(
+                f"Frank angle s must be finite and nonzero, got {self.frank_angle_s}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,9 @@ class DisclinationDipole:
         object.__setattr__(self, "burgers_b", _as_point(self.burgers_b))
         if math.hypot(*self.burgers_b) == 0.0:
             raise ValidationError("Burgers vector must be nonzero")
-        if not (self.spacing_h > 0.0):
-            raise ValidationError(f"dipole spacing must be positive, got {self.spacing_h}")
+        if not (0.0 < self.spacing_h < math.inf):
+            raise ValidationError(
+                f"dipole spacing must be finite and positive, got {self.spacing_h}")
 
     @property
     def charge_s(self) -> float:

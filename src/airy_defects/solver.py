@@ -8,19 +8,19 @@ by mode it has Almansi's closed form ``a_k r^|k| + b_k r^(|k|+2)``
 the coefficients, the plate energies are exact sums over modes, and the
 reported grid field is the summed series.
 
-The core-constrained problem lives on a punctured disk and is solved by
-sparse finite differences: the clamped-plate energy on a disk is
-written as the Laplacian Gram form
-``(1 - nu^2)/(2E) * sum_c w_c (L v)_c^2 dx`` over cut cells, where L is
-the 5-point Laplacian and w_c exact area fractions. Squaring L yields
-the 13-point bilaplacian stencil. Boundary traces (value and normal
-derivative) are imposed through two layers of ghost nodes whose values
-are quadratic extrapolations along the boundary normal; this pins both
-traces with third-order consistency and keeps the system symmetric
-positive definite. Core constraints eliminate core nodes in favor of
-three affine parameters per core; the singular closed-form part of the
-minimizer is subtracted analytically so the grid only carries a smooth
-correction.
+The core-constrained problem lives on the punctured disk, B_R minus the
+core balls. Its smooth correction is biharmonic there, so it is a
+multi-centre Michell series: the Almansi modes about the disk centre
+plus, about each core, the exterior modes log r, r^2 log r, r log r
+(cos, sin) theta, r^-m and r^(2-m) (cos, sin) m theta. The interior
+coefficients follow from the outer-circle traces by the same FFT; the
+core coefficients are fitted by least squares at collocation nodes on
+the core circles and at the outer-circle frequencies the interior modes
+cannot reach. Green's identity on the circles turns the plate energy
+into exact circle integrals, which leave one 3K x 3K system for the
+affine parameters of the K cores. Mode counts double until the fit
+residual meets its target or stops falling, so the value does not
+depend on the report grid.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import time
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import lstsq
+# nothing here factors a sparse matrix; bench/tracing.py wraps this name
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .core import (
     DiskDomain,
@@ -52,12 +53,12 @@ from .closedform import (
 )
 from .energy import _pair_energy_boundary
 from .fields import (
+    CORE,
     OUTSIDE,
     ScalarField,
     build_mask,
     circle_nodes,
     grid_for_disk,
-    region_weights,
 )
 
 
@@ -90,236 +91,29 @@ class SolveReport:
         }
 
 
-def _lagrange_weights(t: float) -> np.ndarray:
-    """Quadratic Lagrange weights on offsets (-1, 0, 1) at position t."""
-    return np.array([0.5 * t * (t - 1.0), (1.0 - t) * (1.0 + t), 0.5 * t * (t + 1.0)])
-
-
-class _Discretization:
-    """Shared assembly: node roles, ghost elimination, Laplacian rows.
-
-    The unknown vector ``u`` stacks the values of free inside nodes and
-    then three affine parameters per core (value and two slopes in
-    site-centered coordinates). ``P`` and ``q`` express all node values
-    as ``v = P u + q``. Ghost rows carry the negated traces of
-    ``trace_field`` on r = R and core nodes its negated values, so
-    ``trace_field + v`` is affine on every core.
-    """
-
-    def __init__(self, domain: DiskDomain, n: int, trace_field, cores=()):
-        self.domain = domain
-        self.grid = grid_for_disk(domain, n)
-        g = self.grid
-        self.mask = build_mask(g, domain, cores)
-        self.weights = region_weights(g, domain)
-        self.cores = list(cores)
-
-        nx, ny = g.nx, g.ny
-        n_nodes = nx * ny
-        flat_mask = self.mask.ravel()
-        inside = flat_mask != OUTSIDE
-
-        w_flat = self.weights.ravel()
-        self.cell_ids = np.nonzero(w_flat > 0.0)[0]
-        self.cell_w = w_flat[self.cell_ids]
-
-        # nodes appearing in any 3x3 neighborhood of a weighted cell
-        ci, cj = np.unravel_index(self.cell_ids, (nx, ny))
-        if ci.min() < 2 or cj.min() < 2 or ci.max() > nx - 3 or cj.max() > ny - 3:
-            raise NumericalError("ghost padding too small for the weighted region")
-        needed = np.zeros(n_nodes, dtype=bool)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                needed[(ci + di) * ny + (cj + dj)] = True
-        # also cover the 13-point bilaplacian footprint of every inside
-        # node: the field carries ghost values there, and the pointwise
-        # 13-point equation can be assembled on the same unknowns
-        ii, jj = np.unravel_index(np.nonzero(inside)[0], (nx, ny))
-        if ii.min() < 2 or jj.min() < 2 or ii.max() > nx - 3 or jj.max() > ny - 3:
-            raise NumericalError("ghost padding too small for the inside region")
-        for di, dj in (
-            (2, 0), (-2, 0), (0, 2), (0, -2),
-            (1, 1), (1, -1), (-1, 1), (-1, -1),
-            (1, 0), (-1, 0), (0, 1), (0, -1),
-        ):
-            needed[(ii + di) * ny + (jj + dj)] = True
-        self.ghost_ids = np.nonzero(needed & ~inside)[0]
-
-        # unknown numbering: free inside nodes, then 3 DOFs per core
-        core_of = np.full(n_nodes, -1, dtype=int)
-        X, Y = g.meshgrid()
-        for k, (site, eps) in enumerate(self.cores):
-            sel = (np.hypot(X - site[0], Y - site[1]) <= eps).ravel() & inside
-            core_of[sel] = k
-        free = inside & (core_of < 0)
-        self.free_ids = np.nonzero(free)[0]
-        self.n_free = len(self.free_ids)
-        self.n_unknowns = self.n_free + 3 * len(self.cores)
-        unk_of = np.full(n_nodes, -1, dtype=int)
-        unk_of[self.free_ids] = np.arange(self.n_free)
-        self.unk_of = unk_of
-        self.core_of = core_of
-
-        xs = X.ravel()
-        ys = Y.ravel()
-        self.node_x, self.node_y = xs, ys
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        q = np.zeros(n_nodes)
-
-        # free inside nodes: identity
-        rows.extend(self.free_ids.tolist())
-        cols.extend(unk_of[self.free_ids].tolist())
-        vals.extend([1.0] * self.n_free)
-
-        # core nodes: affine parametrization minus the trace field
-        core_nodes = np.nonzero(core_of >= 0)[0]
-        for node in core_nodes:
-            k = core_of[node]
-            site = self.cores[k][0]
-            base = self.n_free + 3 * k
-            rows.extend([node, node, node])
-            cols.extend([base, base + 1, base + 2])
-            vals.extend([1.0, xs[node] - site[0], ys[node] - site[1]])
-        if len(core_nodes):
-            pts = np.stack([xs[core_nodes], ys[core_nodes]], axis=-1)
-            q[core_nodes] = -trace_field.value(pts)
-
-        # row cache for ghost composition
-        row_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-
-        def node_row(node: int):
-            if node in row_cache:
-                return row_cache[node]
-            if unk_of[node] >= 0:
-                entry = (np.array([unk_of[node]]), np.array([1.0]), 0.0)
-            elif core_of[node] >= 0:
-                k = core_of[node]
-                site = self.cores[k][0]
-                base = self.n_free + 3 * k
-                entry = (
-                    np.array([base, base + 1, base + 2]),
-                    np.array([1.0, xs[node] - site[0], ys[node] - site[1]]),
-                    float(q[node]),
-                )
-            else:
-                raise NumericalError("ghost interpolation touched an outside node")
-            row_cache[node] = entry
-            return entry
-
-        cx, cy = domain.center
-        R = domain.radius_R
-        h = g.delta
-        t_probe = 1.5 * h
-        for gid in self.ghost_ids:
-            px, py = xs[gid], ys[gid]
-            r = math.hypot(px - cx, py - cy)
-            nhat = np.array([(px - cx) / r, (py - cy) / r])
-            t_g = r - R
-            if t_g < -1e-12 * R:
-                raise NumericalError("ghost node classified inside the disk")
-            bpt = np.array([cx, cy]) + R * nhat
-
-            # probe point on the inward normal with an all-inside 3x3 block
-            t_m = t_probe
-            for _ in range(16):
-                m = bpt - t_m * nhat
-                bi, bj = g.nearest_index(m)
-                block = self.mask[bi - 1 : bi + 2, bj - 1 : bj + 2]
-                if block.shape == (3, 3) and np.all(block != OUTSIDE):
-                    break
-                t_m += 0.5 * h
-            else:
-                raise NumericalError(f"no interior stencil for ghost node {gid}")
-
-            tx = (m[0] - (g.x0 + bi * h)) / h
-            ty = (m[1] - (g.y0 + bj * h)) / h
-            wx = _lagrange_weights(tx)
-            wy = _lagrange_weights(ty)
-            rho = (t_g / t_m) ** 2
-
-            g_D = -float(trace_field.value(bpt)[0])
-            g_N = -float(trace_field.gradient(bpt)[0] @ nhat)
-            offset = g_D * (1.0 - rho) + g_N * (t_g + rho * t_m)
-
-            acc = 0.0
-            for a in range(3):
-                for b in range(3):
-                    c = wx[a] * wy[b]
-                    if c == 0.0:
-                        continue
-                    node = (bi + a - 1) * ny + (bj + b - 1)
-                    rcols, rvals, roff = node_row(node)
-                    rows.extend([gid] * len(rcols))
-                    cols.extend(rcols.tolist())
-                    vals.extend((rho * c * rvals).tolist())
-                    acc += c * roff
-            q[gid] = rho * acc + offset
-
-        self.P = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n_nodes, self.n_unknowns)
-        )
-        self.q = q
-
-        # 5-point Laplacian rows at weighted cells
-        n_cells = len(self.cell_ids)
-        lr = np.repeat(np.arange(n_cells), 5)
-        lc = np.stack(
-            [
-                self.cell_ids,
-                self.cell_ids + ny,
-                self.cell_ids - ny,
-                self.cell_ids + 1,
-                self.cell_ids - 1,
-            ],
-            axis=-1,
-        ).ravel()
-        lv = np.tile(np.array([-4.0, 1.0, 1.0, 1.0, 1.0]) / h**2, n_cells)
-        self.L = sp.csr_matrix((lv, (lr, lc)), shape=(n_cells, n_nodes))
-        self.M = (self.L @ self.P).tocsr()
-        self.Lq = self.L @ q
-
-    def node_values(self, u: np.ndarray) -> np.ndarray:
-        return self.P @ u + self.q
-
-
-# Largest relative residual a solve may leave: the stationarity residual
-# of the factored system, or the trace-fit residual of a mode sum.
+# Largest relative residual a solve may leave: the collocation residual
+# of a series fit.
 _RESIDUAL_BOUND = 1e-8
 
 # trapezoid nodes on each circle of the boundary pairings
 _N_QUAD = 512
 
 
-def _minimize(disc: _Discretization, factor: float, load: np.ndarray):
-    """Minimize (factor/2) sum w (M u + L q)^2 dx + load . u."""
-    h2 = disc.grid.delta**2
-    W = sp.diags(disc.cell_w)
-    A = (factor * h2) * (disc.M.T @ (W @ disc.M))
-    A = A.tocsc()
-    b = -(factor * h2) * (disc.M.T @ (disc.cell_w * disc.Lq)) - load
-
-    t0 = time.perf_counter()
-    try:
-        u = splu(A).solve(b)
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse factorization failed: {exc}") from exc
-    solve_time = time.perf_counter() - t0
-
-    bnorm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(A @ u - b)) / (bnorm if bnorm > 0.0 else 1.0)
-    if residual > _RESIDUAL_BOUND:
-        raise NumericalError(f"stationarity residual too large: {residual}")
-
-    r = disc.Lq + disc.M @ u
-    value = 0.5 * factor * h2 * float(np.sum(disc.cell_w * r * r)) + float(load @ u)
-    return u, value, residual, solve_time
-
-
 def _gram_factor(elastic: ElasticConstants) -> float:
     return (1.0 - elastic.poisson_nu**2) / elastic.young_E
+
+
+def _keeps_doubling(residual: float, previous: float | None,
+                    target: float) -> bool:
+    """Refinement rule of the series fits: double the mode count while
+    the fit residual is above ``target``, except once it is within
+    ``_RESIDUAL_BOUND`` and the last doubling failed to halve it. Such a
+    residual sits on its roundoff floor, and more modes only cost time;
+    above the bound a stalled residual is still pre-asymptotic (a site
+    near the circle needs hundreds of modes before its decay shows)."""
+    return residual > target and (
+        previous is None or residual > _RESIDUAL_BOUND
+        or residual <= 0.5 * previous)
 
 
 # The trace fit doubles the sample count M from _FIRST_SAMPLES until the
@@ -351,17 +145,30 @@ def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
     return out
 
 
-class _AlmansiSeries:
-    """Biharmonic z on the disk whose value and normal derivative on
-    r = R are those of ``-trace_field``.
-
-    With rho = r / R, z = Re sum_{k >= 0} c_k (A_k rho^k + B_k rho^(k+2))
-    e^{ik theta} (c as in ``_almansi_sum``). The FFT coefficients F_k of
-    the value trace and G_k of R times the normal-derivative trace fix
+def _almansi_modes(F: np.ndarray, G: np.ndarray):
+    """Coefficients (A_k, B_k) of the modes whose value trace on r = R
+    has FFT coefficient F_k and whose R d_n trace has G_k: they solve
     A_k + B_k = F_k and k A_k + (k + 2) B_k = G_k (determinant 2).
-    """
+    Mode k is row k; further axes are independent traces."""
+    k = np.arange(len(F)).reshape((-1,) + (1,) * (F.ndim - 1))
+    return 0.5 * ((k + 2.0) * F - G), 0.5 * (G - k * F)
 
-    def __init__(self, domain: DiskDomain, trace_field):
+
+class _AlmansiSeries:
+    """Biharmonic z on the disk, z = Re sum_{k >= 0} c_k (A_k rho^k +
+    B_k rho^(k+2)) e^{ik theta} with rho = r / R (c as in
+    ``_almansi_sum``). ``floor`` is the size below which ``sample`` drops
+    the tail of the sum."""
+
+    def __init__(self, domain: DiskDomain, A: np.ndarray, B: np.ndarray,
+                 floor: float, samples: int = 0, residual: float = 0.0):
+        self.domain, self.A, self.B, self.floor = domain, A, B, floor
+        self.samples, self.residual = samples, residual
+
+    @classmethod
+    def fit(cls, domain: DiskDomain, trace_field) -> "_AlmansiSeries":
+        """The series whose value and normal derivative on r = R are
+        those of ``-trace_field``, from the FFT of the two traces."""
         R = domain.radius_R
 
         def traces(m: int, shift: float):
@@ -380,6 +187,7 @@ class _AlmansiSeries:
 
         m = _FIRST_SAMPLES
         f, g = traces(m, 0.0)
+        previous = None
         while True:
             F, G = np.fft.rfft(f) / m, np.fft.rfft(g) / m
             F[-1] = G[-1] = 0.0  # the Nyquist mode has no shifted value
@@ -390,17 +198,16 @@ class _AlmansiSeries:
                        np.abs(np.fft.irfft(G * phase, m) - gs).max())
             scale = max(inner_scale, np.abs(f).max(), np.abs(g).max())
             residual = float(miss / scale if scale > 0.0 else miss)
-            if not residual > _FIT_TARGET or m >= _MAX_SAMPLES:
+            if (not _keeps_doubling(residual, previous, _FIT_TARGET)
+                    or m >= _MAX_SAMPLES):
                 break
+            previous = residual
             f, g = np.stack([f, fs], -1).ravel(), np.stack([g, gs], -1).ravel()
             m *= 2
         if not residual <= _RESIDUAL_BOUND:
             raise NumericalError(f"trace fit residual {residual} with {m} samples")
-        k = np.arange(len(F))
-        self.A, self.B = 0.5 * ((k + 2.0) * F - G), 0.5 * (G - k * F)
-        self.samples, self.residual = m, residual
-        self.floor = np.finfo(float).eps * scale
-        self.domain = domain
+        A, B = _almansi_modes(F, G)
+        return cls(domain, A, B, np.finfo(float).eps * scale, m, residual)
 
     def squares(self) -> tuple[float, float]:
         """Integrals over the disk of (Delta z)^2 and |4 d_z^2 z|^2, d_z
@@ -512,7 +319,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
             constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q_ij)
 
     t0 = time.perf_counter()
-    series = _AlmansiSeries(domain, v_sing)
+    series = _AlmansiSeries.fit(domain, v_sing)
     gram_value = 0.5 * fl * series.squares()[0]
     fit_seconds = time.perf_counter() - t0
     return _series_report(
@@ -536,30 +343,236 @@ def _core_plastic_field(elastic: ElasticConstants, domain: DiskDomain,
     )
 
 
-def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
-                           dislocations, eps: float, n: int = 256) -> SolveReport:
-    """Minimize the core-regularized dislocation functional.
+# The core fit doubles the interior and per-core mode counts (M_i, M_e)
+# from (_FIRST_MODES, _FIRST_MODES / 2) under the rule of
+# ``_keeps_doubling`` with target _SERIES_TARGET, up to M_i = _MAX_MODES.
+_FIRST_MODES = 16
+_MAX_MODES = 512
+_SERIES_TARGET = 1e-12
 
-    The unknown is split as w = W_p + z, where W_p sums the closed-form
-    single-dislocation profiles (exact for one centered core) and the
-    grid carries only the smooth correction z. Since each profile is
-    biharmonic off its core, every coupling of W_p with z reduces by the
-    Green identity to circle integrals of closed-form kernels against
-    the traces of z, which are pinned: the negated profile traces on
-    the outer boundary and the affine core parameters on the core
-    circles. The grid therefore only carries the pure Gram form of z,
-    and the exact solution of the single centered core is reproduced up
-    to quadrature roundoff. The core-circle load reduces exactly to
-    <slope of the core affine part, Pi(b_j)> on the admissible class.
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """z^k for k = 0 .. count - 1 of an (N, 1) column, as (N, count)."""
+    out = np.ones((len(z), count), dtype=complex)
+    out[:, 1:] = np.cumprod(np.broadcast_to(z, (len(z), count - 1)), axis=1)
+    return out
+
+
+def _goursat_fields(zeta, nu, L: float, potentials):
+    """Value, normal derivative, Laplacian and normal derivative of the
+    Laplacian of f = Re(conj(zeta) phi(zeta) + chi(zeta)), zeta = (x - p)
+    / L, along the complex unit normals nu, from the potentials
+    (phi, phi', phi'', chi, chi'): grad f = phi + zeta conj(phi') +
+    conj(chi') and Delta f = 4 Re phi' in units of L."""
+    phi, dphi, ddphi, chi, dchi = potentials
+    grad = (phi + zeta * np.conj(dphi) + np.conj(dchi)) / L  # d_x + i d_y
+    return ((np.conj(zeta) * phi + chi).real, (grad * np.conj(nu)).real,
+            4.0 * dphi.real / L**2, 4.0 * (ddphi * nu).real / L**3)
+
+
+def _interior_potentials(w, A: np.ndarray, B: np.ndarray):
+    """Goursat potentials of Re sum_k c_k (A_k + B_k |w|^2) w^k (c as in
+    ``_almansi_sum``) at the (N, 1) column w, one column per coefficient
+    column: chi = sum c_k A_k w^k and phi = sum c_k B_k w^(k+1)."""
+    k = np.arange(len(A))[:, None]
+    c = np.where(k > 0, 2.0, 1.0)
+    cA, cB = c * A, c * B
+    P = _powers(w, len(A))
+    dP = np.zeros_like(P)
+    dP[:, 1:] = P[:, :-1] * k[1:, 0]
+    return (w * (P @ cB), P @ ((k + 1) * cB), dP @ ((k + 1) * cB),
+            P @ cA, dP @ cA)
+
+
+def _michell_potentials(zeta, m_core: int):
+    """Goursat potentials of the exterior Michell modes about one core,
+    family by family, at the (N, 1) column zeta = (x - y) / eps: log rho,
+    rho^2 log rho, rho log rho cos theta and sin theta, then the cosine
+    and the sine parts of rho^-m (1 <= m < M_e) and rho^(2-m)
+    (2 <= m < M_e) times e^{im theta}."""
+    log, inv = np.log(zeta), 1.0 / zeta
+    zero = np.zeros_like(zeta)
+    yield zero, zero, zero, log, inv
+    yield zeta * log, log + 1.0, inv, zero, zero
+    # rho log rho (cos, sin) theta = Re(conj(zeta) phi + chi) with
+    # (phi, chi) = (log zeta, zeta log zeta) / 2 times (1, 1) and (i, -i)
+    half = (0.5 * log, 0.5 * inv, -0.5 * inv**2, 0.5 * zeta * log,
+            0.5 * (log + 1.0))
+    yield half
+    yield tuple(s * p for s, p in zip((1j, 1j, 1j, -1j, -1j), half))
+    m = np.arange(1, m_core)
+    t = _powers(inv, m_core)[:, 1:]  # zeta^-m
+    none = np.zeros_like(t)
+    for rot in (1.0, -1j):  # Re(rot F) is the cosine, then the sine part
+        yield none, none, none, rot * t, -rot * m * t * inv
+        # |zeta|^2 zeta^-m: phi = zeta^(1-m)
+        yield (rot * zeta * t[:, 1:], rot * (1 - m[1:]) * t[:, 1:],
+               rot * m[1:] * (m[1:] - 1) * t[:, 1:] * inv,
+               none[:, 1:], none[:, 1:])
+
+
+def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
+                 floor: float) -> np.ndarray:
+    """Value at the points zeta (1-D, |zeta| > 1) of the exterior modes
+    of one core with coefficients ``c`` in the order of
+    ``_michell_potentials``; the power modes are Almansi sums in 1/zeta."""
+    rho2 = np.abs(zeta) ** 2
+    log = 0.5 * np.log(rho2)
+    head = (c[0] + c[1] * rho2 + c[2] * zeta.real + c[3] * zeta.imag) * log
+    cos_h, cos_b, sin_h, sin_b = np.split(
+        c[4:], np.cumsum([m_core - 1, m_core - 2, m_core - 1]))
+    harm = np.zeros(m_core, dtype=complex)
+    harm[1:] = 0.5 * (cos_h - 1j * sin_h)
+    bih = np.zeros(m_core, dtype=complex)
+    bih[2:] = 0.5 * (cos_b - 1j * sin_b)
+    zero = np.zeros(m_core)
+    return (head + _almansi_sum(harm, zero, 1.0 / zeta, floor)
+            + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor / rho2.max()))
+
+
+class _MichellSeries:
+    """Biharmonic fields z on the punctured disk, B_R minus the core
+    balls B_eps(y_k), with given value and normal derivative on every
+    circle, for 1 + 3K data sets at once.
+
+    Data set 0 is the traces of -W_p on all circles. Data set 1 + 3k + a
+    is the traces of 1, x_1 - y_k1 and x_2 - y_k2 (a = 0, 1, 2) on core k,
+    and zero elsewhere. z sums the Almansi modes k < M_i about the disk
+    centre and the exterior Michell modes of order below M_e about every
+    core. For given core coefficients the interior ones are the FFT fit
+    (``_almansi_modes``) of the outer traces the core modes leave, at
+    4 M_i nodes. The core coefficients then solve one least-squares
+    problem: the traces at 4 M_e nodes on every core circle, and the
+    outer-trace frequencies M_i .. 2 M_i, which no interior mode reaches.
+
+    ``residual`` is the largest miss of either trace at the nodes of all
+    circles, relative to the largest datum. ``Q[i, j]`` is the integral
+    of Delta z_i Delta z_j over the punctured disk, from Green's identity
+    on the circles against the data traces, symmetrized.
     """
-    dislocations = list(dislocations)
-    if not dislocations:
-        raise ValidationError("need at least one dislocation")
-    D = min_separation_D([d.site for d in dislocations], domain)
-    if not (0.0 < eps < D):
-        raise ValidationError(f"core radius eps={eps} must lie in (0, D={D})")
 
-    t0 = time.perf_counter()
+    def __init__(self, domain: DiskDomain, sites, eps: float, W_p,
+                 m_inner: int, m_core: int):
+        R = domain.radius_R
+        self.domain, self.sites, self.eps = domain, sites, eps
+        self.modes = (m_inner, m_core)
+        n_data = 1 + 3 * len(sites)
+        circles = []
+        for j, (center, radius, nodes) in enumerate(
+            [(domain.center, R, 4 * m_inner)]
+            + [(y, eps, 4 * m_core) for y in sites]
+        ):
+            pts, nhat, ring = circle_nodes(center, radius, nodes)
+            val, der = np.zeros((nodes, n_data)), np.zeros((nodes, n_data))
+            val[:, 0] = -W_p.value(pts)
+            der[:, 0] = -radius * (W_p.gradient(pts) * nhat).sum(axis=-1)
+            if j:
+                col = 3 * j - 2
+                val[:, col] = 1.0
+                val[:, col + 1:col + 3] = pts - center
+                der[:, col + 1:col + 3] = radius * nhat
+            circles.append((pts, nhat, ring, radius, val, der,
+                            self._exterior(pts, nhat)))
+
+        # every column: the core modes, then the data sets
+        pts, nhat, ring, radius, val, der, ext = circles[0]
+        n_ext = ext[0].shape[1]
+        F = np.fft.rfft(np.hstack([ext[0], val]), axis=0) / len(pts)
+        G = np.fft.rfft(np.hstack([R * ext[1], der]), axis=0) / len(pts)
+        A, B = _almansi_modes(F[:m_inner], G[:m_inner])
+        # the high frequencies, weighted as their share of the nodal 2-norm
+        rows = [math.sqrt(2.0 * len(pts)) * np.vstack(
+            [F[m_inner:].real, F[m_inner:].imag,
+             G[m_inner:].real, G[m_inner:].imag])]
+        for pts, nhat, ring, radius, val, der, ext in circles[1:]:
+            inner = self._interior(pts, nhat, A, B)
+            rows.append(np.hstack([ext[0], val]) - inner[0])
+            rows.append(radius * (np.hstack([ext[1], der / radius]) - inner[1]))
+        system = np.vstack(rows)
+        scale = np.abs(system[:, :n_ext]).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        coef = lstsq(system[:, :n_ext] / scale, system[:, n_ext:],
+                     lapack_driver="gelsy")[0] / scale[:, None]
+        self.coef = coef
+        self.A = A[:, n_ext:] - A[:, :n_ext] @ coef
+        self.B = B[:, n_ext:] - B[:, :n_ext] @ coef
+
+        Q = np.zeros((n_data, n_data))
+        miss = size = np.zeros(n_data)
+        for j, (pts, nhat, ring, radius, val, der, ext) in enumerate(circles):
+            z, dz, lap, dlap = self.fields(pts, nhat, ext)
+            miss = np.maximum.reduce([miss, np.abs(z - val).max(axis=0),
+                                      np.abs(radius * dz - der).max(axis=0)])
+            size = np.maximum.reduce([size, np.abs(val).max(axis=0),
+                                      np.abs(der).max(axis=0)])
+            # the outward normal of the punctured disk is -nhat on a core
+            sign = 1.0 if j == 0 else -1.0
+            Q += sign * ring / len(pts) * (lap.T @ (der / radius) - dlap.T @ val)
+        self.Q = 0.5 * (Q + Q.T)
+        self.size = size
+        self.residual = float(np.max(miss / np.where(size > 0.0, size, 1.0)))
+
+    def _exterior(self, pts, nhat):
+        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+        parts = []
+        for y in self.sites:
+            zeta = ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None]
+            zeta = zeta / self.eps
+            parts.extend(_goursat_fields(zeta, nu, self.eps, p)
+                         for p in _michell_potentials(zeta, self.modes[1]))
+        return [np.hstack(q) for q in zip(*parts)]
+
+    def _interior(self, pts, nhat, A, B):
+        cx, cy = self.domain.center
+        R = self.domain.radius_R
+        w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
+        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+        return _goursat_fields(w, nu, R, _interior_potentials(w, A, B))
+
+    def fields(self, pts, nhat, ext=None):
+        """Value, normal derivative along ``nhat``, Laplacian and normal
+        derivative of the Laplacian of every z (one column per data
+        set) at points of the punctured disk; ``ext`` is
+        ``_exterior(pts, nhat)`` when already at hand."""
+        ext = self._exterior(pts, nhat) if ext is None else ext
+        return [i + e @ self.coef
+                for i, e in zip(self._interior(pts, nhat, self.A, self.B), ext)]
+
+    def sample(self, n: int, u: np.ndarray, W_p):
+        """Grid, mask and values of W_p + z on the grid of size n, for
+        z = z_0 + sum_j u_j z_j: the series at inside nodes, the affine
+        part on core nodes (masked CORE) and, at ghost nodes, W_p plus
+        the core modes plus the normal Taylor extension of the interior
+        modes (``_AlmansiSeries.sample``)."""
+        weights = np.concatenate([[1.0], u])
+        floor = np.finfo(float).eps * float(self.size @ np.abs(weights))
+        interior = _AlmansiSeries(self.domain, self.A @ weights,
+                                  self.B @ weights, floor)
+        grid, mask, live, values = interior.sample(n)
+        X, Y = grid.meshgrid()
+        core = np.zeros_like(live)
+        for k, y in enumerate(self.sites):
+            ball = np.hypot(X - y[0], Y - y[1]) <= self.eps
+            a, s1, s2 = u[3 * k:3 * k + 3]
+            values[ball] = a + s1 * (X[ball] - y[0]) + s2 * (Y[ball] - y[1])
+            core |= ball
+        mask[core] = CORE
+        off = live & ~core
+        values[off] += W_p.value(np.stack([X[off], Y[off]], axis=-1))
+        coef = np.split(self.coef @ weights, len(self.sites))
+        for c, y in zip(coef, self.sites):
+            zeta = ((X[off] - y[0]) + 1j * (Y[off] - y[1])) / self.eps
+            values[off] += _michell_sum(c, zeta, self.modes[1], floor)
+        return grid, mask, values
+
+
+def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
+                  dislocations, eps: float):
+    """Data of the core-constrained functional for w = W_p + z: the
+    profiles W_p, the quadrature circles (outer, then one per core), the
+    constant C0 and the load on the affine core parameters u (value and
+    two slopes per core), so that the functional is
+    (fl/2) int_{B_R} (Delta z)^2 + load . u - C0."""
     fl = _gram_factor(elastic)
     W_p = _core_plastic_field(elastic, domain, dislocations, eps)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
@@ -583,23 +596,16 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     C0 = 0.5 * fl * sum(pair2(term, rings) for term in W_p.terms)
 
-    cores = [(d.site, eps) for d in dislocations]
-    disc = _Discretization(domain, n, W_p, cores=cores)
-    if eps < 4.0 * disc.grid.delta:
-        raise ValidationError(
-            f"core radius eps={eps} unresolved: needs eps >= 4*delta"
-        )
-
     # linear coupling of the core affine parameters through the circle
     # integrals, plus the slope load <grad a_k, Pi(b_k)>
-    load = np.zeros(disc.n_unknowns)
+    load = np.zeros(3 * len(dislocations))
     for k, d in enumerate(dislocations):
         _, cpts, nh, ring = rings[k + 1]  # core circles follow the outer one
         lap_p = sum(t.laplacian_smooth(cpts) for t in W_p.terms)
         dnlap_p = sum(
             (t.grad_laplacian_smooth(cpts) * nh).sum(axis=-1) for t in W_p.terms
         )
-        base = disc.n_free + 3 * k
+        base = 3 * k
         load[base] += fl * ring * float(np.mean(dnlap_p))
         load[base + 1] += -fl * ring * float(
             np.mean(lap_p * nh[:, 0] - dnlap_p * eps * nh[:, 0])
@@ -610,30 +616,93 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         Pi = rotate_burgers(d.burgers_b)
         load[base + 1] += Pi[0]
         load[base + 2] += Pi[1]
-    assemble = time.perf_counter() - t0
+    return W_p, rings, C0, load
 
-    u, value, residual, solve_s = _minimize(disc, fl, load)
-    value -= C0
 
-    g = disc.grid
-    z_nodes = disc.node_values(u)
-    live = np.zeros(g.nx * g.ny, dtype=bool)
-    live[np.nonzero(disc.mask.ravel() != OUTSIDE)[0]] = True
-    live[disc.ghost_ids] = True
-    w_nodes = np.zeros(g.nx * g.ny)
-    pts_live = np.stack([disc.node_x[live], disc.node_y[live]], axis=-1)
-    w_nodes[live] = W_p.value(pts_live) + z_nodes[live]
-    sf = ScalarField(grid=g, values=w_nodes.reshape(g.nx, g.ny), mask=disc.mask)
+def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
+                           dislocations, eps: float, n: int = 256) -> SolveReport:
+    """Minimize the core-regularized dislocation functional.
 
-    affine = {}
-    for k, d in enumerate(dislocations):
-        base = disc.n_free + 3 * k
-        affine[f"core_{k}"] = [float(u[base]), float(u[base + 1]), float(u[base + 2])]
+    The unknown is split as w = W_p + z, where W_p sums the closed-form
+    single-dislocation profiles (exact for one centered core) and z is a
+    smooth correction. Since each profile is biharmonic off its core,
+    every coupling of W_p with z reduces by the Green identity to circle
+    integrals of closed-form kernels against the traces of z, which are
+    pinned: the negated profile traces on the outer boundary and the
+    affine core parameters on the core circles. The core-circle load
+    reduces exactly to <slope of the core affine part, Pi(b_j)> on the
+    admissible class. What is left is the plate energy of z: z is
+    biharmonic on the punctured disk and linear in the affine
+    parameters u, so with Q the Gram matrix of the Laplacians of the
+    data-set solutions (``_MichellSeries``) the energy is quadratic in
+    u, and u solves one 3K x 3K system. On the core balls z is the
+    affine part minus W_p, whose energy is that of the other profiles'
+    Laplacians there.
+
+    The value does not depend on ``n``, which only sets the grid of the
+    reported field. ``extras`` gives the mode counts (interior, per
+    core), the fit residual and ``value_change``, the change in value
+    over the last doubling of the mode counts (``None`` when the first
+    fit met its target).
+    """
+    dislocations = list(dislocations)
+    if not dislocations:
+        raise ValidationError("need at least one dislocation")
+    D = min_separation_D([d.site for d in dislocations], domain)
+    if not (0.0 < eps < D):
+        raise ValidationError(f"core radius eps={eps} must lie in (0, D={D})")
+
+    t0 = time.perf_counter()
+    fl = _gram_factor(elastic)
+    W_p, rings, C0, load = _core_problem(elastic, domain, dislocations, eps)
+    sites = [np.asarray(d.site, dtype=float) for d in dislocations]
+
+    # On core ball k, Delta z = -Delta W_p is the Laplacian of the other
+    # profiles: harmonic there, so the FFT of its trace integrates its
+    # square exactly (pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m + 2))).
+    ball_energy = 0.0
+    for k, (_, cpts, _, _) in enumerate(rings[1:]):
+        lap_other = np.zeros(len(cpts)) + sum(
+            t.laplacian_smooth(cpts) for j, t in enumerate(W_p.terms) if j != k)
+        H = np.fft.rfft(lap_other) / len(cpts)
+        m = np.arange(1, len(H))
+        ball_energy += math.pi * eps**2 * (
+            H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
+
+    def minimum(series: _MichellSeries):
+        Q = series.Q
+        u = np.linalg.solve(Q[1:, 1:], -(Q[1:, 0] + load / fl))
+        energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
+        return u, float(0.5 * fl * energy + load @ u - C0)
+
+    m_inner, last = _FIRST_MODES, None
+    while True:
+        series = _MichellSeries(domain, sites, eps, W_p, m_inner, m_inner // 2)
+        u, value = minimum(series)
+        if (not _keeps_doubling(series.residual, None if last is None else last[0],
+                                _SERIES_TARGET) or m_inner >= _MAX_MODES):
+            break
+        last = (series.residual, value)
+        m_inner *= 2
+    if not series.residual <= _RESIDUAL_BOUND:
+        raise NumericalError(f"core series fit residual {series.residual} "
+                             f"with modes {series.modes}")
+    fit_seconds = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    grid, mask, values = series.sample(n, u, W_p)
+    sample_seconds = time.perf_counter() - t1
+    affine = {f"core_{k}": [float(c) for c in u[3 * k:3 * k + 3]]
+              for k in range(len(dislocations))}
     return SolveReport(
-        field=sf, value=value, residual=residual, method="direct", grid_n=n,
-        delta=g.delta, iterations=0, assemble_seconds=assemble,
-        solve_seconds=solve_s,
-        extras={"eps": eps, "core_affine": affine, "separation_D": D},
+        field=ScalarField(grid=grid, values=values, mask=mask), value=value,
+        residual=series.residual, method="series", grid_n=n,
+        delta=grid.delta, iterations=0, assemble_seconds=fit_seconds,
+        solve_seconds=sample_seconds,
+        extras={"eps": eps, "core_affine": affine, "separation_D": D,
+                "modes": list(series.modes),
+                "fit_residual": series.residual,
+                "value_change": None if last is None else abs(value - last[1])},
     )
 
 
@@ -643,7 +712,7 @@ def solve_dipole_core(elastic: ElasticConstants, domain: DiskDomain,
 
     On that class the pair load is a difference quotient of an affine
     function, hence exactly the slope load of the zero-h functional for
-    every 0 < h < eps; the discrete problem is therefore identical to
+    every 0 < h < eps; the minimum problem is therefore identical to
     the core-constrained one and is delegated to it.
     """
     dipoles = list(dipoles)
@@ -684,7 +753,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     W0 = SumField(tuple(W0_terms))
 
     t0 = time.perf_counter()
-    series = _AlmansiSeries(domain, W0)
+    series = _AlmansiSeries.fit(domain, W0)
     # Hessian-form energy of the (non-clamped) correction, with
     # |D^2 v|^2 = ((Delta v)^2 + |4 d_z^2 v|^2) / 2
     nu, E = elastic.poisson_nu, elastic.young_E

@@ -241,7 +241,6 @@ class TestExpansionFits:
     def test_fitted_constant_matches_renormalized_energy(
         self, name, elastic, unit_disk
     ):
-        # eps = 0.07 is the smallest core radius above 4 delta at n=128
         fit = expansion_check(
             OFF_CENTER_CASES[name], elastic, unit_disk, [0.2, 0.1, 0.07], n=128
         )
@@ -259,10 +258,11 @@ class TestExpansionFits:
 
     def test_diagonal_skips_unresolved_spacings(self, elastic, unit_disk):
         dipoles = [DisclinationDipole((0.0, 0.0), (0.0, 1.0), 1e-2)]
-        # at n=64 the smallest core radii fall under the 4-cell gate
+        # eps(h) = min(sqrt(h), 0.95 D) = 0.95 is not above h = 1.2 and
+        # 0.97, which leaves one sample
         with pytest.raises(NumericalError):
             diagonal_dipole_limit(
-                dipoles, elastic, unit_disk, [4e-3, 1e-3, 2.5e-4], n=64
+                dipoles, elastic, unit_disk, [1.2, 0.97, 1e-2], n=64
             )
 
     def test_diagonal_tracks_slope(self, elastic, unit_disk):

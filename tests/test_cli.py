@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from airy_defects import solver
@@ -56,10 +57,11 @@ class TestExitCodes:
         assert main(["energy", "--config", str(bad)]) == 2
 
     def test_numerical_error(self, configs, capsys):
-        # sqrt(h) core radii under the resolution gate leave < 2 samples
+        # core radii eps(h) = min(sqrt(h), 0.95 D) not above h leave < 2
+        # samples
         code = main([
             "diagonal", "--config", configs["dip"], "--grid-n", "64",
-            "--h", "4e-3,1e-3,2.5e-4",
+            "--h", "1.2,0.97,1e-2",
         ])
         assert code == 3
 
@@ -174,18 +176,49 @@ class TestConfigContract:
         assert not out.exists()
         assert "malformed configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch, expected", [
+        ({"domain": {"center": [0.0, 0.0], "R": 1e308}}, 2),
+        ({"domain": {"center": [0.0, 0.0], "R": float("inf")}}, 2),
+        ({"disclinations": [{"site": [0.0, 0.0], "s": float("inf")}]}, 2),
+        # a finite charge whose energy overflows: no document holds inf
+        ({"disclinations": [{"site": [0.0, 0.0], "s": 1e308}]}, 3),
+    ], ids=["R-square-overflows", "R-infinite", "s-infinite", "s-overflows"])
+    def test_non_finite_numbers(self, patch, expected, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**DISC, **patch}))
+        out = tmp_path / "never.json"
+        with np.errstate(all="ignore"):
+            code = main(["energy", "--config", str(cfg), "--grid-n", "16",
+                         "--out", str(out)])
+        assert code == expected
+        assert not out.exists()
+
+    def test_sweep_dipole_solver_column_at_every_spacing(self, capsys):
+        # the Fourier solve does not depend on n, so no spacing is skipped
+        assert main(["sweep-dipole", "--E", "1", "--nu", "0.3",
+                     "--include-solver"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["param"] for row in rows] == [1e-2, 3e-3, 1e-3]
+        for row in rows:
+            assert "solver_skipped" not in row
+            assert row["solver_normalized"] == pytest.approx(
+                row["solver_limit"], rel=1e-5)
+
     @pytest.mark.parametrize("flag", [["--solver", "cg"], ["--tol", "1e-10"]])
     def test_solver_knobs_are_gone(self, flag, configs, capsys):
         assert main(["solve", "--config", configs["disc"], *flag]) == 1
 
-    def test_failed_factorization_exits_numerical(self, configs, tmp_path,
-                                                  monkeypatch):
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(solver, "splu", singular)
+    def test_unresolved_series_fit_exits_numerical(self, tmp_path,
+                                                   monkeypatch):
+        # a core near the circle needs more modes than the cap allows
+        monkeypatch.setattr(solver, "_MAX_MODES", solver._FIRST_MODES)
+        cfg = tmp_path / "wall.json"
+        cfg.write_text(json.dumps({
+            **DISL, "dislocations": [{"site": [0.9, 0.0], "b": [0.0, 1.0]}],
+            "core_radius": 0.05,
+        }))
         out = tmp_path / "never.json"
-        code = main(["solve", "--config", configs["disl"], "--grid-n", "96",
+        code = main(["solve", "--config", str(cfg), "--grid-n", "64",
                      "--out", str(out)])
         assert code == 3
         assert not out.exists()

@@ -24,7 +24,14 @@ from airy_defects.closedform import (
     SumField,
 )
 from airy_defects.energy import single_dislocation_min_value
-from airy_defects.fields import ScalarField
+from airy_defects.fields import (
+    OUTSIDE,
+    ScalarField,
+    build_mask,
+    circle_nodes,
+    grid_for_disk,
+    region_weights,
+)
 from airy_defects.solver import (
     solve_clamped_disclination,
     solve_core_constrained,
@@ -33,6 +40,214 @@ from airy_defects.solver import (
 )
 
 CENTERED = [Disclination((0.0, 0.0), 1.0)]
+
+# ---------------------------------------------------------------------------
+# finite-difference reference implementation
+# ---------------------------------------------------------------------------
+#
+# The grid discretization the series solvers replaced, kept as an
+# independent oracle: the clamped-plate energy on the disk is the
+# Laplacian Gram form ``(1 - nu^2)/(2E) * sum_c w_c (L v)_c^2 dx`` over cut
+# cells (5-point L, exact area fractions w_c). Boundary traces are imposed
+# through two layers of ghost nodes whose values are quadratic
+# extrapolations along the boundary normal, and core nodes are tied to
+# three affine parameters per core.
+
+
+def _lagrange_weights(t: float) -> np.ndarray:
+    """Quadratic Lagrange weights on offsets (-1, 0, 1) at position t."""
+    return np.array([0.5 * t * (t - 1.0), (1.0 - t) * (1.0 + t), 0.5 * t * (t + 1.0)])
+
+
+class _Discretization:
+    """Shared assembly: node roles, ghost elimination, Laplacian rows.
+
+    The unknown vector ``u`` stacks the values of free inside nodes and
+    then three affine parameters per core (value and two slopes in
+    site-centered coordinates). ``P`` and ``q`` express all node values
+    as ``v = P u + q``. Ghost rows carry the negated traces of
+    ``trace_field`` on r = R and core nodes its negated values, so
+    ``trace_field + v`` is affine on every core.
+    """
+
+    def __init__(self, domain: DiskDomain, n: int, trace_field, cores=()):
+        self.domain = domain
+        self.grid = grid_for_disk(domain, n)
+        g = self.grid
+        self.mask = build_mask(g, domain, cores)
+        self.weights = region_weights(g, domain)
+        self.cores = list(cores)
+
+        nx, ny = g.nx, g.ny
+        n_nodes = nx * ny
+        flat_mask = self.mask.ravel()
+        inside = flat_mask != OUTSIDE
+
+        w_flat = self.weights.ravel()
+        self.cell_ids = np.nonzero(w_flat > 0.0)[0]
+        self.cell_w = w_flat[self.cell_ids]
+
+        # nodes appearing in any 3x3 neighborhood of a weighted cell
+        ci, cj = np.unravel_index(self.cell_ids, (nx, ny))
+        if ci.min() < 2 or cj.min() < 2 or ci.max() > nx - 3 or cj.max() > ny - 3:
+            raise NumericalError("ghost padding too small for the weighted region")
+        needed = np.zeros(n_nodes, dtype=bool)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                needed[(ci + di) * ny + (cj + dj)] = True
+        # also cover the 13-point bilaplacian footprint of every inside
+        # node: the field carries ghost values there, and the pointwise
+        # 13-point equation can be assembled on the same unknowns
+        ii, jj = np.unravel_index(np.nonzero(inside)[0], (nx, ny))
+        if ii.min() < 2 or jj.min() < 2 or ii.max() > nx - 3 or jj.max() > ny - 3:
+            raise NumericalError("ghost padding too small for the inside region")
+        for di, dj in (
+            (2, 0), (-2, 0), (0, 2), (0, -2),
+            (1, 1), (1, -1), (-1, 1), (-1, -1),
+            (1, 0), (-1, 0), (0, 1), (0, -1),
+        ):
+            needed[(ii + di) * ny + (jj + dj)] = True
+        self.ghost_ids = np.nonzero(needed & ~inside)[0]
+
+        # unknown numbering: free inside nodes, then 3 DOFs per core
+        core_of = np.full(n_nodes, -1, dtype=int)
+        X, Y = g.meshgrid()
+        for k, (site, eps) in enumerate(self.cores):
+            sel = (np.hypot(X - site[0], Y - site[1]) <= eps).ravel() & inside
+            core_of[sel] = k
+        free = inside & (core_of < 0)
+        self.free_ids = np.nonzero(free)[0]
+        self.n_free = len(self.free_ids)
+        self.n_unknowns = self.n_free + 3 * len(self.cores)
+        unk_of = np.full(n_nodes, -1, dtype=int)
+        unk_of[self.free_ids] = np.arange(self.n_free)
+        self.unk_of = unk_of
+        self.core_of = core_of
+
+        xs = X.ravel()
+        ys = Y.ravel()
+        self.node_x, self.node_y = xs, ys
+
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        q = np.zeros(n_nodes)
+
+        # free inside nodes: identity
+        rows.extend(self.free_ids.tolist())
+        cols.extend(unk_of[self.free_ids].tolist())
+        vals.extend([1.0] * self.n_free)
+
+        # core nodes: affine parametrization minus the trace field
+        core_nodes = np.nonzero(core_of >= 0)[0]
+        for node in core_nodes:
+            k = core_of[node]
+            site = self.cores[k][0]
+            base = self.n_free + 3 * k
+            rows.extend([node, node, node])
+            cols.extend([base, base + 1, base + 2])
+            vals.extend([1.0, xs[node] - site[0], ys[node] - site[1]])
+        if len(core_nodes):
+            pts = np.stack([xs[core_nodes], ys[core_nodes]], axis=-1)
+            q[core_nodes] = -trace_field.value(pts)
+
+        # row cache for ghost composition
+        row_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+
+        def node_row(node: int):
+            if node in row_cache:
+                return row_cache[node]
+            if unk_of[node] >= 0:
+                entry = (np.array([unk_of[node]]), np.array([1.0]), 0.0)
+            elif core_of[node] >= 0:
+                k = core_of[node]
+                site = self.cores[k][0]
+                base = self.n_free + 3 * k
+                entry = (
+                    np.array([base, base + 1, base + 2]),
+                    np.array([1.0, xs[node] - site[0], ys[node] - site[1]]),
+                    float(q[node]),
+                )
+            else:
+                raise NumericalError("ghost interpolation touched an outside node")
+            row_cache[node] = entry
+            return entry
+
+        cx, cy = domain.center
+        R = domain.radius_R
+        h = g.delta
+        t_probe = 1.5 * h
+        for gid in self.ghost_ids:
+            px, py = xs[gid], ys[gid]
+            r = math.hypot(px - cx, py - cy)
+            nhat = np.array([(px - cx) / r, (py - cy) / r])
+            t_g = r - R
+            if t_g < -1e-12 * R:
+                raise NumericalError("ghost node classified inside the disk")
+            bpt = np.array([cx, cy]) + R * nhat
+
+            # probe point on the inward normal with an all-inside 3x3 block
+            t_m = t_probe
+            for _ in range(16):
+                m = bpt - t_m * nhat
+                bi, bj = g.nearest_index(m)
+                block = self.mask[bi - 1 : bi + 2, bj - 1 : bj + 2]
+                if block.shape == (3, 3) and np.all(block != OUTSIDE):
+                    break
+                t_m += 0.5 * h
+            else:
+                raise NumericalError(f"no interior stencil for ghost node {gid}")
+
+            tx = (m[0] - (g.x0 + bi * h)) / h
+            ty = (m[1] - (g.y0 + bj * h)) / h
+            wx = _lagrange_weights(tx)
+            wy = _lagrange_weights(ty)
+            rho = (t_g / t_m) ** 2
+
+            g_D = -float(trace_field.value(bpt)[0])
+            g_N = -float(trace_field.gradient(bpt)[0] @ nhat)
+            offset = g_D * (1.0 - rho) + g_N * (t_g + rho * t_m)
+
+            acc = 0.0
+            for a in range(3):
+                for b in range(3):
+                    c = wx[a] * wy[b]
+                    if c == 0.0:
+                        continue
+                    node = (bi + a - 1) * ny + (bj + b - 1)
+                    rcols, rvals, roff = node_row(node)
+                    rows.extend([gid] * len(rcols))
+                    cols.extend(rcols.tolist())
+                    vals.extend((rho * c * rvals).tolist())
+                    acc += c * roff
+            q[gid] = rho * acc + offset
+
+        self.P = sp.csr_matrix(
+            (vals, (rows, cols)), shape=(n_nodes, self.n_unknowns)
+        )
+        self.q = q
+
+        # 5-point Laplacian rows at weighted cells
+        n_cells = len(self.cell_ids)
+        lr = np.repeat(np.arange(n_cells), 5)
+        lc = np.stack(
+            [
+                self.cell_ids,
+                self.cell_ids + ny,
+                self.cell_ids - ny,
+                self.cell_ids + 1,
+                self.cell_ids - 1,
+            ],
+            axis=-1,
+        ).ravel()
+        lv = np.tile(np.array([-4.0, 1.0, 1.0, 1.0, 1.0]) / h**2, n_cells)
+        self.L = sp.csr_matrix((lv, (lr, lc)), shape=(n_cells, n_nodes))
+        self.M = (self.L @ self.P).tocsr()
+        self.Lq = self.L @ q
+
+    def node_values(self, u: np.ndarray) -> np.ndarray:
+        return self.P @ u + self.q
+
 
 _BIHARMONIC_STENCIL = (
     ((0, 0), 20.0),
@@ -47,12 +262,12 @@ def _fd_oracle(elastic, domain, trace_field, n):
 
     Solves the 13-point bilaplacian equation at every inside node for
     the field z whose traces on r = R are those of ``-trace_field``
-    (ghost rows of ``solver._Discretization`` carry the trace data) and
+    (ghost rows of ``_Discretization`` carry the trace data) and
     returns its cut-cell Gram objective (1 - nu^2)/(2E) int (Delta z)^2
     and its central-difference Hessian energy
     (1 + nu)/(2E) int |D^2 z|^2 - nu (Delta z)^2, both second order.
     """
-    disc = solver._Discretization(domain, n, trace_field)
+    disc = _Discretization(domain, n, trace_field)
     g = disc.grid
     free = disc.free_ids
     rows, cols, vals = [], [], []
@@ -78,6 +293,27 @@ def _fd_oracle(elastic, domain, trace_field, n):
         vxx**2 + 2.0 * vxy**2 + vyy**2 - nu * (vxx + vyy) ** 2
     )
     return gram, float(np.sum(dens.ravel()[disc.cell_ids] * disc.cell_w)) * h * h
+
+
+def _fd_core_value(elastic, domain, dislocations, eps, n):
+    """Finite-difference value of the core-constrained functional.
+
+    Same split w = W_p + z, constant and core loads as the series solve
+    (``solver._core_problem``); the Gram form of z over the disk is the
+    cut-cell sum, minimized by one sparse LU solve of the SPD normal
+    equations. First order: the cores are staircases on the grid.
+    """
+    W_p, _, C0, load = solver._core_problem(elastic, domain, dislocations, eps)
+    disc = _Discretization(domain, n, W_p,
+                           cores=[(d.site, eps) for d in dislocations])
+    full = np.zeros(disc.n_unknowns)
+    full[disc.n_free:] = load
+    factor = solver._gram_factor(elastic) * disc.grid.delta**2
+    A = factor * (disc.M.T @ (sp.diags(disc.cell_w) @ disc.M))
+    b = -factor * (disc.M.T @ (disc.cell_w * disc.Lq)) - full
+    u = spla.splu(A.tocsc()).solve(b)
+    r = disc.Lq + disc.M @ u
+    return 0.5 * factor * float(np.sum(disc.cell_w * r * r)) + float(full @ u) - C0
 
 
 def _singular_part(elastic, disclinations):
@@ -191,6 +427,22 @@ class TestDisclinationSolve:
                 elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)], n=64
             )
 
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_trace_fit_stops_on_its_roundoff_floor(self, h, elastic,
+                                                   unit_disk, monkeypatch):
+        # the residual of a close +-1 pair floors just above _FIT_TARGET;
+        # the fit stops once a doubling fails to halve it, with the value
+        # of the fit that doubles up to the sample cap
+        pair = [Disclination((0.5 * h, 0.0), 1.0),
+                Disclination((-0.5 * h, 0.0), -1.0)]
+        report = solve_clamped_disclination(elastic, unit_disk, pair, n=64)
+        assert report.extras["modes"] <= 128
+        monkeypatch.setattr(solver, "_keeps_doubling",
+                            lambda residual, previous, target: residual > target)
+        capped = solve_clamped_disclination(elastic, unit_disk, pair, n=64)
+        assert capped.extras["modes"] == solver._MAX_SAMPLES
+        assert report.value == pytest.approx(capped.value, rel=1e-12)
+
     def test_trace_solvers_do_not_factor(self, elastic, unit_disk, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sparse factorization on a trace problem")
@@ -202,6 +454,11 @@ class TestDisclinationSolve:
         solve_elastic_correction(
             elastic, unit_disk, [Dislocation((0.4, 0.0), (0.0, 1.0))], n=64
         )
+
+
+PAIR_SAME = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)]
+PAIR_OPPOSITE = [Dislocation((0.3, 0.0), (0.0, 1.0)),
+                 Dislocation((-0.3, 0.0), (0.0, -1.0))]
 
 
 class TestCoreConstrainedSolve:
@@ -225,27 +482,112 @@ class TestCoreConstrainedSolve:
         assert math.sqrt(float(np.sum((num - ref) ** 2))) / denom < 2e-3
 
     def test_unresolved_core_rejected(self, elastic, unit_disk):
-        defects = [Dislocation((0.0, 0.0), (0.0, 1.0))]
+        # a core ball that reaches the circle (eps >= D) is rejected
         with pytest.raises(ValidationError):
-            solve_core_constrained(elastic, unit_disk, defects, 0.01, n=64)
+            solve_core_constrained(
+                elastic, unit_disk, [Dislocation((0.95, 0.0), (0.0, 1.0))],
+                0.06, n=64,
+            )
+        # a core narrower than the report grid is not: the grid only
+        # samples the series
+        report = solve_core_constrained(
+            elastic, unit_disk, [Dislocation((0.0, 0.0), (0.0, 1.0))], 0.01,
+            n=64,
+        )
+        exact = single_dislocation_min_value(elastic, 1.0, 1.0, 0.01)
+        assert report.value == pytest.approx(exact, rel=1e-10)
 
     def test_report_says_what_ran(self, elastic, unit_disk):
         defects = [Dislocation((0.2, 0.0), (0.0, 1.0))]
         report = solve_core_constrained(elastic, unit_disk, defects, 0.2, n=64)
-        assert report.method == "direct" and report.iterations == 0
+        assert report.method == "series" and report.iterations == 0
+        assert report.residual == report.extras["fit_residual"]
         assert report.residual <= solver._RESIDUAL_BOUND
+        m_inner, m_core = report.extras["modes"]
+        assert m_inner == 2 * m_core >= solver._FIRST_MODES
+        for key in ("eps", "core_affine", "separation_D", "value_change"):
+            assert key in report.extras
 
-    def test_failed_factorization_raises(self, elastic, unit_disk,
-                                         monkeypatch):
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(solver, "splu", singular)
-        with pytest.raises(NumericalError, match="factorization failed"):
+    def test_unresolved_series_fit_raises(self, elastic, unit_disk,
+                                          monkeypatch):
+        # a core near the circle needs hundreds of interior modes
+        monkeypatch.setattr(solver, "_MAX_MODES", solver._FIRST_MODES)
+        with pytest.raises(NumericalError, match="core series fit residual"):
             solve_core_constrained(
-                elastic, unit_disk, [Dislocation((0.0, 0.0), (0.0, 1.0))],
-                0.1, n=96,
+                elastic, unit_disk, [Dislocation((0.9, 0.0), (0.0, 1.0))],
+                0.05, n=64,
             )
+
+    @pytest.mark.parametrize("defects, expected", [
+        ([Dislocation((0.0, 0.0), (0.0, 1.0))], -0.057819900928390),
+        ([Dislocation((0.3, 0.0), (0.0, 1.0))], -0.057631009552692),
+        (PAIR_SAME, -0.073563461626869),
+        (PAIR_OPPOSITE, -0.153772978797308),
+    ], ids=["centered", "single", "same", "opposite"])
+    def test_reference_values(self, defects, expected, elastic, unit_disk):
+        report = solve_core_constrained(elastic, unit_disk, defects, 0.1, n=64)
+        assert report.value == pytest.approx(expected, rel=1e-12)
+
+    def test_value_does_not_depend_on_n(self, elastic, unit_disk):
+        values = [
+            solve_core_constrained(elastic, unit_disk, PAIR_OPPOSITE, 0.1,
+                                   n=n).value
+            for n in (64, 128, 512)
+        ]
+        assert max(values) - min(values) <= 1e-14 * abs(values[0])
+
+    @pytest.mark.parametrize("defects", [PAIR_SAME, PAIR_OPPOSITE],
+                             ids=["same", "opposite"])
+    def test_value_settles_over_the_last_doubling(self, defects, elastic,
+                                                  unit_disk):
+        for eps in (0.2, 0.1, 0.05):
+            report = solve_core_constrained(elastic, unit_disk, defects, eps,
+                                            n=64)
+            # the change bounds the error of the coarser fit: at eps 0.2
+            # its residual is 6e-7 and the change 1.8e-12 |value|
+            change = report.extras["value_change"]
+            assert change is not None
+            assert change <= 1e-11 * abs(report.value)
+
+    def test_green_identity_matches_area_quadrature(self, elastic, unit_disk):
+        # Q from circle integrals against a polar quadrature of the
+        # Laplacians over the punctured disk, about the core centre: Gauss
+        # in r from eps to the circle along each ray, trapezoid in theta
+        site, eps = np.array([0.3, 0.0]), 0.1
+        defects = [Dislocation(tuple(site), (0.0, 1.0))]
+        W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
+        series = solver._MichellSeries(unit_disk, [site], eps, W_p, 32, 16)
+        _, rays, _ = circle_nodes((0.0, 0.0), 1.0, 128)
+        along = rays @ site
+        r_max = -along + np.sqrt(along**2 + 1.0 - site @ site)
+        x, w = np.polynomial.legendre.leggauss(64)
+        half = 0.5 * (r_max - eps)[:, None]
+        r = eps + half * (x + 1.0)
+        weights = (half * w * r * (2.0 * math.pi / len(rays))).ravel()
+        pts = (site + r[..., None] * rays[:, None, :]).reshape(-1, 2)
+        normals = np.repeat(rays, len(x), axis=0)
+        lap = series.fields(pts, normals)[2]
+        area = lap.T @ (weights[:, None] * lap)
+        assert np.abs(area - series.Q).max() <= 1e-11 * np.abs(series.Q).max()
+
+    def test_core_near_the_circle(self, elastic, unit_disk):
+        report = solve_core_constrained(
+            elastic, unit_disk, [Dislocation((0.9, 0.0), (0.0, 1.0))], 0.05,
+            n=64,
+        )
+        assert report.value == pytest.approx(-0.0484659109469, rel=1e-9)
+
+    def test_fd_oracle_converges_at_first_order(self, elastic, unit_disk):
+        # staircase cores make the grid solve first order (error / 2 per
+        # doubling, at least / 1.5 required)
+        defects = [Dislocation((0.3, 0.0), (0.0, 1.0))]
+        exact = solve_core_constrained(elastic, unit_disk, defects, 0.1,
+                                       n=64).value
+        errors = [
+            abs(_fd_core_value(elastic, unit_disk, defects, 0.1, n) - exact)
+            for n in (128, 256)
+        ]
+        assert errors[0] >= 1.5 * errors[1] > 0.0
 
     def test_dipole_solve_delegates(self, elastic, unit_disk):
         dipoles = [DisclinationDipole((0.0, 0.0), (0.0, 1.0), 0.02)]
