@@ -27,7 +27,7 @@ from .core import (
 )
 from .closedform import DipoleAiry, DislocationLimitAiry
 from .energy import _pair_energy_boundary, energy_density
-from .fields import circle_nodes, fmt17
+from .fields import circle_nodes, write_csv
 from .solver import (
     SolveReport,
     solve_clamped_disclination,
@@ -206,17 +206,9 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
 
 def sweep_to_csv(rows, path) -> None:
     """CSV dump `param,value,normalized,analytic_limit,rel_err`."""
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write("param,value,normalized,analytic_limit,rel_err\n")
-        for row in rows:
-            f.write(
-                ",".join(
-                    fmt17(row[k])
-                    for k in ("param", "value", "normalized", "analytic_limit",
-                              "rel_err")
-                )
-                + "\n"
-            )
+    keys = ("param", "value", "normalized", "analytic_limit", "rel_err")
+    write_csv(path, ",".join(keys),
+              [np.array([float(row[k]) for row in rows]) for k in keys])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,14 @@ from .closedform import (
     airy_to_stress,
     stress_to_strain,
 )
-from .fields import fmt17, grid_for_disk, build_mask, region_weights
+from .fields import (
+    build_mask,
+    check_grid_n,
+    fmt17,
+    grid_for_disk,
+    region_weights,
+    write_csv,
+)
 from .energy import EnergyBreakdown, grid_energy
 from .solver import (
     solve_clamped_disclination,
@@ -175,7 +182,11 @@ def _plastic_field(config: DefectConfiguration):
     return SumField(tuple(terms))
 
 
-def _field_rows(config: DefectConfiguration, n: int) -> list[str]:
+_FIELD_HEADER = "x,y,v,s11,s12,s22,e11,e12,e22"
+
+
+def _field_columns(config: DefectConfiguration, n: int) -> list[np.ndarray]:
+    """Per-node columns of the field dump, in ``_FIELD_HEADER`` order."""
     field = _plastic_field(config)
     grid = grid_for_disk(config.domain, n)
     cores = ()
@@ -192,19 +203,9 @@ def _field_rows(config: DefectConfiguration, n: int) -> list[str]:
     H[inside] = field.hessian(pts[inside])
     sigma = airy_to_stress(H)
     eps = stress_to_strain(sigma, config.elastic)
-    rows = ["x,y,v,s11,s12,s22,e11,e12,e22"]
-    for i in range(pts.shape[0]):
-        rows.append(
-            ",".join(
-                fmt17(x)
-                for x in (
-                    pts[i, 0], pts[i, 1], vals[i],
-                    sigma[i, 0, 0], sigma[i, 0, 1], sigma[i, 1, 1],
-                    eps[i, 0, 0], eps[i, 0, 1], eps[i, 1, 1],
-                )
-            )
-        )
-    return rows
+    return [pts[:, 0], pts[:, 1], vals,
+            sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 1],
+            eps[:, 0, 0], eps[:, 0, 1], eps[:, 1, 1]]
 
 
 def _write_text(path, text: str) -> None:
@@ -220,7 +221,7 @@ def _all_finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
-def _emit(args, doc, csv_rows=None) -> None:
+def _emit(args, doc) -> None:
     doc = _jsonable(doc)
     # JSON has no inf or NaN, and a report holding one is no result
     if not _all_finite(doc):
@@ -230,8 +231,6 @@ def _emit(args, doc, csv_rows=None) -> None:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    if csv_rows is not None and getattr(args, "csv", None):
-        _write_text(args.csv, "\n".join(csv_rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +255,12 @@ def _cmd_constants(args) -> None:
 
 
 def _cmd_field(args) -> None:
-    config = _load_config(args)
-    rows = _field_rows(config, args.grid_n)
     if not args.csv:
         raise ValidationError("field dump needs --csv PATH")
-    doc = {"nodes": len(rows) - 1, "grid_n": args.grid_n, "csv": args.csv}
-    _emit(args, doc, csv_rows=rows)
+    config = _load_config(args)
+    columns = _field_columns(config, args.grid_n)
+    _emit(args, {"nodes": len(columns[0]), "grid_n": args.grid_n, "csv": args.csv})
+    write_csv(args.csv, _FIELD_HEADER, columns)
 
 
 def _cmd_energy(args) -> None:
@@ -509,6 +508,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        # a resolution is checked before any work, so that a bad one
+        # costs nothing
+        if getattr(args, "grid_n", None) is not None:
+            check_grid_n(args.grid_n)
         args.run(args)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

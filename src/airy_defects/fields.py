@@ -22,9 +22,41 @@ INTERIOR = 1
 CORE = 2
 
 
+# float64 values per grid node that one command may hold at once: the
+# field dump keeps points, value, Hessian, stress, strain and its CSV
+# table, besides the temporaries of the closed forms
+_GRID_ARRAYS_PER_NODE = 32
+# bytes of grid arrays a resolution may ask for
+_GRID_MEMORY_CAP = 2**31
+
+# rows per "%" operation in write_csv; formatting a whole table at once
+# would hold every formatted string of it in memory together
+_CSV_BLOCK = 1024
+
+
 def fmt17(x: float) -> str:
     """Fixed 17-significant-digit formatting used by every artifact."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one row per index of the equal-length 1-D
+    ``columns``.
+
+    Integer columns print as ``%d`` (their values must be exact in
+    float64), the rest as ``%.17g``, byte for byte what :func:`fmt17`
+    gives. Rows are formatted ``_CSV_BLOCK`` at a time.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
+    ) + "\n"
+    table = np.column_stack(columns)
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -68,10 +100,28 @@ class Grid:
         return np.array([self.x0 + i * self.delta, self.y0 + j * self.delta])
 
 
-def grid_for_disk(domain: DiskDomain, n: int, pad: int = 4) -> Grid:
-    """Grid with ``n`` cells across the diameter plus ``pad`` ghost rings."""
+def check_grid_n(n: int, pad: int = 4) -> None:
+    """Reject a resolution ``n`` too coarse for the disk, or one whose
+    grid arrays would pass ``_GRID_MEMORY_CAP`` bytes; allocates nothing.
+
+    The estimate counts ``_GRID_ARRAYS_PER_NODE`` float64 values per
+    node of the (n + 2 pad + 1)^2 grid.
+    """
     if n < 8:
         raise ValidationError(f"grid resolution too coarse: n={n}")
+    need = (n + 2 * pad + 1) ** 2 * _GRID_ARRAYS_PER_NODE * 8
+    if need > _GRID_MEMORY_CAP:
+        n_max = (math.isqrt(_GRID_MEMORY_CAP // (8 * _GRID_ARRAYS_PER_NODE))
+                 - 2 * pad - 1)
+        raise ValidationError(
+            f"grid resolution n={n} needs about {need / 2**30:.4g} GiB of grid "
+            f"arrays, above the {_GRID_MEMORY_CAP / 2**30:g} GiB cap (n <= {n_max})"
+        )
+
+
+def grid_for_disk(domain: DiskDomain, n: int, pad: int = 4) -> Grid:
+    """Grid with ``n`` cells across the diameter plus ``pad`` ghost rings."""
+    check_grid_n(n, pad)
     delta = 2.0 * domain.radius_R / n
     cx, cy = domain.center
     x0 = cx - domain.radius_R - pad * delta
@@ -302,25 +352,9 @@ class ScalarField:
     def to_csv(self, path) -> None:
         """Header ``x,y,v,v_xx,v_xy,v_yy,mask``, row-major, 17 digits."""
         vxx, vxy, vyy, _ = self.hessian_fd()
-        xs, ys = self.grid.xs, self.grid.ys
-        with open(path, "w", encoding="ascii", newline="\n") as f:
-            f.write("x,y,v,v_xx,v_xy,v_yy,mask\n")
-            for i in range(self.grid.nx):
-                for j in range(self.grid.ny):
-                    f.write(
-                        ",".join(
-                            [
-                                fmt17(xs[i]),
-                                fmt17(ys[j]),
-                                fmt17(self.values[i, j]),
-                                fmt17(vxx[i, j]),
-                                fmt17(vxy[i, j]),
-                                fmt17(vyy[i, j]),
-                                str(int(self.mask[i, j])),
-                            ]
-                        )
-                        + "\n"
-                    )
+        X, Y = self.grid.meshgrid()
+        write_csv(path, "x,y,v,v_xx,v_xy,v_yy,mask",
+                  [a.ravel() for a in (X, Y, self.values, vxx, vxy, vyy, self.mask)])
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,8 @@ def _core_plastic_field(elastic: ElasticConstants, domain: DiskDomain,
 _FIRST_MODES = 16
 _MAX_MODES = 512
 _SERIES_TARGET = 1e-12
+# smallest gap D - eps, relative to R, that the core fit accepts
+_TOUCH_GAP = 1e-12
 
 
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
@@ -649,8 +651,13 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     if not dislocations:
         raise ValidationError("need at least one dislocation")
     D = min_separation_D([d.site for d in dislocations], domain)
-    if not (0.0 < eps < D):
-        raise ValidationError(f"core radius eps={eps} must lie in (0, D={D})")
+    # a gap D - eps at roundoff level is a touching core, which no
+    # series resolves
+    if not (0.0 < eps and D - eps > _TOUCH_GAP * domain.radius_R):
+        raise ValidationError(
+            f"core radius eps={eps} must lie in (0, D={D}) with a gap "
+            f"D - eps above {_TOUCH_GAP} R"
+        )
 
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from airy_defects import solver
+from airy_defects import cli, solver
 from airy_defects.cli import main
 
 DISC = {
@@ -98,6 +99,38 @@ class TestArtifacts:
             "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
+
+    def test_field_validates_csv_path_first(self, configs, tmp_path,
+                                            monkeypatch):
+        def no_field(*args):
+            raise AssertionError("the field was computed")
+
+        monkeypatch.setattr(cli, "_field_columns", no_field)
+        out = tmp_path / "never.json"
+        code = main(["field", "--config", configs["disl"], "--csv", "",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_grid_n_memory_cap(self, configs, tmp_path):
+        # exits 2 from the size estimate, allocating nothing
+        out = tmp_path / "never.json"
+        csv = tmp_path / "never.csv"
+        tracemalloc.start()
+        try:
+            code = main(["field", "--config", configs["disl"],
+                         "--grid-n", "100000000", "--csv", str(csv),
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        assert not out.exists() and not csv.exists()
+        for command in ("energy", "solve"):
+            assert main([command, "--config", configs["disl"],
+                         "--grid-n", "100000000", "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_field_csv_schema(self, configs, tmp_path):
@@ -207,6 +240,19 @@ class TestConfigContract:
     @pytest.mark.parametrize("flag", [["--solver", "cg"], ["--tol", "1e-10"]])
     def test_solver_knobs_are_gone(self, flag, configs, capsys):
         assert main(["solve", "--config", configs["disc"], *flag]) == 1
+
+    def test_touching_core_exits_validation(self, tmp_path):
+        # D = 0.05000000000000004 passes eps < D by roundoff only
+        cfg = tmp_path / "touch.json"
+        cfg.write_text(json.dumps({
+            **DISL, "dislocations": [{"site": [0.95, 0.0], "b": [0.0, 1.0]}],
+            "core_radius": 0.05,
+        }))
+        out = tmp_path / "never.json"
+        code = main(["solve", "--config", str(cfg), "--grid-n", "64",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_unresolved_series_fit_exits_numerical(self, tmp_path,
                                                    monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from airy_defects.core import DiskDomain, NumericalError, ValidationError
+from airy_defects import fields
 from airy_defects.fields import (
     CORE,
     INTERIOR,
@@ -13,6 +14,7 @@ from airy_defects.fields import (
     ScalarField,
     SplineField,
     build_mask,
+    check_grid_n,
     circle_integral,
     circle_rect_area,
     disk_cell_fractions,
@@ -21,6 +23,7 @@ from airy_defects.fields import (
     hessian_fd,
     integrate,
     region_weights,
+    write_csv,
 )
 
 
@@ -33,6 +36,28 @@ class TestFmt17:
         assert fmt17(0.1) == "0.10000000000000001"
 
 
+class TestWriteCsv:
+    def test_bytes_match_fmt17(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = 2 * 1024 + 3  # not a multiple of the block size
+        x = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        x[:7] = [-0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1, float("nan")]
+        y = rng.standard_normal(rows)
+        mask = rng.integers(0, 3, rows).astype(np.int8)
+        path = tmp_path / "t.csv"
+        write_csv(path, "x,y,mask", [x, y, mask])
+        expected = "x,y,mask\n" + "".join(
+            ",".join([fmt17(a), fmt17(b), str(int(m))]) + "\n"
+            for a, b, m in zip(x, y, mask)
+        )
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(path, "a,b", [np.zeros(0), np.zeros(0)])
+        assert path.read_bytes() == b"a,b\n"
+
+
 class TestGrid:
     def test_disk_coverage(self, unit_disk):
         g = grid_for_disk(unit_disk, 64)
@@ -43,6 +68,17 @@ class TestGrid:
     def test_too_coarse(self, unit_disk):
         with pytest.raises(ValidationError):
             grid_for_disk(unit_disk, 4)
+
+    def test_memory_cap(self, unit_disk):
+        # rejected from the estimate alone: 10^8 cells across would need
+        # 10^16 nodes
+        with pytest.raises(ValidationError, match="GiB"):
+            grid_for_disk(unit_disk, 100_000_000)
+        n_max = math.isqrt(fields._GRID_MEMORY_CAP
+                           // (8 * fields._GRID_ARRAYS_PER_NODE)) - 9
+        check_grid_n(n_max)
+        with pytest.raises(ValidationError, match="GiB"):
+            check_grid_n(n_max + 1)
 
     def test_nearest_index(self, unit_disk):
         g = grid_for_disk(unit_disk, 64)

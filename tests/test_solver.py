@@ -497,6 +497,23 @@ class TestCoreConstrainedSolve:
         exact = single_dislocation_min_value(elastic, 1.0, 1.0, 0.01)
         assert report.value == pytest.approx(exact, rel=1e-10)
 
+    @pytest.mark.parametrize("R, site, eps", [
+        (1.0, 0.95, 0.05),  # D = 0.05000000000000004
+        (2.0, 1.9, 0.1),  # D = 0.10000000000000009
+    ])
+    def test_touching_core_rejected_before_the_fit(self, R, site, eps, elastic,
+                                                   monkeypatch):
+        # eps < D by roundoff only: the ball touches the circle
+        def no_fit(*args):
+            raise AssertionError("the series was fitted")
+
+        monkeypatch.setattr(solver, "_MichellSeries", no_fit)
+        with pytest.raises(ValidationError, match="gap"):
+            solve_core_constrained(
+                elastic, DiskDomain((0.0, 0.0), R),
+                [Dislocation((site, 0.0), (0.0, 1.0))], eps, n=64,
+            )
+
     def test_report_says_what_ran(self, elastic, unit_disk):
         defects = [Dislocation((0.2, 0.0), (0.0, 1.0))]
         report = solve_core_constrained(elastic, unit_disk, defects, 0.2, n=64)
