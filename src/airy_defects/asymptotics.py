@@ -1,6 +1,6 @@
 """Scaling-law sweeps, annulus closed forms and the renormalized energy.
 
-Sweeps drive the closed-form quadratures and the series solvers over
+Sweeps drive the closed-form energies and the series solvers over
 decreasing spacing/core-radius samples and fit the leading |log eps|
 expansion; the renormalized-energy decomposition provides the constant
 term the fits are checked against.
@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     DiskDomain,
@@ -26,8 +25,8 @@ from .core import (
     rotate_burgers,
 )
 from .closedform import DipoleAiry, DislocationLimitAiry
-from .energy import _pair_energy_boundary, energy_density
-from .fields import circle_nodes, write_csv
+from .energy import _pair_energy_boundary
+from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
     SolveReport,
     solve_clamped_disclination,
@@ -131,41 +130,38 @@ def _check_decreasing(seq, name: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# dipole spacing sweep (closed-form quadrature, optional solver column)
+# dipole spacing sweep (exact closed-form energy, optional solver column)
 # ---------------------------------------------------------------------------
 
+_DIPOLE_CIRCLE_NODES = 512
 
-def _dipole_energy_quadrature(elastic: ElasticConstants, s: float, R: float,
-                              h: float, r_inner: float = 0.0,
-                              n_theta: int = 512) -> float:
-    """Bulk energy of the finite-spacing pair field over an annulus.
 
-    Radial adaptive quadrature of angular ring means; the pole radius
-    h/2 is passed as an explicit singular point (the angular mean has an
-    integrable log^2 spike there).
+def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
+                   h: float) -> float:
+    """Bulk energy G of the finite-spacing pair field w on B_R.
+
+    w is biharmonic off its poles y+- with (1/K) Delta^2 w = -|s|
+    (delta_+ - delta_-), so Green's identity leaves the outer-circle
+    pairing P(w, w) of ``_pair_energy_boundary`` and the pole values:
+    G = P(w, w)/2 - |s| (w(y+) - w(y-))/2. The circle is summed by the
+    trapezoid on ``_DIPOLE_CIRCLE_NODES`` nodes, which converges like
+    (h / 2R)^n for n nodes.
     """
     field = DipoleAiry(elastic=elastic, burgers_b=(0.0, s), spacing_h=h)
-    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
-
-    def shell(r: float) -> float:
-        dens = energy_density(field.hessian(r * ring), elastic)
-        return float(np.mean(dens)) * 2.0 * math.pi * r
-
-    pts = sorted({0.5 * h, h, min(10.0 * h, 0.5 * (r_inner + R) + 0.25 * R)})
-    pts = [p for p in pts if r_inner < p < R]
-    val, err = quad(shell, r_inner, R, points=pts, limit=400)
-    if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
-        raise NumericalError(f"spacing-sweep quadrature did not converge: {err}")
-    return val
+    mag, plus, minus = field._parts()
+    outer = circle_nodes((0.0, 0.0), R, _DIPOLE_CIRCLE_NODES)
+    pairing = _pair_energy_boundary(field, field, [(1.0, *outer)], elastic)
+    poles = field.value(np.array([plus.shift, minus.shift]))
+    return 0.5 * pairing - 0.5 * mag * float(poles[0] - poles[1])
 
 
 def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
-                         h_list, include_solver: bool = False, n: int = 256,
-                         n_theta: int = 512) -> list[dict]:
+                         h_list, include_solver: bool = False,
+                         n: int = 256) -> list[dict]:
     """Normalized pair-field energies over decreasing spacings.
 
-    Each row reports G(pair field; B_R) / (h^2 log(R/h)) against its
-    limit K s^2 / (8 pi); with ``include_solver`` the minimizer value of
+    Each row reports the exact G(pair field; B_R) of ``_dipole_energy``,
+    and G / (h^2 log(R/h)) against its limit K s^2 / (8 pi); with ``include_solver`` the minimizer value of
     the two-charge functional is added, normalized by h^2 |log h|
     against -K s^2 / (8 pi). The solver value is an exact mode sum at
     every spacing; ``n`` only sets the grid of its unused field.
@@ -181,7 +177,7 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
             G = 0.0
             normalized = 0.0
         else:
-            G = _dipole_energy_quadrature(elastic, s, R, h, n_theta=n_theta)
+            G = _dipole_energy(elastic, s, R, h)
             normalized = G / (h**2 * math.log(R / h))
         row = {
             "param": h,
@@ -223,13 +219,24 @@ def angular_quartic_integral(n_quad: int = 64) -> float:
     return float(np.mean(np.sin(th) ** 4 * np.cos(th) ** 2)) * 2.0 * math.pi
 
 
-def _pair_integrand_means(h: float, n_theta: int):
-    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
-    ct, st = ring[:, 0], ring[:, 1]
+def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
+    """The three pair-field integrals on the annulus and the core ball.
 
-    def means(r: float) -> tuple[float, float, float]:
-        x1 = r * ct
-        x2 = r * st
+    Ring means over ``n_theta`` angles of the three integrands, all from
+    one batch of points, integrated in the radius by
+    :func:`fields.radial_integral` over the annulus h < r < R and over
+    the ball r < h with the pole radius h/2 as a break. Returns raw and
+    normalized (by h^2 log(R/h)) values; the normalized annulus triple
+    tends to (4 pi, pi/8, pi/2) and the core-ball triple to zero as
+    h -> 0.
+    """
+    if not (0.0 < h < R):
+        raise ValidationError(f"need 0 < h < R, got h={h}, R={R}")
+    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
+
+    def ring_terms(r):
+        x1 = r[:, None] * ring[:, 0]
+        x2 = r[:, None] * ring[:, 1]
         qm = (x1 - 0.5 * h) ** 2 + x2**2
         qp = (x1 + 0.5 * h) ** 2 + x2**2
         with np.errstate(divide="ignore"):
@@ -237,40 +244,15 @@ def _pair_integrand_means(h: float, n_theta: int):
         den = (qp * qm) ** 2
         f2 = h**2 * x2**4 * x1**2 / den
         f3 = h**2 * x2**2 * (0.25 * h**2 + x2**2 - x1**2) ** 2 / den
-        return float(np.mean(f1)), float(np.mean(f2)), float(np.mean(f3))
-
-    return means
-
-
-def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
-    """The three pair-field integrals on the annulus and the core ball.
-
-    Returns raw and normalized (by h^2 log(R/h)) values; the normalized
-    annulus triple tends to (4 pi, pi/8, pi/2) and the core-ball triple
-    to zero as h -> 0.
-    """
-    if not (0.0 < h < R):
-        raise ValidationError(f"need 0 < h < R, got h={h}, R={R}")
-    means = _pair_integrand_means(h, n_theta)
-
-    def radial(lo: float, hi: float, k: int, pts) -> float:
-        def f(r):
-            return means(r)[k] * 2.0 * math.pi * r
-
-        pts = [p for p in pts if lo < p < hi]
-        val, err = quad(f, lo, hi, points=pts or None, limit=400)
-        if not math.isfinite(val):
-            raise NumericalError(
-                f"pair-integrand quadrature diverged on ({lo}, {hi})"
-            )
-        return val
+        means = np.stack([f1.mean(axis=1), f2.mean(axis=1), f3.mean(axis=1)])
+        return 2.0 * math.pi * r * means
 
     norm = h**2 * math.log(R / h)
-    annulus = [radial(h, R, k, [2.0 * h, 10.0 * h]) for k in range(3)]
-    ball = [radial(0.0, h, k, [0.5 * h]) for k in range(3)]
+    annulus = tuple(float(v) for v in radial_integral(ring_terms, h, R))
+    ball = tuple(float(v) for v in radial_integral(ring_terms, 0.0, h, (0.5 * h,)))
     return {
-        "annulus": tuple(annulus),
-        "ball": tuple(ball),
+        "annulus": annulus,
+        "ball": ball,
         "annulus_normalized": tuple(a / norm for a in annulus),
         "ball_normalized": tuple(b / norm for b in ball),
         "limits": (4.0 * math.pi, math.pi / 8.0, math.pi / 2.0),

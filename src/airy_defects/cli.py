@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -126,6 +128,8 @@ def _load_config(args) -> DefectConfiguration:
         raise ValidationError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid config JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("config JSON must be an object")
     # flag overrides for scalar entries
     for key in ("E", "nu"):
         val = getattr(args, key, None)
@@ -208,6 +212,29 @@ def _field_columns(config: DefectConfiguration, n: int) -> list[np.ndarray]:
             eps[:, 0, 0], eps[:, 0, 1], eps[:, 1, 1]]
 
 
+def _check_output_paths(args) -> None:
+    """Reject an output path whose file cannot be created, before any
+    work, so that a run writes all of its files or none."""
+    for key in ("out", "csv", "field_csv"):
+        path = getattr(args, key, None)
+        if not path:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ValidationError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path) or not os.access(folder, os.W_OK):
+            raise ValidationError(f"cannot write {path}")
+
+
+@contextmanager
+def _writing(path):
+    """Report an OS error while writing ``path`` as a validation error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as f:
         f.write(text)
@@ -228,7 +255,8 @@ def _emit(args, doc) -> None:
         raise NumericalError("the report holds a non-finite number")
     text = dump_json(doc)
     if getattr(args, "out", None):
-        _write_text(args.out, text)
+        with _writing(args.out):
+            _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -260,7 +288,8 @@ def _cmd_field(args) -> None:
     config = _load_config(args)
     columns = _field_columns(config, args.grid_n)
     _emit(args, {"nodes": len(columns[0]), "grid_n": args.grid_n, "csv": args.csv})
-    write_csv(args.csv, _FIELD_HEADER, columns)
+    with _writing(args.csv):
+        write_csv(args.csv, _FIELD_HEADER, columns)
 
 
 def _cmd_energy(args) -> None:
@@ -327,7 +356,8 @@ def _cmd_solve(args) -> None:
             config.core_radius, n=args.grid_n,
         )
     if args.field_csv:
-        report.field.to_csv(args.field_csv)
+        with _writing(args.field_csv):
+            report.field.to_csv(args.field_csv)
     _emit(args, report.to_dict())
 
 
@@ -350,7 +380,8 @@ def _cmd_sweep_dipole(args) -> None:
         elastic, s, R, args.h, include_solver=args.include_solver, n=args.grid_n,
     )
     if args.csv:
-        sweep_to_csv(rows, args.csv)
+        with _writing(args.csv):
+            sweep_to_csv(rows, args.csv)
     _emit(args, {"rows": rows})
 
 
@@ -508,10 +539,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        # a resolution is checked before any work, so that a bad one
-        # costs nothing
+        # a resolution and the output paths are checked before any
+        # work, so that a bad one costs nothing and leaves no file
         if getattr(args, "grid_n", None) is not None:
             check_grid_n(args.grid_n)
+        _check_output_paths(args)
         args.run(args)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

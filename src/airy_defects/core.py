@@ -305,7 +305,7 @@ class DefectConfiguration:
             core_radius = None if core is None else float(core)
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed configuration document: {exc}") from exc
         return cls(
             elastic=elastic,

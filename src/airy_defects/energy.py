@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (
     DiskDomain,
@@ -33,6 +32,7 @@ from .fields import (
     circle_nodes,
     grid_for_disk,
     integrate,
+    radial_integral,
     region_weights,
 )
 
@@ -155,12 +155,16 @@ def grid_energy_fd(sf: ScalarField, weights: np.ndarray,
 
 def polar_energy(field, elastic: ElasticConstants, center,
                  r_outer: float, r_inner: float = 0.0,
-                 n_theta: int = 256) -> QuadraticTerms:
-    """Adaptive radial quadrature of angular averages on an annulus.
+                 n_theta: int = 256, breaks=()) -> QuadraticTerms:
+    """|hess|^2 and (lap)^2 integrated over an annulus about ``center``.
 
-    Exact in the angle for trigonometric integrands of degree below
-    ``n_theta``; the radial profile is handled by adaptive quadrature,
-    which resolves the log/power singularities of the defect potentials.
+    Ring means over ``n_theta`` equispaced angles (exact for
+    trigonometric integrands of degree below ``n_theta``), integrated in
+    the radius by :func:`fields.radial_integral`, both terms from one
+    batch of Hessians. Its panels shrink toward r = 0 and toward every
+    radius in ``breaks``, which must hold the distance from ``center``
+    of each singular point of the field inside the annulus; an
+    unflagged one raises ``NumericalError``.
     """
     if not (0.0 <= r_inner < r_outer):
         raise ValidationError(
@@ -169,22 +173,17 @@ def polar_energy(field, elastic: ElasticConstants, center,
     c = np.asarray(center, dtype=float)
     _, ring, _ = circle_nodes(c, 1.0, n_theta)
 
-    def ring_means(r: float) -> tuple[float, float]:
-        H = field.hessian(c + r * ring)
-        norm_sq = float(np.mean((H**2).sum(axis=(1, 2))))
-        tr_sq = float(np.mean((H[:, 0, 0] + H[:, 1, 1]) ** 2))
-        return norm_sq, tr_sq
+    def ring_terms(r):
+        pts = (c + r[:, None, None] * ring).reshape(-1, 2)
+        H = field.hessian(pts).reshape(len(r), n_theta, 2, 2)
+        norm_sq = (H**2).sum(axis=(2, 3)).mean(axis=1)
+        tr_sq = ((H[..., 0, 0] + H[..., 1, 1]) ** 2).mean(axis=1)
+        return 2.0 * math.pi * r * np.stack([norm_sq, tr_sq])
 
-    def f_norm(r):
-        return ring_means(r)[0] * 2.0 * math.pi * r
-
-    def f_tr(r):
-        return ring_means(r)[1] * 2.0 * math.pi * r
-
-    hess_sq, _ = quad(f_norm, r_inner, r_outer, limit=200)
-    lap_sq, _ = quad(f_tr, r_inner, r_outer, limit=200)
+    hess_sq, lap_sq = radial_integral(ring_terms, r_inner, r_outer, breaks)
     return QuadraticTerms(
-        hessian_sq=hess_sq, laplacian_sq=lap_sq, elastic_constants=elastic
+        hessian_sq=float(hess_sq), laplacian_sq=float(lap_sq),
+        elastic_constants=elastic,
     )
 
 
@@ -412,7 +411,10 @@ def disclination_functional_I(v, disclinations, elastic: ElasticConstants,
     else:
         if domain is None:
             raise ValidationError("closed-form input needs an explicit domain")
-        bulk = polar_energy(v, elastic, domain.center, domain.radius_R).energy
+        c = np.asarray(domain.center, dtype=float)
+        breaks = [math.dist(d.site, c) for d in disclinations]
+        bulk = polar_energy(v, elastic, c, domain.radius_R,
+                            breaks=breaks).energy
         charge = sum(
             d.frank_angle_s * float(v.value(np.asarray(d.site))[0])
             for d in disclinations

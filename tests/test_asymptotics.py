@@ -12,14 +12,16 @@ from airy_defects.core import (
     ValidationError,
     rotate_burgers,
 )
-from airy_defects.closedform import DislocationLimitAiry
+from airy_defects.closedform import DipoleAiry, DislocationLimitAiry
 from airy_defects.energy import (
     _pair_energy_boundary,
+    energy_density,
     polar_energy,
     single_dislocation_min_value,
 )
-from airy_defects.fields import circle_nodes
+from airy_defects.fields import circle_nodes, radial_nodes
 from airy_defects.asymptotics import (
+    _dipole_energy,
     _fit_log_expansion,
     angular_quartic_integral,
     annulus_energy_closed_form,
@@ -99,6 +101,26 @@ class TestDipoleSweep:
         assert rows[-1]["analytic_limit"] == pytest.approx(K / (8.0 * math.pi))
         assert rows[-1]["rel_err"] < 0.10
 
+    def test_energy_matches_area_quadrature(self, elastic):
+        # ring means over 16384 angles resolve the poles at r = h/2 to
+        # about 4e-8; over 512 angles they are 4e-6 off
+        h = 1e-2
+        field = DipoleAiry(elastic=elastic, burgers_b=(0.0, 1.0), spacing_h=h)
+        _, ring, _ = circle_nodes((0.0, 0.0), 1.0, 16384)
+        r, w = radial_nodes(0.0, 1.0, (0.5 * h,))
+        means = np.array([
+            np.mean(energy_density(field.hessian(ri * ring), elastic)) for ri in r
+        ])
+        area = float(w @ (2.0 * math.pi * r * means))
+        assert _dipole_energy(elastic, 1.0, 1.0, h) == pytest.approx(area, rel=1e-7)
+
+    @pytest.mark.parametrize("E, nu, s", [(1.0, 0.3, 2.0), (2.5, 0.1, -1.0)])
+    def test_energy_quadratic_in_charge(self, E, nu, s):
+        elastic = ElasticConstants(E, nu)
+        for h in (1e-2, 1e-3):
+            assert _dipole_energy(elastic, s, 1.0, h) == pytest.approx(
+                s**2 * _dipole_energy(elastic, 1.0, 1.0, h), rel=1e-12)
+
     def test_increasing_h_rejected(self, elastic):
         with pytest.raises(ValidationError):
             dipole_scaling_sweep(elastic, 1.0, 1.0, [1e-3, 1e-2])
@@ -119,6 +141,23 @@ class TestPairFieldIntegrals:
         for got, ref in zip(res["annulus_normalized"], limits):
             assert abs(got - ref) / ref < 0.05
         assert tuple(res["limits"]) == pytest.approx(limits)
+
+    def test_values_held(self):
+        # adaptive per-radius quadrature of the same 512-angle ring means
+        held = {
+            1e-3: ((8.68274803912198e-05, 2.668855070417037e-06,
+                    1.0675420281668148e-05),
+                   (1.254663301136423e-05, 2.0743295924136412e-07,
+                    1.0915367692569923e-06)),
+            1e-1: ((0.2895720289129358, 0.008608991789884404,
+                    0.03443596715953762),
+                   (0.12546632688683504, 0.0020743382337424167,
+                    0.010915346765430082)),
+        }
+        for h, (annulus, ball) in held.items():
+            res = appendix_b_integrals(h, 1.0)
+            assert res["annulus"] == pytest.approx(annulus, rel=1e-5)
+            assert res["ball"] == pytest.approx(ball, rel=1e-5)
 
     def test_ball_contributions_decay(self):
         # the core-ball share dies like 1/log(R/h): test the trend

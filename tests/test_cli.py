@@ -1,8 +1,13 @@
 import json
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from airy_defects import cli, solver
 from airy_defects.cli import main
@@ -155,6 +160,112 @@ class TestArtifacts:
         lines = csv.read_text().splitlines()
         assert lines[0] == "param,value,normalized,analytic_limit,rel_err"
         assert len(lines) == 3
+
+
+class TestOutputPaths:
+    def test_missing_directory_exits_validation(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["constants", "--E", "1", "--nu", "0.3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot write")
+        assert len(err.splitlines()) == 1
+        assert not out.parent.exists()
+
+    def test_field_checks_both_paths_first(self, configs, tmp_path,
+                                           monkeypatch, capsys):
+        def no_field(*args):
+            raise AssertionError("the field was computed")
+
+        monkeypatch.setattr(cli, "_field_columns", no_field)
+        out = tmp_path / "f.json"
+        csv = tmp_path / "missing" / "f.csv"
+        code = main(["field", "--config", configs["disc"], "--grid-n", "64",
+                     "--out", str(out), "--csv", str(csv)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.glob("f.*")) == []
+        # a directory is no file either, in either position
+        code = main(["field", "--config", configs["disc"], "--grid-n", "64",
+                     "--out", str(tmp_path), "--csv", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert list(tmp_path.glob("f.*")) == []
+
+    def test_write_failure_exits_validation(self, configs, tmp_path,
+                                            monkeypatch, capsys):
+        def disk_full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", disk_full)
+        code = main(["field", "--config", configs["disc"], "--grid-n", "64",
+                     "--csv", str(tmp_path / "f.csv")])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+
+
+def test_import_leaves_quadrature_and_spline_modules_unloaded():
+    # a fresh interpreter: the test session may have loaded them already
+    probe = ("import sys, airy_defects.cli; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
+             "if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={"PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.integers(-10**30, 10**30), st.floats(),
+)
+
+
+def _mostly(valid):
+    """Well-formed values 15 times in 16, so that runs also get past the
+    parser into the numerics."""
+    return st.sampled_from(range(16)).flatmap(
+        lambda k: _junk if k == 0 else valid)
+
+
+_coord = _mostly(st.floats(-1.0, 1.0))
+_point = _mostly(st.lists(_coord, min_size=2, max_size=2))
+_defects = {
+    "disclinations": {"site": _point, "s": _coord},
+    "dislocations": {"site": _point, "b": _point},
+    "dipoles": {"center": _point, "b": _point, "h": _coord},
+}
+_config = st.fixed_dictionaries(
+    {"E": _mostly(st.floats(0.1, 10.0)), "nu": _mostly(st.floats(-0.9, 0.49))},
+    optional={
+        "domain": _mostly(st.fixed_dictionaries({}, optional={
+            "center": _point, "R": _mostly(st.floats(0.1, 3.0)),
+        })),
+        **{key: _mostly(st.lists(st.fixed_dictionaries(fields),
+                                 min_size=1, max_size=2))
+           for key, fields in _defects.items()},
+        "core_radius": _mostly(st.floats(0.01, 0.6)),
+    },
+)
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=60, deadline=None)
+    @given(doc=_mostly(_config),
+           command=st.sampled_from([
+               ["constants"], ["energy", "--grid-n", "16"], ["check-bc"],
+           ]))
+    def test_exit_code_contract(self, doc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            out = Path(tmp) / "out.json"
+            with np.errstate(all="ignore"):
+                code = main([*command, "--config", str(cfg), "--out", str(out)])
+            event(f"{command[0]} exit {code}")
+            assert code in (0, 1, 2, 3)
+            if code == 2:
+                assert not out.exists()
 
 
 class TestReports:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from airy_defects.core import (
     Disclination,
@@ -20,6 +21,7 @@ from airy_defects.fields import (
     ScalarField,
     TensorField,
     build_mask,
+    circle_nodes,
     grid_for_disk,
     region_weights,
 )
@@ -125,6 +127,39 @@ class TestQuadratureRoutes:
         v = SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0)
         with pytest.raises(ValidationError):
             polar_energy(v, elastic, (0.0, 0.0), 0.5, r_inner=0.5)
+
+
+def _polar_energy_adaptive(field, elastic, n_theta=256):
+    """Reference: the same 256-angle ring means over the unit disk,
+    integrated by adaptive quadrature one radius at a time."""
+    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
+
+    def shell(r):
+        return float(np.mean(energy_density(field.hessian(r * ring), elastic))) \
+            * 2.0 * math.pi * r
+
+    return quad(shell, 0.0, 1.0, limit=200)[0]
+
+
+class TestOffCenterSingularity:
+    @pytest.mark.parametrize("site", [(0.3, 0.0), (0.0, 0.7)])
+    def test_break_needed_and_sufficient(self, elastic, site):
+        v = SingleDisclinationClamped(elastic=elastic, radius_R=1.0,
+                                      charge_s=1.0, center=site)
+        with pytest.raises(NumericalError):
+            polar_energy(v, elastic, (0.0, 0.0), 1.0)
+        got = polar_energy(v, elastic, (0.0, 0.0), 1.0,
+                           breaks=(math.hypot(*site),)).energy
+        assert got == pytest.approx(_polar_energy_adaptive(v, elastic), rel=1e-6)
+
+    def test_functional_flags_its_sites(self, elastic, unit_disk):
+        v = SingleDisclinationClamped(elastic=elastic, radius_R=1.0,
+                                      charge_s=1.0, center=(0.3, 0.0))
+        br = disclination_functional_I(
+            v, [Disclination((0.3, 0.0), 1.0)], elastic, domain=unit_disk
+        )
+        assert br.bulk_G == pytest.approx(_polar_energy_adaptive(v, elastic),
+                                          rel=1e-6)
 
 
 class TestEnergyBreakdown:

@@ -22,6 +22,8 @@ from airy_defects.fields import (
     grid_for_disk,
     hessian_fd,
     integrate,
+    radial_integral,
+    radial_nodes,
     region_weights,
     write_csv,
 )
@@ -239,3 +241,43 @@ class TestCircleIntegral:
             circle_integral(lambda p: 0.0, (0.0, 0.0), -1.0)
         with pytest.raises(ValidationError):
             circle_integral(lambda p: 0.0, (0.0, 0.0), 1.0, n_quad=4)
+
+
+RULE_CASES = [(0.0, 1.0, ()), (0.05, 1.0, ()), (0.0, 1.0, (0.3,)),
+              (0.2, 2.0, (0.2, 1.5)), (1e-3, 1.0, (0.5e-3,))]
+
+
+class TestRadialRule:
+    @pytest.mark.parametrize("lo, hi, breaks", RULE_CASES)
+    @pytest.mark.parametrize("order", [fields.RADIAL_ORDER // 2,
+                                       fields.RADIAL_ORDER])
+    def test_exact_on_polynomials(self, lo, hi, breaks, order):
+        r, w = radial_nodes(lo, hi, breaks, order)
+        assert np.all((lo < r) & (r < hi)) and np.all(w > 0.0)
+        for d in range(2 * order):
+            exact = (hi ** (d + 1) - lo ** (d + 1)) / (d + 1)
+            assert w @ r**d == pytest.approx(exact, rel=1e-13), d
+
+    def test_log_singularity_at_origin(self):
+        r, w = radial_nodes(0.0, 1.0)
+        assert abs(w @ (r * np.log(r) ** 2) - 0.25) < 1e-12
+
+    def test_components_integrated_together(self):
+        got = radial_integral(lambda r: np.stack([np.ones_like(r), r]), 0.5, 2.0)
+        assert got == pytest.approx([1.5, 1.875], rel=1e-14)
+
+    def test_unflagged_kink_rejected(self):
+        def kink(r):
+            return np.abs(r - 0.3)[None, :] ** 0.5
+
+        with pytest.raises(NumericalError):
+            radial_integral(kink, 0.0, 1.0)
+        exact = (2.0 / 3.0) * (0.3**1.5 + 0.7**1.5)
+        assert radial_integral(kink, 0.0, 1.0, (0.3,))[0] == pytest.approx(
+            exact, rel=1e-10)
+
+    def test_bad_interval(self):
+        with pytest.raises(ValidationError):
+            radial_nodes(0.5, 0.5)
+        with pytest.raises(ValidationError):
+            radial_nodes(-0.1, 1.0)
