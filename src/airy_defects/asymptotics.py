@@ -164,13 +164,19 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
     and G / (h^2 log(R/h)) against its limit K s^2 / (8 pi); with ``include_solver`` the minimizer value of
     the two-charge functional is added, normalized by h^2 |log h|
     against -K s^2 / (8 pi). The solver value is an exact mode sum at
-    every spacing; ``n`` only sets the grid of its unused field.
+    every spacing; ``n`` only sets the grid of its field, which the sweep
+    never samples.
     """
     h_values = _check_decreasing(h_list, "spacing")
     if any(not (0.0 < h < R) for h in h_values):
         raise ValidationError(f"spacings must lie in (0, R): {h_values}")
     K = elastic.plane_prefactor
-    limit = K * s**2 / (8.0 * math.pi)
+    try:
+        limit = K * s**2 / (8.0 * math.pi)
+    except OverflowError:  # s**2 itself
+        limit = math.inf
+    if not math.isfinite(limit):
+        raise ValidationError(f"the energy scale K s^2 overflows (K={K}, s={s})")
     rows = []
     for h in h_values:
         if s == 0.0:

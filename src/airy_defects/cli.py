@@ -248,12 +248,20 @@ def _all_finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
-def _emit(args, doc) -> None:
+def _emit(args, doc, files=None) -> None:
+    """Write the report ``doc`` to ``--out`` or stdout, after the files
+    of ``files`` (path to writer; a ``None`` path is skipped). The report
+    is checked before anything is written, so a run that fails the check
+    leaves no file."""
     doc = _jsonable(doc)
     # JSON has no inf or NaN, and a report holding one is no result
     if not _all_finite(doc):
         raise NumericalError("the report holds a non-finite number")
     text = dump_json(doc)
+    for path, write in (files or {}).items():
+        if path:
+            with _writing(path):
+                write(path)
     if getattr(args, "out", None):
         with _writing(args.out):
             _write_text(args.out, text)
@@ -287,9 +295,8 @@ def _cmd_field(args) -> None:
         raise ValidationError("field dump needs --csv PATH")
     config = _load_config(args)
     columns = _field_columns(config, args.grid_n)
-    _emit(args, {"nodes": len(columns[0]), "grid_n": args.grid_n, "csv": args.csv})
-    with _writing(args.csv):
-        write_csv(args.csv, _FIELD_HEADER, columns)
+    _emit(args, {"nodes": len(columns[0]), "grid_n": args.grid_n, "csv": args.csv},
+          {args.csv: lambda path: write_csv(path, _FIELD_HEADER, columns)})
 
 
 def _cmd_energy(args) -> None:
@@ -355,10 +362,9 @@ def _cmd_solve(args) -> None:
             config.elastic, config.domain, config.dipoles,
             config.core_radius, n=args.grid_n,
         )
-    if args.field_csv:
-        with _writing(args.field_csv):
-            report.field.to_csv(args.field_csv)
-    _emit(args, report.to_dict())
+    # the field is sampled only here, for a report that passed its check
+    _emit(args, report.to_dict(),
+          {args.field_csv: lambda path: report.field.to_csv(path)})
 
 
 def _cmd_sweep_dipole(args) -> None:
@@ -379,10 +385,7 @@ def _cmd_sweep_dipole(args) -> None:
     rows = dipole_scaling_sweep(
         elastic, s, R, args.h, include_solver=args.include_solver, n=args.grid_n,
     )
-    if args.csv:
-        with _writing(args.csv):
-            sweep_to_csv(rows, args.csv)
-    _emit(args, {"rows": rows})
+    _emit(args, {"rows": rows}, {args.csv: lambda path: sweep_to_csv(rows, path)})
 
 
 def _cmd_sweep_core(args) -> None:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.linalg import lstsq
@@ -64,9 +66,15 @@ from .fields import (
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Minimizer, functional value and solve diagnostics."""
+    """Functional value, solve diagnostics and the minimizer on the grid.
 
-    field: ScalarField
+    ``field`` is sampled on the grid of size ``grid_n`` the first time it
+    is read (by calling ``sampler``) and kept; a report whose field is
+    never read costs no grid work. ``assemble_seconds`` is the time of
+    the series fit, and ``solve_seconds`` is 0.0: the solve samples
+    nothing.
+    """
+
     value: float
     residual: float
     method: str
@@ -74,8 +82,14 @@ class SolveReport:
     delta: float
     iterations: int
     assemble_seconds: float
-    solve_seconds: float
+    sampler: Callable[[], ScalarField] = dataclass_field(repr=False,
+                                                         compare=False)
     extras: dict = dataclass_field(default_factory=dict)
+    solve_seconds: ClassVar[float] = 0.0
+
+    @cached_property
+    def field(self) -> ScalarField:
+        return self.sampler()
 
     def to_dict(self) -> dict:
         return {
@@ -255,20 +269,20 @@ class _AlmansiSeries:
         return grid, mask, inside | ghost, values
 
 
-def _series_report(series: _AlmansiSeries, n: int, value: float,
-                   fit_seconds: float, extras: dict,
+def _series_report(series: _AlmansiSeries, n: int, delta: float,
+                   value: float, fit_seconds: float, extras: dict,
                    singular=None) -> SolveReport:
-    """Report with the field ``singular + z`` sampled on the grid."""
-    t0 = time.perf_counter()
-    grid, mask, live, values = series.sample(n)
-    if singular is not None:
-        values[live] += singular.value(grid.points()[live.ravel()])
-    sample_seconds = time.perf_counter() - t0
+    """Report whose field ``singular + z`` is sampled on first read."""
+    def sample() -> ScalarField:
+        grid, mask, live, values = series.sample(n)
+        if singular is not None:
+            values[live] += singular.value(grid.points()[live.ravel()])
+        return ScalarField(grid=grid, values=values, mask=mask)
+
     return SolveReport(
-        field=ScalarField(grid=grid, values=values, mask=mask), value=value,
-        residual=series.residual, method="fourier", grid_n=n,
-        delta=grid.delta, iterations=0, assemble_seconds=fit_seconds,
-        solve_seconds=sample_seconds,
+        value=value, residual=series.residual, method="fourier", grid_n=n,
+        delta=delta, iterations=0, assemble_seconds=fit_seconds,
+        sampler=sample,
         extras={**extras, "modes": series.samples,
                 "trace_fit_residual": series.residual},
     )
@@ -287,6 +301,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     only sets the grid of the reported field.
     """
     disclinations = list(disclinations)
+    delta = grid_for_disk(domain, n).delta
     fl = _gram_factor(elastic)
     sites = [np.asarray(d.site, dtype=float) for d in disclinations]
     charges = [float(d.frank_angle_s) for d in disclinations]
@@ -323,7 +338,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     gram_value = 0.5 * fl * series.squares()[0]
     fit_seconds = time.perf_counter() - t0
     return _series_report(
-        series, n, constant + gram_value, fit_seconds,
+        series, n, delta, constant + gram_value, fit_seconds,
         {"scheme": "split", "closed_form_constant": constant,
          "gram_objective": gram_value},
         singular=v_sing,
@@ -658,6 +673,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
             f"core radius eps={eps} must lie in (0, D={D}) with a gap "
             f"D - eps above {_TOUCH_GAP} R"
         )
+    delta = grid_for_disk(domain, n).delta
 
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)
@@ -696,16 +712,17 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
                              f"with modes {series.modes}")
     fit_seconds = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    grid, mask, values = series.sample(n, u, W_p)
-    sample_seconds = time.perf_counter() - t1
     affine = {f"core_{k}": [float(c) for c in u[3 * k:3 * k + 3]]
               for k in range(len(dislocations))}
+
+    def sample() -> ScalarField:
+        grid, mask, values = series.sample(n, u, W_p)
+        return ScalarField(grid=grid, values=values, mask=mask)
+
     return SolveReport(
-        field=ScalarField(grid=grid, values=values, mask=mask), value=value,
-        residual=series.residual, method="series", grid_n=n,
-        delta=grid.delta, iterations=0, assemble_seconds=fit_seconds,
-        solve_seconds=sample_seconds,
+        value=value, residual=series.residual, method="series", grid_n=n,
+        delta=delta, iterations=0, assemble_seconds=fit_seconds,
+        sampler=sample,
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": list(series.modes),
                 "fit_residual": series.residual,
@@ -752,6 +769,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     dislocations = list(dislocations)
     if not dislocations:
         raise ValidationError("need at least one dislocation")
+    delta = grid_for_disk(domain, n).delta
     W0_terms = [
         DislocationLimitAiry(elastic=elastic, burgers_b=d.burgers_b,
                              radius_R=domain.radius_R, site=d.site)
@@ -777,7 +795,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
                     for term in W0_terms)
 
     return _series_report(
-        series, n, G_hess + boundary, fit_seconds,
+        series, n, delta, G_hess + boundary, fit_seconds,
         {"gram_objective": gram_value, "hessian_energy": G_hess,
          "boundary_pairing": boundary},
     )

@@ -149,6 +149,24 @@ class TestArtifacts:
         assert lines[0] == "x,y,v,s11,s12,s22,e11,e12,e22"
         assert len(lines) > 100
 
+    def test_numerical_error_leaves_no_files(self, tmp_path):
+        # the report is checked before the CSV is written
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(
+            {**DISC, "disclinations": [{"site": [0.0, 0.0], "s": 1e308}]}))
+        out, csv = tmp_path / "r.json", tmp_path / "f.csv"
+        for argv in (
+            ["solve", "--config", str(cfg), "--grid-n", "32",
+             "--field-csv", str(csv)],
+            # the finite charge square times K = E / (1 - nu^2) is finite,
+            # the pair-field energies are not
+            ["sweep-dipole", "--E", "1e308", "--nu", "0.3", "--csv", str(csv)],
+        ):
+            with np.errstate(all="ignore"):
+                code = main([*argv, "--out", str(out)])
+            assert code == 3
+            assert not out.exists() and not csv.exists()
+
     def test_sweep_csv_schema(self, tmp_path):
         csv = tmp_path / "sweep.csv"
         code = main([
@@ -347,6 +365,23 @@ class TestConfigContract:
             assert "solver_skipped" not in row
             assert row["solver_normalized"] == pytest.approx(
                 row["solver_limit"], rel=1e-5)
+
+    @pytest.mark.parametrize("source", [
+        ["--E", "1", "--nu", "0.3", "--s", "1e300"],
+        ["--config", "dipole"],
+    ], ids=["flag", "config"])
+    def test_sweep_dipole_charge_square_overflows(self, source, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "dipole"
+        cfg.write_text(json.dumps(
+            {**DIP, "dipoles": [{"center": [0.0, 0.0], "b": [0.0, 1e300],
+                                 "h": 0.004}]}))
+        out = tmp_path / "never.json"
+        argv = [str(cfg) if a == "dipole" else a for a in source]
+        code = main(["sweep-dipole", *argv, "--h", "1e-2", "--out", str(out)])
+        assert code in (2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--solver", "cg"], ["--tol", "1e-10"]])
     def test_solver_knobs_are_gone(self, flag, configs, capsys):

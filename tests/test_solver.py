@@ -14,6 +14,7 @@ from airy_defects.core import (
     ValidationError,
 )
 from airy_defects import solver
+from airy_defects.asymptotics import expansion_check, renormalized_energy
 from airy_defects.closedform import (
     DislocationCoreAiry,
     DislocationLimitAiry,
@@ -629,3 +630,73 @@ class TestElasticCorrection:
         report = solve_elastic_correction(elastic, unit_disk, defects, n=128)
         assert report.value < 0.0 or report.value >= 0.0  # finite
         assert np.isfinite(report.value)
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+
+    return refuse
+
+
+OFF_CENTRE = [Disclination((0.3, -0.2), 1.0)]
+DIPOLE = [DisclinationDipole((0.2, 0.0), (0.0, 1.0), 0.02)]
+# every solver, with its defects and its core radius (if any)
+SOLVES = [
+    (solve_clamped_disclination, OFF_CENTRE, ()),
+    (solve_core_constrained, PAIR_OPPOSITE, (0.1,)),
+    (solve_dipole_core, DIPOLE, (0.1,)),
+    (solve_elastic_correction, PAIR_SAME, ()),
+]
+SOLVE_IDS = ["disclination", "core", "dipole", "correction"]
+
+
+class TestLazyField:
+    def test_values_sample_no_grid(self, elastic, unit_disk, monkeypatch):
+        monkeypatch.setattr(solver._AlmansiSeries, "sample", _refuse("sampling"))
+        monkeypatch.setattr(solver._MichellSeries, "sample", _refuse("sampling"))
+        for solve, defects, eps in SOLVES:
+            report = solve(elastic, unit_disk, defects, *eps, n=256)
+            assert np.isfinite(report.value)
+            assert report.solve_seconds == 0.0
+            assert report.delta == 2.0 / 256
+        single = [Dislocation((0.3, 0.0), (0.0, 1.0))]
+        expansion_check(single, elastic, unit_disk, [0.2, 0.1], n=256,
+                        fit_tail=2)
+        renormalized_energy(PAIR_OPPOSITE, elastic, unit_disk, n=256)
+
+    @pytest.mark.parametrize("solve, defects, eps", SOLVES, ids=SOLVE_IDS)
+    def test_field_is_sampled_once(self, solve, defects, eps, elastic,
+                                   unit_disk, monkeypatch):
+        report = solve(elastic, unit_disk, defects, *eps, n=64)
+        series = (solver._MichellSeries if eps else solver._AlmansiSeries)
+        sample, calls = series.sample, []
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(series, "sample", counted)
+        assert report.field is report.field
+        assert len(calls) == 1
+        assert report.field.values.shape == (64 + 9, 64 + 9)
+
+    def test_dipole_field_is_the_core_field(self, elastic, unit_disk):
+        dip = solve_dipole_core(elastic, unit_disk, DIPOLE, 0.1, n=64).field
+        core = solve_core_constrained(
+            elastic, unit_disk, [Dislocation((0.2, 0.0), (0.0, 1.0))], 0.1,
+            n=64,
+        ).field
+        assert dip.grid == core.grid
+        assert np.array_equal(dip.mask, core.mask)
+        assert np.array_equal(dip.values, core.values)
+
+    @pytest.mark.parametrize("n", [4, 2888])  # below 8, above the memory cap
+    @pytest.mark.parametrize("solve, defects, eps", SOLVES, ids=SOLVE_IDS)
+    def test_bad_grid_n_raises_before_the_fit(self, solve, defects, eps, n,
+                                              elastic, unit_disk,
+                                              monkeypatch):
+        monkeypatch.setattr(solver._AlmansiSeries, "fit", _refuse("the fit"))
+        monkeypatch.setattr(solver, "_MichellSeries", _refuse("the fit"))
+        with pytest.raises(ValidationError, match="grid resolution"):
+            solve(elastic, unit_disk, defects, *eps, n=n)
