@@ -146,13 +146,20 @@ def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
     G = P(w, w)/2 - |s| (w(y+) - w(y-))/2. The circle is summed by the
     trapezoid on ``_DIPOLE_CIRCLE_NODES`` nodes, which converges like
     (h / 2R)^n for n nodes.
+
+    G is exactly E s^2 times its value at E = 1, |s| = 1 (same nu), so
+    the pairing runs at unit size and is scaled last: at a large E the
+    squares of Hessian-size terms would overflow although G does not.
     """
-    field = DipoleAiry(elastic=elastic, burgers_b=(0.0, s), spacing_h=h)
+    unit = ElasticConstants(1.0, elastic.poisson_nu)
+    field = DipoleAiry(elastic=unit, burgers_b=(0.0, 1.0), spacing_h=h)
     mag, plus, minus = field._parts()
     outer = circle_nodes((0.0, 0.0), R, _DIPOLE_CIRCLE_NODES)
-    pairing = _pair_energy_boundary(field, field, [(1.0, *outer)], elastic)
+    pairing = _pair_energy_boundary(field, field, [(1.0, *outer)], unit)
     poles = field.value(np.array([plus.shift, minus.shift]))
-    return 0.5 * pairing - 0.5 * mag * float(poles[0] - poles[1])
+    G = 0.5 * pairing - 0.5 * mag * float(poles[0] - poles[1])
+    # ((G E) s) s: s^2 alone can overflow where G E s^2 does not
+    return G * elastic.young_E * s * s
 
 
 def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,

@@ -32,9 +32,6 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.linalg import lstsq
-# nothing here factors a sparse matrix; bench/tracing.py wraps this name
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from .core import (
     DiskDomain,
@@ -62,6 +59,18 @@ from .fields import (
     circle_nodes,
     grid_for_disk,
 )
+
+
+def splu(A, *args, **kwargs):
+    """``scipy.sparse.linalg.splu``, imported only when called.
+
+    Nothing in the package factors a sparse matrix. The name stays
+    only because ``bench/tracing.py`` wraps it, until the benchmark
+    drops its ``splu`` layer (ROADMAP item 4).
+    """
+    from scipy.sparse.linalg import splu as factor
+
+    return factor(A, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -447,6 +456,29 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
             + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor / rho2.max()))
 
 
+def _least_squares(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares solution X of A X = B, one column per column of B,
+    and the ratio max|r_kk| / min|r_kk| of the triangular factor.
+
+    The columns of A are scaled to unit largest entry; one Householder
+    QR of [A B] gives R = [[R11, R12], [0, R22]] with R12 = Q1^T B, so X
+    solves R11 X = R12. The QR neither pivots nor truncates rank, so a
+    column the others span to roundoff (min|r_kk| <= n eps max|r_kk|)
+    raises ``NumericalError`` instead of fitting noise.
+    """
+    n = A.shape[1]
+    scale = np.abs(A).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    R = np.linalg.qr(np.hstack([A / scale, B]), mode="r")
+    diag = np.abs(np.diag(R[:, :n]))
+    if not diag.min() > n * np.finfo(float).eps * diag.max():
+        raise NumericalError(
+            f"core series fit is rank deficient: min|r_kk| {diag.min():.3g} "
+            f"against max|r_kk| {diag.max():.3g} over {n} modes")
+    X = np.linalg.solve(R[:n, :n], R[:n, n:]) / scale[:, None]
+    return X, float(diag.max() / diag.min())
+
+
 class _MichellSeries:
     """Biharmonic fields z on the punctured disk, B_R minus the core
     balls B_eps(y_k), with given value and normal derivative on every
@@ -463,9 +495,11 @@ class _MichellSeries:
     outer-trace frequencies M_i .. 2 M_i, which no interior mode reaches.
 
     ``residual`` is the largest miss of either trace at the nodes of all
-    circles, relative to the largest datum. ``Q[i, j]`` is the integral
-    of Delta z_i Delta z_j over the punctured disk, from Green's identity
-    on the circles against the data traces, symmetrized.
+    circles, relative to the largest datum; ``condition`` is the
+    triangular-factor ratio of the fit (``_least_squares``). ``Q[i, j]``
+    is the integral of Delta z_i Delta z_j over the punctured disk, from
+    Green's identity on the circles against the data traces,
+    symmetrized.
     """
 
     def __init__(self, domain: DiskDomain, sites, eps: float, W_p,
@@ -506,10 +540,8 @@ class _MichellSeries:
             rows.append(np.hstack([ext[0], val]) - inner[0])
             rows.append(radius * (np.hstack([ext[1], der / radius]) - inner[1]))
         system = np.vstack(rows)
-        scale = np.abs(system[:, :n_ext]).max(axis=0)
-        scale[scale == 0.0] = 1.0
-        coef = lstsq(system[:, :n_ext] / scale, system[:, n_ext:],
-                     lapack_driver="gelsy")[0] / scale[:, None]
+        coef, self.condition = _least_squares(system[:, :n_ext],
+                                              system[:, n_ext:])
         self.coef = coef
         self.A = A[:, n_ext:] - A[:, :n_ext] @ coef
         self.B = B[:, n_ext:] - B[:, :n_ext] @ coef
@@ -658,7 +690,8 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     The value does not depend on ``n``, which only sets the grid of the
     reported field. ``extras`` gives the mode counts (interior, per
-    core), the fit residual and ``value_change``, the change in value
+    core), the fit residual, ``fit_condition`` (max|r_kk| / min|r_kk| of
+    the fit's triangular factor) and ``value_change``, the change in value
     over the last doubling of the mode counts (``None`` when the first
     fit met its target).
     """
@@ -726,6 +759,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": list(series.modes),
                 "fit_residual": series.residual,
+                "fit_condition": series.condition,
                 "value_change": None if last is None else abs(value - last[1])},
     )
 

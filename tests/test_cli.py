@@ -158,14 +158,27 @@ class TestArtifacts:
         for argv in (
             ["solve", "--config", str(cfg), "--grid-n", "32",
              "--field-csv", str(csv)],
-            # the finite charge square times K = E / (1 - nu^2) is finite,
-            # the pair-field energies are not
-            ["sweep-dipole", "--E", "1e308", "--nu", "0.3", "--csv", str(csv)],
+            # the pair-field energies are finite, the solver column's
+            # plate energies overflow
+            ["sweep-dipole", "--E", "1e308", "--nu", "0.3", "--h", "1e-2",
+             "--include-solver", "--csv", str(csv)],
         ):
             with np.errstate(all="ignore"):
                 code = main([*argv, "--out", str(out)])
             assert code == 3
             assert not out.exists() and not csv.exists()
+
+    def test_sweep_dipole_at_huge_modulus(self, tmp_path):
+        # G is linear in E: the normalized energies match the E = 1 run
+        ratios = []
+        for E in ("1e308", "1"):
+            out = tmp_path / f"sweep-{E}.json"
+            code = main(["sweep-dipole", "--E", E, "--nu", "0.3", "--s", "1",
+                         "--out", str(out)])
+            assert code == 0
+            rows = json.loads(out.read_text())["rows"]
+            ratios.append([r["normalized"] / r["analytic_limit"] for r in rows])
+        assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
 
     def test_sweep_csv_schema(self, tmp_path):
         csv = tmp_path / "sweep.csv"
@@ -222,10 +235,15 @@ class TestOutputPaths:
 
 
 def test_import_leaves_quadrature_and_spline_modules_unloaded():
-    # a fresh interpreter: the test session may have loaded them already
-    probe = ("import sys, airy_defects.cli; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
-             "if m in sys.modules))")
+    # a fresh interpreter: the test session has loaded scipy already.
+    # Importing the package loads numpy only; scipy.interpolate comes
+    # on demand with ScalarField.interpolator.
+    probe = ("import sys; import airy_defects.cli, airy_defects.solver, "
+             "airy_defects.asymptotics, airy_defects.energy, "
+             "airy_defects.boundary, airy_defects.fields, "
+             "airy_defects.closedform; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy')))")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True, timeout=120,

@@ -460,6 +460,13 @@ class TestDisclinationSolve:
 PAIR_SAME = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)]
 PAIR_OPPOSITE = [Dislocation((0.3, 0.0), (0.0, 1.0)),
                  Dislocation((-0.3, 0.0), (0.0, -1.0))]
+REFERENCE_CASES = [
+    ([Dislocation((0.0, 0.0), (0.0, 1.0))], -0.057819900928390),
+    ([Dislocation((0.3, 0.0), (0.0, 1.0))], -0.057631009552692),
+    (PAIR_SAME, -0.073563461626869),
+    (PAIR_OPPOSITE, -0.153772978797308),
+]
+REFERENCE_IDS = ["centered", "single", "same", "opposite"]
 
 
 class TestCoreConstrainedSolve:
@@ -525,6 +532,7 @@ class TestCoreConstrainedSolve:
         assert m_inner == 2 * m_core >= solver._FIRST_MODES
         for key in ("eps", "core_affine", "separation_D", "value_change"):
             assert key in report.extras
+        assert 1.0 <= report.extras["fit_condition"] < 1e6
 
     def test_unresolved_series_fit_raises(self, elastic, unit_disk,
                                           monkeypatch):
@@ -536,15 +544,44 @@ class TestCoreConstrainedSolve:
                 0.05, n=64,
             )
 
-    @pytest.mark.parametrize("defects, expected", [
-        ([Dislocation((0.0, 0.0), (0.0, 1.0))], -0.057819900928390),
-        ([Dislocation((0.3, 0.0), (0.0, 1.0))], -0.057631009552692),
-        (PAIR_SAME, -0.073563461626869),
-        (PAIR_OPPOSITE, -0.153772978797308),
-    ], ids=["centered", "single", "same", "opposite"])
+    @pytest.mark.parametrize("defects, expected", REFERENCE_CASES,
+                             ids=REFERENCE_IDS)
     def test_reference_values(self, defects, expected, elastic, unit_disk):
         report = solve_core_constrained(elastic, unit_disk, defects, 0.1, n=64)
         assert report.value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("defects", [d for d, _ in REFERENCE_CASES],
+                             ids=REFERENCE_IDS)
+    def test_fit_matches_pivoted_lstsq(self, defects, elastic, unit_disk,
+                                       monkeypatch):
+        # every fit of the doubling, against LAPACK's column-pivoted
+        # least squares on the same scaled columns
+        from scipy.linalg import lstsq
+
+        fits, least_squares = [], solver._least_squares
+
+        def spy(A, B):
+            X, condition = least_squares(A, B)
+            fits.append((A, B, X))
+            return X, condition
+
+        monkeypatch.setattr(solver, "_least_squares", spy)
+        solve_core_constrained(elastic, unit_disk, defects, 0.1, n=64)
+        assert fits
+        for A, B, X in fits:
+            scale = np.abs(A).max(axis=0)
+            ref = lstsq(A / scale, B, lapack_driver="gelsy")[0] / scale[:, None]
+            assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_repeated_mode_column_raises(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((40, 6))
+        B = rng.standard_normal((40, 2))
+        X, condition = solver._least_squares(A, B)
+        assert np.allclose(A.T @ (A @ X - B), 0.0, atol=1e-12)
+        assert condition >= 1.0
+        with pytest.raises(NumericalError, match="rank deficient"):
+            solver._least_squares(np.hstack([A, 3.0 * A[:, 2:3]]), B)
 
     def test_value_does_not_depend_on_n(self, elastic, unit_disk):
         values = [
