@@ -235,8 +235,8 @@ def angular_quartic_integral(n_quad: int = 64) -> float:
 def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
     """The three pair-field integrals on the annulus and the core ball.
 
-    Ring means over ``n_theta`` angles of the three integrands, all from
-    one batch of points, integrated in the radius by
+    Ring means over ``n_theta`` angles (a multiple of 4) of the three
+    integrands, all from one batch of points, integrated in the radius by
     :func:`fields.radial_integral` over the annulus h < r < R and over
     the ball r < h with the pole radius h/2 as a break. Returns raw and
     normalized (by h^2 log(R/h)) values; the normalized annulus triple
@@ -245,7 +245,17 @@ def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
     """
     if not (0.0 < h < R):
         raise ValidationError(f"need 0 < h < R, got h={h}, R={R}")
+    if n_theta % 4:
+        raise ValidationError(f"n_theta must be a multiple of 4, got {n_theta}")
+    # Every integrand is even in x_2, and in x_1 too: that flip swaps
+    # q+ and q-, and log(q-/q+) enters squared. So the ring mean is a
+    # weighted sum over the quarter 0 <= theta <= pi/2, whose two end
+    # angles stand for 2 of the n_theta angles and the others for 4.
+    quarter = n_theta // 4
     _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
+    ring = ring[:quarter + 1]
+    weights = np.full(quarter + 1, 4.0 / n_theta)
+    weights[[0, -1]] = 2.0 / n_theta
 
     def ring_terms(r):
         x1 = r[:, None] * ring[:, 0]
@@ -257,7 +267,7 @@ def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
         den = (qp * qm) ** 2
         f2 = h**2 * x2**4 * x1**2 / den
         f3 = h**2 * x2**2 * (0.25 * h**2 + x2**2 - x1**2) ** 2 / den
-        means = np.stack([f1.mean(axis=1), f2.mean(axis=1), f3.mean(axis=1)])
+        means = np.stack([f1 @ weights, f2 @ weights, f3 @ weights])
         return 2.0 * math.pi * r * means
 
     norm = h**2 * math.log(R / h)

@@ -290,6 +290,12 @@ class SingleDisclinationClamped(AiryField):
         with np.errstate(divide="ignore"):
             return -self.charge_s * self.K / (4.0 * math.pi) * (np.log(u / R2) + 1.0)
 
+    def grad_laplacian(self, x):
+        p = self._rel(x)
+        u = p[:, 0] ** 2 + p[:, 1] ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -self.charge_s * self.K / (2.0 * math.pi) * p / u[:, None]
+
     def min_energy(self) -> float:
         """Energy of the minimizer, s^2 K R^2 / (32 pi)."""
         return self.charge_s**2 * self.K * self.radius_R**2 / (32.0 * math.pi)
@@ -493,6 +499,12 @@ class DislocationCoreAiry(_FrameField):
     Canonical form (|b| K / 16 pi) phi(r^2) xi_1 with
     phi(u) = alpha + beta/u + gamma u + 2 log u for eps <= r, and the
     constant phi(eps^2) for r < eps.
+
+    With ``annulus_branch`` set, every method evaluates the annulus
+    branch at every point but the site, on and inside the core circle
+    too. Circle integrals over the core circle need that branch, the
+    limit from the annulus side: on points of the circle the test
+    r^2 < eps^2 rounds either way, and the Hessian jumps there.
     """
 
     elastic: ElasticConstants
@@ -500,6 +512,7 @@ class DislocationCoreAiry(_FrameField):
     eps: float
     radius_R: float
     site: tuple[float, float] = (0.0, 0.0)
+    annulus_branch: bool = False
 
     def __post_init__(self) -> None:
         # constructs eagerly to validate 0 < eps < R
@@ -520,6 +533,12 @@ class DislocationCoreAiry(_FrameField):
     def _frame(self):
         return dipole_frame(self.burgers_b), np.asarray(self.site, dtype=float)
 
+    def _core(self, u):
+        """Where the affine core branch applies, at squared radii ``u``."""
+        if self.annulus_branch:
+            return np.zeros(u.shape, dtype=bool)
+        return u < self.eps**2
+
     def _phi(self, u):
         c = self.coeffs
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -527,14 +546,14 @@ class DislocationCoreAiry(_FrameField):
 
     def _c_value(self, xi):
         u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        core = u < self.eps**2
+        core = self._core(u)
         phi = np.where(core, self.coeffs.core_slope, self._phi(np.where(u > 0, u, 1.0)))
         return self.magnitude * self.K / (16.0 * math.pi) * phi * xi[:, 0]
 
     def _c_gradient(self, xi):
         c0 = self.magnitude * self.K / (16.0 * math.pi)
         u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        core = u < self.eps**2
+        core = self._core(u)
         cc = self.coeffs
         safe = np.where(u > 0, u, 1.0)
         phi = self._phi(safe)
@@ -549,7 +568,7 @@ class DislocationCoreAiry(_FrameField):
     def _c_hessian(self, xi):
         c0 = self.magnitude * self.K / (16.0 * math.pi)
         u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        core = u < self.eps**2
+        core = self._core(u)
         cc = self.coeffs
         safe = np.where(u > 0, u, 1.0)
         dphi = -cc.beta / safe**2 + cc.gamma + 2.0 / safe
@@ -575,8 +594,26 @@ class DislocationCoreAiry(_FrameField):
         xi = (_pts(x) - site) @ Q.T
         u = xi[:, 0] ** 2 + xi[:, 1] ** 2
         out = self.canonical_laplacian(np.where(u > 0, u, 1.0)) * xi[:, 0]
-        out[u < self.eps**2] = 0.0
+        out[self._core(u)] = 0.0
         return out
+
+    def grad_laplacian(self, x):
+        Q, site = self._frame()
+        xi = (_pts(x) - site) @ Q.T
+        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        out = self._grad_laplacian(xi, np.where(u > 0, u, 1.0), Q)
+        out[self._core(u)] = 0.0
+        return out
+
+    def _grad_laplacian(self, xi, u, Q):
+        """Annulus-branch gradient of the Laplacian at canonical points
+        ``xi`` of squared radii ``u``, in lab axes."""
+        c3 = self.magnitude * self.K / (2.0 * math.pi)
+        cc = self.coeffs
+        g = np.empty_like(xi)
+        g[:, 0] = cc.gamma + 1.0 / u - 2.0 * xi[:, 0] ** 2 / u**2
+        g[:, 1] = -2.0 * xi[:, 0] * xi[:, 1] / u**2
+        return c3 * (g @ Q)
 
     def laplacian_smooth(self, x):
         """Annulus-branch Laplacian extended across the core circle.
@@ -598,12 +635,7 @@ class DislocationCoreAiry(_FrameField):
         u = xi[:, 0] ** 2 + xi[:, 1] ** 2
         if np.any(u == 0.0):
             raise ValidationError("smooth-branch Laplacian undefined at the site")
-        c3 = self.magnitude * self.K / (2.0 * math.pi)
-        cc = self.coeffs
-        g = np.empty_like(xi)
-        g[:, 0] = cc.gamma + 1.0 / u - 2.0 * xi[:, 0] ** 2 / u**2
-        g[:, 1] = -2.0 * xi[:, 0] * xi[:, 1] / u**2
-        return c3 * (g @ Q)
+        return self._grad_laplacian(xi, u, Q)
 
 
 @dataclass(frozen=True)

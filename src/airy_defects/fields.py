@@ -231,22 +231,28 @@ def region_weights(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
+def check_core_resolution(eps: float, delta: float) -> None:
+    """Reject a core radius resolved by fewer than 4 cells of spacing
+    ``delta`` (eps < 4*delta)."""
+    if eps < 4.0 * delta:
+        raise ValidationError(
+            f"core radius eps={eps} unresolved by the grid: needs eps >= "
+            f"4*delta = {4.0 * delta}"
+        )
+
+
 def build_mask(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
     """Node classification: OUTSIDE / INTERIOR / CORE.
 
-    Core punctures must be resolved by at least 4 cells (eps >= 4*delta),
-    otherwise construction fails loudly.
+    Core punctures must pass :func:`check_core_resolution`, otherwise
+    construction fails loudly.
     """
     X, Y = grid.meshgrid()
     cx, cy = domain.center
     mask = np.full((grid.nx, grid.ny), OUTSIDE, dtype=np.int8)
     mask[np.hypot(X - cx, Y - cy) < domain.radius_R] = INTERIOR
     for site, eps in cores:
-        if eps < 4.0 * grid.delta:
-            raise ValidationError(
-                f"core radius eps={eps} unresolved by the grid: needs eps >= "
-                f"4*delta = {4.0 * grid.delta}"
-            )
+        check_core_resolution(eps, grid.delta)
         inside = np.hypot(X - site[0], Y - site[1]) <= eps
         mask[inside & (mask == INTERIOR)] = CORE
     return mask

@@ -159,6 +159,32 @@ class TestPairFieldIntegrals:
             assert res["annulus"] == pytest.approx(annulus, rel=1e-5)
             assert res["ball"] == pytest.approx(ball, rel=1e-5)
 
+    def test_quarter_fold_matches_full_ring(self):
+        # the even integrands are summed over a quarter of the ring; the
+        # means over the whole ring, on the same radial nodes, agree to
+        # roundoff
+        h, R = 1e-2, 1.0
+        _, ring, _ = circle_nodes((0.0, 0.0), 1.0, 512)
+
+        def full_ring(lo, hi, breaks=()):
+            r, w = radial_nodes(lo, hi, breaks)
+            x1 = r[:, None] * ring[:, 0]
+            x2 = r[:, None] * ring[:, 1]
+            qm = (x1 - 0.5 * h) ** 2 + x2**2
+            qp = (x1 + 0.5 * h) ** 2 + x2**2
+            den = (qp * qm) ** 2
+            terms = (np.log(qm / qp) ** 2, h**2 * x2**4 * x1**2 / den,
+                     h**2 * x2**2 * (0.25 * h**2 + x2**2 - x1**2) ** 2 / den)
+            return [float((2.0 * math.pi * r * f.mean(axis=1)) @ w)
+                    for f in terms]
+
+        res = appendix_b_integrals(h, R)
+        assert res["annulus"] == pytest.approx(full_ring(h, R), rel=1e-13)
+        assert res["ball"] == pytest.approx(full_ring(0.0, h, (0.5 * h,)),
+                                            rel=1e-13)
+        with pytest.raises(ValidationError):
+            appendix_b_integrals(h, R, n_theta=510)
+
     def test_ball_contributions_decay(self):
         # the core-ball share dies like 1/log(R/h): test the trend
         small = appendix_b_integrals(1e-3, 1.0)["ball_normalized"]

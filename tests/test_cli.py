@@ -10,7 +10,11 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from airy_defects import cli, solver
+from airy_defects.asymptotics import annulus_energy_closed_form
 from airy_defects.cli import main
+from airy_defects.closedform import SingleDisclinationClamped
+from airy_defects.core import ElasticConstants
+from airy_defects.energy import polar_energy
 
 DISC = {
     "E": 1.0, "nu": 0.3,
@@ -311,6 +315,12 @@ class TestReports:
         assert set(doc) == {"bulk_G", "charge", "total", "region", "grid"}
         assert doc["total"] == pytest.approx(doc["bulk_G"] + doc["charge"])
 
+    def test_energy_reports_circle_nodes(self, configs, capsys):
+        assert main(["energy", "--config", configs["disl"], "--grid-n", "256"]) == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        assert set(grid) == {"circle_nodes", "delta", "n"}
+        assert grid["n"] == 256 and grid["circle_nodes"] >= 32
+
     def test_check_bc_report(self, configs, capsys):
         assert main(["check-bc", "--config", configs["disc"]]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -432,3 +442,66 @@ class TestConfigContract:
                      "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+
+class TestExactEnergy:
+    """``energy`` pairs exact fields on circles: its value is exact and
+    does not depend on --grid-n, which only gates the core resolution."""
+
+    @staticmethod
+    def _bulk(doc, tmp_path, n):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"energy-{n}.json"
+        assert main(["energy", "--config", str(cfg), "--grid-n", str(n),
+                     "--out", str(out)]) == 0
+        return json.loads(out.read_text())["bulk_G"]
+
+    def test_centered_core_matches_annulus_closed_form(self, tmp_path):
+        exact = annulus_energy_closed_form(
+            1.0, 0.1, 1.0, 1.0, ElasticConstants(1.0, 0.3))[0]
+        assert self._bulk(DISL, tmp_path, 256) == pytest.approx(exact, rel=1e-12)
+
+    def test_off_centre_pair_is_grid_independent(self, tmp_path):
+        doc = {**DISL, "dislocations": [
+            {"site": [0.3, 0.0], "b": [0.0, 1.0]},
+            {"site": [-0.3, 0.0], "b": [1.0, 0.0]},
+        ]}
+        # n = 80 is the coarsest grid with eps >= 4 delta
+        values = [self._bulk(doc, tmp_path, n) for n in (80, 256, 2048)]
+        assert values[0] == values[1] == values[2]
+        assert values[0] == pytest.approx(0.121090075628093, rel=1e-12)
+
+    def test_off_centre_disclination_matches_polar_quadrature(self, tmp_path):
+        elastic = ElasticConstants(1.0, 0.3)
+        doc = {**DISC, "disclinations": [{"site": [0.3, 0.0], "s": 1.0}]}
+        field = SingleDisclinationClamped(elastic=elastic, radius_R=1.0,
+                                          charge_s=1.0, center=(0.3, 0.0))
+        ref = polar_energy(field, elastic, (0.0, 0.0), 1.0, n_theta=4096,
+                           breaks=[0.3]).energy
+        assert self._bulk(doc, tmp_path, 64) == pytest.approx(ref, rel=1e-6)
+
+    def test_uncored_dislocation_exits_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "uncored.json"
+        cfg.write_text(json.dumps({
+            **DISL, "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}],
+            "core_radius": None,
+        }))
+        out = tmp_path / "never.json"
+        code = main(["energy", "--config", str(cfg), "--grid-n", "256",
+                     "--out", str(out)])
+        assert code == 2
+        assert "uncored dislocation" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_allocates_no_grid(self, configs, tmp_path):
+        out = tmp_path / "energy.json"
+        tracemalloc.start()
+        try:
+            code = main(["energy", "--config", configs["disl"],
+                         "--grid-n", "2048", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def _fd_check(field, pts, h=1e-5):
     assert np.allclose(field.laplacian(pts), lap, atol=1e-10)
 
 
+def _grad_laplacian_fd_check(field, pts, h=1e-5):
+    """grad_laplacian of a closed form against central differences of
+    its laplacian."""
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    g_fd = np.stack(
+        [
+            (field.laplacian(pts + e1) - field.laplacian(pts - e1)) / (2 * h),
+            (field.laplacian(pts + e2) - field.laplacian(pts - e2)) / (2 * h),
+        ],
+        axis=-1,
+    )
+    g = field.grad_laplacian(pts)
+    assert np.allclose(g, g_fd, rtol=1e-6, atol=1e-6 * np.abs(g).max())
+
+
 SAMPLE = np.array([[0.31, 0.12], [-0.44, 0.27], [0.05, -0.61], [0.52, 0.49]])
 
 
@@ -95,6 +112,12 @@ class TestSingleDisclination:
     def test_derivative_consistency(self, elastic):
         v = SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0)
         _fd_check(v, SAMPLE)
+
+    def test_grad_laplacian(self, elastic):
+        v = SingleDisclinationClamped(
+            elastic=elastic, radius_R=1.0, charge_s=-1.5, center=(0.3, -0.2)
+        )
+        _grad_laplacian_fd_check(v, SAMPLE)
 
     def test_center_shift_equivariance(self, elastic):
         v0 = SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0)
@@ -161,6 +184,34 @@ class TestDislocationCore:
             site=(0.1, -0.2),
         )
         _fd_check(w, SAMPLE)
+
+    def test_grad_laplacian(self, elastic):
+        w = DislocationCoreAiry(
+            elastic=elastic, burgers_b=(0.2, 0.9), eps=0.1, radius_R=1.0,
+            site=(0.1, -0.2),
+        )
+        _grad_laplacian_fd_check(w, SAMPLE)
+        # zero on the affine core
+        inside = np.asarray(w.site) + 0.05 * SAMPLE
+        assert np.all(w.grad_laplacian(inside) == 0.0)
+        # on the core circle, where r^2 < eps^2 rounds either way, the
+        # annulus branch is the one returned, with its one-sided limits
+        th = 2.0 * math.pi * np.arange(16) / 16
+        circle = np.asarray(w.site) + 0.1 * np.stack(
+            [np.cos(th), np.sin(th)], axis=-1)
+        a = replace(w, annulus_branch=True)
+        _grad_laplacian_fd_check(a, circle)
+        assert np.array_equal(a.laplacian(circle), w.laplacian_smooth(circle))
+        assert np.array_equal(a.grad_laplacian(circle),
+                              w.grad_laplacian_smooth(circle))
+        H = a.hessian(circle)
+        assert np.allclose(H[:, 0, 0] + H[:, 1, 1], a.laplacian(circle),
+                           atol=1e-12)
+        assert np.all(np.abs(H).max(axis=(1, 2)) > 0.1)
+        # value and gradient are continuous across the circle
+        assert np.allclose(a.value(circle), w.value(circle), atol=1e-14)
+        assert np.allclose(a.gradient(circle), w.gradient(circle), atol=1e-12)
+        _fd_check(a, circle)
 
     def test_core_coefficients_gate(self):
         with pytest.raises(ValidationError):
