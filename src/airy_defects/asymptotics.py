@@ -25,7 +25,7 @@ from .core import (
     rotate_burgers,
 )
 from .closedform import DipoleAiry, DislocationLimitAiry
-from .energy import _pair_energy_boundary
+from .energy import _pair_energy_boundary, green_bulk_energy
 from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
     SolveReport,
@@ -133,19 +133,13 @@ def _check_decreasing(seq, name: str) -> list[float]:
 # dipole spacing sweep (exact closed-form energy, optional solver column)
 # ---------------------------------------------------------------------------
 
-_DIPOLE_CIRCLE_NODES = 512
-
-
 def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
                    h: float) -> float:
     """Bulk energy G of the finite-spacing pair field w on B_R.
 
     w is biharmonic off its poles y+- with (1/K) Delta^2 w = -|s|
-    (delta_+ - delta_-), so Green's identity leaves the outer-circle
-    pairing P(w, w) of ``_pair_energy_boundary`` and the pole values:
-    G = P(w, w)/2 - |s| (w(y+) - w(y-))/2. The circle is summed by the
-    trapezoid on ``_DIPOLE_CIRCLE_NODES`` nodes, which converges like
-    (h / 2R)^n for n nodes.
+    (delta_+ - delta_-), so ``green_bulk_energy`` gives G exactly from
+    the outer-circle pairing and the pole values.
 
     G is exactly E s^2 times its value at E = 1, |s| = 1 (same nu), so
     the pairing runs at unit size and is scaled last: at a large E the
@@ -154,10 +148,8 @@ def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
     unit = ElasticConstants(1.0, elastic.poisson_nu)
     field = DipoleAiry(elastic=unit, burgers_b=(0.0, 1.0), spacing_h=h)
     mag, plus, minus = field._parts()
-    outer = circle_nodes((0.0, 0.0), R, _DIPOLE_CIRCLE_NODES)
-    pairing = _pair_energy_boundary(field, field, [(1.0, *outer)], unit)
-    poles = field.value(np.array([plus.shift, minus.shift]))
-    G = 0.5 * pairing - 0.5 * mag * float(poles[0] - poles[1])
+    G, _ = green_bulk_energy(field, unit, DiskDomain((0.0, 0.0), R),
+                             [(plus.shift, mag), (minus.shift, -mag)])
     # ((G E) s) s: s^2 alone can overflow where G E s^2 does not
     return G * elastic.young_E * s * s
 
@@ -232,11 +224,19 @@ def angular_quartic_integral(n_quad: int = 64) -> float:
     return float(np.mean(np.sin(th) ** 4 * np.cos(th) ** 2)) * 2.0 * math.pi
 
 
-def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
+# Angles of the appendix-B ring means. Every integrand is even in x_2,
+# and in x_1 too: that flip swaps q+ and q-, and log(q-/q+) enters
+# squared. So the mean over the _RING_ANGLES angles is a weighted sum
+# over the quarter 0 <= theta <= pi/2, whose two end angles stand for 2
+# of them and the others for 4.
+_RING_ANGLES = 512
+
+
+def appendix_b_integrals(h: float, R: float) -> dict:
     """The three pair-field integrals on the annulus and the core ball.
 
-    Ring means over ``n_theta`` angles (a multiple of 4) of the three
-    integrands, all from one batch of points, integrated in the radius by
+    Ring means over ``_RING_ANGLES`` angles of the three integrands, all
+    from one batch of points, integrated in the radius by
     :func:`fields.radial_integral` over the annulus h < r < R and over
     the ball r < h with the pole radius h/2 as a break. Returns raw and
     normalized (by h^2 log(R/h)) values; the normalized annulus triple
@@ -245,17 +245,11 @@ def appendix_b_integrals(h: float, R: float, n_theta: int = 512) -> dict:
     """
     if not (0.0 < h < R):
         raise ValidationError(f"need 0 < h < R, got h={h}, R={R}")
-    if n_theta % 4:
-        raise ValidationError(f"n_theta must be a multiple of 4, got {n_theta}")
-    # Every integrand is even in x_2, and in x_1 too: that flip swaps
-    # q+ and q-, and log(q-/q+) enters squared. So the ring mean is a
-    # weighted sum over the quarter 0 <= theta <= pi/2, whose two end
-    # angles stand for 2 of the n_theta angles and the others for 4.
-    quarter = n_theta // 4
-    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, n_theta)
+    quarter = _RING_ANGLES // 4
+    _, ring, _ = circle_nodes((0.0, 0.0), 1.0, _RING_ANGLES)
     ring = ring[:quarter + 1]
-    weights = np.full(quarter + 1, 4.0 / n_theta)
-    weights[[0, -1]] = 2.0 / n_theta
+    weights = np.full(quarter + 1, 4.0 / _RING_ANGLES)
+    weights[[0, -1]] = 2.0 / _RING_ANGLES
 
     def ring_terms(r):
         x1 = r[:, None] * ring[:, 0]

@@ -38,15 +38,12 @@ from .fields import (
     build_mask,
     check_core_resolution,
     check_grid_n,
-    circle_nodes,
     fmt17,
     grid_for_disk,
     write_csv,
 )
-from .energy import EnergyBreakdown, _pair_energy_boundary
+from .energy import EnergyBreakdown, green_bulk_energy
 from .solver import (
-    _RESIDUAL_BOUND,
-    _keeps_doubling,
     solve_clamped_disclination,
     solve_core_constrained,
     solve_dipole_core,
@@ -305,68 +302,6 @@ def _cmd_field(args) -> None:
           {args.csv: lambda path: write_csv(path, _FIELD_HEADER, columns)})
 
 
-# nodes per circle of the energy pairing: doubled from the first count
-# under the series-fit rule ``_keeps_doubling`` until the energy settles
-# to _ENERGY_TARGET relative, up to the cap, which resolves a charge at
-# 0.999 R; a last change above _RESIDUAL_BOUND is no result
-_ENERGY_FIRST_NODES = 32
-_ENERGY_MAX_NODES = 2**16
-_ENERGY_TARGET = 1e-14
-
-
-def _point_charges(config: DefectConfiguration):
-    """(site, signed charge s_k) of every point source of the summed
-    field v, for which (1/K) Delta^2 v = -sum_k s_k delta_{y_k}."""
-    charges = [(d.site, d.frank_angle_s) for d in config.disclinations]
-    for dip in config.dipoles:
-        plus, minus = dip.poles()
-        charges += [(tuple(plus), dip.charge_s), (tuple(minus), -dip.charge_s)]
-    return charges
-
-
-def _bulk_energy(config: DefectConfiguration) -> tuple[float, int]:
-    """Bulk energy G of the summed closed-form potential v over the disk
-    minus the dislocation cores, and the nodes per circle it took.
-
-    v is biharmonic off its point charges and cores, so Green's identity
-    turns G into half the pairing of ``_pair_energy_boundary`` over the
-    outer circle minus the core circles, less s_k v(y_k)/2 for each
-    charge y_k outside the cores (the pole terms of
-    ``asymptotics._dipole_energy``). Each cored dislocation takes its
-    annulus branch, which is v everywhere off its own core and the limit
-    from the region on its core circle. The trapezoid sums on the
-    circles converge geometrically in the node count, which doubles
-    until G settles; a last relative change above ``_RESIDUAL_BOUND``
-    raises ``NumericalError``.
-    """
-    v = _plastic_field(config, annulus_branch=True)
-    eps = config.core_radius
-    sites = [d.site for d in config.dislocations] if eps is not None else []
-    outside = [(y, s) for y, s in _point_charges(config)
-               if all(math.dist(y, c) > eps for c in sites)]
-    vk = v.value(np.reshape([y for y, _ in outside], (-1, 2)))
-    pole_term = -0.5 * sum(s * float(x) for (_, s), x in zip(outside, vk))
-    n, last, residual = _ENERGY_FIRST_NODES, None, None
-    while True:
-        rings = [(1.0, *circle_nodes(config.domain.center,
-                                     config.domain.radius_R, n))]
-        rings += [(-1.0, *circle_nodes(c, eps, n)) for c in sites]
-        G = 0.5 * _pair_energy_boundary(v, v, rings, config.elastic) + pole_term
-        if last is not None:
-            previous = residual
-            residual = abs(G - last) / max(abs(G), np.finfo(float).tiny)
-            if (not _keeps_doubling(residual, previous, _ENERGY_TARGET)
-                    or n >= _ENERGY_MAX_NODES):
-                break
-        last, n = G, 2 * n
-    # a non-finite G is left to the report check
-    if math.isfinite(G) and not residual <= _RESIDUAL_BOUND:
-        raise NumericalError(
-            f"the boundary energy did not settle: relative change "
-            f"{residual:.3e} at {n} nodes per circle")
-    return G, n
-
-
 def _cmd_energy(args) -> None:
     config = _load_config(args)
     if config.dislocations and config.core_radius is None:
@@ -374,17 +309,19 @@ def _cmd_energy(args) -> None:
             "an uncored dislocation has infinite energy; give core_radius")
     field = _plastic_field(config)
     delta = grid_for_disk(config.domain, args.grid_n).delta
-    cores = len(config.dislocations) if config.core_radius is not None else 0
+    cores = [(d.site, config.core_radius) for d in config.dislocations]
     if cores:  # --grid-n only gates the core resolution
         check_core_resolution(config.core_radius, delta)
-    bulk, nodes = _bulk_energy(config)
+    bulk, nodes = green_bulk_energy(
+        _plastic_field(config, annulus_branch=True), config.elastic,
+        config.domain, config.point_charges(), cores)
     charge = 0.0
     for d in config.disclinations:
         charge += d.frank_angle_s * float(field.value(np.asarray(d.site))[0])
     region = (
         f"disk R={fmt17(config.domain.radius_R)}"
         if not cores else
-        f"disk R={fmt17(config.domain.radius_R)} minus {cores} cores"
+        f"disk R={fmt17(config.domain.radius_R)} minus {len(cores)} cores"
     )
     br = EnergyBreakdown(bulk_G=bulk, charge_term=charge, region=region)
     _emit(args, br.to_dict(grid={"delta": delta, "n": args.grid_n,

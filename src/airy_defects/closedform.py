@@ -601,41 +601,14 @@ class DislocationCoreAiry(_FrameField):
         Q, site = self._frame()
         xi = (_pts(x) - site) @ Q.T
         u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        out = self._grad_laplacian(xi, np.where(u > 0, u, 1.0), Q)
+        safe = np.where(u > 0, u, 1.0)
+        c3 = self.magnitude * self.K / (2.0 * math.pi)
+        g = np.empty_like(xi)
+        g[:, 0] = self.coeffs.gamma + 1.0 / safe - 2.0 * xi[:, 0] ** 2 / safe**2
+        g[:, 1] = -2.0 * xi[:, 0] * xi[:, 1] / safe**2
+        out = c3 * (g @ Q)
         out[self._core(u)] = 0.0
         return out
-
-    def _grad_laplacian(self, xi, u, Q):
-        """Annulus-branch gradient of the Laplacian at canonical points
-        ``xi`` of squared radii ``u``, in lab axes."""
-        c3 = self.magnitude * self.K / (2.0 * math.pi)
-        cc = self.coeffs
-        g = np.empty_like(xi)
-        g[:, 0] = cc.gamma + 1.0 / u - 2.0 * xi[:, 0] ** 2 / u**2
-        g[:, 1] = -2.0 * xi[:, 0] * xi[:, 1] / u**2
-        return c3 * (g @ Q)
-
-    def laplacian_smooth(self, x):
-        """Annulus-branch Laplacian extended across the core circle.
-
-        Smooth for x != site; used by quadratures that weight cells by
-        their annulus area fraction and must not see the core kink.
-        """
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        if np.any(u == 0.0):
-            raise ValidationError("smooth-branch Laplacian undefined at the site")
-        return self.canonical_laplacian(u) * xi[:, 0]
-
-    def grad_laplacian_smooth(self, x):
-        """Gradient of the annulus-branch Laplacian (no core override)."""
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        if np.any(u == 0.0):
-            raise ValidationError("smooth-branch Laplacian undefined at the site")
-        return self._grad_laplacian(xi, u, Q)
 
 
 @dataclass(frozen=True)

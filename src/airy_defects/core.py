@@ -146,8 +146,8 @@ class Dislocation:
 class DisclinationDipole:
     """Disclination dipole targeting the dislocation with Burgers vector b.
 
-    The two poles of charge -+s (s = |b|) sit at
-    center +- (h/2) * Pi(b)/|b|.
+    The poles of charge +-s (s = |b|, the Frank angle of a
+    ``Disclination``) sit at center +- (h/2) * Pi(b)/|b|.
     """
 
     center: tuple[float, float]
@@ -252,6 +252,16 @@ class DefectConfiguration:
             + [d.site for d in self.dislocations]
             + [d.center for d in self.dipoles]
         )
+
+    def point_charges(self) -> list[tuple[tuple[float, float], float]]:
+        """(site, signed charge s_k) of every point source of the summed
+        potential v, with (1/K) Delta^2 v = -sum_k s_k delta_{y_k}: the
+        disclination sites and the dipole poles."""
+        charges = [(d.site, d.frank_angle_s) for d in self.disclinations]
+        for dip in self.dipoles:
+            plus, minus = dip.poles()
+            charges += [(tuple(plus), dip.charge_s), (tuple(minus), -dip.charge_s)]
+        return charges
 
     def separation_D(self) -> float:
         sites = [d.site for d in self.dislocations] + [d.center for d in self.dipoles]

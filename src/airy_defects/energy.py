@@ -215,6 +215,89 @@ def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
     return (1.0 + nu) / E * acc
 
 
+# Largest relative residual a solve may leave: the collocation residual
+# of a series fit, or the last change of a boundary energy.
+_RESIDUAL_BOUND = 1e-8
+
+
+def _keeps_doubling(residual: float, previous: float | None,
+                    target: float) -> bool:
+    """Refinement rule of the series fits and circle sums: double the
+    count while the residual is above ``target``, except once it is
+    within ``_RESIDUAL_BOUND`` and the last doubling failed to halve it.
+    Such a residual sits on its roundoff floor, and more modes only cost
+    time; above the bound a stalled residual is still pre-asymptotic (a
+    site near the circle needs hundreds of modes before its decay
+    shows)."""
+    return residual > target and (
+        previous is None or residual > _RESIDUAL_BOUND
+        or residual <= 0.5 * previous)
+
+
+# Nodes per circle of ``green_bulk_energy``: doubled from the first count
+# under ``_keeps_doubling`` until the energy settles to _GREEN_TARGET
+# relative, up to the cap. A singular point at log-radius distance a from
+# a circle slows its trapezoid sum to a factor e^-a per node; the gap
+# _GREEN_MIN_GAP keeps that at most e^-65 at the cap.
+_GREEN_FIRST_NODES = 32
+_GREEN_MAX_NODES = 2**16
+_GREEN_TARGET = 1e-14
+_GREEN_MIN_GAP = 1e-3
+
+
+def green_bulk_energy(field, elastic: ElasticConstants, domain: DiskDomain,
+                      charges=(), cores=()) -> tuple[float, int]:
+    """Bulk energy G of ``field`` v over ``domain`` minus the core balls,
+    and the nodes per circle it took.
+
+    v must be biharmonic off its point ``charges``, (site, s) pairs with
+    (1/K) Delta^2 v = -sum_k s_k delta_{y_k}, and off the ``cores``,
+    (site, eps) balls; on its own core circle each cored term must give
+    its annulus branch, the limit from the region. Green's identity then
+    turns G into half the pairing of ``_pair_energy_boundary`` over the
+    outer circle minus the core circles, less s_k v(y_k)/2 for each
+    charge outside the cores. The trapezoid sums on the circles converge
+    geometrically in the node count, which doubles until G settles.
+
+    A charge or core site within ``_GREEN_MIN_GAP`` of a circle, in
+    |log(distance to its center / radius)|, raises ``ValidationError``:
+    no node count up to the cap resolves it. A last relative change
+    above ``_RESIDUAL_BOUND`` raises ``NumericalError``.
+    """
+    circles = [(1.0, domain.center, domain.radius_R)]
+    circles += [(-1.0, site, eps) for site, eps in cores]
+    for y in [y for y, _ in charges] + [site for site, _ in cores]:
+        for _, c, r in circles:
+            rho = math.dist(y, c)
+            if rho > 0.0 and abs(math.log(rho / r)) < _GREEN_MIN_GAP:
+                raise ValidationError(
+                    f"singular point {tuple(map(float, y))} lies within a "
+                    f"relative distance {_GREEN_MIN_GAP} of the circle of "
+                    f"radius {r} about {tuple(map(float, c))}, which the "
+                    f"circle quadrature does not resolve")
+    outside = [(y, s) for y, s in charges
+               if all(math.dist(y, c) > eps for c, eps in cores)]
+    vk = field.value(np.reshape([y for y, _ in outside], (-1, 2)))
+    pole_term = -0.5 * sum(s * float(x) for (_, s), x in zip(outside, vk))
+    n, last, residual = _GREEN_FIRST_NODES, None, None
+    while True:
+        rings = [(sign, *circle_nodes(c, r, n)) for sign, c, r in circles]
+        G = 0.5 * _pair_energy_boundary(field, field, rings, elastic) + pole_term
+        if last is not None:
+            previous = residual
+            residual = abs(G - last) / max(abs(G), np.finfo(float).tiny)
+            if (not _keeps_doubling(residual, previous, _GREEN_TARGET)
+                    or n >= _GREEN_MAX_NODES):
+                break
+        last, n = G, 2 * n
+    # a non-finite G is left to the caller
+    if math.isfinite(G) and not residual <= _RESIDUAL_BOUND:
+        raise NumericalError(
+            f"the boundary energy did not settle: relative change "
+            f"{residual:.3e} at {n} nodes per circle")
+    return G, n
+
+
 # ---------------------------------------------------------------------------
 # defect loads
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .closedform import (
     ShiftedField,
     SumField,
 )
-from .energy import _pair_energy_boundary
+from .energy import _RESIDUAL_BOUND, _keeps_doubling, _pair_energy_boundary
 from .fields import (
     CORE,
     OUTSIDE,
@@ -114,29 +114,12 @@ class SolveReport:
         }
 
 
-# Largest relative residual a solve may leave: the collocation residual
-# of a series fit.
-_RESIDUAL_BOUND = 1e-8
-
 # trapezoid nodes on each circle of the boundary pairings
 _N_QUAD = 512
 
 
 def _gram_factor(elastic: ElasticConstants) -> float:
     return (1.0 - elastic.poisson_nu**2) / elastic.young_E
-
-
-def _keeps_doubling(residual: float, previous: float | None,
-                    target: float) -> bool:
-    """Refinement rule of the series fits: double the mode count while
-    the fit residual is above ``target``, except once it is within
-    ``_RESIDUAL_BOUND`` and the last doubling failed to halve it. Such a
-    residual sits on its roundoff floor, and more modes only cost time;
-    above the bound a stalled residual is still pre-asymptotic (a site
-    near the circle needs hundreds of modes before its decay shows)."""
-    return residual > target and (
-        previous is None or residual > _RESIDUAL_BOUND
-        or residual <= 0.5 * previous)
 
 
 # The trace fit doubles the sample count M from _FIRST_SAMPLES until the
@@ -625,6 +608,9 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     fl = _gram_factor(elastic)
     W_p = _core_plastic_field(elastic, domain, dislocations, eps)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
+    # the profiles' annulus branches, which the Laplacian traces on the
+    # core circles take: the limit from the annulus side
+    branches = [replace(t, annulus_branch=True) for t in W_p.terms]
 
     # pair2(f; g) = oint_dOmega [Df d_n g - (d_n Df) g]
     #            - sum_k oint_circle_k [same], ball-outward normals,
@@ -632,8 +618,8 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     def pair2(term, rings):
         acc = 0.0
         for sign, pts_r, nhat_r, ring_r in rings:
-            lap_f = term.laplacian_smooth(pts_r)
-            dnlap_f = (term.grad_laplacian_smooth(pts_r) * nhat_r).sum(axis=-1)
+            lap_f = term.laplacian(pts_r)
+            dnlap_f = (term.grad_laplacian(pts_r) * nhat_r).sum(axis=-1)
             g_val = W_p.value(pts_r)
             g_dn = (W_p.gradient(pts_r) * nhat_r).sum(axis=-1)
             acc += sign * ring_r * float(np.mean(lap_f * g_dn - dnlap_f * g_val))
@@ -643,16 +629,16 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     for p in sites:
         rings.append((-1.0, *circle_nodes(p, eps, _N_QUAD)))
 
-    C0 = 0.5 * fl * sum(pair2(term, rings) for term in W_p.terms)
+    C0 = 0.5 * fl * sum(pair2(term, rings) for term in branches)
 
     # linear coupling of the core affine parameters through the circle
     # integrals, plus the slope load <grad a_k, Pi(b_k)>
     load = np.zeros(3 * len(dislocations))
     for k, d in enumerate(dislocations):
         _, cpts, nh, ring = rings[k + 1]  # core circles follow the outer one
-        lap_p = sum(t.laplacian_smooth(cpts) for t in W_p.terms)
+        lap_p = sum(t.laplacian(cpts) for t in branches)
         dnlap_p = sum(
-            (t.grad_laplacian_smooth(cpts) * nh).sum(axis=-1) for t in W_p.terms
+            (t.grad_laplacian(cpts) * nh).sum(axis=-1) for t in branches
         )
         base = 3 * k
         load[base] += fl * ring * float(np.mean(dnlap_p))
@@ -718,8 +704,9 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     # square exactly (pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m + 2))).
     ball_energy = 0.0
     for k, (_, cpts, _, _) in enumerate(rings[1:]):
+        # core circle k lies off the other cores
         lap_other = np.zeros(len(cpts)) + sum(
-            t.laplacian_smooth(cpts) for j, t in enumerate(W_p.terms) if j != k)
+            t.laplacian(cpts) for j, t in enumerate(W_p.terms) if j != k)
         H = np.fft.rfft(lap_other) / len(cpts)
         m = np.arange(1, len(H))
         ball_energy += math.pi * eps**2 * (

@@ -182,8 +182,6 @@ class TestPairFieldIntegrals:
         assert res["annulus"] == pytest.approx(full_ring(h, R), rel=1e-13)
         assert res["ball"] == pytest.approx(full_ring(0.0, h, (0.5 * h,)),
                                             rel=1e-13)
-        with pytest.raises(ValidationError):
-            appendix_b_integrals(h, R, n_theta=510)
 
     def test_ball_contributions_decay(self):
         # the core-ball share dies like 1/log(R/h): test the trend

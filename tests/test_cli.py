@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from airy_defects import cli, solver
-from airy_defects.asymptotics import annulus_energy_closed_form
+from airy_defects.asymptotics import _dipole_energy, annulus_energy_closed_form
 from airy_defects.cli import main
 from airy_defects.closedform import SingleDisclinationClamped
 from airy_defects.core import ElasticConstants
@@ -480,6 +481,36 @@ class TestExactEnergy:
         ref = polar_energy(field, elastic, (0.0, 0.0), 1.0, n_theta=4096,
                            breaks=[0.3]).energy
         assert self._bulk(doc, tmp_path, 64) == pytest.approx(ref, rel=1e-6)
+
+    def test_centred_dipole_matches_dipole_energy(self, tmp_path):
+        # the config's pole charges against the sweep's pair field
+        elastic = ElasticConstants(2.0, 0.3)
+        doc = {**DIP, "E": 2.0,
+               "dipoles": [{"center": [0.0, 0.0], "b": [0.6, -0.8], "h": 0.05}]}
+        ref = _dipole_energy(elastic, 1.0, 1.0, 0.05)
+        assert self._bulk(doc, tmp_path, 256) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("extra", [
+        # on a core circle
+        {"disclinations": [{"site": [0.4, 0.0], "s": 1.0}],
+         "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}]},
+        # 5e-4 R inside the outer circle
+        {"disclinations": [{"site": [0.0, 0.9995], "s": 1.0}]},
+    ])
+    def test_charge_on_a_circle_exits_validation(self, extra, tmp_path, capsys):
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps({**DISL, **extra}))
+        out = tmp_path / "never.json"
+        code = main(["energy", "--config", str(cfg), "--grid-n", "256",
+                     "--out", str(out)])
+        assert code == 2
+        assert "does not resolve" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_charge_just_off_a_circle_settles(self, tmp_path):
+        doc = {**DISL, "disclinations": [{"site": [0.4011, 0.0], "s": 1.0}],
+               "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}]}
+        assert math.isfinite(self._bulk(doc, tmp_path, 256))
 
     def test_uncored_dislocation_exits_validation(self, tmp_path, capsys):
         cfg = tmp_path / "uncored.json"
