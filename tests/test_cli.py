@@ -491,12 +491,10 @@ class TestExactEnergy:
         assert self._bulk(doc, tmp_path, 256) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("extra", [
-        # on a core circle
         {"disclinations": [{"site": [0.4, 0.0], "s": 1.0}],
          "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}]},
-        # 5e-4 R inside the outer circle
         {"disclinations": [{"site": [0.0, 0.9995], "s": 1.0}]},
-    ])
+    ], ids=["on_core_circle", "near_outer_circle"])
     def test_charge_on_a_circle_exits_validation(self, extra, tmp_path, capsys):
         cfg = tmp_path / "near.json"
         cfg.write_text(json.dumps({**DISL, **extra}))
