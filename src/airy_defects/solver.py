@@ -263,13 +263,13 @@ class _AlmansiSeries:
 
 def _series_report(series: _AlmansiSeries, n: int, delta: float,
                    value: float, fit_seconds: float, extras: dict,
-                   singular=None) -> SolveReport:
-    """Report whose field ``singular + z`` is sampled on first read."""
+                   singular=None, scale: float = 1.0) -> SolveReport:
+    """Report whose field ``scale (singular + z)`` is sampled on first read."""
     def sample() -> ScalarField:
         grid, mask, live, values = series.sample(n)
         if singular is not None:
             values[live] += singular.value(grid.points()[live.ravel()])
-        return ScalarField(grid=grid, values=values, mask=mask)
+        return ScalarField(grid=grid, values=scale * values, mask=mask)
 
     return SolveReport(
         value=value, residual=series.residual, method="fourier", grid_n=n,
@@ -294,9 +294,15 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     """
     disclinations = list(disclinations)
     delta = grid_for_disk(domain, n).delta
+    # solved at E = 1 and max|s_k| = 1, where the plate energy (squared
+    # mode coefficients) cannot overflow, then scaled: the value by
+    # E max|s_k|^2, the field by E max|s_k|
+    E = elastic.young_E
+    s_max = max((abs(d.frank_angle_s) for d in disclinations), default=1.0)
+    elastic = ElasticConstants(1.0, elastic.poisson_nu)
     fl = _gram_factor(elastic)
     sites = [np.asarray(d.site, dtype=float) for d in disclinations]
-    charges = [float(d.frank_angle_s) for d in disclinations]
+    charges = [float(d.frank_angle_s) / s_max for d in disclinations]
     for p in sites:
         if domain.boundary_distance(p) <= 0.0:
             raise ValidationError(f"disclination site {tuple(p)} outside the domain")
@@ -307,20 +313,13 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     # closed-form constant: -(1/2) sum_ij s_i s_j [vbar(y_i - y_j)
     #   + f oint (Delta vbar_i d_n vbar_j - (d_n Delta vbar_i) vbar_j)]
     bpts, nhat, ring = circle_nodes(domain.center, domain.radius_R, _N_QUAD)
-    m = len(sites)
-    lap = np.empty((m, bpts.shape[0]))
-    dnlap = np.empty_like(lap)
-    val = np.empty_like(lap)
-    dn = np.empty_like(lap)
-    for i, p in enumerate(sites):
-        rel = bpts - p
-        lap[i] = fund.laplacian(rel)
-        dnlap[i] = (fund.grad_laplacian(rel) * nhat).sum(axis=-1)
-        val[i] = fund.value(rel)
-        dn[i] = (fund.gradient(rel) * nhat).sum(axis=-1)
+    rel = [bpts - p for p in sites]
+    lap, val = [fund.laplacian(r) for r in rel], [fund.value(r) for r in rel]
+    dnlap = [(fund.grad_laplacian(r) * nhat).sum(axis=-1) for r in rel]
+    dn = [(fund.gradient(r) * nhat).sum(axis=-1) for r in rel]
     constant = 0.0
-    for i in range(m):
-        for j in range(m):
+    for i in range(len(sites)):
+        for j in range(len(sites)):
             pair_pot = float(fund.value((sites[i] - sites[j])[None, :])[0])
             Q_ij = ring * float(np.mean(lap[i] * dn[j] - dnlap[i] * val[j]))
             constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q_ij)
@@ -329,24 +328,15 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     series = _AlmansiSeries.fit(domain, v_sing)
     gram_value = 0.5 * fl * series.squares()[0]
     fit_seconds = time.perf_counter() - t0
+
+    def energy(x: float) -> float:
+        return x * E * s_max * s_max  # s_max^2 alone can overflow
+
     return _series_report(
-        series, n, delta, constant + gram_value, fit_seconds,
-        {"scheme": "split", "closed_form_constant": constant,
-         "gram_objective": gram_value},
-        singular=v_sing,
-    )
-
-
-def _core_plastic_field(elastic: ElasticConstants, domain: DiskDomain,
-                        dislocations, eps: float) -> SumField:
-    return SumField(
-        tuple(
-            DislocationCoreAiry(
-                elastic=elastic, burgers_b=d.burgers_b, eps=eps,
-                radius_R=domain.radius_R, site=d.site,
-            )
-            for d in dislocations
-        )
+        series, n, delta, energy(constant + gram_value), fit_seconds,
+        {"scheme": "split", "closed_form_constant": energy(constant),
+         "gram_objective": energy(gram_value)},
+        singular=v_sing, scale=E * s_max,
     )
 
 
@@ -360,80 +350,103 @@ _SERIES_TARGET = 1e-12
 _TOUCH_GAP = 1e-12
 
 
-def _powers(z: np.ndarray, count: int) -> np.ndarray:
+def _powers(z: np.ndarray, count: int, out=None) -> np.ndarray:
     """z^k for k = 0 .. count - 1 of an (N, 1) column, as (N, count)."""
-    out = np.ones((len(z), count), dtype=complex)
-    out[:, 1:] = np.cumprod(np.broadcast_to(z, (len(z), count - 1)), axis=1)
+    out = np.empty((len(z), count), dtype=complex) if out is None else out
+    out[:, 0] = 1.0
+    np.cumprod(np.broadcast_to(z, (len(z), count - 1)), axis=1, out=out[:, 1:])
     return out
 
 
-def _goursat_fields(zeta, nu, L: float, potentials):
-    """Value, normal derivative, Laplacian and normal derivative of the
-    Laplacian of f = Re(conj(zeta) phi(zeta) + chi(zeta)), zeta = (x - p)
-    / L, along the complex unit normals nu, from the potentials
-    (phi, phi', phi'', chi, chi'): grad f = phi + zeta conj(phi') +
-    conj(chi') and Delta f = 4 Re phi' in units of L."""
-    phi, dphi, ddphi, chi, dchi = potentials
-    grad = (phi + zeta * np.conj(dphi) + np.conj(dchi)) / L  # d_x + i d_y
-    return ((np.conj(zeta) * phi + chi).real, (grad * np.conj(nu)).real,
-            4.0 * dphi.real / L**2, 4.0 * (ddphi * nu).real / L**3)
+def _power_rows(w, nu, out: np.ndarray) -> np.ndarray:
+    """Fill the (2N, count) ``out`` with P = w^k over nu dP/dw; return P."""
+    P = _powers(w, out.shape[1], out[:len(w)])
+    out[len(w):, 0] = 0.0
+    np.multiply(nu * P[:, :-1], np.arange(1.0, out.shape[1]), out=out[len(w):, 1:])
+    return P
 
 
-def _interior_potentials(w, A: np.ndarray, B: np.ndarray):
-    """Goursat potentials of Re sum_k c_k (A_k + B_k |w|^2) w^k (c as in
-    ``_almansi_sum``) at the (N, 1) column w, one column per coefficient
-    column: chi = sum c_k A_k w^k and phi = sum c_k B_k w^(k+1)."""
-    k = np.arange(len(A))[:, None]
-    c = np.where(k > 0, 2.0, 1.0)
-    cA, cB = c * A, c * B
-    P = _powers(w, len(A))
-    dP = np.zeros_like(P)
-    dP[:, 1:] = P[:, :-1] * k[1:, 0]
-    return (w * (P @ cB), P @ ((k + 1) * cB), dP @ ((k + 1) * cB),
-            P @ cA, dP @ cA)
+def _real_product(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Re(X @ C) for a C-ordered X, as one real product: the float view
+    of X interleaves Re X and Im X, so the rows of C take Re C, -Im C."""
+    return X.view(float) @ np.stack([C.real, -C.imag], 1).reshape(2 * len(C), -1)
 
 
-def _michell_potentials(zeta, m_core: int):
-    """Goursat potentials of the exterior Michell modes about one core,
-    family by family, at the (N, 1) column zeta = (x - y) / eps: log rho,
-    rho^2 log rho, rho log rho cos theta and sin theta, then the cosine
-    and the sine parts of rho^-m (1 <= m < M_e) and rho^(2-m)
-    (2 <= m < M_e) times e^{im theta}."""
-    log, inv = np.log(zeta), 1.0 / zeta
-    zero = np.zeros_like(zeta)
-    yield zero, zero, zero, log, inv
-    yield zeta * log, log + 1.0, inv, zero, zero
-    # rho log rho (cos, sin) theta = Re(conj(zeta) phi + chi) with
-    # (phi, chi) = (log zeta, zeta log zeta) / 2 times (1, 1) and (i, -i)
-    half = (0.5 * log, 0.5 * inv, -0.5 * inv**2, 0.5 * zeta * log,
-            0.5 * (log + 1.0))
-    yield half
-    yield tuple(s * p for s, p in zip((1j, 1j, 1j, -1j, -1j), half))
-    m = np.arange(1, m_core)
-    t = _powers(inv, m_core)[:, 1:]  # zeta^-m
-    none = np.zeros_like(t)
-    for rot in (1.0, -1j):  # Re(rot F) is the cosine, then the sine part
-        yield none, none, none, rot * t, -rot * m * t * inv
-        # |zeta|^2 zeta^-m: phi = zeta^(1-m)
-        yield (rot * zeta * t[:, 1:], rot * (1 - m[1:]) * t[:, 1:],
-               rot * m[1:] * (m[1:] - 1) * t[:, 1:] * inv,
-               none[:, 1:], none[:, 1:])
+def _interior_traces(w, nu, R: float, A: np.ndarray, B: np.ndarray):
+    """Value and normal derivative along the complex unit normals nu of
+    z = Re sum_k c_k (A_k + B_k |w|^2) w^k (c as in ``_almansi_sum``) at
+    the (N, 1) column w = (x - centre) / R, a column per coefficient
+    column. With phi = sum c_k B_k w^(k+1) and chi = sum c_k A_k w^k,
+    z = Re(conj(w) phi + chi) and R d_n z = Re(phi conj(nu) + conj(w)
+    phi' nu + chi' nu): both are Re(X (c A; c B)) for one matrix X."""
+    n, m, k1 = len(w), len(A), np.arange(1.0, len(A) + 1.0)
+    X = np.empty((2 * n, 2 * m), dtype=complex)
+    P = _power_rows(w, nu, X[:, :m])
+    np.multiply(np.abs(w) ** 2, P, out=X[:n, m:])
+    np.multiply(P, w * np.conj(nu) + np.conj(w) * nu * k1, out=X[n:, m:])
+    c = np.where(k1 > 1.0, 2.0, 1.0)[:, None]
+    out = _real_product(X, np.vstack([c * A, c * B]))
+    return out[:n], out[n:] / R
+
+
+def _interior_laplacians(w, nu, R: float, B: np.ndarray):
+    """Laplacian and its normal derivative of the z of
+    ``_interior_traces``, from B alone: 4 Re phi' / R^2 and 4 Re(phi''
+    nu) / R^3."""
+    n, k1 = len(w), np.arange(1.0, len(B) + 1.0)
+    X = np.empty((2 * n, len(B)), dtype=complex)
+    _power_rows(w, nu, X)
+    out = _real_product(X, (4.0 * np.where(k1 > 1.0, 2.0, 1.0) * k1)[:, None] * B)
+    return out[:n] / R**2, out[n:] / R**3
+
+
+def _michell_traces(zeta, nu, L: float, m_core: int, out: np.ndarray):
+    """Fill the (4, N, modes) ``out`` with the value, normal derivative
+    along the complex unit normals nu, Laplacian and its normal
+    derivative of the exterior Michell modes about one core at the (N, 1)
+    column zeta = (x - y) / L: log rho, rho^2 log rho, rho log rho (cos,
+    sin) theta, then the cosine and the sine parts of rho^-m (1 <= m <
+    M_e) and rho^(2-m) (2 <= m < M_e) times e^{im theta}. Those of
+    Re(conj(zeta) phi + chi) are the real parts of conj(zeta) phi + chi,
+    (phi conj(nu) + conj(zeta) phi' nu + chi' nu) / L, 4 phi' / L^2 and
+    4 phi'' nu / L^3; the sine part of a family, from potentials times
+    -i, is their imaginary part."""
+    log, inv, cz, r2 = np.log(zeta), 1.0 / zeta, np.conj(zeta), np.abs(zeta) ** 2
+    # the factors 1 / L, 4 / L^2 and 4 / L^3 of the last three traces
+    nu1, cnu1, lap, nu3 = nu / L, np.conj(nu) / L, 4.0 / L**2, 4.0 * nu / L**3
+    for j, (f, g, u) in enumerate(zip(
+            (log, inv * nu1, 0.0, 0.0),  # chi = log zeta
+            (r2 * log, zeta * log * cnu1 + cz * (log + 1.0) * nu1,
+             lap * (log + 1.0), inv * nu3),  # phi = zeta log zeta
+            # rho log rho (cos, sin) theta: Re and Im of zeta log rho
+            (zeta * log.real, (log.real + 0.5) * nu1 + 0.5 * zeta / cz * cnu1,
+             0.5 * lap / cz, -0.5 * lap * cnu1 / cz**2))):
+        out[j, :, 0:1], out[j, :, 1:2] = np.real(f), np.real(g)
+        out[j, :, 2:3], out[j, :, 3:4] = np.real(u), np.imag(u)
+    t, m = _powers(inv, m_core)[:, 1:], np.arange(1.0, m_core)  # zeta^-m
+    tb, mb = t[:, 1:], m[1:]
+    h, b = slice(0, m_core - 1), slice(m_core - 1, None)
+    cos, sin = np.split(out[..., 4:], 2, axis=-1)
+    cos[2:, :, h] = sin[2:, :, h] = 0.0
+    for j, cols, trace in ((0, h, t), (1, h, -m * t * (inv * nu1)),  # chi = zeta^-m
+                           (0, b, r2 * tb),  # phi = zeta^(1-m)
+                           (1, b, tb * (zeta * cnu1 + (1.0 - mb) * (cz * nu1))),
+                           (2, b, lap * (1.0 - mb) * tb),
+                           (3, b, mb * (mb - 1.0) * tb * (inv * nu3))):
+        cos[j, :, cols], sin[j, :, cols] = trace.real, trace.imag
 
 
 def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
                  floor: float) -> np.ndarray:
     """Value at the points zeta (1-D, |zeta| > 1) of the exterior modes
     of one core with coefficients ``c`` in the order of
-    ``_michell_potentials``; the power modes are Almansi sums in 1/zeta."""
+    ``_michell_traces``; the power modes are Almansi sums in 1/zeta."""
     rho2 = np.abs(zeta) ** 2
     log = 0.5 * np.log(rho2)
     head = (c[0] + c[1] * rho2 + c[2] * zeta.real + c[3] * zeta.imag) * log
-    cos_h, cos_b, sin_h, sin_b = np.split(
-        c[4:], np.cumsum([m_core - 1, m_core - 2, m_core - 1]))
-    harm = np.zeros(m_core, dtype=complex)
-    harm[1:] = 0.5 * (cos_h - 1j * sin_h)
-    bih = np.zeros(m_core, dtype=complex)
-    bih[2:] = 0.5 * (cos_b - 1j * sin_b)
+    cos, sin = np.split(c[4:], 2)
+    harm, bih = np.zeros((2, m_core), dtype=complex)
+    harm[1:], bih[2:] = np.split(0.5 * (cos - 1j * sin), [m_core - 1])
     zero = np.zeros(m_core)
     return (head + _almansi_sum(harm, zero, 1.0 / zeta, floor)
             + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor / rho2.max()))
@@ -476,6 +489,11 @@ class _MichellSeries:
     4 M_i nodes. The core coefficients then solve one least-squares
     problem: the traces at 4 M_e nodes on every core circle, and the
     outer-trace frequencies M_i .. 2 M_i, which no interior mode reaches.
+    The fit evaluates value and normal-derivative traces only
+    (``_interior_traces``); one complex pass gives the cosine and the
+    sine parts of each exterior family (``_michell_traces``), and the
+    nodes of all circles are stacked, so each closed form is evaluated
+    once per circle.
 
     ``residual`` is the largest miss of either trace at the nodes of all
     circles, relative to the largest datum; ``condition`` is the
@@ -490,76 +508,68 @@ class _MichellSeries:
         R = domain.radius_R
         self.domain, self.sites, self.eps = domain, sites, eps
         self.modes = (m_inner, m_core)
-        n_data = 1 + 3 * len(sites)
-        circles = []
-        for j, (center, radius, nodes) in enumerate(
-            [(domain.center, R, 4 * m_inner)]
-            + [(y, eps, 4 * m_core) for y in sites]
-        ):
-            pts, nhat, ring = circle_nodes(center, radius, nodes)
-            val, der = np.zeros((nodes, n_data)), np.zeros((nodes, n_data))
-            val[:, 0] = -W_p.value(pts)
-            der[:, 0] = -radius * (W_p.gradient(pts) * nhat).sum(axis=-1)
-            if j:
-                col = 3 * j - 2
-                val[:, col] = 1.0
-                val[:, col + 1:col + 3] = pts - center
-                der[:, col + 1:col + 3] = radius * nhat
-            circles.append((pts, nhat, ring, radius, val, der,
-                            self._exterior(pts, nhat)))
+        # the nodes of all circles, the outer one first, in one stack
+        n0, nc = 4 * m_inner, 4 * m_core
+        counts = [n0, nc * len(sites)]
+        circles = [circle_nodes(domain.center, R, n0)] + [
+            circle_nodes(y, eps, nc) for y in sites]
+        pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
+        radius = np.repeat([R, eps], counts)[:, None]
+        val, der = np.zeros((2, len(pts), 1 + 3 * len(sites)))
+        val[:, 0] = -W_p.value(pts)
+        der[:, 0] = -radius[:, 0] * (W_p.gradient(pts) * nhat).sum(axis=-1)
+        for k, y in enumerate(sites):
+            on, col = slice(n0 + k * nc, n0 + (k + 1) * nc), 3 * k + 1
+            val[on, col] = 1.0
+            val[on, col + 1:col + 3] = pts[on] - y
+            der[on, col + 1:col + 3] = eps * nhat[on]
+        ext = self._exterior(pts, nhat)
+        n_ext = ext.shape[-1]
 
         # every column: the core modes, then the data sets
-        pts, nhat, ring, radius, val, der, ext = circles[0]
-        n_ext = ext[0].shape[1]
-        F = np.fft.rfft(np.hstack([ext[0], val]), axis=0) / len(pts)
-        G = np.fft.rfft(np.hstack([R * ext[1], der]), axis=0) / len(pts)
+        F = np.fft.rfft(np.hstack([ext[0, :n0], val[:n0]]), axis=0) / n0
+        G = np.fft.rfft(np.hstack([R * ext[1, :n0], der[:n0]]), axis=0) / n0
         A, B = _almansi_modes(F[:m_inner], G[:m_inner])
-        # the high frequencies, weighted as their share of the nodal 2-norm
-        rows = [math.sqrt(2.0 * len(pts)) * np.vstack(
+        # the high frequencies, weighted as their share of the nodal
+        # 2-norm, then the misses of both traces on each core circle
+        rows = [math.sqrt(2.0 * n0) * np.vstack(
             [F[m_inner:].real, F[m_inner:].imag,
              G[m_inner:].real, G[m_inner:].imag])]
-        for pts, nhat, ring, radius, val, der, ext in circles[1:]:
-            inner = self._interior(pts, nhat, A, B)
-            rows.append(np.hstack([ext[0], val]) - inner[0])
-            rows.append(radius * (np.hstack([ext[1], der / radius]) - inner[1]))
+        z, dz = _interior_traces(*self._interior(pts[n0:], nhat[n0:]), R, A, B)
+        z = np.hstack([ext[0, n0:], val[n0:]]) - z
+        dz = eps * (np.hstack([ext[1, n0:], der[n0:] / eps]) - dz)
+        for pair in zip(np.split(z, len(sites)), np.split(dz, len(sites))):
+            rows += pair
         system = np.vstack(rows)
-        coef, self.condition = _least_squares(system[:, :n_ext],
-                                              system[:, n_ext:])
-        self.coef = coef
-        self.A = A[:, n_ext:] - A[:, :n_ext] @ coef
-        self.B = B[:, n_ext:] - B[:, :n_ext] @ coef
+        self.coef, self.condition = _least_squares(system[:, :n_ext],
+                                                   system[:, n_ext:])
+        self.A = A[:, n_ext:] - A[:, :n_ext] @ self.coef
+        self.B = B[:, n_ext:] - B[:, :n_ext] @ self.coef
 
-        Q = np.zeros((n_data, n_data))
-        miss = size = np.zeros(n_data)
-        for j, (pts, nhat, ring, radius, val, der, ext) in enumerate(circles):
-            z, dz, lap, dlap = self.fields(pts, nhat, ext)
-            miss = np.maximum.reduce([miss, np.abs(z - val).max(axis=0),
-                                      np.abs(radius * dz - der).max(axis=0)])
-            size = np.maximum.reduce([size, np.abs(val).max(axis=0),
-                                      np.abs(der).max(axis=0)])
-            # the outward normal of the punctured disk is -nhat on a core
-            sign = 1.0 if j == 0 else -1.0
-            Q += sign * ring / len(pts) * (lap.T @ (der / radius) - dlap.T @ val)
-        self.Q = 0.5 * (Q + Q.T)
-        self.size = size
+        z, dz, lap, dlap = self.fields(pts, nhat, ext)
+        self.size = size = np.maximum(np.abs(val), np.abs(der)).max(axis=0)
+        miss = np.maximum(np.abs(z - val), np.abs(radius * dz - der)).max(axis=0)
         self.residual = float(np.max(miss / np.where(size > 0.0, size, 1.0)))
+        # trapezoid weights, negative on the cores, where the outward
+        # normal of the punctured disk is -nhat
+        weight = np.repeat([2.0 * math.pi * R / n0, -2.0 * math.pi * eps / nc],
+                           counts)[:, None]
+        Q = lap.T @ (weight * der / radius) - dlap.T @ (weight * val)
+        self.Q = 0.5 * (Q + Q.T)
 
     def _exterior(self, pts, nhat):
         nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
-        parts = []
-        for y in self.sites:
-            zeta = ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None]
-            zeta = zeta / self.eps
-            parts.extend(_goursat_fields(zeta, nu, self.eps, p)
-                         for p in _michell_potentials(zeta, self.modes[1]))
-        return [np.hstack(q) for q in zip(*parts)]
+        out = np.empty((4, len(pts), (4 * self.modes[1] - 2) * len(self.sites)))
+        for y, part in zip(self.sites, np.split(out, len(self.sites), axis=-1)):
+            zeta = ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None] / self.eps
+            _michell_traces(zeta, nu, self.eps, self.modes[1], part)
+        return out
 
-    def _interior(self, pts, nhat, A, B):
-        cx, cy = self.domain.center
-        R = self.domain.radius_R
+    def _interior(self, pts, nhat):
+        """The columns w and nu of ``_interior_traces`` at the points."""
+        (cx, cy), R = self.domain.center, self.domain.radius_R
         w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
-        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
-        return _goursat_fields(w, nu, R, _interior_potentials(w, A, B))
+        return w, (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
 
     def fields(self, pts, nhat, ext=None):
         """Value, normal derivative along ``nhat``, Laplacian and normal
@@ -567,8 +577,11 @@ class _MichellSeries:
         set) at points of the punctured disk; ``ext`` is
         ``_exterior(pts, nhat)`` when already at hand."""
         ext = self._exterior(pts, nhat) if ext is None else ext
-        return [i + e @ self.coef
-                for i, e in zip(self._interior(pts, nhat, self.A, self.B), ext)]
+        w, nu = self._interior(pts, nhat)
+        R = self.domain.radius_R
+        inner = (*_interior_traces(w, nu, R, self.A, self.B),
+                 *_interior_laplacians(w, nu, R, self.B))
+        return [i + e @ self.coef for i, e in zip(inner, ext)]
 
     def sample(self, n: int, u: np.ndarray, W_p):
         """Grid, mask and values of W_p + z on the grid of size n, for
@@ -601,57 +614,54 @@ class _MichellSeries:
 def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
                   dislocations, eps: float):
     """Data of the core-constrained functional for w = W_p + z: the
-    profiles W_p, the quadrature circles (outer, then one per core), the
+    profiles W_p, the integral of (Delta z)^2 over the core balls, the
     constant C0 and the load on the affine core parameters u (value and
     two slopes per core), so that the functional is
-    (fl/2) int_{B_R} (Delta z)^2 + load . u - C0."""
+    (fl/2) int_{B_R} (Delta z)^2 + load . u - C0. Each closed form is
+    evaluated once per circle (the outer one, then the cores)."""
     fl = _gram_factor(elastic)
-    W_p = _core_plastic_field(elastic, domain, dislocations, eps)
-    sites = [np.asarray(d.site, dtype=float) for d in dislocations]
+    W_p = SumField(tuple(
+        DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
+                            radius_R=domain.radius_R, site=d.site)
+        for d in dislocations))
     # the profiles' annulus branches, which the Laplacian traces on the
     # core circles take: the limit from the annulus side
     branches = [replace(t, annulus_branch=True) for t in W_p.terms]
-
-    # pair2(f; g) = oint_dOmega [Df d_n g - (d_n Df) g]
-    #            - sum_k oint_circle_k [same], ball-outward normals,
-    # valid for f biharmonic on the annular region; all kernels analytic.
-    def pair2(term, rings):
-        acc = 0.0
-        for sign, pts_r, nhat_r, ring_r in rings:
-            lap_f = term.laplacian(pts_r)
-            dnlap_f = (term.grad_laplacian(pts_r) * nhat_r).sum(axis=-1)
-            g_val = W_p.value(pts_r)
-            g_dn = (W_p.gradient(pts_r) * nhat_r).sum(axis=-1)
-            acc += sign * ring_r * float(np.mean(lap_f * g_dn - dnlap_f * g_val))
-        return acc
-
-    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
-    for p in sites:
-        rings.append((-1.0, *circle_nodes(p, eps, _N_QUAD)))
-
-    C0 = 0.5 * fl * sum(pair2(term, rings) for term in branches)
+    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))] + [
+        (-1.0, *circle_nodes(d.site, eps, _N_QUAD)) for d in dislocations]
+    # per ring: the profiles' Laplacians and their normal derivatives,
+    # the value and normal derivative of W_p
+    traces = [([t.laplacian(pts) for t in branches],
+               [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches],
+               W_p.value(pts), (W_p.gradient(pts) * nhat).sum(axis=-1))
+              for _, pts, nhat, _ in rings]
+    # C0 = (fl/2) sum over profiles f of pair2(f; W_p), with pair2(f; g) =
+    # oint_dOmega [Df d_n g - (d_n Df) g] - sum_k oint_circle_k [same],
+    # ball-outward normals, valid for f biharmonic on the annular region
+    C0 = 0.5 * fl * sum(
+        sum(sign * ring * float(np.mean(lap[i] * g_dn - dnlap[i] * g_val))
+            for (sign, _, _, ring), (lap, dnlap, g_val, g_dn) in zip(rings, traces))
+        for i in range(len(branches)))
 
     # linear coupling of the core affine parameters through the circle
-    # integrals, plus the slope load <grad a_k, Pi(b_k)>
-    load = np.zeros(3 * len(dislocations))
+    # integrals, plus the slope load <grad a_k, Pi(b_k)>. On core ball k,
+    # Delta z = -Delta W_p is the Laplacian of the other profiles, both
+    # branches alike: harmonic, so the FFT of its trace integrates its
+    # square exactly, pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m + 2))
+    load, ball = np.zeros(3 * len(dislocations)), 0.0
     for k, d in enumerate(dislocations):
-        _, cpts, nh, ring = rings[k + 1]  # core circles follow the outer one
-        lap_p = sum(t.laplacian(cpts) for t in branches)
-        dnlap_p = sum(
-            (t.grad_laplacian(cpts) * nh).sum(axis=-1) for t in branches
-        )
-        base = 3 * k
-        load[base] += fl * ring * float(np.mean(dnlap_p))
-        load[base + 1] += -fl * ring * float(
-            np.mean(lap_p * nh[:, 0] - dnlap_p * eps * nh[:, 0])
-        )
-        load[base + 2] += -fl * ring * float(
-            np.mean(lap_p * nh[:, 1] - dnlap_p * eps * nh[:, 1])
-        )
-        Pi = rotate_burgers(d.burgers_b)
-        load[base + 1] += Pi[0]
-        load[base + 2] += Pi[1]
-    return W_p, rings, C0, load
+        (_, _, nh, ring), (lap, dnlap, _, _) = rings[k + 1], traces[k + 1]
+        lap_p, dnlap_p, Pi = sum(lap), sum(dnlap), rotate_burgers(d.burgers_b)
+        load[3 * k] = fl * ring * float(np.mean(dnlap_p))
+        for a in (0, 1):
+            load[3 * k + 1 + a] = Pi[a] - fl * ring * float(
+                np.mean(lap_p * nh[:, a] - dnlap_p * eps * nh[:, a]))
+        H = np.fft.rfft(np.zeros(len(nh)) + sum(
+            f for j, f in enumerate(lap) if j != k)) / len(nh)
+        m = np.arange(1, len(H))
+        ball += math.pi * eps**2 * (
+            H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
+    return W_p, ball, C0, load
 
 
 def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
@@ -696,21 +706,8 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)
-    W_p, rings, C0, load = _core_problem(elastic, domain, dislocations, eps)
+    W_p, ball_energy, C0, load = _core_problem(elastic, domain, dislocations, eps)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
-
-    # On core ball k, Delta z = -Delta W_p is the Laplacian of the other
-    # profiles: harmonic there, so the FFT of its trace integrates its
-    # square exactly (pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m + 2))).
-    ball_energy = 0.0
-    for k, (_, cpts, _, _) in enumerate(rings[1:]):
-        # core circle k lies off the other cores
-        lap_other = np.zeros(len(cpts)) + sum(
-            t.laplacian(cpts) for j, t in enumerate(W_p.terms) if j != k)
-        H = np.fft.rfft(lap_other) / len(cpts)
-        m = np.arange(1, len(H))
-        ball_energy += math.pi * eps**2 * (
-            H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
 
     def minimum(series: _MichellSeries):
         Q = series.Q

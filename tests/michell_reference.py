@@ -1,0 +1,78 @@
+"""The five-potential Goursat evaluation of the Michell series traces.
+
+Reference for ``tests/test_solver.py``: every trace of a mode comes
+from its Goursat potentials (phi, phi', phi'', chi, chi'), zero ones
+included, and the sine part of each Michell family from potentials
+rotated by -i. The solver evaluates the same traces with fewer
+operations; both must agree to roundoff.
+"""
+
+import numpy as np
+
+from airy_defects.solver import _powers
+
+
+def goursat_fields(zeta, nu, L: float, potentials):
+    """Value, normal derivative, Laplacian and normal derivative of the
+    Laplacian of f = Re(conj(zeta) phi(zeta) + chi(zeta)), zeta = (x - p)
+    / L, along the complex unit normals nu, from the potentials
+    (phi, phi', phi'', chi, chi'): grad f = phi + zeta conj(phi') +
+    conj(chi') and Delta f = 4 Re phi' in units of L."""
+    phi, dphi, ddphi, chi, dchi = potentials
+    grad = (phi + zeta * np.conj(dphi) + np.conj(dchi)) / L  # d_x + i d_y
+    return ((np.conj(zeta) * phi + chi).real, (grad * np.conj(nu)).real,
+            4.0 * dphi.real / L**2, 4.0 * (ddphi * nu).real / L**3)
+
+
+def interior_potentials(w, A: np.ndarray, B: np.ndarray):
+    """Goursat potentials of Re sum_k c_k (A_k + B_k |w|^2) w^k (c_0 = 1,
+    c_k = 2 for k >= 1) at the (N, 1) column w, one column per
+    coefficient column: chi = sum c_k A_k w^k and phi = sum c_k B_k
+    w^(k+1)."""
+    k = np.arange(len(A))[:, None]
+    c = np.where(k > 0, 2.0, 1.0)
+    cA, cB = c * A, c * B
+    P = _powers(w, len(A))
+    dP = np.zeros_like(P)
+    dP[:, 1:] = P[:, :-1] * k[1:, 0]
+    return (w * (P @ cB), P @ ((k + 1) * cB), dP @ ((k + 1) * cB),
+            P @ cA, dP @ cA)
+
+
+def michell_potentials(zeta, m_core: int):
+    """Goursat potentials of the exterior Michell modes about one core,
+    family by family, at the (N, 1) column zeta = (x - y) / eps: log rho,
+    rho^2 log rho, rho log rho cos theta and sin theta, then the cosine
+    and the sine parts of rho^-m (1 <= m < M_e) and rho^(2-m)
+    (2 <= m < M_e) times e^{im theta}."""
+    log, inv = np.log(zeta), 1.0 / zeta
+    zero = np.zeros_like(zeta)
+    yield zero, zero, zero, log, inv
+    yield zeta * log, log + 1.0, inv, zero, zero
+    # rho log rho (cos, sin) theta = Re(conj(zeta) phi + chi) with
+    # (phi, chi) = (log zeta, zeta log zeta) / 2 times (1, 1) and (i, -i)
+    half = (0.5 * log, 0.5 * inv, -0.5 * inv**2, 0.5 * zeta * log,
+            0.5 * (log + 1.0))
+    yield half
+    yield tuple(s * p for s, p in zip((1j, 1j, 1j, -1j, -1j), half))
+    m = np.arange(1, m_core)
+    t = _powers(inv, m_core)[:, 1:]  # zeta^-m
+    none = np.zeros_like(t)
+    for rot in (1.0, -1j):  # Re(rot F) is the cosine, then the sine part
+        yield none, none, none, rot * t, -rot * m * t * inv
+        # |zeta|^2 zeta^-m: phi = zeta^(1-m)
+        yield (rot * zeta * t[:, 1:], rot * (1 - m[1:]) * t[:, 1:],
+               rot * m[1:] * (m[1:] - 1) * t[:, 1:] * inv,
+               none[:, 1:], none[:, 1:])
+
+
+def interior_fields(w, nu, R: float, A, B):
+    """The four traces of the interior Almansi modes, as columns."""
+    return goursat_fields(w, nu, R, interior_potentials(w, A, B))
+
+
+def michell_fields(zeta, nu, eps: float, m_core: int):
+    """The four traces of the exterior modes of one core, as columns."""
+    parts = [goursat_fields(zeta, nu, eps, p)
+             for p in michell_potentials(zeta, m_core)]
+    return [np.hstack(q) for q in zip(*parts)]

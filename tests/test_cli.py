@@ -5,12 +5,13 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from airy_defects import cli, solver
+from airy_defects import asymptotics, cli, solver
 from airy_defects.asymptotics import _dipole_energy, annulus_energy_closed_form
 from airy_defects.cli import main
 from airy_defects.closedform import SingleDisclinationClamped
@@ -154,18 +155,20 @@ class TestArtifacts:
         assert lines[0] == "x,y,v,s11,s12,s22,e11,e12,e22"
         assert len(lines) > 100
 
-    def test_numerical_error_leaves_no_files(self, tmp_path):
+    def test_numerical_error_leaves_no_files(self, tmp_path, monkeypatch):
         # the report is checked before the CSV is written
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps(
             {**DISC, "disclinations": [{"site": [0.0, 0.0], "s": 1e308}]}))
         out, csv = tmp_path / "r.json", tmp_path / "f.csv"
+        # the pair-field energies are finite, the solver column is not
+        nan_report = SimpleNamespace(value=math.nan)
+        monkeypatch.setattr(asymptotics, "solve_clamped_disclination",
+                            lambda *args: nan_report)
         for argv in (
             ["solve", "--config", str(cfg), "--grid-n", "32",
              "--field-csv", str(csv)],
-            # the pair-field energies are finite, the solver column's
-            # plate energies overflow
-            ["sweep-dipole", "--E", "1e308", "--nu", "0.3", "--h", "1e-2",
+            ["sweep-dipole", "--E", "1", "--nu", "0.3", "--h", "1e-2",
              "--include-solver", "--csv", str(csv)],
         ):
             with np.errstate(all="ignore"):
@@ -174,15 +177,18 @@ class TestArtifacts:
             assert not out.exists() and not csv.exists()
 
     def test_sweep_dipole_at_huge_modulus(self, tmp_path):
-        # G is linear in E: the normalized energies match the E = 1 run
+        # G and the solver value are linear in E: the normalized energies
+        # match the E = 1 run
         ratios = []
         for E in ("1e308", "1"):
             out = tmp_path / f"sweep-{E}.json"
             code = main(["sweep-dipole", "--E", E, "--nu", "0.3", "--s", "1",
-                         "--out", str(out)])
+                         "--include-solver", "--out", str(out)])
             assert code == 0
             rows = json.loads(out.read_text())["rows"]
-            ratios.append([r["normalized"] / r["analytic_limit"] for r in rows])
+            ratios.append([r[key] / r[limit] for r in rows for key, limit in (
+                ("normalized", "analytic_limit"),
+                ("solver_normalized", "solver_limit"))])
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
 
     def test_sweep_csv_schema(self, tmp_path):

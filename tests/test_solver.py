@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import michell_reference
+
 from airy_defects.core import (
     Disclination,
     DisclinationDipole,
@@ -460,13 +462,20 @@ class TestDisclinationSolve:
 PAIR_SAME = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)]
 PAIR_OPPOSITE = [Dislocation((0.3, 0.0), (0.0, 1.0)),
                  Dislocation((-0.3, 0.0), (0.0, -1.0))]
+# defects, eps, value and the final mode counts; the counts are pinned
+# only where the residuals of the last two fits lie 5x or more from
+# _SERIES_TARGET (the pairs at eps 0.1 end their (32, 16) fit at 1.0e-12)
 REFERENCE_CASES = [
-    ([Dislocation((0.0, 0.0), (0.0, 1.0))], -0.057819900928390),
-    ([Dislocation((0.3, 0.0), (0.0, 1.0))], -0.057631009552692),
-    (PAIR_SAME, -0.073563461626869),
-    (PAIR_OPPOSITE, -0.153772978797308),
+    ([Dislocation((0.0, 0.0), (0.0, 1.0))], 0.1, -0.057819900928390, [16, 8]),
+    ([Dislocation((0.3, 0.0), (0.0, 1.0))], 0.1, -0.057631009552692, [32, 16]),
+    (PAIR_SAME, 0.1, -0.073563461626869, None),
+    (PAIR_OPPOSITE, 0.1, -0.153772978797308, None),
+    # residuals 5.8e-7 then 1.2e-13, and 9.5e-8 then 8.9e-14
+    (PAIR_SAME, 0.2, -0.0252260928470686, [64, 32]),
+    (PAIR_SAME, 0.05, -0.130657023839609, [32, 16]),
 ]
-REFERENCE_IDS = ["centered", "single", "same", "opposite"]
+REFERENCE_IDS = ["centered", "single", "same", "opposite", "same-eps0.2",
+                 "same-eps0.05"]
 
 
 class TestCoreConstrainedSolve:
@@ -544,14 +553,17 @@ class TestCoreConstrainedSolve:
                 0.05, n=64,
             )
 
-    @pytest.mark.parametrize("defects, expected", REFERENCE_CASES,
+    @pytest.mark.parametrize("defects, eps, expected, modes", REFERENCE_CASES,
                              ids=REFERENCE_IDS)
-    def test_reference_values(self, defects, expected, elastic, unit_disk):
-        report = solve_core_constrained(elastic, unit_disk, defects, 0.1, n=64)
+    def test_reference_values(self, defects, eps, expected, modes, elastic,
+                              unit_disk):
+        report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
         assert report.value == pytest.approx(expected, rel=1e-12)
+        if modes is not None:
+            assert report.extras["modes"] == modes
 
-    @pytest.mark.parametrize("defects", [d for d, _ in REFERENCE_CASES],
-                             ids=REFERENCE_IDS)
+    @pytest.mark.parametrize("defects", [c[0] for c in REFERENCE_CASES[:4]],
+                             ids=REFERENCE_IDS[:4])
     def test_fit_matches_pivoted_lstsq(self, defects, elastic, unit_disk,
                                        monkeypatch):
         # every fit of the doubling, against LAPACK's column-pivoted
@@ -652,6 +664,42 @@ class TestCoreConstrainedSolve:
             n=128,
         )
         assert dip.value == pytest.approx(core.value, rel=1e-12)
+
+
+class TestSeriesTraces:
+    """The trace evaluations of the core fit against the five-potential
+    Goursat evaluation of ``michell_reference``, at random coefficients
+    and points: agreement to roundoff, column by column."""
+
+    @staticmethod
+    def _assert_columns_agree(got, ref):
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.all(np.abs(g - r) <= 1e-13 * np.abs(r).max(axis=0))
+
+    @staticmethod
+    def _unit(rng, n):
+        return np.exp(2j * math.pi * rng.uniform(size=(n, 1)))
+
+    def test_interior_traces_and_laplacians(self, rng):
+        m, columns, R = 24, 5, 1.7
+        A, B = (rng.standard_normal((m, columns))
+                + 1j * rng.standard_normal((m, columns)) for _ in range(2))
+        w = np.sqrt(rng.uniform(size=(60, 1))) * self._unit(rng, 60)
+        nu = self._unit(rng, 60)
+        got = (*solver._interior_traces(w, nu, R, A, B),
+               *solver._interior_laplacians(w, nu, R, B))
+        self._assert_columns_agree(got, michell_reference.interior_fields(
+            w, nu, R, A, B))
+
+    def test_paired_exterior_matches_rotated_potentials(self, rng):
+        m_core, eps = 12, 0.13
+        zeta = (1.0 + 2.0 * rng.uniform(size=(60, 1))) * self._unit(rng, 60)
+        nu = self._unit(rng, 60)
+        got = np.empty((4, 60, 4 * m_core - 2))
+        solver._michell_traces(zeta, nu, eps, m_core, got)
+        self._assert_columns_agree(got, michell_reference.michell_fields(
+            zeta, nu, eps, m_core))
 
 
 class TestElasticCorrection:
