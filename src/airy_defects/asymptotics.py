@@ -391,10 +391,17 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
     Every bulk integral is thus reduced exactly to signed circle
     integrals of analytic kernels (spectrally convergent trapezoid on
     each circle) and point values of profile gradients.
+
+    Every term is exactly E times its value at E = 1 (same nu), so the
+    terms are evaluated at E = 1 and scaled last: at a large E the
+    squares of Hessian-size terms would overflow although the terms do
+    not.
     """
     dislocations = list(dislocations)
     if not dislocations:
         raise ValidationError("need at least one dislocation")
+    E = elastic.young_E
+    elastic = ElasticConstants(1.0, elastic.poisson_nu)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
     D_min = min_separation_D([d.site for d in dislocations], domain)
     D = D_min if D_override is None else float(D_override)
@@ -433,8 +440,9 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
         vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
         for d in dislocations
     )
-    return RenormalizedEnergy(F_self=F_self, F_int=F_int, F_elastic=F_elastic,
-                              f_DR=f_DR, separation_D=D)
+    return RenormalizedEnergy(F_self=E * F_self, F_int=E * F_int,
+                              F_elastic=E * F_elastic, f_DR=E * f_DR,
+                              separation_D=D)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -35,12 +35,11 @@ from .closedform import (
     stress_to_strain,
 )
 from .fields import (
-    build_mask,
+    Grid,
     check_core_resolution,
     check_grid_n,
     fmt17,
     grid_for_disk,
-    write_csv,
 )
 from .energy import EnergyBreakdown, green_bulk_energy
 from .solver import (
@@ -190,29 +189,56 @@ def _plastic_field(config: DefectConfiguration, annulus_branch: bool = False):
 
 
 _FIELD_HEADER = "x,y,v,s11,s12,s22,e11,e12,e22"
+# nodes per block of the field dump, in whole grid lines: each block is
+# evaluated, formatted by one "%" operation and written before the next
+_FIELD_BLOCK_NODES = 4096
 
 
-def _field_columns(config: DefectConfiguration, n: int) -> list[np.ndarray]:
-    """Per-node columns of the field dump, in ``_FIELD_HEADER`` order."""
-    field = _plastic_field(config)
-    grid = grid_for_disk(config.domain, n)
-    cores = ()
-    if config.core_radius is not None:
-        cores = tuple(
-            (d.site, config.core_radius) for d in config.dislocations
-        )
-    mask = build_mask(grid, config.domain, cores)
-    pts = grid.points()
-    inside = (mask.ravel() != 0)
-    vals = np.zeros(pts.shape[0])
-    H = np.zeros((pts.shape[0], 2, 2))
-    vals[inside] = field.value(pts[inside])
-    H[inside] = field.hessian(pts[inside])
+def _node_values(vals, H, elastic: ElasticConstants) -> np.ndarray:
+    """(N, 7) columns v, s11, s12, s22, e11, e12, e22 of N nodes with
+    values ``vals`` and Airy Hessians ``H``."""
     sigma = airy_to_stress(H)
-    eps = stress_to_strain(sigma, config.elastic)
-    return [pts[:, 0], pts[:, 1], vals,
-            sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 1],
-            eps[:, 0, 0], eps[:, 0, 1], eps[:, 1, 1]]
+    eps = stress_to_strain(sigma, elastic)
+    return np.column_stack([vals, sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 1],
+                            eps[:, 0, 0], eps[:, 0, 1], eps[:, 1, 1]])
+
+
+def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
+                     field) -> None:
+    """Write ``_FIELD_HEADER`` and one row per node of ``grid``,
+    row-major, with the closed-form ``field`` at the nodes inside the
+    disk (core nodes included) and v = 0 and a zero Hessian outside.
+
+    Every number prints as ``%.17g``. Each block of grid lines builds
+    one row template: the line's x and each node's y are formatted once
+    into it, and so are the field columns of outside nodes, which are
+    the same for all of them; the inside nodes' values fill it with one
+    ``%``.
+    """
+    cx, cy = config.domain.center
+    xs, ys = grid.xs, grid.ys
+    outside = "".join(
+        "," + fmt17(t) for t in _node_values(
+            np.zeros(1), np.zeros((1, 2, 2)), config.elastic)[0]
+    ) + "\n"
+    ystr = [fmt17(y) for y in ys]
+    row_in = np.array(["," + y + ",%.17g" * 7 + "\n" for y in ystr], dtype=object)
+    row_out = np.array(["," + y + outside for y in ystr], dtype=object)
+    lines = max(1, _FIELD_BLOCK_NODES // len(ys))
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(_FIELD_HEADER + "\n")
+        for start in range(0, len(xs), lines):
+            # the same arithmetic as build_mask on the whole grid
+            X, Y = np.broadcast_arrays(xs[start:start + lines, None], ys)
+            inside = np.hypot(X - cx, Y - cy) < config.domain.radius_R
+            template = "".join(
+                x + x.join(row) for x, row in
+                zip(map(fmt17, X[:, 0]), np.where(inside, row_in, row_out).tolist())
+            )
+            pts = np.stack([X[inside], Y[inside]], axis=-1)
+            values = _node_values(field.value(pts), field.hessian(pts),
+                                  config.elastic)
+            f.write(template % tuple(values.ravel().tolist()))
 
 
 def _check_output_paths(args) -> None:
@@ -225,7 +251,10 @@ def _check_output_paths(args) -> None:
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise ValidationError(f"cannot write {path}: no directory {folder}")
-        if os.path.isdir(path) or not os.access(folder, os.W_OK):
+        # an existing file must be writable too: a failed run removes
+        # the files it began
+        if (os.path.isdir(path) or not os.access(folder, os.W_OK)
+                or (os.path.exists(path) and not os.access(path, os.W_OK))):
             raise ValidationError(f"cannot write {path}")
 
 
@@ -255,20 +284,29 @@ def _emit(args, doc, files=None) -> None:
     """Write the report ``doc`` to ``--out`` or stdout, after the files
     of ``files`` (path to writer; a ``None`` path is skipped). The report
     is checked before anything is written, so a run that fails the check
-    leaves no file."""
+    leaves no file; a writer that fails leaves none either, because every
+    file begun is removed."""
     doc = _jsonable(doc)
     # JSON has no inf or NaN, and a report holding one is no result
     if not _all_finite(doc):
         raise NumericalError("the report holds a non-finite number")
     text = dump_json(doc)
-    for path, write in (files or {}).items():
-        if path:
+    out = getattr(args, "out", None)
+    writes = [(path, write) for path, write in (files or {}).items() if path]
+    if out:
+        writes.append((out, lambda path: _write_text(path, text)))
+    begun = []
+    try:
+        for path, write in writes:
+            begun.append(path)
             with _writing(path):
                 write(path)
-    if getattr(args, "out", None):
-        with _writing(args.out):
-            _write_text(args.out, text)
-    else:
+    except BaseException:
+        for path in begun:
+            with suppress(OSError):
+                os.remove(path)
+        raise
+    if not out:
         sys.stdout.write(text)
 
 
@@ -297,9 +335,13 @@ def _cmd_field(args) -> None:
     if not args.csv:
         raise ValidationError("field dump needs --csv PATH")
     config = _load_config(args)
-    columns = _field_columns(config, args.grid_n)
-    _emit(args, {"nodes": len(columns[0]), "grid_n": args.grid_n, "csv": args.csv},
-          {args.csv: lambda path: write_csv(path, _FIELD_HEADER, columns)})
+    field = _plastic_field(config)
+    grid = grid_for_disk(config.domain, args.grid_n)
+    # checked here: the dump evaluates the field only once its file is open
+    if config.dislocations and config.core_radius is not None:
+        check_core_resolution(config.core_radius, grid.delta)
+    _emit(args, {"nodes": grid.nx * grid.ny, "grid_n": args.grid_n, "csv": args.csv},
+          {args.csv: lambda path: _write_field_csv(path, config, grid, field)})
 
 
 def _cmd_energy(args) -> None:

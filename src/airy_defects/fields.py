@@ -21,9 +21,10 @@ INTERIOR = 1
 CORE = 2
 
 
-# float64 values per grid node that one command may hold at once: the
-# field dump keeps points, value, Hessian, stress, strain and its CSV
-# table, besides the temporaries of the closed forms
+# float64 values per grid node that one command may hold at once: `solve
+# --field-csv` samples the solution at every node and holds its
+# finite-difference Hessians and CSV table, besides the temporaries of
+# the closed forms (the `field` dump holds one block of grid lines)
 _GRID_ARRAYS_PER_NODE = 32
 # bytes of grid arrays a resolution may ask for
 _GRID_MEMORY_CAP = 2**31

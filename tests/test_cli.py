@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import field_reference
 from airy_defects import asymptotics, cli, solver
 from airy_defects.asymptotics import _dipole_energy, annulus_energy_closed_form
 from airy_defects.cli import main
-from airy_defects.closedform import SingleDisclinationClamped
-from airy_defects.core import ElasticConstants
+from airy_defects.closedform import SingleDisclinationClamped, SumField
+from airy_defects.core import DefectConfiguration, ElasticConstants, NumericalError
 from airy_defects.energy import polar_energy
 
 DISC = {
@@ -117,7 +118,7 @@ class TestArtifacts:
         def no_field(*args):
             raise AssertionError("the field was computed")
 
-        monkeypatch.setattr(cli, "_field_columns", no_field)
+        monkeypatch.setattr(cli, "_write_field_csv", no_field)
         out = tmp_path / "never.json"
         code = main(["field", "--config", configs["disl"], "--csv", "",
                      "--out", str(out)])
@@ -143,6 +144,69 @@ class TestArtifacts:
             assert main([command, "--config", configs["disl"],
                          "--grid-n", "100000000", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [64, 77, 96])
+    @pytest.mark.parametrize("doc", [
+        {**DISL, "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]},
+                                  {"site": [-0.3, 0.0], "b": [0.0, 1.0]}],
+         "core_radius": 0.15},
+        {**DISL, "dislocations": [{"site": [0.0, 0.0], "b": [0.6, -0.8]}],
+         "core_radius": 0.15},
+        {**DISC, "disclinations": [{"site": [0.3, 0.2], "s": 1.0},
+                                   {"site": [-0.4, -0.1], "s": -0.5}]},
+        {**DIP, "dipoles": [{"center": [0.1, -0.2], "b": [0.0, 1.0],
+                             "h": 0.004}]},
+        DISC,
+    ], ids=["pair", "centred-core", "disclinations", "dipole",
+            "disclination-at-centre"])
+    def test_field_dump_matches_whole_table(self, doc, n, tmp_path,
+                                            monkeypatch):
+        # the grid spacing 2/64 is dyadic, 2/77 and 2/96 are not: a node
+        # rebuilt from a block's own origin would differ in its last bit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for side in ("ref", "got"):
+            (tmp_path / side).mkdir()
+        with np.errstate(all="ignore"):
+            monkeypatch.chdir(tmp_path / "ref")
+            field_reference.field_dump(DefectConfiguration.from_dict(doc),
+                                       n, "field.csv", "field.json")
+            monkeypatch.chdir(tmp_path / "got")
+            assert main(["field", "--config", str(cfg), "--grid-n", str(n),
+                         "--csv", "field.csv", "--out", "field.json"]) == 0
+        for name in ("field.csv", "field.json"):
+            assert (tmp_path / "got" / name).read_bytes() == (
+                tmp_path / "ref" / name).read_bytes()
+
+    def test_field_dump_keeps_nan_of_disclination_node(self, configs,
+                                                       tmp_path):
+        # 2/64 is dyadic, so a node sits exactly on the disclination
+        csv = tmp_path / "f.csv"
+        with np.errstate(all="ignore"):
+            assert main(["field", "--config", configs["disc"], "--grid-n",
+                         "64", "--csv", str(csv),
+                         "--out", str(tmp_path / "f.json")]) == 0
+        rows = [r for r in csv.read_text().splitlines()
+                if r.startswith("0,0,")]
+        assert len(rows) == 1
+        assert rows[0].split(",")[2] == "-0.021861942732403203"
+        assert rows[0].split(",")[3:] == ["nan"] * 6
+
+    def test_field_dump_memory_does_not_grow_with_grid(self, configs,
+                                                       tmp_path):
+        # the dump holds one block of grid lines at a time; the
+        # whole-table writer peaked near 50 MB at this n
+        tracemalloc.start()
+        try:
+            code = main(["field", "--config", configs["disl"],
+                         "--grid-n", "512", "--csv", str(tmp_path / "f.csv"),
+                         "--out", str(tmp_path / "f.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads((tmp_path / "f.json").read_text())["nodes"] == 521**2
+        assert peak < 8 * 2**20
 
     def test_field_csv_schema(self, configs, tmp_path):
         csv = tmp_path / "field.csv"
@@ -219,7 +283,7 @@ class TestOutputPaths:
         def no_field(*args):
             raise AssertionError("the field was computed")
 
-        monkeypatch.setattr(cli, "_field_columns", no_field)
+        monkeypatch.setattr(cli, "_write_field_csv", no_field)
         out = tmp_path / "f.json"
         csv = tmp_path / "missing" / "f.csv"
         code = main(["field", "--config", configs["disc"], "--grid-n", "64",
@@ -233,16 +297,62 @@ class TestOutputPaths:
         assert code == 2
         assert list(tmp_path.glob("f.*")) == []
 
+    @staticmethod
+    def _disk_full(path, *args):
+        """A writer that fails after writing part of its file."""
+        with open(path, "w") as f:
+            f.write(cli._FIELD_HEADER + "\n")
+        raise OSError(28, "No space left on device")
+
     def test_write_failure_exits_validation(self, configs, tmp_path,
                                             monkeypatch, capsys):
-        def disk_full(*args):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(cli, "write_csv", disk_full)
+        # the partial CSV is removed, and the JSON never begun
+        monkeypatch.setattr(cli, "_write_field_csv", self._disk_full)
         code = main(["field", "--config", configs["disc"], "--grid-n", "64",
-                     "--csv", str(tmp_path / "f.csv")])
+                     "--csv", str(tmp_path / "f.csv"),
+                     "--out", str(tmp_path / "f.json")])
         assert code == 2
         assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.glob("f.*")) == []
+
+    def test_report_write_failure_removes_the_csv(self, configs, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli, "_write_text", self._disk_full)
+        code = main(["field", "--config", configs["disc"], "--grid-n", "64",
+                     "--csv", str(tmp_path / "f.csv"),
+                     "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert list(tmp_path.glob("f.*")) == []
+
+    def test_numerical_error_while_streaming_leaves_no_file(
+            self, configs, tmp_path, monkeypatch):
+        # the field dump evaluates its field with the CSV open
+        def unresolved(self, x):
+            raise NumericalError("unresolved")
+
+        monkeypatch.setattr(SumField, "hessian", unresolved)
+        code = main(["field", "--config", configs["disc"], "--grid-n", "64",
+                     "--csv", str(tmp_path / "f.csv"),
+                     "--out", str(tmp_path / "f.json")])
+        assert code == 3
+        assert list(tmp_path.glob("f.*")) == []
+
+    def test_read_only_file_exits_before_any_work(self, configs, tmp_path,
+                                                  monkeypatch):
+        # a failed run removes the files it began, so it must not begin
+        # one it cannot write
+        def no_field(*args):
+            raise AssertionError("the field was computed")
+
+        monkeypatch.setattr(cli, "_write_field_csv", no_field)
+        monkeypatch.setattr(cli.os, "access",
+                            lambda path, mode: not str(path).endswith(".csv"))
+        csv = tmp_path / "f.csv"
+        csv.write_text("keep")
+        code = main(["field", "--config", configs["disc"], "--grid-n", "64",
+                     "--csv", str(csv)])
+        assert code == 2
+        assert csv.read_text() == "keep"
 
 
 def test_import_leaves_quadrature_and_spline_modules_unloaded():
@@ -342,6 +452,26 @@ class TestReports:
         assert doc["expansion_constant"] == pytest.approx(
             doc["renormalized"] + doc["f_DR"]
         )
+
+    def test_renormalize_at_huge_modulus(self, tmp_path):
+        # every term is linear in E: at E = 1e308 the squares of the
+        # unit-size computation would overflow
+        docs = []
+        for E in (1e308, 1.0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                **DISL, "E": E,
+                "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}],
+            }))
+            out = tmp_path / "renormalize.json"
+            assert main(["renormalize", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        big, unit = docs
+        for key in ("F_self", "F_int", "F_elastic", "f_DR", "renormalized",
+                    "expansion_constant"):
+            assert big[key] == pytest.approx(1e308 * unit[key], rel=1e-12)
+        assert big["separation_D"] == unit["separation_D"]
 
     def test_appendix_b_report(self, capsys):
         assert main(["appendix-b", "--h", "1e-2"]) == 0
