@@ -39,6 +39,7 @@ from .fields import (
     check_core_resolution,
     check_grid_n,
     fmt17,
+    fmt17_array,
     grid_for_disk,
 )
 from .energy import EnergyBreakdown, green_bulk_energy
@@ -209,36 +210,37 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
     row-major, with the closed-form ``field`` at the nodes inside the
     disk (core nodes included) and v = 0 and a zero Hessian outside.
 
-    Every number prints as ``%.17g``. Each block of grid lines builds
-    one row template: the line's x and each node's y are formatted once
-    into it, and so are the field columns of outside nodes, which are
-    the same for all of them; the inside nodes' values fill it with one
-    ``%``.
+    Every number prints as ``%.17g``, by :func:`fmt17_array`. Each block
+    of grid lines builds one bytes row template: the line's x and each
+    node's y are formatted once into it, and so are the field columns of
+    outside nodes, which are the same for all of them; the formatted
+    values of the inside nodes fill it with one ``%``.
     """
     cx, cy = config.domain.center
     xs, ys = grid.xs, grid.ys
-    outside = "".join(
-        "," + fmt17(t) for t in _node_values(
-            np.zeros(1), np.zeros((1, 2, 2)), config.elastic)[0]
-    ) + "\n"
-    ystr = [fmt17(y) for y in ys]
-    row_in = np.array(["," + y + ",%.17g" * 7 + "\n" for y in ystr], dtype=object)
-    row_out = np.array(["," + y + outside for y in ystr], dtype=object)
+    outside = b"".join(
+        b"," + t for t in fmt17_array(_node_values(
+            np.zeros(1), np.zeros((1, 2, 2)), config.elastic)[0]).tolist()
+    ) + b"\n"
+    ystr = fmt17_array(ys).tolist()
+    row_in = np.array([b"," + y + b",%s" * 7 + b"\n" for y in ystr], dtype=object)
+    row_out = np.array([b"," + y + outside for y in ystr], dtype=object)
     lines = max(1, _FIELD_BLOCK_NODES // len(ys))
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(_FIELD_HEADER + "\n")
+    with open(path, "wb") as f:
+        f.write(_FIELD_HEADER.encode("ascii") + b"\n")
         for start in range(0, len(xs), lines):
             # the same arithmetic as build_mask on the whole grid
             X, Y = np.broadcast_arrays(xs[start:start + lines, None], ys)
             inside = np.hypot(X - cx, Y - cy) < config.domain.radius_R
-            template = "".join(
+            template = b"".join(
                 x + x.join(row) for x, row in
-                zip(map(fmt17, X[:, 0]), np.where(inside, row_in, row_out).tolist())
+                zip(fmt17_array(X[:, 0]).tolist(),
+                    np.where(inside, row_in, row_out).tolist())
             )
             pts = np.stack([X[inside], Y[inside]], axis=-1)
             values = _node_values(field.value(pts), field.hessian(pts),
                                   config.elastic)
-            f.write(template % tuple(values.ravel().tolist()))
+            f.write(template % tuple(fmt17_array(values).ravel().tolist()))
 
 
 def _check_output_paths(args) -> None:

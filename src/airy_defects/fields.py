@@ -23,8 +23,9 @@ CORE = 2
 
 # float64 values per grid node that one command may hold at once: `solve
 # --field-csv` samples the solution at every node and holds its
-# finite-difference Hessians and CSV table, besides the temporaries of
-# the closed forms (the `field` dump holds one block of grid lines)
+# finite-difference Hessians and node coordinates, besides the
+# temporaries of the closed forms (write_csv formats _CSV_BLOCK rows at
+# a time, and the `field` dump holds one block of grid lines)
 _GRID_ARRAYS_PER_NODE = 32
 # bytes of grid arrays a resolution may ask for
 _GRID_MEMORY_CAP = 2**31
@@ -45,7 +46,7 @@ _RADII_PER_BLOCK = 64
 
 # rows per "%" operation in write_csv; formatting a whole table at once
 # would hold every formatted string of it in memory together
-_CSV_BLOCK = 1024
+_CSV_BLOCK = 4096
 
 
 def fmt17(x: float) -> str:
@@ -53,24 +54,177 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# fmt17_array: bytes of a "%.17g" text, the longest being 24
+# ("-2.2250738585072014e-308")
+_CELL = 24
+# numbers per pass of fmt17_array, whose working arrays (some 30 of
+# them) then stay small
+_FMT_CHUNK = 8192
+# decimal exponents of the numbers fmt17_array lays out itself: %.17g
+# writes -4..16 in fixed point and -6, -5 as "d.ddde-0X"
+_E_MIN, _E_FIXED, _E_MAX = -6, -4, 16
+# Dekker's splitting constant 2^27 + 1, and the exact doubles
+# 10^0..10^22 split into halves of at most 26 significant bits
+_SPLIT = 134217729.0
+_POW10 = 10.0 ** np.arange(17 - _E_MIN)
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# the four ASCII digits of 0..9999, most significant first, as the low
+# half of a little-endian uint64; and their trailing zeros (4 for 0)
+_DIGITS4 = sum(
+    (np.arange(10000, dtype=np.uint32) // 10**(3 - i) % 10 + ord("0")) << (8 * i)
+    for i in range(4)).astype(np.uint64)
+_TRAILING_ZEROS4 = sum(np.arange(10000) % p == 0 for p in (10, 100, 1000, 10000))
+# _DIGIT_MASKS[i - 1, c]: the bytes of lane i (1 or 2) of the 17-digit
+# string (see fmt17_array) that hold one of its first c digits
+_DIGIT_MASKS = np.array(
+    [[2 ** (8 * min(max(c - 8 * i + 7, 0), 8)) - 1 for c in range(18)] for i in (1, 2)],
+    dtype=np.uint64)
+# text before the first digit, per exponent e and sign, at 2 (e - _E_MIN)
+# + negative: "-" for a negative number, then "0." "0" * (-1 - e) for a
+# fixed-point e < 0; one table per uint64 lane of a cell
+_PREFIX = tuple(np.array([
+    np.frombuffer((b"-" * neg + (b"0." + b"0" * (-1 - e)) * (_E_FIXED <= e < 0))
+                  .ljust(_CELL, b"\0"), "<u8")
+    for e in range(_E_MIN, _E_MAX + 1) for neg in (0, 1)
+]).astype(np.uint64).T.copy())
+# text after the last digit, per exponent e < _E_FIXED
+_SUFFIX = np.frombuffer(b"e-06e-05", np.uint8).reshape(-1, 4)
+
+
+def _exact_product(a: np.ndarray, p: np.ndarray):
+    """h + l = a 10^p exactly, h = fl(a 10^p) (Dekker's product; p in
+    0..22, a well inside the normal range)."""
+    P, P_hi, P_lo = _POW10[p], _POW10_HI[p], _POW10_LO[p]
+    h = a * P
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    return h, ((a_hi * P_hi - h) + a_hi * P_lo + a_lo * P_hi) + a_lo * P_lo
+
+
+def _significand17(a: np.ndarray):
+    """The correctly rounded 17-digit significand q (int64, 10^16 <= q <
+    10^17) and the decimal exponent e of every a in (1e-6, 1e17): a
+    rounds to q 10^(e - 16), ties to even."""
+    # log10 can miss a power of ten by one; h + l tells
+    e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
+    h, l = _exact_product(a, 16 - e)
+    low = (h < 1e16) | ((h == 1e16) & (l < 0.0))
+    high = (h > 1e17) | ((h == 1e17) & (l >= 0.0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        e[fix] += high[fix].astype(np.intp) - low[fix]
+        h[fix], l[fix] = _exact_product(a[fix], 16 - e[fix])
+    # h, in [1e16, 1e17], is an even integer: rounding h + l to an
+    # integer, ties to even, is rounding l. That never gives 10^17: no
+    # double of the range lies within 5e-18 (relative) below a power of
+    # ten (tests/test_fields.py checks the nearest ones)
+    return h.astype(np.int64) + np.rint(l).astype(np.int64), e
+
+
+def _fmt17_into(out: np.ndarray, flat: np.ndarray) -> None:
+    """Write :func:`fmt17_array` of the 1-D float64 ``flat`` into the
+    ``S24`` array ``out`` of its length."""
+    a = np.abs(flat)
+    # the double 1e-6 lies below 10^-6, so its exponent is -7
+    laid_out = (a > 1e-6) & (a < 1e17)
+    q, e = _significand17(np.where(laid_out, a, 1.0))
+    lead = q // 10**16
+    rest = q - lead * 10**16
+    hi = rest // 10**8
+    lo = rest - hi * 10**8
+    g0 = hi // 10**4
+    g1 = hi - g0 * 10**4
+    g2 = lo // 10**4
+    g3 = lo - g2 * 10**4
+    zeros = _TRAILING_ZEROS4[g3] + (g3 == 0) * (_TRAILING_ZEROS4[g2] + (g2 == 0) * (
+        _TRAILING_ZEROS4[g1] + (g1 == 0) * _TRAILING_ZEROS4[g0]))
+    # the 17 digits as bytes 7..23 of a 32-byte string of four uint64
+    # lanes: the lead digit tops lane 0, lanes 1 and 2 hold two table
+    # entries each, lane 3 is empty
+    d0 = (lead.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(56)
+    d1 = _DIGITS4[g0] | (_DIGITS4[g1] << np.uint64(32))
+    d2 = _DIGITS4[g2] | (_DIGITS4[g3] << np.uint64(32))
+    # %g keeps the integer part and the digits up to the last nonzero
+    # one: `head` of them before the ".", the rest after it
+    keep = np.maximum(17 - zeros, e + 1)
+    point = np.where(e >= 0, e + 1, np.where(e < _E_FIXED, 1, 17))
+    head = np.minimum(keep, point)
+    h1, h2 = d1 & _DIGIT_MASKS[0, head], d2 & _DIGIT_MASKS[1, head]
+    t1 = d1 & (_DIGIT_MASKS[0, keep] ^ _DIGIT_MASKS[0, head])
+    t2 = d2 & (_DIGIT_MASKS[1, keep] ^ _DIGIT_MASKS[1, head])
+    neg = flat < 0.0
+    # bytes before the first digit
+    before = neg + np.where((e >= _E_FIXED) & (e < 0), 1 - e, 0)
+    # the head moves down from byte 7 to byte `before`, the tail one
+    # byte less, to leave room for the "."
+    r = (8 * (7 - before)).astype(np.uint64)
+    rt = (8 * (6 - neg)).astype(np.uint64)
+    lr, lt = np.uint64(64) - r, np.uint64(64) - rt
+    prefix = 2 * (e - _E_MIN) + neg
+    text = out.view("<u8").reshape(-1, 3)
+    text[:, 0] = _PREFIX[0][prefix] | (d0 >> r) | (h1 << lr) | (t1 << lt)
+    text[:, 1] = (_PREFIX[1][prefix] | (h1 >> r) | (h2 << lr) | (t1 >> rt)
+                  | (t2 << lt))
+    text[:, 2] = _PREFIX[2][prefix] | (h2 >> r) | (t2 >> rt)
+    cells = text.view(np.uint8).reshape(-1)
+    dotted = keep > point
+    at = np.flatnonzero(dotted)
+    cells[at * _CELL + before[at] + point[at]] = ord(".")
+    at = np.flatnonzero(e < _E_FIXED)
+    if at.size:
+        end = at * _CELL + before[at] + keep[at] + dotted[at]
+        cells[end[:, None] + np.arange(4)] = _SUFFIX[e[at] - _E_MIN]
+    others = np.flatnonzero(~laid_out)
+    out[others] = [b"%.17g" % v for v in flat[others].tolist()]
+
+
+def fmt17_array(x) -> np.ndarray:
+    """``"%.17g" % v`` of every float64 v of ``x``, byte for byte, as a
+    ``S24`` array of the shape of ``x``.
+
+    A number with 1e-6 < |v| < 1e17 is formatted with array arithmetic,
+    ``_FMT_CHUNK`` numbers at a time: its 17 significant digits come out
+    exact from Dekker's error-free product of |v| and a power of ten
+    (:func:`_significand17`), four at a time from a digit table, and are
+    laid out in the three uint64 lanes of a 24-byte cell: the sign, "0."
+    and zeros before them, the "." after the integer part, the trailing
+    zeros dropped, and "e-05" or "e-06" after them. Every other value
+    (0, nan, inf, a subnormal, |v| <= 1e-6 or >= 1e17) goes through
+    ``%.17g`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size, f"S{_CELL}")
+    for start in range(0, flat.size, _FMT_CHUNK):
+        _fmt17_into(out[start:start + _FMT_CHUNK], flat[start:start + _FMT_CHUNK])
+    return out.reshape(x.shape)
+
+
 def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and one row per index of the equal-length 1-D
     ``columns``.
 
-    Integer columns print as ``%d`` (their values must be exact in
-    float64), the rest as ``%.17g``, byte for byte what :func:`fmt17`
-    gives. Rows are formatted ``_CSV_BLOCK`` at a time.
+    Integer columns print as ``%d``, the rest as ``%.17g``, byte for
+    byte what :func:`fmt17` gives (by :func:`fmt17_array`). Rows are
+    formatted ``_CSV_BLOCK`` at a time, straight from slices of the
+    columns, into one bytes row template.
     """
     columns = [np.asarray(c) for c in columns]
-    line = ",".join(
-        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
-    ) + "\n"
-    table = np.column_stack(columns)
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            f.write((line * len(block)) % tuple(block.ravel().tolist()))
+    line = b",".join([b"%s"] * len(columns)) + b"\n"
+    rows = len(columns[0]) if columns else 0
+    with open(path, "wb") as f:
+        f.write(header.encode("ascii") + b"\n")
+        for start in range(0, rows, _CSV_BLOCK):
+            cells = np.empty((min(_CSV_BLOCK, rows - start), len(columns)),
+                             f"S{_CELL}")
+            for j, c in enumerate(columns):
+                c = c[start:start + _CSV_BLOCK]
+                cells[:, j] = (c.astype(cells.dtype)
+                               if np.issubdtype(c.dtype, np.integer)
+                               else fmt17_array(c))
+            f.write(line * len(cells) % tuple(cells.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -703,6 +703,11 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
             f"D - eps above {_TOUCH_GAP} R"
         )
     delta = grid_for_disk(domain, n).delta
+    # fitted at E = 1, where the squared mode coefficients cannot
+    # overflow, then scaled: the value, the affine parameters and the
+    # field by E
+    E = elastic.young_E
+    elastic = ElasticConstants(1.0, elastic.poisson_nu)
 
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)
@@ -729,22 +734,22 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
                              f"with modes {series.modes}")
     fit_seconds = time.perf_counter() - t0
 
-    affine = {f"core_{k}": [float(c) for c in u[3 * k:3 * k + 3]]
+    affine = {f"core_{k}": [E * float(c) for c in u[3 * k:3 * k + 3]]
               for k in range(len(dislocations))}
 
     def sample() -> ScalarField:
         grid, mask, values = series.sample(n, u, W_p)
-        return ScalarField(grid=grid, values=values, mask=mask)
+        return ScalarField(grid=grid, values=E * values, mask=mask)
 
     return SolveReport(
-        value=value, residual=series.residual, method="series", grid_n=n,
+        value=E * value, residual=series.residual, method="series", grid_n=n,
         delta=delta, iterations=0, assemble_seconds=fit_seconds,
         sampler=sample,
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": list(series.modes),
                 "fit_residual": series.residual,
                 "fit_condition": series.condition,
-                "value_change": None if last is None else abs(value - last[1])},
+                "value_change": None if last is None else E * abs(value - last[1])},
     )
 
 

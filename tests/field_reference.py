@@ -1,16 +1,36 @@
-"""The whole-table field dump.
+"""Reference CSV writers for ``tests/test_cli.py``.
 
-Reference for ``tests/test_cli.py``: the columns of every node of the
-grid are held at once, with the field evaluated at all inside nodes in
-one batch, and written by ``fields.write_csv``. The CLI streams the
-same dump by blocks of grid lines; both must agree byte for byte.
+``write_csv`` formats whole rows with one ``%`` template of ``%.17g``
+(and ``%d``) fields, as the package's writer did before it formatted
+numbers with ``fields.fmt17_array``; ``field_dump`` holds the columns of
+every node of the grid at once, with the field evaluated at all inside
+nodes in one batch. The CLI streams the dump by blocks of grid lines and
+formats with the array kernel; both must agree byte for byte.
 """
 
 import numpy as np
 
 from airy_defects.cli import _FIELD_HEADER, _plastic_field, dump_json
 from airy_defects.closedform import airy_to_stress, stress_to_strain
-from airy_defects.fields import build_mask, grid_for_disk, write_csv
+from airy_defects.fields import build_mask, grid_for_disk
+
+# rows per "%" operation
+_BLOCK = 1024
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one row per index of the equal-length 1-D
+    ``columns``: integer columns as ``%d``, the rest as ``%.17g``."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
+    ) + "\n"
+    table = np.column_stack(columns)
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(table), _BLOCK):
+            block = table[start:start + _BLOCK]
+            f.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def field_columns(config, n: int) -> list[np.ndarray]:

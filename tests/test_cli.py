@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import field_reference
-from airy_defects import asymptotics, cli, solver
+from airy_defects import asymptotics, cli, fields, solver
 from airy_defects.asymptotics import _dipole_energy, annulus_energy_closed_form
 from airy_defects.cli import main
 from airy_defects.closedform import SingleDisclinationClamped, SumField
@@ -36,6 +37,31 @@ DIP = {
     "dipoles": [{"center": [0.0, 0.0], "b": [0.0, 1.0], "h": 0.004}],
     "core_radius": 0.1,
 }
+
+
+PAIR = {**DISL, "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]},
+                                {"site": [-0.3, 0.0], "b": [0.0, 1.0]}],
+        "core_radius": 0.15}
+# configurations of the artifact tests: the pair at E = 1e-9 and 1e20 has
+# numbers below 1e-6 and at or above 1e17, which fmt17_array leaves to
+# %.17g, and the disclination at the centre a nan on the node at (0, 0)
+DUMP_DOCS = [
+    PAIR,
+    {**DISL, "dislocations": [{"site": [0.0, 0.0], "b": [0.6, -0.8]}],
+     "core_radius": 0.15},
+    {**DISC, "disclinations": [{"site": [0.3, 0.2], "s": 1.0},
+                               {"site": [-0.4, -0.1], "s": -0.5}]},
+    {**DIP, "dipoles": [{"center": [0.1, -0.2], "b": [0.0, 1.0], "h": 0.004}]},
+    DISC,
+    {**PAIR, "E": 1e-9},
+    {**PAIR, "E": 1e20},
+]
+DUMP_IDS = ["pair", "centred-core", "disclinations", "dipole",
+            "disclination-at-centre", "pair-E-1e-9", "pair-E-1e20"]
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -146,19 +172,7 @@ class TestArtifacts:
         assert not out.exists()
 
     @pytest.mark.parametrize("n", [64, 77, 96])
-    @pytest.mark.parametrize("doc", [
-        {**DISL, "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]},
-                                  {"site": [-0.3, 0.0], "b": [0.0, 1.0]}],
-         "core_radius": 0.15},
-        {**DISL, "dislocations": [{"site": [0.0, 0.0], "b": [0.6, -0.8]}],
-         "core_radius": 0.15},
-        {**DISC, "disclinations": [{"site": [0.3, 0.2], "s": 1.0},
-                                   {"site": [-0.4, -0.1], "s": -0.5}]},
-        {**DIP, "dipoles": [{"center": [0.1, -0.2], "b": [0.0, 1.0],
-                             "h": 0.004}]},
-        DISC,
-    ], ids=["pair", "centred-core", "disclinations", "dipole",
-            "disclination-at-centre"])
+    @pytest.mark.parametrize("doc", DUMP_DOCS, ids=DUMP_IDS)
     def test_field_dump_matches_whole_table(self, doc, n, tmp_path,
                                             monkeypatch):
         # the grid spacing 2/64 is dyadic, 2/77 and 2/96 are not: a node
@@ -177,6 +191,34 @@ class TestArtifacts:
         for name in ("field.csv", "field.json"):
             assert (tmp_path / "got" / name).read_bytes() == (
                 tmp_path / "ref" / name).read_bytes()
+
+    @pytest.mark.parametrize("doc", DUMP_DOCS, ids=DUMP_IDS)
+    def test_solve_field_csv_matches_reference_writer(self, doc, tmp_path,
+                                                      monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        for side in ("got", "ref"):
+            if side == "ref":
+                monkeypatch.setattr(fields, "write_csv", field_reference.write_csv)
+            with np.errstate(all="ignore"):
+                assert main(["solve", "--config", str(cfg), "--grid-n", "64",
+                             "--field-csv", str(tmp_path / f"{side}.csv"),
+                             "--out", str(tmp_path / f"{side}.json")]) == 0
+        assert sha256(tmp_path / "got.csv") == sha256(tmp_path / "ref.csv")
+        assert sha256(tmp_path / "got.json") == sha256(tmp_path / "ref.json")
+
+    @pytest.mark.parametrize("E", ["1", "1e-9", "1e20"])
+    def test_sweep_csv_matches_reference_writer(self, E, tmp_path,
+                                                monkeypatch):
+        for side in ("got", "ref"):
+            if side == "ref":
+                monkeypatch.setattr(asymptotics, "write_csv",
+                                    field_reference.write_csv)
+            assert main(["sweep-dipole", "--E", E, "--nu", "0.3",
+                         "--h", "1e-2,3e-3,1e-3,1e-7", "--include-solver",
+                         "--csv", str(tmp_path / f"{side}.csv"),
+                         "--out", str(tmp_path / f"{side}.json")]) == 0
+        assert sha256(tmp_path / "got.csv") == sha256(tmp_path / "ref.csv")
 
     def test_field_dump_keeps_nan_of_disclination_node(self, configs,
                                                        tmp_path):
@@ -472,6 +514,28 @@ class TestReports:
                     "expansion_constant"):
             assert big[key] == pytest.approx(1e308 * unit[key], rel=1e-12)
         assert big["separation_D"] == unit["separation_D"]
+
+    def test_solve_core_at_huge_modulus(self, tmp_path):
+        # the core fit runs at E = 1 and scales: at E = 1e308 its
+        # squared mode coefficients would overflow
+        docs = []
+        for E in (1e308, 1.0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                **DISL, "E": E, "core_radius": 0.1,
+                "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}],
+            }))
+            out = tmp_path / "solve.json"
+            assert main(["solve", "--config", str(cfg), "--grid-n", "64",
+                         "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        big, unit = docs
+        assert big["value"] == pytest.approx(1e308 * unit["value"], rel=1e-12)
+        assert big["extras"]["core_affine"]["core_0"] == pytest.approx(
+            [1e308 * c for c in unit["extras"]["core_affine"]["core_0"]],
+            rel=1e-12)
+        for key in ("fit_residual", "modes"):
+            assert big["extras"][key] == unit["extras"][key]
 
     def test_appendix_b_report(self, capsys):
         assert main(["appendix-b", "--h", "1e-2"]) == 0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from airy_defects.fields import (
     circle_rect_area,
     disk_cell_fractions,
     fmt17,
+    fmt17_array,
     grid_for_disk,
     hessian_fd,
     integrate,
@@ -36,6 +38,56 @@ class TestFmt17:
 
     def test_plain(self):
         assert fmt17(0.1) == "0.10000000000000001"
+
+
+def assert_fmt17_array(x):
+    x = np.asarray(x, dtype=float)
+    got = fmt17_array(x)
+    assert got.shape == x.shape
+    for v, text in zip(x.ravel().tolist(), got.ravel().tolist()):
+        assert text == b"%.17g" % v, v
+
+
+class TestFmt17Array:
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_any_bit_pattern(self, bits):
+        # subnormals, +-0, nan and +-inf included
+        assert_fmt17_array(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = 10.0 ** np.arange(-8, 19)
+        x = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+        assert_fmt17_array(np.concatenate([x, -x]))
+
+    def test_no_significand_rounds_up_to_a_power_of_ten(self):
+        # the double nearest below each power of ten of the laid-out
+        # range keeps 17 digits below it
+        below = []
+        for j in range(-5, 18):
+            p = Fraction(10) ** j
+            x = float(p)
+            below.append(x if Fraction(x) < p else math.nextafter(x, 0.0))
+            assert Fraction(fmt17(below[-1])) < p
+        assert_fmt17_array(np.array([below, np.negative(below)]))
+
+    def test_round_numbers(self):
+        rng = np.random.default_rng(3)
+        integers = rng.integers(0, 2**53, 20000).astype(float)
+        integers = integers // 10.0 ** rng.integers(0, 16, 20000)
+        dyadic = rng.integers(-2**20, 2**20, 20000) / 2.0 ** rng.integers(0, 40, 20000)
+        decimals = np.round(rng.uniform(-1e3, 1e3, 20000), 5)
+        assert_fmt17_array(np.concatenate([integers, -integers, dyadic, decimals]))
+
+    def test_log_uniform(self):
+        rng = np.random.default_rng(4)
+        x = np.exp(rng.uniform(math.log(1e-7), math.log(3e17), 200_000))
+        assert_fmt17_array(x * rng.choice([-1.0, 1.0], x.size))
+
+    def test_shapes(self):
+        assert fmt17_array(np.zeros((0, 3))).shape == (0, 3)
+        assert fmt17_array([[0.5, -2.0]]).tolist() == [[b"0.5", b"-2"]]
+        # more than one pass of the kernel
+        assert_fmt17_array(np.linspace(-3.0, 7.0, 3 * fields._FMT_CHUNK + 5))
 
 
 class TestWriteCsv:
