@@ -66,7 +66,7 @@ _E_MIN, _E_FIXED, _E_MAX = -6, -4, 16
 # Dekker's splitting constant 2^27 + 1, and the exact doubles
 # 10^0..10^22 split into halves of at most 26 significant bits
 _SPLIT = 134217729.0
-_POW10 = 10.0 ** np.arange(17 - _E_MIN)
+_POW10 = np.array([float(10**k) for k in range(17 - _E_MIN)])
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 # the four ASCII digits of 0..9999, most significant first, as the low
