@@ -95,6 +95,11 @@ def _fit_log_expansion(eps_values, values, fit_tail: int,
     (returned last, ``None`` when not fitted); with two samples there is
     no room for it and the two-term fit is used. Standard errors vanish
     up to roundoff when the samples determine the fit exactly.
+
+    The values are fitted divided by the power of two just above their
+    largest magnitude, and the results multiplied back: an exact scaling
+    that keeps the squared residuals finite when the values are near
+    the largest double (the energies scale with E, up to 1e308).
     """
     if len(eps_values) < 2:
         raise ValidationError("need at least two samples to fit")
@@ -102,6 +107,8 @@ def _fit_log_expansion(eps_values, values, fit_tail: int,
     eps = np.asarray(eps_values[-k:], dtype=float)
     x = np.abs(np.log(eps))
     y = np.asarray(values[-k:], dtype=float)
+    shift = int(np.frexp(np.abs(y).max())[1])
+    y = np.ldexp(y, -shift)
     columns = [x, np.ones_like(x)]
     with_eps2 = eps2_term and k >= 3
     if with_eps2:
@@ -113,12 +120,12 @@ def _fit_log_expansion(eps_values, values, fit_tail: int,
     dof = max(len(x) - len(columns), 1)
     cov = np.linalg.inv(A.T @ A) * (np.sum(r**2) / dof)
     return (
-        float(coef[0]),
-        float(coef[1]),
-        float(np.sqrt(cov[0, 0])),
-        float(np.sqrt(cov[1, 1])),
-        residual,
-        float(coef[2]) if with_eps2 else None,
+        float(np.ldexp(coef[0], shift)),
+        float(np.ldexp(coef[1], shift)),
+        float(np.ldexp(np.sqrt(cov[0, 0]), shift)),
+        float(np.ldexp(np.sqrt(cov[1, 1]), shift)),
+        float(np.ldexp(residual, shift)),
+        float(np.ldexp(coef[2], shift)) if with_eps2 else None,
     )
 
 

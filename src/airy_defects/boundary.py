@@ -3,8 +3,8 @@
 A field is traction-free on a curve when its Hessian annihilates the
 tangent; equivalently its Dirichlet data (value, normal derivative)
 agree with those of a single affine function. Both characterizations
-are evaluated numerically here, on closed forms or on grid fields
-through their bicubic view.
+are evaluated numerically here, on any field that gives its value,
+gradient and Hessian at points.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DiskDomain, ValidationError
-from .fields import ScalarField, SplineField
 
 # RK4 steps of the tangential ODE track over one circuit
 _ODE_STEPS = 1024
@@ -72,32 +71,13 @@ class BoundaryCurve:
         return np.stack([t[:, 1], -t[:, 0]], axis=-1)
 
 
-def _as_evaluable(v, curve: BoundaryCurve):
-    if isinstance(v, ScalarField):
-        g = v.grid
-        p = curve.positions
-        ij = np.stack(
-            [np.round((p[:, 0] - g.x0) / g.delta),
-             np.round((p[:, 1] - g.y0) / g.delta)], axis=-1
-        ).astype(int)
-        out = (
-            (ij[:, 0] < 0) | (ij[:, 0] >= g.nx)
-            | (ij[:, 1] < 0) | (ij[:, 1] >= g.ny)
-        )
-        if np.any(out):
-            raise ValidationError("curve exits the field grid")
-        return SplineField(v)
-    return v
-
-
 def tangential_hessian_residual(v, curve: BoundaryCurve) -> float:
     """max over curve samples of |hess(v) . tangent|.
 
     Zero certifies the zero-traction boundary condition in the discrete
-    sense; grid fields are evaluated through their bicubic view.
+    sense.
     """
-    field = _as_evaluable(v, curve)
-    H = field.hessian(curve.positions)
+    H = v.hessian(curve.positions)
     Ht = np.einsum("nij,nj->ni", H, curve.tangents)
     return float(np.hypot(Ht[:, 0], Ht[:, 1]).max())
 
@@ -166,11 +146,10 @@ def affine_trace_check(v, curve: BoundaryCurve) -> AffineTraceReport:
     the tangential curvature-rotation system from the data and reports
     how far it fails to close after one circuit.
     """
-    field = _as_evaluable(v, curve)
     pos = curve.positions
     nrm = curve.normals()
-    vals = field.value(pos)
-    grads = field.gradient(pos)
+    vals = v.value(pos)
+    grads = v.gradient(pos)
     v_n = (grads * nrm).sum(axis=-1)
     v_t = (grads * curve.tangents).sum(axis=-1)
 

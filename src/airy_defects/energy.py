@@ -20,21 +20,9 @@ from .core import (
     ElasticConstants,
     NumericalError,
     ValidationError,
-    min_separation_D,
     rotate_burgers,
 )
-from .fields import (
-    OUTSIDE,
-    ScalarField,
-    SplineField,
-    TensorField,
-    circle_integral,
-    circle_nodes,
-    grid_for_disk,
-    integrate,
-    radial_integral,
-    region_weights,
-)
+from .fields import circle_integral, circle_nodes, radial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -113,44 +101,6 @@ class QuadraticTerms:
             "energy": self.energy,
             "clamped_energy": self.clamped_energy,
         }
-
-
-def grid_energy(field, grid, weights: np.ndarray,
-                elastic: ElasticConstants) -> QuadraticTerms:
-    """Cell-wise quadrature of the energy from analytic Hessians."""
-    pts = grid.points()
-    w = np.asarray(weights, dtype=float).ravel()
-    live = w > 0.0
-    H = np.zeros((pts.shape[0], 2, 2))
-    H[live] = field.hessian(pts[live])
-    norm_sq = (H**2).sum(axis=(1, 2)).reshape(weights.shape)
-    tr_sq = ((H[:, 0, 0] + H[:, 1, 1]) ** 2).reshape(weights.shape)
-    return QuadraticTerms(
-        hessian_sq=integrate(norm_sq, weights, grid.delta),
-        laplacian_sq=integrate(tr_sq, weights, grid.delta),
-        elastic_constants=elastic,
-    )
-
-
-def grid_energy_fd(sf: ScalarField, weights: np.ndarray,
-                   elastic: ElasticConstants) -> QuadraticTerms:
-    """Cell-wise quadrature of the energy from central-difference Hessians.
-
-    Every node carrying quadrature weight must own a full stencil.
-    """
-    vxx, vxy, vyy, ok = sf.hessian_fd()
-    w = np.asarray(weights, dtype=float)
-    if np.any((w > 0.0) & ~ok):
-        raise NumericalError(
-            "quadrature region touches nodes without a difference stencil"
-        )
-    norm_sq = np.where(ok, vxx**2 + 2.0 * vxy**2 + vyy**2, 0.0)
-    tr_sq = np.where(ok, (vxx + vyy) ** 2, 0.0)
-    return QuadraticTerms(
-        hessian_sq=integrate(norm_sq, w, sf.grid.delta),
-        laplacian_sq=integrate(tr_sq, w, sf.grid.delta),
-        elastic_constants=elastic,
-    )
 
 
 def polar_energy(field, elastic: ElasticConstants, center,
@@ -365,7 +315,7 @@ def single_dislocation_min_value(elastic: ElasticConstants, radius_R: float,
 
 
 # ---------------------------------------------------------------------------
-# defect-functional reports and grid/closed-form dispatch
+# defect-functional reports
 # ---------------------------------------------------------------------------
 
 
@@ -397,113 +347,18 @@ class EnergyBreakdown:
         return doc
 
 
-def as_airy(w):
-    """Closed forms pass through; grid fields get their bicubic view."""
-    if isinstance(w, ScalarField):
-        return SplineField(w)
-    return w
-
-
-def _grid_bulk_G(v: ScalarField, elastic: ElasticConstants,
-                 weights: np.ndarray) -> float:
-    vxx, vxy, vyy = v.central_hessian()
-    w = np.asarray(weights, dtype=float)
-    live = w > 0.0
-    if np.any(~np.isfinite(vxx[live])) or np.any(~np.isfinite(vxy[live])) \
-            or np.any(~np.isfinite(vyy[live])):
-        raise NumericalError("quadrature region touches the array rim")
-    nu, E = elastic.poisson_nu, elastic.young_E
-    dens = np.zeros_like(w)
-    dens[live] = (1.0 + nu) / (2.0 * E) * (
-        vxx[live] ** 2 + 2.0 * vxy[live] ** 2 + vyy[live] ** 2
-        - nu * (vxx[live] + vyy[live]) ** 2
-    )
-    return integrate(dens, w, v.grid.delta)
-
-
-def _default_weights(v: ScalarField, region) -> np.ndarray:
-    if region is None:
-        return (v.mask != OUTSIDE).astype(float)
-    return np.asarray(region, dtype=float)
-
-
-def airy_energy_G(v: ScalarField, elastic: ElasticConstants,
-                  region=None) -> float:
-    """G(v) = (1/2)((1+nu)/E) integral(|hess v|^2 - nu (lap v)^2) >= 0.
-
-    ``region`` is a per-node quadrature weight array (cut-cell fractions);
-    by default every unmasked node carries a full cell.
-    """
-    if not isinstance(v, ScalarField):
-        raise ValidationError("airy_energy_G expects a grid field")
-    return _grid_bulk_G(v, elastic, _default_weights(v, region))
-
-
-def airy_inner_product(v: ScalarField, w: ScalarField,
-                       elastic: ElasticConstants, region=None) -> float:
-    """Polarization of G: <v, v> equals G(v)."""
-    if v.grid != w.grid:
-        raise ValidationError("fields live on different grids")
-    wts = _default_weights(v, region)
-    vh = v.central_hessian()
-    wh = w.central_hessian()
-    nu, E = elastic.poisson_nu, elastic.young_E
-    live = wts > 0.0
-    dens = np.zeros_like(wts)
-    dot = vh[0][live] * wh[0][live] + 2.0 * vh[1][live] * wh[1][live] \
-        + vh[2][live] * wh[2][live]
-    tr = (vh[0][live] + vh[2][live]) * (wh[0][live] + wh[2][live])
-    dens[live] = (1.0 + nu) / (2.0 * E) * (dot - nu * tr)
-    if np.any(~np.isfinite(dens[live])):
-        raise NumericalError("quadrature region touches the array rim")
-    return integrate(dens, wts, v.grid.delta)
-
-
-def strain_energy(eps: TensorField, elastic: ElasticConstants,
-                  region=None) -> float:
-    """(1/2) integral(lambda tr(eps)^2 + 2 mu |eps|^2)."""
-    lam, mu = elastic.lame_lambda, elastic.lame_mu
-    dens = 0.5 * (lam * eps.trace() ** 2 + 2.0 * mu * eps.norm_sq())
-    w = np.ones_like(dens) if region is None else np.asarray(region, dtype=float)
-    return integrate(dens, w, eps.grid.delta)
-
-
-def stress_energy(sigma: TensorField, elastic: ElasticConstants,
-                  region=None) -> float:
-    """(1/2)((1+nu)/E) integral(|sigma|^2 - nu tr(sigma)^2)."""
-    nu, E = elastic.poisson_nu, elastic.young_E
-    dens = (1.0 + nu) / (2.0 * E) * (sigma.norm_sq() - nu * sigma.trace() ** 2)
-    w = np.ones_like(dens) if region is None else np.asarray(region, dtype=float)
-    return integrate(dens, w, sigma.grid.delta)
-
-
 def disclination_functional_I(v, disclinations, elastic: ElasticConstants,
-                              region=None, domain: DiskDomain | None = None,
-                              ) -> EnergyBreakdown:
-    """I(v) = G(v) + sum_k s_k v(y_k), for grid fields or closed forms."""
-    if isinstance(v, ScalarField):
-        bulk = airy_energy_G(v, elastic, region)
-        charge = 0.0
-        for d in disclinations:
-            i, j = v.grid.nearest_index(d.site)
-            if not (0 <= i < v.grid.nx and 0 <= j < v.grid.ny) \
-                    or v.mask[i, j] == OUTSIDE:
-                raise ValidationError(f"disclination site {d.site} under a mask hole")
-            charge += d.frank_angle_s * v.bilinear(np.asarray(d.site))
-        region_name = "grid"
-    else:
-        if domain is None:
-            raise ValidationError("closed-form input needs an explicit domain")
-        c = np.asarray(domain.center, dtype=float)
-        breaks = [math.dist(d.site, c) for d in disclinations]
-        bulk = polar_energy(v, elastic, c, domain.radius_R,
-                            breaks=breaks).energy
-        charge = sum(
-            d.frank_angle_s * float(v.value(np.asarray(d.site))[0])
-            for d in disclinations
-        )
-        region_name = f"disk R={domain.radius_R}"
-    return EnergyBreakdown(bulk_G=bulk, charge_term=charge, region=region_name)
+                              domain: DiskDomain) -> EnergyBreakdown:
+    """I(v) = G(v) + sum_k s_k v(y_k) of a closed-form field on ``domain``."""
+    c = np.asarray(domain.center, dtype=float)
+    breaks = [math.dist(d.site, c) for d in disclinations]
+    bulk = polar_energy(v, elastic, c, domain.radius_R, breaks=breaks).energy
+    charge = sum(
+        d.frank_angle_s * float(v.value(np.asarray(d.site))[0])
+        for d in disclinations
+    )
+    return EnergyBreakdown(bulk_G=bulk, charge_term=charge,
+                           region=f"disk R={domain.radius_R}")
 
 
 AFFINE_CORE_TOL = 1e-8
@@ -515,17 +370,6 @@ def _require_affine_core(field, site, eps: float) -> None:
         raise ValidationError(
             f"field is not affine on the core ball (max |hess| = {defect})"
         )
-
-
-def _core_bulk_G(w, elastic: ElasticConstants, site, eps: float, R: float,
-                 n_quad: int = 256) -> float:
-    """Bulk energy of a single-core field over the annulus A_{eps,R}(site)."""
-    if isinstance(w, ScalarField):
-        domain = DiskDomain(center=tuple(np.asarray(site, dtype=float)), radius_R=R)
-        wts = region_weights(w.grid, domain, cores=((site, eps),))
-        return _grid_bulk_G(w, elastic, wts)
-    return polar_energy(w, elastic, site, R, r_inner=eps,
-                        n_theta=n_quad).energy
 
 
 def dipole_core_functional_J(w, s: float, h: float, eps: float, R: float,
@@ -541,10 +385,9 @@ def dipole_core_functional_J(w, s: float, h: float, eps: float, R: float,
         raise ValidationError(f"need 0 < h < eps, got h={h}, eps={eps}")
     if not (eps < R):
         raise ValidationError(f"need eps < R, got eps={eps}, R={R}")
-    field = as_airy(w)
-    _require_affine_core(field, site, eps)
-    G = _core_bulk_G(w, elastic, site, eps, R, n_quad)
-    return G + dipole_pair_load(field, site, (0.0, s), eps, h, n_quad)
+    _require_affine_core(w, site, eps)
+    G = polar_energy(w, elastic, site, R, r_inner=eps, n_theta=n_quad).energy
+    return G + dipole_pair_load(w, site, (0.0, s), eps, h, n_quad)
 
 
 def dislocation_core_functional_J0(w, s: float, eps: float, R: float,
@@ -553,40 +396,6 @@ def dislocation_core_functional_J0(w, s: float, eps: float, R: float,
     """Zero-spacing core functional: annulus energy plus the x_1-slope load."""
     if not (0.0 < eps < R):
         raise ValidationError(f"need 0 < eps < R, got eps={eps}, R={R}")
-    field = as_airy(w)
-    _require_affine_core(field, site, eps)
-    G = _core_bulk_G(w, elastic, site, eps, R, n_quad)
-    return G + core_gradient_load(field, site, (0.0, s), eps, n_quad)
-
-
-def _system_bulk_G(w, elastic: ElasticConstants, domain: DiskDomain, cores,
-                   n: int = 256) -> float:
-    if isinstance(w, ScalarField):
-        wts = region_weights(w.grid, domain, cores=cores)
-        return _grid_bulk_G(w, elastic, wts)
-    grid = grid_for_disk(domain, n)
-    wts = region_weights(grid, domain, cores=cores)
-    return grid_energy(w, grid, wts, elastic).energy
-
-
-def system_functional_I0(w, dislocations, eps: float,
-                         elastic: ElasticConstants, domain: DiskDomain,
-                         n: int = 256, n_quad: int = 256) -> float:
-    """Multi-core functional: bulk over the punctured disk plus per-core
-    rotated-gradient loads."""
-    dislocations = list(dislocations)
-    if not dislocations:
-        raise ValidationError("need at least one dislocation")
-    D = min_separation_D([d.site for d in dislocations], domain)
-    if not (0.0 < eps < D):
-        raise ValidationError(
-            f"cores overlap or touch the boundary: eps={eps}, D={D}"
-        )
-    field = as_airy(w)
-    cores = tuple((d.site, eps) for d in dislocations)
-    G = _system_bulk_G(w, elastic, domain, cores, n)
-    load = sum(
-        core_gradient_load(field, d.site, d.burgers_b, eps, n_quad)
-        for d in dislocations
-    )
-    return G + load
+    _require_affine_core(w, site, eps)
+    G = polar_energy(w, elastic, site, R, r_inner=eps, n_theta=n_quad).energy
+    return G + core_gradient_load(w, site, (0.0, s), eps, n_quad)

@@ -1,14 +1,14 @@
-"""Grid-sampled scalar/tensor fields on (punctured) disks.
+"""Grids, grid samples and quadrature rules on (punctured) disks.
 
-Uniform Cartesian grid, second-order central differences, cell-wise
-quadrature with exact cut-cell area fractions on circle boundaries,
-trapezoidal circle integrals and a composite Gauss-Legendre radial rule.
+Uniform Cartesian grids with node masks, scalar samples of a field with
+second-order central-difference Hessians for the CSV field dumps, the
+byte-exact ``%.17g`` formatting of every artifact, trapezoidal circle
+integrals and a composite Gauss-Legendre radial rule.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,95 +297,6 @@ def grid_for_disk(domain: DiskDomain, n: int, pad: int = 4) -> Grid:
     return Grid(x0=x0, y0=cy - domain.radius_R - pad * delta, delta=delta, nx=m, ny=m)
 
 
-# ---------------------------------------------------------------------------
-# exact circle / cell intersection areas
-# ---------------------------------------------------------------------------
-
-
-def _corner_area(X: float, Y: float, r: float) -> float:
-    """Area of {x <= X, y <= Y, x^2 + y^2 <= r^2} (circle centered at 0)."""
-
-    def F(x: float) -> float:
-        # antiderivative of sqrt(r^2 - x^2)
-        x = min(max(x, -r), r)
-        return 0.5 * (x * math.sqrt(max(r * r - x * x, 0.0)) + r * r * math.asin(x / r))
-
-    Xc = min(max(X, -r), r)
-    if Xc <= -r:
-        return 0.0
-    quarter = F(r)  # = pi r^2 / 4
-    lower = F(Xc) + quarter  # integral of w over [-r, Xc]
-    if Y >= r:
-        clip = lower
-    elif Y <= -r:
-        clip = -lower
-    else:
-        q = math.sqrt(r * r - Y * Y)
-        clip = 0.0
-        if Y >= 0.0:
-            t1 = min(Xc, -q)
-            if t1 > -r:
-                clip += F(t1) + quarter
-            t2 = min(max(Xc, -q), q)
-            if t2 > -q:
-                clip += Y * (t2 + q)
-            if Xc > q:
-                clip += F(Xc) - F(q)
-        else:
-            t1 = min(Xc, -q)
-            if t1 > -r:
-                clip -= F(t1) + quarter
-            t2 = min(max(Xc, -q), q)
-            if t2 > -q:
-                clip += Y * (t2 + q)
-            if Xc > q:
-                clip -= F(Xc) - F(q)
-    return max(clip + lower, 0.0)
-
-
-def circle_rect_area(cx: float, cy: float, r: float,
-                     xlo: float, xhi: float, ylo: float, yhi: float) -> float:
-    """Exact area of the intersection of B_r((cx, cy)) with a rectangle."""
-    a = _corner_area(xhi - cx, yhi - cy, r)
-    b = _corner_area(xlo - cx, yhi - cy, r)
-    c = _corner_area(xhi - cx, ylo - cy, r)
-    d = _corner_area(xlo - cx, ylo - cy, r)
-    return max(a - b - c + d, 0.0)
-
-
-def disk_cell_fractions(grid: Grid, center, radius: float) -> np.ndarray:
-    """Per-node fraction of the node-centered cell covered by the disk."""
-    cx, cy = float(center[0]), float(center[1])
-    X, Y = grid.meshgrid()
-    d = np.hypot(X - cx, Y - cy)
-    h = grid.delta
-    half_diag = h * math.sqrt(0.5)
-    frac = np.zeros_like(d)
-    frac[d <= radius - half_diag] = 1.0
-    cut = (d > radius - half_diag) & (d < radius + half_diag)
-    cell_area = h * h
-    for i, j in zip(*np.nonzero(cut)):
-        x = grid.x0 + i * h
-        y = grid.y0 + j * h
-        frac[i, j] = circle_rect_area(
-            cx, cy, radius, x - h / 2, x + h / 2, y - h / 2, y + h / 2
-        ) / cell_area
-    return frac
-
-
-def region_weights(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
-    """Cut-cell quadrature weights (area fractions) of the disk minus cores.
-
-    ``cores`` is a sequence of (site, radius) pairs; cores are assumed
-    pairwise disjoint and contained in the disk, which the callers
-    validate.
-    """
-    w = disk_cell_fractions(grid, domain.center, domain.radius_R)
-    for site, eps in cores:
-        w = w - disk_cell_fractions(grid, site, eps)
-    return np.clip(w, 0.0, 1.0)
-
-
 def check_core_resolution(eps: float, delta: float) -> None:
     """Reject a core radius resolved by fewer than 4 cells of spacing
     ``delta`` (eps < 4*delta)."""
@@ -490,186 +401,12 @@ class ScalarField:
         vxy[bad] = np.nan
         return vxx, vxy, vyy, ok
 
-    def laplacian_fd(self) -> tuple[np.ndarray, np.ndarray]:
-        v = self.values
-        h = self.grid.delta
-        lap = np.full_like(v, np.nan)
-        lap[1:-1, 1:-1] = (
-            v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
-            - 4.0 * v[1:-1, 1:-1]
-        ) / h**2
-        ok = self.stencil_ok()
-        lap[~ok] = np.nan
-        return lap, ok
-
-    def interpolator(self):
-        """C^2 bicubic ``RectBivariateSpline`` of the nodal values (whole
-        rectangle)."""
-        # imported here: only grid-field paths build a spline, and the
-        # module costs more to import than the rest of the package
-        from scipy.interpolate import RectBivariateSpline
-
-        return RectBivariateSpline(self.grid.xs, self.grid.ys, self.values, kx=3, ky=3)
-
-    def bilinear(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        g = self.grid
-        fx = (p[0] - g.x0) / g.delta
-        fy = (p[1] - g.y0) / g.delta
-        i = int(min(max(math.floor(fx), 0), g.nx - 2))
-        j = int(min(max(math.floor(fy), 0), g.ny - 2))
-        tx = fx - i
-        ty = fy - j
-        v = self.values
-        return float(
-            (1 - tx) * (1 - ty) * v[i, j]
-            + tx * (1 - ty) * v[i + 1, j]
-            + (1 - tx) * ty * v[i, j + 1]
-            + tx * ty * v[i + 1, j + 1]
-        )
-
     def to_csv(self, path) -> None:
         """Header ``x,y,v,v_xx,v_xy,v_yy,mask``, row-major, 17 digits."""
         vxx, vxy, vyy, _ = self.hessian_fd()
         X, Y = self.grid.meshgrid()
         write_csv(path, "x,y,v,v_xx,v_xy,v_yy,mask",
                   [a.ravel() for a in (X, Y, self.values, vxx, vxy, vyy, self.mask)])
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """Symmetric 2x2 tensor samples (three components) on a grid."""
-
-    grid: Grid
-    c11: np.ndarray
-    c12: np.ndarray
-    c22: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("c11", "c12", "c22"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != (self.grid.nx, self.grid.ny):
-                raise ValidationError("tensor component shape does not match the grid")
-            a = a.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def trace(self) -> np.ndarray:
-        return self.c11 + self.c22
-
-    def norm_sq(self) -> np.ndarray:
-        return self.c11**2 + 2.0 * self.c12**2 + self.c22**2
-
-
-def hessian_fd(v: ScalarField) -> tuple["ScalarField", "ScalarField", "ScalarField"]:
-    """Central-difference Hessian of a grid field as three grid fields.
-
-    Nodes lacking a full interior stencil are flagged OUTSIDE in the
-    returned masks (never extrapolated); if any unmasked interior node
-    lacks a stencil the grid is too coarse and an error lists them.
-    """
-    vxx, vxy, vyy, ok = v.hessian_fd()
-    inside = v.mask != OUTSIDE
-    # a boundary ring of flagged nodes is expected; an inside node with
-    # no inside neighbor at all is an island the stencil cannot serve
-    neighbors = np.zeros(inside.shape, dtype=int)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            neighbors[1:-1, 1:-1] += inside[
-                1 + di : v.grid.nx - 1 + di, 1 + dj : v.grid.ny - 1 + dj
-            ]
-    isolated = inside & (neighbors == 0)
-    if isolated.any():
-        nodes = list(zip(*np.nonzero(isolated)))
-        raise NumericalError(f"grid too coarse: no stencil at nodes {nodes[:10]}")
-    out_mask = np.where(ok, v.mask, OUTSIDE).astype(np.int8)
-    zero = np.where(ok, 0.0, np.nan)
-    return (
-        ScalarField(grid=v.grid, values=np.where(ok, vxx, zero), mask=out_mask),
-        ScalarField(grid=v.grid, values=np.where(ok, vxy, zero), mask=out_mask),
-        ScalarField(grid=v.grid, values=np.where(ok, vyy, zero), mask=out_mask),
-    )
-
-
-@dataclass(frozen=True)
-class SplineField:
-    """Bicubic view of a grid field with analytic-style derivatives.
-
-    Duck-types the closed-form field protocol (value/gradient/hessian
-    over (N, 2) points) so grid fields can enter the same functionals.
-    """
-
-    base: ScalarField
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_spline", self.base.interpolator())
-
-    @property
-    def _sp(self):
-        return self._spline
-
-    def _split(self, x):
-        p = np.asarray(x, dtype=float)
-        if p.ndim == 1:
-            p = p.reshape(1, 2)
-        return p[:, 0], p[:, 1]
-
-    def value(self, x):
-        px, py = self._split(x)
-        return self._sp.ev(px, py)
-
-    def gradient(self, x):
-        px, py = self._split(x)
-        sp = self._sp
-        return np.stack([sp.ev(px, py, dx=1), sp.ev(px, py, dy=1)], axis=-1)
-
-    def hessian(self, x):
-        px, py = self._split(x)
-        sp = self._sp
-        H = np.empty((px.shape[0], 2, 2))
-        H[:, 0, 0] = sp.ev(px, py, dx=2)
-        H[:, 1, 1] = sp.ev(px, py, dy=2)
-        H[:, 0, 1] = sp.ev(px, py, dx=1, dy=1)
-        H[:, 1, 0] = H[:, 0, 1]
-        return H
-
-    def laplacian(self, x):
-        H = self.hessian(x)
-        return H[:, 0, 0] + H[:, 1, 1]
-
-    def __call__(self, x):
-        return self.value(x)
-
-
-def integrate(values, weights: np.ndarray | None = None,
-              delta: float | None = None) -> float:
-    """Cell-wise quadrature sum(values * weights) * delta^2.
-
-    ``weights`` carries the cut-cell area fractions; masked-out nodes
-    must have zero weight and their values are never read (NaNs under
-    zero weight are treated as absent). A ScalarField may be passed as
-    the sole argument, in which case its own mask (full cells) defines
-    the region; an explicit weight array restricts/refines it.
-    """
-    if isinstance(values, ScalarField):
-        if delta is None:
-            delta = values.grid.delta
-        if weights is None:
-            weights = (values.mask != OUTSIDE).astype(float)
-        values = values.values
-    elif weights is None or delta is None:
-        raise ValidationError("array input needs explicit weights and spacing")
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if not np.any(w > 0.0):
-        warnings.warn("integration region is empty; returning 0")
-        return 0.0
-    live = w > 0.0
-    contrib = np.zeros_like(w)
-    contrib[live] = v[live] * w[live]
-    return float(np.sum(contrib)) * delta * delta
 
 
 def circle_nodes(center, radius: float, n: int, shift: float = 0.0):

