@@ -25,7 +25,7 @@ from .core import (
     rotate_burgers,
 )
 from .closedform import DipoleAiry, DislocationLimitAiry
-from .energy import _pair_energy_boundary, green_bulk_energy
+from .energy import _moment_traces, _pair_traces, _value_traces, green_bulk_energy
 from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
     SolveReport,
@@ -154,7 +154,7 @@ def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
     """
     unit = ElasticConstants(1.0, elastic.poisson_nu)
     field = DipoleAiry(elastic=unit, burgers_b=(0.0, 1.0), spacing_h=h)
-    mag, plus, minus = field._parts()
+    mag, plus, minus = field._parts
     G, _ = green_bulk_energy(field, unit, DiskDomain((0.0, 0.0), R),
                              [(plus.shift, mag), (minus.shift, -mag)])
     # ((G E) s) s: s^2 alone can overflow where G E s^2 does not
@@ -424,12 +424,18 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
                              radius_R=R, site=d.site)
         for d in dislocations
     ]
-    outer = circle_nodes(domain.center, R, n_quad)
+    # each profile is evaluated once on the outer circle and once on its
+    # own circle of radius D
+    outer = [(1.0, *circle_nodes(domain.center, R, n_quad))]
+    moments = [_moment_traces(term, outer) for term in terms]
+    values = [_value_traces(term, outer) for term in terms]
 
     F_self = 0.0
     for j, term in enumerate(terms):
-        rings = [(1.0, *outer), (-1.0, *circle_nodes(sites[j], D, n_quad))]
-        F_self += 0.5 * _pair_energy_boundary(term, term, rings, elastic)
+        rings = outer + [(-1.0, *circle_nodes(sites[j], D, n_quad))]
+        F_self += 0.5 * _pair_traces(moments[j] + _moment_traces(term, rings[1:]),
+                                     values[j] + _value_traces(term, rings[1:]),
+                                     rings, elastic)
         mag = math.hypot(*dislocations[j].burgers_b)
         F_self += K * mag**2 / (8.0 * math.pi) * math.log(D)
 
@@ -439,8 +445,7 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
             terms[j].gradient(sites[k][None, :])[0]
             @ rotate_burgers(dislocations[k].burgers_b)
         )
-        F_int += _pair_energy_boundary(terms[j], terms[k], [(1.0, *outer)],
-                                       elastic) + load_k
+        F_int += _pair_traces(moments[j], values[k], outer, elastic) + load_k
 
     F_elastic = solve_elastic_correction(elastic, domain, dislocations, n).value
     f_DR = sum(

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
+from functools import cache
 
 import numpy as np
 
@@ -238,8 +239,7 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
                     np.where(inside, row_in, row_out).tolist())
             )
             pts = np.stack([X[inside], Y[inside]], axis=-1)
-            values = _node_values(field.value(pts), field.hessian(pts),
-                                  config.elastic)
+            values = _node_values(*field.value_and_hessian(pts), config.elastic)
             f.write(template % tuple(fmt17_array(values).ravel().tolist()))
 
 
@@ -489,7 +489,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, and every default it hands out is immutable."""
     parser = _Parser(prog="airy-defects",
                      description="Planar defect toolkit (Airy potentials)")
     sub = parser.add_subparsers(dest="command")
@@ -531,7 +534,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nu", type=float)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--h", type=_float_list, default=[1e-2, 3e-3, 1e-3],
+    p.add_argument("--h", type=_float_list, default=(1e-2, 3e-3, 1e-3),
                    help="comma-separated decreasing spacings")
     p.add_argument("--include-solver", action="store_true")
     p.add_argument("--csv")
@@ -539,7 +542,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep-core", help="core-radius expansion sweep")
     common(p)
-    p.add_argument("--eps", type=_float_list, default=[0.2, 0.1, 0.05],
+    p.add_argument("--eps", type=_float_list, default=(0.2, 0.1, 0.05),
                    help="comma-separated decreasing core radii")
     p.add_argument("--fit-tail", type=int, default=3)
     p.set_defaults(run=_cmd_sweep_core)
@@ -551,7 +554,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("diagonal", help="joint spacing/core diagonal limit")
     common(p)
-    p.add_argument("--h", type=_float_list, default=[1e-2, 2.5e-3, 6.25e-4])
+    p.add_argument("--h", type=_float_list, default=(1e-2, 2.5e-3, 6.25e-4))
     p.add_argument("--fit-tail", type=int, default=3)
     p.set_defaults(run=_cmd_diagonal)
 

@@ -2,14 +2,22 @@
 
 Every field exposes vectorized ``value``, ``gradient`` and ``hessian``
 over (N, 2) point arrays; fields that need them also provide
-``laplacian`` and ``grad_laplacian``. All potentials carry the common
-prefactor K = E / (1 - nu^2).
+``laplacian`` and ``grad_laplacian``. ``value_and_gradient`` and
+``value_and_hessian`` give two of them at the same points, which the
+dislocation and dipole-limit fields map to their canonical frame once.
+All potentials carry the common prefactor K = E / (1 - nu^2).
+
+What does not depend on the points (K, |b|, the frame, the core
+coefficients) is computed once per field, on first use, and kept in the
+instance: fields are frozen, so equality, hashing and
+``dataclasses.replace`` still see only their declared fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +56,15 @@ class AiryField:
         H = self.hessian(x)
         return H[:, 0, 0] + H[:, 1, 1]
 
+    def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``(value(x), gradient(x))``; frame fields share one frame
+        transform between the two."""
+        return self.value(x), self.gradient(x)
+
+    def value_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``(value(x), hessian(x))``, as ``value_and_gradient``."""
+        return self.value(x), self.hessian(x)
+
 
 @dataclass(frozen=True)
 class SumField(AiryField):
@@ -77,6 +94,16 @@ class SumField(AiryField):
     def grad_laplacian(self, x):
         x = _pts(x)
         return sum(t.grad_laplacian(x) for t in self.terms)
+
+    def value_and_gradient(self, x):
+        x = _pts(x)
+        parts = [t.value_and_gradient(x) for t in self.terms]
+        return sum(v for v, _ in parts), sum(g for _, g in parts)
+
+    def value_and_hessian(self, x):
+        x = _pts(x)
+        parts = [t.value_and_hessian(x) for t in self.terms]
+        return sum(v for v, _ in parts), sum(H for _, H in parts)
 
 
 @dataclass(frozen=True)
@@ -179,7 +206,7 @@ class FundamentalAiry(AiryField):
 
     elastic: ElasticConstants
 
-    @property
+    @cached_property
     def K(self) -> float:
         return self.elastic.plane_prefactor
 
@@ -243,7 +270,7 @@ class SingleDisclinationClamped(AiryField):
         if not (self.radius_R > 0.0):
             raise ValidationError(f"radius must be positive, got {self.radius_R}")
 
-    @property
+    @cached_property
     def K(self) -> float:
         return self.elastic.plane_prefactor
 
@@ -330,6 +357,7 @@ class DipoleAiry(AiryField):
         if not (self.spacing_h > 0.0):
             raise ValidationError(f"spacing must be positive, got {self.spacing_h}")
 
+    @cached_property
     def _parts(self):
         b = np.asarray(self.burgers_b, dtype=float)
         s = float(np.hypot(b[0], b[1]))
@@ -341,31 +369,60 @@ class DipoleAiry(AiryField):
         return s, plus, minus
 
     def value(self, x):
-        s, plus, minus = self._parts()
+        s, plus, minus = self._parts
         return -s * (plus.value(x) - minus.value(x))
 
     def gradient(self, x):
-        s, plus, minus = self._parts()
+        s, plus, minus = self._parts
         return -s * (plus.gradient(x) - minus.gradient(x))
 
     def hessian(self, x):
-        s, plus, minus = self._parts()
+        s, plus, minus = self._parts
         return -s * (plus.hessian(x) - minus.hessian(x))
 
     def laplacian(self, x):
-        s, plus, minus = self._parts()
+        s, plus, minus = self._parts
         return -s * (plus.laplacian(x) - minus.laplacian(x))
 
     def grad_laplacian(self, x):
-        s, plus, minus = self._parts()
+        s, plus, minus = self._parts
         return -s * (plus.grad_laplacian(x) - minus.grad_laplacian(x))
 
 
-class _FrameField(AiryField):
-    """Mixin: canonical-frame field composed with xi = Q (x - site)."""
+def _radial_hessian(xi, d1, d2) -> np.ndarray:
+    """Rows H_11, H_12, H_21, H_22 of the Hessian of f(u) xi_1, u =
+    |xi|^2, from d1 = f'(u) and d2 = f''(u): 4 f'' xi_i xi_j xi_1 +
+    2 f' (xi_1 delta_ij + delta_i1 xi_j + xi_i delta_j1). H_12 and H_21
+    round differently."""
+    e1, e2 = 2.0 * d1 * xi
+    H = 4.0 * d2 * xi[[0, 0, 1, 1]] * xi[[0, 1, 0, 1]] * xi[0]
+    H += (e1 + 2.0 * e1, e2, e2, e1)
+    return H
 
+
+class _FrameField(AiryField):
+    """Mixin: canonical-frame field composed with xi = Q (x - site).
+
+    The frame (Q, site) is built once per instance from the fields
+    ``burgers_b`` and ``site``. The canonical kernels take xi as a (2, N)
+    array, whose rows xi_1 and xi_2 are contiguous; ``_c_hessian``
+    returns the rows H_11, H_12, H_21, H_22 of a (4, N) array.
+    """
+
+    @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+        Q, site = dipole_frame(self.burgers_b), np.array(self.site, dtype=float)
+        Q.flags.writeable = site.flags.writeable = False
+        return Q, site
+
+    @cached_property
+    def _rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors Q[a, i] and Q[b, j] of the terms Q[a, i] H_ab
+        Q[b, j] of (Q^T H Q)_ij, ab running over 11, 12, 21, 22 as the
+        rows of ``_c_hessian`` do, shaped to broadcast as [i, ab, n] and
+        [i, j, ab, n]."""
+        Q = self._frame[0]
+        return Q[[0, 0, 1, 1]].T[:, :, None], Q[[0, 1, 0, 1]].T[None, :, :, None]
 
     def _c_value(self, xi):
         raise NotImplementedError
@@ -376,31 +433,39 @@ class _FrameField(AiryField):
     def _c_hessian(self, xi):
         raise NotImplementedError
 
+    def _xi(self, x) -> np.ndarray:
+        """xi as Q (x - site)^T, the transpose of (x - site) Q^T."""
+        Q, site = self._frame
+        return Q @ (_pts(x) - site).T
+
+    def _lab_hessian(self, H) -> np.ndarray:
+        # Q^T H Q, each sum in the order and association of
+        # np.einsum("ai,nab,bj->nij"), whose values it keeps bit for bit
+        # at a small fraction of the cost
+        left, right = self._rotation
+        terms = (left * H)[:, None] * right
+        out = np.empty((H.shape[1], 2, 2))
+        out.reshape(-1, 4).T[:] = (
+            terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2] + terms[:, :, 3]
+        ).reshape(4, -1)
+        return out
+
     def value(self, x):
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        return self._c_value(xi)
+        return self._c_value(self._xi(x))
 
     def gradient(self, x):
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        return self._c_gradient(xi) @ Q
+        return self._c_gradient(self._xi(x)) @ self._frame[0]
 
     def hessian(self, x):
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        H = self._c_hessian(xi)
-        # Q^T H Q componentwise, each sum in the order and association
-        # of np.einsum("ai,nab,bj->nij"), whose values it keeps bit for
-        # bit at a small fraction of the cost
-        out = np.empty_like(H)
-        for i in range(2):
-            for j in range(2):
-                out[:, i, j] = (Q[0, i] * H[:, 0, 0] * Q[0, j]
-                                + Q[0, i] * H[:, 0, 1] * Q[1, j]
-                                + Q[1, i] * H[:, 1, 0] * Q[0, j]
-                                + Q[1, i] * H[:, 1, 1] * Q[1, j])
-        return out
+        return self._lab_hessian(self._c_hessian(self._xi(x)))
+
+    def value_and_gradient(self, x):
+        xi = self._xi(x)
+        return self._c_value(xi), self._c_gradient(xi) @ self._frame[0]
+
+    def value_and_hessian(self, x):
+        xi = self._xi(x)
+        return self._c_value(xi), self._lab_hessian(self._c_hessian(xi))
 
 
 @dataclass(frozen=True)
@@ -416,44 +481,41 @@ class DipoleDerivativeAiry(_FrameField):
     burgers_b: tuple[float, float]
     site: tuple[float, float] = (0.0, 0.0)
 
-    @property
+    @cached_property
     def K(self) -> float:
         return self.elastic.plane_prefactor
 
-    @property
+    @cached_property
     def charge_s(self) -> float:
         return float(np.hypot(*self.burgers_b))
 
-    def _frame(self):
-        return dipole_frame(self.burgers_b), np.asarray(self.site, dtype=float)
-
     def _c_value(self, xi):
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         c = self.K * self.charge_s / (8.0 * math.pi)
         with np.errstate(divide="ignore", invalid="ignore"):
             lg = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-        return c * (xi[:, 0] * lg + xi[:, 0])
+        return c * (x1 * lg + x1)
 
     def _c_gradient(self, xi):
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         c = self.K * self.charge_s / (8.0 * math.pi)
-        g = np.empty_like(xi)
+        g = np.empty((len(x1), 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            g[:, 0] = c * (np.log(u) + 1.0 + 2.0 * xi[:, 0] ** 2 / u)
-            g[:, 1] = c * (2.0 * xi[:, 0] * xi[:, 1] / u)
+            g[:, 0] = c * (np.log(u) + 1.0 + 2.0 * x1**2 / u)
+            g[:, 1] = c * (2.0 * x1 * x2 / u)
         return g
 
     def _c_hessian(self, xi):
-        x1, x2 = xi[:, 0], xi[:, 1]
+        x1, x2 = xi
         u = x1**2 + x2**2
         c = self.K * self.charge_s / (4.0 * math.pi)
-        H = np.empty((xi.shape[0], 2, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
-            H[:, 0, 0] = c * (x1**3 + 3.0 * x1 * x2**2) / u**2
-            H[:, 1, 1] = c * (x1**3 - x1 * x2**2) / u**2
-            H[:, 0, 1] = c * (x2**3 - x1**2 * x2) / u**2
-        H[:, 1, 0] = H[:, 0, 1]
-        return H
+            h11 = c * (x1**3 + 3.0 * x1 * x2**2) / u**2
+            h22 = c * (x1**3 - x1 * x2**2) / u**2
+            h12 = c * (x2**3 - x1**2 * x2) / u**2
+        return np.stack([h11, h12, h12, h22])
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +545,7 @@ class CoreCoefficients:
         gamma = -2.0 / (R2 + e2)
         return cls(alpha=alpha, beta=beta, gamma=gamma, eps=eps, radius_R=radius_R)
 
-    @property
+    @cached_property
     def core_slope(self) -> float:
         """Coefficient of xi_1 inside the core: alpha + beta/eps^2 +
         gamma eps^2 + 4 log eps (the annulus profile frozen at r = eps)."""
@@ -515,23 +577,28 @@ class DislocationCoreAiry(_FrameField):
     annulus_branch: bool = False
 
     def __post_init__(self) -> None:
-        # constructs eagerly to validate 0 < eps < R
-        CoreCoefficients.for_annulus(self.eps, self.radius_R)
+        self.coeffs  # builds eagerly to validate 0 < eps < R
 
-    @property
+    @cached_property
     def K(self) -> float:
         return self.elastic.plane_prefactor
 
-    @property
+    @cached_property
     def coeffs(self) -> CoreCoefficients:
         return CoreCoefficients.for_annulus(self.eps, self.radius_R)
 
-    @property
+    @cached_property
     def magnitude(self) -> float:
         return float(np.hypot(*self.burgers_b))
 
-    def _frame(self):
-        return dipole_frame(self.burgers_b), np.asarray(self.site, dtype=float)
+    @cached_property
+    def _c0(self) -> float:
+        return self.magnitude * self.K / (16.0 * math.pi)
+
+    @cached_property
+    def _c3(self) -> float:
+        """Prefactor of the Laplacian, (|b| K / 2 pi)."""
+        return self.magnitude * self.K / (2.0 * math.pi)
 
     def _core(self, u):
         """Where the affine core branch applies, at squared radii ``u``."""
@@ -545,68 +612,59 @@ class DislocationCoreAiry(_FrameField):
             return c.alpha + c.beta / u + c.gamma * u + 2.0 * np.log(u)
 
     def _c_value(self, xi):
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         core = self._core(u)
         phi = np.where(core, self.coeffs.core_slope, self._phi(np.where(u > 0, u, 1.0)))
-        return self.magnitude * self.K / (16.0 * math.pi) * phi * xi[:, 0]
+        return self._c0 * phi * x1
 
     def _c_gradient(self, xi):
-        c0 = self.magnitude * self.K / (16.0 * math.pi)
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         core = self._core(u)
         cc = self.coeffs
         safe = np.where(u > 0, u, 1.0)
         phi = self._phi(safe)
         dphi = -cc.beta / safe**2 + cc.gamma + 2.0 / safe
-        g = np.empty_like(xi)
-        g[:, 0] = 2.0 * dphi * xi[:, 0] ** 2 + phi
-        g[:, 1] = 2.0 * dphi * xi[:, 0] * xi[:, 1]
+        g = np.empty((len(x1), 2))
+        g[:, 0] = 2.0 * dphi * x1**2 + phi
+        g[:, 1] = 2.0 * dphi * x1 * x2
         g[core, 0] = cc.core_slope
         g[core, 1] = 0.0
-        return c0 * g
+        return self._c0 * g
 
     def _c_hessian(self, xi):
-        c0 = self.magnitude * self.K / (16.0 * math.pi)
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         core = self._core(u)
         cc = self.coeffs
         safe = np.where(u > 0, u, 1.0)
         dphi = -cc.beta / safe**2 + cc.gamma + 2.0 / safe
         d2phi = 2.0 * cc.beta / safe**3 - 2.0 / safe**2
-        x1 = xi[:, 0]
-        H = 4.0 * d2phi[:, None, None] * xi[:, :, None] * xi[:, None, :] * x1[:, None, None]
-        ey = 2.0 * dphi[:, None] * xi
-        H[:, 0, 0] += 2.0 * dphi * x1 + 2.0 * ey[:, 0]
-        H[:, 1, 1] += 2.0 * dphi * x1
-        H[:, 0, 1] += ey[:, 1]
-        H[:, 1, 0] += ey[:, 1]
-        H[core] = 0.0
-        return c0 * H
+        H = _radial_hessian(xi, dphi, d2phi)
+        H[:, core] = 0.0
+        return self._c0 * H
 
     def canonical_laplacian(self, u: np.ndarray) -> np.ndarray:
         """Laplacian over xi_1 at squared radius u (annulus branch):
         Delta W = (|b| K / 2 pi)(gamma + 1/u) xi_1, returned per unit xi_1."""
-        cc = self.coeffs
-        return self.magnitude * self.K / (2.0 * math.pi) * (cc.gamma + 1.0 / u)
+        return self._c3 * (self.coeffs.gamma + 1.0 / u)
 
     def laplacian(self, x):
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
-        out = self.canonical_laplacian(np.where(u > 0, u, 1.0)) * xi[:, 0]
+        x1, x2 = self._xi(x)
+        u = x1**2 + x2**2
+        out = self.canonical_laplacian(np.where(u > 0, u, 1.0)) * x1
         out[self._core(u)] = 0.0
         return out
 
     def grad_laplacian(self, x):
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = self._xi(x)
+        u = x1**2 + x2**2
         safe = np.where(u > 0, u, 1.0)
-        c3 = self.magnitude * self.K / (2.0 * math.pi)
-        g = np.empty_like(xi)
-        g[:, 0] = self.coeffs.gamma + 1.0 / safe - 2.0 * xi[:, 0] ** 2 / safe**2
-        g[:, 1] = -2.0 * xi[:, 0] * xi[:, 1] / safe**2
-        out = c3 * (g @ Q)
+        g = np.empty((len(x1), 2))
+        g[:, 0] = self.coeffs.gamma + 1.0 / safe - 2.0 * x1**2 / safe**2
+        g[:, 1] = -2.0 * x1 * x2 / safe**2
+        out = self._c3 * (g @ self._frame[0])
         out[self._core(u)] = 0.0
         return out
 
@@ -630,17 +688,15 @@ class DislocationLimitAiry(_FrameField):
         if not (self.radius_R > 0.0):
             raise ValidationError(f"radius must be positive, got {self.radius_R}")
 
-    @property
+    @cached_property
     def K(self) -> float:
         return self.elastic.plane_prefactor
 
-    @property
+    @cached_property
     def magnitude(self) -> float:
         return float(np.hypot(*self.burgers_b))
 
-    def _frame(self):
-        return dipole_frame(self.burgers_b), np.asarray(self.site, dtype=float)
-
+    @cached_property
     def _c0(self) -> float:
         return self.magnitude * self.K / (8.0 * math.pi)
 
@@ -650,52 +706,45 @@ class DislocationLimitAiry(_FrameField):
             return (1.0 - math.log(R2)) - u / R2 + np.log(u)
 
     def _c_value(self, xi):
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         f = self._f(np.where(u > 0, u, 1.0))
-        out = self._c0() * f * xi[:, 0]
+        out = self._c0 * f * x1
         return np.where(u > 0.0, out, 0.0)
 
     def _c_gradient(self, xi):
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         safe = np.where(u > 0, u, 1.0)
         f = self._f(safe)
         df = -1.0 / self.radius_R**2 + 1.0 / safe
-        g = np.empty_like(xi)
-        g[:, 0] = 2.0 * df * xi[:, 0] ** 2 + f
-        g[:, 1] = 2.0 * df * xi[:, 0] * xi[:, 1]
-        return self._c0() * g
+        g = np.empty((len(x1), 2))
+        g[:, 0] = 2.0 * df * x1**2 + f
+        g[:, 1] = 2.0 * df * x1 * x2
+        return self._c0 * g
 
     def _c_hessian(self, xi):
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = xi
+        u = x1**2 + x2**2
         safe = np.where(u > 0, u, 1.0)
         df = -1.0 / self.radius_R**2 + 1.0 / safe
         d2f = -1.0 / safe**2
-        x1 = xi[:, 0]
-        H = 4.0 * d2f[:, None, None] * xi[:, :, None] * xi[:, None, :] * x1[:, None, None]
-        ey = 2.0 * df[:, None] * xi
-        H[:, 0, 0] += 2.0 * df * x1 + 2.0 * ey[:, 0]
-        H[:, 1, 1] += 2.0 * df * x1
-        H[:, 0, 1] += ey[:, 1]
-        H[:, 1, 0] += ey[:, 1]
-        return self._c0() * H
+        return self._c0 * _radial_hessian(xi, df, d2f)
 
     def laplacian(self, x):
-        Q, site = self._frame()
-        xi = (_pts(x) - site) @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = self._xi(x)
+        u = x1**2 + x2**2
         safe = np.where(u > 0, u, 1.0)
-        return self._c0() * xi[:, 0] * (4.0 / safe - 8.0 / self.radius_R**2)
+        return self._c0 * x1 * (4.0 / safe - 8.0 / self.radius_R**2)
 
     def grad_laplacian(self, x):
-        Q, site = self._frame()
-        p = _pts(x) - site
-        xi = p @ Q.T
-        u = xi[:, 0] ** 2 + xi[:, 1] ** 2
+        x1, x2 = self._xi(x)
+        u = x1**2 + x2**2
         safe = np.where(u > 0, u, 1.0)
-        g = np.empty_like(xi)
-        g[:, 0] = 4.0 / safe - 8.0 / self.radius_R**2 - 8.0 * xi[:, 0] ** 2 / safe**2
-        g[:, 1] = -8.0 * xi[:, 0] * xi[:, 1] / safe**2
-        return self._c0() * (g @ Q)
+        g = np.empty((len(x1), 2))
+        g[:, 0] = 4.0 / safe - 8.0 / self.radius_R**2 - 8.0 * x1**2 / safe**2
+        g[:, 1] = -8.0 * x1 * x2 / safe**2
+        return self._c0 * (g @ self._frame[0])
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,26 @@ def polar_energy(field, elastic: ElasticConstants, center,
     )
 
 
-def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
-                          ) -> float:
+def _moment_traces(field, rings) -> list:
+    """Per ring of ``rings``, the traces of ``field`` that the first
+    field of the boundary pairing gives: its Hessian times the normal,
+    its Laplacian and the normal derivative of the Laplacian."""
+    return [(np.einsum("nij,nj->ni", field.hessian(pts), nhat), field.laplacian(pts),
+             (field.grad_laplacian(pts) * nhat).sum(axis=-1))
+            for _, pts, nhat, _ in rings]
+
+
+def _value_traces(field, rings) -> list:
+    """Per ring of ``rings``, the value and gradient of ``field``: the
+    traces that the second field of the boundary pairing gives."""
+    return [field.value_and_gradient(pts) for _, pts, _, _ in rings]
+
+
+def _pair_traces(moments, values, rings, elastic: ElasticConstants) -> float:
     """Energy cross term of two biharmonic closed forms by boundary
-    reduction: (1+nu)/E of the three-kernel circle pairing.
+    reduction, (1+nu)/E of the three-kernel circle pairing, from the
+    ``_moment_traces`` of the first and the ``_value_traces`` of the
+    second.
 
     ``rings`` are (sign, points, ball-outward normals, circumference)
     tuples whose signed sum is the region boundary with region-outward
@@ -148,12 +164,8 @@ def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
     """
     nu, E = elastic.poisson_nu, elastic.young_E
     acc = 0.0
-    for sign, pts, nhat, ring in rings:
-        dn_lap = (term_f.grad_laplacian(pts) * nhat).sum(axis=-1)
-        lap = term_f.laplacian(pts)
-        hess_n = np.einsum("nij,nj->ni", term_f.hessian(pts), nhat)
-        g_val = term_g.value(pts)
-        g_grad = term_g.gradient(pts)
+    for (sign, _, nhat, ring), (hess_n, lap, dn_lap), (g_val, g_grad) in zip(
+            rings, moments, values):
         g_dn = (g_grad * nhat).sum(axis=-1)
         acc += sign * ring * float(
             np.mean(
@@ -163,6 +175,13 @@ def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
             )
         )
     return (1.0 + nu) / E * acc
+
+
+def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
+                          ) -> float:
+    """``_pair_traces`` of ``term_f`` with ``term_g``."""
+    return _pair_traces(_moment_traces(term_f, rings),
+                        _value_traces(term_g, rings), rings, elastic)
 
 
 # Largest relative residual a solve may leave: the collocation residual
@@ -204,7 +223,7 @@ def green_bulk_energy(field, elastic: ElasticConstants, domain: DiskDomain,
     (1/K) Delta^2 v = -sum_k s_k delta_{y_k}, and off the ``cores``,
     (site, eps) balls; on its own core circle each cored term must give
     its annulus branch, the limit from the region. Green's identity then
-    turns G into half the pairing of ``_pair_energy_boundary`` over the
+    turns G into half the pairing of ``_pair_traces`` over the
     outer circle minus the core circles, less s_k v(y_k)/2 for each
     charge outside the cores. The trapezoid sums on the circles converge
     geometrically in the node count, which doubles until G settles.

@@ -50,7 +50,13 @@ from .closedform import (
     ShiftedField,
     SumField,
 )
-from .energy import _RESIDUAL_BOUND, _keeps_doubling, _pair_energy_boundary
+from .energy import (
+    _RESIDUAL_BOUND,
+    _keeps_doubling,
+    _moment_traces,
+    _pair_traces,
+    _value_traces,
+)
 from .fields import (
     CORE,
     OUTSIDE,
@@ -66,7 +72,7 @@ def splu(A, *args, **kwargs):
 
     Nothing in the package factors a sparse matrix. The name stays
     only because ``bench/tracing.py`` wraps it, until the benchmark
-    drops its ``splu`` layer (ROADMAP item 4).
+    drops its ``splu`` layer (ROADMAP item 5).
     """
     from scipy.sparse.linalg import splu as factor
 
@@ -179,9 +185,10 @@ class _AlmansiSeries:
 
         def traces(m: int, shift: float):
             pts, nhat, _ = circle_nodes(domain.center, R, m, shift)
+            value, gradient = trace_field.value_and_gradient(pts)
             # an empty SumField evaluates to the scalar 0
-            f = np.zeros(m) - trace_field.value(pts)
-            return f, -R * (trace_field.gradient(pts) * nhat).sum(axis=-1)
+            f = np.zeros(m) - value
+            return f, -R * (gradient * nhat).sum(axis=-1)
 
         # a residual scale that does not vanish with the traces (those of
         # a centered dislocation are roundoff): the field on r = R / 2
@@ -516,8 +523,9 @@ class _MichellSeries:
         pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
         radius = np.repeat([R, eps], counts)[:, None]
         val, der = np.zeros((2, len(pts), 1 + 3 * len(sites)))
-        val[:, 0] = -W_p.value(pts)
-        der[:, 0] = -radius[:, 0] * (W_p.gradient(pts) * nhat).sum(axis=-1)
+        value, gradient = W_p.value_and_gradient(pts)
+        val[:, 0] = -value
+        der[:, 0] = -radius[:, 0] * (gradient * nhat).sum(axis=-1)
         for k, y in enumerate(sites):
             on, col = slice(n0 + k * nc, n0 + (k + 1) * nc), 3 * k + 1
             val[on, col] = 1.0
@@ -631,10 +639,12 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
         (-1.0, *circle_nodes(d.site, eps, _N_QUAD)) for d in dislocations]
     # per ring: the profiles' Laplacians and their normal derivatives,
     # the value and normal derivative of W_p
-    traces = [([t.laplacian(pts) for t in branches],
-               [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches],
-               W_p.value(pts), (W_p.gradient(pts) * nhat).sum(axis=-1))
-              for _, pts, nhat, _ in rings]
+    traces = []
+    for _, pts, nhat, _ in rings:
+        value, gradient = W_p.value_and_gradient(pts)
+        traces.append(([t.laplacian(pts) for t in branches],
+                       [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches],
+                       value, (gradient * nhat).sum(axis=-1)))
     # C0 = (fl/2) sum over profiles f of pair2(f; W_p), with pair2(f; g) =
     # oint_dOmega [Df d_n g - (d_n Df) g] - sum_k oint_circle_k [same],
     # ball-outward normals, valid for f biharmonic on the annular region
@@ -793,6 +803,10 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     if not dislocations:
         raise ValidationError("need at least one dislocation")
     delta = grid_for_disk(domain, n).delta
+    # fitted at E = 1, where the squared mode coefficients cannot
+    # overflow, then scaled: the value, the energies and the field by E
+    E = elastic.young_E
+    elastic = ElasticConstants(1.0, elastic.poisson_nu)
     W0_terms = [
         DislocationLimitAiry(elastic=elastic, burgers_b=d.burgers_b,
                              radius_R=domain.radius_R, site=d.site)
@@ -804,21 +818,25 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     series = _AlmansiSeries.fit(domain, W0)
     # Hessian-form energy of the (non-clamped) correction, with
     # |D^2 v|^2 = ((Delta v)^2 + |4 d_z^2 v|^2) / 2
-    nu, E = elastic.poisson_nu, elastic.young_E
+    nu = elastic.poisson_nu
     lap_square, wirt_square = series.squares()
-    G_hess = (1.0 + nu) / (2.0 * E) * ((0.5 - nu) * lap_square + 0.5 * wirt_square)
+    G_hess = (1.0 + nu) / 2.0 * ((0.5 - nu) * lap_square + 0.5 * wirt_square)
     gram_value = 0.5 * _gram_factor(elastic) * lap_square
     fit_seconds = time.perf_counter() - t0
 
     # analytic boundary pairing on the admissible set: traces equal the
     # negated profile traces, so every term is a closed-form circle
-    # integral
+    # integral. Each profile is evaluated once on the circle: W0's
+    # traces serve every term's pairing.
     outer = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
-    boundary = -sum(_pair_energy_boundary(term, W0, outer, elastic)
+    W0_values = _value_traces(W0, outer)
+    boundary = -sum(_pair_traces(_moment_traces(term, outer), W0_values, outer,
+                                 elastic)
                     for term in W0_terms)
 
     return _series_report(
-        series, n, delta, G_hess + boundary, fit_seconds,
-        {"gram_objective": gram_value, "hessian_energy": G_hess,
-         "boundary_pairing": boundary},
+        series, n, delta, E * (G_hess + boundary), fit_seconds,
+        {"gram_objective": E * gram_value, "hessian_energy": E * G_hess,
+         "boundary_pairing": E * boundary},
+        scale=E,
     )

@@ -95,6 +95,16 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["energy", "--config", str(bad)]) == 2
 
+    def test_parser_is_built_once_and_hands_out_immutable_defaults(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        first = parser.parse_args(["sweep-core", "--config", "c.json"])
+        assert first.eps == (0.2, 0.1, 0.05)
+        assert parser.parse_args(["sweep-core", "--config", "c.json"]) == first
+        assert parser.parse_args(["sweep-dipole"]).h == (1e-2, 3e-3, 1e-3)
+        assert parser.parse_args(["diagonal"]).h == (1e-2, 2.5e-3, 6.25e-4)
+        assert main(["--help"]) == 0 and cli._build_parser() is parser
+
     def test_numerical_error(self, configs, capsys):
         # core radii eps(h) = min(sqrt(h), 0.95 D) not above h leave < 2
         # samples
@@ -372,7 +382,7 @@ class TestOutputPaths:
         def unresolved(self, x):
             raise NumericalError("unresolved")
 
-        monkeypatch.setattr(SumField, "hessian", unresolved)
+        monkeypatch.setattr(SumField, "value_and_hessian", unresolved)
         code = main(["field", "--config", configs["disc"], "--grid-n", "64",
                      "--csv", str(tmp_path / "f.csv"),
                      "--out", str(tmp_path / "f.json")])

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -243,6 +243,69 @@ class TestCombinators:
     def test_poly(self):
         p = Poly2D(coeffs=((0, 0, 1.0), (2, 0, 0.5), (1, 1, -0.25)))
         _fd_check(p, SAMPLE)
+
+
+_EL = ElasticConstants(1.0, 0.3)
+# fields whose constants are built once per instance, each with
+# replacements of the fields those constants read
+CACHED = [
+    (DislocationCoreAiry(_EL, (0.3, -0.4), 0.1, 1.0, (0.2, 0.1)),
+     [{"burgers_b": (0.0, 1.0)}, {"site": (-0.3, 0.2)}, {"eps": 0.05},
+      {"annulus_branch": True}]),
+    (DislocationLimitAiry(_EL, (0.3, -0.4), 1.0, (0.2, 0.1)),
+     [{"burgers_b": (0.0, 1.0)}, {"site": (-0.3, 0.2)}]),
+    (DipoleDerivativeAiry(_EL, (0.3, -0.4), (0.2, 0.1)),
+     [{"burgers_b": (0.0, 1.0)}, {"site": (-0.3, 0.2)}]),
+    (DipoleAiry(_EL, (0.3, -0.4), 0.02, (0.2, 0.1)),
+     [{"burgers_b": (0.0, 1.0)}, {"center": (-0.3, 0.2)}]),
+]
+CACHED_IDS = ["core", "limit", "derivative", "dipole"]
+# points off every site, some inside the cores of radius 0.1
+CACHED_POINTS = np.vstack([SAMPLE, [[0.25, 0.12], [-0.27, 0.18], [0.5, -0.5]]])
+
+
+def _evaluations(field):
+    methods = ("value", "gradient", "hessian", "laplacian", "grad_laplacian")
+    return [getattr(field, m)(CACHED_POINTS) for m in methods if hasattr(field, m)]
+
+
+def _fresh(field, **changes):
+    return type(field)(**{**{f.name: getattr(field, f.name) for f in fields(field)},
+                          **changes})
+
+
+class TestCachedConstants:
+    @pytest.mark.parametrize("field, changes", CACHED, ids=CACHED_IDS)
+    def test_replace_after_evaluation_matches_a_fresh_field(self, field,
+                                                            changes):
+        before = _evaluations(field)
+        for change in changes:
+            moved = replace(field, **change)
+            after = _evaluations(moved)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(after, _evaluations(_fresh(field, **change))))
+            assert not all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("field, changes", CACHED, ids=CACHED_IDS)
+    def test_equality_and_hash_ignore_evaluation(self, field, changes):
+        fresh = _fresh(field)
+        key, text = hash(fresh), repr(fresh)
+        _evaluations(fresh)
+        assert fresh == _fresh(field) and hash(fresh) == key == hash(_fresh(field))
+        assert repr(fresh) == text
+        assert len({fresh, _fresh(field)}) == 1
+
+    @pytest.mark.parametrize("field", [f for f, _ in CACHED] + [
+        FundamentalAiry(_EL),
+        SumField(tuple(f for f, _ in CACHED)),
+    ], ids=CACHED_IDS + ["fundamental", "sum"])
+    def test_fused_evaluations_match_the_separate_calls(self, field):
+        value = field.value(CACHED_POINTS)
+        for fused, second in ((field.value_and_gradient, field.gradient),
+                              (field.value_and_hessian, field.hessian)):
+            got = fused(CACHED_POINTS)
+            assert np.array_equal(got[0], value)
+            assert np.array_equal(got[1], second(CACHED_POINTS))
 
 
 class TestWrappers:

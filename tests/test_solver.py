@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from airy_defects.core import (
     DisclinationDipole,
     Dislocation,
     DiskDomain,
+    ElasticConstants,
     NumericalError,
     ValidationError,
 )
-from airy_defects import solver
+from airy_defects import closedform, solver
 from airy_defects.asymptotics import expansion_check, renormalized_energy
 from airy_defects.closedform import (
     DislocationCoreAiry,
@@ -715,6 +717,61 @@ class TestElasticCorrection:
         report = solve_elastic_correction(elastic, unit_disk, defects, n=128)
         assert report.value < 0.0 or report.value >= 0.0  # finite
         assert np.isfinite(report.value)
+
+    def test_huge_modulus_scales(self, unit_disk):
+        # fitted at E = 1 and scaled: at E = 1e308 the squared mode
+        # coefficients of the fit would overflow although the result
+        # does not
+        unit, big = (
+            solve_elastic_correction(ElasticConstants(E, 0.3), unit_disk,
+                                     PAIR_SAME, n=32)
+            for E in (1.0, 1e308))
+        assert unit.value == 0.007976596603220955
+        assert big.value / 1e308 == pytest.approx(unit.value, rel=1e-15)
+        for key in ("gram_objective", "hessian_energy", "boundary_pairing"):
+            assert big.extras[key] / 1e308 == pytest.approx(unit.extras[key],
+                                                            rel=1e-15)
+        assert np.all(np.isfinite(big.field.values))
+        np.testing.assert_allclose(big.field.values / 1e308, unit.field.values,
+                                   rtol=1e-15, atol=0.0)
+
+    def test_profiles_build_one_frame_and_meet_the_circle_once(
+            self, elastic, unit_disk, monkeypatch):
+        # each profile builds its frame once, and the boundary pairing
+        # evaluates each trace of each profile once on the outer circle:
+        # W0's value traces serve every term's pairing
+        frames, calls = [], []
+        build = closedform.dipole_frame
+
+        def counted_frame(b):
+            frames.append(b)
+            return build(b)
+
+        monkeypatch.setattr(closedform, "dipole_frame", counted_frame)
+        names = ("value", "gradient", "hessian", "laplacian", "grad_laplacian")
+        # the traces each method evaluates
+        traces = {name: (name,) for name in names}
+        traces["value_and_gradient"] = ("value", "gradient")
+        for name, evaluated in traces.items():
+            def counted(self, x, _method=getattr(DislocationLimitAiry, name),
+                        _evaluated=evaluated):
+                calls.extend((id(self), trace, np.array(x, dtype=float))
+                             for trace in _evaluated)
+                return _method(self, x)
+
+            monkeypatch.setattr(DislocationLimitAiry, name, counted)
+        three = [Dislocation((0.4 * math.cos(a), 0.4 * math.sin(a)),
+                             (math.cos(2 * a), math.sin(2 * a)))
+                 for a in (0.3, 2.4, 4.5)]
+        solve_elastic_correction(elastic, unit_disk, three, n=32)
+        assert len(frames) == 3
+        profiles = {i for i, _, _ in calls}
+        assert len(profiles) == 3
+        ring = circle_nodes(unit_disk.center, unit_disk.radius_R,
+                            solver._N_QUAD)[0]
+        on_ring = Counter((i, name) for i, name, x in calls
+                          if x.shape == ring.shape and np.array_equal(x, ring))
+        assert on_ring == {(i, name): 1 for i in profiles for name in names}
 
 
 def _refuse(what):
