@@ -1,74 +1,50 @@
-"""Traction-free / affine-trace equivalence checks on closed curves.
+"""Traction-free / affine-trace equivalence checks on the disk's circle.
 
-A field is traction-free on a curve when its Hessian annihilates the
-tangent; equivalently its Dirichlet data (value, normal derivative)
-agree with those of a single affine function. Both characterizations
-are evaluated numerically here, on any field that gives its value,
-gradient and Hessian at points.
+A field is traction-free on the boundary circle when its Hessian
+annihilates the tangent; equivalently its Dirichlet data (value, normal
+derivative) agree with those of a single affine function. Both
+characterizations are evaluated numerically here, at the equispaced
+nodes of the circle (``fields.circle_nodes``), on any field that gives
+its value, gradient and Hessian at points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiskDomain, ValidationError
+from .core import ValidationError
+from .fields import circle_nodes
 
-# RK4 steps of the tangential ODE track over one circuit
-_ODE_STEPS = 1024
+# Node count range of a boundary check. The cap keeps the node arrays and
+# the field evaluations on them a few tens of MB; its node spacing, 1e-4 R,
+# still resolves a singular site at 0.999 R.
+MIN_SAMPLES = 3
+MAX_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Closed curve sampled at equispaced arc length.
+    """Equispaced nodes of a circle, node j at angle 2 pi j / n, with
+    their unit tangents (counterclockwise) and outward unit normals."""
 
-    Stores positions, unit tangents and curvature per sample; the
-    parametrization must be arc length (|gamma'| = 1).
-    """
-
-    arc_length: np.ndarray
     positions: np.ndarray
     tangents: np.ndarray
-    curvature: np.ndarray
-    length: float
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.tangents, dtype=float)
-        speed = np.hypot(t[:, 0], t[:, 1])
-        if np.any(np.abs(speed - 1.0) > 1e-10):
-            raise ValidationError("curve parametrization is not arc length")
-        p = np.asarray(self.positions, dtype=float)
-        if p.shape[0] < 3:
-            raise ValidationError("need at least 3 curve samples")
+    normals: np.ndarray
 
     @classmethod
     def circle(cls, center=(0.0, 0.0), radius: float = 1.0,
                n_samples: int = 1024) -> "BoundaryCurve":
         if not (radius > 0.0):
             raise ValidationError(f"circle radius must be positive, got {radius}")
-        th = 2.0 * math.pi * np.arange(n_samples) / n_samples
-        c = np.asarray(center, dtype=float)
-        pos = c + radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
-        tan = np.stack([-np.sin(th), np.cos(th)], axis=-1)
-        return cls(
-            arc_length=radius * th,
-            positions=pos,
-            tangents=tan,
-            curvature=np.full(n_samples, 1.0 / radius),
-            length=2.0 * math.pi * radius,
-        )
-
-    @classmethod
-    def for_domain(cls, domain: DiskDomain, n_samples: int = 1024,
-                   ) -> "BoundaryCurve":
-        return cls.circle(domain.center, domain.radius_R, n_samples)
-
-    def normals(self) -> np.ndarray:
-        """Outward normals (tangent rotated -90 degrees)."""
-        t = self.tangents
-        return np.stack([t[:, 1], -t[:, 0]], axis=-1)
+        if not MIN_SAMPLES <= n_samples <= MAX_SAMPLES:
+            raise ValidationError(
+                f"need {MIN_SAMPLES} to {MAX_SAMPLES} circle samples, "
+                f"got {n_samples}")
+        pos, nhat, _ = circle_nodes(center, radius, n_samples)
+        tan = np.stack([-nhat[:, 1], nhat[:, 0]], axis=-1)
+        return cls(positions=pos, tangents=tan, normals=nhat)
 
 
 def tangential_hessian_residual(v, curve: BoundaryCurve) -> float:
@@ -104,50 +80,32 @@ class AffineTraceReport:
 
 def _tangential_ode_track(curve: BoundaryCurve, v_t: np.ndarray,
                           v_n: np.ndarray) -> tuple[float, float]:
-    """Integrate the curvature-rotation system along the curve.
+    """The rotation track of the (tangential, normal) derivative pair.
 
-    For a traction-free field the pair z = (tangential, normal)
-    derivative satisfies z' = kappa (-z2, z1) along arc length. The
-    integrated solution started from the sampled initial data is
-    compared with the sampled data everywhere (track residual) and with
-    its own start after one circuit (closure defect). Integration is
-    classical 4th-order one-step with ``_ODE_STEPS`` steps.
-
-    With z = z1 + i z2 the system reads z' = i kappa z, so one RK4 step
-    multiplies z by 1 + h/6 (a1 + 2 a2 + 2 a3 + a4), where
-    a1 = i kappa(s), a2 = i kappa(s + h/2) (1 + h a1/2),
-    a3 = i kappa(s + h/2) (1 + h a2/2), a4 = i kappa(s + h) (1 + h a3):
-    the trajectory is the cumulative product of these factors.
+    For a traction-free field the pair z = v_t + i v_n satisfies
+    z' = i z / R along the arc length of a circle of radius R, whose
+    exact solution from the first node is z0 e^{i theta}; e^{i theta_j}
+    is the outward normal at node j read as a complex number. Returns
+    the closure defect, the distance between z0 e^{2 pi i} and z0, which
+    is roundoff by construction, and the track residual, the largest
+    miss of the rotation against the sampled (v_t, v_n) at the nodes.
     """
-    L = curve.length
-    h = L / _ODE_STEPS
-    s = h * np.arange(_ODE_STEPS + 1)
-
-    def interp(x, data):
-        return np.interp(np.mod(x, L), curve.arc_length, data, period=L)
-
-    ik = 1j * interp(np.concatenate([s, s[:-1] + 0.5 * h]), curve.curvature)
-    k_start, k_end, k_mid = ik[:_ODE_STEPS], ik[1:_ODE_STEPS + 1], ik[_ODE_STEPS + 1:]
-    a2 = k_mid * (1.0 + 0.5 * h * k_start)
-    a3 = k_mid * (1.0 + 0.5 * h * a2)
-    a4 = k_end * (1.0 + h * a3)
     z0 = v_t[0] + 1j * v_n[0]
-    z = z0 * np.cumprod(1.0 + h / 6.0 * (k_start + 2.0 * a2 + 2.0 * a3 + a4))
-    track = max(np.abs(z.real - interp(s[1:], v_t)).max(),
-                np.abs(z.imag - interp(s[1:], v_n)).max())
-    return float(abs(z[-1] - z0)), float(track)
+    z = z0 * (curve.normals[:, 0] + 1j * curve.normals[:, 1])
+    track = max(np.abs(z.real - v_t).max(), np.abs(z.imag - v_n).max())
+    return float(abs(z0 * np.exp(2j * np.pi) - z0)), float(track)
 
 
 def affine_trace_check(v, curve: BoundaryCurve) -> AffineTraceReport:
-    """Best affine match of the Dirichlet data plus the ODE closure test.
+    """Best affine match of the Dirichlet data plus the rotation track.
 
     Fits a(x) = c0 + c1 x1 + c2 x2 jointly to the sampled values and
-    normal derivatives and reports both misfits; additionally integrates
-    the tangential curvature-rotation system from the data and reports
-    how far it fails to close after one circuit.
+    normal derivatives and reports both misfits; additionally reports
+    how far the derivative data miss the exact rotation that a
+    traction-free field's data follow around the circle.
     """
     pos = curve.positions
-    nrm = curve.normals()
+    nrm = curve.normals
     vals = v.value(pos)
     grads = v.gradient(pos)
     v_n = (grads * nrm).sum(axis=-1)

@@ -58,6 +58,8 @@ from .asymptotics import (
     sweep_to_csv,
 )
 from .boundary import (
+    MAX_SAMPLES,
+    MIN_SAMPLES,
     BoundaryCurve,
     affine_trace_check,
     tangential_hessian_residual,
@@ -463,7 +465,8 @@ def _cmd_diagonal(args) -> None:
 def _cmd_check_bc(args) -> None:
     config = _load_config(args)
     field = _plastic_field(config)
-    curve = BoundaryCurve.for_domain(config.domain, n_samples=args.n_samples)
+    domain = config.domain
+    curve = BoundaryCurve.circle(domain.center, domain.radius_R, args.n_samples)
     residual = tangential_hessian_residual(field, curve)
     report = affine_trace_check(field, curve)
     _emit(args, {
@@ -560,7 +563,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-bc", help="boundary-condition residuals")
     common(p, grid=False)
-    p.add_argument("--n-samples", type=int, default=1024)
+    p.add_argument("--n-samples", type=int, default=1024,
+                   help="equispaced nodes on the disk's circle, "
+                        f"{MIN_SAMPLES} to {MAX_SAMPLES} (default %(default)s)")
     p.set_defaults(run=_cmd_check_bc)
 
     p = sub.add_parser("appendix-b", help="pair-field integral limits")

@@ -183,29 +183,28 @@ class _AlmansiSeries:
         those of ``-trace_field``, from the FFT of the two traces."""
         R = domain.radius_R
 
-        def traces(m: int, shift: float):
-            pts, nhat, _ = circle_nodes(domain.center, R, m, shift)
+        def traces(pts, nhat):
             value, gradient = trace_field.value_and_gradient(pts)
             # an empty SumField evaluates to the scalar 0
-            f = np.zeros(m) - value
+            f = np.zeros(len(pts)) - value
             return f, -R * (gradient * nhat).sum(axis=-1)
 
         # a residual scale that does not vanish with the traces (those of
         # a centered dislocation are roundoff): the field on r = R / 2
-        pts, _, _ = circle_nodes(domain.center, R, _FIRST_SAMPLES)
+        pts, nhat, _ = circle_nodes(domain.center, R, _FIRST_SAMPLES)
         with np.errstate(all="ignore"):
             inner = np.abs(np.zeros(_FIRST_SAMPLES) + trace_field.value(
                 0.5 * (pts + np.asarray(domain.center))))
         inner_scale = float(inner[np.isfinite(inner)].max(initial=0.0))
 
         m = _FIRST_SAMPLES
-        f, g = traces(m, 0.0)
+        f, g = traces(pts, nhat)
         previous = None
         while True:
             F, G = np.fft.rfft(f) / m, np.fft.rfft(g) / m
             F[-1] = G[-1] = 0.0  # the Nyquist mode has no shifted value
             # the interpolated traces against new samples half-way between
-            fs, gs = traces(m, 0.5)
+            fs, gs = traces(*circle_nodes(domain.center, R, m, 0.5)[:2])
             phase = m * np.exp(1j * math.pi * np.arange(len(F)) / m)
             miss = max(np.abs(np.fft.irfft(F * phase, m) - fs).max(),
                        np.abs(np.fft.irfft(G * phase, m) - gs).max())

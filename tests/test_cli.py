@@ -88,12 +88,20 @@ class TestExitCodes:
     def test_help_is_success(self):
         assert main(["--help"]) == 0
 
-    def test_validation_errors(self, capsys, tmp_path):
+    def test_validation_errors(self, capsys, tmp_path, configs):
         assert main(["constants"]) == 2  # neither config nor moduli
         assert main(["energy", "--config", str(tmp_path / "nope.json")]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["energy", "--config", str(bad)]) == 2
+        # check-bc takes 3 to MAX_SAMPLES circle nodes and rejects the
+        # rest before it allocates them or writes anything
+        out = tmp_path / "bc.json"
+        for n, code in ((-1, 2), (0, 2), (2, 2), (3, 0), (2**62, 2)):
+            assert main(["check-bc", "--config", configs["disl"],
+                         "--n-samples", str(n), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+            out.unlink(missing_ok=True)
 
     def test_parser_is_built_once_and_hands_out_immutable_defaults(self):
         parser = cli._build_parser()
