@@ -36,6 +36,9 @@ from .closedform import (
     stress_to_strain,
 )
 from .fields import (
+    CORE,
+    INTERIOR,
+    OUTSIDE,
     Grid,
     check_core_resolution,
     check_grid_n,
@@ -193,9 +196,39 @@ def _plastic_field(config: DefectConfiguration, annulus_branch: bool = False):
 
 
 _FIELD_HEADER = "x,y,v,s11,s12,s22,e11,e12,e22"
-# nodes per block of the field dump, in whole grid lines: each block is
+_SOLUTION_HEADER = "x,y,v,v_xx,v_xy,v_yy,mask"
+# nodes per block of a field dump, in whole grid lines: each block is
 # evaluated, formatted by one "%" operation and written before the next
 _FIELD_BLOCK_NODES = 4096
+
+
+def _dump_grid(domain, n: int, eps=None) -> Grid:
+    """The grid of a field dump whose field has cores of radius ``eps``
+    (``None``: no cores), checked before any file opens: a core
+    narrower than 4 cells is unresolved (``check_core_resolution``)."""
+    grid = grid_for_disk(domain, n)
+    if eps is not None:
+        check_core_resolution(eps, grid.delta)
+    return grid
+
+
+def _line_blocks(grid: Grid, halo: int = 0):
+    """The node coordinates X, Y, of shape (lines, ny), of each block of
+    whole grid lines of about ``_FIELD_BLOCK_NODES`` nodes, in order,
+    with ``halo`` more lines on either side (beyond the grid, too). Line
+    i lies at x0 + delta i, as in ``Grid.xs``."""
+    lines = max(1, _FIELD_BLOCK_NODES // grid.ny)
+    for start in range(0, grid.nx, lines):
+        i = np.arange(start - halo, min(start + lines, grid.nx) + halo)
+        yield np.broadcast_arrays((grid.x0 + grid.delta * i)[:, None], grid.ys)
+
+
+def _block_template(X: np.ndarray, rows: np.ndarray) -> bytes:
+    """The bytes row template of a block of grid lines at x = X[:, 0]:
+    each line's x, formatted once, leads each of its ``rows`` (an object
+    array of the block's shape)."""
+    return b"".join(x + x.join(row) for x, row in
+                    zip(fmt17_array(X[:, 0]).tolist(), rows.tolist()))
 
 
 def _node_values(vals, H, elastic: ElasticConstants) -> np.ndarray:
@@ -220,29 +253,84 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
     values of the inside nodes fill it with one ``%``.
     """
     cx, cy = config.domain.center
-    xs, ys = grid.xs, grid.ys
     outside = b"".join(
         b"," + t for t in fmt17_array(_node_values(
             np.zeros(1), np.zeros((1, 2, 2)), config.elastic)[0]).tolist()
     ) + b"\n"
-    ystr = fmt17_array(ys).tolist()
+    ystr = fmt17_array(grid.ys).tolist()
     row_in = np.array([b"," + y + b",%s" * 7 + b"\n" for y in ystr], dtype=object)
     row_out = np.array([b"," + y + outside for y in ystr], dtype=object)
-    lines = max(1, _FIELD_BLOCK_NODES // len(ys))
     with open(path, "wb") as f:
         f.write(_FIELD_HEADER.encode("ascii") + b"\n")
-        for start in range(0, len(xs), lines):
-            # the same arithmetic as build_mask on the whole grid
-            X, Y = np.broadcast_arrays(xs[start:start + lines, None], ys)
+        for X, Y in _line_blocks(grid):
             inside = np.hypot(X - cx, Y - cy) < config.domain.radius_R
-            template = b"".join(
-                x + x.join(row) for x, row in
-                zip(fmt17_array(X[:, 0]).tolist(),
-                    np.where(inside, row_in, row_out).tolist())
-            )
+            template = _block_template(X, np.where(inside, row_in, row_out))
             pts = np.stack([X[inside], Y[inside]], axis=-1)
             values = _node_values(*field.value_and_hessian(pts), config.elastic)
             f.write(template % tuple(fmt17_array(values).ravel().tolist()))
+
+
+def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
+    """Write ``_SOLUTION_HEADER`` and one row per node of ``grid``,
+    row-major: the minimizer ``solution`` at the nodes inside the disk
+    and at ghost nodes (outside, within two cells of an inside node), 0
+    elsewhere; its central-difference Hessian where the 3x3 stencil lies
+    inside the disk, NaN elsewhere; and the node's mask code.
+
+    The Hessians of a block of grid lines read one more line either
+    side, and the ghosts of those lines two more lines of the inside
+    test; the first two of those lines are the last two of the block
+    before, whose values it keeps. As in the field dump, each
+    block fills one bytes row template, which holds x, y, the mask code
+    and the cells that are the same for every node of a kind (0 and
+    NaN), with the formatted numbers by one ``%``.
+    """
+    (cx, cy), R, h = domain.center, domain.radius_R, grid.delta
+    # row tails per node kind: outside, ghost, then inside short of a
+    # full stencil and with one, each per mask code
+    tails = [b",0,nan,nan,nan,%d\n" % OUTSIDE,
+             b",%%s,nan,nan,nan,%d\n" % OUTSIDE] + [
+        b",%s" + cells + b",%d\n" % code for cells in (b",nan,nan,nan", b",%s,%s,%s")
+        for code in (INTERIOR, CORE)]
+    rows = np.array([[b"," + y + t for y in fmt17_array(grid.ys).tolist()]
+                     for t in tails], dtype=object)
+    kept = np.zeros((2, grid.ny))
+    with open(path, "wb") as f:
+        f.write(_SOLUTION_HEADER.encode("ascii") + b"\n")
+        for X, Y in _line_blocks(grid, halo=3):
+            inside = np.hypot(X - cx, Y - cy) < R
+            # lines 2 .. -2 of the block: the inside nodes and the ghosts
+            live = np.zeros_like(inside[2:-2])
+            for di in range(5):
+                for dj in range(-2, 3):
+                    live |= np.roll(inside[di:di + len(live)], dj, axis=1)
+            X, Y, inside = X[2:-2], Y[2:-2], inside[2:-2]
+            v = np.zeros(X.shape)
+            v[:2], new = kept, live.copy()
+            new[:2] = False
+            v[new] = solution.value(np.stack([X[new], Y[new]], axis=-1))
+            kept = v[-2:]
+            # the block's own lines, 1 .. -1: where the 3x3 stencil is inside
+            ok = np.zeros_like(inside[1:-1])
+            ok[:, 1:-1] = True
+            for di in range(3):
+                for dj in range(3):
+                    ok[:, 1:-1] &= inside[di:di + len(ok), dj:dj + ok.shape[1] - 2]
+            vxy, vyy = np.zeros((2,) + ok.shape)
+            vxx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+            vxy[:, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:]
+                            + v[:-2, :-2]) / (4.0 * h**2)
+            vyy[:, 1:-1] = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1]
+                            + v[1:-1, :-2]) / h**2
+            X, Y, inside, live = X[1:-1], Y[1:-1], inside[1:-1], live[1:-1]
+            core = np.zeros_like(inside)
+            for (px, py), eps in solution.cores:
+                core |= np.hypot(X - px, Y - py) <= eps
+            kind = np.where(live, np.where(inside, 2 + 2 * ok + core, 1), 0)
+            numbers = np.stack([v[1:-1], vxx, vxy, vyy], axis=-1)[
+                np.stack([live, ok, ok, ok], axis=-1)]
+            template = _block_template(X, rows[kind, np.arange(grid.ny)])
+            f.write(template % tuple(fmt17_array(numbers).tolist()))
 
 
 def _check_output_paths(args) -> None:
@@ -340,10 +428,8 @@ def _cmd_field(args) -> None:
         raise ValidationError("field dump needs --csv PATH")
     config = _load_config(args)
     field = _plastic_field(config)
-    grid = grid_for_disk(config.domain, args.grid_n)
-    # checked here: the dump evaluates the field only once its file is open
-    if config.dislocations and config.core_radius is not None:
-        check_core_resolution(config.core_radius, grid.delta)
+    grid = _dump_grid(config.domain, args.grid_n,
+                      config.core_radius if config.dislocations else None)
     _emit(args, {"nodes": grid.nx * grid.ny, "grid_n": args.grid_n, "csv": args.csv},
           {args.csv: lambda path: _write_field_csv(path, config, grid, field)})
 
@@ -354,10 +440,9 @@ def _cmd_energy(args) -> None:
         raise ValidationError(
             "an uncored dislocation has infinite energy; give core_radius")
     field = _plastic_field(config)
+    # the value is exact: --grid-n only names the report's grid
     delta = grid_for_disk(config.domain, args.grid_n).delta
     cores = [(d.site, config.core_radius) for d in config.dislocations]
-    if cores:  # --grid-n only gates the core resolution
-        check_core_resolution(config.core_radius, delta)
     bulk, nodes = green_bulk_energy(
         _plastic_field(config, annulus_branch=True), config.elastic,
         config.domain, config.point_charges(), cores)
@@ -385,6 +470,9 @@ def _cmd_solve(args) -> None:
         raise ValidationError(
             "solve expects exactly one defect family per configuration"
         )
+    if args.field_csv:  # the dislocation and dipole solves have cores
+        grid = _dump_grid(config.domain, args.grid_n,
+                          None if config.disclinations else config.core_radius)
     if config.disclinations:
         report = solve_clamped_disclination(
             config.elastic, config.domain, config.disclinations, n=args.grid_n,
@@ -403,9 +491,10 @@ def _cmd_solve(args) -> None:
             config.elastic, config.domain, config.dipoles,
             config.core_radius, n=args.grid_n,
         )
-    # the field is sampled only here, for a report that passed its check
-    _emit(args, report.to_dict(),
-          {args.field_csv: lambda path: report.field.to_csv(path)})
+    # the solution is evaluated only here, for a report that passed its
+    # check
+    _emit(args, report.to_dict(), {args.field_csv: lambda path: _write_solution_csv(
+        path, report.solution, config.domain, grid)})
 
 
 def _cmd_sweep_dipole(args) -> None:

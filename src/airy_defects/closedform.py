@@ -752,72 +752,6 @@ class DislocationLimitAiry(_FrameField):
 # ---------------------------------------------------------------------------
 
 
-def _scalar_or_array(x, out: np.ndarray):
-    """Single-point inputs come back as plain floats."""
-    if np.asarray(x, dtype=float).ndim == 1:
-        return float(out[0])
-    return out
-
-
-def fundamental_airy(x, c: ElasticConstants):
-    """K |x|^2 log|x|^2 / (16 pi) with the removable singularity at 0."""
-    return _scalar_or_array(x, FundamentalAiry(c).value(x))
-
-
-def single_disclination_clamped(x, s: float, xi, R: float, c: ElasticConstants):
-    """Clamped single-charge potential on B_R(xi); errors outside the ball."""
-    field = SingleDisclinationClamped(elastic=c, radius_R=R, charge_s=s,
-                                      center=tuple(np.asarray(xi, dtype=float)))
-    p = _pts(x) - np.asarray(xi, dtype=float)
-    if np.any(np.hypot(p[:, 0], p[:, 1]) > R * (1.0 + 1e-12)):
-        raise ValidationError("evaluation point outside the clamping ball")
-    return _scalar_or_array(x, field.value(x))
-
-
-def dipole_airy(x, s: float, h: float, c: ElasticConstants):
-    """Opposite-charge pair split by h along e_1 (poles +-(h/2, 0))."""
-    return _scalar_or_array(
-        x, DipoleAiry(elastic=c, burgers_b=(0.0, s), spacing_h=h).value(x)
-    )
-
-
-def dipole_derivative_airy(x, s: float, c: ElasticConstants):
-    """Zero-spacing limit field: (value, gradient, hessian); errors at 0."""
-    p = _pts(x)
-    if np.any(p[:, 0] ** 2 + p[:, 1] ** 2 == 0.0):
-        raise ValidationError("limit dipole field is singular at the origin")
-    field = DipoleDerivativeAiry(elastic=c, burgers_b=(0.0, s))
-    val = field.value(x)
-    grad = field.gradient(x)
-    hess = field.hessian(x)
-    if np.asarray(x, dtype=float).ndim == 1:
-        return float(val[0]), grad[0], hess[0]
-    return val, grad, hess
-
-
-def dislocation_core_airy(x, b, site, eps: float, R: float, c: ElasticConstants):
-    """Core-regularized single-dislocation potential (affine inside B_eps)."""
-    return _scalar_or_array(
-        x,
-        DislocationCoreAiry(elastic=c, burgers_b=tuple(np.asarray(b, dtype=float)),
-                            eps=eps, radius_R=R,
-                            site=tuple(np.asarray(site, dtype=float))).value(x),
-    )
-
-
-def dislocation_limit_airy(x, b, site, R: float, c: ElasticConstants):
-    """Zero-core limit potential; errors at the site."""
-    p = _pts(x) - np.asarray(site, dtype=float)
-    if np.any(p[:, 0] ** 2 + p[:, 1] ** 2 == 0.0):
-        raise ValidationError("limit dislocation field is singular at its site")
-    return _scalar_or_array(
-        x,
-        DislocationLimitAiry(elastic=c, burgers_b=tuple(np.asarray(b, dtype=float)),
-                             radius_R=R,
-                             site=tuple(np.asarray(site, dtype=float))).value(x),
-    )
-
-
 def airy_to_stress(hessian: np.ndarray) -> np.ndarray:
     """sigma = (v_yy, -v_xy; -v_xy, v_xx) from Airy Hessians (N, 2, 2)."""
     H = np.asarray(hessian, dtype=float)

@@ -1,9 +1,10 @@
-"""Grids, grid samples and quadrature rules on (punctured) disks.
+"""Grids, the artifact number format and quadrature rules on disks.
 
-Uniform Cartesian grids with node masks, scalar samples of a field with
-second-order central-difference Hessians for the CSV field dumps, the
+The uniform Cartesian grid of the CSV field dumps and its size cap, the
 byte-exact ``%.17g`` formatting of every artifact, trapezoidal circle
-integrals and a composite Gauss-Legendre radial rule.
+integrals and a composite Gauss-Legendre radial rule. The dumps
+evaluate exact fields block by block of grid lines (``cli``); no
+module holds a field sampled on a whole grid.
 """
 
 from __future__ import annotations
@@ -15,20 +16,16 @@ import numpy as np
 
 from .core import DiskDomain, NumericalError, ValidationError
 
-# mask codes
+# mask codes of the solve dump
 OUTSIDE = 0
 INTERIOR = 1
 CORE = 2
 
 
-# float64 values per grid node that one command may hold at once: `solve
-# --field-csv` samples the solution at every node and holds its
-# finite-difference Hessians and node coordinates, besides the
-# temporaries of the closed forms (write_csv formats _CSV_BLOCK rows at
-# a time, and the `field` dump holds one block of grid lines)
-_GRID_ARRAYS_PER_NODE = 32
-# bytes of grid arrays a resolution may ask for
-_GRID_MEMORY_CAP = 2**31
+# nodes a grid may have: one CSV row each in a field dump, whose blocks
+# of grid lines hold a few MB at any resolution; the cap bounds the
+# file (about 3 GB of `field` CSV) and its run time
+MAX_GRID_NODES = 2**24
 
 # composite Gauss-Legendre radial rule: nodes per panel; width ratio of
 # successive panels toward a singular radius, down to a smallest panel
@@ -250,14 +247,6 @@ class Grid:
     def ys(self) -> np.ndarray:
         return self.y0 + self.delta * np.arange(self.ny)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.xs, self.ys, indexing="ij")
-
-    def points(self) -> np.ndarray:
-        """All nodes as an (nx*ny, 2) array, row-major."""
-        X, Y = self.meshgrid()
-        return np.stack([X.ravel(), Y.ravel()], axis=-1)
-
     def nearest_index(self, p) -> tuple[int, int]:
         p = np.asarray(p, dtype=float)
         i = int(round((p[0] - self.x0) / self.delta))
@@ -270,20 +259,15 @@ class Grid:
 
 def check_grid_n(n: int, pad: int = 4) -> None:
     """Reject a resolution ``n`` too coarse for the disk, or one whose
-    grid arrays would pass ``_GRID_MEMORY_CAP`` bytes; allocates nothing.
-
-    The estimate counts ``_GRID_ARRAYS_PER_NODE`` float64 values per
-    node of the (n + 2 pad + 1)^2 grid.
-    """
+    (n + 2 pad + 1)^2 nodes pass ``MAX_GRID_NODES``; allocates nothing."""
     if n < 8:
         raise ValidationError(f"grid resolution too coarse: n={n}")
-    need = (n + 2 * pad + 1) ** 2 * _GRID_ARRAYS_PER_NODE * 8
-    if need > _GRID_MEMORY_CAP:
-        n_max = (math.isqrt(_GRID_MEMORY_CAP // (8 * _GRID_ARRAYS_PER_NODE))
-                 - 2 * pad - 1)
+    nodes = (n + 2 * pad + 1) ** 2
+    if nodes > MAX_GRID_NODES:
+        n_max = math.isqrt(MAX_GRID_NODES) - 2 * pad - 1
         raise ValidationError(
-            f"grid resolution n={n} needs about {need / 2**30:.4g} GiB of grid "
-            f"arrays, above the {_GRID_MEMORY_CAP / 2**30:g} GiB cap (n <= {n_max})"
+            f"grid resolution n={n} gives {nodes} nodes, above the cap of "
+            f"{MAX_GRID_NODES} (n <= {n_max})"
         )
 
 
@@ -305,108 +289,6 @@ def check_core_resolution(eps: float, delta: float) -> None:
             f"core radius eps={eps} unresolved by the grid: needs eps >= "
             f"4*delta = {4.0 * delta}"
         )
-
-
-def build_mask(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
-    """Node classification: OUTSIDE / INTERIOR / CORE.
-
-    Core punctures must pass :func:`check_core_resolution`, otherwise
-    construction fails loudly.
-    """
-    X, Y = grid.meshgrid()
-    cx, cy = domain.center
-    mask = np.full((grid.nx, grid.ny), OUTSIDE, dtype=np.int8)
-    mask[np.hypot(X - cx, Y - cy) < domain.radius_R] = INTERIOR
-    for site, eps in cores:
-        check_core_resolution(eps, grid.delta)
-        inside = np.hypot(X - site[0], Y - site[1]) <= eps
-        mask[inside & (mask == INTERIOR)] = CORE
-    return mask
-
-
-# ---------------------------------------------------------------------------
-# fields
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar samples on a grid with a domain mask (immutable)."""
-
-    grid: Grid
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        m = np.asarray(self.mask, dtype=np.int8)
-        if v.shape != (self.grid.nx, self.grid.ny) or m.shape != v.shape:
-            raise ValidationError("field/mask shape does not match the grid")
-        v = v.copy()
-        m = m.copy()
-        v.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mask", m)
-
-    @classmethod
-    def sample(cls, fn, grid: Grid, mask: np.ndarray | None = None) -> "ScalarField":
-        """Sample a callable fn(points)->values (points of shape (N, 2))."""
-        vals = np.asarray(fn(grid.points()), dtype=float).reshape(grid.nx, grid.ny)
-        if mask is None:
-            mask = np.full((grid.nx, grid.ny), INTERIOR, dtype=np.int8)
-        return cls(grid=grid, values=vals, mask=mask)
-
-    def stencil_ok(self) -> np.ndarray:
-        """Nodes whose full 3x3 neighborhood lies inside the mask."""
-        inside = self.mask != OUTSIDE
-        ok = np.zeros_like(inside)
-        ok[1:-1, 1:-1] = inside[1:-1, 1:-1]
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ok[1:-1, 1:-1] &= inside[1 + di : self.grid.nx - 1 + di,
-                                         1 + dj : self.grid.ny - 1 + dj]
-        return ok
-
-    def central_hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw central differences (v_xx, v_xy, v_yy) over the whole array.
-
-        NaN on the array rim only: unlike :meth:`hessian_fd` this reads
-        values at masked-out nodes, where solver outputs carry ghost
-        values that boundary-adjacent cells need.
-        """
-        v = self.values
-        h = self.grid.delta
-        vxx = np.full_like(v, np.nan)
-        vyy = np.full_like(v, np.nan)
-        vxy = np.full_like(v, np.nan)
-        vxx[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / h**2
-        vyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h**2
-        vxy[1:-1, 1:-1] = (
-            v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
-        ) / (4.0 * h**2)
-        return vxx, vxy, vyy
-
-    def hessian_fd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Second-order central-difference Hessian.
-
-        Returns (v_xx, v_xy, v_yy, ok) where ``ok`` flags nodes with a
-        full stencil; values elsewhere are NaN, never extrapolated.
-        """
-        vxx, vxy, vyy = self.central_hessian()
-        ok = self.stencil_ok()
-        bad = ~ok
-        vxx[bad] = np.nan
-        vyy[bad] = np.nan
-        vxy[bad] = np.nan
-        return vxx, vxy, vyy, ok
-
-    def to_csv(self, path) -> None:
-        """Header ``x,y,v,v_xx,v_xy,v_yy,mask``, row-major, 17 digits."""
-        vxx, vxy, vyy, _ = self.hessian_fd()
-        X, Y = self.grid.meshgrid()
-        write_csv(path, "x,y,v,v_xx,v_xy,v_yy,mask",
-                  [a.ravel() for a in (X, Y, self.values, vxx, vxy, vyy, self.mask)])
 
 
 def circle_nodes(center, radius: float, n: int, shift: float = 0.0):

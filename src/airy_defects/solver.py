@@ -6,7 +6,7 @@ whole disk with prescribed value and normal derivative on r = R. Mode
 by mode it has Almansi's closed form ``a_k r^|k| + b_k r^(|k|+2)``
 (Michell 1899): an FFT of the two traces and a 2x2 solve per mode give
 the coefficients, the plate energies are exact sums over modes, and the
-reported grid field is the summed series.
+reported solution is the summed series.
 
 The core-constrained problem lives on the punctured disk, B_R minus the
 core balls. Its smooth correction is biharmonic there, so it is a
@@ -19,8 +19,11 @@ the core circles and at the outer-circle frequencies the interior modes
 cannot reach. Green's identity on the circles turns the plate energy
 into exact circle integrals, which leave one 3K x 3K system for the
 affine parameters of the K cores. Mode counts double until the fit
-residual meets its target or stops falling, so the value does not
-depend on the report grid.
+residual meets its target or stops falling.
+
+Every solve samples nothing: its report carries the minimizer as a
+``SeriesSolution``, which sums the series at any points, and the value
+does not depend on the resolution ``n`` of a field dump.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import cached_property
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,14 +59,7 @@ from .energy import (
     _pair_traces,
     _value_traces,
 )
-from .fields import (
-    CORE,
-    OUTSIDE,
-    ScalarField,
-    build_mask,
-    circle_nodes,
-    grid_for_disk,
-)
+from .fields import circle_nodes, grid_for_disk
 
 
 def splu(A, *args, **kwargs):
@@ -81,13 +76,12 @@ def splu(A, *args, **kwargs):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Functional value, solve diagnostics and the minimizer on the grid.
+    """Functional value, solve diagnostics and the minimizer.
 
-    ``field`` is sampled on the grid of size ``grid_n`` the first time it
-    is read (by calling ``sampler``) and kept; a report whose field is
-    never read costs no grid work. ``assemble_seconds`` is the time of
-    the series fit, and ``solve_seconds`` is 0.0: the solve samples
-    nothing.
+    ``solution`` evaluates the minimizer at any points; ``grid_n`` and
+    ``delta`` are the resolution a field dump of it takes.
+    ``assemble_seconds`` is the time of the series fit, and
+    ``solve_seconds`` is 0.0: the solve samples nothing.
     """
 
     value: float
@@ -97,14 +91,9 @@ class SolveReport:
     delta: float
     iterations: int
     assemble_seconds: float
-    sampler: Callable[[], ScalarField] = dataclass_field(repr=False,
-                                                         compare=False)
+    solution: "SeriesSolution" = dataclass_field(repr=False, compare=False)
     extras: dict = dataclass_field(default_factory=dict)
     solve_seconds: ClassVar[float] = 0.0
-
-    @cached_property
-    def field(self) -> ScalarField:
-        return self.sampler()
 
     def to_dict(self) -> dict:
         return {
@@ -136,24 +125,63 @@ _MAX_SAMPLES = 2**16
 _FIT_TARGET = 1e-13
 
 
+# A point's series sum inside the disk drops the modes past the last
+# whose term exceeds floor / _TAIL_MARGIN: at |w| near 1 the dropped
+# tail holds many terms just under the cut, and the margin keeps their
+# sum near the floor. The Taylor sums on r = R cut at the floor itself.
+_TAIL_MARGIN = 16.0
+
+
+def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float,
+                 power: int) -> np.ndarray:
+    """Per radius r, the last mode k whose term bound_k r^(k - power)
+    exceeds ``floor`` (0 when none does). Mode k > power is live where
+    log r passes its threshold (log floor - log bound_k) / (k - power),
+    a mode up to ``power`` where its bound passes ``floor``; the last
+    live mode is the last whose least threshold from it on lies below
+    log r."""
+    k = np.arange(len(bound))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = math.log(floor) if floor > 0.0 else -math.inf
+        threshold = np.where(k > power,
+                             (gap - np.log(bound)) / np.maximum(k - power, 1),
+                             np.where(bound > floor, -np.inf, np.inf))
+        threshold[np.isnan(threshold)] = np.inf
+        least = np.minimum.accumulate(threshold[::-1])[::-1]
+        return np.maximum(np.searchsorted(least, np.log(r)) - 1, 0)
+
+
 def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
-                 floor: float) -> np.ndarray:
+                 floor: float, power: int = 0) -> np.ndarray:
     """Re sum_k c_k (A_k + B_k |w|^2) w^k at points |w| <= 1, where c_0 = 1
-    and c_k = 2 for k >= 1 (the conjugate modes k < 0). Points go by
-    growing |w| in chunks; a chunk sums only the modes whose bound
-    (|A_k| + |B_k|) |w|^k exceeds ``floor``, so deep nodes cost few."""
+    and c_k = 2 for k >= 1 (the conjugate modes k < 0). Each point sums,
+    by Horner's rule, the modes up to the last whose bound (|A_k| +
+    |B_k|) |w|^(k - power) exceeds ``floor`` (``_mode_counts``), so deep
+    points cost few modes and no value depends on the other points.
+    Points go by growing count: the step of mode j takes those that
+    sum it, which all sum the modes below it too."""
     c = np.where(np.arange(len(A)) > 0, 2.0, 1.0)
     A, B = c * A, c * B
-    bound = np.abs(A) + np.abs(B)
     out = np.empty(len(w))
-    order = np.argsort(np.abs(w))
-    for idx in np.array_split(order, max(1, len(w) // 8192)):
-        wc = w[idx]
-        live = np.nonzero(bound * np.abs(wc).max() ** np.arange(len(A)) > floor)[0]
-        sa = sb = 0.0
-        for j in range(live[-1] if len(live) else 0, -1, -1):  # Horner
-            sa, sb = sa * wc + A[j], sb * wc + B[j]
-        out[idx] = (sa + np.abs(wc) ** 2 * sb).real
+    if not len(w):
+        return out
+    count = _mode_counts(np.abs(A) + np.abs(B), np.abs(w), floor, power)
+    order = np.argsort(count, kind="stable")
+    w, count = w[order], count[order]
+    first = np.searchsorted(count, np.arange(count[-1] + 1))
+
+    def horner(C):
+        s = np.zeros(len(w), dtype=complex)
+        for j in range(count[-1], -1, -1):
+            at = slice(first[j], None)
+            np.multiply(s[at], w[at], out=s[at])
+            s[at] += C[j]
+        return s
+
+    total = horner(A)
+    if B.any():
+        total += np.abs(w) ** 2 * horner(B)
+    out[order] = total.real
     return out
 
 
@@ -169,8 +197,8 @@ def _almansi_modes(F: np.ndarray, G: np.ndarray):
 class _AlmansiSeries:
     """Biharmonic z on the disk, z = Re sum_{k >= 0} c_k (A_k rho^k +
     B_k rho^(k+2)) e^{ik theta} with rho = r / R (c as in
-    ``_almansi_sum``). ``floor`` is the size below which ``sample`` drops
-    the tail of the sum."""
+    ``_almansi_sum``). ``floor`` is the size below which ``value`` drops
+    the tail of the sum (see ``_TAIL_MARGIN``)."""
 
     def __init__(self, domain: DiskDomain, A: np.ndarray, B: np.ndarray,
                  floor: float, samples: int = 0, residual: float = 0.0):
@@ -234,53 +262,75 @@ class _AlmansiSeries:
         scale = 16.0 * math.pi / self.domain.radius_R**2
         return scale * float(np.sum(lap)), scale * float(np.sum(wirt))
 
-    def sample(self, n: int):
-        """Grid, mask, live nodes and values of z on the grid of size n.
-
-        Inside nodes carry the series. Ghost nodes (outside, within two
-        cells of an inside node) carry its second-order Taylor extension
-        along the normal from r = R: the series itself diverges outside
-        once a singular site is close to the circle.
-        """
-        grid = grid_for_disk(self.domain, n)
-        mask = build_mask(grid, self.domain)
-        inside = mask != OUTSIDE
-        ghost = np.zeros_like(inside)
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                ghost |= np.roll(inside, (di, dj), axis=(0, 1))
-        ghost &= ~inside
-        X, Y = grid.meshgrid()
-        cx, cy = self.domain.center
-        w = ((X - cx) + 1j * (Y - cy)) / self.domain.radius_R
-        values = np.zeros(X.shape)
-        values[inside] = _almansi_sum(self.A, self.B, w[inside], self.floor)
-        t = np.abs(w[ghost]) - 1.0
-        unit = w[ghost] / (1.0 + t)
+    def value(self, pts: np.ndarray) -> np.ndarray:
+        """z at the (N, 2) points: the series inside the disk (hypot < R),
+        and outside it the second-order Taylor extension along the
+        normal from r = R, which the dump's ghost nodes take: the series
+        itself diverges outside once a singular site is close to the
+        circle."""
+        (cx, cy), R = self.domain.center, self.domain.radius_R
+        dx, dy = pts[:, 0] - cx, pts[:, 1] - cy
+        inside = np.hypot(dx, dy) < R
+        w = (dx + 1j * dy) / R
+        values = np.zeros(len(pts))
+        values[inside] = _almansi_sum(self.A, self.B, w[inside],
+                                      self.floor / _TAIL_MARGIN)
+        out = ~inside
+        t = np.abs(w[out]) - 1.0
+        unit = w[out] / (1.0 + t)
         k, A, B = np.arange(len(self.A)), self.A, self.B
         for order, (ca, cb) in enumerate(
             ((1, 1), (k, k + 2), (k * (k - 1), (k + 2) * (k + 1)))
         ):
             # d^order z / d rho^order on r = R, times t^order / order!
-            values[ghost] += t**order / math.factorial(order) * _almansi_sum(
+            values[out] += t**order / math.factorial(order) * _almansi_sum(
                 ca * A + cb * B, 0.0 * A, unit, self.floor)
-        return grid, mask, inside | ghost, values
+        return values
+
+
+class SeriesSolution:
+    """The minimizer of a solve as a field: ``scale`` times the interior
+    series (``_AlmansiSeries.value``) plus, off the core balls, the
+    closed-form part ``closed`` and the exterior Michell modes of each
+    core; on core ball k (|x - y_k| <= eps_k) it is the affine part.
+
+    ``cores`` holds (site, eps) per core. ``value`` gives each point a
+    value that depends on that point alone.
+    """
+
+    def __init__(self, interior: _AlmansiSeries, scale: float = 1.0,
+                 closed=None, cores=(), affine=(), modes=(), m_core: int = 0):
+        self.interior, self.scale, self.closed = interior, scale, closed
+        self.cores, self._affine = tuple(cores), tuple(affine)
+        self._modes, self._m_core = tuple(modes), m_core
+
+    def value(self, pts) -> np.ndarray:
+        """The minimizer at the (N, 2) points."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        values = self.interior.value(pts)
+        off = np.ones(len(pts), dtype=bool)
+        for (y, eps), (a, s1, s2) in zip(self.cores, self._affine):
+            dx, dy = pts[:, 0] - y[0], pts[:, 1] - y[1]
+            ball = np.hypot(dx, dy) <= eps
+            values[ball] = a + s1 * dx[ball] + s2 * dy[ball]
+            off &= ~ball
+        if self.closed is not None:
+            values[off] += self.closed.value(pts[off])
+        for (y, eps), c in zip(self.cores, self._modes):
+            zeta = ((pts[off, 0] - y[0]) + 1j * (pts[off, 1] - y[1])) / eps
+            values[off] += _michell_sum(c, zeta, self._m_core,
+                                        self.interior.floor / _TAIL_MARGIN)
+        return self.scale * values
 
 
 def _series_report(series: _AlmansiSeries, n: int, delta: float,
                    value: float, fit_seconds: float, extras: dict,
                    singular=None, scale: float = 1.0) -> SolveReport:
-    """Report whose field ``scale (singular + z)`` is sampled on first read."""
-    def sample() -> ScalarField:
-        grid, mask, live, values = series.sample(n)
-        if singular is not None:
-            values[live] += singular.value(grid.points()[live.ravel()])
-        return ScalarField(grid=grid, values=scale * values, mask=mask)
-
+    """Report whose solution is ``scale (singular + z)``."""
     return SolveReport(
         value=value, residual=series.residual, method="fourier", grid_n=n,
         delta=delta, iterations=0, assemble_seconds=fit_seconds,
-        sampler=sample,
+        solution=SeriesSolution(series, scale, singular),
         extras={**extras, "modes": series.samples,
                 "trace_fit_residual": series.residual},
     )
@@ -295,8 +345,8 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     Gram form, leaving closed-form constants (pairwise potential values
     and circle integrals) plus a pure quadratic problem for a smooth
     biharmonic correction with prescribed boundary traces, solved
-    exactly in Fourier modes. The value does not depend on ``n``, which
-    only sets the grid of the reported field.
+    exactly in Fourier modes. The value does not depend on ``n``, the
+    resolution of a field dump.
     """
     disclinations = list(disclinations)
     delta = grid_for_disk(domain, n).delta
@@ -446,7 +496,9 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
                  floor: float) -> np.ndarray:
     """Value at the points zeta (1-D, |zeta| > 1) of the exterior modes
     of one core with coefficients ``c`` in the order of
-    ``_michell_traces``; the power modes are Almansi sums in 1/zeta."""
+    ``_michell_traces``; the power modes are Almansi sums in 1/zeta, and
+    a rho^(2-m) mode is cut by its whole term, factor rho^2 included
+    (``power`` 2)."""
     rho2 = np.abs(zeta) ** 2
     log = 0.5 * np.log(rho2)
     head = (c[0] + c[1] * rho2 + c[2] * zeta.real + c[3] * zeta.imag) * log
@@ -455,7 +507,7 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
     harm[1:], bih[2:] = np.split(0.5 * (cos - 1j * sin), [m_core - 1])
     zero = np.zeros(m_core)
     return (head + _almansi_sum(harm, zero, 1.0 / zeta, floor)
-            + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor / rho2.max()))
+            + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor, power=2))
 
 
 def _least_squares(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
@@ -590,32 +642,17 @@ class _MichellSeries:
                  *_interior_laplacians(w, nu, R, self.B))
         return [i + e @ self.coef for i, e in zip(inner, ext)]
 
-    def sample(self, n: int, u: np.ndarray, W_p):
-        """Grid, mask and values of W_p + z on the grid of size n, for
-        z = z_0 + sum_j u_j z_j: the series at inside nodes, the affine
-        part on core nodes (masked CORE) and, at ghost nodes, W_p plus
-        the core modes plus the normal Taylor extension of the interior
-        modes (``_AlmansiSeries.sample``)."""
+    def solution(self, u: np.ndarray, W_p, scale: float) -> SeriesSolution:
+        """``scale`` (W_p + z) for z = z_0 + sum_j u_j z_j, affine on the
+        core balls."""
         weights = np.concatenate([[1.0], u])
         floor = np.finfo(float).eps * float(self.size @ np.abs(weights))
         interior = _AlmansiSeries(self.domain, self.A @ weights,
                                   self.B @ weights, floor)
-        grid, mask, live, values = interior.sample(n)
-        X, Y = grid.meshgrid()
-        core = np.zeros_like(live)
-        for k, y in enumerate(self.sites):
-            ball = np.hypot(X - y[0], Y - y[1]) <= self.eps
-            a, s1, s2 = u[3 * k:3 * k + 3]
-            values[ball] = a + s1 * (X[ball] - y[0]) + s2 * (Y[ball] - y[1])
-            core |= ball
-        mask[core] = CORE
-        off = live & ~core
-        values[off] += W_p.value(np.stack([X[off], Y[off]], axis=-1))
-        coef = np.split(self.coef @ weights, len(self.sites))
-        for c, y in zip(coef, self.sites):
-            zeta = ((X[off] - y[0]) + 1j * (Y[off] - y[1])) / self.eps
-            values[off] += _michell_sum(c, zeta, self.modes[1], floor)
-        return grid, mask, values
+        return SeriesSolution(
+            interior, scale, W_p, [(y, self.eps) for y in self.sites],
+            np.split(u, len(self.sites)),
+            np.split(self.coef @ weights, len(self.sites)), self.modes[1])
 
 
 def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
@@ -693,8 +730,8 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     affine part minus W_p, whose energy is that of the other profiles'
     Laplacians there.
 
-    The value does not depend on ``n``, which only sets the grid of the
-    reported field. ``extras`` gives the mode counts (interior, per
+    The value does not depend on ``n``, the resolution of a field dump.
+    ``extras`` gives the mode counts (interior, per
     core), the fit residual, ``fit_condition`` (max|r_kk| / min|r_kk| of
     the fit's triangular factor) and ``value_change``, the change in value
     over the last doubling of the mode counts (``None`` when the first
@@ -746,14 +783,10 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     affine = {f"core_{k}": [E * float(c) for c in u[3 * k:3 * k + 3]]
               for k in range(len(dislocations))}
 
-    def sample() -> ScalarField:
-        grid, mask, values = series.sample(n, u, W_p)
-        return ScalarField(grid=grid, values=E * values, mask=mask)
-
     return SolveReport(
         value=E * value, residual=series.residual, method="series", grid_n=n,
         delta=delta, iterations=0, assemble_seconds=fit_seconds,
-        sampler=sample,
+        solution=series.solution(u, W_p, E),
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": list(series.modes),
                 "fit_residual": series.residual,
@@ -796,7 +829,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     in Fourier modes, with its plate energy as an exact mode sum; the
     reported value adds the analytic boundary pairing terms, i.e. it is
     the elastic part of the renormalized energy. The value does not
-    depend on ``n``, which only sets the grid of the reported field.
+    depend on ``n``, the resolution of a field dump.
     """
     dislocations = list(dislocations)
     if not dislocations:

@@ -12,7 +12,7 @@ import numpy as np
 
 from airy_defects.cli import _FIELD_HEADER, _plastic_field, dump_json
 from airy_defects.closedform import airy_to_stress, stress_to_strain
-from airy_defects.fields import build_mask, grid_for_disk
+from airy_defects.fields import grid_for_disk
 
 # rows per "%" operation
 _BLOCK = 1024
@@ -37,14 +37,10 @@ def field_columns(config, n: int) -> list[np.ndarray]:
     """Per-node columns of the field dump, in ``_FIELD_HEADER`` order."""
     field = _plastic_field(config)
     grid = grid_for_disk(config.domain, n)
-    cores = ()
-    if config.core_radius is not None:
-        cores = tuple(
-            (d.site, config.core_radius) for d in config.dislocations
-        )
-    mask = build_mask(grid, config.domain, cores)
-    pts = grid.points()
-    inside = (mask.ravel() != 0)
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    cx, cy = config.domain.center
+    inside = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < config.domain.radius_R
     vals = np.zeros(pts.shape[0])
     H = np.zeros((pts.shape[0], 2, 2))
     vals[inside] = field.value(pts[inside])

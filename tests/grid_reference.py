@@ -1,10 +1,16 @@
-"""Cut-cell quadrature weights and a bicubic view of grid fields.
+"""Whole-grid views of fields, and cut-cell quadrature weights.
 
-Reference for the tests: the finite-difference oracle of
-``tests/test_solver.py`` sums its energies over cut cells, exact area
-fractions of the node-centred cells inside a disk, and
-``tests/test_boundary.py`` reads a solver's grid field through a
-bicubic spline, so that the boundary checks can take it.
+Reference for the tests, kept out of the package, which samples no
+field on a whole grid:
+- ``ScalarField`` holds samples at every node of a grid with a node
+  mask, and takes their central-difference Hessians and CSV dump;
+  ``solution_field`` samples a solve's solution the way the solve dump
+  did before it streamed (the oracle of ``cli._write_solution_csv``).
+- the finite-difference oracle of ``tests/test_solver.py`` sums its
+  energies over cut cells, exact area fractions of the node-centred
+  cells inside a disk.
+- ``SplineField`` reads a grid field through a bicubic spline, so that
+  the boundary checks can take it.
 """
 
 from __future__ import annotations
@@ -15,8 +21,137 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from airy_defects.core import DiskDomain
-from airy_defects.fields import Grid, ScalarField
+from airy_defects.core import DiskDomain, ValidationError
+from airy_defects.fields import CORE, INTERIOR, OUTSIDE, Grid, check_core_resolution
+from field_reference import write_csv
+
+
+def meshgrid(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Node coordinates X, Y indexed [i, j]."""
+    return np.meshgrid(grid.xs, grid.ys, indexing="ij")
+
+
+def points(grid: Grid) -> np.ndarray:
+    """All nodes as an (nx*ny, 2) array, row-major."""
+    X, Y = meshgrid(grid)
+    return np.stack([X.ravel(), Y.ravel()], axis=-1)
+
+
+def build_mask(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
+    """Node classification: OUTSIDE / INTERIOR / CORE.
+
+    Core punctures must pass ``check_core_resolution``, otherwise
+    construction fails loudly.
+    """
+    X, Y = meshgrid(grid)
+    cx, cy = domain.center
+    mask = np.full((grid.nx, grid.ny), OUTSIDE, dtype=np.int8)
+    mask[np.hypot(X - cx, Y - cy) < domain.radius_R] = INTERIOR
+    for site, eps in cores:
+        check_core_resolution(eps, grid.delta)
+        inside = np.hypot(X - site[0], Y - site[1]) <= eps
+        mask[inside & (mask == INTERIOR)] = CORE
+    return mask
+
+
+@dataclass(frozen=True)
+class ScalarField:
+    """Scalar samples on a grid with a domain mask (immutable)."""
+
+    grid: Grid
+    values: np.ndarray
+    mask: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=float)
+        m = np.asarray(self.mask, dtype=np.int8)
+        if v.shape != (self.grid.nx, self.grid.ny) or m.shape != v.shape:
+            raise ValidationError("field/mask shape does not match the grid")
+        v = v.copy()
+        m = m.copy()
+        v.setflags(write=False)
+        m.setflags(write=False)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "mask", m)
+
+    @classmethod
+    def sample(cls, fn, grid: Grid, mask: np.ndarray | None = None) -> "ScalarField":
+        """Sample a callable fn(points)->values (points of shape (N, 2))."""
+        vals = np.asarray(fn(points(grid)), dtype=float).reshape(grid.nx, grid.ny)
+        if mask is None:
+            mask = np.full((grid.nx, grid.ny), INTERIOR, dtype=np.int8)
+        return cls(grid=grid, values=vals, mask=mask)
+
+    def stencil_ok(self) -> np.ndarray:
+        """Nodes whose full 3x3 neighborhood lies inside the mask."""
+        inside = self.mask != OUTSIDE
+        ok = np.zeros_like(inside)
+        ok[1:-1, 1:-1] = inside[1:-1, 1:-1]
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                ok[1:-1, 1:-1] &= inside[1 + di : self.grid.nx - 1 + di,
+                                         1 + dj : self.grid.ny - 1 + dj]
+        return ok
+
+    def central_hessian(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw central differences (v_xx, v_xy, v_yy) over the whole array.
+
+        NaN on the array rim only: unlike :meth:`hessian_fd` this reads
+        values at masked-out nodes, where solver outputs carry ghost
+        values that boundary-adjacent cells need.
+        """
+        v = self.values
+        h = self.grid.delta
+        vxx = np.full_like(v, np.nan)
+        vyy = np.full_like(v, np.nan)
+        vxy = np.full_like(v, np.nan)
+        vxx[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / h**2
+        vyy[:, 1:-1] = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / h**2
+        vxy[1:-1, 1:-1] = (
+            v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
+        ) / (4.0 * h**2)
+        return vxx, vxy, vyy
+
+    def hessian_fd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Second-order central-difference Hessian.
+
+        Returns (v_xx, v_xy, v_yy, ok) where ``ok`` flags nodes with a
+        full stencil; values elsewhere are NaN, never extrapolated.
+        """
+        vxx, vxy, vyy = self.central_hessian()
+        ok = self.stencil_ok()
+        bad = ~ok
+        vxx[bad] = np.nan
+        vyy[bad] = np.nan
+        vxy[bad] = np.nan
+        return vxx, vxy, vyy, ok
+
+    def to_csv(self, path) -> None:
+        """Header ``x,y,v,v_xx,v_xy,v_yy,mask``, row-major, 17 digits,
+        by the reference writer."""
+        vxx, vxy, vyy, _ = self.hessian_fd()
+        X, Y = meshgrid(self.grid)
+        write_csv(path, "x,y,v,v_xx,v_xy,v_yy,mask",
+                  [a.ravel() for a in (X, Y, self.values, vxx, vxy, vyy, self.mask)])
+
+
+def solution_field(solution, domain: DiskDomain, grid: Grid) -> ScalarField:
+    """A solve's ``solution`` at the nodes of ``grid`` inside the disk and
+    at its ghost nodes (outside, within two cells of an inside node),
+    with 0 elsewhere, all nodes evaluated in one batch; masked CORE on
+    the solution's core balls."""
+    mask = build_mask(grid, domain)
+    inside = mask != OUTSIDE
+    live = np.zeros_like(inside)
+    for di in range(-2, 3):
+        for dj in range(-2, 3):
+            live |= np.roll(inside, (di, dj), axis=(0, 1))
+    X, Y = meshgrid(grid)
+    for site, eps in solution.cores:
+        mask[np.hypot(X - site[0], Y - site[1]) <= eps] = CORE
+    values = np.zeros(X.shape)
+    values[live] = solution.value(points(grid)[live.ravel()])
+    return ScalarField(grid=grid, values=values, mask=mask)
 
 
 def _corner_area(X: float, Y: float, r: float) -> float:
@@ -73,7 +208,7 @@ def circle_rect_area(cx: float, cy: float, r: float,
 def disk_cell_fractions(grid: Grid, center, radius: float) -> np.ndarray:
     """Per-node fraction of the node-centered cell covered by the disk."""
     cx, cy = float(center[0]), float(center[1])
-    X, Y = grid.meshgrid()
+    X, Y = meshgrid(grid)
     d = np.hypot(X - cx, Y - cy)
     h = grid.delta
     half_diag = h * math.sqrt(0.5)

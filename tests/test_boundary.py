@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grid_reference import SplineField
+from grid_reference import SplineField, solution_field
 
 from airy_defects.core import Disclination, ValidationError
 from airy_defects.closedform import (
@@ -18,6 +18,7 @@ from airy_defects.boundary import (
     affine_trace_check,
     tangential_hessian_residual,
 )
+from airy_defects.fields import grid_for_disk
 from airy_defects.solver import solve_clamped_disclination
 
 THRESHOLD = 1e-6
@@ -169,6 +170,8 @@ class TestGridFieldPath:
         # check on an interior circle, where the bicubic view is clean
         curve = BoundaryCurve.circle(radius=0.9, n_samples=512)
         v = SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0)
-        num = tangential_hessian_residual(SplineField(report.field), curve)
+        grid = grid_for_disk(unit_disk, 128)
+        num = tangential_hessian_residual(
+            SplineField(solution_field(report.solution, unit_disk, grid)), curve)
         ref = tangential_hessian_residual(v, curve)
         assert abs(num - ref) < 1e-2

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import field_reference
+import grid_reference
 from airy_defects import asymptotics, cli, fields, solver
 from airy_defects.asymptotics import _dipole_energy, annulus_energy_closed_form
 from airy_defects.cli import main
@@ -148,14 +149,20 @@ class TestArtifacts:
         assert a.read_bytes() == b.read_bytes()
 
     def test_validation_first_no_partial_files(self, configs, tmp_path):
-        out = tmp_path / "never.json"
-        # core radius unresolved at this grid: must fail before writing
+        out, csv = tmp_path / "never.json", tmp_path / "never.csv"
+        # core radius 0.1 unresolved by the dump's grid (4 delta = 0.25):
+        # must fail before writing either file
         code = main([
-            "energy", "--config", configs["disl"], "--grid-n", "32",
-            "--out", str(out),
+            "solve", "--config", configs["disl"], "--grid-n", "32",
+            "--field-csv", str(csv), "--out", str(out),
         ])
         assert code == 2
-        assert not out.exists()
+        assert not out.exists() and not csv.exists()
+        # only a dump samples the cores on the grid: the solve alone and
+        # the exact energy take any resolution
+        for command in ("solve", "energy"):
+            assert main([command, "--config", configs["disl"], "--grid-n",
+                         "32", "--out", str(out)]) == 0
 
     def test_field_validates_csv_path_first(self, configs, tmp_path,
                                             monkeypatch):
@@ -213,17 +220,34 @@ class TestArtifacts:
     @pytest.mark.parametrize("doc", DUMP_DOCS, ids=DUMP_IDS)
     def test_solve_field_csv_matches_reference_writer(self, doc, tmp_path,
                                                       monkeypatch):
+        # the streamed dump against the whole-grid oracle, which samples
+        # the same solution at every node in one batch and writes with
+        # the reference writer; at n = 96 and 128 every core is resolved,
+        # and one-line blocks put a block edge beside every line
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        for side in ("got", "ref"):
-            if side == "ref":
-                monkeypatch.setattr(fields, "write_csv", field_reference.write_csv)
+        domain = DefectConfiguration.from_dict(doc).domain
+        write = cli._write_solution_csv
+        for n, block in ((96, None), (128, None), (96, 1)):
+            solutions = []
+
+            def recorded(path, solution, *args):
+                solutions.append(solution)
+                write(path, solution, *args)
+
+            monkeypatch.setattr(cli, "_write_solution_csv", recorded)
+            if block is not None:
+                monkeypatch.setattr(cli, "_FIELD_BLOCK_NODES", block)
+            got, ref = tmp_path / f"got-{n}.csv", tmp_path / f"ref-{n}.csv"
             with np.errstate(all="ignore"):
-                assert main(["solve", "--config", str(cfg), "--grid-n", "64",
-                             "--field-csv", str(tmp_path / f"{side}.csv"),
-                             "--out", str(tmp_path / f"{side}.json")]) == 0
-        assert sha256(tmp_path / "got.csv") == sha256(tmp_path / "ref.csv")
-        assert sha256(tmp_path / "got.json") == sha256(tmp_path / "ref.json")
+                assert main(["solve", "--config", str(cfg), "--grid-n", str(n),
+                             "--field-csv", str(got),
+                             "--out", str(tmp_path / "got.json")]) == 0
+                grid_reference.solution_field(
+                    solutions[0], domain, fields.grid_for_disk(domain, n)
+                ).to_csv(ref)
+            monkeypatch.undo()
+            assert sha256(got) == sha256(ref), (n, block)
 
     @pytest.mark.parametrize("E", ["1", "1e-9", "1e20"])
     def test_sweep_csv_matches_reference_writer(self, E, tmp_path,
@@ -267,6 +291,25 @@ class TestArtifacts:
         assert code == 0
         assert json.loads((tmp_path / "f.json").read_text())["nodes"] == 521**2
         assert peak < 8 * 2**20
+
+    def test_solve_dump_memory_does_not_grow_with_grid(self, tmp_path):
+        # the solve dump evaluates one block of grid lines at a time;
+        # the whole-grid sampler peaked at 6.3 MB here, and at 19.3 MB
+        # at n = 512
+        cfg = tmp_path / "disc.json"
+        cfg.write_text(json.dumps(
+            {**DISC, "disclinations": [{"site": [0.3, -0.2], "s": 1.0}]}))
+        tracemalloc.start()
+        try:
+            code = main(["solve", "--config", str(cfg), "--grid-n", "256",
+                         "--field-csv", str(tmp_path / "f.csv"),
+                         "--out", str(tmp_path / "f.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len((tmp_path / "f.csv").read_bytes().splitlines()) == 1 + 265**2
+        assert peak < 5 * 2**20
 
     def test_field_csv_schema(self, configs, tmp_path):
         csv = tmp_path / "field.csv"
@@ -709,7 +752,7 @@ class TestConfigContract:
 
 class TestExactEnergy:
     """``energy`` pairs exact fields on circles: its value is exact and
-    does not depend on --grid-n, which only gates the core resolution."""
+    does not depend on --grid-n, which only names the report's grid."""
 
     @staticmethod
     def _bulk(doc, tmp_path, n):
@@ -730,8 +773,8 @@ class TestExactEnergy:
             {"site": [0.3, 0.0], "b": [0.0, 1.0]},
             {"site": [-0.3, 0.0], "b": [1.0, 0.0]},
         ]}
-        # n = 80 is the coarsest grid with eps >= 4 delta
-        values = [self._bulk(doc, tmp_path, n) for n in (80, 256, 2048)]
+        # no grid resolves the cores: at n = 16, eps = 0.1 is under 4 delta
+        values = [self._bulk(doc, tmp_path, n) for n in (16, 256, 2048)]
         assert values[0] == values[1] == values[2]
         assert values[0] == pytest.approx(0.121090075628093, rel=1e-12)
 

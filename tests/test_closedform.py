@@ -18,13 +18,7 @@ from airy_defects.closedform import (
     SingleDisclinationClamped,
     SumField,
     airy_to_stress,
-    dipole_airy,
-    dipole_derivative_airy,
     dipole_frame,
-    dislocation_core_airy,
-    dislocation_limit_airy,
-    fundamental_airy,
-    single_disclination_clamped,
     strain_to_stress,
     stress_to_strain,
 )
@@ -309,42 +303,67 @@ class TestCachedConstants:
 
 
 class TestWrappers:
+    """One point or a few through the field classes, as the module-level
+    wrapper functions (now removed) took them."""
+
     def test_scalar_and_array_forms(self, elastic):
         x = (0.3, 0.2)
         arr = np.array([x, (0.1, -0.4)])
-        assert isinstance(fundamental_airy(x, elastic), float)
-        assert fundamental_airy(arr, elastic).shape == (2,)
-        v = single_disclination_clamped(x, 1.0, (0.0, 0.0), 1.0, elastic)
+        fund = FundamentalAiry(elastic)
+        assert fund.value(x).shape == (1,)
+        assert fund.value(arr).shape == (2,)
+        assert fund.value(x)[0] == fund.value(arr)[0]
         ref = SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0)
-        assert v == pytest.approx(ref.value(np.array([x]))[0], rel=1e-15)
+        assert ref.hessian(x).shape == (1, 2, 2)
+        assert np.array_equal(ref.hessian(x)[0], ref.hessian(arr)[0])
 
     def test_domain_gates(self, elastic):
         with pytest.raises(ValidationError):
-            single_disclination_clamped((2.0, 0.0), 1.0, (0.0, 0.0), 1.0, elastic)
+            FundamentalAiry(elastic).value(np.zeros((2, 3)))
         with pytest.raises(ValidationError):
-            dislocation_limit_airy((0.0, 0.0), (0.0, 1.0), (0.0, 0.0), 1.0, elastic)
+            SingleDisclinationClamped(elastic=elastic, radius_R=0.0, charge_s=1.0)
         with pytest.raises(ValidationError):
-            dipole_derivative_airy((0.0, 0.0), 1.0, elastic)
+            DipoleAiry(elastic=elastic, burgers_b=(0.0, 1.0), spacing_h=0.0)
+        with pytest.raises(ValidationError):
+            DipoleDerivativeAiry(elastic=elastic, burgers_b=(0.0, 0.0)).value((0.3, 0.1))
 
     def test_dipole_wrapper_matches_class(self, elastic):
-        val = dipole_airy((0.3, 0.1), 1.0, 0.02, elastic)
-        ref = DipoleAiry(elastic=elastic, burgers_b=(0.0, 1.0), spacing_h=0.02)
-        assert val == pytest.approx(ref.value(np.array([(0.3, 0.1)]))[0], rel=1e-14)
+        # poles -+|b|/2 h Pi(b)/|b| about the centre carry charges +-|b|
+        # of K |x|^2 log|x|^2 / (16 pi)
+        b, h, c, x = np.array([0.6, -0.8]), 0.02, np.array([0.1, 0.2]), np.array([0.3, 0.1])
+        axis = np.array([b[1], -b[0]])
+
+        def fund(p):
+            u = float(p @ p)
+            return elastic.plane_prefactor * u * math.log(u) / (16.0 * math.pi)
+
+        ref = -(fund(x - c - 0.5 * h * axis) - fund(x - c + 0.5 * h * axis))
+        val = DipoleAiry(elastic=elastic, burgers_b=tuple(b), spacing_h=h,
+                         center=tuple(c)).value(x)[0]
+        assert val == pytest.approx(ref, rel=1e-13)
 
     def test_derivative_wrapper_triple(self, elastic):
-        v, g, H = dipole_derivative_airy((0.3, 0.1), 1.0, elastic)
-        ref = DipoleDerivativeAiry(elastic=elastic, burgers_b=(0.0, 1.0))
+        # the value, gradient and Hessian of the dipole at spacing h,
+        # over h, tend to those of the limit field like h^2
         p = np.array([(0.3, 0.1)])
-        assert v == pytest.approx(ref.value(p)[0], rel=1e-14)
-        assert np.allclose(g, ref.gradient(p)[0], atol=1e-14)
-        assert np.allclose(H, ref.hessian(p)[0], atol=1e-14)
+        limit = DipoleDerivativeAiry(elastic=elastic, burgers_b=(0.0, 1.0))
+        for name in ("value", "gradient", "hessian"):
+            ref = getattr(limit, name)(p)
+            gaps = [np.abs(getattr(DipoleAiry(elastic=elastic, burgers_b=(0.0, 1.0),
+                                              spacing_h=h), name)(p) / h - ref).max()
+                    / np.abs(ref).max() for h in (1e-2, 5e-3)]
+            assert gaps[0] < 1e-2 and 3.5 < gaps[0] / gaps[1] < 4.5
 
     def test_core_wrapper_matches_class(self, elastic):
-        val = dislocation_core_airy((0.3, 0.1), (0.0, 1.0), (0.0, 0.0), 0.1, 1.0, elastic)
-        ref = DislocationCoreAiry(
-            elastic=elastic, burgers_b=(0.0, 1.0), eps=0.1, radius_R=1.0
-        )
-        assert val == pytest.approx(ref.value(np.array([(0.3, 0.1)]))[0], rel=1e-14)
+        # a core at a site is the centred core at shifted points
+        site = np.array([0.2, -0.1])
+        pts = np.array([(0.3, 0.1), (0.25, -0.05), (-0.4, 0.5)])
+        shifted, centred = (
+            DislocationCoreAiry(elastic=elastic, burgers_b=(0.6, 0.8), eps=0.1,
+                                radius_R=1.0, site=tuple(y))
+            for y in (site, (0.0, 0.0)))
+        assert np.allclose(shifted.value(pts), centred.value(pts - site),
+                           rtol=1e-13, atol=0.0)
 
 
 class TestConstitutiveMaps:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grid_reference import (
+    ScalarField,
     SplineField,
+    build_mask,
     circle_rect_area,
     disk_cell_fractions,
     region_weights,
@@ -19,8 +21,6 @@ from airy_defects.fields import (
     INTERIOR,
     OUTSIDE,
     Grid,
-    ScalarField,
-    build_mask,
     check_grid_n,
     circle_integral,
     fmt17,
@@ -125,15 +125,20 @@ class TestGrid:
             grid_for_disk(unit_disk, 4)
 
     def test_memory_cap(self, unit_disk):
-        # rejected from the estimate alone: 10^8 cells across would need
-        # 10^16 nodes
-        with pytest.raises(ValidationError, match="GiB"):
+        # rejected from the node count alone: 10^8 cells across would
+        # give 10^16 nodes
+        with pytest.raises(ValidationError, match="nodes, above the cap"):
             grid_for_disk(unit_disk, 100_000_000)
-        n_max = math.isqrt(fields._GRID_MEMORY_CAP
-                           // (8 * fields._GRID_ARRAYS_PER_NODE)) - 9
+        n_max = math.isqrt(fields.MAX_GRID_NODES) - 9
         check_grid_n(n_max)
-        with pytest.raises(ValidationError, match="GiB"):
+        with pytest.raises(ValidationError, match="nodes, above the cap"):
             check_grid_n(n_max + 1)
+
+    def test_cap_admits_a_streamed_3000_grid(self):
+        # both dumps stream blocks of grid lines, so the cap bounds the
+        # rows of the file, not arrays of the whole grid
+        check_grid_n(3000)
+        assert grid_for_disk(DiskDomain((0.0, 0.0), 1.0), 3000).nx == 3009
 
     def test_nearest_index(self, unit_disk):
         g = grid_for_disk(unit_disk, 64)

@@ -7,7 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import michell_reference
-from grid_reference import region_weights
+from grid_reference import (
+    ScalarField,
+    build_mask,
+    meshgrid,
+    points,
+    region_weights,
+    solution_field,
+)
 
 from airy_defects.core import (
     Disclination,
@@ -30,13 +37,7 @@ from airy_defects.closedform import (
     SumField,
 )
 from airy_defects.energy import single_dislocation_min_value
-from airy_defects.fields import (
-    OUTSIDE,
-    ScalarField,
-    build_mask,
-    circle_nodes,
-    grid_for_disk,
-)
+from airy_defects.fields import OUTSIDE, circle_nodes, grid_for_disk
 from airy_defects.solver import (
     solve_clamped_disclination,
     solve_core_constrained,
@@ -116,7 +117,7 @@ class _Discretization:
 
         # unknown numbering: free inside nodes, then 3 DOFs per core
         core_of = np.full(n_nodes, -1, dtype=int)
-        X, Y = g.meshgrid()
+        X, Y = meshgrid(g)
         for k, (site, eps) in enumerate(self.cores):
             sel = (np.hypot(X - site[0], Y - site[1]) <= eps).ravel() & inside
             core_of[sel] = k
@@ -330,6 +331,17 @@ def _singular_part(elastic, disclinations):
     ))
 
 
+def _inside_nodes(domain, n):
+    """The nodes of the grid of size n inside the disk, cores included."""
+    grid = grid_for_disk(domain, n)
+    return points(grid)[build_mask(grid, domain).ravel() != OUTSIDE]
+
+
+def _grid_field(report, domain, n):
+    """The report's solution on the grid of size n (``solution_field``)."""
+    return solution_field(report.solution, domain, grid_for_disk(domain, n))
+
+
 def _limit_profiles(elastic, domain, dislocations):
     """Summed zero-core profiles whose traces the elastic correction cancels."""
     return SumField(tuple(
@@ -350,10 +362,9 @@ class TestDisclinationSolve:
     def test_field_matches_closed_form(self, elastic, unit_disk):
         report = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=128)
         v = SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0)
-        pts = report.field.grid.points()
-        inside = report.field.mask.ravel() != 0
-        num = report.field.values.ravel()[inside]
-        ref = v.value(pts[inside])
+        pts = _inside_nodes(unit_disk, 128)
+        num = report.solution.value(pts)
+        ref = v.value(pts)
         denom = math.sqrt(float(np.sum(ref**2)))
         assert math.sqrt(float(np.sum((num - ref) ** 2))) / denom < 1e-8
 
@@ -403,7 +414,7 @@ class TestDisclinationSolve:
     def test_empty_configuration_is_zero(self, elastic, unit_disk):
         report = solve_clamped_disclination(elastic, unit_disk, [], n=64)
         assert report.value == 0.0
-        assert not np.any(report.field.values)
+        assert not np.any(_grid_field(report, unit_disk, 64).values)
 
     def test_exact_traces_stop_at_first_fit(self, elastic, unit_disk):
         # the centered charge has a constant normal-derivative trace and a
@@ -420,9 +431,10 @@ class TestDisclinationSolve:
         report = solve_clamped_disclination(
             elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)], n=256
         )
-        v = report.field.values
+        field = _grid_field(report, unit_disk, 256)
+        v = field.values
         assert np.all(np.isfinite(v))
-        inside = report.field.mask != 0
+        inside = field.mask != 0
         assert np.abs(v[~inside]).max() <= np.abs(v[inside]).max()
 
     def test_unresolvable_traces_raise(self, elastic, unit_disk, monkeypatch):
@@ -493,10 +505,9 @@ class TestCoreConstrainedSolve:
         w = DislocationCoreAiry(
             elastic=elastic, burgers_b=(0.0, 1.0), eps=0.1, radius_R=1.0
         )
-        pts = report.field.grid.points()
-        inside = report.field.mask.ravel() != 0
-        num = report.field.values.ravel()[inside]
-        ref = w.value(pts[inside])
+        pts = _inside_nodes(unit_disk, 128)
+        num = report.solution.value(pts)
+        ref = w.value(pts)
         denom = math.sqrt(float(np.sum(ref**2)))
         assert math.sqrt(float(np.sum((num - ref) ** 2))) / denom < 2e-3
 
@@ -731,8 +742,10 @@ class TestElasticCorrection:
         for key in ("gram_objective", "hessian_energy", "boundary_pairing"):
             assert big.extras[key] / 1e308 == pytest.approx(unit.extras[key],
                                                             rel=1e-15)
-        assert np.all(np.isfinite(big.field.values))
-        np.testing.assert_allclose(big.field.values / 1e308, unit.field.values,
+        big_values, unit_values = (_grid_field(r, unit_disk, 32).values
+                                   for r in (big, unit))
+        assert np.all(np.isfinite(big_values))
+        np.testing.assert_allclose(big_values / 1e308, unit_values,
                                    rtol=1e-15, atol=0.0)
 
     def test_profiles_build_one_frame_and_meet_the_circle_once(
@@ -795,8 +808,8 @@ SOLVE_IDS = ["disclination", "core", "dipole", "correction"]
 
 class TestLazyField:
     def test_values_sample_no_grid(self, elastic, unit_disk, monkeypatch):
-        monkeypatch.setattr(solver._AlmansiSeries, "sample", _refuse("sampling"))
-        monkeypatch.setattr(solver._MichellSeries, "sample", _refuse("sampling"))
+        monkeypatch.setattr(solver._AlmansiSeries, "value", _refuse("sampling"))
+        monkeypatch.setattr(solver.SeriesSolution, "value", _refuse("sampling"))
         for solve, defects, eps in SOLVES:
             report = solve(elastic, unit_disk, defects, *eps, n=256)
             assert np.isfinite(report.value)
@@ -810,30 +823,35 @@ class TestLazyField:
     @pytest.mark.parametrize("solve, defects, eps", SOLVES, ids=SOLVE_IDS)
     def test_field_is_sampled_once(self, solve, defects, eps, elastic,
                                    unit_disk, monkeypatch):
+        # the series is fitted once, by the solve; its solution then
+        # gives every node the same value in any batch, so a dump may
+        # evaluate it block by block of grid lines
         report = solve(elastic, unit_disk, defects, *eps, n=64)
-        series = (solver._MichellSeries if eps else solver._AlmansiSeries)
-        sample, calls = series.sample, []
-
-        def counted(*args):
-            calls.append(args)
-            return sample(*args)
-
-        monkeypatch.setattr(series, "sample", counted)
-        assert report.field is report.field
-        assert len(calls) == 1
-        assert report.field.values.shape == (64 + 9, 64 + 9)
+        monkeypatch.setattr(solver._AlmansiSeries, "fit", _refuse("the fit"))
+        monkeypatch.setattr(solver, "_MichellSeries", _refuse("the fit"))
+        assert report.solution is report.solution
+        grid = grid_for_disk(unit_disk, 64)
+        X, Y = meshgrid(grid)
+        whole = report.solution.value(points(grid)).reshape(X.shape)
+        assert np.all(np.isfinite(whole)) and whole.shape == (64 + 9, 64 + 9)
+        for line in range(grid.nx):
+            got = report.solution.value(np.stack([X[line], Y[line]], axis=-1))
+            assert np.array_equal(got, whole[line])
+        assert np.array_equal(report.solution.value(np.zeros((0, 2))), [])
 
     def test_dipole_field_is_the_core_field(self, elastic, unit_disk):
-        dip = solve_dipole_core(elastic, unit_disk, DIPOLE, 0.1, n=64).field
+        dip = solve_dipole_core(elastic, unit_disk, DIPOLE, 0.1, n=64)
         core = solve_core_constrained(
             elastic, unit_disk, [Dislocation((0.2, 0.0), (0.0, 1.0))], 0.1,
             n=64,
-        ).field
-        assert dip.grid == core.grid
-        assert np.array_equal(dip.mask, core.mask)
-        assert np.array_equal(dip.values, core.values)
+        )
+        assert dip.delta == core.delta
+        pts = points(grid_for_disk(unit_disk, 64))
+        for a, b in zip(dip.solution.cores, core.solution.cores):
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        assert np.array_equal(dip.solution.value(pts), core.solution.value(pts))
 
-    @pytest.mark.parametrize("n", [4, 2888])  # below 8, above the memory cap
+    @pytest.mark.parametrize("n", [4, 4088])  # below 8, above the node cap
     @pytest.mark.parametrize("solve, defects, eps", SOLVES, ids=SOLVE_IDS)
     def test_bad_grid_n_raises_before_the_fit(self, solve, defects, eps, n,
                                               elastic, unit_disk,
