@@ -29,10 +29,10 @@ from .energy import _moment_traces, _pair_traces, _value_traces, green_bulk_ener
 from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
     SolveReport,
+    _elastic_correction,
     solve_clamped_disclination,
     solve_core_constrained,
     solve_dipole_core,
-    solve_elastic_correction,
 )
 
 
@@ -397,7 +397,10 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
 
     Every bulk integral is thus reduced exactly to signed circle
     integrals of analytic kernels (spectrally convergent trapezoid on
-    each circle) and point values of profile gradients.
+    each circle) and point values of profile gradients. Every circle
+    takes ``n_quad`` trapezoid nodes, and the elastic correction's
+    pairing reads the profiles' traces on the outer circle that the
+    other terms evaluated.
 
     Every term is exactly E times its value at E = 1 (same nu), so the
     terms are evaluated at E = 1 and scaled last: at a large E the
@@ -424,8 +427,9 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
                              radius_R=R, site=d.site)
         for d in dislocations
     ]
-    # each profile is evaluated once on the outer circle and once on its
-    # own circle of radius D
+    # each profile is evaluated once on the outer circle, whose traces
+    # the elastic correction shares, and once on its own circle of
+    # radius D
     outer = [(1.0, *circle_nodes(domain.center, R, n_quad))]
     moments = [_moment_traces(term, outer) for term in terms]
     values = [_value_traces(term, outer) for term in terms]
@@ -447,7 +451,8 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
         )
         F_int += _pair_traces(moments[j], values[k], outer, elastic) + load_k
 
-    F_elastic = solve_elastic_correction(elastic, domain, dislocations, n).value
+    F_elastic = _elastic_correction(elastic, domain, terms, outer, moments,
+                                    values, n).value
     f_DR = sum(
         vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
         for d in dislocations

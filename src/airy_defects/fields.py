@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -247,15 +248,6 @@ class Grid:
     def ys(self) -> np.ndarray:
         return self.y0 + self.delta * np.arange(self.ny)
 
-    def nearest_index(self, p) -> tuple[int, int]:
-        p = np.asarray(p, dtype=float)
-        i = int(round((p[0] - self.x0) / self.delta))
-        j = int(round((p[1] - self.y0) / self.delta))
-        return i, j
-
-    def node(self, i: int, j: int) -> np.ndarray:
-        return np.array([self.x0 + i * self.delta, self.y0 + j * self.delta])
-
 
 def check_grid_n(n: int, pad: int = 4) -> None:
     """Reject a resolution ``n`` too coarse for the disk, or one whose
@@ -328,6 +320,15 @@ def _graded_edges(p: float, q: float) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (``leggauss``, an
+    eigen-solve), built once per order and read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def radial_nodes(lo: float, hi: float, breaks=(), order: int = RADIAL_ORDER):
     """Composite Gauss-Legendre nodes and weights on [lo, hi].
 
@@ -356,7 +357,7 @@ def radial_nodes(lo: float, hi: float, breaks=(), order: int = RADIAL_ORDER):
             k = max(1, math.ceil(math.log(b / a) / math.log(_LOG_PANEL_RATIO)))
             edges.append(a * (b / a) ** (np.arange(1, k + 1) / k))
     e = np.concatenate(edges)
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     mid = 0.5 * (e[1:] + e[:-1])
     half = 0.5 * (e[1:] - e[:-1])
     return ((mid[:, None] + half[:, None] * x).ravel(),

@@ -423,36 +423,45 @@ def _power_rows(w, nu, out: np.ndarray) -> np.ndarray:
 
 
 def _real_product(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Re(X @ C) for a C-ordered X, as one real product: the float view
-    of X interleaves Re X and Im X, so the rows of C take Re C, -Im C."""
+    """Re(X @ C) for a complex X with a contiguous last axis, as one real
+    product: the float view of X interleaves Re X and Im X, so the rows
+    of C take Re C, -Im C."""
     return X.view(float) @ np.stack([C.real, -C.imag], 1).reshape(2 * len(C), -1)
 
 
-def _interior_traces(w, nu, R: float, A: np.ndarray, B: np.ndarray):
-    """Value and normal derivative along the complex unit normals nu of
-    z = Re sum_k c_k (A_k + B_k |w|^2) w^k (c as in ``_almansi_sum``) at
-    the (N, 1) column w = (x - centre) / R, a column per coefficient
-    column. With phi = sum c_k B_k w^(k+1) and chi = sum c_k A_k w^k,
-    z = Re(conj(w) phi + chi) and R d_n z = Re(phi conj(nu) + conj(w)
-    phi' nu + chi' nu): both are Re(X (c A; c B)) for one matrix X."""
-    n, m, k1 = len(w), len(A), np.arange(1.0, len(A) + 1.0)
-    X = np.empty((2 * n, 2 * m), dtype=complex)
-    P = _power_rows(w, nu, X[:, :m])
-    np.multiply(np.abs(w) ** 2, P, out=X[:n, m:])
-    np.multiply(P, w * np.conj(nu) + np.conj(w) * nu * k1, out=X[n:, m:])
-    c = np.where(k1 > 1.0, 2.0, 1.0)[:, None]
-    out = _real_product(X, np.vstack([c * A, c * B]))
-    return out[:n], out[n:] / R
+def _interior_rows(w, nu, count: int) -> np.ndarray:
+    """The (2N, 2 count) complex X whose products give the traces of the
+    interior modes k < count at the (N, 1) column w = (x - centre) / R
+    with complex unit normals nu: rows N of the value, then N of R d_n.
+    With phi = sum c_k B_k w^(k+1) and chi = sum c_k A_k w^k, z =
+    Re(conj(w) phi + chi) and R d_n z = Re(phi conj(nu) + conj(w) phi' nu
+    + chi' nu) are both Re(X (c A; c B)); the first ``count`` columns,
+    w^k over nu d(w^k)/dw, also give the Laplacian traces."""
+    n, k1 = len(w), np.arange(1.0, count + 1.0)
+    X = np.empty((2 * n, 2 * count), dtype=complex)
+    P = _power_rows(w, nu, X[:, :count])
+    np.multiply(np.abs(w) ** 2, P, out=X[:n, count:])
+    np.multiply(P, w * np.conj(nu) + np.conj(w) * nu * k1, out=X[n:, count:])
+    return X
 
 
-def _interior_laplacians(w, nu, R: float, B: np.ndarray):
+def _interior_traces(X: np.ndarray, R: float, A: np.ndarray, B: np.ndarray,
+                     nodes=slice(None)):
+    """Value and normal derivative of z = Re sum_k c_k (A_k + B_k |w|^2)
+    w^k (c as in ``_almansi_sum``) at the ``nodes`` of the rows X of
+    ``_interior_rows``, a column per coefficient column."""
+    n, c = len(X) // 2, np.where(np.arange(len(A)) > 0, 2.0, 1.0)[:, None]
+    C = np.vstack([c * A, c * B])
+    return _real_product(X[:n][nodes], C), _real_product(X[n:][nodes], C) / R
+
+
+def _interior_laplacians(X: np.ndarray, R: float, B: np.ndarray):
     """Laplacian and its normal derivative of the z of
     ``_interior_traces``, from B alone: 4 Re phi' / R^2 and 4 Re(phi''
     nu) / R^3."""
-    n, k1 = len(w), np.arange(1.0, len(B) + 1.0)
-    X = np.empty((2 * n, len(B)), dtype=complex)
-    _power_rows(w, nu, X)
-    out = _real_product(X, (4.0 * np.where(k1 > 1.0, 2.0, 1.0) * k1)[:, None] * B)
+    n, k1 = len(X) // 2, np.arange(1.0, len(B) + 1.0)
+    out = _real_product(X[:, :len(B)],
+                        (4.0 * np.where(k1 > 1.0, 2.0, 1.0) * k1)[:, None] * B)
     return out[:n] / R**2, out[n:] / R**3
 
 
@@ -510,20 +519,24 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
             + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor, power=2))
 
 
-def _least_squares(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solution X of A X = B, one column per column of B,
-    and the ratio max|r_kk| / min|r_kk| of the triangular factor.
+def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Least-squares solution X of A X = B for the columns [A B] of
+    ``system``, A its first ``n``: one column of X per column of B, and
+    the ratio max|r_kk| / min|r_kk| of the triangular factor.
 
-    The columns of A are scaled to unit largest entry; one Householder
-    QR of [A B] gives R = [[R11, R12], [0, R22]] with R12 = Q1^T B, so X
-    solves R11 X = R12. The QR neither pivots nor truncates rank, so a
-    column the others span to roundoff (min|r_kk| <= n eps max|r_kk|)
-    raises ``NumericalError`` instead of fitting noise.
+    The columns of A are scaled in place to unit largest entry, so
+    ``system`` is overwritten; a Fortran-ordered one reaches LAPACK
+    without a transposition. One Householder QR of [A B] gives R =
+    [[R11, R12], [0, R22]] with R12 = Q1^T B, so X solves R11 X = R12.
+    The QR neither pivots nor truncates rank, so a column the others
+    span to roundoff (min|r_kk| <= n eps max|r_kk|) raises
+    ``NumericalError`` instead of fitting noise.
     """
-    n = A.shape[1]
-    scale = np.abs(A).max(axis=0)
+    # the largest |entry| of each column, with no |A| temporary
+    scale = np.maximum(system[:, :n].max(axis=0), -system[:, :n].min(axis=0))
     scale[scale == 0.0] = 1.0
-    R = np.linalg.qr(np.hstack([A / scale, B]), mode="r")
+    system[:, :n] /= scale
+    R = np.linalg.qr(system, mode="r")
     diag = np.abs(np.diag(R[:, :n]))
     if not diag.min() > n * np.finfo(float).eps * diag.max():
         raise NumericalError(
@@ -551,7 +564,12 @@ class _MichellSeries:
     (``_interior_traces``); one complex pass gives the cosine and the
     sine parts of each exterior family (``_michell_traces``), and the
     nodes of all circles are stacked, so each closed form is evaluated
-    once per circle.
+    once per circle. The least-squares system of a rung is written once,
+    block by block, into one column-major array that LAPACK factors
+    without a copy between layouts (``_system``, ``_least_squares``),
+    and one set of interior rows (``_interior_rows``) gives the fit's
+    core-circle misses and, after it, the traces and Laplacians at all
+    nodes.
 
     ``residual`` is the largest miss of either trace at the nodes of all
     circles, relative to the largest datum; ``condition`` is the
@@ -582,30 +600,14 @@ class _MichellSeries:
             val[on, col] = 1.0
             val[on, col + 1:col + 3] = pts[on] - y
             der[on, col + 1:col + 3] = eps * nhat[on]
-        ext = self._exterior(pts, nhat)
+        ext, X = self._exterior(pts, nhat), self._interior(pts, nhat)
         n_ext = ext.shape[-1]
-
-        # every column: the core modes, then the data sets
-        F = np.fft.rfft(np.hstack([ext[0, :n0], val[:n0]]), axis=0) / n0
-        G = np.fft.rfft(np.hstack([R * ext[1, :n0], der[:n0]]), axis=0) / n0
-        A, B = _almansi_modes(F[:m_inner], G[:m_inner])
-        # the high frequencies, weighted as their share of the nodal
-        # 2-norm, then the misses of both traces on each core circle
-        rows = [math.sqrt(2.0 * n0) * np.vstack(
-            [F[m_inner:].real, F[m_inner:].imag,
-             G[m_inner:].real, G[m_inner:].imag])]
-        z, dz = _interior_traces(*self._interior(pts[n0:], nhat[n0:]), R, A, B)
-        z = np.hstack([ext[0, n0:], val[n0:]]) - z
-        dz = eps * (np.hstack([ext[1, n0:], der[n0:] / eps]) - dz)
-        for pair in zip(np.split(z, len(sites)), np.split(dz, len(sites))):
-            rows += pair
-        system = np.vstack(rows)
-        self.coef, self.condition = _least_squares(system[:, :n_ext],
-                                                   system[:, n_ext:])
+        A, B, system = self._system(ext, X, val, der)
+        self.coef, self.condition = _least_squares(system, n_ext)
         self.A = A[:, n_ext:] - A[:, :n_ext] @ self.coef
         self.B = B[:, n_ext:] - B[:, :n_ext] @ self.coef
 
-        z, dz, lap, dlap = self.fields(pts, nhat, ext)
+        z, dz, lap, dlap = self._fields(ext, X)
         self.size = size = np.maximum(np.abs(val), np.abs(der)).max(axis=0)
         miss = np.maximum(np.abs(z - val), np.abs(radius * dz - der)).max(axis=0)
         self.residual = float(np.max(miss / np.where(size > 0.0, size, 1.0)))
@@ -616,6 +618,39 @@ class _MichellSeries:
         Q = lap.T @ (weight * der / radius) - dlap.T @ (weight * val)
         self.Q = 0.5 * (Q + Q.T)
 
+    def _system(self, ext, X, val, der):
+        """The interior coefficients (A, B) of every column, the core
+        modes' then the data sets', for zero core coefficients, and the
+        least-squares system of the core coefficients, in LAPACK's
+        column-major order: the outer-trace frequencies M_i .. 2 M_i,
+        weighted as their share of the nodal 2-norm, then the misses of
+        the value and of the eps d_n traces on each core circle in turn.
+        ``ext`` and ``X`` are the exterior traces and the interior rows
+        at the nodes, the outer circle's 4 M_i first."""
+        R, eps, (m_inner, m_core) = self.domain.radius_R, self.eps, self.modes
+        n0, nc, cores = 4 * m_inner, 4 * m_core, len(self.sites)
+        n_ext = ext.shape[-1]
+        F = np.fft.rfft(np.hstack([ext[0, :n0], val[:n0]]), axis=0) / n0
+        G = np.fft.rfft(np.hstack([R * ext[1, :n0], der[:n0]]), axis=0) / n0
+        A, B = _almansi_modes(F[:m_inner], G[:m_inner])
+        high = len(F) - m_inner
+        system = np.empty((4 * high + 2 * nc * cores, F.shape[1]), order="F")
+        # views: splitting the row axis of a column-major array needs no copy
+        freq = system[:4 * high].reshape(4, high, -1)
+        for block, part in zip(freq, (F[m_inner:].real, F[m_inner:].imag,
+                                      G[m_inner:].real, G[m_inner:].imag)):
+            np.multiply(math.sqrt(2.0 * n0), part, out=block)
+        miss = system[4 * high:].reshape(cores, 2, nc, -1)
+        z, dz, ext_z, ext_dz, val_c, der_c = (t.reshape(cores, nc, -1) for t in (
+            *_interior_traces(X, R, A, B, slice(n0, None)),
+            ext[0, n0:], ext[1, n0:], val[n0:], der[n0:] / eps))
+        np.subtract(ext_z, z[..., :n_ext], out=miss[:, 0, :, :n_ext])
+        np.subtract(val_c, z[..., n_ext:], out=miss[:, 0, :, n_ext:])
+        np.subtract(ext_dz, dz[..., :n_ext], out=miss[:, 1, :, :n_ext])
+        np.subtract(der_c, dz[..., n_ext:], out=miss[:, 1, :, n_ext:])
+        miss[:, 1] *= eps
+        return A, B, system
+
     def _exterior(self, pts, nhat):
         nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
         out = np.empty((4, len(pts), (4 * self.modes[1] - 2) * len(self.sites)))
@@ -625,21 +660,23 @@ class _MichellSeries:
         return out
 
     def _interior(self, pts, nhat):
-        """The columns w and nu of ``_interior_traces`` at the points."""
+        """The rows X of ``_interior_rows`` at the points."""
         (cx, cy), R = self.domain.center, self.domain.radius_R
         w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
-        return w, (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+        return _interior_rows(w, (nhat[:, 0] + 1j * nhat[:, 1])[:, None],
+                              self.modes[0])
 
-    def fields(self, pts, nhat, ext=None):
+    def fields(self, pts, nhat):
         """Value, normal derivative along ``nhat``, Laplacian and normal
         derivative of the Laplacian of every z (one column per data
-        set) at points of the punctured disk; ``ext`` is
-        ``_exterior(pts, nhat)`` when already at hand."""
-        ext = self._exterior(pts, nhat) if ext is None else ext
-        w, nu = self._interior(pts, nhat)
+        set) at points of the punctured disk."""
+        return self._fields(self._exterior(pts, nhat), self._interior(pts, nhat))
+
+    def _fields(self, ext, X):
+        """``fields`` from the exterior traces and the interior rows."""
         R = self.domain.radius_R
-        inner = (*_interior_traces(w, nu, R, self.A, self.B),
-                 *_interior_laplacians(w, nu, R, self.B))
+        inner = (*_interior_traces(X, R, self.A, self.B),
+                 *_interior_laplacians(X, R, self.B))
         return [i + e @ self.coef for i, e in zip(inner, ext)]
 
     def solution(self, u: np.ndarray, W_p, scale: float) -> SeriesSolution:
@@ -661,8 +698,14 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     profiles W_p, the integral of (Delta z)^2 over the core balls, the
     constant C0 and the load on the affine core parameters u (value and
     two slopes per core), so that the functional is
-    (fl/2) int_{B_R} (Delta z)^2 + load . u - C0. Each closed form is
-    evaluated once per circle (the outer one, then the cores)."""
+    (fl/2) int_{B_R} (Delta z)^2 + load . u - C0.
+
+    The rings are the outer circle, then the core circles, ``_N_QUAD``
+    nodes each. Every closed form is evaluated once, on the stacked
+    nodes of all rings (the value and gradient of W_p, each profile's
+    Laplacian and its gradient), and each ring's mean reads its own
+    slice: the closed forms are pointwise, so the traces are those of
+    one evaluation per ring, bit for bit."""
     fl = _gram_factor(elastic)
     W_p = SumField(tuple(
         DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
@@ -671,16 +714,23 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     # the profiles' annulus branches, which the Laplacian traces on the
     # core circles take: the limit from the annulus side
     branches = [replace(t, annulus_branch=True) for t in W_p.terms]
-    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))] + [
-        (-1.0, *circle_nodes(d.site, eps, _N_QUAD)) for d in dislocations]
-    # per ring: the profiles' Laplacians and their normal derivatives,
-    # the value and normal derivative of W_p
-    traces = []
-    for _, pts, nhat, _ in rings:
-        value, gradient = W_p.value_and_gradient(pts)
-        traces.append(([t.laplacian(pts) for t in branches],
-                       [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches],
-                       value, (gradient * nhat).sum(axis=-1)))
+    circles = [circle_nodes(domain.center, domain.radius_R, _N_QUAD)] + [
+        circle_nodes(d.site, eps, _N_QUAD) for d in dislocations]
+    pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
+    value, gradient = W_p.value_and_gradient(pts)
+    g_dn = (gradient * nhat).sum(axis=-1)
+    lap = [t.laplacian(pts) for t in branches]
+    dnlap = [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches]
+    # per ring (sign, nodes, normals, circumference): the profiles'
+    # Laplacians and their normal derivatives, the value and normal
+    # derivative of W_p
+    rings, traces = [], []
+    for k, (sign, (_, _, ring)) in enumerate(
+            zip([1.0] + [-1.0] * len(dislocations), circles)):
+        on = slice(k * _N_QUAD, (k + 1) * _N_QUAD)
+        rings.append((sign, pts[on], nhat[on], ring))
+        traces.append(([f[on] for f in lap], [f[on] for f in dnlap],
+                       value[on], g_dn[on]))
     # C0 = (fl/2) sum over profiles f of pair2(f; W_p), with pair2(f; g) =
     # oint_dOmega [Df d_n g - (d_n Df) g] - sum_k oint_circle_k [same],
     # ball-outward normals, valid for f biharmonic on the annular region
@@ -834,17 +884,33 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     dislocations = list(dislocations)
     if not dislocations:
         raise ValidationError("need at least one dislocation")
-    delta = grid_for_disk(domain, n).delta
     # fitted at E = 1, where the squared mode coefficients cannot
     # overflow, then scaled: the value, the energies and the field by E
     E = elastic.young_E
     elastic = ElasticConstants(1.0, elastic.poisson_nu)
-    W0_terms = [
+    terms = [
         DislocationLimitAiry(elastic=elastic, burgers_b=d.burgers_b,
                              radius_R=domain.radius_R, site=d.site)
         for d in dislocations
     ]
-    W0 = SumField(tuple(W0_terms))
+    outer = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
+    return _elastic_correction(
+        elastic, domain, terms, outer,
+        [_moment_traces(term, outer) for term in terms],
+        [_value_traces(term, outer) for term in terms], n, E)
+
+
+def _elastic_correction(elastic: ElasticConstants, domain: DiskDomain, terms,
+                        outer, moments, values, n: int,
+                        E: float = 1.0) -> SolveReport:
+    """``solve_elastic_correction`` at E = 1 (``elastic``) for the
+    zero-core profiles ``terms``, from their ``_moment_traces`` and
+    ``_value_traces`` on the ring list ``outer`` (the circle r = R), so
+    that a caller holding those traces (``renormalized_energy``) does
+    not evaluate them again; the value, the energies and the field are
+    scaled by E."""
+    delta = grid_for_disk(domain, n).delta
+    W0 = SumField(tuple(terms))
 
     t0 = time.perf_counter()
     series = _AlmansiSeries.fit(domain, W0)
@@ -858,13 +924,10 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
 
     # analytic boundary pairing on the admissible set: traces equal the
     # negated profile traces, so every term is a closed-form circle
-    # integral. Each profile is evaluated once on the circle: W0's
-    # traces serve every term's pairing.
-    outer = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
-    W0_values = _value_traces(W0, outer)
-    boundary = -sum(_pair_traces(_moment_traces(term, outer), W0_values, outer,
-                                 elastic)
-                    for term in W0_terms)
+    # integral. W0's traces sum the profiles' in the order of SumField.
+    W0_values = [(sum(v for v, _ in ring), sum(g for _, g in ring))
+                 for ring in zip(*values)]
+    boundary = -sum(_pair_traces(m, W0_values, outer, elastic) for m in moments)
 
     return _series_report(
         series, n, delta, E * (G_hess + boundary), fit_seconds,

@@ -2,6 +2,8 @@
 
 Reference for the tests, kept out of the package, which samples no
 field on a whole grid:
+- node coordinates and indices of a ``fields.Grid`` (``meshgrid``,
+  ``points``, ``nearest_index``, ``node``);
 - ``ScalarField`` holds samples at every node of a grid with a node
   mask, and takes their central-difference Hessians and CSV dump;
   ``solution_field`` samples a solve's solution the way the solve dump
@@ -29,6 +31,19 @@ from field_reference import write_csv
 def meshgrid(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Node coordinates X, Y indexed [i, j]."""
     return np.meshgrid(grid.xs, grid.ys, indexing="ij")
+
+
+def nearest_index(grid: Grid, p) -> tuple[int, int]:
+    """Index [i, j] of the node nearest the point p."""
+    p = np.asarray(p, dtype=float)
+    i = int(round((p[0] - grid.x0) / grid.delta))
+    j = int(round((p[1] - grid.y0) / grid.delta))
+    return i, j
+
+
+def node(grid: Grid, i: int, j: int) -> np.ndarray:
+    """Coordinates of node [i, j]."""
+    return np.array([grid.x0 + i * grid.delta, grid.y0 + j * grid.delta])
 
 
 def points(grid: Grid) -> np.ndarray:

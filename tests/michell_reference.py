@@ -1,15 +1,27 @@
-"""The five-potential Goursat evaluation of the Michell series traces.
+"""References of the Michell series fit for ``tests/test_solver.py``.
 
-Reference for ``tests/test_solver.py``: every trace of a mode comes
-from its Goursat potentials (phi, phi', phi'', chi, chi'), zero ones
-included, and the sine part of each Michell family from potentials
-rotated by -i. The solver evaluates the same traces with fewer
-operations; both must agree to roundoff.
+- The five-potential Goursat evaluation of the series traces: every
+  trace of a mode comes from its Goursat potentials (phi, phi', phi'',
+  chi, chi'), zero ones included, and the sine part of each Michell
+  family from potentials rotated by -i. The solver evaluates the same
+  traces with fewer operations; both must agree to roundoff.
+- The least squares of the core fit on a system stacked from copies
+  (``stacked_least_squares``) and the core problem's circle integrals
+  with the closed forms evaluated ring by ring
+  (``core_problem_per_ring``): the solver builds the one in place and
+  evaluates the other on all rings at once, and both must agree bit
+  for bit.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
-from airy_defects.solver import _powers
+from airy_defects.closedform import DislocationCoreAiry, SumField
+from airy_defects.core import NumericalError, rotate_burgers
+from airy_defects.fields import circle_nodes
+from airy_defects.solver import _N_QUAD, _gram_factor, _powers
 
 
 def goursat_fields(zeta, nu, L: float, potentials):
@@ -76,3 +88,55 @@ def michell_fields(zeta, nu, eps: float, m_core: int):
     parts = [goursat_fields(zeta, nu, eps, p)
              for p in michell_potentials(zeta, m_core)]
     return [np.hstack(q) for q in zip(*parts)]
+
+
+def stacked_least_squares(A: np.ndarray, B: np.ndarray):
+    """``solver._least_squares`` of the system [A B] on copies: the
+    scaled A and B are stacked into a new C-ordered array, which
+    ``np.linalg.qr`` transposes for LAPACK."""
+    n = A.shape[1]
+    scale = np.abs(A).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    R = np.linalg.qr(np.hstack([A / scale, B]), mode="r")
+    diag = np.abs(np.diag(R[:, :n]))
+    if not diag.min() > n * np.finfo(float).eps * diag.max():
+        raise NumericalError("core series fit is rank deficient")
+    X = np.linalg.solve(R[:n, :n], R[:n, n:]) / scale[:, None]
+    return X, float(diag.max() / diag.min())
+
+
+def core_problem_per_ring(elastic, domain, dislocations, eps: float):
+    """(ball, C0, load) of ``solver._core_problem``, every closed form
+    evaluated once per ring (the outer circle, then the core circles)."""
+    fl = _gram_factor(elastic)
+    W_p = SumField(tuple(
+        DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
+                            radius_R=domain.radius_R, site=d.site)
+        for d in dislocations))
+    branches = [replace(t, annulus_branch=True) for t in W_p.terms]
+    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))] + [
+        (-1.0, *circle_nodes(d.site, eps, _N_QUAD)) for d in dislocations]
+    traces = []
+    for _, pts, nhat, _ in rings:
+        value, gradient = W_p.value_and_gradient(pts)
+        traces.append(([t.laplacian(pts) for t in branches],
+                       [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches],
+                       value, (gradient * nhat).sum(axis=-1)))
+    C0 = 0.5 * fl * sum(
+        sum(sign * ring * float(np.mean(lap[i] * g_dn - dnlap[i] * g_val))
+            for (sign, _, _, ring), (lap, dnlap, g_val, g_dn) in zip(rings, traces))
+        for i in range(len(branches)))
+    load, ball = np.zeros(3 * len(dislocations)), 0.0
+    for k, d in enumerate(dislocations):
+        (_, _, nh, ring), (lap, dnlap, _, _) = rings[k + 1], traces[k + 1]
+        lap_p, dnlap_p, Pi = sum(lap), sum(dnlap), rotate_burgers(d.burgers_b)
+        load[3 * k] = fl * ring * float(np.mean(dnlap_p))
+        for a in (0, 1):
+            load[3 * k + 1 + a] = Pi[a] - fl * ring * float(
+                np.mean(lap_p * nh[:, a] - dnlap_p * eps * nh[:, a]))
+        H = np.fft.rfft(np.zeros(len(nh)) + sum(
+            f for j, f in enumerate(lap) if j != k)) / len(nh)
+        m = np.arange(1, len(H))
+        ball += math.pi * eps**2 * (
+            H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
+    return ball, C0, load

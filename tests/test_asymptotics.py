@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -266,6 +267,27 @@ class TestRenormalizedEnergy:
         )
         ren = renormalized_energy(pair, elastic, unit_disk, n=64)
         assert ren.F_int == pytest.approx(cross + loads, abs=1e-7)
+
+    def test_outer_traces_evaluated_once(self, elastic, unit_disk,
+                                         monkeypatch):
+        # the elastic correction pairs the profiles on the outer circle
+        # through the traces the self and interaction terms evaluated
+        outer = circle_nodes((0.0, 0.0), 1.0, 512)[0]
+        calls = Counter()
+        for name in ("value", "gradient", "hessian", "laplacian",
+                     "grad_laplacian", "value_and_gradient"):
+            def spy(self, x, _name=name, _method=getattr(DislocationLimitAiry, name)):
+                if np.shape(x) == outer.shape and np.array_equal(x, outer):
+                    calls[self.site, _name] += 1
+                return _method(self, x)
+
+            monkeypatch.setattr(DislocationLimitAiry, name, spy)
+        pair = OFF_CENTER_CASES["same-sign pair"]
+        renormalized_energy(pair, elastic, unit_disk, n=64)
+        assert calls == Counter({
+            (d.site, name): 1 for d in pair
+            for name in ("hessian", "laplacian", "grad_laplacian",
+                         "value_and_gradient")})
 
     def test_to_dict(self, elastic, unit_disk):
         d = renormalized_energy(SINGLE, elastic, unit_disk, n=128).to_dict()

@@ -11,6 +11,8 @@ from grid_reference import (
     build_mask,
     circle_rect_area,
     disk_cell_fractions,
+    nearest_index,
+    node,
     region_weights,
 )
 
@@ -142,8 +144,8 @@ class TestGrid:
 
     def test_nearest_index(self, unit_disk):
         g = grid_for_disk(unit_disk, 64)
-        i, j = g.nearest_index((0.0, 0.0))
-        assert np.allclose(g.node(i, j), (0.0, 0.0), atol=1e-12)
+        i, j = nearest_index(g, (0.0, 0.0))
+        assert np.allclose(node(g, i, j), (0.0, 0.0), atol=1e-12)
 
 
 class TestCutCells:
@@ -173,9 +175,9 @@ class TestMask:
         g = grid_for_disk(unit_disk, 64)
         m = build_mask(g, unit_disk, cores=(((0.0, 0.0), 0.25),))
         assert m[0, 0] == OUTSIDE
-        ci, cj = g.nearest_index((0.0, 0.0))
+        ci, cj = nearest_index(g, (0.0, 0.0))
         assert m[ci, cj] == CORE
-        mi, mj = g.nearest_index((0.6, 0.0))
+        mi, mj = nearest_index(g, (0.6, 0.0))
         assert m[mi, mj] == INTERIOR
 
     def test_unresolved_core_rejected(self, unit_disk):
@@ -266,6 +268,22 @@ class TestRadialRule:
         for d in range(2 * order):
             exact = (hi ** (d + 1) - lo ** (d + 1)) / (d + 1)
             assert w @ r**d == pytest.approx(exact, rel=1e-13), d
+
+    @pytest.mark.parametrize("order", [fields.RADIAL_ORDER // 2,
+                                       fields.RADIAL_ORDER])
+    def test_rule_built_once_read_only(self, order):
+        x, w = fields._legendre_rule(order)
+        assert fields._legendre_rule(order)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        # one panel: [0.5, 0.9] spans less than _LOG_PANEL_RATIO
+        r, wr = radial_nodes(0.5, 0.9, (), order)
+        mid, half = 0.5 * (0.9 + 0.5), 0.5 * (0.9 - 0.5)
+        assert np.array_equal(r, mid + half * ref_x)
+        assert np.array_equal(wr, half * ref_w)
 
     def test_log_singularity_at_origin(self):
         r, w = radial_nodes(0.0, 1.0)

@@ -11,6 +11,7 @@ from grid_reference import (
     ScalarField,
     build_mask,
     meshgrid,
+    nearest_index,
     points,
     region_weights,
     solution_field,
@@ -196,7 +197,7 @@ class _Discretization:
             t_m = t_probe
             for _ in range(16):
                 m = bpt - t_m * nhat
-                bi, bj = g.nearest_index(m)
+                bi, bj = nearest_index(g, m)
                 block = self.mask[bi - 1 : bi + 2, bj - 1 : bj + 2]
                 if block.shape == (3, 3) and np.all(block != OUTSIDE):
                     break
@@ -585,8 +586,10 @@ class TestCoreConstrainedSolve:
 
         fits, least_squares = [], solver._least_squares
 
-        def spy(A, B):
-            X, condition = least_squares(A, B)
+        def spy(system, n):
+            # the fit scales the system in place: copy it first
+            A, B = system[:, :n].copy(), system[:, n:].copy()
+            X, condition = least_squares(system, n)
             fits.append((A, B, X))
             return X, condition
 
@@ -602,11 +605,56 @@ class TestCoreConstrainedSolve:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((40, 6))
         B = rng.standard_normal((40, 2))
-        X, condition = solver._least_squares(A, B)
+        X, condition = solver._least_squares(np.hstack([A, B]), 6)
         assert np.allclose(A.T @ (A @ X - B), 0.0, atol=1e-12)
         assert condition >= 1.0
         with pytest.raises(NumericalError, match="rank deficient"):
-            solver._least_squares(np.hstack([A, 3.0 * A[:, 2:3]]), B)
+            solver._least_squares(np.hstack([A, 3.0 * A[:, 2:3], B]), 7)
+
+    @pytest.mark.parametrize("defects, eps", [c[:2] for c in REFERENCE_CASES[:5]],
+                             ids=REFERENCE_IDS[:5])
+    def test_fit_in_place_matches_stacked_qr(self, defects, eps, elastic,
+                                             unit_disk, monkeypatch):
+        # every fit of the doubling: the system built in LAPACK's layout
+        # and scaled in place gives the stacked copies' solution bit for bit
+        fits, least_squares = [], solver._least_squares
+
+        def spy(system, n):
+            assert system.flags.f_contiguous
+            A, B = system[:, :n].copy(), system[:, n:].copy()
+            X, condition = least_squares(system, n)
+            fits.append((A, B, X, condition))
+            return X, condition
+
+        monkeypatch.setattr(solver, "_least_squares", spy)
+        solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        assert fits
+        for A, B, X, condition in fits:
+            ref, ref_condition = michell_reference.stacked_least_squares(A, B)
+            assert np.array_equal(X, ref) and condition == ref_condition
+
+    @pytest.mark.parametrize("defects", [REFERENCE_CASES[0][0], PAIR_SAME],
+                             ids=["centered", "pair"])
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_rings_in_one_pass_match_per_ring(self, defects, eps, elastic,
+                                              unit_disk):
+        _, ball, C0, load = solver._core_problem(elastic, unit_disk, defects,
+                                                 eps)
+        ref_ball, ref_C0, ref_load = michell_reference.core_problem_per_ring(
+            elastic, unit_disk, defects, eps)
+        assert ball == ref_ball and C0 == ref_C0
+        assert np.array_equal(load, ref_load)
+
+    @pytest.mark.parametrize("defects, eps, expected, modes",
+                             REFERENCE_CASES[1:], ids=REFERENCE_IDS[1:])
+    def test_value_change_of_a_doubling(self, defects, eps, expected, modes,
+                                        elastic, unit_disk):
+        # same-eps0.2 moves by 4.5e-14 at |value| 0.0252 (1.8e-12
+        # relative) over its last doubling; the bound is 100 times that
+        report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        change = report.extras["value_change"]
+        assert change is not None
+        assert change <= 1.8e-10 * abs(report.value)
 
     def test_value_does_not_depend_on_n(self, elastic, unit_disk):
         values = [
@@ -700,8 +748,9 @@ class TestSeriesTraces:
                 + 1j * rng.standard_normal((m, columns)) for _ in range(2))
         w = np.sqrt(rng.uniform(size=(60, 1))) * self._unit(rng, 60)
         nu = self._unit(rng, 60)
-        got = (*solver._interior_traces(w, nu, R, A, B),
-               *solver._interior_laplacians(w, nu, R, B))
+        X = solver._interior_rows(w, nu, m)
+        got = (*solver._interior_traces(X, R, A, B),
+               *solver._interior_laplacians(X, R, B))
         self._assert_columns_agree(got, michell_reference.interior_fields(
             w, nu, R, A, B))
 
