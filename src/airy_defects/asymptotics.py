@@ -28,7 +28,7 @@ from .closedform import DipoleAiry, DislocationLimitAiry
 from .energy import _moment_traces, _pair_traces, _value_traces, green_bulk_energy
 from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
-    SolveReport,
+    _N_QUAD,
     _elastic_correction,
     solve_clamped_disclination,
     solve_core_constrained,
@@ -162,16 +162,14 @@ def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
 
 
 def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
-                         h_list, include_solver: bool = False,
-                         n: int = 256) -> list[dict]:
+                         h_list, include_solver: bool = False) -> list[dict]:
     """Normalized pair-field energies over decreasing spacings.
 
     Each row reports the exact G(pair field; B_R) of ``_dipole_energy``,
-    and G / (h^2 log(R/h)) against its limit K s^2 / (8 pi); with ``include_solver`` the minimizer value of
-    the two-charge functional is added, normalized by h^2 |log h|
-    against -K s^2 / (8 pi). The solver value is an exact mode sum at
-    every spacing; ``n`` only sets the grid of its field, which the sweep
-    never samples.
+    and G / (h^2 log(R/h)) against its limit K s^2 / (8 pi); with
+    ``include_solver`` the minimizer value of the two-charge functional
+    is added, normalized by h^2 |log h| against -K s^2 / (8 pi). The
+    solver value is an exact mode sum at every spacing.
     """
     h_values = _check_decreasing(h_list, "spacing")
     if any(not (0.0 < h < R) for h in h_values):
@@ -204,7 +202,7 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
                 Disclination(site=(0.5 * h, 0.0), frank_angle_s=s),
                 Disclination(site=(-0.5 * h, 0.0), frank_angle_s=-s),
             ]
-            rep = solve_clamped_disclination(elastic, domain, charges, n)
+            rep = solve_clamped_disclination(elastic, domain, charges)
             row["solver_value"] = rep.value
             row["solver_normalized"] = rep.value / (h**2 * abs(math.log(h)))
             row["solver_limit"] = -limit
@@ -224,10 +222,14 @@ def sweep_to_csv(rows, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def angular_quartic_integral(n_quad: int = 64) -> float:
+# trapezoid nodes of angular_quartic_integral; any count above 6 is exact
+_QUARTIC_NODES = 64
+
+
+def angular_quartic_integral() -> float:
     """Trapezoidal value of the full-circle integral of sin^4 cos^2
-    (exact for n_quad > 6; equals pi/8)."""
-    th = 2.0 * math.pi * np.arange(n_quad) / n_quad
+    (equals pi/8)."""
+    th = 2.0 * math.pi * np.arange(_QUARTIC_NODES) / _QUARTIC_NODES
     return float(np.mean(np.sin(th) ** 4 * np.cos(th) ** 2)) * 2.0 * math.pi
 
 
@@ -370,7 +372,6 @@ class RenormalizedEnergy:
 
 def renormalized_energy(dislocations, elastic: ElasticConstants,
                         domain: DiskDomain, D_override: float | None = None,
-                        n: int = 256, n_quad: int = 512,
                         ) -> RenormalizedEnergy:
     """Self/interaction/elastic decomposition plus the geometry constant.
 
@@ -398,7 +399,7 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
     Every bulk integral is thus reduced exactly to signed circle
     integrals of analytic kernels (spectrally convergent trapezoid on
     each circle) and point values of profile gradients. Every circle
-    takes ``n_quad`` trapezoid nodes, and the elastic correction's
+    takes ``solver._N_QUAD`` trapezoid nodes, and the elastic correction's
     pairing reads the profiles' traces on the outer circle that the
     other terms evaluated.
 
@@ -430,13 +431,13 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
     # each profile is evaluated once on the outer circle, whose traces
     # the elastic correction shares, and once on its own circle of
     # radius D
-    outer = [(1.0, *circle_nodes(domain.center, R, n_quad))]
+    outer = [(1.0, *circle_nodes(domain.center, R, _N_QUAD))]
     moments = [_moment_traces(term, outer) for term in terms]
     values = [_value_traces(term, outer) for term in terms]
 
     F_self = 0.0
     for j, term in enumerate(terms):
-        rings = outer + [(-1.0, *circle_nodes(sites[j], D, n_quad))]
+        rings = outer + [(-1.0, *circle_nodes(sites[j], D, _N_QUAD))]
         F_self += 0.5 * _pair_traces(moments[j] + _moment_traces(term, rings[1:]),
                                      values[j] + _value_traces(term, rings[1:]),
                                      rings, elastic)
@@ -451,8 +452,8 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
         )
         F_int += _pair_traces(moments[j], values[k], outer, elastic) + load_k
 
-    F_elastic = _elastic_correction(elastic, domain, terms, outer, moments,
-                                    values, n).value
+    _, _, F_elastic, _ = _elastic_correction(elastic, domain, terms, outer,
+                                             moments, values)
     f_DR = sum(
         vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
         for d in dislocations
@@ -475,16 +476,15 @@ def _analytic_slope(dislocations, elastic: ElasticConstants) -> float:
 
 
 def expansion_check(dislocations, elastic: ElasticConstants,
-                    domain: DiskDomain, eps_list, n: int = 256,
-                    fit_tail: int = 3,
-                    reports: list[SolveReport] | None = None) -> ExpansionFit:
+                    domain: DiskDomain, eps_list,
+                    fit_tail: int = 3) -> ExpansionFit:
     """Solver values over a decreasing core-radius list, fitted against
     |log eps| and compared with the renormalized-energy constant.
 
     The fit is ``slope * |log eps| + constant + eps2_coeff * eps^2``: the
     core-constrained minimum carries an O(eps^2) remainder (for one
     centered core it is the (R^2 - eps^2)/(R^2 + eps^2) term of the
-    closed form), which at core radii of a few grid cells biases a
+    closed form), which at core radii of a tenth of R and more biases a
     two-term fit by several percent. With only two tail samples there is
     no room for the remainder and the two-term fit is used.
     """
@@ -492,16 +492,12 @@ def expansion_check(dislocations, elastic: ElasticConstants,
     if not dislocations:
         raise ValidationError("need at least one dislocation")
     eps_values = _check_decreasing(eps_list, "core radius")
-    values = []
-    for eps in eps_values:
-        rep = solve_core_constrained(elastic, domain, dislocations, eps, n)
-        if reports is not None:
-            reports.append(rep)
-        values.append(rep.value)
+    values = [solve_core_constrained(elastic, domain, dislocations, eps).value
+              for eps in eps_values]
     slope, constant, s_err, c_err, residual, eps2 = _fit_log_expansion(
         eps_values, values, fit_tail, eps2_term=True
     )
-    renorm = renormalized_energy(dislocations, elastic, domain, n=n)
+    renorm = renormalized_energy(dislocations, elastic, domain)
     return ExpansionFit(
         param_name="eps", params=tuple(eps_values), values=tuple(values),
         slope=slope, constant=constant, slope_stderr=s_err,
@@ -512,7 +508,7 @@ def expansion_check(dislocations, elastic: ElasticConstants,
 
 
 def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
-                          domain: DiskDomain, h_list, n: int = 256,
+                          domain: DiskDomain, h_list,
                           fit_tail: int = 3) -> ExpansionFit:
     """Joint spacing/core limit: per spacing h the core radius is
     eps(h) = sqrt(h), clipped below the separation radius; samples whose
@@ -531,9 +527,8 @@ def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
             skipped.append({"h": h, "eps": eps, "reason": "h >= eps"})
             continue
         sized = [replace(dip, spacing_h=h) for dip in dipoles]
-        rep = solve_dipole_core(elastic, domain, sized, eps, n)
         eps_used.append(eps)
-        values.append(rep.value)
+        values.append(solve_dipole_core(elastic, domain, sized, eps).value)
     if len(values) < 2:
         raise NumericalError("too few resolved samples for the diagonal fit")
     slope, constant, s_err, c_err, residual, _ = _fit_log_expansion(

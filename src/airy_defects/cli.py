@@ -73,17 +73,10 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# timing fields are stripped from artifacts so reruns are byte-identical
-_VOLATILE_KEYS = {"assemble_seconds", "solve_seconds"}
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):
-        return {
-            str(k): _jsonable(v)
-            for k, v in obj.items()
-            if str(k) not in _VOLATILE_KEYS
-        }
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
@@ -440,8 +433,6 @@ def _cmd_energy(args) -> None:
         raise ValidationError(
             "an uncored dislocation has infinite energy; give core_radius")
     field = _plastic_field(config)
-    # the value is exact: --grid-n only names the report's grid
-    delta = grid_for_disk(config.domain, args.grid_n).delta
     cores = [(d.site, config.core_radius) for d in config.dislocations]
     bulk, nodes = green_bulk_energy(
         _plastic_field(config, annulus_branch=True), config.elastic,
@@ -455,8 +446,7 @@ def _cmd_energy(args) -> None:
         f"disk R={fmt17(config.domain.radius_R)} minus {len(cores)} cores"
     )
     br = EnergyBreakdown(bulk_G=bulk, charge_term=charge, region=region)
-    _emit(args, br.to_dict(grid={"delta": delta, "n": args.grid_n,
-                                 "circle_nodes": nodes}))
+    _emit(args, br.to_dict(grid={"circle_nodes": nodes}))
 
 
 def _cmd_solve(args) -> None:
@@ -512,9 +502,8 @@ def _cmd_sweep_dipole(args) -> None:
         elastic = ElasticConstants(args.E, args.nu)
         R = args.R
         s = args.s
-    rows = dipole_scaling_sweep(
-        elastic, s, R, args.h, include_solver=args.include_solver, n=args.grid_n,
-    )
+    rows = dipole_scaling_sweep(elastic, s, R, args.h,
+                                include_solver=args.include_solver)
     _emit(args, {"rows": rows}, {args.csv: lambda path: sweep_to_csv(rows, path)})
 
 
@@ -524,7 +513,7 @@ def _cmd_sweep_core(args) -> None:
         raise ValidationError("sweep-core needs dislocations in the config")
     fit = expansion_check(
         config.dislocations, config.elastic, config.domain, args.eps,
-        n=args.grid_n, fit_tail=args.fit_tail,
+        fit_tail=args.fit_tail,
     )
     _emit(args, fit.to_dict())
 
@@ -534,8 +523,7 @@ def _cmd_renormalize(args) -> None:
     if not config.dislocations:
         raise ValidationError("renormalize needs dislocations in the config")
     ren = renormalized_energy(
-        config.dislocations, config.elastic, config.domain,
-        D_override=args.D, n=args.grid_n,
+        config.dislocations, config.elastic, config.domain, D_override=args.D,
     )
     _emit(args, ren.to_dict())
 
@@ -546,7 +534,7 @@ def _cmd_diagonal(args) -> None:
         raise ValidationError("diagonal needs dipoles in the config")
     fit = diagonal_dipole_limit(
         config.dipoles, config.elastic, config.domain, args.h,
-        n=args.grid_n, fit_tail=args.fit_tail,
+        fit_tail=args.fit_tail,
     )
     _emit(args, fit.to_dict())
 

@@ -245,14 +245,6 @@ class DefectConfiguration:
                         f"core radius eps={self.core_radius}"
                     )
 
-    @property
-    def sites(self) -> list[tuple[float, float]]:
-        return (
-            [d.site for d in self.disclinations]
-            + [d.site for d in self.dislocations]
-            + [d.center for d in self.dipoles]
-        )
-
     def point_charges(self) -> list[tuple[tuple[float, float], float]]:
         """(site, signed charge s_k) of every point source of the summed
         potential v, with (1/K) Delta^2 v = -sum_k s_k delta_{y_k}: the
@@ -262,12 +254,6 @@ class DefectConfiguration:
             plus, minus = dip.poles()
             charges += [(tuple(plus), dip.charge_s), (tuple(minus), -dip.charge_s)]
         return charges
-
-    def separation_D(self) -> float:
-        sites = [d.site for d in self.dislocations] + [d.center for d in self.dipoles]
-        if not sites:
-            sites = [d.site for d in self.disclinations]
-        return min_separation_D(sites, self.domain)
 
     # ---- JSON round trip ------------------------------------------------
 

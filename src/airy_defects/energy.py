@@ -272,19 +272,17 @@ def green_bulk_energy(field, elastic: ElasticConstants, domain: DiskDomain,
 # ---------------------------------------------------------------------------
 
 
-def core_gradient_load(field, site, burgers_b, eps: float,
-                       n_quad: int = 256) -> float:
+def core_gradient_load(field, site, burgers_b, eps: float) -> float:
     """(1 / 2 pi eps) integral over the core circle of <grad w, Pi(b)>."""
     Pi = rotate_burgers(burgers_b)
 
     def integrand(pts):
         return field.gradient(pts) @ Pi
 
-    return circle_integral(integrand, site, eps, n_quad) / (2.0 * math.pi * eps)
+    return circle_integral(integrand, site, eps) / (2.0 * math.pi * eps)
 
 
-def dipole_pair_load(field, site, burgers_b, eps: float, h: float,
-                     n_quad: int = 256) -> float:
+def dipole_pair_load(field, site, burgers_b, eps: float, h: float) -> float:
     """Finite-h dipole load: |b| times the circle average over radius
     eps - h of the symmetric difference quotient along Pi(b)/|b|."""
     b = np.asarray(burgers_b, dtype=float)
@@ -298,14 +296,18 @@ def dipole_pair_load(field, site, burgers_b, eps: float, h: float,
         return (field.value(pts + shift) - field.value(pts - shift)) / h
 
     r = eps - h
-    return nb * circle_integral(integrand, site, r, n_quad) / (2.0 * math.pi * r)
+    return nb * circle_integral(integrand, site, r) / (2.0 * math.pi * r)
 
 
-def affine_core_defect(field, site, eps: float, n_sample: int = 64) -> float:
+# radii and angles of the core-ball samples of affine_core_defect
+_AFFINE_SAMPLES = 64
+
+
+def affine_core_defect(field, site, eps: float) -> float:
     """Max |hess w| over the open core ball: certifies membership in the
     affine-core admissible class (should be ~0 for admissible fields)."""
-    rng_r = np.sqrt(np.linspace(0.0, 0.9, n_sample)) * eps
-    th = np.linspace(0.0, 2.0 * math.pi, n_sample, endpoint=False)
+    rng_r = np.sqrt(np.linspace(0.0, 0.9, _AFFINE_SAMPLES)) * eps
+    th = np.linspace(0.0, 2.0 * math.pi, _AFFINE_SAMPLES, endpoint=False)
     Rg, Tg = np.meshgrid(rng_r, th, indexing="ij")
     pts = np.stack(
         [site[0] + Rg.ravel() * np.cos(Tg.ravel()),
@@ -392,8 +394,8 @@ def _require_affine_core(field, site, eps: float) -> None:
 
 
 def dipole_core_functional_J(w, s: float, h: float, eps: float, R: float,
-                             elastic: ElasticConstants, site=(0.0, 0.0),
-                             n_quad: int = 256) -> float:
+                             elastic: ElasticConstants,
+                             site=(0.0, 0.0)) -> float:
     """Finite-spacing pair functional on the affine-core class.
 
     Canonical axis e_1 (charge split along e_1, target Burgers vector
@@ -405,16 +407,16 @@ def dipole_core_functional_J(w, s: float, h: float, eps: float, R: float,
     if not (eps < R):
         raise ValidationError(f"need eps < R, got eps={eps}, R={R}")
     _require_affine_core(w, site, eps)
-    G = polar_energy(w, elastic, site, R, r_inner=eps, n_theta=n_quad).energy
-    return G + dipole_pair_load(w, site, (0.0, s), eps, h, n_quad)
+    G = polar_energy(w, elastic, site, R, r_inner=eps).energy
+    return G + dipole_pair_load(w, site, (0.0, s), eps, h)
 
 
 def dislocation_core_functional_J0(w, s: float, eps: float, R: float,
                                    elastic: ElasticConstants,
-                                   site=(0.0, 0.0), n_quad: int = 256) -> float:
+                                   site=(0.0, 0.0)) -> float:
     """Zero-spacing core functional: annulus energy plus the x_1-slope load."""
     if not (0.0 < eps < R):
         raise ValidationError(f"need 0 < eps < R, got eps={eps}, R={R}")
     _require_affine_core(w, site, eps)
-    G = polar_energy(w, elastic, site, R, r_inner=eps, n_theta=n_quad).energy
-    return G + core_gradient_load(w, site, (0.0, s), eps, n_quad)
+    G = polar_energy(w, elastic, site, R, r_inner=eps).energy
+    return G + core_gradient_load(w, site, (0.0, s), eps)

@@ -27,6 +27,10 @@ CORE = 2
 # of grid lines hold a few MB at any resolution; the cap bounds the
 # file (about 3 GB of `field` CSV) and its run time
 MAX_GRID_NODES = 2**24
+# ghost rings of a grid beyond the disk's bounding square on each side
+_PAD = 4
+# trapezoid nodes of circle_integral
+_CIRCLE_NODES = 256
 
 # composite Gauss-Legendre radial rule: nodes per panel; width ratio of
 # successive panels toward a singular radius, down to a smallest panel
@@ -249,28 +253,28 @@ class Grid:
         return self.y0 + self.delta * np.arange(self.ny)
 
 
-def check_grid_n(n: int, pad: int = 4) -> None:
+def check_grid_n(n: int) -> None:
     """Reject a resolution ``n`` too coarse for the disk, or one whose
-    (n + 2 pad + 1)^2 nodes pass ``MAX_GRID_NODES``; allocates nothing."""
+    (n + 2 _PAD + 1)^2 nodes pass ``MAX_GRID_NODES``; allocates nothing."""
     if n < 8:
         raise ValidationError(f"grid resolution too coarse: n={n}")
-    nodes = (n + 2 * pad + 1) ** 2
+    nodes = (n + 2 * _PAD + 1) ** 2
     if nodes > MAX_GRID_NODES:
-        n_max = math.isqrt(MAX_GRID_NODES) - 2 * pad - 1
+        n_max = math.isqrt(MAX_GRID_NODES) - 2 * _PAD - 1
         raise ValidationError(
             f"grid resolution n={n} gives {nodes} nodes, above the cap of "
             f"{MAX_GRID_NODES} (n <= {n_max})"
         )
 
 
-def grid_for_disk(domain: DiskDomain, n: int, pad: int = 4) -> Grid:
-    """Grid with ``n`` cells across the diameter plus ``pad`` ghost rings."""
-    check_grid_n(n, pad)
+def grid_for_disk(domain: DiskDomain, n: int) -> Grid:
+    """Grid with ``n`` cells across the diameter plus ``_PAD`` ghost rings."""
+    check_grid_n(n)
     delta = 2.0 * domain.radius_R / n
     cx, cy = domain.center
-    x0 = cx - domain.radius_R - pad * delta
-    m = n + 2 * pad + 1
-    return Grid(x0=x0, y0=cy - domain.radius_R - pad * delta, delta=delta, nx=m, ny=m)
+    x0 = cx - domain.radius_R - _PAD * delta
+    m = n + 2 * _PAD + 1
+    return Grid(x0=x0, y0=cy - domain.radius_R - _PAD * delta, delta=delta, nx=m, ny=m)
 
 
 def check_core_resolution(eps: float, delta: float) -> None:
@@ -296,17 +300,16 @@ def circle_nodes(center, radius: float, n: int, shift: float = 0.0):
             2.0 * math.pi * radius)
 
 
-def circle_integral(g, center, radius: float, n_quad: int = 256) -> float:
-    """Trapezoidal rule on equispaced angles for a closed circle integral.
+def circle_integral(g, center, radius: float) -> float:
+    """Trapezoidal rule on ``_CIRCLE_NODES`` equispaced angles for a
+    closed circle integral.
 
     ``g`` maps an (N, 2) point array to values; spectrally accurate for
     smooth periodic integrands.
     """
     if not (radius > 0.0):
         raise ValidationError(f"circle radius must be positive, got {radius}")
-    if n_quad < 8:
-        raise ValidationError(f"need n_quad >= 8, got {n_quad}")
-    pts, _, _ = circle_nodes(center, radius, n_quad)
+    pts, _, _ = circle_nodes(center, radius, _CIRCLE_NODES)
     vals = np.asarray(g(pts), dtype=float)
     return float(np.mean(vals)) * 2.0 * math.pi * radius
 

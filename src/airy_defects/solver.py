@@ -79,9 +79,10 @@ class SolveReport:
     """Functional value, solve diagnostics and the minimizer.
 
     ``solution`` evaluates the minimizer at any points; ``grid_n`` and
-    ``delta`` are the resolution a field dump of it takes.
-    ``assemble_seconds`` is the time of the series fit, and
-    ``solve_seconds`` is 0.0: the solve samples nothing.
+    ``delta`` are the resolution a field dump of it takes. The times are
+    attributes, not report keys, so that a report's JSON is the same on
+    every run: ``assemble_seconds`` is the time of the series fit, and
+    ``solve_seconds`` is 0.0, since the solve samples nothing.
     """
 
     value: float
@@ -89,7 +90,6 @@ class SolveReport:
     method: str
     grid_n: int
     delta: float
-    iterations: int
     assemble_seconds: float
     solution: "SeriesSolution" = dataclass_field(repr=False, compare=False)
     extras: dict = dataclass_field(default_factory=dict)
@@ -102,9 +102,6 @@ class SolveReport:
             "method": self.method,
             "grid_n": self.grid_n,
             "delta": self.delta,
-            "iterations": self.iterations,
-            "assemble_seconds": self.assemble_seconds,
-            "solve_seconds": self.solve_seconds,
             "extras": dict(self.extras),
         }
 
@@ -329,10 +326,9 @@ def _series_report(series: _AlmansiSeries, n: int, delta: float,
     """Report whose solution is ``scale (singular + z)``."""
     return SolveReport(
         value=value, residual=series.residual, method="fourier", grid_n=n,
-        delta=delta, iterations=0, assemble_seconds=fit_seconds,
+        delta=delta, assemble_seconds=fit_seconds,
         solution=SeriesSolution(series, scale, singular),
-        extras={**extras, "modes": series.samples,
-                "trace_fit_residual": series.residual},
+        extras={**extras, "modes": series.samples},
     )
 
 
@@ -390,7 +386,7 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
 
     return _series_report(
         series, n, delta, energy(constant + gram_value), fit_seconds,
-        {"scheme": "split", "closed_form_constant": energy(constant),
+        {"closed_form_constant": energy(constant),
          "gram_objective": energy(gram_value)},
         singular=v_sing, scale=E * s_max,
     )
@@ -781,11 +777,11 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     Laplacians there.
 
     The value does not depend on ``n``, the resolution of a field dump.
-    ``extras`` gives the mode counts (interior, per
-    core), the fit residual, ``fit_condition`` (max|r_kk| / min|r_kk| of
-    the fit's triangular factor) and ``value_change``, the change in value
-    over the last doubling of the mode counts (``None`` when the first
-    fit met its target).
+    ``extras`` gives the mode counts (interior, per core),
+    ``fit_condition`` (max|r_kk| / min|r_kk| of the fit's triangular
+    factor) and ``value_change``, the change in value over the last
+    doubling of the mode counts (``None`` when the first fit met its
+    target).
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -835,11 +831,10 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     return SolveReport(
         value=E * value, residual=series.residual, method="series", grid_n=n,
-        delta=delta, iterations=0, assemble_seconds=fit_seconds,
+        delta=delta, assemble_seconds=fit_seconds,
         solution=series.solution(u, W_p, E),
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": list(series.modes),
-                "fit_residual": series.residual,
                 "fit_condition": series.condition,
                 "value_change": None if last is None else E * abs(value - last[1])},
     )
@@ -866,7 +861,6 @@ def solve_dipole_core(elastic: ElasticConstants, domain: DiskDomain,
     report = solve_core_constrained(elastic, domain, dislocations, eps, n)
     extras = dict(report.extras)
     extras["spacing_h"] = [dip.spacing_h for dip in dipoles]
-    extras["load_h_independent"] = True
     return replace(report, extras=extras)
 
 
@@ -884,6 +878,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     dislocations = list(dislocations)
     if not dislocations:
         raise ValidationError("need at least one dislocation")
+    delta = grid_for_disk(domain, n).delta
     # fitted at E = 1, where the squared mode coefficients cannot
     # overflow, then scaled: the value, the energies and the field by E
     E = elastic.young_E
@@ -894,22 +889,22 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
         for d in dislocations
     ]
     outer = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
-    return _elastic_correction(
+    series, fit_seconds, value, energies = _elastic_correction(
         elastic, domain, terms, outer,
         [_moment_traces(term, outer) for term in terms],
-        [_value_traces(term, outer) for term in terms], n, E)
+        [_value_traces(term, outer) for term in terms])
+    return _series_report(series, n, delta, E * value, fit_seconds,
+                          {k: E * v for k, v in energies.items()}, scale=E)
 
 
 def _elastic_correction(elastic: ElasticConstants, domain: DiskDomain, terms,
-                        outer, moments, values, n: int,
-                        E: float = 1.0) -> SolveReport:
+                        outer, moments, values):
     """``solve_elastic_correction`` at E = 1 (``elastic``) for the
     zero-core profiles ``terms``, from their ``_moment_traces`` and
     ``_value_traces`` on the ring list ``outer`` (the circle r = R), so
     that a caller holding those traces (``renormalized_energy``) does
-    not evaluate them again; the value, the energies and the field are
-    scaled by E."""
-    delta = grid_for_disk(domain, n).delta
+    not evaluate them again. Returns the fitted series, the fit time,
+    the value and the energies by name."""
     W0 = SumField(tuple(terms))
 
     t0 = time.perf_counter()
@@ -929,9 +924,6 @@ def _elastic_correction(elastic: ElasticConstants, domain: DiskDomain, terms,
                  for ring in zip(*values)]
     boundary = -sum(_pair_traces(m, W0_values, outer, elastic) for m in moments)
 
-    return _series_report(
-        series, n, delta, E * (G_hess + boundary), fit_seconds,
-        {"gram_objective": E * gram_value, "hessian_energy": E * G_hess,
-         "boundary_pairing": E * boundary},
-        scale=E,
-    )
+    return series, fit_seconds, G_hess + boundary, {
+        "gram_objective": gram_value, "hessian_energy": G_hess,
+        "boundary_pairing": boundary}

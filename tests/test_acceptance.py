@@ -168,7 +168,7 @@ def test_criterion_6_asymptotic_expansion(report):
     details = []
     ok = True
     for name, defects in cases.items():
-        fit = expansion_check(defects, ELASTIC, DISK, [0.2, 0.1, 0.05], n=512)
+        fit = expansion_check(defects, ELASTIC, DISK, [0.2, 0.1, 0.05])
         slope_rel = abs(abs(fit.slope) - abs(fit.analytic_slope)) / abs(
             fit.analytic_slope
         )
@@ -186,7 +186,7 @@ def test_criterion_6_asymptotic_expansion(report):
 def test_criterion_7_diagonal_limit(report):
     dipoles = [DisclinationDipole((0.0, 0.0), (0.0, 1.0), 1e-2)]
     fit = diagonal_dipole_limit(
-        dipoles, ELASTIC, DISK, [1e-2, 2.5e-3, 6.25e-4], n=512
+        dipoles, ELASTIC, DISK, [1e-2, 2.5e-3, 6.25e-4]
     )
     rel = abs(abs(fit.slope) - abs(fit.analytic_slope)) / abs(fit.analytic_slope)
     report(7, rel < 0.05 and not fit.skipped,

@@ -194,7 +194,7 @@ class TestPairFieldIntegrals:
 
 class TestRenormalizedEnergy:
     def test_centered_single_decomposition(self, elastic, unit_disk):
-        ren = renormalized_energy(SINGLE, elastic, unit_disk, n=128)
+        ren = renormalized_energy(SINGLE, elastic, unit_disk)
         K = elastic.plane_prefactor
         assert ren.separation_D == pytest.approx(1.0)
         assert abs(ren.F_self) < 1e-12
@@ -205,15 +205,15 @@ class TestRenormalizedEnergy:
     def test_self_plus_geometry_term_is_separation_invariant(self, elastic, unit_disk):
         # the self part and the geometric constant both move with the
         # separation radius; only their sum is an invariant of the defect
-        a = renormalized_energy(SINGLE, elastic, unit_disk, D_override=1.0, n=128)
-        b = renormalized_energy(SINGLE, elastic, unit_disk, D_override=0.5, n=128)
+        a = renormalized_energy(SINGLE, elastic, unit_disk, D_override=1.0)
+        b = renormalized_energy(SINGLE, elastic, unit_disk, D_override=0.5)
         assert abs(a.F_self - b.F_self) > 1e-4  # each part genuinely moves
         assert a.F_self + a.f_DR == pytest.approx(b.F_self + b.f_DR, abs=1e-10)
 
     def test_self_energy_against_quadrature(self, elastic, unit_disk):
         # boundary-pairing route vs direct annulus quadrature of the bulk
         D = 0.5
-        ren = renormalized_energy(SINGLE, elastic, unit_disk, D_override=D, n=128)
+        ren = renormalized_energy(SINGLE, elastic, unit_disk, D_override=D)
         w = DislocationLimitAiry(elastic=elastic, burgers_b=(0.0, 1.0), radius_R=1.0)
         K = elastic.plane_prefactor
         bulk = polar_energy(w, elastic, (0.0, 0.0), 1.0, r_inner=D).energy
@@ -226,8 +226,8 @@ class TestRenormalizedEnergy:
             Dislocation((0.3, 0.0), (0.0, 1.0)),
             Dislocation((-0.3, 0.0), (0.0, 1.0)),
         ]
-        fwd = renormalized_energy(pair, elastic, unit_disk, n=128)
-        rev = renormalized_energy(list(reversed(pair)), elastic, unit_disk, n=128)
+        fwd = renormalized_energy(pair, elastic, unit_disk)
+        rev = renormalized_energy(list(reversed(pair)), elastic, unit_disk)
         assert fwd.F_int == pytest.approx(rev.F_int, rel=1e-10)
         assert fwd.renormalized == pytest.approx(rev.renormalized, rel=1e-10)
 
@@ -235,10 +235,10 @@ class TestRenormalizedEnergy:
         # each profile is paired over the disk minus its own D-ball only,
         # so the pair's self term is the sum of the lone-defect ones
         pair = OFF_CENTER_CASES["opposite-sign pair"]
-        both = renormalized_energy(pair, elastic, unit_disk, n=64)
+        both = renormalized_energy(pair, elastic, unit_disk)
         alone = [
             renormalized_energy([d], elastic, unit_disk,
-                                D_override=both.separation_D, n=64)
+                                D_override=both.separation_D)
             for d in pair
         ]
         assert both.F_self == pytest.approx(sum(a.F_self for a in alone),
@@ -265,7 +265,7 @@ class TestRenormalizedEnergy:
             float(t.gradient(np.array([d.site]))[0] @ rotate_burgers(d.burgers_b))
             for t, d in ((tj, pair[1]), (tk, pair[0]))
         )
-        ren = renormalized_energy(pair, elastic, unit_disk, n=64)
+        ren = renormalized_energy(pair, elastic, unit_disk)
         assert ren.F_int == pytest.approx(cross + loads, abs=1e-7)
 
     def test_outer_traces_evaluated_once(self, elastic, unit_disk,
@@ -283,14 +283,14 @@ class TestRenormalizedEnergy:
 
             monkeypatch.setattr(DislocationLimitAiry, name, spy)
         pair = OFF_CENTER_CASES["same-sign pair"]
-        renormalized_energy(pair, elastic, unit_disk, n=64)
+        renormalized_energy(pair, elastic, unit_disk)
         assert calls == Counter({
             (d.site, name): 1 for d in pair
             for name in ("hessian", "laplacian", "grad_laplacian",
                          "value_and_gradient")})
 
     def test_to_dict(self, elastic, unit_disk):
-        d = renormalized_energy(SINGLE, elastic, unit_disk, n=128).to_dict()
+        d = renormalized_energy(SINGLE, elastic, unit_disk).to_dict()
         for key in ("F_self", "F_int", "F_elastic", "f_DR", "renormalized",
                     "expansion_constant", "separation_D"):
             assert key in d
@@ -299,7 +299,7 @@ class TestRenormalizedEnergy:
 class TestExpansionFits:
     def test_single_dislocation_fit_structure(self, elastic, unit_disk):
         fit = expansion_check(
-            SINGLE, elastic, unit_disk, [0.2, 0.1], n=128, fit_tail=2
+            SINGLE, elastic, unit_disk, [0.2, 0.1], fit_tail=2
         )
         K = elastic.plane_prefactor
         assert fit.analytic_slope == pytest.approx(-K / (8.0 * math.pi))
@@ -327,7 +327,7 @@ class TestExpansionFits:
         self, name, elastic, unit_disk
     ):
         fit = expansion_check(
-            OFF_CENTER_CASES[name], elastic, unit_disk, [0.2, 0.1, 0.07], n=128
+            OFF_CENTER_CASES[name], elastic, unit_disk, [0.2, 0.1, 0.07]
         )
         assert fit.eps2_coeff is not None
         assert "eps2_coeff" in fit.to_dict()
@@ -335,7 +335,7 @@ class TestExpansionFits:
 
     def test_solver_values_are_exact_closed_forms(self, elastic, unit_disk):
         fit = expansion_check(
-            SINGLE, elastic, unit_disk, [0.2, 0.1], n=128, fit_tail=2
+            SINGLE, elastic, unit_disk, [0.2, 0.1], fit_tail=2
         )
         for eps, value in zip(fit.params, fit.values):
             ref = single_dislocation_min_value(elastic, 1.0, 1.0, eps)
@@ -347,13 +347,13 @@ class TestExpansionFits:
         # 0.97, which leaves one sample
         with pytest.raises(NumericalError):
             diagonal_dipole_limit(
-                dipoles, elastic, unit_disk, [1.2, 0.97, 1e-2], n=64
+                dipoles, elastic, unit_disk, [1.2, 0.97, 1e-2]
             )
 
     def test_diagonal_tracks_slope(self, elastic, unit_disk):
         dipoles = [DisclinationDipole((0.0, 0.0), (0.0, 1.0), 1e-2)]
         fit = diagonal_dipole_limit(
-            dipoles, elastic, unit_disk, [1e-2, 2.5e-3], n=256, fit_tail=2
+            dipoles, elastic, unit_disk, [1e-2, 2.5e-3], fit_tail=2
         )
         K = elastic.plane_prefactor
         rel = abs(abs(fit.slope) - K / (8.0 * math.pi)) / (K / (8.0 * math.pi))

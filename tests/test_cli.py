@@ -59,6 +59,15 @@ DUMP_DOCS = [
 ]
 DUMP_IDS = ["pair", "centred-core", "disclinations", "dipole",
             "disclination-at-centre", "pair-E-1e-9", "pair-E-1e20"]
+# the subcommands that range-check --grid-n and read nothing else of it;
+# "disl" and "dip" name the config files of the `configs` fixture
+GRID_FREE = [
+    ["energy", "--config", "disl"],
+    ["sweep-core", "--config", "disl"],
+    ["renormalize", "--config", "disl"],
+    ["diagonal", "--config", "dip"],
+    ["sweep-dipole", "--E", "1", "--nu", "0.3", "--include-solver"],
+]
 
 
 def sha256(path) -> str:
@@ -135,7 +144,7 @@ class TestArtifacts:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["grid_n"] == 64
-        assert "assemble_seconds" not in doc  # volatile keys stripped
+        assert "assemble_seconds" not in doc  # times are not report keys
         assert csv.read_text().splitlines()[0] == "x,y,v,v_xx,v_xy,v_yy,mask"
 
     def test_reproducible_bytes(self, configs, tmp_path):
@@ -195,6 +204,17 @@ class TestArtifacts:
             assert main([command, "--config", configs["disl"],
                          "--grid-n", "100000000", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", GRID_FREE, ids=[c[0] for c in GRID_FREE])
+    def test_grid_n_changes_no_report(self, command, configs, tmp_path):
+        # both ends of the accepted range give the same bytes
+        argv = [configs.get(a, a) for a in command]
+        reports = []
+        for n in (8, 4087):
+            out = tmp_path / f"{command[0]}-{n}.json"
+            assert main([*argv, "--grid-n", str(n), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("n", [64, 77, 96])
     @pytest.mark.parametrize("doc", DUMP_DOCS, ids=DUMP_IDS)
@@ -552,8 +572,8 @@ class TestReports:
     def test_energy_reports_circle_nodes(self, configs, capsys):
         assert main(["energy", "--config", configs["disl"], "--grid-n", "256"]) == 0
         grid = json.loads(capsys.readouterr().out)["grid"]
-        assert set(grid) == {"circle_nodes", "delta", "n"}
-        assert grid["n"] == 256 and grid["circle_nodes"] >= 32
+        assert set(grid) == {"circle_nodes"}
+        assert grid["circle_nodes"] >= 32
 
     def test_check_bc_report(self, configs, capsys):
         assert main(["check-bc", "--config", configs["disc"]]) == 0
@@ -609,8 +629,8 @@ class TestReports:
         assert big["extras"]["core_affine"]["core_0"] == pytest.approx(
             [1e308 * c for c in unit["extras"]["core_affine"]["core_0"]],
             rel=1e-12)
-        for key in ("fit_residual", "modes"):
-            assert big["extras"][key] == unit["extras"][key]
+        assert big["residual"] == unit["residual"]
+        assert big["extras"]["modes"] == unit["extras"]["modes"]
 
     @pytest.mark.parametrize("command, doc", [
         (["sweep-core", "--grid-n", "128"],
@@ -752,7 +772,7 @@ class TestConfigContract:
 
 class TestExactEnergy:
     """``energy`` pairs exact fields on circles: its value is exact and
-    does not depend on --grid-n, which only names the report's grid."""
+    does not depend on --grid-n, which it only range-checks."""
 
     @staticmethod
     def _bulk(doc, tmp_path, n):

@@ -250,8 +250,6 @@ class TestCircleIntegral:
     def test_gates(self):
         with pytest.raises(ValidationError):
             circle_integral(lambda p: 0.0, (0.0, 0.0), -1.0)
-        with pytest.raises(ValidationError):
-            circle_integral(lambda p: 0.0, (0.0, 0.0), 1.0, n_quad=4)
 
 
 RULE_CASES = [(0.0, 1.0, ()), (0.05, 1.0, ()), (0.0, 1.0, (0.3,)),

@@ -358,7 +358,6 @@ class TestDisclinationSolve:
         K = elastic.plane_prefactor
         exact = -K / (32.0 * math.pi)
         assert abs(report.value - exact) / abs(exact) < 1e-10
-        assert report.extras["scheme"] == "split"
 
     def test_field_matches_closed_form(self, elastic, unit_disk):
         report = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=128)
@@ -409,8 +408,8 @@ class TestDisclinationSolve:
 
     def test_report_says_what_ran(self, elastic, unit_disk):
         report = solve_clamped_disclination(elastic, unit_disk, CENTERED, n=64)
-        assert report.method == "fourier" and report.iterations == 0
-        assert report.extras["trace_fit_residual"] == report.residual < 1e-13
+        assert report.method == "fourier"
+        assert report.residual < 1e-13
 
     def test_empty_configuration_is_zero(self, elastic, unit_disk):
         report = solve_clamped_disclination(elastic, unit_disk, [], n=64)
@@ -548,8 +547,7 @@ class TestCoreConstrainedSolve:
     def test_report_says_what_ran(self, elastic, unit_disk):
         defects = [Dislocation((0.2, 0.0), (0.0, 1.0))]
         report = solve_core_constrained(elastic, unit_disk, defects, 0.2, n=64)
-        assert report.method == "series" and report.iterations == 0
-        assert report.residual == report.extras["fit_residual"]
+        assert report.method == "series"
         assert report.residual <= solver._RESIDUAL_BOUND
         m_inner, m_core = report.extras["modes"]
         assert m_inner == 2 * m_core >= solver._FIRST_MODES
@@ -865,9 +863,8 @@ class TestLazyField:
             assert report.solve_seconds == 0.0
             assert report.delta == 2.0 / 256
         single = [Dislocation((0.3, 0.0), (0.0, 1.0))]
-        expansion_check(single, elastic, unit_disk, [0.2, 0.1], n=256,
-                        fit_tail=2)
-        renormalized_energy(PAIR_OPPOSITE, elastic, unit_disk, n=256)
+        expansion_check(single, elastic, unit_disk, [0.2, 0.1], fit_tail=2)
+        renormalized_energy(PAIR_OPPOSITE, elastic, unit_disk)
 
     @pytest.mark.parametrize("solve, defects, eps", SOLVES, ids=SOLVE_IDS)
     def test_field_is_sampled_once(self, solve, defects, eps, elastic,
