@@ -392,12 +392,15 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     )
 
 
-# The core fit doubles the interior and per-core mode counts (M_i, M_e)
-# from (_FIRST_MODES, _FIRST_MODES / 2) under the rule of
-# ``_keeps_doubling`` with target _SERIES_TARGET, up to M_i = _MAX_MODES.
+# The core fit starts at the interior and per-core mode counts (M_i, M_e)
+# = (_FIRST_MODES, _FIRST_MODES / 2) and doubles each on its own block
+# residual (outer circle, core circles) under the rule of
+# ``_keeps_doubling`` with target _SERIES_TARGET, up to M_i = _MAX_MODES
+# and M_e = _MAX_MODES / 2; no rung above _MAX_RUNG_BYTES is started.
 _FIRST_MODES = 16
 _MAX_MODES = 512
 _SERIES_TARGET = 1e-12
+_MAX_RUNG_BYTES = 2**30
 # smallest gap D - eps, relative to R, that the core fit accepts
 _TOUCH_GAP = 1e-12
 
@@ -515,6 +518,15 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
             + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor, power=2))
 
 
+def _rung_bytes(m_inner: int, m_core: int, cores: int) -> int:
+    """Bytes of the largest arrays of a ``_MichellSeries`` rung: the
+    exterior traces, the interior rows, and the least-squares system
+    with the two copies ``np.linalg.qr`` makes of it."""
+    nodes, n_ext = 4 * (m_inner + m_core * cores), (4 * m_core - 2) * cores
+    system = 4 * (m_inner + 1 + 2 * m_core * cores) * (n_ext + 1 + 3 * cores)
+    return 8 * (4 * nodes * n_ext + 8 * nodes * m_inner + 3 * system)
+
+
 def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Least-squares solution X of A X = B for the columns [A B] of
     ``system``, A its first ``n``: one column of X per column of B, and
@@ -567,8 +579,9 @@ class _MichellSeries:
     core-circle misses and, after it, the traces and Laplacians at all
     nodes.
 
-    ``residual`` is the largest miss of either trace at the nodes of all
-    circles, relative to the largest datum; ``condition`` is the
+    ``block_residuals`` are the largest misses of either trace, relative
+    to the largest datum, at the outer circle's nodes and at the core
+    circles' nodes, and ``residual`` is the larger; ``condition`` is the
     triangular-factor ratio of the fit (``_least_squares``). ``Q[i, j]``
     is the integral of Delta z_i Delta z_j over the punctured disk, from
     Green's identity on the circles against the data traces,
@@ -605,8 +618,10 @@ class _MichellSeries:
 
         z, dz, lap, dlap = self._fields(ext, X)
         self.size = size = np.maximum(np.abs(val), np.abs(der)).max(axis=0)
-        miss = np.maximum(np.abs(z - val), np.abs(radius * dz - der)).max(axis=0)
-        self.residual = float(np.max(miss / np.where(size > 0.0, size, 1.0)))
+        miss = np.maximum(np.abs(z - val), np.abs(radius * dz - der)) / np.where(
+            size > 0.0, size, 1.0)
+        self.block_residuals = (float(miss[:n0].max()), float(miss[n0:].max()))
+        self.residual = max(self.block_residuals)
         # trapezoid weights, negative on the cores, where the outward
         # normal of the punctured disk is -nhat
         weight = np.repeat([2.0 * math.pi * R / n0, -2.0 * math.pi * eps / nc],
@@ -780,8 +795,11 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     ``extras`` gives the mode counts (interior, per core),
     ``fit_condition`` (max|r_kk| / min|r_kk| of the fit's triangular
     factor) and ``value_change``, the change in value over the last
-    doubling of the mode counts (``None`` when the first fit met its
-    target).
+    rung, which doubled the interior count, the core count or both
+    (``None`` when the first fit met its target). A rung whose arrays
+    would exceed ``_MAX_RUNG_BYTES`` is not started: the last fit stands
+    if its residual is within ``_RESIDUAL_BOUND``, and otherwise
+    ``NumericalError`` names the budget.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -812,15 +830,23 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
         return u, float(0.5 * fl * energy + load @ u - C0)
 
-    m_inner, last = _FIRST_MODES, None
-    while True:
-        series = _MichellSeries(domain, sites, eps, W_p, m_inner, m_inner // 2)
-        u, value = minimum(series)
-        if (not _keeps_doubling(series.residual, None if last is None else last[0],
-                                _SERIES_TARGET) or m_inner >= _MAX_MODES):
+    modes, rungs = (_FIRST_MODES, _FIRST_MODES // 2), []
+    while (need := _rung_bytes(*modes, len(sites))) <= _MAX_RUNG_BYTES:
+        series = _MichellSeries(domain, sites, eps, W_p, *modes)
+        previous = rungs[-1][0].block_residuals if rungs else (None, None)
+        rungs = rungs[-1:] + [(series, *minimum(series))]
+        grow = [m < cap and _keeps_doubling(r, p, _SERIES_TARGET) for m, cap, r, p
+                in zip(modes, (_MAX_MODES, _MAX_MODES // 2),
+                       series.block_residuals, previous)]
+        if not any(grow):
             break
-        last = (series.residual, value)
-        m_inner *= 2
+        modes = tuple(2 * m if g else m for m, g in zip(modes, grow))
+    else:
+        if not (rungs and rungs[-1][0].residual <= _RESIDUAL_BOUND):
+            raise NumericalError(
+                f"core series rung {modes} needs about {need / 2**20:.0f} MiB, "
+                f"above the memory budget of {_MAX_RUNG_BYTES / 2**20:.0f} MiB")
+    series, u, value = rungs[-1]
     if not series.residual <= _RESIDUAL_BOUND:
         raise NumericalError(f"core series fit residual {series.residual} "
                              f"with modes {series.modes}")
@@ -836,7 +862,8 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": list(series.modes),
                 "fit_condition": series.condition,
-                "value_change": None if last is None else E * abs(value - last[1])},
+                "value_change": None if len(rungs) < 2
+                else E * abs(value - rungs[0][2])},
     )
 
 

@@ -563,6 +563,10 @@ class TestFuzzedConfigs:
 
 
 class TestReports:
+    def test_bools_print_as_json_bools(self):
+        assert cli.dump_json({"t": True, "f": np.bool_(False)}) == (
+            '{\n  "f": false,\n  "t": true\n}\n')
+
     def test_energy_breakdown_keys(self, configs, capsys):
         assert main(["energy", "--config", configs["disc"], "--grid-n", "64"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -767,6 +771,17 @@ class TestConfigContract:
         code = main(["solve", "--config", str(cfg), "--grid-n", "64",
                      "--out", str(out)])
         assert code == 3
+        assert not out.exists()
+
+    def test_rung_over_memory_budget_exits_numerical(self, configs, tmp_path,
+                                                     monkeypatch, capsys):
+        # no rung fits a 1-byte budget, so no fit is started
+        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", 1)
+        out = tmp_path / "never.json"
+        code = main(["solve", "--config", configs["disl"], "--grid-n", "64",
+                     "--out", str(out)])
+        assert code == 3
+        assert "memory budget" in capsys.readouterr().err
         assert not out.exists()
 
 

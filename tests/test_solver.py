@@ -473,9 +473,24 @@ class TestDisclinationSolve:
         )
 
 
+def _spy_rungs(monkeypatch) -> list:
+    """Record the mode counts of every ``_MichellSeries`` rung fitted."""
+    rungs, series = [], solver._MichellSeries
+
+    def spy(domain, sites, eps, W_p, m_inner, m_core):
+        rungs.append((m_inner, m_core))
+        return series(domain, sites, eps, W_p, m_inner, m_core)
+
+    monkeypatch.setattr(solver, "_MichellSeries", spy)
+    return rungs
+
+
 PAIR_SAME = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)]
 PAIR_OPPOSITE = [Dislocation((0.3, 0.0), (0.0, 1.0)),
                  Dislocation((-0.3, 0.0), (0.0, -1.0))]
+# one core 0.2 from the circle, eps 0.2 D, and its value at modes (512, 256)
+NEAR_CIRCLE = [Dislocation((0.8, 0.0), (0.0, 1.0))]
+NEAR_CIRCLE_VALUE = float.fromhex("-0x1.4903bc218afd7p-4")
 # defects, eps, value and the final mode counts; the counts are pinned
 # only where the residuals of the last two fits lie 5x or more from
 # _SERIES_TARGET (the pairs at eps 0.1 end their (32, 16) fit at 1.0e-12)
@@ -484,8 +499,10 @@ REFERENCE_CASES = [
     ([Dislocation((0.3, 0.0), (0.0, 1.0))], 0.1, -0.057631009552692, [32, 16]),
     (PAIR_SAME, 0.1, -0.073563461626869, None),
     (PAIR_OPPOSITE, 0.1, -0.153772978797308, None),
-    # residuals 5.8e-7 then 1.2e-13, and 9.5e-8 then 8.9e-14
-    (PAIR_SAME, 0.2, -0.0252260928470686, [64, 32]),
+    # outer-circle residuals 3.1e-7 then 1.1e-13 at (16, 8), (32, 16);
+    # core-circle residuals 5.8e-7 then 1.1e-13 at (32, 16), (32, 32);
+    # and 9.5e-8 then 1.2e-13 at (16, 8), (32, 16)
+    (PAIR_SAME, 0.2, -0.0252260928470686, [32, 32]),
     (PAIR_SAME, 0.05, -0.130657023839609, [32, 16]),
 ]
 REFERENCE_IDS = ["centered", "single", "same", "opposite", "same-eps0.2",
@@ -550,20 +567,52 @@ class TestCoreConstrainedSolve:
         assert report.method == "series"
         assert report.residual <= solver._RESIDUAL_BOUND
         m_inner, m_core = report.extras["modes"]
-        assert m_inner == 2 * m_core >= solver._FIRST_MODES
+        assert m_inner >= solver._FIRST_MODES and 2 * m_core >= solver._FIRST_MODES
         for key in ("eps", "core_affine", "separation_D", "value_change"):
             assert key in report.extras
         assert 1.0 <= report.extras["fit_condition"] < 1e6
 
     def test_unresolved_series_fit_raises(self, elastic, unit_disk,
                                           monkeypatch):
-        # a core near the circle needs hundreds of interior modes
+        # a core near the circle needs hundreds of interior modes; the cap
+        # holds both blocks at the first rung
         monkeypatch.setattr(solver, "_MAX_MODES", solver._FIRST_MODES)
+        rungs = _spy_rungs(monkeypatch)
         with pytest.raises(NumericalError, match="core series fit residual"):
             solve_core_constrained(
                 elastic, unit_disk, [Dislocation((0.9, 0.0), (0.0, 1.0))],
                 0.05, n=64,
             )
+        assert rungs == [(solver._FIRST_MODES, solver._FIRST_MODES // 2)]
+
+    def test_blocks_double_on_their_own_residuals(self, elastic, unit_disk):
+        # (the eps 0.2 pair of REFERENCE_CASES needs more core modes only,
+        # and ends at M_e = M_i.) A core at distance 0.2 from the circle
+        # needs hundreds of interior modes but few core modes; the value is
+        # the coupled ladder's, which ended at (512, 256)
+        one = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
+        m_inner, m_core = one.extras["modes"]
+        assert m_core < m_inner / 2
+        assert one.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-14)
+
+    def test_no_rung_starts_above_the_memory_budget(self, elastic, unit_disk,
+                                                    monkeypatch):
+        rungs = _spy_rungs(monkeypatch)
+        # the (128, 64) fit is within _RESIDUAL_BOUND (1.6e-11) but above
+        # the target, and (256, 64) is over the budget: the ladder stops
+        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(128, 64, 1))
+        report = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
+        assert rungs == [(16, 8), (32, 16), (64, 32), (128, 64)]
+        assert report.extras["modes"] == [128, 64]
+        assert report.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-13)
+        # the (16, 8) fit is far from resolved when the budget ends the
+        # ladder, and no rung at all fits a 1-byte budget
+        for budget, fitted in ((solver._rung_bytes(16, 8, 1), 1), (1, 0)):
+            rungs.clear()
+            monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", budget)
+            with pytest.raises(NumericalError, match="memory budget"):
+                solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
+            assert rungs == [(16, 8)][:fitted]
 
     @pytest.mark.parametrize("defects, eps, expected, modes", REFERENCE_CASES,
                              ids=REFERENCE_IDS)
