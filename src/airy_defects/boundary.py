@@ -65,7 +65,6 @@ class AffineTraceReport:
     coefficients: tuple[float, float, float]
     trace_residual: float
     normal_residual: float
-    ode_closure_defect: float
     ode_track_residual: float
 
     def to_dict(self) -> dict:
@@ -73,27 +72,25 @@ class AffineTraceReport:
             "affine": list(self.coefficients),
             "trace_residual": self.trace_residual,
             "normal_residual": self.normal_residual,
-            "ode_closure_defect": self.ode_closure_defect,
             "ode_track_residual": self.ode_track_residual,
         }
 
 
 def _tangential_ode_track(curve: BoundaryCurve, v_t: np.ndarray,
-                          v_n: np.ndarray) -> tuple[float, float]:
+                          v_n: np.ndarray) -> float:
     """The rotation track of the (tangential, normal) derivative pair.
 
     For a traction-free field the pair z = v_t + i v_n satisfies
     z' = i z / R along the arc length of a circle of radius R, whose
     exact solution from the first node is z0 e^{i theta}; e^{i theta_j}
     is the outward normal at node j read as a complex number. Returns
-    the closure defect, the distance between z0 e^{2 pi i} and z0, which
-    is roundoff by construction, and the track residual, the largest
-    miss of the rotation against the sampled (v_t, v_n) at the nodes.
+    the track residual, the largest miss of the rotation against the
+    sampled (v_t, v_n) at the nodes.
     """
     z0 = v_t[0] + 1j * v_n[0]
     z = z0 * (curve.normals[:, 0] + 1j * curve.normals[:, 1])
     track = max(np.abs(z.real - v_t).max(), np.abs(z.imag - v_n).max())
-    return float(abs(z0 * np.exp(2j * np.pi) - z0)), float(track)
+    return float(track)
 
 
 def affine_trace_check(v, curve: BoundaryCurve) -> AffineTraceReport:
@@ -123,11 +120,10 @@ def affine_trace_check(v, curve: BoundaryCurve) -> AffineTraceReport:
     fit = A @ coef
     trace_res = float(np.abs(fit[:m] - vals).max())
     normal_res = float(np.abs(fit[m:] - v_n).max())
-    closure, track = _tangential_ode_track(curve, v_t, v_n)
+    track = _tangential_ode_track(curve, v_t, v_n)
     return AffineTraceReport(
         coefficients=(float(coef[0]), float(coef[1]), float(coef[2])),
         trace_residual=trace_res,
         normal_residual=normal_res,
-        ode_closure_defect=closure,
         ode_track_residual=track,
     )

@@ -7,6 +7,10 @@ over (N, 2) point arrays; fields that need them also provide
 dislocation and dipole-limit fields map to their canonical frame once.
 All potentials carry the common prefactor K = E / (1 - nu^2).
 
+Two derivative kernels serve the five closed forms, which declare only
+their coefficients: ``_RadialField`` differentiates C (u log u + p u + q)
+and ``_FrameField`` C g(u) xi_1, g(u) = a + b/u + c u + d log u.
+
 What does not depend on the points (K, |b|, the frame, the core
 coefficients) is computed once per field, on first use, and kept in the
 instance: fields are frozen, so equality, hashing and
@@ -38,7 +42,7 @@ def _pts(x) -> np.ndarray:
 
 
 class AiryField:
-    """Protocol base: value/gradient/hessian plus sampling sugar."""
+    """Protocol base: value, gradient and Hessian at points."""
 
     def value(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -48,9 +52,6 @@ class AiryField:
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x) -> np.ndarray:
-        return self.value(x)
 
     def laplacian(self, x) -> np.ndarray:
         H = self.hessian(x)
@@ -159,10 +160,6 @@ class Poly2D(AiryField):
 
     coeffs: tuple
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Poly2D":
-        return cls(tuple(sorted((int(i), int(j), float(c)) for (i, j), c in d.items())))
-
     def value(self, x):
         p = _pts(x)
         out = np.zeros(p.shape[0])
@@ -195,65 +192,86 @@ class Poly2D(AiryField):
 
 
 # ---------------------------------------------------------------------------
-# fundamental potential of the plane bilaplacian with elastic prefactor
+# radial family: the fundamental potential, the clamped disclination and
+# the disclination dipole, a difference of two fundamental potentials
 # ---------------------------------------------------------------------------
 
 
+class _RadialField(AiryField):
+    """C (u log u + p u + q) with u = |y|^2, y = x - centre: the derivative
+    tower of the radial closed forms.
+
+    Subclasses give ``_profile`` = (C, p, q) and, about a centre other
+    than the origin, ``_rel``. At the centre, where log u is singular,
+    the gradient 2 C (log u + 1 + p) y takes its log at u = ``_site_u``:
+    NaN (``FundamentalAiry``) leaves it NaN, 1
+    (``SingleDisclinationClamped``) gives its limit 0. The value is C q
+    there, and the Hessian and its traces keep the singular log.
+    """
+
+    _site_u = math.nan
+
+    @cached_property
+    def K(self) -> float:
+        return self.elastic.plane_prefactor
+
+    def _rel(self, x):
+        return _pts(x)
+
+    def _local(self, x):
+        y = self._rel(x)
+        return y, y[:, 0] ** 2 + y[:, 1] ** 2
+
+    def value(self, x):
+        y, u = self._local(x)
+        C, p, q = self._profile
+        out = u * np.log(np.where(u > 0.0, u, 1.0))
+        if p or q:
+            out = out + p * u + q
+        return C * out
+
+    def gradient(self, x):
+        y, u = self._local(x)
+        C, p, _ = self._profile
+        f = np.log(np.where(u > 0.0, u, self._site_u)) + (1.0 + p)
+        return 2.0 * C * f[:, None] * y
+
+    def hessian(self, x):
+        y, u = self._local(x)
+        C, p, _ = self._profile
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.log(u) + (1.0 + p)
+            H = 2.0 * y[:, :, None] * y[:, None, :] / u[:, None, None]
+        H[:, 0, 0] += f
+        H[:, 1, 1] += f
+        return 2.0 * C * H
+
+    def laplacian(self, x):
+        _, u = self._local(x)
+        C, p, _ = self._profile
+        with np.errstate(divide="ignore"):
+            return 4.0 * C * (np.log(u) + (2.0 + p))
+
+    def grad_laplacian(self, x):
+        y, u = self._local(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 8.0 * self._profile[0] * y / u[:, None]
+
+
 @dataclass(frozen=True)
-class FundamentalAiry(AiryField):
+class FundamentalAiry(_RadialField):
     """K |x|^2 log|x|^2 / (16 pi): unit point source of the scaled
     bilaplacian ((1 - nu^2)/E) Delta^2, normalized to vanish at 0."""
 
     elastic: ElasticConstants
 
     @cached_property
-    def K(self) -> float:
-        return self.elastic.plane_prefactor
-
-    def value(self, x):
-        p = _pts(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(u > 0.0, u * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-        return self.K / (16.0 * math.pi) * out
-
-    def gradient(self, x):
-        p = _pts(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        with np.errstate(divide="ignore"):
-            f = np.log(u) + 1.0
-        return self.K / (8.0 * math.pi) * f[:, None] * p
-
-    def hessian(self, x):
-        p = _pts(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.log(u) + 1.0
-            H = 2.0 * p[:, :, None] * p[:, None, :] / u[:, None, None]
-        H[:, 0, 0] += f
-        H[:, 1, 1] += f
-        return self.K / (8.0 * math.pi) * H
-
-    def laplacian(self, x):
-        p = _pts(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        with np.errstate(divide="ignore"):
-            return self.K / (4.0 * math.pi) * (np.log(u) + 2.0)
-
-    def grad_laplacian(self, x):
-        p = _pts(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.K / (2.0 * math.pi) * p / u[:, None]
-
-
-# ---------------------------------------------------------------------------
-# single clamped disclination on a centered disk
-# ---------------------------------------------------------------------------
+    def _profile(self):
+        return self.K / (16.0 * math.pi), 0.0, 0.0
 
 
 @dataclass(frozen=True)
-class SingleDisclinationClamped(AiryField):
+class SingleDisclinationClamped(_RadialField):
     """Minimizer for one disclination of charge s at the center of B_R,
     clamped on the boundary.
 
@@ -266,81 +284,23 @@ class SingleDisclinationClamped(AiryField):
     charge_s: float
     center: tuple[float, float] = (0.0, 0.0)
 
+    _site_u = 1.0
+
     def __post_init__(self) -> None:
         if not (self.radius_R > 0.0):
             raise ValidationError(f"radius must be positive, got {self.radius_R}")
 
     @cached_property
-    def K(self) -> float:
-        return self.elastic.plane_prefactor
+    def _profile(self):
+        R2 = self.radius_R**2
+        return -self.charge_s * self.K / (16.0 * math.pi), -(1.0 + math.log(R2)), R2
 
     def _rel(self, x):
         return _pts(x) - np.asarray(self.center, dtype=float)
 
-    def value(self, x):
-        p = self._rel(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        R2 = self.radius_R**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            core = np.where(u > 0.0, u * np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-        return (
-            -self.charge_s
-            * self.K
-            / (16.0 * math.pi)
-            * (core + R2 - u * (1.0 + math.log(R2)))
-        )
-
-    def gradient(self, x):
-        p = self._rel(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        R2 = self.radius_R**2
-        # radial derivative of the bracket is 2 r log(r^2/R^2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0) / R2), 0.0)
-        return -self.charge_s * self.K / (8.0 * math.pi) * f[:, None] * p
-
-    def hessian(self, x):
-        p = self._rel(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        R2 = self.radius_R**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.log(u / R2)
-            H = 2.0 * p[:, :, None] * p[:, None, :] / u[:, None, None]
-        H[:, 0, 0] += f
-        H[:, 1, 1] += f
-        return -self.charge_s * self.K / (8.0 * math.pi) * H
-
-    def laplacian(self, x):
-        p = self._rel(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        R2 = self.radius_R**2
-        with np.errstate(divide="ignore"):
-            return -self.charge_s * self.K / (4.0 * math.pi) * (np.log(u / R2) + 1.0)
-
-    def grad_laplacian(self, x):
-        p = self._rel(x)
-        u = p[:, 0] ** 2 + p[:, 1] ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -self.charge_s * self.K / (2.0 * math.pi) * p / u[:, None]
-
     def min_energy(self) -> float:
         """Energy of the minimizer, s^2 K R^2 / (32 pi)."""
         return self.charge_s**2 * self.K * self.radius_R**2 / (32.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# disclination dipole and its h -> 0 derivative field
-# ---------------------------------------------------------------------------
-
-
-def dipole_frame(b) -> np.ndarray:
-    """Rows of the rotation Q mapping lab to canonical dipole/dislocation
-    coordinates: xi_1 along Pi(b)/|b|, xi_2 along b/|b|."""
-    b = np.asarray(b, dtype=float)
-    nb = float(np.hypot(b[0], b[1]))
-    if nb == 0.0:
-        raise ValidationError("Burgers vector must be nonzero")
-    return np.stack([rotate_burgers(b) / nb, b / nb])
 
 
 @dataclass(frozen=True)
@@ -389,25 +349,51 @@ class DipoleAiry(AiryField):
         return -s * (plus.grad_laplacian(x) - minus.grad_laplacian(x))
 
 
-def _radial_hessian(xi, d1, d2) -> np.ndarray:
-    """Rows H_11, H_12, H_21, H_22 of the Hessian of f(u) xi_1, u =
-    |xi|^2, from d1 = f'(u) and d2 = f''(u): 4 f'' xi_i xi_j xi_1 +
-    2 f' (xi_1 delta_ij + delta_i1 xi_j + xi_i delta_j1). H_12 and H_21
-    round differently."""
-    e1, e2 = 2.0 * d1 * xi
-    H = 4.0 * d2 * xi[[0, 0, 1, 1]] * xi[[0, 1, 0, 1]] * xi[0]
-    H += (e1 + 2.0 * e1, e2, e2, e1)
-    return H
+# ---------------------------------------------------------------------------
+# xi_1 family: the dipole's h -> 0 derivative and the dislocation
+# potentials on B_R, core-regularized and limiting
+# ---------------------------------------------------------------------------
+
+
+def dipole_frame(b) -> np.ndarray:
+    """Rows of the rotation Q mapping lab to canonical dipole/dislocation
+    coordinates: xi_1 along Pi(b)/|b|, xi_2 along b/|b|."""
+    b = np.asarray(b, dtype=float)
+    nb = float(np.hypot(b[0], b[1]))
+    if nb == 0.0:
+        raise ValidationError("Burgers vector must be nonzero")
+    return np.stack([rotate_burgers(b) / nb, b / nb])
 
 
 class _FrameField(AiryField):
-    """Mixin: canonical-frame field composed with xi = Q (x - site).
+    """C g(u) xi_1 with g(u) = a + b/u + c u + d log u, in the canonical
+    frame xi = Q (x - site), u = |xi|^2: the derivative tower of the
+    xi_1 closed forms. Its Laplacian is C (8 c + 4 d / u) xi_1.
 
     The frame (Q, site) is built once per instance from the fields
-    ``burgers_b`` and ``site``. The canonical kernels take xi as a (2, N)
-    array, whose rows xi_1 and xi_2 are contiguous; ``_c_hessian``
-    returns the rows H_11, H_12, H_21, H_22 of a (4, N) array.
+    ``burgers_b`` and ``site``. Subclasses give ``_profile`` = (C, a, b,
+    c, d); a cored profile gives ``_core`` = (eps^2, g_core), and where
+    u < eps^2, g is frozen at g_core: the field is affine there, with
+    zero curvature. Zero coefficients cost nothing. At the site, where g
+    is singular, the value is 0 and the derivatives take g at u =
+    ``_site_u``: 1 (the dislocation profiles) keeps them finite, since
+    xi = 0 there; NaN (``DipoleDerivativeAiry``) leaves them NaN.
+
+    The canonical tower takes xi as a (2, N) array, whose rows xi_1 and
+    xi_2 are contiguous; its Hessian has the rows H_11, H_12, H_21, H_22
+    of a (4, N) array.
     """
+
+    _core = None
+    _site_u = 1.0
+
+    @cached_property
+    def K(self) -> float:
+        return self.elastic.plane_prefactor
+
+    @cached_property
+    def magnitude(self) -> float:
+        return float(np.hypot(*self.burgers_b))
 
     @cached_property
     def _frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -419,24 +405,18 @@ class _FrameField(AiryField):
     def _rotation(self) -> tuple[np.ndarray, np.ndarray]:
         """The factors Q[a, i] and Q[b, j] of the terms Q[a, i] H_ab
         Q[b, j] of (Q^T H Q)_ij, ab running over 11, 12, 21, 22 as the
-        rows of ``_c_hessian`` do, shaped to broadcast as [i, ab, n] and
-        [i, j, ab, n]."""
+        rows of the canonical Hessian do, shaped to broadcast as
+        [i, ab, n] and [i, j, ab, n]."""
         Q = self._frame[0]
         return Q[[0, 0, 1, 1]].T[:, :, None], Q[[0, 1, 0, 1]].T[None, :, :, None]
 
-    def _c_value(self, xi):
-        raise NotImplementedError
-
-    def _c_gradient(self, xi):
-        raise NotImplementedError
-
-    def _c_hessian(self, xi):
-        raise NotImplementedError
-
-    def _xi(self, x) -> np.ndarray:
-        """xi as Q (x - site)^T, the transpose of (x - site) Q^T."""
+    def _local(self, x):
+        """xi as Q (x - site)^T, the transpose of (x - site) Q^T, u =
+        |xi|^2 and s, the u at which the derivatives take g."""
         Q, site = self._frame
-        return Q @ (_pts(x) - site).T
+        xi = Q @ (_pts(x) - site).T
+        u = xi[0] ** 2 + xi[1] ** 2
+        return xi, u, np.where(u > 0, u, self._site_u)
 
     def _lab_hessian(self, H) -> np.ndarray:
         # Q^T H Q, each sum in the order and association of
@@ -450,22 +430,79 @@ class _FrameField(AiryField):
         ).reshape(4, -1)
         return out
 
+    def _g(self, s):
+        _, a, b, c, d = self._profile
+        g = a + b / s if b else a
+        if c:
+            g = g + c * s
+        return g + d * np.log(s)
+
+    def _dg(self, s):
+        _, _, b, c, d = self._profile
+        return -b / s**2 + c + d / s if b else c + d / s
+
+    def _zero_core(self, out, u):
+        if self._core is not None:
+            out[u < self._core[0]] = 0.0
+        return out
+
+    def _value(self, xi, u, s):
+        g = self._g(np.where(u > 0, u, 1.0))
+        if self._core is not None:
+            g = np.where(u < self._core[0], self._core[1], g)
+        return self._profile[0] * g * xi[0]
+
+    def _gradient(self, xi, u, s):
+        x1, x2 = xi
+        e = 2.0 * self._dg(s)
+        g = np.empty((len(x1), 2))
+        g[:, 0] = e * x1**2 + self._g(s)
+        g[:, 1] = e * x1 * x2
+        if self._core is not None:
+            g[u < self._core[0]] = self._core[1], 0.0
+        return (self._profile[0] * g) @ self._frame[0]
+
+    def _hessian(self, xi, u, s):
+        # rows H_11, H_12, H_21, H_22 of the Hessian of g(u) xi_1:
+        # 4 g'' xi_i xi_j xi_1 + 2 g' (xi_1 delta_ij + delta_i1 xi_j +
+        # xi_i delta_j1); H_12 and H_21 round differently
+        _, _, b, _, d = self._profile
+        d2g = 2.0 * b / s**3 - d / s**2 if b else -d / s**2
+        e1, e2 = 2.0 * self._dg(s) * xi
+        H = 4.0 * d2g * xi[[0, 0, 1, 1]] * xi[[0, 1, 0, 1]] * xi[0]
+        H += (e1 + 2.0 * e1, e2, e2, e1)
+        self._zero_core(H.T, u)
+        return self._lab_hessian(self._profile[0] * H)
+
     def value(self, x):
-        return self._c_value(self._xi(x))
+        return self._value(*self._local(x))
 
     def gradient(self, x):
-        return self._c_gradient(self._xi(x)) @ self._frame[0]
+        return self._gradient(*self._local(x))
 
     def hessian(self, x):
-        return self._lab_hessian(self._c_hessian(self._xi(x)))
+        return self._hessian(*self._local(x))
 
     def value_and_gradient(self, x):
-        xi = self._xi(x)
-        return self._c_value(xi), self._c_gradient(xi) @ self._frame[0]
+        local = self._local(x)
+        return self._value(*local), self._gradient(*local)
 
     def value_and_hessian(self, x):
-        xi = self._xi(x)
-        return self._c_value(xi), self._lab_hessian(self._c_hessian(xi))
+        local = self._local(x)
+        return self._value(*local), self._hessian(*local)
+
+    def laplacian(self, x):
+        xi, u, s = self._local(x)
+        C, _, _, c, d = self._profile
+        return self._zero_core(C * (8.0 * c + 4.0 * d / s) * xi[0], u)
+
+    def grad_laplacian(self, x):
+        (x1, x2), u, s = self._local(x)
+        C, _, _, c, d = self._profile
+        g = np.empty((len(x1), 2))
+        g[:, 0] = 8.0 * c + 4.0 * d / s - 8.0 * d * x1**2 / s**2
+        g[:, 1] = -8.0 * d * x1 * x2 / s**2
+        return self._zero_core(C * (g @ self._frame[0]), u)
 
 
 @dataclass(frozen=True)
@@ -481,46 +518,15 @@ class DipoleDerivativeAiry(_FrameField):
     burgers_b: tuple[float, float]
     site: tuple[float, float] = (0.0, 0.0)
 
-    @cached_property
-    def K(self) -> float:
-        return self.elastic.plane_prefactor
+    _site_u = math.nan
 
     @cached_property
     def charge_s(self) -> float:
         return float(np.hypot(*self.burgers_b))
 
-    def _c_value(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        c = self.K * self.charge_s / (8.0 * math.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), 0.0)
-        return c * (x1 * lg + x1)
-
-    def _c_gradient(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        c = self.K * self.charge_s / (8.0 * math.pi)
-        g = np.empty((len(x1), 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g[:, 0] = c * (np.log(u) + 1.0 + 2.0 * x1**2 / u)
-            g[:, 1] = c * (2.0 * x1 * x2 / u)
-        return g
-
-    def _c_hessian(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        c = self.K * self.charge_s / (4.0 * math.pi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h11 = c * (x1**3 + 3.0 * x1 * x2**2) / u**2
-            h22 = c * (x1**3 - x1 * x2**2) / u**2
-            h12 = c * (x2**3 - x1**2 * x2) / u**2
-        return np.stack([h11, h12, h12, h22])
-
-
-# ---------------------------------------------------------------------------
-# core-regularized and limiting dislocation potentials on B_R
-# ---------------------------------------------------------------------------
+    @cached_property
+    def _profile(self):
+        return self.K * self.charge_s / (8.0 * math.pi), 1.0, 0.0, 0.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -580,93 +586,17 @@ class DislocationCoreAiry(_FrameField):
         self.coeffs  # builds eagerly to validate 0 < eps < R
 
     @cached_property
-    def K(self) -> float:
-        return self.elastic.plane_prefactor
-
-    @cached_property
     def coeffs(self) -> CoreCoefficients:
         return CoreCoefficients.for_annulus(self.eps, self.radius_R)
 
     @cached_property
-    def magnitude(self) -> float:
-        return float(np.hypot(*self.burgers_b))
-
-    @cached_property
-    def _c0(self) -> float:
-        return self.magnitude * self.K / (16.0 * math.pi)
-
-    @cached_property
-    def _c3(self) -> float:
-        """Prefactor of the Laplacian, (|b| K / 2 pi)."""
-        return self.magnitude * self.K / (2.0 * math.pi)
-
-    def _core(self, u):
-        """Where the affine core branch applies, at squared radii ``u``."""
-        if self.annulus_branch:
-            return np.zeros(u.shape, dtype=bool)
-        return u < self.eps**2
-
-    def _phi(self, u):
+    def _profile(self):
         c = self.coeffs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return c.alpha + c.beta / u + c.gamma * u + 2.0 * np.log(u)
+        return self.magnitude * self.K / (16.0 * math.pi), c.alpha, c.beta, c.gamma, 2.0
 
-    def _c_value(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        core = self._core(u)
-        phi = np.where(core, self.coeffs.core_slope, self._phi(np.where(u > 0, u, 1.0)))
-        return self._c0 * phi * x1
-
-    def _c_gradient(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        core = self._core(u)
-        cc = self.coeffs
-        safe = np.where(u > 0, u, 1.0)
-        phi = self._phi(safe)
-        dphi = -cc.beta / safe**2 + cc.gamma + 2.0 / safe
-        g = np.empty((len(x1), 2))
-        g[:, 0] = 2.0 * dphi * x1**2 + phi
-        g[:, 1] = 2.0 * dphi * x1 * x2
-        g[core, 0] = cc.core_slope
-        g[core, 1] = 0.0
-        return self._c0 * g
-
-    def _c_hessian(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        core = self._core(u)
-        cc = self.coeffs
-        safe = np.where(u > 0, u, 1.0)
-        dphi = -cc.beta / safe**2 + cc.gamma + 2.0 / safe
-        d2phi = 2.0 * cc.beta / safe**3 - 2.0 / safe**2
-        H = _radial_hessian(xi, dphi, d2phi)
-        H[:, core] = 0.0
-        return self._c0 * H
-
-    def canonical_laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Laplacian over xi_1 at squared radius u (annulus branch):
-        Delta W = (|b| K / 2 pi)(gamma + 1/u) xi_1, returned per unit xi_1."""
-        return self._c3 * (self.coeffs.gamma + 1.0 / u)
-
-    def laplacian(self, x):
-        x1, x2 = self._xi(x)
-        u = x1**2 + x2**2
-        out = self.canonical_laplacian(np.where(u > 0, u, 1.0)) * x1
-        out[self._core(u)] = 0.0
-        return out
-
-    def grad_laplacian(self, x):
-        x1, x2 = self._xi(x)
-        u = x1**2 + x2**2
-        safe = np.where(u > 0, u, 1.0)
-        g = np.empty((len(x1), 2))
-        g[:, 0] = self.coeffs.gamma + 1.0 / safe - 2.0 * x1**2 / safe**2
-        g[:, 1] = -2.0 * x1 * x2 / safe**2
-        out = self._c3 * (g @ self._frame[0])
-        out[self._core(u)] = 0.0
-        return out
+    @cached_property
+    def _core(self):
+        return None if self.annulus_branch else (self.eps**2, self.coeffs.core_slope)
 
 
 @dataclass(frozen=True)
@@ -677,6 +607,8 @@ class DislocationLimitAiry(_FrameField):
     Canonical form (|b| K / 8 pi) f(r^2) xi_1 with
     f(u) = (1 - log R^2) - u / R^2 + log u; biharmonic away from the
     site, and both clamped traces vanish on the centered circle r = R.
+    It is the cored profile's eps -> 0 limit, with no core: alpha = 2 -
+    2 log R^2, beta = 0, gamma = -2/R^2 at the prefactor |b| K / 16 pi.
     """
 
     elastic: ElasticConstants
@@ -689,62 +621,10 @@ class DislocationLimitAiry(_FrameField):
             raise ValidationError(f"radius must be positive, got {self.radius_R}")
 
     @cached_property
-    def K(self) -> float:
-        return self.elastic.plane_prefactor
-
-    @cached_property
-    def magnitude(self) -> float:
-        return float(np.hypot(*self.burgers_b))
-
-    @cached_property
-    def _c0(self) -> float:
-        return self.magnitude * self.K / (8.0 * math.pi)
-
-    def _f(self, u):
+    def _profile(self):
         R2 = self.radius_R**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (1.0 - math.log(R2)) - u / R2 + np.log(u)
-
-    def _c_value(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        f = self._f(np.where(u > 0, u, 1.0))
-        out = self._c0 * f * x1
-        return np.where(u > 0.0, out, 0.0)
-
-    def _c_gradient(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        safe = np.where(u > 0, u, 1.0)
-        f = self._f(safe)
-        df = -1.0 / self.radius_R**2 + 1.0 / safe
-        g = np.empty((len(x1), 2))
-        g[:, 0] = 2.0 * df * x1**2 + f
-        g[:, 1] = 2.0 * df * x1 * x2
-        return self._c0 * g
-
-    def _c_hessian(self, xi):
-        x1, x2 = xi
-        u = x1**2 + x2**2
-        safe = np.where(u > 0, u, 1.0)
-        df = -1.0 / self.radius_R**2 + 1.0 / safe
-        d2f = -1.0 / safe**2
-        return self._c0 * _radial_hessian(xi, df, d2f)
-
-    def laplacian(self, x):
-        x1, x2 = self._xi(x)
-        u = x1**2 + x2**2
-        safe = np.where(u > 0, u, 1.0)
-        return self._c0 * x1 * (4.0 / safe - 8.0 / self.radius_R**2)
-
-    def grad_laplacian(self, x):
-        x1, x2 = self._xi(x)
-        u = x1**2 + x2**2
-        safe = np.where(u > 0, u, 1.0)
-        g = np.empty((len(x1), 2))
-        g[:, 0] = 4.0 / safe - 8.0 / self.radius_R**2 - 8.0 * x1**2 / safe**2
-        g[:, 1] = -8.0 * x1 * x2 / safe**2
-        return self._c0 * (g @ self._frame[0])
+        return (self.magnitude * self.K / (16.0 * math.pi),
+                2.0 - 2.0 * math.log(R2), 0.0, -2.0 / R2, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ core coefficients are fitted by least squares at collocation nodes on
 the core circles and at the outer-circle frequencies the interior modes
 cannot reach. Green's identity on the circles turns the plate energy
 into exact circle integrals, which leave one 3K x 3K system for the
-affine parameters of the K cores. Mode counts double until the fit
-residual meets its target or stops falling.
+affine parameters of the K cores.
 
 Every solve samples nothing: its report carries the minimizer as a
 ``SeriesSolution``, which sums the series at any points, and the value
@@ -797,9 +796,10 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     factor) and ``value_change``, the change in value over the last
     rung, which doubled the interior count, the core count or both
     (``None`` when the first fit met its target). A rung whose arrays
-    would exceed ``_MAX_RUNG_BYTES`` is not started: the last fit stands
-    if its residual is within ``_RESIDUAL_BOUND``, and otherwise
-    ``NumericalError`` names the budget.
+    would exceed ``_MAX_RUNG_BYTES`` is not started; when doubling both
+    blocks would, only the block with the larger residual doubles. The
+    last fit stands if its residual is within ``_RESIDUAL_BOUND``, and
+    otherwise ``NumericalError`` names the budget.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -840,6 +840,10 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
                        series.block_residuals, previous)]
         if not any(grow):
             break
+        if all(grow) and (_rung_bytes(*(2 * m for m in modes), len(sites))
+                          > _MAX_RUNG_BYTES):
+            worse = series.block_residuals[1] > series.block_residuals[0]
+            grow = [not worse, worse]
         modes = tuple(2 * m if g else m for m, g in zip(modes, grow))
     else:
         if not (rungs and rungs[-1][0].residual <= _RESIDUAL_BOUND):

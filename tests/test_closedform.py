@@ -302,6 +302,49 @@ class TestCachedConstants:
             assert np.array_equal(got[1], second(CACHED_POINTS))
 
 
+_OBLIQUE, _SITE = (0.3, -0.4), (0.2, 0.1)
+KERNEL_FIELDS = [
+    FundamentalAiry(_EL),
+    SingleDisclinationClamped(_EL, 1.7, 0.8, _SITE),
+    DipoleDerivativeAiry(_EL, _OBLIQUE, _SITE),
+    DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE),
+    DislocationLimitAiry(_EL, _OBLIQUE, 1.7, _SITE),
+]
+KERNEL_IDS = ["fundamental", "single", "derivative", "core", "limit"]
+nan = math.nan
+# each closed form at its own singular site: value, gradient, Hessian
+SINGULAR_SITES = [
+    (FundamentalAiry(_EL), (0.0, 0.0),
+     0.0, [nan, nan], [[nan, nan], [nan, nan]]),
+    (SingleDisclinationClamped(_EL, 1.7, 0.8, _SITE), _SITE,
+     -0.05054481159731621, [-0.0, -0.0], [[nan, nan], [nan, nan]]),
+    (DipoleDerivativeAiry(_EL, _OBLIQUE, _SITE), _SITE,
+     0.0, [nan, nan], [[nan, nan], [nan, nan]]),
+    (DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE), _SITE,
+     -0.0, [0.06436540346060564, 0.04827405259545422], [[0.0, 0.0], [0.0, 0.0]]),
+    (DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE, True), _SITE,
+     -0.0, [0.007048554828201617, 0.005286416121151213], [[0.0, 0.0], [0.0, 0.0]]),
+    (DislocationLimitAiry(_EL, _OBLIQUE, 1.7, _SITE), _SITE,
+     0.0, [0.007123097766404141, 0.005342323324803105], [[0.0, 0.0], [0.0, 0.0]]),
+]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_derivatives_match_differences(self, field):
+        _fd_check(field, SAMPLE)
+        _grad_laplacian_fd_check(field, SAMPLE)
+
+    @pytest.mark.parametrize("field, site, value, gradient, hessian", SINGULAR_SITES,
+                             ids=KERNEL_IDS[:4] + ["annulus", "limit"])
+    def test_singular_site(self, field, site, value, gradient, hessian):
+        p = np.array([site])
+        with np.errstate(all="ignore"):
+            got = field.value(p)[0], field.gradient(p)[0], field.hessian(p)[0]
+        for g, want in zip(got, (value, gradient, hessian)):
+            np.testing.assert_allclose(g, want, rtol=1e-15, atol=0.0)
+
+
 class TestWrappers:
     """One point or a few through the field classes, as the module-level
     wrapper functions (now removed) took them."""

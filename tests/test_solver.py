@@ -614,6 +614,21 @@ class TestCoreConstrainedSolve:
                 solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
             assert rungs == [(16, 8)][:fitted]
 
+    def test_one_block_doubles_when_both_do_not_fit(self, elastic, unit_disk,
+                                                    monkeypatch):
+        # at (64, 32) the outer residual is 7.4e-9 and the core one
+        # 1.1e-12, so both blocks would double, but (128, 64) needs 18.9 MB
+        # against a budget of the (128, 32) rung's 10.2 MB: the outer block
+        # doubles alone and meets the target; the value is that of
+        # (128, 64), where the ladder ends without the budget
+        rungs = _spy_rungs(monkeypatch)
+        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(128, 32, 1))
+        defects = [Dislocation((0.7, 0.0), (0.0, 1.0))]
+        report = solve_core_constrained(elastic, unit_disk, defects, 0.1, n=64)
+        assert rungs == [(16, 8), (32, 16), (64, 32), (128, 32)]
+        assert report.residual <= solver._SERIES_TARGET
+        assert report.value == pytest.approx(-0.04959121060627568, rel=1e-13)
+
     @pytest.mark.parametrize("defects, eps, expected, modes", REFERENCE_CASES,
                              ids=REFERENCE_IDS)
     def test_reference_values(self, defects, eps, expected, modes, elastic,
