@@ -512,7 +512,15 @@ def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
                           fit_tail: int = 3) -> ExpansionFit:
     """Joint spacing/core limit: per spacing h the core radius is
     eps(h) = sqrt(h), clipped below the separation radius; samples whose
-    eps is not above h are skipped with a flag."""
+    eps is not above h are skipped with a flag.
+
+    A dipole of spacing h < eps loads the core as its dislocation does
+    (``solve_dipole_core``), so the samples are the core-radius
+    expansion at eps = sqrt(h), and ``predicted_constant`` is that
+    expansion's constant: the target dislocations'
+    ``renormalized_energy(...).expansion_constant``, as in
+    :func:`expansion_check`.
+    """
     dipoles = list(dipoles)
     if not dipoles:
         raise ValidationError("need at least one dipole")
@@ -542,5 +550,7 @@ def diagonal_dipole_limit(dipoles, elastic: ElasticConstants,
         slope=slope, constant=constant, slope_stderr=s_err,
         constant_stderr=c_err, residual=residual,
         analytic_slope=_analytic_slope(targets, elastic),
+        predicted_constant=renormalized_energy(
+            targets, elastic, domain).expansion_constant,
         skipped=tuple(skipped),
     )

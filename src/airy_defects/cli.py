@@ -37,13 +37,15 @@ from .closedform import (
 )
 from .fields import (
     CORE,
+    CSV_BLOCK_ROWS,
     INTERIOR,
     OUTSIDE,
     Grid,
+    _csv_cells,
+    _write_rows,
     check_core_resolution,
     check_grid_n,
     fmt17,
-    fmt17_array,
     grid_for_disk,
 )
 from .energy import EnergyBreakdown, green_bulk_energy
@@ -193,9 +195,8 @@ def _plastic_field(config: DefectConfiguration, annulus_branch: bool = False):
 
 _FIELD_HEADER = "x,y,v,s11,s12,s22,e11,e12,e22"
 _SOLUTION_HEADER = "x,y,v,v_xx,v_xy,v_yy,mask"
-# nodes per block of a field dump, in whole grid lines: each block is
-# evaluated, formatted by one "%" operation and written before the next
-_FIELD_BLOCK_NODES = 4096
+# nodes per block of a field dump, in whole grid lines
+_FIELD_BLOCK_NODES = CSV_BLOCK_ROWS
 
 
 def _dump_grid(domain, n: int, eps=None) -> Grid:
@@ -208,23 +209,22 @@ def _dump_grid(domain, n: int, eps=None) -> Grid:
     return grid
 
 
-def _line_blocks(grid: Grid, halo: int = 0):
+def _line_blocks(grid: Grid, columns: int, halo: int = 0):
     """The node coordinates X, Y, of shape (lines, ny), of each block of
     whole grid lines of about ``_FIELD_BLOCK_NODES`` nodes, in order,
-    with ``halo`` more lines on either side (beyond the grid, too). Line
-    i lies at x0 + delta i, as in ``Grid.xs``."""
+    with ``halo`` more lines on either side (beyond the grid, too), and
+    a (lines, ny, ``columns``, 4) table of cells of the block's own
+    lines, its columns x and y filled. Line i lies at x0 + delta i, as
+    in ``Grid.xs``; one table serves every block, and y is formatted once."""
     lines = max(1, _FIELD_BLOCK_NODES // grid.ny)
+    table = np.empty((lines, grid.ny, columns, 4), np.uint64)
+    table[:, :, 1] = _csv_cells(grid.ys)
     for start in range(0, grid.nx, lines):
         i = np.arange(start - halo, min(start + lines, grid.nx) + halo)
-        yield np.broadcast_arrays((grid.x0 + grid.delta * i)[:, None], grid.ys)
-
-
-def _block_template(X: np.ndarray, rows: np.ndarray) -> bytes:
-    """The bytes row template of a block of grid lines at x = X[:, 0]:
-    each line's x, formatted once, leads each of its ``rows`` (an object
-    array of the block's shape)."""
-    return b"".join(x + x.join(row) for x, row in
-                    zip(fmt17_array(X[:, 0]).tolist(), rows.tolist()))
+        x = grid.x0 + grid.delta * i
+        block = table[:len(i) - 2 * halo]
+        block[:, :, 0] = _csv_cells(x[halo:len(i) - halo])[:, None]
+        yield *np.broadcast_arrays(x[:, None], grid.ys), block
 
 
 def _node_values(vals, H, elastic: ElasticConstants) -> np.ndarray:
@@ -242,28 +242,24 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
     row-major, with the closed-form ``field`` at the nodes inside the
     disk (core nodes included) and v = 0 and a zero Hessian outside.
 
-    Every number prints as ``%.17g``, by :func:`fmt17_array`. Each block
-    of grid lines builds one bytes row template: the line's x and each
-    node's y are formatted once into it, and so are the field columns of
-    outside nodes, which are the same for all of them; the formatted
-    values of the inside nodes fill it with one ``%``.
+    Every number prints as ``%.17g``. Each block of grid lines fills one
+    table of cells, written by ``fields._write_rows``: the line's x and
+    each node's y are formatted once into it, and so are the field
+    columns of outside nodes, which are the same for all of them; the
+    formatted values of the inside nodes are scattered into their rows.
     """
     cx, cy = config.domain.center
-    outside = b"".join(
-        b"," + t for t in fmt17_array(_node_values(
-            np.zeros(1), np.zeros((1, 2, 2)), config.elastic)[0]).tolist()
-    ) + b"\n"
-    ystr = fmt17_array(grid.ys).tolist()
-    row_in = np.array([b"," + y + b",%s" * 7 + b"\n" for y in ystr], dtype=object)
-    row_out = np.array([b"," + y + outside for y in ystr], dtype=object)
+    outside = _csv_cells(_node_values(np.zeros(1), np.zeros((1, 2, 2)),
+                                      config.elastic)[0])
     with open(path, "wb") as f:
         f.write(_FIELD_HEADER.encode("ascii") + b"\n")
-        for X, Y in _line_blocks(grid):
+        for X, Y, table in _line_blocks(grid, 9):
             inside = np.hypot(X - cx, Y - cy) < config.domain.radius_R
-            template = _block_template(X, np.where(inside, row_in, row_out))
+            table[~inside, 2:] = outside
             pts = np.stack([X[inside], Y[inside]], axis=-1)
             values = _node_values(*field.value_and_hessian(pts), config.elastic)
-            f.write(template % tuple(fmt17_array(values).ravel().tolist()))
+            table[inside, 2:] = _csv_cells(values).reshape(-1, 7, 4)
+            _write_rows(f, table)
 
 
 def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
@@ -276,24 +272,18 @@ def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
     The Hessians of a block of grid lines read one more line either
     side, and the ghosts of those lines two more lines of the inside
     test; the first two of those lines are the last two of the block
-    before, whose values it keeps. As in the field dump, each
-    block fills one bytes row template, which holds x, y, the mask code
-    and the cells that are the same for every node of a kind (0 and
-    NaN), with the formatted numbers by one ``%``.
+    before, whose values it keeps. As in the field dump, each block
+    fills one table of cells: x, y, the cells that are the same for
+    every node of a kind (0, NaN and the mask codes), and the formatted
+    numbers scattered into their rows.
     """
     (cx, cy), R, h = domain.center, domain.radius_R, grid.delta
-    # row tails per node kind: outside, ghost, then inside short of a
-    # full stencil and with one, each per mask code
-    tails = [b",0,nan,nan,nan,%d\n" % OUTSIDE,
-             b",%%s,nan,nan,nan,%d\n" % OUTSIDE] + [
-        b",%s" + cells + b",%d\n" % code for cells in (b",nan,nan,nan", b",%s,%s,%s")
-        for code in (INTERIOR, CORE)]
-    rows = np.array([[b"," + y + t for y in fmt17_array(grid.ys).tolist()]
-                     for t in tails], dtype=object)
+    zero, nan = _csv_cells(np.array([0.0, np.nan]))
+    codes = _csv_cells(np.array([OUTSIDE, INTERIOR, CORE]))
     kept = np.zeros((2, grid.ny))
     with open(path, "wb") as f:
         f.write(_SOLUTION_HEADER.encode("ascii") + b"\n")
-        for X, Y in _line_blocks(grid, halo=3):
+        for X, Y, table in _line_blocks(grid, 7, halo=3):
             inside = np.hypot(X - cx, Y - cy) < R
             # lines 2 .. -2 of the block: the inside nodes and the ghosts
             live = np.zeros_like(inside[2:-2])
@@ -322,11 +312,13 @@ def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
             core = np.zeros_like(inside)
             for (px, py), eps in solution.cores:
                 core |= np.hypot(X - px, Y - py) <= eps
-            kind = np.where(live, np.where(inside, 2 + 2 * ok + core, 1), 0)
-            numbers = np.stack([v[1:-1], vxx, vxy, vyy], axis=-1)[
-                np.stack([live, ok, ok, ok], axis=-1)]
-            template = _block_template(X, rows[kind, np.arange(grid.ny)])
-            f.write(template % tuple(fmt17_array(numbers).tolist()))
+            table[:, :, 2] = zero
+            table[live, 2] = _csv_cells(v[1:-1][live])
+            table[:, :, 3:6] = nan
+            hessians = np.stack([vxx, vxy, vyy], axis=-1)[ok]
+            table[ok, 3:6] = _csv_cells(hessians).reshape(-1, 3, 4)
+            table[:, :, 6] = codes[inside * (1 + core)]
+            _write_rows(f, table)
 
 
 def _check_output_paths(args) -> None:

@@ -203,13 +203,10 @@ class _RadialField(AiryField):
 
     Subclasses give ``_profile`` = (C, p, q) and, about a centre other
     than the origin, ``_rel``. At the centre, where log u is singular,
-    the gradient 2 C (log u + 1 + p) y takes its log at u = ``_site_u``:
-    NaN (``FundamentalAiry``) leaves it NaN, 1
-    (``SingleDisclinationClamped``) gives its limit 0. The value is C q
-    there, and the Hessian and its traces keep the singular log.
+    the value is C q and the gradient 2 C (log u + 1 + p) y its limit 0
+    (its log taken at u = 1, where y = 0); the Hessian and its traces
+    keep the singular log.
     """
-
-    _site_u = math.nan
 
     @cached_property
     def K(self) -> float:
@@ -233,7 +230,7 @@ class _RadialField(AiryField):
     def gradient(self, x):
         y, u = self._local(x)
         C, p, _ = self._profile
-        f = np.log(np.where(u > 0.0, u, self._site_u)) + (1.0 + p)
+        f = np.log(np.where(u > 0.0, u, 1.0)) + (1.0 + p)
         return 2.0 * C * f[:, None] * y
 
     def hessian(self, x):
@@ -283,8 +280,6 @@ class SingleDisclinationClamped(_RadialField):
     radius_R: float
     charge_s: float
     center: tuple[float, float] = (0.0, 0.0)
-
-    _site_u = 1.0
 
     def __post_init__(self) -> None:
         if not (self.radius_R > 0.0):
@@ -375,9 +370,8 @@ class _FrameField(AiryField):
     c, d); a cored profile gives ``_core`` = (eps^2, g_core), and where
     u < eps^2, g is frozen at g_core: the field is affine there, with
     zero curvature. Zero coefficients cost nothing. At the site, where g
-    is singular, the value is 0 and the derivatives take g at u =
-    ``_site_u``: 1 (the dislocation profiles) keeps them finite, since
-    xi = 0 there; NaN (``DipoleDerivativeAiry``) leaves them NaN.
+    is singular, the value is 0 and the derivatives are NaN (they take g
+    at u = NaN), unless a core freezes them.
 
     The canonical tower takes xi as a (2, N) array, whose rows xi_1 and
     xi_2 are contiguous; its Hessian has the rows H_11, H_12, H_21, H_22
@@ -385,7 +379,6 @@ class _FrameField(AiryField):
     """
 
     _core = None
-    _site_u = 1.0
 
     @cached_property
     def K(self) -> float:
@@ -416,7 +409,7 @@ class _FrameField(AiryField):
         Q, site = self._frame
         xi = Q @ (_pts(x) - site).T
         u = xi[0] ** 2 + xi[1] ** 2
-        return xi, u, np.where(u > 0, u, self._site_u)
+        return xi, u, np.where(u > 0, u, math.nan)
 
     def _lab_hessian(self, H) -> np.ndarray:
         # Q^T H Q, each sum in the order and association of
@@ -517,8 +510,6 @@ class DipoleDerivativeAiry(_FrameField):
     elastic: ElasticConstants
     burgers_b: tuple[float, float]
     site: tuple[float, float] = (0.0, 0.0)
-
-    _site_u = math.nan
 
     @cached_property
     def charge_s(self) -> float:

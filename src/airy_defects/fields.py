@@ -5,6 +5,11 @@ byte-exact ``%.17g`` formatting of every artifact, trapezoidal circle
 integrals and a composite Gauss-Legendre radial rule. The dumps
 evaluate exact fields block by block of grid lines (``cli``); no
 module holds a field sampled on a whole grid.
+
+Every CSV writer goes one way: a block of rows is a table of 32-byte
+cells, one per number, each holding the number's ``%.17g`` text at
+fixed places with NUL bytes between (``_fmt17_cells``), and the block
+is written in one pass that drops the NULs (``_write_rows``).
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ _RADIAL_RTOL = 1e-5
 # radii per integrand call of radial_integral
 _RADII_PER_BLOCK = 64
 
-# rows per "%" operation in write_csv; formatting a whole table at once
-# would hold every formatted string of it in memory together
-_CSV_BLOCK = 4096
+# rows per block of a CSV dump (whole grid lines of about as many nodes
+# in cli's field dumps), formatted into one table and written in turn
+CSV_BLOCK_ROWS = 4096
 
 
 def fmt17(x: float) -> str:
@@ -56,13 +61,9 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# fmt17_array: bytes of a "%.17g" text, the longest being 24
-# ("-2.2250738585072014e-308")
-_CELL = 24
-# numbers per pass of fmt17_array, whose working arrays (some 30 of
-# them) then stay small
+# numbers per pass of _fmt17_cells, which keeps its working arrays small
 _FMT_CHUNK = 8192
-# decimal exponents of the numbers fmt17_array lays out itself: %.17g
+# decimal exponents of the numbers _fmt17_cells lays out itself: %.17g
 # writes -4..16 in fixed point and -6, -5 as "d.ddde-0X"
 _E_MIN, _E_FIXED, _E_MAX = -6, -4, 16
 # Dekker's splitting constant 2^27 + 1, and the exact doubles
@@ -71,33 +72,34 @@ _SPLIT = 134217729.0
 _POW10 = np.array([float(10**k) for k in range(17 - _E_MIN)])
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-# the four ASCII digits of 0..9999, most significant first, as the low
-# half of a little-endian uint64; and their trailing zeros (4 for 0)
-_DIGITS4 = sum(
-    (np.arange(10000, dtype=np.uint32) // 10**(3 - i) % 10 + ord("0")) << (8 * i)
-    for i in range(4)).astype(np.uint64)
-_TRAILING_ZEROS4 = sum(np.arange(10000) % p == 0 for p in (10, 100, 1000, 10000))
-# _DIGIT_MASKS[i - 1, c]: the bytes of lane i (1 or 2) of the 17-digit
-# string (see fmt17_array) that hold one of its first c digits
+# _DIGIT_MASKS[i - 1, c]: the bytes of lane i (1 or 2) of a cell (see
+# _fmt17_cells) that hold one of the first c of its 17 digits
 _DIGIT_MASKS = np.array(
     [[2 ** (8 * min(max(c - 8 * i + 7, 0), 8)) - 1 for c in range(18)] for i in (1, 2)],
     dtype=np.uint64)
-# text before the first digit, per exponent e and sign, at 2 (e - _E_MIN)
-# + negative: "-" for a negative number, then "0." "0" * (-1 - e) for a
-# fixed-point e < 0; one table per uint64 lane of a cell
-_PREFIX = tuple(np.array([
-    np.frombuffer((b"-" * neg + (b"0." + b"0" * (-1 - e)) * (_E_FIXED <= e < 0))
-                  .ljust(_CELL, b"\0"), "<u8")
-    for e in range(_E_MIN, _E_MAX + 1) for neg in (0, 1)
-]).astype(np.uint64).T.copy())
-# text after the last digit, per exponent e < _E_FIXED
-_SUFFIX = np.frombuffer(b"e-06e-05", np.uint8).reshape(-1, 4)
+# lane 0 before the lead digit, at 2 (e - _E_MIN) + negative: "-" for a
+# negative number, then "0." "0" * (-1 - e) for a fixed-point e < 0;
+# lane 3 after the last digit, per exponent e < _E_FIXED
+_PREFIX = np.array([int.from_bytes(
+    b"-" * neg + (b"0." + b"0" * (-1 - e)) * (_E_FIXED <= e < 0), "little")
+    for e in range(_E_MIN, _E_MAX + 1) for neg in (0, 1)], dtype=np.uint64)
+_SUFFIX = np.frombuffer(b"\0e-06\0\0\0\0e-05\0\0\0", "<u8")
+# _DOT[i - 1, j]: the "." after digit j of lanes 1 and 2, in lane i
+_DOT = np.array([[ord(".") << 8 * (j - 8 * i) if 0 <= j - 8 * i < 8 else 0
+                  for j in range(17)] for i in (0, 1)], dtype=np.uint64)
+# _DIGITS4[g], g < 10^4: the four ASCII digits of g, most significant
+# first, as the low half of a little-endian uint64; _DIGITS4[10^4 + g]:
+# the same with its trailing zeros NUL
+_DIGITS4 = sum((np.arange(10**4) // 10**(3 - i) % 10 + 48) << 8 * i for i in range(4))
+_DIGITS4 = np.concatenate([_DIGITS4, _DIGITS4 & ~sum(
+    (np.arange(10**4) % 10**k == 0) * 255 << 8 * (4 - k) for k in range(1, 5))
+]).astype(np.uint64)
 
 
 def _exact_product(a: np.ndarray, p: np.ndarray):
     """h + l = a 10^p exactly, h = fl(a 10^p) (Dekker's product; p in
     0..22, a well inside the normal range)."""
-    P, P_hi, P_lo = _POW10[p], _POW10_HI[p], _POW10_LO[p]
+    P, P_hi, P_lo = _POW10.take(p), _POW10_HI.take(p), _POW10_LO.take(p)
     h = a * P
     c = _SPLIT * a
     a_hi = c - (c - a)
@@ -112,11 +114,11 @@ def _significand17(a: np.ndarray):
     # log10 can miss a power of ten by one; h + l tells
     e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp)
     h, l = _exact_product(a, 16 - e)
-    low = (h < 1e16) | ((h == 1e16) & (l < 0.0))
-    high = (h > 1e17) | ((h == 1e17) & (l >= 0.0))
-    fix = np.flatnonzero(low | high)
+    fix = np.flatnonzero((h <= 1e16) | (h >= 1e17))
     if fix.size:
-        e[fix] += high[fix].astype(np.intp) - low[fix]
+        hf, lf = h[fix], l[fix]
+        e[fix] += (((hf > 1e17) | ((hf == 1e17) & (lf >= 0.0))).astype(np.intp)
+                   - ((hf < 1e16) | ((hf == 1e16) & (lf < 0.0))))
         h[fix], l[fix] = _exact_product(a[fix], 16 - e[fix])
     # h, in [1e16, 1e17], is an even integer: rounding h + l to an
     # integer, ties to even, is rounding l. That never gives 10^17: no
@@ -125,13 +127,14 @@ def _significand17(a: np.ndarray):
     return h.astype(np.int64) + np.rint(l).astype(np.int64), e
 
 
-def _fmt17_into(out: np.ndarray, flat: np.ndarray) -> None:
-    """Write :func:`fmt17_array` of the 1-D float64 ``flat`` into the
-    ``S24`` array ``out`` of its length."""
+def _fmt17_into(cells: np.ndarray, flat: np.ndarray) -> None:
+    """Write the cells of :func:`_fmt17_cells` of the 1-D float64
+    ``flat`` into the (N, 4) uint64 array ``cells`` of its length."""
     a = np.abs(flat)
     # the double 1e-6 lies below 10^-6, so its exponent is -7
-    laid_out = (a > 1e-6) & (a < 1e17)
-    q, e = _significand17(np.where(laid_out, a, 1.0))
+    others = ~((a > 1e-6) & (a < 1e17))
+    np.copyto(a, 1.0, where=others)
+    q, e = _significand17(a)
     lead = q // 10**16
     rest = q - lead * 10**16
     hi = rest // 10**8
@@ -140,68 +143,79 @@ def _fmt17_into(out: np.ndarray, flat: np.ndarray) -> None:
     g1 = hi - g0 * 10**4
     g2 = lo // 10**4
     g3 = lo - g2 * 10**4
-    zeros = _TRAILING_ZEROS4[g3] + (g3 == 0) * (_TRAILING_ZEROS4[g2] + (g2 == 0) * (
-        _TRAILING_ZEROS4[g1] + (g1 == 0) * _TRAILING_ZEROS4[g0]))
-    # the 17 digits as bytes 7..23 of a 32-byte string of four uint64
-    # lanes: the lead digit tops lane 0, lanes 1 and 2 hold two table
-    # entries each, lane 3 is empty
-    d0 = (lead.astype(np.uint64) + np.uint64(ord("0"))) << np.uint64(56)
-    d1 = _DIGITS4[g0] | (_DIGITS4[g1] << np.uint64(32))
-    d2 = _DIGITS4[g2] | (_DIGITS4[g3] << np.uint64(32))
-    # %g keeps the integer part and the digits up to the last nonzero
-    # one: `head` of them before the ".", the rest after it
-    keep = np.maximum(17 - zeros, e + 1)
-    point = np.where(e >= 0, e + 1, np.where(e < _E_FIXED, 1, 17))
-    head = np.minimum(keep, point)
-    h1, h2 = d1 & _DIGIT_MASKS[0, head], d2 & _DIGIT_MASKS[1, head]
-    t1 = d1 & (_DIGIT_MASKS[0, keep] ^ _DIGIT_MASKS[0, head])
-    t2 = d2 & (_DIGIT_MASKS[1, keep] ^ _DIGIT_MASKS[1, head])
-    neg = flat < 0.0
-    # bytes before the first digit
-    before = neg + np.where((e >= _E_FIXED) & (e < 0), 1 - e, 0)
-    # the head moves down from byte 7 to byte `before`, the tail one
-    # byte less, to leave room for the "."
-    r = (8 * (7 - before)).astype(np.uint64)
-    rt = (8 * (6 - neg)).astype(np.uint64)
-    lr, lt = np.uint64(64) - r, np.uint64(64) - rt
-    prefix = 2 * (e - _E_MIN) + neg
-    text = out.view("<u8").reshape(-1, 3)
-    text[:, 0] = _PREFIX[0][prefix] | (d0 >> r) | (h1 << lr) | (t1 << lt)
-    text[:, 1] = (_PREFIX[1][prefix] | (h1 >> r) | (h2 << lr) | (t1 >> rt)
-                  | (t2 << lt))
-    text[:, 2] = _PREFIX[2][prefix] | (h2 >> r) | (t2 >> rt)
-    cells = text.view(np.uint8).reshape(-1)
-    dotted = keep > point
-    at = np.flatnonzero(dotted)
-    cells[at * _CELL + before[at] + point[at]] = ord(".")
-    at = np.flatnonzero(e < _E_FIXED)
+    cells[:, 0] = (_PREFIX.take(2 * (e - _E_MIN) + (flat < 0.0))
+                   | ((lead + ord("0")) << 56).view(np.uint64))
+    # %g drops trailing zeros: a group of four digits is read trimmed
+    # when the groups after it are zero
+    zero = lo == 0
+    cells[:, 1] = (_DIGITS4.take(g0 + 10**4 * (zero & (g1 == 0)))
+                   | (_DIGITS4.take(g1 + 10**4 * zero) << np.uint64(32)))
+    cells[:, 2] = (_DIGITS4.take(g2 + 10**4 * (g3 == 0))
+                   | (_DIGITS4.take(g3 + 10**4) << np.uint64(32)))
+    cells[:, 3] = 0
+    # a "." among the digits, after the integer part (e >= 0) or the
+    # lead digit (e < _E_FIXED): the c - 1 digits of lanes 1 and 2
+    # before it keep their zeros, the rest move up one byte, and the "."
+    # stays only before a digit
+    at = np.flatnonzero((e >= 0) | (e < _E_FIXED))
     if at.size:
-        end = at * _CELL + before[at] + keep[at] + dotted[at]
-        cells[end[:, None] + np.arange(4)] = _SUFFIX[e[at] - _E_MIN]
-    others = np.flatnonzero(~laid_out)
-    out[others] = [b"%.17g" % v for v in flat[others].tolist()]
+        c = np.maximum(e[at], 0) + 1
+        m1, m2 = _DIGIT_MASKS[0].take(c), _DIGIT_MASKS[1].take(c)
+        h1 = (_DIGITS4.take(g0[at]) | (_DIGITS4.take(g1[at]) << np.uint64(32))) & m1
+        h2 = (_DIGITS4.take(g2[at]) | (_DIGITS4.take(g3[at]) << np.uint64(32))) & m2
+        t1, t2 = cells[at, 1] & ~m1, cells[at, 2] & ~m2
+        dot = (t1 | t2) != 0
+        cells[at, 1] = h1 | (t1 << np.uint64(8)) | _DOT[0].take(c - 1) * dot
+        cells[at, 2] = (h2 | (t2 << np.uint64(8)) | (t1 >> np.uint64(56))
+                        | _DOT[1].take(c - 1) * dot)
+        cells[at, 3] = t2 >> np.uint64(56)
+        at = at[e[at] < _E_FIXED]
+        cells[at, 3] |= _SUFFIX.take(e[at] - _E_MIN)
+    at = np.flatnonzero(others)
+    if at.size:
+        texts = np.array([b"%.17g" % v for v in flat[at].tolist()], "S32")
+        cells[at] = texts.view(np.uint64).reshape(-1, 4)
 
 
-def fmt17_array(x) -> np.ndarray:
-    """``"%.17g" % v`` of every float64 v of ``x``, byte for byte, as a
-    ``S24`` array of the shape of ``x``.
+def _fmt17_cells(x) -> np.ndarray:
+    """The ``"%.17g" % v`` of every float64 v of ``x``, in order, as an
+    (N, 4) uint64 array of 32-byte cells: read in order with its NULs
+    skipped, each cell is the text, byte for byte; the top byte of lane
+    3 stays NUL.
 
     A number with 1e-6 < |v| < 1e17 is formatted with array arithmetic,
     ``_FMT_CHUNK`` numbers at a time: its 17 significant digits come out
     exact from Dekker's error-free product of |v| and a power of ten
-    (:func:`_significand17`), four at a time from a digit table, and are
-    laid out in the three uint64 lanes of a 24-byte cell: the sign, "0."
-    and zeros before them, the "." after the integer part, the trailing
-    zeros dropped, and "e-05" or "e-06" after them. Every other value
-    (0, nan, inf, a subnormal, |v| <= 1e-6 or >= 1e17) goes through
-    ``%.17g`` itself.
+    (:func:`_significand17`), four at a time from a digit table. Lane 0
+    holds the sign, "0." and zeros and the lead digit, lanes 1 and 2 the
+    other 16 digits, trailing zeros NUL, and lane 3 "e-05" or "e-06";
+    only where a "." falls among the digits do the digits after it move,
+    by one byte. Every other value (0, nan, inf, a subnormal, |v| <=
+    1e-6 or >= 1e17) goes through ``%.17g`` itself.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty(flat.size, f"S{_CELL}")
+    flat = np.asarray(x, dtype=float).ravel()
+    cells = np.empty((flat.size, 4), np.uint64)
     for start in range(0, flat.size, _FMT_CHUNK):
-        _fmt17_into(out[start:start + _FMT_CHUNK], flat[start:start + _FMT_CHUNK])
-    return out.reshape(x.shape)
+        _fmt17_into(cells[start:start + _FMT_CHUNK], flat[start:start + _FMT_CHUNK])
+    return cells
+
+
+def _csv_cells(column) -> np.ndarray:
+    """The (N, 4) cells of the N numbers of ``column``: ``%d`` of
+    integers, else :func:`_fmt17_cells`."""
+    if np.issubdtype(column.dtype, np.integer):
+        return column.astype("S32").view(np.uint64).reshape(-1, 4)
+    return _fmt17_cells(column)
+
+
+def _write_rows(f, table: np.ndarray) -> None:
+    """Write the rows of ``table``, a uint64 array of cells whose last
+    two axes are the columns and the four lanes, to the binary file
+    ``f``: each cell's text and a "," after it, a newline after each
+    row's last, in one pass that drops every NUL byte."""
+    table[..., :-1, 3] |= np.uint64(ord(",") << 56)
+    table[..., -1, 3] |= np.uint64(ord("\n") << 56)
+    f.write(table.tobytes().translate(None, b"\0"))
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -209,24 +223,17 @@ def write_csv(path, header: str, columns) -> None:
     ``columns``.
 
     Integer columns print as ``%d``, the rest as ``%.17g``, byte for
-    byte what :func:`fmt17` gives (by :func:`fmt17_array`). Rows are
-    formatted ``_CSV_BLOCK`` at a time, straight from slices of the
-    columns, into one bytes row template.
+    byte what :func:`fmt17` gives. Each block of ``CSV_BLOCK_ROWS`` rows
+    is one table of the cells of its column slices (:func:`_csv_cells`),
+    written by :func:`_write_rows`.
     """
     columns = [np.asarray(c) for c in columns]
-    line = b",".join([b"%s"] * len(columns)) + b"\n"
     rows = len(columns[0]) if columns else 0
     with open(path, "wb") as f:
         f.write(header.encode("ascii") + b"\n")
-        for start in range(0, rows, _CSV_BLOCK):
-            cells = np.empty((min(_CSV_BLOCK, rows - start), len(columns)),
-                             f"S{_CELL}")
-            for j, c in enumerate(columns):
-                c = c[start:start + _CSV_BLOCK]
-                cells[:, j] = (c.astype(cells.dtype)
-                               if np.issubdtype(c.dtype, np.integer)
-                               else fmt17_array(c))
-            f.write(line * len(cells) % tuple(cells.ravel().tolist()))
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            _write_rows(f, np.stack([_csv_cells(c[start:start + CSV_BLOCK_ROWS])
+                                     for c in columns], axis=1))
 
 
 @dataclass(frozen=True)

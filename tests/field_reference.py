@@ -1,11 +1,11 @@
 """Reference CSV writers for ``tests/test_cli.py``.
 
 ``write_csv`` formats whole rows with one ``%`` template of ``%.17g``
-(and ``%d``) fields, as the package's writer did before it formatted
-numbers with ``fields.fmt17_array``; ``field_dump`` holds the columns of
-every node of the grid at once, with the field evaluated at all inside
-nodes in one batch. The CLI streams the dump by blocks of grid lines and
-formats with the array kernel; both must agree byte for byte.
+(and ``%d``) fields, by Python's own formatter; ``field_dump`` holds the
+columns of every node of the grid at once, with the field evaluated at
+all inside nodes in one batch. The CLI streams the dump by blocks of
+grid lines, formats with the package's array kernel into tables of
+fixed cells and drops their NUL bytes; both must agree byte for byte.
 """
 
 import numpy as np

@@ -333,6 +333,25 @@ class TestExpansionFits:
         assert "eps2_coeff" in fit.to_dict()
         assert abs(fit.constant - fit.predicted_constant) < 0.01
 
+    # relative slope and constant errors of the 3-term fit at sharp core
+    # radii: 10x the errors measured at these radii
+    @pytest.mark.parametrize("case, eps_list, slope_tol, constant_tol", [
+        ("one", [0.05, 0.025, 0.0125], 4.2e-5, 2.0e-4),
+        ("two", [0.05, 0.025, 0.0125], 4.3e-4, 1.3e-3),
+        ("opp", [0.05, 0.025, 0.0125], 6.7e-4, 6.3e-3),
+        ("one", [0.0125, 0.00625, 0.003125], 1.7e-7, 1.0e-6),
+        ("two", [0.0125, 0.00625, 0.003125], 1.7e-6, 6.7e-6),
+        ("opp", [0.0125, 0.00625, 0.003125], 2.6e-6, 3.2e-5),
+    ])
+    def test_expansion_sharp_at_small_cores(self, case, eps_list, slope_tol,
+                                            constant_tol, elastic, unit_disk):
+        dislocations = {"one": SINGLE,
+                        "two": OFF_CENTER_CASES["same-sign pair"],
+                        "opp": OFF_CENTER_CASES["opposite-sign pair"]}[case]
+        fit = expansion_check(dislocations, elastic, unit_disk, eps_list)
+        assert abs(fit.slope / fit.analytic_slope - 1.0) < slope_tol
+        assert abs(fit.constant / fit.predicted_constant - 1.0) < constant_tol
+
     def test_solver_values_are_exact_closed_forms(self, elastic, unit_disk):
         fit = expansion_check(
             SINGLE, elastic, unit_disk, [0.2, 0.1], fit_tail=2
@@ -358,3 +377,18 @@ class TestExpansionFits:
         K = elastic.plane_prefactor
         rel = abs(abs(fit.slope) - K / (8.0 * math.pi)) / (K / (8.0 * math.pi))
         assert rel < 0.05
+
+    def test_diagonal_predicts_the_core_expansion_constant(self, elastic,
+                                                          unit_disk):
+        # the samples are the core-radius expansion at eps = sqrt(h),
+        # whose constant the two-term fit meets to 8.0e-4 at these h
+        dipoles = [DisclinationDipole((0.3, 0.0), (0.0, 1.0), 1e-2)]
+        h = [1e-4, 2.5e-5, 6.25e-6]
+        fit = diagonal_dipole_limit(dipoles, elastic, unit_disk, h)
+        target = [Dislocation((0.3, 0.0), (0.0, 1.0))]
+        core = expansion_check(target, elastic, unit_disk,
+                               [math.sqrt(x) for x in h])
+        assert fit.predicted_constant == core.predicted_constant
+        assert fit.to_dict()["predicted_constant"] == fit.predicted_constant
+        assert fit.values == core.values
+        assert abs(fit.constant / fit.predicted_constant - 1.0) < 8e-3

@@ -44,7 +44,7 @@ PAIR = {**DISL, "dislocations": [{"site": [0.3, 0.0], "b": [0.0, 1.0]},
                                 {"site": [-0.3, 0.0], "b": [0.0, 1.0]}],
         "core_radius": 0.15}
 # configurations of the artifact tests: the pair at E = 1e-9 and 1e20 has
-# numbers below 1e-6 and at or above 1e17, which fmt17_array leaves to
+# numbers below 1e-6 and at or above 1e17, which the CSV kernel leaves to
 # %.17g, and the disclination at the centre a nan on the node at (0, 0)
 DUMP_DOCS = [
     PAIR,
@@ -269,6 +269,40 @@ class TestArtifacts:
             monkeypatch.undo()
             assert sha256(got) == sha256(ref), (n, block)
 
+    def test_solve_field_csv_rows_of_every_node_kind(self, tmp_path,
+                                                    monkeypatch):
+        # a core reaching within one cell of the circle: core nodes short
+        # of a full stencil beside core nodes with one, and outside,
+        # ghost and interior nodes of both kinds
+        doc = {**DISL, "dislocations": [{"site": [0.8, 0.0], "b": [0.6, -0.8]}],
+               "core_radius": 0.19}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        domain = DefectConfiguration.from_dict(doc).domain
+        solutions = []
+        write = cli._write_solution_csv
+
+        def recorded(path, solution, *args):
+            solutions.append(solution)
+            write(path, solution, *args)
+
+        monkeypatch.setattr(cli, "_write_solution_csv", recorded)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        with np.errstate(all="ignore"):
+            assert main(["solve", "--config", str(cfg), "--grid-n", "96",
+                         "--field-csv", str(got),
+                         "--out", str(tmp_path / "got.json")]) == 0
+            grid_reference.solution_field(
+                solutions[0], domain, fields.grid_for_disk(domain, 96)
+            ).to_csv(ref)
+        assert sha256(got) == sha256(ref)
+        kinds = set()
+        for row in got.read_text().splitlines()[1:]:
+            _, _, v, vxx, _, _, mask = row.split(",")
+            kinds.add((mask, v == "0") if mask == "0" else (mask, vxx == "nan"))
+        assert kinds == {("0", True), ("0", False), ("1", True), ("1", False),
+                         ("2", True), ("2", False)}
+
     @pytest.mark.parametrize("E", ["1", "1e-9", "1e20"])
     def test_sweep_csv_matches_reference_writer(self, E, tmp_path,
                                                 monkeypatch):
@@ -294,6 +328,23 @@ class TestArtifacts:
                 if r.startswith("0,0,")]
         assert len(rows) == 1
         assert rows[0].split(",")[2] == "-0.021861942732403203"
+        assert rows[0].split(",")[3:] == ["nan"] * 6
+
+    def test_field_dump_keeps_nan_of_uncored_dislocation_node(self, tmp_path):
+        # a node sits exactly on the site at (0.25, 0); the stress there
+        # is singular, as at a disclination's node
+        cfg = tmp_path / "disl.json"
+        cfg.write_text(json.dumps({
+            "E": 1.0, "nu": 0.3, "domain": {"center": [0.0, 0.0], "R": 1.0},
+            "dislocations": [{"site": [0.25, 0.0], "b": [0.0, 1.0]}]}))
+        csv = tmp_path / "f.csv"
+        with np.errstate(all="ignore"):
+            assert main(["field", "--config", str(cfg), "--grid-n", "64",
+                         "--csv", str(csv),
+                         "--out", str(tmp_path / "f.json")]) == 0
+        rows = [r for r in csv.read_text().splitlines()
+                if r.startswith("0.25,0,")]
+        assert len(rows) == 1
         assert rows[0].split(",")[3:] == ["nan"] * 6
 
     def test_field_dump_memory_does_not_grow_with_grid(self, configs,

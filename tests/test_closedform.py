@@ -315,7 +315,7 @@ nan = math.nan
 # each closed form at its own singular site: value, gradient, Hessian
 SINGULAR_SITES = [
     (FundamentalAiry(_EL), (0.0, 0.0),
-     0.0, [nan, nan], [[nan, nan], [nan, nan]]),
+     0.0, [0.0, 0.0], [[nan, nan], [nan, nan]]),
     (SingleDisclinationClamped(_EL, 1.7, 0.8, _SITE), _SITE,
      -0.05054481159731621, [-0.0, -0.0], [[nan, nan], [nan, nan]]),
     (DipoleDerivativeAiry(_EL, _OBLIQUE, _SITE), _SITE,
@@ -323,9 +323,9 @@ SINGULAR_SITES = [
     (DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE), _SITE,
      -0.0, [0.06436540346060564, 0.04827405259545422], [[0.0, 0.0], [0.0, 0.0]]),
     (DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE, True), _SITE,
-     -0.0, [0.007048554828201617, 0.005286416121151213], [[0.0, 0.0], [0.0, 0.0]]),
+     -0.0, [nan, nan], [[nan, nan], [nan, nan]]),
     (DislocationLimitAiry(_EL, _OBLIQUE, 1.7, _SITE), _SITE,
-     0.0, [0.007123097766404141, 0.005342323324803105], [[0.0, 0.0], [0.0, 0.0]]),
+     0.0, [nan, nan], [[nan, nan], [nan, nan]]),
 ]
 
 

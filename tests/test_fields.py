@@ -26,7 +26,6 @@ from airy_defects.fields import (
     check_grid_n,
     circle_integral,
     fmt17,
-    fmt17_array,
     grid_for_disk,
     radial_integral,
     radial_nodes,
@@ -41,6 +40,18 @@ class TestFmt17:
 
     def test_plain(self):
         assert fmt17(0.1) == "0.10000000000000001"
+
+
+def fmt17_array(x) -> np.ndarray:
+    """The texts of ``fields._fmt17_cells`` of ``x``, each cell read in
+    order with its NULs skipped, as an ``S24`` array of the shape of
+    ``x``; every cell leaves the top byte of lane 3 to the separator."""
+    x = np.asarray(x, dtype=float)
+    cells = fields._fmt17_cells(x)
+    assert not np.any(cells[:, 3] >> np.uint64(56))
+    b = cells.view(np.uint8).reshape(-1, 32)
+    b = np.take_along_axis(b, np.argsort(b == 0, axis=1, kind="stable"), axis=1)
+    return np.ascontiguousarray(b[:, :24]).view("S24").reshape(x.shape)
 
 
 def assert_fmt17_array(x):
@@ -86,6 +97,21 @@ class TestFmt17Array:
         x = np.exp(rng.uniform(math.log(1e-7), math.log(3e17), 200_000))
         assert_fmt17_array(x * rng.choice([-1.0, 1.0], x.size))
 
+    def test_point_among_the_digits(self):
+        # e = 1..16: the digits after the "." move one byte, the last of
+        # them into lane 3
+        x = [12.5, 1e16 + 2, 123456789.5, 1234567890123456.8, 99999999999999.98,
+             12345678.90123456, 0.1 + 0.2 + 1e3]
+        assert_fmt17_array(np.concatenate([x, np.negative(x)]))
+        # e = -6, -5: one digit, then the "." and the rest before "e-0X"
+        assert_fmt17_array([1.2345678901234567e-6, -9.876543210987654e-5, 3e-6])
+
+    def test_fraction_of_zeros(self):
+        # the "." and the trailing zeros it would lead are dropped
+        x = [100.0, -2.0, 0.5, -0.0, 1e16, 12345678901234567.0, 5e-5]
+        assert fmt17_array(x).tolist() == [b"%.17g" % v for v in x]
+        assert_fmt17_array(np.concatenate([x, np.negative(x)]))
+
     def test_shapes(self):
         assert fmt17_array(np.zeros((0, 3))).shape == (0, 3)
         assert fmt17_array([[0.5, -2.0]]).tolist() == [[b"0.5", b"-2"]]
@@ -108,6 +134,17 @@ class TestWriteCsv:
             for a, b, m in zip(x, y, mask)
         )
         assert path.read_bytes() == expected.encode("ascii")
+
+    def test_longest_fallback_and_integers(self, tmp_path):
+        # the 24-byte %.17g text fills lanes 0..2, followed by its separator
+        x = np.array([-2.2250738585072014e-308, 12.5, -2.2250738585072014e-308])
+        k = np.array([-9223372036854775807, 0, 4096], dtype=np.int64)
+        path = tmp_path / "t.csv"
+        write_csv(path, "x,k,y", [x, k, x[::-1]])
+        assert path.read_bytes() == (
+            b"x,k,y\n-2.2250738585072014e-308,-9223372036854775807,"
+            b"-2.2250738585072014e-308\n12.5,0,12.5\n"
+            b"-2.2250738585072014e-308,4096,-2.2250738585072014e-308\n")
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
