@@ -12,11 +12,11 @@ The core-constrained problem lives on the punctured disk, B_R minus the
 core balls. Its smooth correction is biharmonic there, so it is a
 multi-centre Michell series: the Almansi modes about the disk centre
 plus, about each core, the exterior modes log r, r^2 log r, r log r
-(cos, sin) theta, r^-m and r^(2-m) (cos, sin) m theta. The interior
-coefficients follow from the outer-circle traces by the same FFT; the
-core coefficients are fitted by least squares at collocation nodes on
-the core circles and at the outer-circle frequencies the interior modes
-cannot reach. Green's identity on the circles turns the plate energy
+(cos, sin) theta, r^-m and r^(2-m) (cos, sin) m theta. Each circle is
+fitted by its low frequencies: the interior coefficients match those of
+the outer-circle traces by the same FFT, and the core coefficients solve
+one square system that matches those of each core circle's traces.
+Green's identity on the circles turns the plate energy
 into exact circle integrals, which leave one 3K x 3K system for the
 affine parameters of the K cores.
 
@@ -518,12 +518,15 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
 
 
 def _rung_bytes(m_inner: int, m_core: int, cores: int) -> int:
-    """Bytes of the largest arrays of a ``_MichellSeries`` rung: the
-    exterior traces, the interior rows, and the least-squares system
-    with the two copies ``np.linalg.qr`` makes of it."""
+    """Bytes a ``_MichellSeries`` rung holds at most, in floats of its N
+    nodes, n exterior modes and c = n + 1 + 3K columns: the exterior
+    traces and interior rows with their temporaries (N (4 n + 12 M_i +
+    14 M_e)), the interior coefficients, core-circle misses and system
+    (12 M_i c + 8 M_e K c + n c); QR's two copies come after the misses."""
     nodes, n_ext = 4 * (m_inner + m_core * cores), (4 * m_core - 2) * cores
-    system = 4 * (m_inner + 1 + 2 * m_core * cores) * (n_ext + 1 + 3 * cores)
-    return 8 * (4 * nodes * n_ext + 8 * nodes * m_inner + 3 * system)
+    columns = n_ext + 1 + 3 * cores
+    return 8 * (nodes * (4 * n_ext + 12 * m_inner + 14 * m_core)
+                + (12 * m_inner + 8 * m_core * cores + n_ext) * columns)
 
 
 def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -564,19 +567,19 @@ class _MichellSeries:
     centre and the exterior Michell modes of order below M_e about every
     core. For given core coefficients the interior ones are the FFT fit
     (``_almansi_modes``) of the outer traces the core modes leave, at
-    4 M_i nodes. The core coefficients then solve one least-squares
-    problem: the traces at 4 M_e nodes on every core circle, and the
-    outer-trace frequencies M_i .. 2 M_i, which no interior mode reaches.
-    The fit evaluates value and normal-derivative traces only
-    (``_interior_traces``); one complex pass gives the cosine and the
-    sine parts of each exterior family (``_michell_traces``), and the
-    nodes of all circles are stacked, so each closed form is evaluated
-    once per circle. The least-squares system of a rung is written once,
-    block by block, into one column-major array that LAPACK factors
-    without a copy between layouts (``_system``, ``_least_squares``),
-    and one set of interior rows (``_interior_rows``) gives the fit's
-    core-circle misses and, after it, the traces and Laplacians at all
-    nodes.
+    4 M_i nodes, which leave no miss below frequency M_i. The core
+    coefficients leave none below M_e at the 4 M_e nodes of each core
+    circle: 2 (2 M_e - 1) conditions per core, one per exterior mode, so
+    the system is square. The fit evaluates value and normal-derivative
+    traces only (``_interior_traces``); one complex pass gives the
+    cosine and the sine parts of each exterior family
+    (``_michell_traces``), and the nodes of all circles are stacked, so
+    each closed form is evaluated once per circle. The square system of
+    a rung is written once, core by core, into one column-major array
+    that LAPACK factors without a copy between layouts (``_system``,
+    ``_least_squares``), and one set of interior rows
+    (``_interior_rows``) gives the fit's core-circle misses and, after
+    it, the traces and Laplacians at all nodes.
 
     ``block_residuals`` are the largest misses of either trace, relative
     to the largest datum, at the outer circle's nodes and at the core
@@ -605,8 +608,7 @@ class _MichellSeries:
         der[:, 0] = -radius[:, 0] * (gradient * nhat).sum(axis=-1)
         for k, y in enumerate(sites):
             on, col = slice(n0 + k * nc, n0 + (k + 1) * nc), 3 * k + 1
-            val[on, col] = 1.0
-            val[on, col + 1:col + 3] = pts[on] - y
+            val[on, col], val[on, col + 1:col + 3] = 1.0, pts[on] - y
             der[on, col + 1:col + 3] = eps * nhat[on]
         ext, X = self._exterior(pts, nhat), self._interior(pts, nhat)
         n_ext = ext.shape[-1]
@@ -631,34 +633,32 @@ class _MichellSeries:
     def _system(self, ext, X, val, der):
         """The interior coefficients (A, B) of every column, the core
         modes' then the data sets', for zero core coefficients, and the
-        least-squares system of the core coefficients, in LAPACK's
-        column-major order: the outer-trace frequencies M_i .. 2 M_i,
-        weighted as their share of the nodal 2-norm, then the misses of
-        the value and of the eps d_n traces on each core circle in turn.
+        square system of the core coefficients, in LAPACK's column-major
+        order: on each core circle in turn, the real parts of the
+        frequencies 0 .. M_e - 1 and the imaginary parts of 1 .. M_e - 1
+        of the misses of the value, then of the eps d_n traces.
         ``ext`` and ``X`` are the exterior traces and the interior rows
         at the nodes, the outer circle's 4 M_i first."""
         R, eps, (m_inner, m_core) = self.domain.radius_R, self.eps, self.modes
-        n0, nc, cores = 4 * m_inner, 4 * m_core, len(self.sites)
-        n_ext = ext.shape[-1]
-        F = np.fft.rfft(np.hstack([ext[0, :n0], val[:n0]]), axis=0) / n0
-        G = np.fft.rfft(np.hstack([R * ext[1, :n0], der[:n0]]), axis=0) / n0
-        A, B = _almansi_modes(F[:m_inner], G[:m_inner])
-        high = len(F) - m_inner
-        system = np.empty((4 * high + 2 * nc * cores, F.shape[1]), order="F")
-        # views: splitting the row axis of a column-major array needs no copy
-        freq = system[:4 * high].reshape(4, high, -1)
-        for block, part in zip(freq, (F[m_inner:].real, F[m_inner:].imag,
-                                      G[m_inner:].real, G[m_inner:].imag)):
-            np.multiply(math.sqrt(2.0 * n0), part, out=block)
-        miss = system[4 * high:].reshape(cores, 2, nc, -1)
-        z, dz, ext_z, ext_dz, val_c, der_c = (t.reshape(cores, nc, -1) for t in (
-            *_interior_traces(X, R, A, B, slice(n0, None)),
-            ext[0, n0:], ext[1, n0:], val[n0:], der[n0:] / eps))
-        np.subtract(ext_z, z[..., :n_ext], out=miss[:, 0, :, :n_ext])
-        np.subtract(val_c, z[..., n_ext:], out=miss[:, 0, :, n_ext:])
-        np.subtract(ext_dz, dz[..., :n_ext], out=miss[:, 1, :, :n_ext])
-        np.subtract(der_c, dz[..., n_ext:], out=miss[:, 1, :, n_ext:])
-        miss[:, 1] *= eps
+        n0, cores, n_ext = 4 * m_inner, len(self.sites), ext.shape[-1]
+        F, G = (np.fft.rfft(np.hstack(t), axis=0)[:m_inner] / n0 for t in (
+            [ext[0, :n0], val[:n0]], [R * ext[1, :n0], der[:n0]]))
+        A, B = _almansi_modes(F, G)
+        system = np.empty((n_ext, A.shape[1]), order="F")
+        # a view: splitting the row axis of a column-major array needs no copy
+        rows = system.reshape(cores, 2, 2 * m_core - 1, -1)
+        H = np.empty((2 * m_core + 1, A.shape[1]), dtype=complex)
+        low = H[:m_core]
+        for j, (miss, ext_j, data) in enumerate(zip(
+                _interior_traces(X, R, A, B, slice(n0, None)),
+                ext[:2, n0:], (val[n0:], der[n0:] / eps))):
+            # the misses overwrite the interior traces
+            np.subtract(ext_j, miss[:, :n_ext], out=miss[:, :n_ext])
+            np.subtract(data, miss[:, n_ext:], out=miss[:, n_ext:])
+            for k, part in enumerate(np.split(miss, cores)):
+                np.fft.rfft(part, axis=0, out=H)
+                rows[k, j, :m_core], rows[k, j, m_core:] = low.real, low[1:].imag
+        rows[:, 1] *= eps
         return A, B, system
 
     def _exterior(self, pts, nhat):
@@ -792,13 +792,13 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     The value does not depend on ``n``, the resolution of a field dump.
     ``extras`` gives the mode counts (interior, per core),
-    ``fit_condition`` (max|r_kk| / min|r_kk| of the fit's triangular
-    factor) and ``value_change``, the change in value over the last
-    rung, which doubled the interior count, the core count or both
-    (``None`` when the first fit met its target). A rung whose arrays
-    would exceed ``_MAX_RUNG_BYTES`` is not started; when doubling both
-    blocks would, only the block with the larger residual doubles. The
-    last fit stands if its residual is within ``_RESIDUAL_BOUND``, and
+    ``fit_condition`` (max|r_kk| / min|r_kk| of the triangular factor of
+    the fit's square system) and ``value_change``, the change in value
+    over the last rung, which doubled the interior count, the core count
+    or both (``None`` when the first fit met its target). A rung whose
+    arrays would exceed ``_MAX_RUNG_BYTES`` is not started; when doubling
+    both blocks would, only the block with the larger residual doubles.
+    The last fit stands if its residual is within ``_RESIDUAL_BOUND``, and
     otherwise ``NumericalError`` names the budget.
     """
     dislocations = list(dislocations)
