@@ -25,11 +25,11 @@ from .core import (
     rotate_burgers,
 )
 from .closedform import DipoleAiry, DislocationLimitAiry
-from .energy import _moment_traces, _pair_traces, _value_traces, green_bulk_energy
+from .energy import green_bulk_energy
 from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
-    _N_QUAD,
     _elastic_correction,
+    _profile_pairings,
     solve_clamped_disclination,
     solve_core_constrained,
     solve_dipole_core,
@@ -161,6 +161,15 @@ def _dipole_energy(elastic: ElasticConstants, s: float, R: float,
     return G * elastic.young_E * s * s
 
 
+def _pair_norm(h: float, R: float) -> float:
+    """h^2 log(R/h), a pair field's energy scale, if a normal double."""
+    norm = h * h * math.log(R / h)
+    if not np.finfo(float).tiny <= norm < math.inf:
+        raise ValidationError(
+            f"h^2 log(R/h) = {norm} at h={h}, R={R} is not a normal double")
+    return norm
+
+
 def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
                          h_list, include_solver: bool = False) -> list[dict]:
     """Normalized pair-field energies over decreasing spacings.
@@ -174,6 +183,7 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
     h_values = _check_decreasing(h_list, "spacing")
     if any(not (0.0 < h < R) for h in h_values):
         raise ValidationError(f"spacings must lie in (0, R): {h_values}")
+    norms = [_pair_norm(h, R) for h in h_values]
     K = elastic.plane_prefactor
     try:
         limit = K * s**2 / (8.0 * math.pi)
@@ -182,13 +192,13 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
     if not math.isfinite(limit):
         raise ValidationError(f"the energy scale K s^2 overflows (K={K}, s={s})")
     rows = []
-    for h in h_values:
+    for h, norm in zip(h_values, norms):
         if s == 0.0:
             G = 0.0
             normalized = 0.0
         else:
             G = _dipole_energy(elastic, s, R, h)
-            normalized = G / (h**2 * math.log(R / h))
+            normalized = G / norm
         row = {
             "param": h,
             "value": G,
@@ -254,6 +264,7 @@ def appendix_b_integrals(h: float, R: float) -> dict:
     """
     if not (0.0 < h < R):
         raise ValidationError(f"need 0 < h < R, got h={h}, R={R}")
+    norm = _pair_norm(h, R)
     quarter = _RING_ANGLES // 4
     _, ring, _ = circle_nodes((0.0, 0.0), 1.0, _RING_ANGLES)
     ring = ring[:quarter + 1]
@@ -273,7 +284,6 @@ def appendix_b_integrals(h: float, R: float) -> dict:
         means = np.stack([f1 @ weights, f2 @ weights, f3 @ weights])
         return 2.0 * math.pi * r * means
 
-    norm = h**2 * math.log(R / h)
     annulus = tuple(float(v) for v in radial_integral(ring_terms, h, R))
     ball = tuple(float(v) for v in radial_integral(ring_terms, 0.0, h, (0.5 * h,)))
     return {
@@ -321,11 +331,12 @@ def annulus_energy_closed_form(s: float, eps: float, r: float, R: float,
 def vanishing_core_limit_constant(r: float, R: float, magnitude: float,
                                   c: ElasticConstants) -> float:
     """eps -> 0 limit of the per-defect expansion constant f_eps(r, R)."""
-    if not (0.0 < r <= R):
-        raise ValidationError(f"need 0 < r <= R, got r={r}, R={R}")
+    t = r**2 / R**2 if 0.0 < r <= R else math.nan
+    # the second term divides by t
+    if not t >= np.finfo(float).tiny:
+        raise ValidationError(f"need 0 < r <= R, r^2 / R^2 normal, got r={r}, R={R}")
     K = c.plane_prefactor
     E, nu = c.young_E, c.poisson_nu
-    t = r**2 / R**2
     first = magnitude**2 / (8.0 * math.pi) * K * (
         2.0 + t * (t - 2.0) - 2.0 * math.log(R)
     )
@@ -397,11 +408,11 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
       cores cancel the small-circle limits of a(t_j, z) in the same way.
 
     Every bulk integral is thus reduced exactly to signed circle
-    integrals of analytic kernels (spectrally convergent trapezoid on
-    each circle) and point values of profile gradients. Every circle
-    takes ``solver._N_QUAD`` trapezoid nodes, and the elastic correction's
-    pairing reads the profiles' traces on the outer circle that the
-    other terms evaluated.
+    integrals of analytic kernels and point values of profile gradients.
+    The circle integrals are trapezoid sums that settle
+    (``solver._profile_pairings``, :func:`energy.circle_sums`), and the
+    elastic correction's pairing is the sum of the outer-circle pairings
+    that the other terms use.
 
     Every term is exactly E times its value at E = 1 (same nu), so the
     terms are evaluated at E = 1 and scaled last: at a large E the
@@ -422,27 +433,22 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
         )
     R = domain.radius_R
     K = elastic.plane_prefactor
+    f_DR = sum(
+        vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
+        for d in dislocations
+    )
 
     terms = [
         DislocationLimitAiry(elastic=elastic, burgers_b=d.burgers_b,
                              radius_R=R, site=d.site)
         for d in dislocations
     ]
-    # each profile is evaluated once on the outer circle, whose traces
-    # the elastic correction shares, and once on its own circle of
-    # radius D
-    outer = [(1.0, *circle_nodes(domain.center, R, _N_QUAD))]
-    moments = [_moment_traces(term, outer) for term in terms]
-    values = [_value_traces(term, outer) for term in terms]
-
+    # the outer pairings serve all three terms
+    P, S = _profile_pairings(elastic, domain, terms, D)
     F_self = 0.0
-    for j, term in enumerate(terms):
-        rings = outer + [(-1.0, *circle_nodes(sites[j], D, _N_QUAD))]
-        F_self += 0.5 * _pair_traces(moments[j] + _moment_traces(term, rings[1:]),
-                                     values[j] + _value_traces(term, rings[1:]),
-                                     rings, elastic)
-        mag = math.hypot(*dislocations[j].burgers_b)
-        F_self += K * mag**2 / (8.0 * math.pi) * math.log(D)
+    for j, d in enumerate(dislocations):
+        F_self += 0.5 * (P[j, j] - S[j])
+        F_self += K * math.hypot(*d.burgers_b) ** 2 / (8.0 * math.pi) * math.log(D)
 
     F_int = 0.0
     for j, k in combinations(range(len(terms)), 2):
@@ -450,15 +456,11 @@ def renormalized_energy(dislocations, elastic: ElasticConstants,
             terms[j].gradient(sites[k][None, :])[0]
             @ rotate_burgers(dislocations[k].burgers_b)
         )
-        F_int += _pair_traces(moments[j], values[k], outer, elastic) + load_k
+        F_int += P[j, k] + load_k
 
-    _, _, F_elastic, _ = _elastic_correction(elastic, domain, terms, outer,
-                                             moments, values)
-    f_DR = sum(
-        vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
-        for d in dislocations
-    )
-    return RenormalizedEnergy(F_self=E * F_self, F_int=E * F_int,
+    _, _, F_elastic, _ = _elastic_correction(elastic, domain, terms,
+                                             -float(P.sum()))
+    return RenormalizedEnergy(F_self=E * float(F_self), F_int=E * float(F_int),
                               F_elastic=E * F_elastic, f_DR=E * f_DR,
                               separation_D=D)
 

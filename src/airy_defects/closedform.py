@@ -532,10 +532,11 @@ class CoreCoefficients:
 
     @classmethod
     def for_annulus(cls, eps: float, radius_R: float) -> "CoreCoefficients":
-        if not (0.0 < eps < radius_R):
+        # the core slope divides by eps^2
+        if not (0.0 < eps < radius_R
+                and min(eps, eps / radius_R) ** 2 >= np.finfo(float).tiny):
             raise ValidationError(
-                f"need 0 < eps < R, got eps={eps}, R={radius_R}"
-            )
+                f"need 0 < eps < R, eps^2 and (eps/R)^2 normal, got {eps}, {radius_R}")
         R2, e2 = radius_R**2, eps**2
         alpha = 2.0 * (R2 - e2) / (R2 + e2) - 2.0 * math.log(R2)
         beta = 2.0 * e2 * R2 / (R2 + e2)

@@ -22,7 +22,7 @@ from .core import (
     ValidationError,
     rotate_burgers,
 )
-from .fields import circle_integral, circle_nodes, radial_integral
+from .fields import circle_nodes, radial_integral
 
 
 # ---------------------------------------------------------------------------
@@ -137,51 +137,35 @@ def polar_energy(field, elastic: ElasticConstants, center,
     )
 
 
-def _moment_traces(field, rings) -> list:
-    """Per ring of ``rings``, the traces of ``field`` that the first
-    field of the boundary pairing gives: its Hessian times the normal,
-    its Laplacian and the normal derivative of the Laplacian."""
-    return [(np.einsum("nij,nj->ni", field.hessian(pts), nhat), field.laplacian(pts),
-             (field.grad_laplacian(pts) * nhat).sum(axis=-1))
-            for _, pts, nhat, _ in rings]
+def _pairing_traces(field, pts, nhat, nu: float) -> np.ndarray:
+    """(2, 4, N) moments (hess f nhat, -nu lap f, -(1 - nu) d_n lap f)
+    and values (grad f, d_n f, f) of ``field`` f at the (N, 2) points
+    with unit normals ``nhat``, each evaluated once. The energy cross
+    term of closed forms f, g biharmonic in a region is (1 + nu)/E times
+    the boundary integral (region-outward) of f's moments times g's values."""
+    out = np.empty((2, 4, len(pts)))
+    out[0, :2] = np.einsum("nij,nj->ni", field.hessian(pts), nhat).T
+    out[0, 2] = -nu * field.laplacian(pts)
+    out[0, 3] = -(1.0 - nu) * (field.grad_laplacian(pts) * nhat).sum(axis=-1)
+    value, gradient = field.value_and_gradient(pts)
+    out[1] = [*gradient.T, (gradient * nhat).sum(axis=-1), value]
+    return out
 
 
-def _value_traces(field, rings) -> list:
-    """Per ring of ``rings``, the value and gradient of ``field``: the
-    traces that the second field of the boundary pairing gives."""
-    return [field.value_and_gradient(pts) for _, pts, _, _ in rings]
+def _pairing_means(moments, values):
+    """Node means of the pairing integrand of ``_pairing_traces`` moments
+    with values: components on the third axis from the end, nodes last."""
+    return (moments * values).sum(axis=-3).mean(axis=-1)
 
 
-def _pair_traces(moments, values, rings, elastic: ElasticConstants) -> float:
-    """Energy cross term of two biharmonic closed forms by boundary
-    reduction, (1+nu)/E of the three-kernel circle pairing, from the
-    ``_moment_traces`` of the first and the ``_value_traces`` of the
-    second.
-
-    ``rings`` are (sign, points, ball-outward normals, circumference)
-    tuples whose signed sum is the region boundary with region-outward
-    orientation on the first entry.
-    """
-    nu, E = elastic.poisson_nu, elastic.young_E
-    acc = 0.0
-    for (sign, _, nhat, ring), (hess_n, lap, dn_lap), (g_val, g_grad) in zip(
-            rings, moments, values):
-        g_dn = (g_grad * nhat).sum(axis=-1)
-        acc += sign * ring * float(
-            np.mean(
-                (hess_n * g_grad).sum(axis=-1)
-                - nu * lap * g_dn
-                - (1.0 - nu) * dn_lap * g_val
-            )
-        )
-    return (1.0 + nu) / E * acc
-
-
-def _pair_energy_boundary(term_f, term_g, rings, elastic: ElasticConstants,
-                          ) -> float:
-    """``_pair_traces`` of ``term_f`` with ``term_g``."""
-    return _pair_traces(_moment_traces(term_f, rings),
-                        _value_traces(term_g, rings), rings, elastic)
+def _boundary_integral(means, circles):
+    """Trapezoid integral, from its node ``means`` (last axis: circle),
+    over the first of the (center, radius) ``circles`` minus the others,
+    summed in their order: the boundary of the disk minus core balls."""
+    total = 0.0
+    for k, ((_, r), mean) in enumerate(zip(circles, np.moveaxis(means, -1, 0))):
+        total = total + (-1.0 if k else 1.0) * (2.0 * math.pi * r) * mean
+    return total
 
 
 # Largest relative residual a solve may leave: the collocation residual
@@ -203,15 +187,50 @@ def _keeps_doubling(residual: float, previous: float | None,
         or residual <= 0.5 * previous)
 
 
-# Nodes per circle of ``green_bulk_energy``: doubled from the first count
-# under ``_keeps_doubling`` until the energy settles to _GREEN_TARGET
-# relative, up to the cap. A singular point at log-radius distance a from
-# a circle slows its trapezoid sum to a factor e^-a per node; the gap
-# _GREEN_MIN_GAP keeps that at most e^-65 at the cap.
-_GREEN_FIRST_NODES = 32
-_GREEN_MAX_NODES = 2**16
-_GREEN_TARGET = 1e-14
-_GREEN_MIN_GAP = 1e-3
+# Nodes per circle of every Green-identity circle sum (``circle_sums``),
+# doubled from _FIRST_NODES up to _MAX_NODES. A trapezoid sum converges
+# geometrically (Trefethen & Weideman, SIAM Rev. 56, 2014), by e^-a per
+# node for a singular point at log-radius distance a from the circle; the
+# gap _MIN_GAP of ``green_bulk_energy`` keeps that at most e^-65 at the cap.
+_FIRST_NODES = 64
+_MAX_NODES = 2**16
+_CIRCLE_TARGET = 1e-12
+_MIN_GAP = 1e-3
+
+
+def circle_sums(circles, integrands, sums=lambda x: x.mean(axis=-1),
+                scale: float = 0.0):
+    """Trapezoid sums on the (center, radius) ``circles`` that settle,
+    and the nodes per circle they took.
+
+    ``integrands(pts, nhat)`` maps the (C n, 2) nodes of all circles, n
+    on each, stacked circle by circle, and their outward unit normals to
+    an array whose last axis runs over (some of) them; ``sums`` maps it,
+    that axis split into blocks of n, to the sums (by default, the mean
+    of each block). Each level evaluates once, and its n-node sums are
+    checked against the n/2-node sums over every second node: n doubles
+    while ``_keeps_doubling`` asks for ``_CIRCLE_TARGET`` of the largest
+    |sum| (or of ``scale``, for sums that may all vanish to roundoff).
+    Sums unsettled at ``_MAX_NODES`` raise ``NumericalError``; non-finite
+    ones are returned, for the caller to judge."""
+    if not all(r > 0.0 for _, r in circles):
+        raise ValidationError(f"circle radii must be positive, got {circles}")
+    n, previous = _FIRST_NODES, None
+    while True:
+        pts, nhat = (np.vstack(a) for a in zip(*[circle_nodes(c, r, n)[:2]
+                                                  for c, r in circles]))
+        x = np.asarray(integrands(pts, nhat))
+        x = x.reshape(x.shape[:-1] + (x.shape[-1] // n, n))
+        full, half = np.asarray(sums(x)), np.asarray(sums(x[..., ::2]))
+        residual = float(np.abs(full - half).max(initial=0.0) / max(
+            np.abs(full).max(initial=0.0), scale, np.finfo(float).tiny))
+        if not _keeps_doubling(residual, previous, _CIRCLE_TARGET):
+            return full, n
+        if n >= _MAX_NODES:
+            raise NumericalError(
+                f"circle sums did not settle: relative change {residual:.3e} "
+                f"at {n} nodes per circle")
+        previous, n = residual, 2 * n
 
 
 def green_bulk_energy(field, elastic: ElasticConstants, domain: DiskDomain,
@@ -223,48 +242,34 @@ def green_bulk_energy(field, elastic: ElasticConstants, domain: DiskDomain,
     (1/K) Delta^2 v = -sum_k s_k delta_{y_k}, and off the ``cores``,
     (site, eps) balls; on its own core circle each cored term must give
     its annulus branch, the limit from the region. Green's identity then
-    turns G into half the pairing of ``_pair_traces`` over the
-    outer circle minus the core circles, less s_k v(y_k)/2 for each
-    charge outside the cores. The trapezoid sums on the circles converge
-    geometrically in the node count, which doubles until G settles.
+    turns G into half the pairing of ``_pairing_traces`` over the outer
+    circle minus the core circles, less s_k v(y_k)/2 for each charge
+    outside the cores, summed by :func:`circle_sums`.
 
-    A charge or core site within ``_GREEN_MIN_GAP`` of a circle, in
+    A charge or core site within ``_MIN_GAP`` of a circle, in
     |log(distance to its center / radius)|, raises ``ValidationError``:
-    no node count up to the cap resolves it. A last relative change
-    above ``_RESIDUAL_BOUND`` raises ``NumericalError``.
+    no node count up to the cap resolves it.
     """
-    circles = [(1.0, domain.center, domain.radius_R)]
-    circles += [(-1.0, site, eps) for site, eps in cores]
+    circles = [(domain.center, domain.radius_R)] + list(cores)
     for y in [y for y, _ in charges] + [site for site, _ in cores]:
-        for _, c, r in circles:
+        for c, r in circles:
             rho = math.dist(y, c)
-            if rho > 0.0 and abs(math.log(rho / r)) < _GREEN_MIN_GAP:
+            if rho > 0.0 and abs(math.log(rho / r)) < _MIN_GAP:
                 raise ValidationError(
                     f"singular point {tuple(map(float, y))} lies within a "
-                    f"relative distance {_GREEN_MIN_GAP} of the circle of "
-                    f"radius {r} about {tuple(map(float, c))}, which the "
-                    f"circle quadrature does not resolve")
+                    f"relative distance {_MIN_GAP} of the circle of radius "
+                    f"{r} about {tuple(map(float, c))}, which the circle "
+                    f"quadrature does not resolve")
     outside = [(y, s) for y, s in charges
                if all(math.dist(y, c) > eps for c, eps in cores)]
     vk = field.value(np.reshape([y for y, _ in outside], (-1, 2)))
     pole_term = -0.5 * sum(s * float(x) for (_, s), x in zip(outside, vk))
-    n, last, residual = _GREEN_FIRST_NODES, None, None
-    while True:
-        rings = [(sign, *circle_nodes(c, r, n)) for sign, c, r in circles]
-        G = 0.5 * _pair_energy_boundary(field, field, rings, elastic) + pole_term
-        if last is not None:
-            previous = residual
-            residual = abs(G - last) / max(abs(G), np.finfo(float).tiny)
-            if (not _keeps_doubling(residual, previous, _GREEN_TARGET)
-                    or n >= _GREEN_MAX_NODES):
-                break
-        last, n = G, 2 * n
-    # a non-finite G is left to the caller
-    if math.isfinite(G) and not residual <= _RESIDUAL_BOUND:
-        raise NumericalError(
-            f"the boundary energy did not settle: relative change "
-            f"{residual:.3e} at {n} nodes per circle")
-    return G, n
+    nu, E = elastic.poisson_nu, elastic.young_E
+    G, n = circle_sums(
+        circles, lambda pts, nhat: _pairing_traces(field, pts, nhat, nu),
+        lambda x: 0.5 * ((1.0 + nu) / E * _boundary_integral(
+            _pairing_means(*x), circles)) + pole_term)
+    return float(G), n
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +278,10 @@ def green_bulk_energy(field, elastic: ElasticConstants, domain: DiskDomain,
 
 
 def core_gradient_load(field, site, burgers_b, eps: float) -> float:
-    """(1 / 2 pi eps) integral over the core circle of <grad w, Pi(b)>."""
+    """Mean of <grad w, Pi(b)> over the core circle."""
     Pi = rotate_burgers(burgers_b)
-
-    def integrand(pts):
-        return field.gradient(pts) @ Pi
-
-    return circle_integral(integrand, site, eps) / (2.0 * math.pi * eps)
+    mean, _ = circle_sums([(site, eps)], lambda pts, _: field.gradient(pts) @ Pi)
+    return float(mean[0])
 
 
 def dipole_pair_load(field, site, burgers_b, eps: float, h: float) -> float:
@@ -292,11 +294,11 @@ def dipole_pair_load(field, site, burgers_b, eps: float, h: float) -> float:
     axis = rotate_burgers(b) / nb
     shift = 0.5 * h * axis
 
-    def integrand(pts):
+    def integrand(pts, _):
         return (field.value(pts + shift) - field.value(pts - shift)) / h
 
-    r = eps - h
-    return nb * circle_integral(integrand, site, r) / (2.0 * math.pi * r)
+    mean, _ = circle_sums([(site, eps - h)], integrand)
+    return nb * float(mean[0])
 
 
 # radii and angles of the core-ball samples of affine_core_defect

@@ -1,8 +1,8 @@
 """Grids, the artifact number format and quadrature rules on disks.
 
 The uniform Cartesian grid of the CSV field dumps and its size cap, the
-byte-exact ``%.17g`` formatting of every artifact, trapezoidal circle
-integrals and a composite Gauss-Legendre radial rule. The dumps
+byte-exact ``%.17g`` formatting of every artifact, equispaced circle
+nodes and a composite Gauss-Legendre radial rule. The dumps
 evaluate exact fields block by block of grid lines (``cli``); no
 module holds a field sampled on a whole grid.
 
@@ -34,8 +34,6 @@ CORE = 2
 MAX_GRID_NODES = 2**24
 # ghost rings of a grid beyond the disk's bounding square on each side
 _PAD = 4
-# trapezoid nodes of circle_integral
-_CIRCLE_NODES = 256
 
 # composite Gauss-Legendre radial rule: nodes per panel; width ratio of
 # successive panels toward a singular radius, down to a smallest panel
@@ -305,20 +303,6 @@ def circle_nodes(center, radius: float, n: int, shift: float = 0.0):
     nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
     return (np.asarray(center, dtype=float) + radius * nhat, nhat,
             2.0 * math.pi * radius)
-
-
-def circle_integral(g, center, radius: float) -> float:
-    """Trapezoidal rule on ``_CIRCLE_NODES`` equispaced angles for a
-    closed circle integral.
-
-    ``g`` maps an (N, 2) point array to values; spectrally accurate for
-    smooth periodic integrands.
-    """
-    if not (radius > 0.0):
-        raise ValidationError(f"circle radius must be positive, got {radius}")
-    pts, _, _ = circle_nodes(center, radius, _CIRCLE_NODES)
-    vals = np.asarray(g(pts), dtype=float)
-    return float(np.mean(vals)) * 2.0 * math.pi * radius
 
 
 def _graded_edges(p: float, q: float) -> np.ndarray:

@@ -54,9 +54,10 @@ from .closedform import (
 from .energy import (
     _RESIDUAL_BOUND,
     _keeps_doubling,
-    _moment_traces,
-    _pair_traces,
-    _value_traces,
+    _pairing_means,
+    _pairing_traces,
+    _boundary_integral,
+    circle_sums,
 )
 from .fields import circle_nodes, grid_for_disk
 
@@ -103,10 +104,6 @@ class SolveReport:
             "delta": self.delta,
             "extras": dict(self.extras),
         }
-
-
-# trapezoid nodes on each circle of the boundary pairings
-_N_QUAD = 512
 
 
 def _gram_factor(elastic: ElasticConstants) -> float:
@@ -358,22 +355,25 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
         if domain.boundary_distance(p) <= 0.0:
             raise ValidationError(f"disclination site {tuple(p)} outside the domain")
     fund = FundamentalAiry(elastic)
-    v_sing = SumField(tuple(ScaledField(-s, ShiftedField(tuple(p), fund))
-                            for s, p in zip(charges, sites)))
+    shifted = [ShiftedField(tuple(p), fund) for p in sites]
+    v_sing = SumField(tuple(ScaledField(-s, f) for s, f in zip(charges, shifted)))
 
     # closed-form constant: -(1/2) sum_ij s_i s_j [vbar(y_i - y_j)
     #   + f oint (Delta vbar_i d_n vbar_j - (d_n Delta vbar_i) vbar_j)]
-    bpts, nhat, ring = circle_nodes(domain.center, domain.radius_R, _N_QUAD)
-    rel = [bpts - p for p in sites]
-    lap, val = [fund.laplacian(r) for r in rel], [fund.value(r) for r in rel]
-    dnlap = [(fund.grad_laplacian(r) * nhat).sum(axis=-1) for r in rel]
-    dn = [(fund.gradient(r) * nhat).sum(axis=-1) for r in rel]
+    def kernels(pts, nhat):
+        lap = [(f.laplacian(pts), (f.grad_laplacian(pts) * nhat).sum(axis=-1))
+               for f in shifted]
+        val = [(f.value(pts), (f.gradient(pts) * nhat).sum(axis=-1)) for f in shifted]
+        return np.reshape([[l * dn - dl * v for v, dn in val] for l, dl in lap],
+                          (len(sites), len(sites), len(pts)))
+
+    means, _ = circle_sums([(domain.center, domain.radius_R)], kernels)
+    Q = 2.0 * math.pi * domain.radius_R * means[..., 0]
     constant = 0.0
     for i in range(len(sites)):
         for j in range(len(sites)):
             pair_pot = float(fund.value((sites[i] - sites[j])[None, :])[0])
-            Q_ij = ring * float(np.mean(lap[i] * dn[j] - dnlap[i] * val[j]))
-            constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q_ij)
+            constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q[i, j])
 
     t0 = time.perf_counter()
     series = _AlmansiSeries.fit(domain, v_sing)
@@ -710,12 +710,8 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     two slopes per core), so that the functional is
     (fl/2) int_{B_R} (Delta z)^2 + load . u - C0.
 
-    The rings are the outer circle, then the core circles, ``_N_QUAD``
-    nodes each. Every closed form is evaluated once, on the stacked
-    nodes of all rings (the value and gradient of W_p, each profile's
-    Laplacian and its gradient), and each ring's mean reads its own
-    slice: the closed forms are pointwise, so the traces are those of
-    one evaluation per ring, bit for bit."""
+    All three are sums of one :func:`energy.circle_sums` on the outer
+    and the core circles: each level evaluates every closed form once."""
     fl = _gram_factor(elastic)
     W_p = SumField(tuple(
         DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
@@ -724,50 +720,47 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     # the profiles' annulus branches, which the Laplacian traces on the
     # core circles take: the limit from the annulus side
     branches = [replace(t, annulus_branch=True) for t in W_p.terms]
-    circles = [circle_nodes(domain.center, domain.radius_R, _N_QUAD)] + [
-        circle_nodes(d.site, eps, _N_QUAD) for d in dislocations]
-    pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
-    value, gradient = W_p.value_and_gradient(pts)
-    g_dn = (gradient * nhat).sum(axis=-1)
-    lap = [t.laplacian(pts) for t in branches]
-    dnlap = [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches]
-    # per ring (sign, nodes, normals, circumference): the profiles'
-    # Laplacians and their normal derivatives, the value and normal
-    # derivative of W_p
-    rings, traces = [], []
-    for k, (sign, (_, _, ring)) in enumerate(
-            zip([1.0] + [-1.0] * len(dislocations), circles)):
-        on = slice(k * _N_QUAD, (k + 1) * _N_QUAD)
-        rings.append((sign, pts[on], nhat[on], ring))
-        traces.append(([f[on] for f in lap], [f[on] for f in dnlap],
-                       value[on], g_dn[on]))
-    # C0 = (fl/2) sum over profiles f of pair2(f; W_p), with pair2(f; g) =
-    # oint_dOmega [Df d_n g - (d_n Df) g] - sum_k oint_circle_k [same],
-    # ball-outward normals, valid for f biharmonic on the annular region
-    C0 = 0.5 * fl * sum(
-        sum(sign * ring * float(np.mean(lap[i] * g_dn - dnlap[i] * g_val))
-            for (sign, _, _, ring), (lap, dnlap, g_val, g_dn) in zip(rings, traces))
-        for i in range(len(branches)))
+    K, circles = len(dislocations), [(domain.center, domain.radius_R)] + [
+        (d.site, eps) for d in dislocations]
 
-    # linear coupling of the core affine parameters through the circle
-    # integrals, plus the slope load <grad a_k, Pi(b_k)>. On core ball k,
-    # Delta z = -Delta W_p is the Laplacian of the other profiles, both
-    # branches alike: harmonic, so the FFT of its trace integrates its
-    # square exactly, pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m + 2))
-    load, ball = np.zeros(3 * len(dislocations)), 0.0
-    for k, d in enumerate(dislocations):
-        (_, _, nh, ring), (lap, dnlap, _, _) = rings[k + 1], traces[k + 1]
-        lap_p, dnlap_p, Pi = sum(lap), sum(dnlap), rotate_burgers(d.burgers_b)
-        load[3 * k] = fl * ring * float(np.mean(dnlap_p))
-        for a in (0, 1):
-            load[3 * k + 1 + a] = Pi[a] - fl * ring * float(
-                np.mean(lap_p * nh[:, a] - dnlap_p * eps * nh[:, a]))
-        H = np.fft.rfft(np.zeros(len(nh)) + sum(
-            f for j, f in enumerate(lap) if j != k)) / len(nh)
-        m = np.arange(1, len(H))
-        ball += math.pi * eps**2 * (
-            H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
-    return W_p, ball, C0, load
+    def traces(pts, nhat):  # rows: W_p and d_n W_p, nhat, the Laplacians, d_n
+        value, gradient = W_p.value_and_gradient(pts)
+        return np.array([value, (gradient * nhat).sum(axis=-1), *nhat.T,
+                         *[t.laplacian(pts) for t in branches],
+                         *[(t.grad_laplacian(pts) * nhat).sum(axis=-1)
+                           for t in branches]])
+
+    def sums(x):
+        g_val, g_dn, nh, lap, dnlap = x[0], x[1], x[2:4], x[4:4 + K], x[4 + K:]
+        # C0 = (fl/2) sum over profiles f of the boundary integral of Df
+        # d_n W_p - (d_n Df) W_p, valid for f biharmonic on the annular
+        # region
+        C0 = 0.5 * fl * sum(_boundary_integral(
+            (lap[i] * g_dn - dnlap[i] * g_val).mean(axis=-1), circles)
+            for i in range(K))
+        # linear coupling of the core affine parameters through the
+        # circle integrals, plus the slope load <grad a_k, Pi(b_k)>. On
+        # core ball k, Delta z = -Delta W_p is the Laplacian of the other
+        # profiles, both branches alike: harmonic, so the FFT of its
+        # trace integrates its square exactly, pi eps^2 (a_0^2 + sum_m
+        # (a_m^2 + b_m^2) / (2m + 2))
+        load, ball, ring, n = np.zeros(3 * K), 0.0, 2.0 * math.pi * eps, x.shape[-1]
+        for k, d in enumerate(dislocations):
+            lap_p, dnlap_p = sum(lap[:, k + 1]), sum(dnlap[:, k + 1])
+            Pi = rotate_burgers(d.burgers_b)
+            load[3 * k] = fl * ring * float(np.mean(dnlap_p))
+            for a in (0, 1):
+                load[3 * k + 1 + a] = Pi[a] - fl * ring * float(np.mean(
+                    lap_p * nh[a, k + 1] - dnlap_p * eps * nh[a, k + 1]))
+            H = np.fft.rfft(np.zeros(n) + sum(
+                f for j, f in enumerate(lap[:, k + 1]) if j != k)) / n
+            m = np.arange(1, len(H))
+            ball += math.pi * eps**2 * (
+                H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
+        return np.concatenate([[C0, ball], load])
+
+    (C0, ball, *load), _ = circle_sums(circles, traces, sums)
+    return W_p, float(ball), float(C0), np.array(load)
 
 
 def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
@@ -919,23 +912,49 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
                              radius_R=domain.radius_R, site=d.site)
         for d in dislocations
     ]
-    outer = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))]
+    P, _ = _profile_pairings(elastic, domain, terms)
     series, fit_seconds, value, energies = _elastic_correction(
-        elastic, domain, terms, outer,
-        [_moment_traces(term, outer) for term in terms],
-        [_value_traces(term, outer) for term in terms])
+        elastic, domain, terms, -float(P.sum()))
     return _series_report(series, n, delta, E * value, fit_seconds,
                           {k: E * v for k, v in energies.items()}, scale=E)
 
 
+def _profile_pairings(elastic: ElasticConstants, domain: DiskDomain, terms,
+                      D: float | None = None):
+    """Boundary pairings of the zero-core profiles ``terms`` by
+    :func:`energy.circle_sums`, each profile evaluated once per level:
+    P[j, k] of j's moments with k's values on the outer circle and,
+    given ``D``, S[j] of j with itself on its circle of radius D. A
+    centred profile's P vanishes, so they settle against K |b|^2 / 8 pi."""
+    R, T = domain.radius_R, len(terms)
+    circles = [(domain.center, R)] + [(t.site, D) for t in terms if D is not None]
+    factor = 2.0 * math.pi * (1.0 + elastic.poisson_nu) / elastic.young_E
+
+    def traces(pts, nhat):
+        n = len(pts) // len(circles)
+        own = [np.r_[:n, (j + 1) * n:(j + 2) * n] if D else slice(None)
+               for j in range(T)]
+        return np.array([_pairing_traces(t, pts[i], nhat[i], elastic.poisson_nu)
+                         for t, i in zip(terms, own)])
+
+    def sums(x):  # x[j]: profile j's moments and values, (2, 4, circle, node)
+        P = [R * _pairing_means(x[j, 0, :, :1], x[:, 1, :, :1])[:, 0] for j in range(T)]
+        S = [D * _pairing_means(x[j, 0, :, 1:], x[j, 1, :, 1:])[0]
+             for j in range(len(circles) - 1)]
+        return factor * np.concatenate([np.ravel(P), S])
+
+    pairs, _ = circle_sums(circles, traces, sums,
+                           max(t.K * t.magnitude**2 for t in terms) / (8.0 * math.pi))
+    return pairs[:T * T].reshape(T, T), pairs[T * T:]
+
+
 def _elastic_correction(elastic: ElasticConstants, domain: DiskDomain, terms,
-                        outer, moments, values):
+                        boundary: float):
     """``solve_elastic_correction`` at E = 1 (``elastic``) for the
-    zero-core profiles ``terms``, from their ``_moment_traces`` and
-    ``_value_traces`` on the ring list ``outer`` (the circle r = R), so
-    that a caller holding those traces (``renormalized_energy``) does
-    not evaluate them again. Returns the fitted series, the fit time,
-    the value and the energies by name."""
+    zero-core profiles ``terms`` and their ``boundary`` pairing with the
+    correction (whose traces on the admissible set are the negated
+    profile traces): minus the sum of ``_profile_pairings``' P. Returns
+    the fitted series, the fit time, the value and the energies by name."""
     W0 = SumField(tuple(terms))
 
     t0 = time.perf_counter()
@@ -947,14 +966,6 @@ def _elastic_correction(elastic: ElasticConstants, domain: DiskDomain, terms,
     G_hess = (1.0 + nu) / 2.0 * ((0.5 - nu) * lap_square + 0.5 * wirt_square)
     gram_value = 0.5 * _gram_factor(elastic) * lap_square
     fit_seconds = time.perf_counter() - t0
-
-    # analytic boundary pairing on the admissible set: traces equal the
-    # negated profile traces, so every term is a closed-form circle
-    # integral. W0's traces sum the profiles' in the order of SumField.
-    W0_values = [(sum(v for v, _ in ring), sum(g for _, g in ring))
-                 for ring in zip(*values)]
-    boundary = -sum(_pair_traces(m, W0_values, outer, elastic) for m in moments)
-
     return series, fit_seconds, G_hess + boundary, {
         "gram_objective": gram_value, "hessian_energy": G_hess,
         "boundary_pairing": boundary}

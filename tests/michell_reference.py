@@ -9,8 +9,8 @@
   (``stacked_least_squares``) and the core problem's circle integrals
   with the closed forms evaluated ring by ring
   (``core_problem_per_ring``): the solver builds the one in place and
-  evaluates the other on all rings at once, and both must agree bit
-  for bit.
+  evaluates the other on all rings at once, at the node count its
+  circle rule settles on, and both must agree bit for bit.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 from airy_defects.closedform import DislocationCoreAiry, SumField
 from airy_defects.core import NumericalError, rotate_burgers
 from airy_defects.fields import circle_nodes
-from airy_defects.solver import _N_QUAD, _gram_factor, _powers
+from airy_defects.solver import _gram_factor, _powers
 
 
 def goursat_fields(zeta, nu, L: float, potentials):
@@ -105,17 +105,18 @@ def stacked_least_squares(A: np.ndarray, B: np.ndarray):
     return X, float(diag.max() / diag.min())
 
 
-def core_problem_per_ring(elastic, domain, dislocations, eps: float):
-    """(ball, C0, load) of ``solver._core_problem``, every closed form
-    evaluated once per ring (the outer circle, then the core circles)."""
+def core_problem_per_ring(elastic, domain, dislocations, eps: float, n: int):
+    """(ball, C0, load) of ``solver._core_problem`` at ``n`` nodes per
+    ring, every closed form evaluated once per ring (the outer circle,
+    then the core circles)."""
     fl = _gram_factor(elastic)
     W_p = SumField(tuple(
         DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
                             radius_R=domain.radius_R, site=d.site)
         for d in dislocations))
     branches = [replace(t, annulus_branch=True) for t in W_p.terms]
-    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, _N_QUAD))] + [
-        (-1.0, *circle_nodes(d.site, eps, _N_QUAD)) for d in dislocations]
+    rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, n))] + [
+        (-1.0, *circle_nodes(d.site, eps, n)) for d in dislocations]
     traces = []
     for _, pts, nhat, _ in rings:
         value, gradient = W_p.value_and_gradient(pts)

@@ -11,11 +11,15 @@ from airy_defects.core import (
     ElasticConstants,
     NumericalError,
     ValidationError,
+    min_separation_D,
     rotate_burgers,
 )
 from airy_defects.closedform import DipoleAiry, DislocationLimitAiry
 from airy_defects.energy import (
-    _pair_energy_boundary,
+    _pairing_means,
+    _pairing_traces,
+    _boundary_integral,
+    circle_sums,
     energy_density,
     polar_energy,
     single_dislocation_min_value,
@@ -192,7 +196,32 @@ class TestPairFieldIntegrals:
             assert s < l
 
 
+def near_circle_pair(r):
+    """A site at (r, 0), b = (0, 1), and a partner at (-0.3, 0.2), b =
+    (1, 0)."""
+    return [Dislocation((r, 0.0), (0.0, 1.0)), Dislocation((-0.3, 0.2), (1.0, 0.0))]
+
+
 class TestRenormalizedEnergy:
+    @pytest.mark.parametrize("r, expected", [
+        (0.97, 0.1756270692222002),
+        (0.99, 0.22064063142383927),
+        (0.995, 0.2501852293071966),
+    ])
+    def test_site_near_the_circle(self, r, expected, elastic, unit_disk):
+        # every circle sum settles however near the site; references from
+        # fixed rules of 8192 and 32768 nodes, which agree to 1e-15 (512
+        # nodes gave 0.28403 at r = 0.995)
+        ren = renormalized_energy(near_circle_pair(r), elastic, unit_disk,
+                                  D_override=min(0.5 * (1.0 - r), 0.05))
+        assert ren.expansion_constant == pytest.approx(expected, rel=1e-10)
+
+    def test_unsettled_circle_sums_raise(self, elastic, unit_disk):
+        # at r = 0.9999 the outer circle's sums need some 3e5 nodes, past
+        # the cap: no value comes out unsettled
+        with pytest.raises(NumericalError):
+            renormalized_energy(near_circle_pair(0.9999), elastic, unit_disk)
+
     def test_centered_single_decomposition(self, elastic, unit_disk):
         ren = renormalized_energy(SINGLE, elastic, unit_disk)
         K = elastic.plane_prefactor
@@ -257,10 +286,13 @@ class TestRenormalizedEnergy:
             for d in pair
         )
         rho = 1e-4
-        rings = [(1.0, *circle_nodes((0.0, 0.0), 1.0, 512))] + [
-            (-1.0, *circle_nodes(d.site, rho, 512)) for d in pair
-        ]
-        cross = _pair_energy_boundary(tj, tk, rings, elastic)
+        circles = [((0.0, 0.0), 1.0)] + [(d.site, rho) for d in pair]
+        nu, E = elastic.poisson_nu, elastic.young_E
+        cross, _ = circle_sums(
+            circles, lambda pts, nhat: np.array(
+                [_pairing_traces(t, pts, nhat, nu) for t in (tj, tk)]),
+            lambda x: (1.0 + nu) / E * _boundary_integral(
+                _pairing_means(x[0, 0], x[1, 1]), circles))
         loads = sum(
             float(t.gradient(np.array([d.site]))[0] @ rotate_burgers(d.burgers_b))
             for t, d in ((tj, pair[1]), (tk, pair[0]))
@@ -270,22 +302,31 @@ class TestRenormalizedEnergy:
 
     def test_outer_traces_evaluated_once(self, elastic, unit_disk,
                                          monkeypatch):
-        # the elastic correction pairs the profiles on the outer circle
-        # through the traces the self and interaction terms evaluated
-        outer = circle_nodes((0.0, 0.0), 1.0, 512)[0]
+        # the self, interaction and elastic terms share one evaluation of
+        # each profile per level of the circle rule, on the outer circle
+        # and its own circle of radius D
+        pair = OFF_CENTER_CASES["same-sign pair"]
+        D = min_separation_D([d.site for d in pair], unit_disk)
+
+        def nodes(site, n):
+            return np.vstack([circle_nodes((0.0, 0.0), 1.0, n)[0],
+                              circle_nodes(site, D, n)[0]])
+
         calls = Counter()
         for name in ("value", "gradient", "hessian", "laplacian",
                      "grad_laplacian", "value_and_gradient"):
             def spy(self, x, _name=name, _method=getattr(DislocationLimitAiry, name)):
-                if np.shape(x) == outer.shape and np.array_equal(x, outer):
-                    calls[self.site, _name] += 1
+                n = len(x) // 2
+                if np.shape(x) == (2 * n, 2) and np.array_equal(x, nodes(self.site, n)):
+                    calls[self.site, _name, n] += 1
                 return _method(self, x)
 
             monkeypatch.setattr(DislocationLimitAiry, name, spy)
-        pair = OFF_CENTER_CASES["same-sign pair"]
         renormalized_energy(pair, elastic, unit_disk)
+        levels = {n for _, _, n in calls}
+        assert levels
         assert calls == Counter({
-            (d.site, name): 1 for d in pair
+            (d.site, name, n): 1 for d in pair for n in levels
             for name in ("hessian", "laplacian", "grad_laplacian",
                          "value_and_gradient")})
 

@@ -70,6 +70,22 @@ GRID_FREE = [
 ]
 
 
+# every float flag of the subcommands whose inputs reach a spacing, a
+# separation or a core radius, as an argument list for one value;
+# "pair" names the config file of the `configs` fixture
+FLOAT_FLAGS = {
+    "appendix-b --h": lambda v: ["appendix-b", "--h", v],
+    "appendix-b --R": lambda v: ["appendix-b", "--h", "0.5", "--R", v],
+    **{f"sweep-dipole --{flag}": (
+        lambda v, flag=flag: ["sweep-dipole", "--E", "1", "--nu", "0.3", f"--{flag}", v])
+       for flag in ("E", "nu", "s", "R", "h")},
+    "renormalize --D": lambda v: ["renormalize", "--config", "pair", "--D", v],
+    "solve --core-radius": lambda v: ["solve", "--config", "pair", "--core-radius", v],
+    "sweep-core --eps": lambda v: ["sweep-core", "--config", "pair", "--eps", f"0.2,{v}"],
+}
+EXTREME_VALUES = ["nan", "inf", "0", "5e-324", "1e-300", "1e300"]
+
+
 def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -77,7 +93,8 @@ def sha256(path) -> str:
 @pytest.fixture
 def configs(tmp_path):
     paths = {}
-    for name, doc in (("disc", DISC), ("disl", DISL), ("dip", DIP)):
+    for name, doc in (("disc", DISC), ("disl", DISL), ("dip", DIP),
+                      ("pair", PAIR)):
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
@@ -122,6 +139,16 @@ class TestExitCodes:
         assert parser.parse_args(["sweep-dipole"]).h == (1e-2, 3e-3, 1e-3)
         assert parser.parse_args(["diagonal"]).h == (1e-2, 2.5e-3, 6.25e-4)
         assert main(["--help"]) == 0 and cli._build_parser() is parser
+
+    @pytest.mark.parametrize("value", EXTREME_VALUES)
+    @pytest.mark.parametrize("flag", list(FLOAT_FLAGS))
+    def test_extreme_floats_keep_the_exit_contract(self, flag, value, configs,
+                                                   capsys):
+        # a spacing, radius or modulus at an extreme ends in 0, 2 or 3,
+        # never in an exception out of main
+        argv = [configs.get(a, a) for a in FLOAT_FLAGS[flag](value)]
+        assert main(argv) in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_numerical_error(self, configs, capsys):
         # core radii eps(h) = min(sqrt(h), 0.95 D) not above h leave < 2
@@ -644,6 +671,19 @@ class TestReports:
         assert doc["expansion_constant"] == pytest.approx(
             doc["renormalized"] + doc["f_DR"]
         )
+
+    def test_renormalize_near_the_circle(self, tmp_path, capsys):
+        # one site at 0.995 R: the circle sums settle (512 fixed nodes
+        # printed 0.28402773891737881)
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps({
+            **DISL, "core_radius": 0.001,
+            "dislocations": [{"site": [0.995, 0.0], "b": [0.0, 1.0]},
+                             {"site": [-0.3, 0.2], "b": [1.0, 0.0]}]}))
+        assert main(["renormalize", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["expansion_constant"] == pytest.approx(0.2501852293071966,
+                                                          rel=1e-10)
 
     def test_renormalize_at_huge_modulus(self, tmp_path):
         # every term is linear in E: at E = 1e308 the squares of the

@@ -19,6 +19,7 @@ from airy_defects.energy import (
     EnergyBreakdown,
     QuadraticTerms,
     affine_core_defect,
+    circle_sums,
     clamped_energy_density,
     disclination_functional_I,
     dipole_core_functional_J,
@@ -29,6 +30,55 @@ from airy_defects.energy import (
     single_dislocation_min_value,
     stress_energy_density,
 )
+
+
+class TestCircleSums:
+    def test_constant_and_harmonics(self):
+        # a trigonometric polynomial of degree below 32 is exact at the
+        # first level, on every circle at once
+        circles = [((0.0, 0.0), 2.0), ((0.3, -0.1), 0.5)]
+
+        def integrands(pts, nhat):
+            x = pts[:, 0]
+            return np.stack([np.ones(len(pts)), nhat[:, 0], nhat[:, 0] ** 2,
+                             np.cos(31.0 * np.arctan2(nhat[:, 1], nhat[:, 0])), x])
+
+        means, n = circle_sums(circles, integrands)
+        assert n == 64
+        assert means.shape == (5, 2)
+        assert np.allclose(means[:4], [[1.0], [0.0], [0.5], [0.0]], rtol=0.0,
+                           atol=1e-15)
+        assert np.allclose(means[4], [0.0, 0.3], rtol=0.0, atol=1e-15)
+
+    @staticmethod
+    def poisson(rho):
+        """The Poisson kernel (1 - rho^2) / (1 - 2 rho cos(t - pi/2) +
+        rho^2) of the pole rho e^{i pi/2}, written (1 - rho)(1 + rho) /
+        |e^{it} - i rho|^2, which does not cancel for rho near 1. The pole
+        faces away from t = 0, where the node angles 2 pi k / n meet the
+        rounding of 2 pi: with the peak there the sum misses by 1.6e-14
+        (relative) at rho = 0.995."""
+        def kernel(pts, nhat):
+            return (1.0 - rho) * (1.0 + rho) / (nhat[:, 0] ** 2 + (nhat[:, 1] - rho) ** 2)
+
+        return kernel
+
+    @pytest.mark.parametrize("rho", [0.99, 0.995])
+    def test_poisson_kernel_near_the_circle(self, rho):
+        # the kernel has mean 1; its trapezoid sum converges like rho^n,
+        # so the rule doubles far past its first level
+        mean, n = circle_sums([((0.0, 0.0), 1.0)], self.poisson(rho))
+        assert n > 1024
+        assert abs(2.0 * math.pi * float(mean[0]) - 2.0 * math.pi) <= 1e-13
+
+    def test_unsettled_sums_raise_at_the_cap(self):
+        with pytest.raises(NumericalError, match="did not settle"):
+            circle_sums([((0.0, 0.0), 1.0)], self.poisson(0.9999))
+
+    def test_gates(self):
+        for radius in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValidationError):
+                circle_sums([((0.0, 0.0), radius)], lambda pts, nhat: pts[:, 0])
 
 
 class TestDensities:

@@ -24,7 +24,6 @@ from airy_defects.fields import (
     OUTSIDE,
     Grid,
     check_grid_n,
-    circle_integral,
     fmt17,
     grid_for_disk,
     radial_integral,
@@ -269,24 +268,6 @@ class TestSplineField:
         spline = SplineField(_quadratic_field(g))
         assert spline.value((0.0, 0.0)).shape == (1,)
         assert spline.hessian((0.0, 0.0)).shape == (1, 2, 2)
-
-
-class TestCircleIntegral:
-    def test_constant_and_harmonics(self):
-        assert circle_integral(
-            lambda p: np.ones(p.shape[0]), (0.0, 0.0), 2.0
-        ) == pytest.approx(4.0 * math.pi, rel=1e-13)
-        assert circle_integral(
-            lambda p: p[:, 0], (0.0, 0.0), 1.0
-        ) == pytest.approx(0.0, abs=1e-13)
-        # x^2 on the unit circle integrates to pi r^3
-        assert circle_integral(
-            lambda p: p[:, 0] ** 2, (0.0, 0.0), 1.0
-        ) == pytest.approx(math.pi, rel=1e-13)
-
-    def test_gates(self):
-        with pytest.raises(ValidationError):
-            circle_integral(lambda p: 0.0, (0.0, 0.0), -1.0)
 
 
 RULE_CASES = [(0.0, 1.0, ()), (0.05, 1.0, ()), (0.0, 1.0, (0.3,)),

@@ -439,6 +439,19 @@ class TestDisclinationSolve:
         inside = field.mask != 0
         assert np.abs(v[~inside]).max() <= np.abs(v[inside]).max()
 
+    @pytest.mark.parametrize("r, expected", [
+        (0.97, -3.817980609755606e-05),
+        (0.99, -4.328773970718736e-06),
+        (0.995, -1.0876384827981922e-06),
+    ])
+    def test_site_near_the_circle(self, r, expected, elastic, unit_disk):
+        # the closed-form constant's circle sum settles however near the
+        # site; references from fixed rules of 8192 and 32768 nodes,
+        # which agree to 1e-15 (512 nodes were 32% off at r = 0.995)
+        report = solve_clamped_disclination(
+            elastic, unit_disk, [Disclination((r, 0.0), 1.0)])
+        assert report.value == pytest.approx(expected, rel=1e-10)
+
     def test_unresolvable_traces_raise(self, elastic, unit_disk, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_SAMPLES", 128)
         with pytest.raises(NumericalError, match="trace fit residual"):
@@ -757,11 +770,19 @@ class TestCoreConstrainedSolve:
                              ids=["centered", "pair"])
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_rings_in_one_pass_match_per_ring(self, defects, eps, elastic,
-                                              unit_disk):
+                                              unit_disk, monkeypatch):
+        nodes, rule = [], solver.circle_sums
+
+        def spy(*args):
+            sums, n = rule(*args)
+            nodes.append(n)
+            return sums, n
+
+        monkeypatch.setattr(solver, "circle_sums", spy)
         _, ball, C0, load = solver._core_problem(elastic, unit_disk, defects,
                                                  eps)
         ref_ball, ref_C0, ref_load = michell_reference.core_problem_per_ring(
-            elastic, unit_disk, defects, eps)
+            elastic, unit_disk, defects, eps, *nodes)
         assert ball == ref_ball and C0 == ref_C0
         assert np.array_equal(load, ref_load)
 
@@ -906,7 +927,7 @@ class TestElasticCorrection:
             solve_elastic_correction(ElasticConstants(E, 0.3), unit_disk,
                                      PAIR_SAME, n=32)
             for E in (1.0, 1e308))
-        assert unit.value == 0.007976596603220955
+        assert unit.value == 0.007976596603220951
         assert big.value / 1e308 == pytest.approx(unit.value, rel=1e-15)
         for key in ("gram_objective", "hessian_energy", "boundary_pairing"):
             assert big.extras[key] / 1e308 == pytest.approx(unit.extras[key],
@@ -919,17 +940,25 @@ class TestElasticCorrection:
 
     def test_profiles_build_one_frame_and_meet_the_circle_once(
             self, elastic, unit_disk, monkeypatch):
-        # each profile builds its frame once, and the boundary pairing
-        # evaluates each trace of each profile once on the outer circle:
-        # W0's value traces serve every term's pairing
-        frames, calls = [], []
-        build = closedform.dipole_frame
+        # each profile builds its frame once, and each level of the
+        # circle rule evaluates each trace of each profile once on the
+        # outer circle: one evaluation serves every pairing
+        frames, calls, inside = [], [], []
+        build, rule = closedform.dipole_frame, solver.circle_sums
 
         def counted_frame(b):
             frames.append(b)
             return build(b)
 
+        def in_rule(*args):
+            inside.append(True)
+            try:
+                return rule(*args)
+            finally:
+                inside.pop()
+
         monkeypatch.setattr(closedform, "dipole_frame", counted_frame)
+        monkeypatch.setattr(solver, "circle_sums", in_rule)
         names = ("value", "gradient", "hessian", "laplacian", "grad_laplacian")
         # the traces each method evaluates
         traces = {name: (name,) for name in names}
@@ -937,8 +966,9 @@ class TestElasticCorrection:
         for name, evaluated in traces.items():
             def counted(self, x, _method=getattr(DislocationLimitAiry, name),
                         _evaluated=evaluated):
-                calls.extend((id(self), trace, np.array(x, dtype=float))
-                             for trace in _evaluated)
+                if inside:
+                    calls.extend((id(self), trace, np.array(x, dtype=float))
+                                 for trace in _evaluated)
                 return _method(self, x)
 
             monkeypatch.setattr(DislocationLimitAiry, name, counted)
@@ -949,11 +979,13 @@ class TestElasticCorrection:
         assert len(frames) == 3
         profiles = {i for i, _, _ in calls}
         assert len(profiles) == 3
-        ring = circle_nodes(unit_disk.center, unit_disk.radius_R,
-                            solver._N_QUAD)[0]
-        on_ring = Counter((i, name) for i, name, x in calls
-                          if x.shape == ring.shape and np.array_equal(x, ring))
-        assert on_ring == {(i, name): 1 for i in profiles for name in names}
+        for _, _, x in calls:
+            ring = circle_nodes(unit_disk.center, unit_disk.radius_R, len(x))[0]
+            assert np.array_equal(x, ring)
+        levels = {len(x) for _, _, x in calls}
+        on_ring = Counter((i, name, len(x)) for i, name, x in calls)
+        assert on_ring == {(i, name, n): 1 for i in profiles for name in names
+                           for n in levels}
 
 
 def _refuse(what):
