@@ -178,7 +178,9 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
     and G / (h^2 log(R/h)) against its limit K s^2 / (8 pi); with
     ``include_solver`` the minimizer value of the two-charge functional
     is added, normalized by h^2 |log h| against -K s^2 / (8 pi). The
-    solver value is an exact mode sum at every spacing.
+    solver value is an exact mode sum at every spacing. A scale K s^2 /
+    (8 pi) that overflows or is 0 (s = 0, or an underflow) raises
+    ``ValidationError``.
     """
     h_values = _check_decreasing(h_list, "spacing")
     if any(not (0.0 < h < R) for h in h_values):
@@ -189,22 +191,21 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
         limit = K * s**2 / (8.0 * math.pi)
     except OverflowError:  # s**2 itself
         limit = math.inf
-    if not math.isfinite(limit):
-        raise ValidationError(f"the energy scale K s^2 overflows (K={K}, s={s})")
+    # a zero scale (s = 0, or K s^2 underflowing) leaves no error to report
+    if not (math.isfinite(limit) and limit > 0.0):
+        raise ValidationError(
+            f"the energy scale K s^2 / 8 pi is {limit}, not finite and positive "
+            f"(K={K}, s={s})")
     rows = []
     for h, norm in zip(h_values, norms):
-        if s == 0.0:
-            G = 0.0
-            normalized = 0.0
-        else:
-            G = _dipole_energy(elastic, s, R, h)
-            normalized = G / norm
+        G = _dipole_energy(elastic, s, R, h)
+        normalized = G / norm
         row = {
             "param": h,
             "value": G,
             "normalized": normalized,
             "analytic_limit": limit,
-            "rel_err": abs(normalized - limit) / abs(limit) if limit else 0.0,
+            "rel_err": abs(normalized - limit) / limit,
         }
         if include_solver:
             domain = DiskDomain(center=(0.0, 0.0), radius_R=R)

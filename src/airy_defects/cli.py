@@ -666,7 +666,10 @@ def main(argv=None) -> int:
         if getattr(args, "grid_n", None) is not None:
             check_grid_n(args.grid_n)
         _check_output_paths(args)
-        args.run(args)
+        # numpy's overflow warnings say nothing the checks of finiteness
+        # do not: a non-finite result exits 3 with one line
+        with np.errstate(all="ignore"):
+            args.run(args)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION

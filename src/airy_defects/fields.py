@@ -292,15 +292,25 @@ def check_core_resolution(eps: float, delta: float) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _unit_circle(n: int, shift: float) -> np.ndarray:
+    """(cos, sin) of the angles 2 pi (k + shift) / n, k < n, as (n, 2),
+    built once per (n, shift) and read-only."""
+    th = 2.0 * math.pi * (np.arange(n) + shift) / n
+    nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    nhat.flags.writeable = False
+    return nhat
+
+
 def circle_nodes(center, radius: float, n: int, shift: float = 0.0):
     """``n`` equispaced points on a circle, offset by ``shift`` spacings.
 
     Returns (points, outward unit normals, circumference); the mean of
     a periodic integrand over the points times the circumference is the
-    trapezoidal circle integral.
+    trapezoidal circle integral. The normals are a read-only table
+    shared by every call with the same ``n`` and ``shift``.
     """
-    th = 2.0 * math.pi * (np.arange(n) + shift) / n
-    nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    nhat = _unit_circle(n, shift)
     return (np.asarray(center, dtype=float) + radius * nhat, nhat,
             2.0 * math.pi * radius)
 

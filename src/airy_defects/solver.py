@@ -412,14 +412,6 @@ def _powers(z: np.ndarray, count: int, out=None) -> np.ndarray:
     return out
 
 
-def _power_rows(w, nu, out: np.ndarray) -> np.ndarray:
-    """Fill the (2N, count) ``out`` with P = w^k over nu dP/dw; return P."""
-    P = _powers(w, out.shape[1], out[:len(w)])
-    out[len(w):, 0] = 0.0
-    np.multiply(nu * P[:, :-1], np.arange(1.0, out.shape[1]), out=out[len(w):, 1:])
-    return P
-
-
 def _real_product(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Re(X @ C) for a complex X with a contiguous last axis, as one real
     product: the float view of X interleaves Re X and Im X, so the rows
@@ -437,9 +429,15 @@ def _interior_rows(w, nu, count: int) -> np.ndarray:
     w^k over nu d(w^k)/dw, also give the Laplacian traces."""
     n, k1 = len(w), np.arange(1.0, count + 1.0)
     X = np.empty((2 * n, 2 * count), dtype=complex)
-    P = _power_rows(w, nu, X[:, :count])
+    # every block in place: P = w^k, nu dP/dw, |w|^2 P, then the d_n rows
+    P = _powers(w, count, X[:n, :count])
+    X[n:, 0] = 0.0
+    np.multiply(nu, P[:, :-1], out=X[n:, 1:count])
+    X[n:, 1:count] *= k1[:-1]
     np.multiply(np.abs(w) ** 2, P, out=X[:n, count:])
-    np.multiply(P, w * np.conj(nu) + np.conj(w) * nu * k1, out=X[n:, count:])
+    d = np.multiply(np.conj(w) * nu, k1, out=X[n:, count:])
+    d += w * np.conj(nu)
+    d *= P
     return X
 
 
@@ -450,7 +448,9 @@ def _interior_traces(X: np.ndarray, R: float, A: np.ndarray, B: np.ndarray,
     ``_interior_rows``, a column per coefficient column."""
     n, c = len(X) // 2, np.where(np.arange(len(A)) > 0, 2.0, 1.0)[:, None]
     C = np.vstack([c * A, c * B])
-    return _real_product(X[:n][nodes], C), _real_product(X[n:][nodes], C) / R
+    dn = _real_product(X[n:][nodes], C)
+    dn /= R  # in place: the product at the core nodes is the largest array
+    return _real_product(X[:n][nodes], C), dn
 
 
 def _interior_laplacians(X: np.ndarray, R: float, B: np.ndarray):
@@ -491,12 +491,15 @@ def _michell_traces(zeta, nu, L: float, m_core: int, out: np.ndarray):
     h, b = slice(0, m_core - 1), slice(m_core - 1, None)
     cos, sin = np.split(out[..., 4:], 2, axis=-1)
     cos[2:, :, h] = sin[2:, :, h] = 0.0
-    for j, cols, trace in ((0, h, t), (1, h, -m * t * (inv * nu1)),  # chi = zeta^-m
-                           (0, b, r2 * tb),  # phi = zeta^(1-m)
-                           (1, b, tb * (zeta * cnu1 + (1.0 - mb) * (cz * nu1))),
-                           (2, b, lap * (1.0 - mb) * tb),
-                           (3, b, mb * (mb - 1.0) * tb * (inv * nu3))):
+
+    def put(j, cols, trace):  # each family as it is computed
         cos[j, :, cols], sin[j, :, cols] = trace.real, trace.imag
+    put(0, h, t)  # chi = zeta^-m
+    put(1, h, -m * t * (inv * nu1))
+    put(0, b, r2 * tb)  # phi = zeta^(1-m)
+    put(1, b, tb * (zeta * cnu1 + (1.0 - mb) * (cz * nu1)))
+    put(2, b, lap * (1.0 - mb) * tb)
+    put(3, b, mb * (mb - 1.0) * tb * (inv * nu3))
 
 
 def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
@@ -519,41 +522,42 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
 
 def _rung_bytes(m_inner: int, m_core: int, cores: int) -> int:
     """Bytes a ``_MichellSeries`` rung holds at most, in floats of its N
-    nodes, n exterior modes and c = n + 1 + 3K columns: the exterior
-    traces and interior rows with their temporaries (N (4 n + 12 M_i +
-    14 M_e)), the interior coefficients, core-circle misses and system
-    (12 M_i c + 8 M_e K c + n c); QR's two copies come after the misses."""
+    nodes, n exterior modes and c = n + d columns (d = 1 + 3K data sets):
+    N (4 n + 8 M_i + 4 M_e + 2 d + 32) for the traces, rows, scratch and
+    node columns, and (14 M_i + 8 M_e K + n) c for the coefficients, the
+    core-circle misses and the system, whose LU comes after the misses."""
     nodes, n_ext = 4 * (m_inner + m_core * cores), (4 * m_core - 2) * cores
-    columns = n_ext + 1 + 3 * cores
-    return 8 * (nodes * (4 * n_ext + 12 * m_inner + 14 * m_core)
-                + (12 * m_inner + 8 * m_core * cores + n_ext) * columns)
+    data = 1 + 3 * cores
+    return 8 * (nodes * (4 * n_ext + 8 * m_inner + 4 * m_core + 2 * data + 32)
+                + (14 * m_inner + 8 * m_core * cores + n_ext) * (n_ext + data))
 
 
 def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """Least-squares solution X of A X = B for the columns [A B] of
-    ``system``, A its first ``n``: one column of X per column of B, and
-    the ratio max|r_kk| / min|r_kk| of the triangular factor.
-
-    The columns of A are scaled in place to unit largest entry, so
-    ``system`` is overwritten; a Fortran-ordered one reaches LAPACK
-    without a transposition. One Householder QR of [A B] gives R =
-    [[R11, R12], [0, R22]] with R12 = Q1^T B, so X solves R11 X = R12.
-    The QR neither pivots nor truncates rank, so a column the others
-    span to roundoff (min|r_kk| <= n eps max|r_kk|) raises
-    ``NumericalError`` instead of fitting noise.
-    """
+    """Solution X of the square system A X = B for the columns [A B] of
+    ``system``, A its first ``n`` (scaled in place to unit largest entry
+    per column), and a lower bound on the 1-norm condition number of the
+    scaled A: ||A||_1 max ||A^-1 p||_1 / ||p||_1 over the probes p of
+    LAPACK's ``dlacn2`` (Higham 1988), all ones and (-1)^k (1 + k / (n -
+    1)), which the same LU solves. At 1 / (n eps) or above, as for a
+    singular A, a column the others span to roundoff raises
+    ``NumericalError`` instead of fitting noise."""
     # the largest |entry| of each column, with no |A| temporary
-    scale = np.maximum(system[:, :n].max(axis=0), -system[:, :n].min(axis=0))
+    A = system[:, :n]
+    scale = np.maximum(A.max(axis=0), -A.min(axis=0))
     scale[scale == 0.0] = 1.0
-    system[:, :n] /= scale
-    R = np.linalg.qr(system, mode="r")
-    diag = np.abs(np.diag(R[:, :n]))
-    if not diag.min() > n * np.finfo(float).eps * diag.max():
-        raise NumericalError(
-            f"core series fit is rank deficient: min|r_kk| {diag.min():.3g} "
-            f"against max|r_kk| {diag.max():.3g} over {n} modes")
-    X = np.linalg.solve(R[:n, :n], R[:n, n:]) / scale[:, None]
-    return X, float(diag.max() / diag.min())
+    A /= scale
+    probes = np.stack([np.ones(n), (-1.0) ** np.arange(n) * np.linspace(1, 2, n)], 1)
+    try:
+        X = np.linalg.solve(A, np.hstack([system[:, n:], probes]))
+    except np.linalg.LinAlgError:
+        condition = math.inf
+    else:
+        condition = float(np.abs(A).sum(axis=0).max() * (
+            np.abs(X[:, -2:]).sum(axis=0) / np.abs(probes).sum(axis=0)).max())
+    if not condition < 1.0 / (n * np.finfo(float).eps):
+        raise NumericalError(f"core series fit is rank deficient: condition "
+                             f"{condition:.3g} over {n} modes")
+    return X[:, :-2] / scale[:, None], condition
 
 
 class _MichellSeries:
@@ -561,33 +565,27 @@ class _MichellSeries:
     balls B_eps(y_k), with given value and normal derivative on every
     circle, for 1 + 3K data sets at once.
 
-    Data set 0 is the traces of -W_p on all circles. Data set 1 + 3k + a
-    is the traces of 1, x_1 - y_k1 and x_2 - y_k2 (a = 0, 1, 2) on core k,
-    and zero elsewhere. z sums the Almansi modes k < M_i about the disk
+    Data set 0 is the traces of -W_p on all circles; data set 1 + 3k + a
+    those of 1, x_1 - y_k1 and x_2 - y_k2 (a = 0, 1, 2) on core k, and
+    zero elsewhere. z sums the Almansi modes k < M_i about the disk
     centre and the exterior Michell modes of order below M_e about every
     core. For given core coefficients the interior ones are the FFT fit
     (``_almansi_modes``) of the outer traces the core modes leave, at
     4 M_i nodes, which leave no miss below frequency M_i. The core
     coefficients leave none below M_e at the 4 M_e nodes of each core
-    circle: 2 (2 M_e - 1) conditions per core, one per exterior mode, so
-    the system is square. The fit evaluates value and normal-derivative
-    traces only (``_interior_traces``); one complex pass gives the
-    cosine and the sine parts of each exterior family
-    (``_michell_traces``), and the nodes of all circles are stacked, so
-    each closed form is evaluated once per circle. The square system of
-    a rung is written once, core by core, into one column-major array
-    that LAPACK factors without a copy between layouts (``_system``,
-    ``_least_squares``), and one set of interior rows
-    (``_interior_rows``) gives the fit's core-circle misses and, after
-    it, the traces and Laplacians at all nodes.
+    circle: 2 (2 M_e - 1) conditions per core, one per exterior mode.
+    This square system is written core by core into one column-major
+    array (``_system``) and solved by one LU (``_least_squares``). The
+    nodes of all circles are stacked, and one set of their rows
+    (``_rows``) gives the core-circle misses and, after the fit, the
+    traces and Laplacians at all nodes.
 
     ``block_residuals`` are the largest misses of either trace, relative
     to the largest datum, at the outer circle's nodes and at the core
     circles' nodes, and ``residual`` is the larger; ``condition`` is the
-    triangular-factor ratio of the fit (``_least_squares``). ``Q[i, j]``
-    is the integral of Delta z_i Delta z_j over the punctured disk, from
-    Green's identity on the circles against the data traces,
-    symmetrized.
+    fit's 1-norm condition estimate (``_least_squares``). ``Q[i, j]`` is
+    the integral of Delta z_i Delta z_j over the punctured disk, from
+    Green's identity on the circles against the data traces, symmetrized.
     """
 
     def __init__(self, domain: DiskDomain, sites, eps: float, W_p,
@@ -610,7 +608,7 @@ class _MichellSeries:
             on, col = slice(n0 + k * nc, n0 + (k + 1) * nc), 3 * k + 1
             val[on, col], val[on, col + 1:col + 3] = 1.0, pts[on] - y
             der[on, col + 1:col + 3] = eps * nhat[on]
-        ext, X = self._exterior(pts, nhat), self._interior(pts, nhat)
+        ext, X = self._rows(pts, nhat)
         n_ext = ext.shape[-1]
         A, B, system = self._system(ext, X, val, der)
         self.coef, self.condition = _least_squares(system, n_ext)
@@ -641,9 +639,9 @@ class _MichellSeries:
         at the nodes, the outer circle's 4 M_i first."""
         R, eps, (m_inner, m_core) = self.domain.radius_R, self.eps, self.modes
         n0, cores, n_ext = 4 * m_inner, len(self.sites), ext.shape[-1]
-        F, G = (np.fft.rfft(np.hstack(t), axis=0)[:m_inner] / n0 for t in (
-            [ext[0, :n0], val[:n0]], [R * ext[1, :n0], der[:n0]]))
-        A, B = _almansi_modes(F, G)
+        A, B = _almansi_modes(*(
+            np.fft.rfft(np.hstack(t), axis=0)[:m_inner] / n0 for t in (
+                [ext[0, :n0], val[:n0]], [R * ext[1, :n0], der[:n0]])))
         system = np.empty((n_ext, A.shape[1]), order="F")
         # a view: splitting the row axis of a column-major array needs no copy
         rows = system.reshape(cores, 2, 2 * m_core - 1, -1)
@@ -661,26 +659,22 @@ class _MichellSeries:
         rows[:, 1] *= eps
         return A, B, system
 
-    def _exterior(self, pts, nhat):
-        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
-        out = np.empty((4, len(pts), (4 * self.modes[1] - 2) * len(self.sites)))
-        for y, part in zip(self.sites, np.split(out, len(self.sites), axis=-1)):
+    def _rows(self, pts, nhat):
+        """The exterior traces and the interior rows at the points."""
+        nu, (m_inner, m_core) = (nhat[:, 0] + 1j * nhat[:, 1])[:, None], self.modes
+        ext = np.empty((4, len(pts), (4 * m_core - 2) * len(self.sites)))
+        for y, part in zip(self.sites, np.split(ext, len(self.sites), axis=-1)):
             zeta = ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None] / self.eps
-            _michell_traces(zeta, nu, self.eps, self.modes[1], part)
-        return out
-
-    def _interior(self, pts, nhat):
-        """The rows X of ``_interior_rows`` at the points."""
+            _michell_traces(zeta, nu, self.eps, m_core, part)
         (cx, cy), R = self.domain.center, self.domain.radius_R
         w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
-        return _interior_rows(w, (nhat[:, 0] + 1j * nhat[:, 1])[:, None],
-                              self.modes[0])
+        return ext, _interior_rows(w, nu, m_inner)
 
     def fields(self, pts, nhat):
         """Value, normal derivative along ``nhat``, Laplacian and normal
         derivative of the Laplacian of every z (one column per data
         set) at points of the punctured disk."""
-        return self._fields(self._exterior(pts, nhat), self._interior(pts, nhat))
+        return self._fields(*self._rows(pts, nhat))
 
     def _fields(self, ext, X):
         """``fields`` from the exterior traces and the interior rows."""
@@ -785,14 +779,15 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     The value does not depend on ``n``, the resolution of a field dump.
     ``extras`` gives the mode counts (interior, per core),
-    ``fit_condition`` (max|r_kk| / min|r_kk| of the triangular factor of
-    the fit's square system) and ``value_change``, the change in value
-    over the last rung, which doubled the interior count, the core count
-    or both (``None`` when the first fit met its target). A rung whose
-    arrays would exceed ``_MAX_RUNG_BYTES`` is not started; when doubling
-    both blocks would, only the block with the larger residual doubles.
-    The last fit stands if its residual is within ``_RESIDUAL_BOUND``, and
-    otherwise ``NumericalError`` names the budget.
+    ``fit_condition`` (a lower bound on the 1-norm condition number of
+    the fit's square system, ``_least_squares``) and ``value_change``,
+    the change in value over the last rung, which doubled the interior
+    count, the core count or both (``None`` when the first fit met its
+    target). A rung whose arrays would exceed ``_MAX_RUNG_BYTES`` is not
+    started; when doubling both blocks would, only the block with the
+    larger residual doubles. The last fit stands if its residual is
+    within ``_RESIDUAL_BOUND``, and otherwise ``NumericalError`` names
+    the budget.
     """
     dislocations = list(dislocations)
     if not dislocations:

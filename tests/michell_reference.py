@@ -5,7 +5,7 @@
   chi, chi'), zero ones included, and the sine part of each Michell
   family from potentials rotated by -i. The solver evaluates the same
   traces with fewer operations; both must agree to roundoff.
-- The least squares of the core fit on a system stacked from copies
+- The LU solve of the core fit on a system stacked from copies
   (``stacked_least_squares``) and the core problem's circle integrals
   with the closed forms evaluated ring by ring
   (``core_problem_per_ring``): the solver builds the one in place and
@@ -91,18 +91,26 @@ def michell_fields(zeta, nu, eps: float, m_core: int):
 
 
 def stacked_least_squares(A: np.ndarray, B: np.ndarray):
-    """``solver._least_squares`` of the system [A B] on copies: the
-    scaled A and B are stacked into a new C-ordered array, which
-    ``np.linalg.qr`` transposes for LAPACK."""
+    """``solver._least_squares`` of the square system [A B] on copies:
+    the scaled A is a new C-ordered array, and B and the two probes of
+    the condition estimate are stacked into another, which one LU
+    (``np.linalg.solve``) solves."""
     n = A.shape[1]
     scale = np.abs(A).max(axis=0)
     scale[scale == 0.0] = 1.0
-    R = np.linalg.qr(np.hstack([A / scale, B]), mode="r")
-    diag = np.abs(np.diag(R[:, :n]))
-    if not diag.min() > n * np.finfo(float).eps * diag.max():
+    A = A / scale
+    probes = np.array([[1.0, (-1.0) ** k * x]
+                       for k, x in enumerate(np.linspace(1.0, 2.0, n))])
+    try:
+        X = np.linalg.solve(A, np.hstack([B, probes]))
+    except np.linalg.LinAlgError:
+        raise NumericalError("core series fit is rank deficient") from None
+    norm = max(float(np.sum(np.abs(A[:, j]))) for j in range(n))
+    condition = norm * float(np.max(
+        np.abs(X[:, -2:]).sum(axis=0) / np.abs(probes).sum(axis=0)))
+    if not condition < 1.0 / (n * np.finfo(float).eps):
         raise NumericalError("core series fit is rank deficient")
-    X = np.linalg.solve(R[:n, :n], R[:n, n:]) / scale[:, None]
-    return X, float(diag.max() / diag.min())
+    return X[:, :-2] / scale[:, None], condition
 
 
 def core_problem_per_ring(elastic, domain, dislocations, eps: float, n: int):

@@ -150,6 +150,33 @@ class TestExitCodes:
         assert main(argv) in (0, 2, 3)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_overflow_warnings_stay_off_stderr(self):
+        # a fresh interpreter with Python's default warning filters: the
+        # overflows of appendix-b at R = 1e300 printed 17 RuntimeWarnings
+        # with their source lines before the one error line
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from airy_defects.cli import "
+             "main; sys.exit(main(sys.argv[1:]))",
+             "appendix-b", "--h", "0.5", "--R", "1e300"],
+            capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src})
+        assert done.returncode == 3
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("numerical error:")
+
+    @pytest.mark.parametrize("argv", [["--E", "5e-324"], ["--E", "1", "--s", "0"]],
+                             ids=["underflow", "zero-charge"])
+    def test_sweep_dipole_zero_energy_scale(self, argv, tmp_path, capsys):
+        # K s^2 / 8 pi = 0 gives rel_err no scale: the sweep exited 0
+        # with rel_err 0 at E = 5e-324
+        out = tmp_path / "never.json"
+        code = main(["sweep-dipole", *argv, "--nu", "0.3", "--h", "1e-2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: the energy scale")
+        assert not out.exists()
+
     def test_numerical_error(self, configs, capsys):
         # core radii eps(h) = min(sqrt(h), 0.95 D) not above h leave < 2
         # samples

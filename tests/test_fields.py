@@ -24,6 +24,7 @@ from airy_defects.fields import (
     OUTSIDE,
     Grid,
     check_grid_n,
+    circle_nodes,
     fmt17,
     grid_for_disk,
     radial_integral,
@@ -149,6 +150,24 @@ class TestWriteCsv:
         path = tmp_path / "empty.csv"
         write_csv(path, "a,b", [np.zeros(0), np.zeros(0)])
         assert path.read_bytes() == b"a,b\n"
+
+
+class TestCircleNodes:
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000])
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_cached_table_matches_the_formula(self, n, shift):
+        # the normals come from a table cached per (n, shift); points,
+        # normals and circumference are bit for bit those of the formula
+        center, radius = (0.3, -0.2), 0.7
+        th = 2.0 * math.pi * (np.arange(n) + shift) / n
+        nhat = np.stack([np.cos(th), np.sin(th)], axis=-1)
+        for _ in range(2):
+            pts, got, length = circle_nodes(center, radius, n, shift)
+            assert np.array_equal(got, nhat)
+            assert np.array_equal(pts, np.asarray(center) + radius * nhat)
+            assert length == 2.0 * math.pi * radius
+            assert not got.flags.writeable
+        assert circle_nodes(center, radius, n, shift)[1] is got
 
 
 class TestGrid:

@@ -736,20 +736,45 @@ class TestCoreConstrainedSolve:
 
     def test_repeated_mode_column_raises(self):
         rng = np.random.default_rng(0)
-        A = rng.standard_normal((40, 6))
-        B = rng.standard_normal((40, 2))
-        X, condition = solver._least_squares(np.hstack([A, B]), 6)
-        assert np.allclose(A.T @ (A @ X - B), 0.0, atol=1e-12)
-        assert condition >= 1.0
-        with pytest.raises(NumericalError, match="rank deficient"):
-            solver._least_squares(np.hstack([A, 3.0 * A[:, 2:3], B]), 7)
+        A = rng.standard_normal((7, 7))
+        B = rng.standard_normal((7, 2))
+        X, condition = solver._least_squares(np.hstack([A, B]), 7)
+        assert np.allclose(A @ X, B, atol=1e-12)
+        assert 1.0 <= condition <= np.linalg.cond(A / np.abs(A).max(axis=0), 1)
+        # a column that repeats another to roundoff, and a zero column,
+        # which LAPACK finds exactly singular
+        for column in (3.0 * A[:, 2:3], np.zeros((7, 1))):
+            with pytest.raises(NumericalError, match="rank deficient"):
+                solver._least_squares(np.hstack([A[:, :6], column, B]), 7)
+
+    @pytest.mark.parametrize("defects, eps", [c[:2] for c in REFERENCE_CASES],
+                             ids=REFERENCE_IDS)
+    def test_fit_condition_bounds_kappa(self, defects, eps, elastic, unit_disk,
+                                        monkeypatch):
+        # on every rung the probe estimate lies within [kappa_1 / 10,
+        # kappa_1] of the scaled square system, and is at least 1
+        fits, least_squares = [], solver._least_squares
+
+        def spy(system, n):
+            A = system[:, :n].copy()
+            X, condition = least_squares(system, n)
+            fits.append((A / np.abs(A).max(axis=0), condition))
+            return X, condition
+
+        monkeypatch.setattr(solver, "_least_squares", spy)
+        solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        assert fits
+        for A, condition in fits:
+            kappa = np.linalg.cond(A, 1)
+            assert 1.0 <= condition and kappa / 10.0 <= condition <= kappa
 
     @pytest.mark.parametrize("defects, eps", [c[:2] for c in REFERENCE_CASES[:5]],
                              ids=REFERENCE_IDS[:5])
     def test_fit_in_place_matches_stacked_qr(self, defects, eps, elastic,
                                              unit_disk, monkeypatch):
         # every fit of the doubling: the system built in LAPACK's layout
-        # and scaled in place gives the stacked copies' solution bit for bit
+        # and scaled in place gives the LU solution and the condition
+        # estimate of the stacked copies bit for bit
         fits, least_squares = [], solver._least_squares
 
         def spy(system, n):
