@@ -412,11 +412,16 @@ def _powers(z: np.ndarray, count: int, out=None) -> np.ndarray:
     return out
 
 
+def _real_rows(C: np.ndarray) -> np.ndarray:
+    """The real matrix whose product with the float view of a complex X
+    with a contiguous last axis is Re(X @ C): that view interleaves Re X
+    and Im X, so the rows take Re C, -Im C."""
+    return np.stack([C.real, -C.imag], 1).reshape(2 * len(C), -1)
+
+
 def _real_product(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Re(X @ C) for a complex X with a contiguous last axis, as one real
-    product: the float view of X interleaves Re X and Im X, so the rows
-    of C take Re C, -Im C."""
-    return X.view(float) @ np.stack([C.real, -C.imag], 1).reshape(2 * len(C), -1)
+    """Re(X @ C) as one real product (``_real_rows``)."""
+    return X.view(float) @ _real_rows(C)
 
 
 def _interior_rows(w, nu, count: int) -> np.ndarray:
@@ -441,16 +446,22 @@ def _interior_rows(w, nu, count: int) -> np.ndarray:
     return X
 
 
-def _interior_traces(X: np.ndarray, R: float, A: np.ndarray, B: np.ndarray,
+def _interior_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The real rows (``_real_rows``) of the coefficients (c A; c B) of
+    z = Re sum_k c_k (A_k + B_k |w|^2) w^k, c as in ``_almansi_sum``."""
+    c = np.where(np.arange(len(A)) > 0, 2.0, 1.0)[:, None]
+    return _real_rows(np.vstack([c * A, c * B]))
+
+
+def _interior_traces(X: np.ndarray, R: float, C: np.ndarray,
                      nodes=slice(None)):
-    """Value and normal derivative of z = Re sum_k c_k (A_k + B_k |w|^2)
-    w^k (c as in ``_almansi_sum``) at the ``nodes`` of the rows X of
-    ``_interior_rows``, a column per coefficient column."""
-    n, c = len(X) // 2, np.where(np.arange(len(A)) > 0, 2.0, 1.0)[:, None]
-    C = np.vstack([c * A, c * B])
-    dn = _real_product(X[n:][nodes], C)
-    dn /= R  # in place: the product at the core nodes is the largest array
-    return _real_product(X[:n][nodes], C), dn
+    """Value and normal derivative of the z of ``_interior_columns`` C at
+    the ``nodes`` of the rows X of ``_interior_rows``, a column per
+    coefficient column."""
+    n = len(X) // 2
+    dn = X[n:][nodes].view(float) @ C
+    dn /= R  # in place: no second array of the product's size
+    return X[:n][nodes].view(float) @ C, dn
 
 
 def _interior_laplacians(X: np.ndarray, R: float, B: np.ndarray):
@@ -463,34 +474,43 @@ def _interior_laplacians(X: np.ndarray, R: float, B: np.ndarray):
     return out[:n] / R**2, out[n:] / R**3
 
 
+def _almansi_traces(A: np.ndarray, B: np.ndarray, n: int, R: float):
+    """Value, normal derivative, Laplacian and its normal derivative of
+    the z of ``_interior_columns`` at the n > 2 len(A) nodes of
+    ``circle_nodes`` on r = R, one inverse real FFT each: the inverse of
+    ``_almansi_modes``, mode k of the four being A_k + B_k, (k A_k +
+    (k + 2) B_k) / R, 4 (k + 1) B_k / R^2 and 4 k (k + 1) B_k / R^3."""
+    k = np.arange(len(A))[:, None]
+    return [n * np.fft.irfft(f, n, axis=0) for f in (
+        A + B, (k * A + (k + 2.0) * B) / R, 4.0 / R**2 * (k + 1.0) * B,
+        4.0 / R**3 * k * (k + 1.0) * B)]
+
+
 def _michell_traces(zeta, nu, L: float, m_core: int, out: np.ndarray):
-    """Fill the (4, N, modes) ``out`` with the value, normal derivative
-    along the complex unit normals nu, Laplacian and its normal
-    derivative of the exterior Michell modes about one core at the (N, 1)
-    column zeta = (x - y) / L: log rho, rho^2 log rho, rho log rho (cos,
-    sin) theta, then the cosine and the sine parts of rho^-m (1 <= m <
-    M_e) and rho^(2-m) (2 <= m < M_e) times e^{im theta}. Those of
-    Re(conj(zeta) phi + chi) are the real parts of conj(zeta) phi + chi,
-    (phi conj(nu) + conj(zeta) phi' nu + chi' nu) / L, 4 phi' / L^2 and
-    4 phi'' nu / L^3; the sine part of a family, from potentials times
-    -i, is their imaginary part."""
+    """Fill the (2, N, modes) ``out`` with the value and the normal
+    derivative along the complex unit normals nu of the exterior Michell
+    modes about one core at the (N, 1) column zeta = (x - y) / L: log
+    rho, rho^2 log rho, rho log rho (cos, sin) theta, then the cosine and
+    the sine parts of rho^-m (1 <= m < M_e) and rho^(2-m) (2 <= m < M_e)
+    times e^{im theta}. Those of Re(conj(zeta) phi + chi) are the real
+    parts of conj(zeta) phi + chi and (phi conj(nu) + conj(zeta) phi' nu
+    + chi' nu) / L; the sine part of a family, from potentials times -i,
+    is their imaginary part. Returns log zeta and the powers zeta^-m
+    (1 <= m < M_e), which ``_michell_laplacians`` takes."""
     log, inv, cz, r2 = np.log(zeta), 1.0 / zeta, np.conj(zeta), np.abs(zeta) ** 2
-    # the factors 1 / L, 4 / L^2 and 4 / L^3 of the last three traces
-    nu1, cnu1, lap, nu3 = nu / L, np.conj(nu) / L, 4.0 / L**2, 4.0 * nu / L**3
+    nu1, cnu1 = nu / L, np.conj(nu) / L  # the factor 1 / L of d_n
     for j, (f, g, u) in enumerate(zip(
-            (log, inv * nu1, 0.0, 0.0),  # chi = log zeta
-            (r2 * log, zeta * log * cnu1 + cz * (log + 1.0) * nu1,
-             lap * (log + 1.0), inv * nu3),  # phi = zeta log zeta
+            (log, inv * nu1),  # chi = log zeta
+            # phi = zeta log zeta
+            (r2 * log, zeta * log * cnu1 + cz * (log + 1.0) * nu1),
             # rho log rho (cos, sin) theta: Re and Im of zeta log rho
-            (zeta * log.real, (log.real + 0.5) * nu1 + 0.5 * zeta / cz * cnu1,
-             0.5 * lap / cz, -0.5 * lap * cnu1 / cz**2))):
+            (zeta * log.real, (log.real + 0.5) * nu1 + 0.5 * zeta / cz * cnu1))):
         out[j, :, 0:1], out[j, :, 1:2] = np.real(f), np.real(g)
         out[j, :, 2:3], out[j, :, 3:4] = np.real(u), np.imag(u)
     t, m = _powers(inv, m_core)[:, 1:], np.arange(1.0, m_core)  # zeta^-m
     tb, mb = t[:, 1:], m[1:]
     h, b = slice(0, m_core - 1), slice(m_core - 1, None)
     cos, sin = np.split(out[..., 4:], 2, axis=-1)
-    cos[2:, :, h] = sin[2:, :, h] = 0.0
 
     def put(j, cols, trace):  # each family as it is computed
         cos[j, :, cols], sin[j, :, cols] = trace.real, trace.imag
@@ -498,8 +518,28 @@ def _michell_traces(zeta, nu, L: float, m_core: int, out: np.ndarray):
     put(1, h, -m * t * (inv * nu1))
     put(0, b, r2 * tb)  # phi = zeta^(1-m)
     put(1, b, tb * (zeta * cnu1 + (1.0 - mb) * (cz * nu1)))
-    put(2, b, lap * (1.0 - mb) * tb)
-    put(3, b, mb * (mb - 1.0) * tb * (inv * nu3))
+    return log, t
+
+
+def _michell_laplacians(zeta, nu, log, t, L: float, c: np.ndarray):
+    """Laplacian and its normal derivative along nu of the exterior modes
+    of one core with the coefficient columns ``c`` (rows in the order of
+    ``_michell_traces``), from the log zeta and the powers t = zeta^-m it
+    returned: 4 Re phi' / L^2 and 4 Re(phi'' nu) / L^3, each one real
+    product, where phi sums c_1 zeta log zeta, (c_2 + i c_3) (log zeta) /
+    2 and (a_m - i b_m) zeta^(1-m) over the rho^(2-m) family (a, b its
+    cosine and sine rows); the other families are harmonic."""
+    m = np.arange(2.0, t.shape[1] + 1.0)[:, None]
+    cos, sin = np.split(c[4:], 2)
+    P, head = (cos - 1j * sin)[len(m) + 1:], [c[1], c[2] - 1j * c[3]]
+    # Re((c_2 + i c_3) f) = Re((c_2 - i c_3) conj f): both products take
+    # the head rows c_1 and c_2 - i c_3
+    g, half = nu / zeta, 0.5 / np.conj(zeta)
+    lap = _real_product(np.hstack([t[:, 1:], log + 1.0, half]),
+                        np.vstack([(1.0 - m) * P, *head]))
+    dlap = _real_product(np.hstack([g * t[:, 1:], g, -half * np.conj(g)]),
+                         np.vstack([m * (m - 1.0) * P, *head]))
+    return 4.0 / L**2 * lap, 4.0 / L**3 * dlap
 
 
 def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
@@ -523,13 +563,16 @@ def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
 def _rung_bytes(m_inner: int, m_core: int, cores: int) -> int:
     """Bytes a ``_MichellSeries`` rung holds at most, in floats of its N
     nodes, n exterior modes and c = n + d columns (d = 1 + 3K data sets):
-    N (4 n + 8 M_i + 4 M_e + 2 d + 32) for the traces, rows, scratch and
-    node columns, and (14 M_i + 8 M_e K + n) c for the coefficients, the
-    core-circle misses and the system, whose LU comes after the misses."""
+    N (10 M_e K + 2 d + 32) for the two exterior trace planes, each
+    core's powers and logarithm, and the data and node columns; 32 M_i M_e
+    K for the interior rows at the core nodes; and (14 M_i + 16 M_e + n)
+    c + n^2 for the coefficients, one core's misses and their FFT, the
+    system and LAPACK's copy of its square part."""
     nodes, n_ext = 4 * (m_inner + m_core * cores), (4 * m_core - 2) * cores
     data = 1 + 3 * cores
-    return 8 * (nodes * (4 * n_ext + 8 * m_inner + 4 * m_core + 2 * data + 32)
-                + (14 * m_inner + 8 * m_core * cores + n_ext) * (n_ext + data))
+    return 8 * (nodes * (10 * m_core * cores + 2 * data + 32)
+                + 32 * m_inner * m_core * cores
+                + (14 * m_inner + 16 * m_core + n_ext) * (n_ext + data) + n_ext**2)
 
 
 def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -576,9 +619,13 @@ class _MichellSeries:
     circle: 2 (2 M_e - 1) conditions per core, one per exterior mode.
     This square system is written core by core into one column-major
     array (``_system``) and solved by one LU (``_least_squares``). The
-    nodes of all circles are stacked, and one set of their rows
-    (``_rows``) gives the core-circle misses and, after the fit, the
-    traces and Laplacians at all nodes.
+    nodes of all circles are stacked (``_rows``): the exterior modes'
+    value and d_n traces at every node and the interior rows at the core
+    circles' nodes give the core-circle misses and, after the fit, the
+    fields at the nodes. On the outer circle the fit's interior part is
+    the inverse FFT of its coefficients (``_almansi_traces``), and the
+    Laplacians of the exterior part come from its coefficient columns
+    (``_michell_laplacians``).
 
     ``block_residuals`` are the largest misses of either trace, relative
     to the largest datum, at the outer circle's nodes and at the core
@@ -608,14 +655,14 @@ class _MichellSeries:
             on, col = slice(n0 + k * nc, n0 + (k + 1) * nc), 3 * k + 1
             val[on, col], val[on, col + 1:col + 3] = 1.0, pts[on] - y
             der[on, col + 1:col + 3] = eps * nhat[on]
-        ext, X = self._rows(pts, nhat)
+        ext, parts, X = self._rows(pts, nhat, n0)
         n_ext = ext.shape[-1]
         A, B, system = self._system(ext, X, val, der)
         self.coef, self.condition = _least_squares(system, n_ext)
         self.A = A[:, n_ext:] - A[:, :n_ext] @ self.coef
         self.B = B[:, n_ext:] - B[:, :n_ext] @ self.coef
 
-        z, dz, lap, dlap = self._fields(ext, X)
+        z, dz, lap, dlap = self._fields(ext, parts, X, n0)
         self.size = size = np.maximum(np.abs(val), np.abs(der)).max(axis=0)
         miss = np.maximum(np.abs(z - val), np.abs(radius * dz - der)) / np.where(
             size > 0.0, size, 1.0)
@@ -634,41 +681,45 @@ class _MichellSeries:
         square system of the core coefficients, in LAPACK's column-major
         order: on each core circle in turn, the real parts of the
         frequencies 0 .. M_e - 1 and the imaginary parts of 1 .. M_e - 1
-        of the misses of the value, then of the eps d_n traces.
-        ``ext`` and ``X`` are the exterior traces and the interior rows
-        at the nodes, the outer circle's 4 M_i first."""
+        of the misses of the value, then of the eps d_n traces. ``ext``
+        are the exterior traces at all nodes, the outer circle's 4 M_i
+        first, and ``X`` the interior rows at the core circles' nodes."""
         R, eps, (m_inner, m_core) = self.domain.radius_R, self.eps, self.modes
-        n0, cores, n_ext = 4 * m_inner, len(self.sites), ext.shape[-1]
+        n0, nc, n_ext = 4 * m_inner, 4 * m_core, ext.shape[-1]
         A, B = _almansi_modes(*(
             np.fft.rfft(np.hstack(t), axis=0)[:m_inner] / n0 for t in (
                 [ext[0, :n0], val[:n0]], [R * ext[1, :n0], der[:n0]])))
         system = np.empty((n_ext, A.shape[1]), order="F")
         # a view: splitting the row axis of a column-major array needs no copy
-        rows = system.reshape(cores, 2, 2 * m_core - 1, -1)
+        rows = system.reshape(len(self.sites), 2, 2 * m_core - 1, -1)
         H = np.empty((2 * m_core + 1, A.shape[1]), dtype=complex)
-        low = H[:m_core]
-        for j, (miss, ext_j, data) in enumerate(zip(
-                _interior_traces(X, R, A, B, slice(n0, None)),
-                ext[:2, n0:], (val[n0:], der[n0:] / eps))):
-            # the misses overwrite the interior traces
-            np.subtract(ext_j, miss[:, :n_ext], out=miss[:, :n_ext])
-            np.subtract(data, miss[:, n_ext:], out=miss[:, n_ext:])
-            for k, part in enumerate(np.split(miss, cores)):
-                np.fft.rfft(part, axis=0, out=H)
+        low, C = H[:m_core], _interior_columns(A, B)
+        for k in range(len(self.sites)):  # one core's misses at a time
+            on = slice(n0 + k * nc, n0 + (k + 1) * nc)
+            for j, (miss, ext_j, data) in enumerate(zip(
+                    _interior_traces(X, R, C, slice(k * nc, (k + 1) * nc)),
+                    ext[:, on], (val[on], der[on] / eps))):
+                # the misses overwrite the interior traces
+                np.subtract(ext_j, miss[:, :n_ext], out=miss[:, :n_ext])
+                np.subtract(data, miss[:, n_ext:], out=miss[:, n_ext:])
+                np.fft.rfft(miss, axis=0, out=H)
                 rows[k, j, :m_core], rows[k, j, m_core:] = low.real, low[1:].imag
         rows[:, 1] *= eps
         return A, B, system
 
-    def _rows(self, pts, nhat):
-        """The exterior traces and the interior rows at the points."""
+    def _rows(self, pts, nhat, outer: int = 0):
+        """The exterior value and d_n traces at the points, per core what
+        ``_michell_laplacians`` takes, and the interior rows at the
+        points past the first ``outer``."""
         nu, (m_inner, m_core) = (nhat[:, 0] + 1j * nhat[:, 1])[:, None], self.modes
-        ext = np.empty((4, len(pts), (4 * m_core - 2) * len(self.sites)))
+        ext = np.empty((2, len(pts), (4 * m_core - 2) * len(self.sites)))
+        parts = []
         for y, part in zip(self.sites, np.split(ext, len(self.sites), axis=-1)):
             zeta = ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None] / self.eps
-            _michell_traces(zeta, nu, self.eps, m_core, part)
+            parts.append((zeta, nu, *_michell_traces(zeta, nu, self.eps, m_core, part)))
         (cx, cy), R = self.domain.center, self.domain.radius_R
-        w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
-        return ext, _interior_rows(w, nu, m_inner)
+        w = ((pts[outer:, 0] - cx) + 1j * (pts[outer:, 1] - cy))[:, None] / R
+        return ext, parts, _interior_rows(w, nu[outer:], m_inner)
 
     def fields(self, pts, nhat):
         """Value, normal derivative along ``nhat``, Laplacian and normal
@@ -676,12 +727,22 @@ class _MichellSeries:
         set) at points of the punctured disk."""
         return self._fields(*self._rows(pts, nhat))
 
-    def _fields(self, ext, X):
-        """``fields`` from the exterior traces and the interior rows."""
+    def _fields(self, ext, parts, X, outer: int = 0):
+        """``fields`` from ``_rows``; the first ``outer`` points are the
+        outer circle's nodes, where ``_almansi_traces`` gives the
+        interior part."""
         R = self.domain.radius_R
-        inner = (*_interior_traces(X, R, self.A, self.B),
+        inner = (*_interior_traces(X, R, _interior_columns(self.A, self.B)),
                  *_interior_laplacians(X, R, self.B))
-        return [i + e @ self.coef for i, e in zip(inner, ext)]
+        if outer:
+            inner = [np.vstack(f) for f in zip(
+                _almansi_traces(self.A, self.B, outer, R), inner)]
+        z, dz, lap, dlap = inner
+        for part, c in zip(parts, np.split(self.coef, len(parts))):
+            core_lap, core_dlap = _michell_laplacians(*part, self.eps, c)
+            lap += core_lap
+            dlap += core_dlap
+        return z + ext[0] @ self.coef, dz + ext[1] @ self.coef, lap, dlap
 
     def solution(self, u: np.ndarray, W_p, scale: float) -> SeriesSolution:
         """``scale`` (W_p + z) for z = z_0 + sum_j u_j z_j, affine on the

@@ -610,6 +610,39 @@ class TestCoreConstrainedSolve:
         assert m_core < m_inner / 2
         assert one.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-14)
 
+    def test_near_circle_fit_stays_small(self, elastic, unit_disk):
+        # the outer circle's interior traces come from the FFT, so its
+        # residual ends at (256, 16) (7.1e-13), within 5x of the target,
+        # and no rung tabulates interior rows there: the solve traced 74
+        # MiB when they were dense and its ladder ended at (512, 16)
+        tracemalloc.start()
+        try:
+            report = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04,
+                                            n=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert report.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-14)
+
+    def test_value_converges_over_the_interior_doublings(self, elastic,
+                                                         unit_disk, monkeypatch):
+        # a value that is not exact by construction: the near-circle core
+        # at the rungs (16, 8), (32, 16) and (64, 16), where a cap on the
+        # modes ends the ladder, against the converged fit. Each interior
+        # doubling cuts the error 100-fold or brings it within 1e-12
+        # relative (2.1e-3, 4.0e-6 and 6.7e-12 relative)
+        monkeypatch.setattr(solver, "_RESIDUAL_BOUND", math.inf)
+        errors = []
+        for cap in (16, 32, 64):
+            monkeypatch.setattr(solver, "_MAX_MODES", cap)
+            report = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04,
+                                            n=64)
+            assert report.extras["modes"][0] == cap
+            errors.append(abs(report.value / NEAR_CIRCLE_VALUE - 1.0))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= max(coarse / 100.0, 1e-12)
+
     def test_no_rung_starts_above_the_memory_budget(self, elastic, unit_disk,
                                                     monkeypatch):
         rungs = _spy_rungs(monkeypatch)
@@ -915,19 +948,45 @@ class TestSeriesTraces:
         w = np.sqrt(rng.uniform(size=(60, 1))) * self._unit(rng, 60)
         nu = self._unit(rng, 60)
         X = solver._interior_rows(w, nu, m)
-        got = (*solver._interior_traces(X, R, A, B),
+        got = (*solver._interior_traces(X, R, solver._interior_columns(A, B)),
                *solver._interior_laplacians(X, R, B))
         self._assert_columns_agree(got, michell_reference.interior_fields(
             w, nu, R, A, B))
 
+    def test_outer_circle_traces_by_inverse_fft(self, rng):
+        # the interior traces at the 4 M_i nodes of the fit's outer circle
+        m, columns, R, centre = 24, 5, 1.7, (0.3, -0.2)
+        A, B = (rng.standard_normal((m, columns))
+                + 1j * rng.standard_normal((m, columns)) for _ in range(2))
+        pts, nhat, _ = circle_nodes(centre, R, 4 * m)
+        w = ((pts[:, 0] - centre[0]) + 1j * (pts[:, 1] - centre[1]))[:, None] / R
+        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+        self._assert_columns_agree(
+            solver._almansi_traces(A, B, 4 * m, R),
+            michell_reference.interior_fields(w, nu, R, A, B))
+
+    def _core_points(self, rng):
+        zeta = (1.0 + 2.0 * rng.uniform(size=(60, 1))) * self._unit(rng, 60)
+        return zeta, self._unit(rng, 60)
+
     def test_paired_exterior_matches_rotated_potentials(self, rng):
         m_core, eps = 12, 0.13
-        zeta = (1.0 + 2.0 * rng.uniform(size=(60, 1))) * self._unit(rng, 60)
-        nu = self._unit(rng, 60)
-        got = np.empty((4, 60, 4 * m_core - 2))
+        (zeta, nu), got = self._core_points(rng), np.empty((2, 60, 4 * m_core - 2))
         solver._michell_traces(zeta, nu, eps, m_core, got)
         self._assert_columns_agree(got, michell_reference.michell_fields(
-            zeta, nu, eps, m_core))
+            zeta, nu, eps, m_core)[:2])
+
+    def test_exterior_laplacians_from_coefficients(self, rng):
+        # the Laplacians of random coefficient columns against the
+        # reference's Laplacian planes times the same columns
+        m_core, eps = 12, 0.13
+        (zeta, nu), got = self._core_points(rng), np.empty((2, 60, 4 * m_core - 2))
+        c = rng.standard_normal((4 * m_core - 2, 5))
+        log, t = solver._michell_traces(zeta, nu, eps, m_core, got)
+        ref = michell_reference.michell_fields(zeta, nu, eps, m_core)[2:]
+        self._assert_columns_agree(
+            solver._michell_laplacians(zeta, nu, log, t, eps, c),
+            [plane @ c for plane in ref])
 
 
 class TestElasticCorrection:
