@@ -32,8 +32,6 @@ from .closedform import (
     DislocationLimitAiry,
     SingleDisclinationClamped,
     SumField,
-    airy_to_stress,
-    stress_to_strain,
 )
 from .fields import (
     CORE,
@@ -42,6 +40,7 @@ from .fields import (
     OUTSIDE,
     Grid,
     _csv_cells,
+    _rewriting,
     _write_rows,
     check_core_resolution,
     check_grid_n,
@@ -194,6 +193,8 @@ def _plastic_field(config: DefectConfiguration, annulus_branch: bool = False):
 
 
 _FIELD_HEADER = "x,y,v,s11,s12,s22,e11,e12,e22"
+# separators of the field dump's columns v .. e22
+_FIELD_TAIL = b",,,,,,\n"
 _SOLUTION_HEADER = "x,y,v,v_xx,v_xy,v_yy,mask"
 # nodes per block of a field dump, in whole grid lines
 _FIELD_BLOCK_NODES = CSV_BLOCK_ROWS
@@ -215,25 +216,34 @@ def _line_blocks(grid: Grid, columns: int, halo: int = 0):
     with ``halo`` more lines on either side (beyond the grid, too), and
     a (lines, ny, ``columns``, 4) table of cells of the block's own
     lines, its columns x and y filled. Line i lies at x0 + delta i, as
-    in ``Grid.xs``; one table serves every block, and y is formatted once."""
+    in ``Grid.xs``; one table serves every block, and x and y are
+    formatted once."""
     lines = max(1, _FIELD_BLOCK_NODES // grid.ny)
     table = np.empty((lines, grid.ny, columns, 4), np.uint64)
-    table[:, :, 1] = _csv_cells(grid.ys)
+    table[:, :, 1] = _csv_cells(grid.ys, b",")
+    xs = _csv_cells(grid.xs, b",")
     for start in range(0, grid.nx, lines):
         i = np.arange(start - halo, min(start + lines, grid.nx) + halo)
         x = grid.x0 + grid.delta * i
         block = table[:len(i) - 2 * halo]
-        block[:, :, 0] = _csv_cells(x[halo:len(i) - halo])[:, None]
+        block[:, :, 0] = xs[start:start + len(block), None]
         yield *np.broadcast_arrays(x[:, None], grid.ys), block
 
 
 def _node_values(vals, H, elastic: ElasticConstants) -> np.ndarray:
     """(N, 7) columns v, s11, s12, s22, e11, e12, e22 of N nodes with
-    values ``vals`` and Airy Hessians ``H``."""
-    sigma = airy_to_stress(H)
-    eps = stress_to_strain(sigma, elastic)
-    return np.column_stack([vals, sigma[:, 0, 0], sigma[:, 0, 1], sigma[:, 1, 1],
-                            eps[:, 0, 0], eps[:, 0, 1], eps[:, 1, 1]])
+    values ``vals`` and Airy Hessians ``H``, by the arithmetic of
+    ``airy_to_stress`` and ``stress_to_strain``."""
+    out = np.empty((len(vals), 7))
+    v, s11, s12, s22, e11, e12, e22 = out.T
+    v[:], s11[:], s22[:] = vals, H[:, 1, 1], H[:, 0, 0]
+    np.negative(H[:, 0, 1], out=s12)
+    nu = elastic.poisson_nu
+    pref = (1.0 + nu) / elastic.young_E
+    e11[:] = pref * ((1.0 - nu) * s11 - nu * s22)
+    np.multiply(pref, s12, out=e12)
+    e22[:] = pref * ((1.0 - nu) * s22 - nu * s11)
+    return out
 
 
 def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
@@ -243,22 +253,22 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
     disk (core nodes included) and v = 0 and a zero Hessian outside.
 
     Every number prints as ``%.17g``. Each block of grid lines fills one
-    table of cells, written by ``fields._write_rows``: the line's x and
-    each node's y are formatted once into it, and so are the field
-    columns of outside nodes, which are the same for all of them; the
-    formatted values of the inside nodes are scattered into their rows.
+    table of cells, written by ``fields._write_rows``: x, y and the
+    field columns of outside nodes, the same for all of them, are
+    formatted once per dump, with their separators; the formatted values
+    of the inside nodes are scattered into their rows.
     """
     cx, cy = config.domain.center
     outside = _csv_cells(_node_values(np.zeros(1), np.zeros((1, 2, 2)),
-                                      config.elastic)[0])
-    with open(path, "wb") as f:
+                                      config.elastic)[0], _FIELD_TAIL)
+    with _rewriting(path) as f:
         f.write(_FIELD_HEADER.encode("ascii") + b"\n")
         for X, Y, table in _line_blocks(grid, 9):
             inside = np.hypot(X - cx, Y - cy) < config.domain.radius_R
             table[~inside, 2:] = outside
             pts = np.stack([X[inside], Y[inside]], axis=-1)
             values = _node_values(*field.value_and_hessian(pts), config.elastic)
-            table[inside, 2:] = _csv_cells(values).reshape(-1, 7, 4)
+            table[inside, 2:] = _csv_cells(values, _FIELD_TAIL).reshape(-1, 7, 4)
             _write_rows(f, table)
 
 
@@ -278,10 +288,10 @@ def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
     numbers scattered into their rows.
     """
     (cx, cy), R, h = domain.center, domain.radius_R, grid.delta
-    zero, nan = _csv_cells(np.array([0.0, np.nan]))
-    codes = _csv_cells(np.array([OUTSIDE, INTERIOR, CORE]))
+    zero, nan = _csv_cells(np.array([0.0, np.nan]), b",")
+    codes = _csv_cells(np.array([OUTSIDE, INTERIOR, CORE]), b"\n")
     kept = np.zeros((2, grid.ny))
-    with open(path, "wb") as f:
+    with _rewriting(path) as f:
         f.write(_SOLUTION_HEADER.encode("ascii") + b"\n")
         for X, Y, table in _line_blocks(grid, 7, halo=3):
             inside = np.hypot(X - cx, Y - cy) < R
@@ -313,10 +323,10 @@ def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
             for (px, py), eps in solution.cores:
                 core |= np.hypot(X - px, Y - py) <= eps
             table[:, :, 2] = zero
-            table[live, 2] = _csv_cells(v[1:-1][live])
+            table[live, 2] = _csv_cells(v[1:-1][live], b",")
             table[:, :, 3:6] = nan
             hessians = np.stack([vxx, vxy, vyy], axis=-1)[ok]
-            table[ok, 3:6] = _csv_cells(hessians).reshape(-1, 3, 4)
+            table[ok, 3:6] = _csv_cells(hessians, b",").reshape(-1, 3, 4)
             table[:, :, 6] = codes[inside * (1 + core)]
             _write_rows(f, table)
 
@@ -348,8 +358,8 @@ def _writing(path):
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as f:
-        f.write(text)
+    with _rewriting(path) as f:
+        f.write(text.encode("ascii"))
 
 
 def _all_finite(obj) -> bool:

@@ -459,13 +459,18 @@ class _FrameField(AiryField):
         # rows H_11, H_12, H_21, H_22 of the Hessian of g(u) xi_1:
         # 4 g'' xi_i xi_j xi_1 + 2 g' (xi_1 delta_ij + delta_i1 xi_j +
         # xi_i delta_j1); H_12 and H_21 round differently
-        _, _, b, _, d = self._profile
+        C, _, b, _, d = self._profile
         d2g = 2.0 * b / s**3 - d / s**2 if b else -d / s**2
         e1, e2 = 2.0 * self._dg(s) * xi
-        H = 4.0 * d2g * xi[[0, 0, 1, 1]] * xi[[0, 1, 0, 1]] * xi[0]
-        H += (e1 + 2.0 * e1, e2, e2, e1)
+        H = ((4.0 * d2g * xi)[:, None] * xi).reshape(4, -1)
+        H *= xi[0]
+        H[0] += e1 + 2.0 * e1
+        H[1] += e2
+        H[2] += e2
+        H[3] += e1
         self._zero_core(H.T, u)
-        return self._lab_hessian(self._profile[0] * H)
+        H *= C
+        return self._lab_hessian(H)
 
     def value(self, x):
         return self._value(*self._local(x))

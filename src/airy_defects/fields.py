@@ -7,14 +7,18 @@ evaluate exact fields block by block of grid lines (``cli``); no
 module holds a field sampled on a whole grid.
 
 Every CSV writer goes one way: a block of rows is a table of 32-byte
-cells, one per number, each holding the number's ``%.17g`` text at
-fixed places with NUL bytes between (``_fmt17_cells``), and the block
-is written in one pass that drops the NULs (``_write_rows``).
+cells, one per number, each holding the number's ``%.17g`` text and
+separator at fixed places with NUL bytes between (``_fmt17_cells``),
+and the block is written in one pass that drops the NULs
+(``_write_rows``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,9 +129,10 @@ def _significand17(a: np.ndarray):
     return h.astype(np.int64) + np.rint(l).astype(np.int64), e
 
 
-def _fmt17_into(cells: np.ndarray, flat: np.ndarray) -> None:
+def _fmt17_into(cells: np.ndarray, flat: np.ndarray, seps: np.ndarray) -> None:
     """Write the cells of :func:`_fmt17_cells` of the 1-D float64
-    ``flat`` into the (N, 4) uint64 array ``cells`` of its length."""
+    ``flat`` into the contiguous (N, 4) uint64 array ``cells``, lane 3
+    starting from the separator lanes ``seps`` in turn."""
     a = np.abs(flat)
     # the double 1e-6 lies below 10^-6, so its exponent is -7
     others = ~((a > 1e-6) & (a < 1e17))
@@ -150,7 +155,7 @@ def _fmt17_into(cells: np.ndarray, flat: np.ndarray) -> None:
                    | (_DIGITS4.take(g1 + 10**4 * zero) << np.uint64(32)))
     cells[:, 2] = (_DIGITS4.take(g2 + 10**4 * (g3 == 0))
                    | (_DIGITS4.take(g3 + 10**4) << np.uint64(32)))
-    cells[:, 3] = 0
+    cells.reshape(-1, len(seps), 4)[:, :, 3] = seps
     # a "." among the digits, after the integer part (e >= 0) or the
     # lead digit (e < _E_FIXED): the c - 1 digits of lanes 1 and 2
     # before it keep their zeros, the rest move up one byte, and the "."
@@ -166,53 +171,74 @@ def _fmt17_into(cells: np.ndarray, flat: np.ndarray) -> None:
         cells[at, 1] = h1 | (t1 << np.uint64(8)) | _DOT[0].take(c - 1) * dot
         cells[at, 2] = (h2 | (t2 << np.uint64(8)) | (t1 >> np.uint64(56))
                         | _DOT[1].take(c - 1) * dot)
-        cells[at, 3] = t2 >> np.uint64(56)
+        cells[at, 3] |= t2 >> np.uint64(56)
         at = at[e[at] < _E_FIXED]
         cells[at, 3] |= _SUFFIX.take(e[at] - _E_MIN)
     at = np.flatnonzero(others)
     if at.size:
-        texts = np.array([b"%.17g" % v for v in flat[at].tolist()], "S32")
-        cells[at] = texts.view(np.uint64).reshape(-1, 4)
+        # at most 24 bytes, before the separator
+        texts = np.array([b"%.17g" % v for v in flat[at].tolist()], "S31")
+        cells.view(np.uint8)[at, :31] = texts.view(np.uint8).reshape(-1, 31)
 
 
-def _fmt17_cells(x) -> np.ndarray:
+def _lanes(seps: bytes) -> np.ndarray:
+    """Lane 3 of a cell holding only each separator of ``seps``."""
+    return np.frombuffer(seps, np.uint8).astype(np.uint64) << np.uint64(56)
+
+
+def _fmt17_cells(x, seps: bytes) -> np.ndarray:
     """The ``"%.17g" % v`` of every float64 v of ``x``, in order, as an
     (N, 4) uint64 array of 32-byte cells: read in order with its NULs
-    skipped, each cell is the text, byte for byte; the top byte of lane
-    3 stays NUL.
+    skipped, each cell is the text, byte for byte, then a separator in
+    the top byte of lane 3, the bytes of ``seps`` in turn (b",,\\n" for
+    the last three columns of rows, say).
 
     A number with 1e-6 < |v| < 1e17 is formatted with array arithmetic,
-    ``_FMT_CHUNK`` numbers at a time: its 17 significant digits come out
-    exact from Dekker's error-free product of |v| and a power of ten
-    (:func:`_significand17`), four at a time from a digit table. Lane 0
-    holds the sign, "0." and zeros and the lead digit, lanes 1 and 2 the
-    other 16 digits, trailing zeros NUL, and lane 3 "e-05" or "e-06";
-    only where a "." falls among the digits do the digits after it move,
-    by one byte. Every other value (0, nan, inf, a subnormal, |v| <=
+    about ``_FMT_CHUNK`` numbers at a time: its 17 significant digits
+    come out exact from Dekker's error-free product of |v| and a power
+    of ten (:func:`_significand17`), four at a time from a digit table.
+    Lane 0 holds the sign, "0." and zeros and the lead digit, lanes 1
+    and 2 the other 16 digits, trailing zeros NUL, and lane 3 "e-05" or
+    "e-06"; only where a "." falls among the digits do the digits after
+    it move, by one byte. Every other value (0, nan, inf, a subnormal, |v| <=
     1e-6 or >= 1e17) goes through ``%.17g`` itself.
     """
     flat = np.asarray(x, dtype=float).ravel()
     cells = np.empty((flat.size, 4), np.uint64)
-    for start in range(0, flat.size, _FMT_CHUNK):
-        _fmt17_into(cells[start:start + _FMT_CHUNK], flat[start:start + _FMT_CHUNK])
+    lanes = _lanes(seps)
+    step = max(1, _FMT_CHUNK // len(seps)) * len(seps)
+    for start in range(0, flat.size, step):
+        _fmt17_into(cells[start:start + step], flat[start:start + step], lanes)
     return cells
 
 
-def _csv_cells(column) -> np.ndarray:
-    """The (N, 4) cells of the N numbers of ``column``: ``%d`` of
-    integers, else :func:`_fmt17_cells`."""
+def _csv_cells(column, seps: bytes) -> np.ndarray:
+    """The (N, 4) cells of the N numbers of ``column`` and ``seps``:
+    ``%d`` of integers, else :func:`_fmt17_cells`."""
     if np.issubdtype(column.dtype, np.integer):
-        return column.astype("S32").view(np.uint64).reshape(-1, 4)
-    return _fmt17_cells(column)
+        cells = column.astype("S32").view(np.uint64).reshape(-1, 4)
+        cells.reshape(-1, len(seps), 4)[:, :, 3] |= _lanes(seps)
+        return cells
+    return _fmt17_cells(column, seps)
+
+
+@contextmanager
+def _rewriting(path):
+    """``open(path, "wb")``, but a regular file is overwritten in place
+    and cut to its new length at the end: truncating first frees its
+    blocks only to allocate them again (``cli._emit`` removes the file
+    of a failed write)."""
+    with open(path, "wb", opener=lambda p, flags: os.open(
+            p, flags & ~os.O_TRUNC, 0o666)) as f:
+        yield f
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 def _write_rows(f, table: np.ndarray) -> None:
-    """Write the rows of ``table``, a uint64 array of cells whose last
-    two axes are the columns and the four lanes, to the binary file
-    ``f``: each cell's text and a "," after it, a newline after each
-    row's last, in one pass that drops every NUL byte."""
-    table[..., :-1, 3] |= np.uint64(ord(",") << 56)
-    table[..., -1, 3] |= np.uint64(ord("\n") << 56)
+    """Write the rows of ``table``, a uint64 array of cells (with their
+    separators) whose last two axes are the columns and the four lanes,
+    to the binary file ``f``, in one pass that drops every NUL byte."""
     f.write(table.tobytes().translate(None, b"\0"))
 
 
@@ -227,11 +253,13 @@ def write_csv(path, header: str, columns) -> None:
     """
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0]) if columns else 0
-    with open(path, "wb") as f:
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    with _rewriting(path) as f:
         f.write(header.encode("ascii") + b"\n")
         for start in range(0, rows, CSV_BLOCK_ROWS):
-            _write_rows(f, np.stack([_csv_cells(c[start:start + CSV_BLOCK_ROWS])
-                                     for c in columns], axis=1))
+            _write_rows(f, np.stack(
+                [_csv_cells(c[start:start + CSV_BLOCK_ROWS], sep)
+                 for c, sep in zip(columns, seps)], axis=1))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Reference CSV writers for ``tests/test_cli.py``.
+"""Reference CSV writers for ``tests/test_cli.py`` and the reference
+Hessian of the frame fields for ``tests/test_closedform.py``.
 
 ``write_csv`` formats whole rows with one ``%`` template of ``%.17g``
 (and ``%d``) fields, by Python's own formatter; ``field_dump`` holds the
@@ -6,6 +7,8 @@ columns of every node of the grid at once, with the field evaluated at
 all inside nodes in one batch. The CLI streams the dump by blocks of
 grid lines, formats with the package's array kernel into tables of
 fixed cells and drops their NUL bytes; both must agree byte for byte.
+``frame_hessian`` builds a frame field's Hessian from whole-array
+formulas, which the package's in-place rows must match bit for bit.
 """
 
 import numpy as np
@@ -60,3 +63,29 @@ def field_dump(config, n: int, csv, out) -> None:
     with open(out, "w", encoding="ascii", newline="\n") as f:
         f.write(dump_json({"nodes": len(columns[0]), "grid_n": n,
                            "csv": str(csv)}))
+
+
+def frame_hessian(field, x) -> np.ndarray:
+    """The (N, 2, 2) Hessian of the ``closedform._FrameField`` ``field``
+    at the points ``x``: the canonical rows H_11, H_12, H_21, H_22 of
+    C g(u) xi_1 from fancy-indexed products of xi, their first-order
+    terms added as one tuple, the core rows zeroed and C applied, then
+    each entry of Q^T H Q as its four terms Q_ai H_ab Q_bj summed in
+    order. (``np.einsum("ai,nab,bj->nij", ...)`` gives the same values,
+    but its sums start from +0.0, which turns four -0.0 terms into
+    +0.0.)"""
+    xi, u, s = field._local(x)
+    C, _, b, _, d = field._profile
+    d2g = 2.0 * b / s**3 - d / s**2 if b else -d / s**2
+    e1, e2 = 2.0 * field._dg(s) * xi
+    H = 4.0 * d2g * xi[[0, 0, 1, 1]] * xi[[0, 1, 0, 1]] * xi[0]
+    H += (e1 + 2.0 * e1, e2, e2, e1)
+    field._zero_core(H.T, u)
+    H = (C * H).T.reshape(-1, 2, 2)
+    Q = field._frame[0]
+    out = np.empty_like(H)
+    for i, j in np.ndindex(2, 2):
+        t00, t01, t10, t11 = (Q[a, i] * H[:, a, b] * Q[b, j]
+                              for a, b in np.ndindex(2, 2))
+        out[:, i, j] = t00 + t01 + t10 + t11
+    return out

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -563,6 +564,63 @@ class TestOutputPaths:
                      "--csv", str(tmp_path / "f.csv"),
                      "--out", str(tmp_path / "f.json")])
         assert code == 3
+        assert list(tmp_path.glob("f.*")) == []
+
+    def test_existing_output_is_rewritten_to_a_fresh_run(self, configs,
+                                                         tmp_path, monkeypatch):
+        # an existing file, longer or shorter, is overwritten in place and
+        # cut to the new length
+        argv = ["field", "--config", configs["pair"], "--grid-n", "64",
+                "--csv", "f.csv", "--out", "f.json"]
+        (tmp_path / "fresh").mkdir()
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert main(argv) == 0
+        fresh = {name: Path(name).read_bytes() for name in ("f.csv", "f.json")}
+        for old in (b"x" * (len(fresh["f.csv"]) + 5000), b"y\n" * 3):
+            (tmp_path / "old").mkdir(exist_ok=True)
+            monkeypatch.chdir(tmp_path / "old")
+            for name in fresh:
+                Path(name).write_bytes(old)
+            assert main(argv) == 0
+            assert {name: Path(name).read_bytes() for name in fresh} == fresh
+
+    def test_symlinked_output_rewrites_its_target(self, configs, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        argv = ["field", "--config", configs["pair"], "--grid-n", "64",
+                "--out", str(tmp_path / "f.json")]
+        assert main([*argv, "--csv", str(tmp_path / "fresh.csv")]) == 0
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        target.write_bytes(b"z" * (2 * len(fresh)))
+        link.symlink_to(target)
+        assert main([*argv, "--csv", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh
+
+    @pytest.mark.skipif(not os.access("/dev", os.W_OK),
+                        reason="output paths in /dev are rejected up front")
+    def test_device_output_is_written_without_truncation(self, configs,
+                                                         monkeypatch):
+        # /dev/null cannot be truncated; a failed run would remove it
+        def no_remove(path):
+            raise AssertionError(f"removed {path}")
+
+        monkeypatch.setattr(cli.os, "remove", no_remove)
+        assert main(["field", "--config", configs["pair"], "--grid-n", "64",
+                     "--csv", os.devnull, "--out", os.devnull]) == 0
+
+    def test_failed_dump_over_an_existing_file_removes_it(
+            self, configs, tmp_path, monkeypatch, capsys):
+        def disk_full(f, table):
+            f.write(b"partial")
+            raise OSError(28, "No space left on device")
+
+        csv = tmp_path / "f.csv"
+        csv.write_bytes(b"old rows\n" * 10000)
+        monkeypatch.setattr(cli, "_write_rows", disk_full)
+        code = main(["field", "--config", configs["pair"], "--grid-n", "64",
+                     "--csv", str(csv), "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.glob("f.*")) == []
 
     def test_read_only_file_exits_before_any_work(self, configs, tmp_path,

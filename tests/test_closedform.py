@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import field_reference
 from airy_defects.core import ElasticConstants, ValidationError
 from airy_defects.closedform import (
     CoreCoefficients,
@@ -343,6 +344,42 @@ class TestKernels:
             got = field.value(p)[0], field.gradient(p)[0], field.hessian(p)[0]
         for g, want in zip(got, (value, gradient, hessian)):
             np.testing.assert_allclose(g, want, rtol=1e-15, atol=0.0)
+
+
+def _negated(field):
+    """``field`` with its prefactor C negated, which no elastic constants
+    give: the zeroed core rows of its Hessian become -0.0."""
+    C, *rest = field._profile
+    field.__dict__["_profile"] = (-C, *rest)
+    return field
+
+
+# frame fields and whether their Hessians at FRAME_POINTS hold a -0.0
+FRAME_FIELDS = [
+    (DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE), False),
+    (_negated(DislocationCoreAiry(_EL, _OBLIQUE, 0.1, 1.7, _SITE)), True),
+    (DislocationLimitAiry(_EL, _OBLIQUE, 1.7, _SITE), False),
+    (DipoleDerivativeAiry(_EL, _OBLIQUE, _SITE), False),
+]
+# points across the disk, points in and around the core ball of radius
+# 0.1 at _SITE, and the site itself
+_rng = np.random.default_rng(11)
+FRAME_POINTS = np.concatenate([_rng.uniform(-1.0, 1.0, (300, 2)),
+                               _SITE + _rng.uniform(-0.12, 0.12, (300, 2)), [_SITE]])
+
+
+class TestFrameHessianBits:
+    @pytest.mark.parametrize("field, negative_zeros", FRAME_FIELDS,
+                             ids=["core", "core-negated", "limit", "derivative"])
+    def test_hessian_matches_the_reference_bit_for_bit(self, field,
+                                                       negative_zeros):
+        # every bit, the sign of each zero and nan included
+        with np.errstate(all="ignore"):
+            got = field.hessian(FRAME_POINTS)
+            want = field_reference.frame_hessian(field, FRAME_POINTS)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(got[got == 0.0]).any() == negative_zeros
 
 
 class TestWrappers:

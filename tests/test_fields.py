@@ -42,24 +42,36 @@ class TestFmt17:
         assert fmt17(0.1) == "0.10000000000000001"
 
 
-def fmt17_array(x) -> np.ndarray:
-    """The texts of ``fields._fmt17_cells`` of ``x``, each cell read in
-    order with its NULs skipped, as an ``S24`` array of the shape of
-    ``x``; every cell leaves the top byte of lane 3 to the separator."""
+def fmt17_array(x, seps=b",") -> np.ndarray:
+    """The texts of ``fields._fmt17_cells`` of ``x`` and ``seps``, as an
+    ``S24`` array of the shape of ``x``. Each cell, read with its NULs
+    skipped, must be its text and then its separator: the bytes of
+    ``seps`` in turn, each in the top byte of lane 3."""
     x = np.asarray(x, dtype=float)
-    cells = fields._fmt17_cells(x)
-    assert not np.any(cells[:, 3] >> np.uint64(56))
-    b = cells.view(np.uint8).reshape(-1, 32)
+    cells = fields._fmt17_cells(x, seps)
+    b = cells.view(np.uint8).reshape(-1, 32).copy()
+    assert np.array_equal(b[:, 31], np.resize(np.frombuffer(seps, np.uint8), len(b)))
+    b[:, 31] = 0
     b = np.take_along_axis(b, np.argsort(b == 0, axis=1, kind="stable"), axis=1)
+    assert not b[:, 24:].any()
     return np.ascontiguousarray(b[:, :24]).view("S24").reshape(x.shape)
 
 
-def assert_fmt17_array(x):
+def assert_fmt17_array(x, seps=b","):
     x = np.asarray(x, dtype=float)
-    got = fmt17_array(x)
+    got = fmt17_array(x, seps)
     assert got.shape == x.shape
     for v, text in zip(x.ravel().tolist(), got.ravel().tolist()):
         assert text == b"%.17g" % v, v
+
+
+# numbers of every path of the kernel: laid out in fixed point, with the
+# "." shifted in among the digits, with the "e-05"/"e-06" suffix, and
+# left to %.17g, 24-character texts included
+EVERY_PATH = [0.00123, -0.5, 0.0625, 12.5, -1234567890123456.8, 3.0,
+              1.2345678901234567e-6, -9.876543210987654e-5, 3e-6,
+              0.0, -0.0, math.nan, -math.inf, 5e-324, 1e17,
+              -1.2345678901234567e-300, -2.2250738585072014e-308, 1e-6]
 
 
 class TestFmt17Array:
@@ -111,6 +123,18 @@ class TestFmt17Array:
         x = [100.0, -2.0, 0.5, -0.0, 1e16, 12345678901234567.0, 5e-5]
         assert fmt17_array(x).tolist() == [b"%.17g" % v for v in x]
         assert_fmt17_array(np.concatenate([x, np.negative(x)]))
+
+    @pytest.mark.parametrize("seps", [b",", b"\n", b",\n", b",,,,,,\n"])
+    def test_separators_on_every_path(self, seps):
+        # each number of EVERY_PATH under each separator of seps
+        x = np.repeat(EVERY_PATH, len(seps))
+        assert_fmt17_array(np.concatenate([x, np.negative(x)]), seps)
+
+    def test_separators_across_passes(self):
+        # whole turns of seven separators span more than one pass
+        rows = 2 * (fields._FMT_CHUNK // 7) + 3
+        x = np.linspace(-3.0, 7.0, 7 * rows).reshape(rows, 7)
+        assert_fmt17_array(x, b",,,,,,\n")
 
     def test_shapes(self):
         assert fmt17_array(np.zeros((0, 3))).shape == (0, 3)
