@@ -103,8 +103,7 @@ def affine_trace_check(v, curve: BoundaryCurve) -> AffineTraceReport:
     """
     pos = curve.positions
     nrm = curve.normals
-    vals = v.value(pos)
-    grads = v.gradient(pos)
+    vals, grads = v.derivatives(pos, ("value", "gradient"))
     v_n = (grads * nrm).sum(axis=-1)
     v_t = (grads * curve.tangents).sum(axis=-1)
 

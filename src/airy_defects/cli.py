@@ -267,7 +267,8 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
             inside = np.hypot(X - cx, Y - cy) < config.domain.radius_R
             table[~inside, 2:] = outside
             pts = np.stack([X[inside], Y[inside]], axis=-1)
-            values = _node_values(*field.value_and_hessian(pts), config.elastic)
+            values = _node_values(*field.derivatives(pts, ("value", "hessian")),
+                                  config.elastic)
             table[inside, 2:] = _csv_cells(values, _FIELD_TAIL).reshape(-1, 7, 4)
             _write_rows(f, table)
 
@@ -375,7 +376,7 @@ def _emit(args, doc, files=None) -> None:
     of ``files`` (path to writer; a ``None`` path is skipped). The report
     is checked before anything is written, so a run that fails the check
     leaves no file; a writer that fails leaves none either, because every
-    file begun is removed."""
+    regular file begun is removed (a device such as /dev/null is not)."""
     doc = _jsonable(doc)
     # JSON has no inf or NaN, and a report holding one is no result
     if not _all_finite(doc):
@@ -392,7 +393,7 @@ def _emit(args, doc, files=None) -> None:
             with _writing(path):
                 write(path)
     except BaseException:
-        for path in begun:
+        for path in filter(os.path.isfile, begun):
             with suppress(OSError):
                 os.remove(path)
         raise

@@ -1,11 +1,15 @@
 """Closed-form Airy potentials for disk-domain defects.
 
-Every field exposes vectorized ``value``, ``gradient`` and ``hessian``
-over (N, 2) point arrays; fields that need them also provide
-``laplacian`` and ``grad_laplacian``. ``value_and_gradient`` and
-``value_and_hessian`` give two of them at the same points, which the
-dislocation and dipole-limit fields map to their canonical frame once.
-All potentials carry the common prefactor K = E / (1 - nu^2).
+Every field evaluates through one method, ``derivatives(x, names)``:
+at (N, 2) points it returns the requested members of value (N,),
+gradient (N, 2), Hessian (N, 2, 2), Laplacian (N,) and gradient of the
+Laplacian (N, 2) -- the names "value", "gradient", "hessian",
+"laplacian" and "grad_laplacian" -- in request order. A closed form
+maps the points to its own frame once per call and computes only the
+members requested; a sum, scaling, shift or dipole makes one request of
+each part. ``value``, ``gradient``, ``hessian``, ``laplacian`` and
+``grad_laplacian`` are one-member requests. All potentials carry the
+common prefactor K = E / (1 - nu^2).
 
 Two derivative kernels serve the five closed forms, which declare only
 their coefficients: ``_RadialField`` differentiates C (u log u + p u + q)
@@ -14,7 +18,8 @@ and ``_FrameField`` C g(u) xi_1, g(u) = a + b/u + c u + d log u.
 What does not depend on the points (K, |b|, the frame, the core
 coefficients) is computed once per field, on first use, and kept in the
 instance: fields are frozen, so equality, hashing and
-``dataclasses.replace`` still see only their declared fields.
+``dataclasses.replace`` still see only their declared fields. Nothing
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -41,70 +46,60 @@ def _pts(x) -> np.ndarray:
     return p
 
 
+# the members a field evaluates, by name, and the shape of each at one point
+_SHAPES = {"value": (), "gradient": (2,), "hessian": (2, 2),
+           "laplacian": (), "grad_laplacian": (2,)}
+
+
 class AiryField:
-    """Protocol base: value, gradient and Hessian at points."""
+    """Protocol base: the derivatives of a field at points."""
+
+    def derivatives(self, x, names) -> tuple:
+        """The members ``names`` (keys of ``_SHAPES``) at the (N, 2)
+        points ``x``, in request order."""
+        raise NotImplementedError
 
     def value(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.derivatives(x, ("value",))[0]
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.derivatives(x, ("gradient",))[0]
 
     def hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.derivatives(x, ("hessian",))[0]
 
     def laplacian(self, x) -> np.ndarray:
-        H = self.hessian(x)
-        return H[:, 0, 0] + H[:, 1, 1]
+        return self.derivatives(x, ("laplacian",))[0]
 
-    def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """``(value(x), gradient(x))``; frame fields share one frame
-        transform between the two."""
-        return self.value(x), self.gradient(x)
+    def grad_laplacian(self, x) -> np.ndarray:
+        return self.derivatives(x, ("grad_laplacian",))[0]
 
-    def value_and_hessian(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """``(value(x), hessian(x))``, as ``value_and_gradient``."""
-        return self.value(x), self.hessian(x)
+
+class _Kernel(AiryField):
+    """A closed form: ``_local`` maps the points once per call, and
+    member ``name`` is ``_name`` of that map."""
+
+    def derivatives(self, x, names):
+        local = self._local(x)
+        return tuple(getattr(self, "_" + name)(*local) for name in names)
 
 
 @dataclass(frozen=True)
 class SumField(AiryField):
-    """Pointwise sum of fields (superposition)."""
+    """Pointwise sum of fields (superposition); zero with no terms."""
 
     terms: tuple
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def value(self, x):
+    def derivatives(self, x, names):
         x = _pts(x)
-        return sum(t.value(x) for t in self.terms)
-
-    def gradient(self, x):
-        x = _pts(x)
-        return sum(t.gradient(x) for t in self.terms)
-
-    def hessian(self, x):
-        x = _pts(x)
-        return sum(t.hessian(x) for t in self.terms)
-
-    def laplacian(self, x):
-        x = _pts(x)
-        return sum(t.laplacian(x) for t in self.terms)
-
-    def grad_laplacian(self, x):
-        x = _pts(x)
-        return sum(t.grad_laplacian(x) for t in self.terms)
-
-    def value_and_gradient(self, x):
-        x = _pts(x)
-        parts = [t.value_and_gradient(x) for t in self.terms]
-        return sum(v for v, _ in parts), sum(g for _, g in parts)
-
-    def value_and_hessian(self, x):
-        x = _pts(x)
-        parts = [t.value_and_hessian(x) for t in self.terms]
-        return sum(v for v, _ in parts), sum(H for _, H in parts)
+        sums = [np.zeros((len(x),) + _SHAPES[name]) for name in names]
+        for t in self.terms:
+            for total, part in zip(sums, t.derivatives(x, names)):
+                total += part
+        return tuple(sums)
 
 
 @dataclass(frozen=True)
@@ -112,20 +107,8 @@ class ScaledField(AiryField):
     factor: float
     base: AiryField
 
-    def value(self, x):
-        return self.factor * self.base.value(x)
-
-    def gradient(self, x):
-        return self.factor * self.base.gradient(x)
-
-    def hessian(self, x):
-        return self.factor * self.base.hessian(x)
-
-    def laplacian(self, x):
-        return self.factor * self.base.laplacian(x)
-
-    def grad_laplacian(self, x):
-        return self.factor * self.base.grad_laplacian(x)
+    def derivatives(self, x, names):
+        return tuple(self.factor * m for m in self.base.derivatives(x, names))
 
 
 @dataclass(frozen=True)
@@ -135,60 +118,50 @@ class ShiftedField(AiryField):
     shift: tuple[float, float]
     base: AiryField
 
-    def _rel(self, x):
-        return _pts(x) - np.asarray(self.shift, dtype=float)
-
-    def value(self, x):
-        return self.base.value(self._rel(x))
-
-    def gradient(self, x):
-        return self.base.gradient(self._rel(x))
-
-    def hessian(self, x):
-        return self.base.hessian(self._rel(x))
-
-    def laplacian(self, x):
-        return self.base.laplacian(self._rel(x))
-
-    def grad_laplacian(self, x):
-        return self.base.grad_laplacian(self._rel(x))
+    def derivatives(self, x, names):
+        return self.base.derivatives(_pts(x) - np.asarray(self.shift, dtype=float),
+                                     names)
 
 
 @dataclass(frozen=True)
-class Poly2D(AiryField):
+class Poly2D(_Kernel):
     """Polynomial sum c_{ij} x^i y^j from a {(i, j): c} coefficient map."""
 
     coeffs: tuple
 
-    def value(self, x):
-        p = _pts(x)
+    def _local(self, x):
+        return (_pts(x),)
+
+    def _d(self, p, dx, dy):
+        """d^dx/dx^dx d^dy/dy^dy of the polynomial at the points p."""
         out = np.zeros(p.shape[0])
         for i, j, c in self.coeffs:
-            out += c * p[:, 0] ** i * p[:, 1] ** j
+            if i >= dx and j >= dy:
+                for k in range(dx):
+                    c = c * (i - k)
+                for k in range(dy):
+                    c = c * (j - k)
+                out += c * p[:, 0] ** (i - dx) * p[:, 1] ** (j - dy)
         return out
 
-    def gradient(self, x):
-        p = _pts(x)
-        g = np.zeros_like(p)
-        for i, j, c in self.coeffs:
-            if i > 0:
-                g[:, 0] += c * i * p[:, 0] ** (i - 1) * p[:, 1] ** j
-            if j > 0:
-                g[:, 1] += c * j * p[:, 0] ** i * p[:, 1] ** (j - 1)
-        return g
+    def _value(self, p):
+        return self._d(p, 0, 0)
 
-    def hessian(self, x):
-        p = _pts(x)
-        H = np.zeros((p.shape[0], 2, 2))
-        for i, j, c in self.coeffs:
-            if i > 1:
-                H[:, 0, 0] += c * i * (i - 1) * p[:, 0] ** (i - 2) * p[:, 1] ** j
-            if j > 1:
-                H[:, 1, 1] += c * j * (j - 1) * p[:, 0] ** i * p[:, 1] ** (j - 2)
-            if i > 0 and j > 0:
-                H[:, 0, 1] += c * i * j * p[:, 0] ** (i - 1) * p[:, 1] ** (j - 1)
-        H[:, 1, 0] = H[:, 0, 1]
+    def _gradient(self, p):
+        return np.stack([self._d(p, 1, 0), self._d(p, 0, 1)], axis=-1)
+
+    def _hessian(self, p):
+        H = np.empty((p.shape[0], 2, 2))
+        H[:, 0, 0], H[:, 1, 1] = self._d(p, 2, 0), self._d(p, 0, 2)
+        H[:, 0, 1] = H[:, 1, 0] = self._d(p, 1, 1)
         return H
+
+    def _laplacian(self, p):
+        return self._d(p, 2, 0) + self._d(p, 0, 2)
+
+    def _grad_laplacian(self, p):
+        return np.stack([self._d(p, 3, 0) + self._d(p, 1, 2),
+                         self._d(p, 2, 1) + self._d(p, 0, 3)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +170,15 @@ class Poly2D(AiryField):
 # ---------------------------------------------------------------------------
 
 
-class _RadialField(AiryField):
+class _RadialField(_Kernel):
     """C (u log u + p u + q) with u = |y|^2, y = x - centre: the derivative
     tower of the radial closed forms.
 
     Subclasses give ``_profile`` = (C, p, q) and, about a centre other
-    than the origin, ``_rel``. At the centre, where log u is singular,
-    the value is C q and the gradient 2 C (log u + 1 + p) y its limit 0
-    (its log taken at u = 1, where y = 0); the Hessian and its traces
-    keep the singular log.
+    than the origin, ``_rel``. The points map to y, u and log u once. At
+    the centre, where log u is singular, the value is C q and the
+    gradient 2 C (log u + 1 + p) y its limit 0 (log u taken as 0 there,
+    where y = 0); the Hessian and its traces keep the singular log.
     """
 
     @cached_property
@@ -217,40 +190,36 @@ class _RadialField(AiryField):
 
     def _local(self, x):
         y = self._rel(x)
-        return y, y[:, 0] ** 2 + y[:, 1] ** 2
+        u = y[:, 0] ** 2 + y[:, 1] ** 2
+        with np.errstate(divide="ignore"):
+            return y, u, np.log(u)
 
-    def value(self, x):
-        y, u = self._local(x)
+    def _value(self, y, u, log_u):
         C, p, q = self._profile
-        out = u * np.log(np.where(u > 0.0, u, 1.0))
+        out = u * np.where(u > 0.0, log_u, 0.0)
         if p or q:
             out = out + p * u + q
         return C * out
 
-    def gradient(self, x):
-        y, u = self._local(x)
+    def _gradient(self, y, u, log_u):
         C, p, _ = self._profile
-        f = np.log(np.where(u > 0.0, u, 1.0)) + (1.0 + p)
+        f = np.where(u > 0.0, log_u, 0.0) + (1.0 + p)
         return 2.0 * C * f[:, None] * y
 
-    def hessian(self, x):
-        y, u = self._local(x)
+    def _hessian(self, y, u, log_u):
         C, p, _ = self._profile
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.log(u) + (1.0 + p)
             H = 2.0 * y[:, :, None] * y[:, None, :] / u[:, None, None]
+        f = log_u + (1.0 + p)
         H[:, 0, 0] += f
         H[:, 1, 1] += f
         return 2.0 * C * H
 
-    def laplacian(self, x):
-        _, u = self._local(x)
+    def _laplacian(self, y, u, log_u):
         C, p, _ = self._profile
-        with np.errstate(divide="ignore"):
-            return 4.0 * C * (np.log(u) + (2.0 + p))
+        return 4.0 * C * (log_u + (2.0 + p))
 
-    def grad_laplacian(self, x):
-        y, u = self._local(x)
+    def _grad_laplacian(self, y, u, log_u):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 8.0 * self._profile[0] * y / u[:, None]
 
@@ -323,25 +292,10 @@ class DipoleAiry(AiryField):
         minus = ShiftedField(tuple(c - 0.5 * self.spacing_h * axis), fund)
         return s, plus, minus
 
-    def value(self, x):
+    def derivatives(self, x, names):
         s, plus, minus = self._parts
-        return -s * (plus.value(x) - minus.value(x))
-
-    def gradient(self, x):
-        s, plus, minus = self._parts
-        return -s * (plus.gradient(x) - minus.gradient(x))
-
-    def hessian(self, x):
-        s, plus, minus = self._parts
-        return -s * (plus.hessian(x) - minus.hessian(x))
-
-    def laplacian(self, x):
-        s, plus, minus = self._parts
-        return -s * (plus.laplacian(x) - minus.laplacian(x))
-
-    def grad_laplacian(self, x):
-        s, plus, minus = self._parts
-        return -s * (plus.grad_laplacian(x) - minus.grad_laplacian(x))
+        return tuple(-s * (a - b) for a, b in zip(plus.derivatives(x, names),
+                                                  minus.derivatives(x, names)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +314,7 @@ def dipole_frame(b) -> np.ndarray:
     return np.stack([rotate_burgers(b) / nb, b / nb])
 
 
-class _FrameField(AiryField):
+class _FrameField(_Kernel):
     """C g(u) xi_1 with g(u) = a + b/u + c u + d log u, in the canonical
     frame xi = Q (x - site), u = |xi|^2: the derivative tower of the
     xi_1 closed forms. Its Laplacian is C (8 c + 4 d / u) xi_1.
@@ -472,30 +426,12 @@ class _FrameField(AiryField):
         H *= C
         return self._lab_hessian(H)
 
-    def value(self, x):
-        return self._value(*self._local(x))
-
-    def gradient(self, x):
-        return self._gradient(*self._local(x))
-
-    def hessian(self, x):
-        return self._hessian(*self._local(x))
-
-    def value_and_gradient(self, x):
-        local = self._local(x)
-        return self._value(*local), self._gradient(*local)
-
-    def value_and_hessian(self, x):
-        local = self._local(x)
-        return self._value(*local), self._hessian(*local)
-
-    def laplacian(self, x):
-        xi, u, s = self._local(x)
+    def _laplacian(self, xi, u, s):
         C, _, _, c, d = self._profile
         return self._zero_core(C * (8.0 * c + 4.0 * d / s) * xi[0], u)
 
-    def grad_laplacian(self, x):
-        (x1, x2), u, s = self._local(x)
+    def _grad_laplacian(self, xi, u, s):
+        x1, x2 = xi
         C, _, _, c, d = self._profile
         g = np.empty((len(x1), 2))
         g[:, 0] = 8.0 * c + 4.0 * d / s - 8.0 * d * x1**2 / s**2
@@ -565,7 +501,7 @@ class DislocationCoreAiry(_FrameField):
     phi(u) = alpha + beta/u + gamma u + 2 log u for eps <= r, and the
     constant phi(eps^2) for r < eps.
 
-    With ``annulus_branch`` set, every method evaluates the annulus
+    With ``annulus_branch`` set, every member evaluates the annulus
     branch at every point but the site, on and inside the core circle
     too. Circle integrals over the core circle need that branch, the
     limit from the annulus side: on points of the circle the test

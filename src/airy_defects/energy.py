@@ -140,14 +140,15 @@ def polar_energy(field, elastic: ElasticConstants, center,
 def _pairing_traces(field, pts, nhat, nu: float) -> np.ndarray:
     """(2, 4, N) moments (hess f nhat, -nu lap f, -(1 - nu) d_n lap f)
     and values (grad f, d_n f, f) of ``field`` f at the (N, 2) points
-    with unit normals ``nhat``, each evaluated once. The energy cross
+    with unit normals ``nhat``, from one evaluation. The energy cross
     term of closed forms f, g biharmonic in a region is (1 + nu)/E times
     the boundary integral (region-outward) of f's moments times g's values."""
+    H, lap, dlap, value, gradient = field.derivatives(
+        pts, ("hessian", "laplacian", "grad_laplacian", "value", "gradient"))
     out = np.empty((2, 4, len(pts)))
-    out[0, :2] = np.einsum("nij,nj->ni", field.hessian(pts), nhat).T
-    out[0, 2] = -nu * field.laplacian(pts)
-    out[0, 3] = -(1.0 - nu) * (field.grad_laplacian(pts) * nhat).sum(axis=-1)
-    value, gradient = field.value_and_gradient(pts)
+    out[0, :2] = np.einsum("nij,nj->ni", H, nhat).T
+    out[0, 2] = -nu * lap
+    out[0, 3] = -(1.0 - nu) * (dlap * nhat).sum(axis=-1)
     out[1] = [*gradient.T, (gradient * nhat).sum(axis=-1), value]
     return out
 

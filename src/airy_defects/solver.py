@@ -202,30 +202,29 @@ class _AlmansiSeries:
     def fit(cls, domain: DiskDomain, trace_field) -> "_AlmansiSeries":
         """The series whose value and normal derivative on r = R are
         those of ``-trace_field``, from the FFT of the two traces."""
-        R = domain.radius_R
+        R, m, members = domain.radius_R, _FIRST_SAMPLES, ("value", "gradient")
 
-        def traces(pts, nhat):
-            value, gradient = trace_field.value_and_gradient(pts)
-            # an empty SumField evaluates to the scalar 0
-            f = np.zeros(len(pts)) - value
-            return f, -R * (gradient * nhat).sum(axis=-1)
+        def traces(value, gradient, nhat):  # 0.0 - value keeps a zero +0.0
+            return 0.0 - value, -R * (gradient * nhat).sum(axis=-1)
 
-        # a residual scale that does not vanish with the traces (those of
-        # a centered dislocation are roundoff): the field on r = R / 2
-        pts, nhat, _ = circle_nodes(domain.center, R, _FIRST_SAMPLES)
+        # the first level's three point sets in one evaluation: the field
+        # on r = R / 2, a residual scale that does not vanish with the
+        # traces (those of a centered dislocation are roundoff), the
+        # nodes and the nodes half-way between them
+        pts, nhat, _ = circle_nodes(domain.center, R, m)
+        half, half_nhat, _ = circle_nodes(domain.center, R, m, 0.5)
         with np.errstate(all="ignore"):
-            inner = np.abs(np.zeros(_FIRST_SAMPLES) + trace_field.value(
-                0.5 * (pts + np.asarray(domain.center))))
+            value, gradient = trace_field.derivatives(np.vstack(
+                [0.5 * (pts + np.asarray(domain.center)), pts, half]), members)
+        inner = np.abs(value[:m])
         inner_scale = float(inner[np.isfinite(inner)].max(initial=0.0))
-
-        m = _FIRST_SAMPLES
-        f, g = traces(pts, nhat)
+        f, g = traces(value[m:2 * m], gradient[m:2 * m], nhat)
+        fs, gs = traces(value[2 * m:], gradient[2 * m:], half_nhat)
         previous = None
         while True:
             F, G = np.fft.rfft(f) / m, np.fft.rfft(g) / m
             F[-1] = G[-1] = 0.0  # the Nyquist mode has no shifted value
-            # the interpolated traces against new samples half-way between
-            fs, gs = traces(*circle_nodes(domain.center, R, m, 0.5)[:2])
+            # the interpolated traces against the samples half-way between
             phase = m * np.exp(1j * math.pi * np.arange(len(F)) / m)
             miss = max(np.abs(np.fft.irfft(F * phase, m) - fs).max(),
                        np.abs(np.fft.irfft(G * phase, m) - gs).max())
@@ -237,6 +236,8 @@ class _AlmansiSeries:
             previous = residual
             f, g = np.stack([f, fs], -1).ravel(), np.stack([g, gs], -1).ravel()
             m *= 2
+            half, half_nhat, _ = circle_nodes(domain.center, R, m, 0.5)
+            fs, gs = traces(*trace_field.derivatives(half, members), half_nhat)
         if not residual <= _RESIDUAL_BOUND:
             raise NumericalError(f"trace fit residual {residual} with {m} samples")
         A, B = _almansi_modes(F, G)
@@ -361,19 +362,26 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     # closed-form constant: -(1/2) sum_ij s_i s_j [vbar(y_i - y_j)
     #   + f oint (Delta vbar_i d_n vbar_j - (d_n Delta vbar_i) vbar_j)]
     def kernels(pts, nhat):
-        lap = [(f.laplacian(pts), (f.grad_laplacian(pts) * nhat).sum(axis=-1))
-               for f in shifted]
-        val = [(f.value(pts), (f.gradient(pts) * nhat).sum(axis=-1)) for f in shifted]
+        traces = [f.derivatives(pts, ("laplacian", "grad_laplacian", "value",
+                                      "gradient")) for f in shifted]
+        lap = [(l, (dl * nhat).sum(axis=-1)) for l, dl, _, _ in traces]
+        val = [(v, (g * nhat).sum(axis=-1)) for _, _, v, g in traces]
         return np.reshape([[l * dn - dl * v for v, dn in val] for l, dl in lap],
                           (len(sites), len(sites), len(pts)))
 
     means, _ = circle_sums([(domain.center, domain.radius_R)], kernels)
     Q = 2.0 * math.pi * domain.radius_R * means[..., 0]
+    # vbar(y_i - y_j): even, and 0 at i = j, so one evaluation of the pairs i < j
+    pairs = [(i, j) for i in range(len(sites)) for j in range(i + 1, len(sites))]
+    pair_pot = np.zeros((len(sites), len(sites)))
+    if pairs:
+        (i, j), y = np.transpose(pairs), np.array(sites)
+        pair_pot[i, j] = pair_pot[j, i] = fund.value(y[i] - y[j])
     constant = 0.0
     for i in range(len(sites)):
         for j in range(len(sites)):
-            pair_pot = float(fund.value((sites[i] - sites[j])[None, :])[0])
-            constant += -0.5 * charges[i] * charges[j] * (pair_pot + fl * Q[i, j])
+            constant += -0.5 * charges[i] * charges[j] * (
+                pair_pot[i, j] + fl * Q[i, j])
 
     t0 = time.perf_counter()
     series = _AlmansiSeries.fit(domain, v_sing)
@@ -648,7 +656,7 @@ class _MichellSeries:
         pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
         radius = np.repeat([R, eps], counts)[:, None]
         val, der = np.zeros((2, len(pts), 1 + 3 * len(sites)))
-        value, gradient = W_p.value_and_gradient(pts)
+        value, gradient = W_p.derivatives(pts, ("value", "gradient"))
         val[:, 0] = -value
         der[:, 0] = -radius[:, 0] * (gradient * nhat).sum(axis=-1)
         for k, y in enumerate(sites):
@@ -779,11 +787,11 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
         (d.site, eps) for d in dislocations]
 
     def traces(pts, nhat):  # rows: W_p and d_n W_p, nhat, the Laplacians, d_n
-        value, gradient = W_p.value_and_gradient(pts)
+        value, gradient = W_p.derivatives(pts, ("value", "gradient"))
+        lap = [t.derivatives(pts, ("laplacian", "grad_laplacian")) for t in branches]
         return np.array([value, (gradient * nhat).sum(axis=-1), *nhat.T,
-                         *[t.laplacian(pts) for t in branches],
-                         *[(t.grad_laplacian(pts) * nhat).sum(axis=-1)
-                           for t in branches]])
+                         *[l for l, _ in lap],
+                         *[(dl * nhat).sum(axis=-1) for _, dl in lap]])
 
     def sums(x):
         g_val, g_dn, nh, lap, dnlap = x[0], x[1], x[2:4], x[4:4 + K], x[4 + K:]

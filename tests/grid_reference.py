@@ -256,8 +256,8 @@ def region_weights(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
 class SplineField:
     """C^2 bicubic view of a grid field over its whole rectangle.
 
-    Gives value, gradient, Hessian and Laplacian over (N, 2) points, as
-    the closed forms do.
+    Gives value, gradient, Hessian and Laplacian over (N, 2) points, one
+    by one or by ``derivatives``, as the closed forms do.
     """
 
     base: ScalarField
@@ -293,3 +293,6 @@ class SplineField:
     def laplacian(self, x):
         H = self.hessian(x)
         return H[:, 0, 0] + H[:, 1, 1]
+
+    def derivatives(self, x, names):
+        return tuple(getattr(self, name)(x) for name in names)

@@ -127,7 +127,7 @@ def core_problem_per_ring(elastic, domain, dislocations, eps: float, n: int):
         (-1.0, *circle_nodes(d.site, eps, n)) for d in dislocations]
     traces = []
     for _, pts, nhat, _ in rings:
-        value, gradient = W_p.value_and_gradient(pts)
+        value, gradient = W_p.derivatives(pts, ("value", "gradient"))
         traces.append(([t.laplacian(pts) for t in branches],
                        [(t.grad_laplacian(pts) * nhat).sum(axis=-1) for t in branches],
                        value, (gradient * nhat).sum(axis=-1)))

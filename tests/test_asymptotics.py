@@ -304,7 +304,7 @@ class TestRenormalizedEnergy:
                                          monkeypatch):
         # the self, interaction and elastic terms share one evaluation of
         # each profile per level of the circle rule, on the outer circle
-        # and its own circle of radius D
+        # and its own circle of radius D, all five traces in one call
         pair = OFF_CENTER_CASES["same-sign pair"]
         D = min_separation_D([d.site for d in pair], unit_disk)
 
@@ -312,23 +312,21 @@ class TestRenormalizedEnergy:
             return np.vstack([circle_nodes((0.0, 0.0), 1.0, n)[0],
                               circle_nodes(site, D, n)[0]])
 
-        calls = Counter()
-        for name in ("value", "gradient", "hessian", "laplacian",
-                     "grad_laplacian", "value_and_gradient"):
-            def spy(self, x, _name=name, _method=getattr(DislocationLimitAiry, name)):
-                n = len(x) // 2
-                if np.shape(x) == (2 * n, 2) and np.array_equal(x, nodes(self.site, n)):
-                    calls[self.site, _name, n] += 1
-                return _method(self, x)
+        calls, evaluate = Counter(), DislocationLimitAiry.derivatives
 
-            monkeypatch.setattr(DislocationLimitAiry, name, spy)
+        def spy(self, x, names):
+            n = len(x) // 2
+            if np.shape(x) == (2 * n, 2) and np.array_equal(x, nodes(self.site, n)):
+                calls[self.site, frozenset(names), len(names), n] += 1
+            return evaluate(self, x, names)
+
+        monkeypatch.setattr(DislocationLimitAiry, "derivatives", spy)
         renormalized_energy(pair, elastic, unit_disk)
-        levels = {n for _, _, n in calls}
+        levels = {n for *_, n in calls}
         assert levels
-        assert calls == Counter({
-            (d.site, name, n): 1 for d in pair for n in levels
-            for name in ("hessian", "laplacian", "grad_laplacian",
-                         "value_and_gradient")})
+        five = frozenset({"value", "gradient", "hessian", "laplacian",
+                          "grad_laplacian"})
+        assert calls == Counter({(d.site, five, 5, n): 1 for d in pair for n in levels})
 
     def test_to_dict(self, elastic, unit_disk):
         d = renormalized_energy(SINGLE, elastic, unit_disk).to_dict()

@@ -556,10 +556,10 @@ class TestOutputPaths:
     def test_numerical_error_while_streaming_leaves_no_file(
             self, configs, tmp_path, monkeypatch):
         # the field dump evaluates its field with the CSV open
-        def unresolved(self, x):
+        def unresolved(self, x, names):
             raise NumericalError("unresolved")
 
-        monkeypatch.setattr(SumField, "value_and_hessian", unresolved)
+        monkeypatch.setattr(SumField, "derivatives", unresolved)
         code = main(["field", "--config", configs["disc"], "--grid-n", "64",
                      "--csv", str(tmp_path / "f.csv"),
                      "--out", str(tmp_path / "f.json")])
@@ -607,6 +607,20 @@ class TestOutputPaths:
         monkeypatch.setattr(cli.os, "remove", no_remove)
         assert main(["field", "--config", configs["pair"], "--grid-n", "64",
                      "--csv", os.devnull, "--out", os.devnull]) == 0
+
+    @pytest.mark.skipif(not (os.access("/dev", os.W_OK) and os.path.exists("/dev/full")),
+                        reason="output paths in /dev are rejected up front")
+    def test_failed_run_leaves_device_outputs(self, monkeypatch, capsys):
+        # the CSV goes to /dev/null, then /dev/full fails the report with
+        # ENOSPC: the cleanup removes the regular files begun, and a
+        # device is none (the recorder removes nothing either way)
+        removed = []
+        monkeypatch.setattr(cli.os, "remove", removed.append)
+        code = main(["sweep-dipole", "--E", "1", "--nu", "0.3",
+                     "--csv", os.devnull, "--out", "/dev/full"])
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert removed == []
 
     def test_failed_dump_over_an_existing_file_removes_it(
             self, configs, tmp_path, monkeypatch, capsys):

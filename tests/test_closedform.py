@@ -1,8 +1,10 @@
+import hashlib
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import field_reference
 from airy_defects.core import ElasticConstants, ValidationError
@@ -296,11 +298,10 @@ class TestCachedConstants:
     ], ids=CACHED_IDS + ["fundamental", "sum"])
     def test_fused_evaluations_match_the_separate_calls(self, field):
         value = field.value(CACHED_POINTS)
-        for fused, second in ((field.value_and_gradient, field.gradient),
-                              (field.value_and_hessian, field.hessian)):
-            got = fused(CACHED_POINTS)
+        for second in ("gradient", "hessian"):
+            got = field.derivatives(CACHED_POINTS, ("value", second))
             assert np.array_equal(got[0], value)
-            assert np.array_equal(got[1], second(CACHED_POINTS))
+            assert np.array_equal(got[1], getattr(field, second)(CACHED_POINTS))
 
 
 _OBLIQUE, _SITE = (0.3, -0.4), (0.2, 0.1)
@@ -444,6 +445,113 @@ class TestWrappers:
             for y in (site, (0.0, 0.0)))
         assert np.allclose(shifted.value(pts), centred.value(pts - site),
                            rtol=1e-13, atol=0.0)
+
+
+# every member, with its shape at one point
+SHAPES = {"value": (), "gradient": (2,), "hessian": (2, 2), "laplacian": (),
+          "grad_laplacian": (2,)}
+MEMBERS = tuple(SHAPES)
+_POLY = Poly2D(((0, 0, 0.7), (1, 0, -0.2), (2, 1, 0.5), (3, 0, 1.0), (1, 3, -0.3)))
+
+
+def _every_field(b, site, eps, h):
+    """The five closed forms (the cored one with and without its annulus
+    branch), ``Poly2D`` and each combinator, by name. The sum moves the
+    fundamental potential off the site, where the Laplacians of two
+    radial fields of opposite signs would add -inf and inf."""
+    kernels = {
+        "fundamental": FundamentalAiry(_EL),
+        "single": SingleDisclinationClamped(_EL, 1.7, 0.8, site),
+        "derivative": DipoleDerivativeAiry(_EL, b, site),
+        "core": DislocationCoreAiry(_EL, b, eps, 1.7, site),
+        "annulus": DislocationCoreAiry(_EL, b, eps, 1.7, site, True),
+        "limit": DislocationLimitAiry(_EL, b, 1.7, site),
+    }
+    return {**kernels, "poly": _POLY,
+            "sum": SumField((ShiftedField((site[0] + 0.3, site[1]),
+                                          kernels["fundamental"]),
+                             *list(kernels.values())[1:])),
+            "scaled": ScaledField(-1.3, kernels["core"]),
+            "shifted": ShiftedField(site, kernels["fundamental"]),
+            "dipole": DipoleAiry(_EL, b, h, site),
+            "empty": SumField(())}
+
+
+def _same(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# sha256 (first 16 hex digits) of the float.hex of value, gradient,
+# Hessian, Laplacian and its gradient (no gradient of the Laplacian for
+# Poly2D), first at the singular site (0.2, 0.1), then on the core circle
+# of radius 0.1 about it at angle 0.7, recorded before ``derivatives``
+# replaced the per-member methods
+RECORDED = {
+    "fundamental": "2931589131aecdf9",
+    "single": "475dcb7628554519",
+    "derivative": "cfc6f7ce5ddd7527",
+    "core": "1705893450bd4681",
+    "annulus": "9338d3e68748ce86",
+    "limit": "b145ea0e01a9f66a",
+    "poly": "8f867859a2e0317e",
+    "sum": "7b1e21db00e238d9",
+    "scaled": "268610de86431277",
+    "shifted": "f819a25592f4fcf6",
+    "dipole": "1055b628c6e46aae",
+}
+
+
+class TestOneEvaluation:
+    """``derivatives`` gives every member with the bits of a request of
+    that member alone, whatever else it is asked for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(angle=st.floats(0.0, 2.0 * math.pi),
+           size=st.floats(0.1, 2.0),
+           site=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           eps=st.floats(0.01, 0.5),
+           h=st.floats(1e-3, 0.2),
+           offsets=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                                      st.floats(0.0, 2.0 * math.pi)),
+                            min_size=1, max_size=6),
+           names=st.lists(st.sampled_from(MEMBERS), min_size=1, max_size=5,
+                          unique=True))
+    def test_any_request_matches_one_member_at_a_time(self, angle, size, site,
+                                                      eps, h, offsets, names):
+        # points at the site, on its core circle and about it (none within
+        # 1e-3 of it but the site itself: nearer, the b / u^2 of g' overflows)
+        b = (size * math.cos(angle), size * math.sin(angle))
+        pts = np.array(site) + np.array(
+            [[r * math.cos(t), r * math.sin(t)] for r, t in [*offsets, (eps, angle)]])
+        for name, field in _every_field(b, site, eps, h).items():
+            together = field.derivatives(pts, tuple(names))
+            alone = [getattr(field, member)(pts) for member in names]
+            assert len(together) == len(names)
+            for member, got, want in zip(names, together, alone):
+                assert got.shape == (len(pts),) + SHAPES[member]
+                assert _same(got, want), (name, member)
+
+    @pytest.mark.parametrize("name", list(RECORDED))
+    def test_singular_site_and_core_circle_keep_their_bits(self, name):
+        field = _every_field(_OBLIQUE, _SITE, 0.1, 0.02)[name]
+        members = MEMBERS[:4] if name == "poly" else MEMBERS
+        site = np.array([_SITE])
+        circle = site + 0.1 * np.array([[math.cos(0.7), math.sin(0.7)]])
+        text = []
+        for p in (site, circle):
+            for got in field.derivatives(p, members):
+                text += [float(v).hex() for v in np.ravel(got)]
+        digest = hashlib.sha256(" ".join(text).encode()).hexdigest()[:16]
+        assert digest == RECORDED[name], " ".join(text)
+
+    def test_empty_sum_is_zero_of_every_shape(self):
+        got = SumField(()).derivatives(SAMPLE, MEMBERS)
+        assert [g.shape for g in got] == [(4,) + SHAPES[m] for m in MEMBERS]
+        assert not any(g.any() for g in got)
+
+    def test_poly_grad_laplacian_matches_differences(self):
+        _grad_laplacian_fd_check(_POLY, SAMPLE)
 
 
 class TestConstitutiveMaps:

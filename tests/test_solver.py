@@ -429,6 +429,35 @@ class TestDisclinationSolve:
         for report in (disc, corr):
             assert report.extras["modes"] == solver._FIRST_SAMPLES
 
+    @pytest.mark.parametrize("solve, defects", [
+        (solve_clamped_disclination, [Disclination((0.9, 0.6), 1.0)]),
+        (solve_elastic_correction, [Dislocation((0.9, 0.6), (0.6, 0.8))]),
+    ], ids=["disclination", "correction"])
+    def test_trace_fit_evaluates_each_level_once(self, solve, defects, elastic,
+                                                 monkeypatch):
+        # the first level's three point sets (the ring at R / 2, the
+        # nodes, the nodes half-way) in one call, then one call of the new
+        # half-way nodes per doubling, value and gradient each time
+        domain = DiskDomain((0.1, -0.2), 1.5)
+        calls, evaluate = [], SumField.derivatives
+
+        def spy(self, x, names):
+            calls.append((tuple(names), np.array(x, dtype=float)))
+            return evaluate(self, x, names)
+
+        monkeypatch.setattr(SumField, "derivatives", spy)
+        report = solve(elastic, domain, defects, n=32)
+        m = solver._FIRST_SAMPLES
+        nodes = circle_nodes(domain.center, domain.radius_R, m)[0]
+        first = np.vstack([0.5 * (nodes + np.asarray(domain.center)), nodes,
+                           circle_nodes(domain.center, domain.radius_R, m, 0.5)[0]])
+        later = [circle_nodes(domain.center, domain.radius_R, 2**k * m, 0.5)[0]
+                 for k in range(1, report.extras["modes"].bit_length()
+                                - m.bit_length() + 1)]
+        assert len(later) >= 2
+        assert [names for names, _ in calls] == [("value", "gradient")] * (1 + len(later))
+        assert all(np.array_equal(x, want) for (_, x), want in zip(calls, [first, *later]))
+
     def test_site_near_boundary_has_bounded_ghosts(self, elastic, unit_disk):
         report = solve_clamped_disclination(
             elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)], n=256
@@ -711,7 +740,7 @@ class TestCoreConstrainedSolve:
             pts, nhat, _ = circle_nodes(y, radius, 4 * count)
             z, dz = series.fields(pts, nhat)[:2]
             val, der = np.zeros((2, *z.shape))
-            value, gradient = W_p.value_and_gradient(pts)
+            value, gradient = W_p.derivatives(pts, ("value", "gradient"))
             val[:, 0], der[:, 0] = -value, -radius * (gradient * nhat).sum(axis=-1)
             if k:
                 val[:, 3 * k - 2], val[:, 3 * k - 1:3 * k + 1] = 1.0, pts - y
@@ -1025,8 +1054,8 @@ class TestElasticCorrection:
     def test_profiles_build_one_frame_and_meet_the_circle_once(
             self, elastic, unit_disk, monkeypatch):
         # each profile builds its frame once, and each level of the
-        # circle rule evaluates each trace of each profile once on the
-        # outer circle: one evaluation serves every pairing
+        # circle rule evaluates each profile once on the outer circle, all
+        # five traces in one call: one evaluation serves every pairing
         frames, calls, inside = [], [], []
         build, rule = closedform.dipole_frame, solver.circle_sums
 
@@ -1043,19 +1072,14 @@ class TestElasticCorrection:
 
         monkeypatch.setattr(closedform, "dipole_frame", counted_frame)
         monkeypatch.setattr(solver, "circle_sums", in_rule)
-        names = ("value", "gradient", "hessian", "laplacian", "grad_laplacian")
-        # the traces each method evaluates
-        traces = {name: (name,) for name in names}
-        traces["value_and_gradient"] = ("value", "gradient")
-        for name, evaluated in traces.items():
-            def counted(self, x, _method=getattr(DislocationLimitAiry, name),
-                        _evaluated=evaluated):
-                if inside:
-                    calls.extend((id(self), trace, np.array(x, dtype=float))
-                                 for trace in _evaluated)
-                return _method(self, x)
+        evaluate = DislocationLimitAiry.derivatives
 
-            monkeypatch.setattr(DislocationLimitAiry, name, counted)
+        def counted(self, x, names):
+            if inside:
+                calls.append((id(self), tuple(names), np.array(x, dtype=float)))
+            return evaluate(self, x, names)
+
+        monkeypatch.setattr(DislocationLimitAiry, "derivatives", counted)
         three = [Dislocation((0.4 * math.cos(a), 0.4 * math.sin(a)),
                              (math.cos(2 * a), math.sin(2 * a)))
                  for a in (0.3, 2.4, 4.5)]
@@ -1067,9 +1091,10 @@ class TestElasticCorrection:
             ring = circle_nodes(unit_disk.center, unit_disk.radius_R, len(x))[0]
             assert np.array_equal(x, ring)
         levels = {len(x) for _, _, x in calls}
-        on_ring = Counter((i, name, len(x)) for i, name, x in calls)
-        assert on_ring == {(i, name, n): 1 for i in profiles for name in names
-                           for n in levels}
+        five = {"value", "gradient", "hessian", "laplacian", "grad_laplacian"}
+        assert all(len(names) == 5 and set(names) == five for _, names, _ in calls)
+        on_ring = Counter((i, len(x)) for i, _, x in calls)
+        assert on_ring == {(i, n): 1 for i in profiles for n in levels}
 
 
 def _refuse(what):
