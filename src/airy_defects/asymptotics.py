@@ -2,15 +2,15 @@
 
 Sweeps drive the closed-form energies and the series solvers over
 decreasing spacing/core-radius samples and fit the leading |log eps|
-expansion; the renormalized-energy decomposition provides the constant
-term the fits are checked against.
+expansion; the renormalized energy, a closed form in the clamped
+Green's function of the disk, provides the constant term the fits are
+checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from .core import (
     min_separation_D,
     rotate_burgers,
 )
-from .closedform import DipoleAiry, DislocationLimitAiry
+from .closedform import DipoleAiry, clamped_green_mixed
 from .energy import green_bulk_energy
 from .fields import circle_nodes, radial_integral, write_csv
 from .solver import (
-    _elastic_correction,
-    _profile_pairings,
     solve_clamped_disclination,
     solve_core_constrained,
     solve_dipole_core,
@@ -329,23 +327,6 @@ def annulus_energy_closed_form(s: float, eps: float, r: float, R: float,
     return G, combined, f_eps
 
 
-def vanishing_core_limit_constant(r: float, R: float, magnitude: float,
-                                  c: ElasticConstants) -> float:
-    """eps -> 0 limit of the per-defect expansion constant f_eps(r, R)."""
-    t = r**2 / R**2 if 0.0 < r <= R else math.nan
-    # the second term divides by t
-    if not t >= np.finfo(float).tiny:
-        raise ValidationError(f"need 0 < r <= R, r^2 / R^2 normal, got r={r}, R={R}")
-    K = c.plane_prefactor
-    E, nu = c.young_E, c.poisson_nu
-    first = magnitude**2 / (8.0 * math.pi) * K * (
-        2.0 + t * (t - 2.0) - 2.0 * math.log(R)
-    )
-    second = magnitude**2 / (32.0 * math.pi) * E / ((1.0 - nu) ** 2 * (1.0 + nu)) \
-        * t * (1.0 / t - 1.0) * (t * (1.0 / t + 1.0) - 2.0)
-    return first + second
-
-
 # ---------------------------------------------------------------------------
 # renormalized energy
 # ---------------------------------------------------------------------------
@@ -353,117 +334,83 @@ def vanishing_core_limit_constant(r: float, R: float, magnitude: float,
 
 @dataclass(frozen=True)
 class RenormalizedEnergy:
-    """Decomposition of the expansion constant for a dislocation system."""
+    """The expansion constant of a dislocation system, split into the
+    sum of the self terms and the pair interactions."""
 
-    F_self: float
-    F_int: float
-    F_elastic: float
-    f_DR: float
-    separation_D: float
-
-    @property
-    def renormalized(self) -> float:
-        return self.F_self + self.F_int + self.F_elastic
+    self_energy: float
+    interaction: float
 
     @property
     def expansion_constant(self) -> float:
-        """Constant term of the |log eps| expansion: F + f(D, R)."""
-        return self.renormalized + self.f_DR
+        """Constant term of the |log eps| expansion."""
+        return self.self_energy + self.interaction
 
     def to_dict(self) -> dict:
         return {
-            "F_self": self.F_self,
-            "F_int": self.F_int,
-            "F_elastic": self.F_elastic,
-            "f_DR": self.f_DR,
-            "renormalized": self.renormalized,
+            "self_energy": self.self_energy,
+            "interaction": self.interaction,
             "expansion_constant": self.expansion_constant,
-            "separation_D": self.separation_D,
         }
 
 
 def renormalized_energy(dislocations, elastic: ElasticConstants,
-                        domain: DiskDomain, D_override: float | None = None,
-                        ) -> RenormalizedEnergy:
-    """Self/interaction/elastic decomposition plus the geometry constant.
+                        domain: DiskDomain) -> RenormalizedEnergy:
+    """The constant C of the core-constrained minimum's expansion
+    -(K sum_k |b_k|^2 / 8 pi) |log eps| + C + o(1), in closed form from
+    Boggio's clamped Green's function G_B of the disk of radius R
+    (``closedform.clamped_green``).
 
-    The core-constrained minimum is evaluated on W = sum_j t_j + z, with
-    t_j the zero-core profile of dislocation j and z the elastic
-    correction, up to an error that vanishes with eps. The bulk energy
-    over the punctured disk plus the core loads <grad w(y_k), Pi(b_k)>
-    then splits as follows.
+    As eps -> 0, the zero-core profile of dislocation k plus its share
+    of the elastic correction is K (Jb_k . grad_y) G_B(., y_k), Jb =
+    (-b_2, b_1): an edge dislocation's field is the y-derivative of a
+    disclination's. Split G_B = Phi + H, with Phi(d) = |d|^2 log|d|^2 /
+    16 pi the fundamental solution and H regular on the closed disk.
+    Green's identity on the disk minus the core balls turns the energy
+    plus the core loads into point values:
+    - each pair i != j gives -(K/2) (Jb_i.grad_x)(Jb_j.grad_y)
+      G_B(y_i, y_j), and so does (j, i);
+    - dislocation k gives the core part of Phi, -(K |b_k|^2 / 8 pi)
+      |log eps| + C_0(b_k), where C_0 depends on neither y_k nor R (Phi
+      knows neither), plus -(K/2) (Jb_k.grad_x)(Jb_k.grad_y) H(y_k, y_k).
+    One centred dislocation fixes C_0(b) = K |b|^2 / 8 pi: its
+    closed-form minimum -(K |b|^2 / 8 pi)(log(R / eps) - (R^2 - eps^2)
+    / (R^2 + eps^2)) has the constant K |b|^2 (1 - log R) / 8 pi, and
+    16 pi (a.grad_x)(a.grad_y) H(0, 0) = 4 |a|^2 log R.
 
-    - Self: inside B_D(y_j) the profile is the centered single-core
-      solution, whose energy plus own core load is
-      -c_j |log eps| + c_j log D + f(D, R) (``f_DR``). ``F_self`` adds the
-      energy of t_j on the disk with only its own ball B_D(y_j) removed,
-      and c_j log D.
-    - Interaction: for j < k, the cross energy a(t_j, t_k) over the whole
-      disk plus both cross core loads. Green's identity for t_j, which is
-      biharmonic off y_j, reduces a(t_j, t_k) to the outer-circle pairing
-      minus the small-circle limit at y_j; by the minimality of t_j that
-      limit is the core load <grad t_k(y_j), Pi(b_j)>, so the pair term is
-      the outer-circle pairing plus <grad t_j(y_k), Pi(b_k)>.
-    - Elastic: G(z) plus the pairings of the profiles with z on the outer
-      circle, from the boundary-relaxation solve. The loads of z at the
-      cores cancel the small-circle limits of a(t_j, z) in the same way.
+    At x = y, the mixed derivative of 16 pi H = A - |d|^2 log S
+    (``closedform.clamped_green_mixed``) is 4 (a.y)(c.y) / R^2 + 2 (a.c)
+    log A, with A = S = (R^2 - |y|^2)^2 / R^2. So the self term of
+    dislocation k is
 
-    Every bulk integral is thus reduced exactly to signed circle
-    integrals of analytic kernels and point values of profile gradients.
-    The circle integrals are trapezoid sums that settle
-    (``solver._profile_pairings``, :func:`energy.circle_sums`), and the
-    elastic correction's pairing is the sum of the outer-circle pairings
-    that the other terms use.
+      (K / 8 pi) [|b_k|^2 (1 - log((R^2 - |y_k|^2) / R)) - (Jb_k.y_k)^2 / R^2],
 
-    Every term is exactly E times its value at E = 1 (same nu), so the
-    terms are evaluated at E = 1 and scaled last: at a large E the
-    squares of Hessian-size terms would overflow although the terms do
-    not.
+    and C = sum_k self_k - K sum_{i<j} (Jb_i.grad_x)(Jb_j.grad_y)
+    G_B(y_i, y_j). R^2 - |y|^2 is taken as (R - |y|)(R + |y|), so a
+    site near the circle loses no digits.
+
+    Sites outside the disk (``min_separation_D``) and coincident sites
+    raise ``ValidationError``. Both parts are E times their values at
+    E = 1 (same nu); they are evaluated there and scaled last.
     """
     dislocations = list(dislocations)
     if not dislocations:
         raise ValidationError("need at least one dislocation")
-    E = elastic.young_E
-    elastic = ElasticConstants(1.0, elastic.poisson_nu)
-    sites = [np.asarray(d.site, dtype=float) for d in dislocations]
-    D_min = min_separation_D([d.site for d in dislocations], domain)
-    D = D_min if D_override is None else float(D_override)
-    if not (0.0 < D <= D_min):
-        raise ValidationError(
-            f"separation radius D={D} must lie in (0, {D_min}]"
-        )
+    if not min_separation_D([d.site for d in dislocations], domain) > 0.0:
+        raise ValidationError("dislocation sites must be pairwise distinct")
     R = domain.radius_R
-    K = elastic.plane_prefactor
-    f_DR = sum(
-        vanishing_core_limit_constant(D, R, math.hypot(*d.burgers_b), elastic)
-        for d in dislocations
-    )
-
-    terms = [
-        DislocationLimitAiry(elastic=elastic, burgers_b=d.burgers_b,
-                             radius_R=R, site=d.site)
-        for d in dislocations
-    ]
-    # the outer pairings serve all three terms
-    P, S = _profile_pairings(elastic, domain, terms, D)
-    F_self = 0.0
-    for j, d in enumerate(dislocations):
-        F_self += 0.5 * (P[j, j] - S[j])
-        F_self += K * math.hypot(*d.burgers_b) ** 2 / (8.0 * math.pi) * math.log(D)
-
-    F_int = 0.0
-    for j, k in combinations(range(len(terms)), 2):
-        load_k = float(
-            terms[j].gradient(sites[k][None, :])[0]
-            @ rotate_burgers(dislocations[k].burgers_b)
-        )
-        F_int += P[j, k] + load_k
-
-    _, _, F_elastic, _ = _elastic_correction(elastic, domain, terms,
-                                             -float(P.sum()))
-    return RenormalizedEnergy(F_self=E * float(F_self), F_int=E * float(F_int),
-                              F_elastic=E * F_elastic, f_DR=E * f_DR,
-                              separation_D=D)
+    K = ElasticConstants(1.0, elastic.poisson_nu).plane_prefactor
+    y = np.array([d.site for d in dislocations]) - np.asarray(domain.center)
+    r = np.hypot(y[:, 0], y[:, 1]) / R
+    # Pi(b) = -Jb: every term is a product of two of them
+    Pi = np.array([rotate_burgers(d.burgers_b) for d in dislocations])
+    self_terms = K / (8.0 * math.pi) * (
+        (Pi**2).sum(axis=-1) * (1.0 - math.log(R) - np.log((1.0 - r) * (1.0 + r)))
+        - ((Pi * y).sum(axis=-1) / R) ** 2)
+    i, j = np.triu_indices(len(y), 1)
+    # 0.0 - keeps the +0.0 of a lone dislocation
+    interaction = 0.0 - K * float(clamped_green_mixed(y[i], y[j], Pi[i], Pi[j], R).sum())
+    return RenormalizedEnergy(self_energy=elastic.young_E * float(self_terms.sum()),
+                              interaction=elastic.young_E * interaction)
 
 
 # ---------------------------------------------------------------------------

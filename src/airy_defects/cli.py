@@ -528,9 +528,7 @@ def _cmd_renormalize(args) -> None:
     config = _load_config(args)
     if not config.dislocations:
         raise ValidationError("renormalize needs dislocations in the config")
-    ren = renormalized_energy(
-        config.dislocations, config.elastic, config.domain, D_override=args.D,
-    )
+    ren = renormalized_energy(config.dislocations, config.elastic, config.domain)
     _emit(args, ren.to_dict())
 
 
@@ -633,9 +631,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--fit-tail", type=int, default=3)
     p.set_defaults(run=_cmd_sweep_core)
 
-    p = sub.add_parser("renormalize", help="renormalized-energy decomposition")
+    p = sub.add_parser("renormalize", help="renormalized energy: self and pair parts")
     common(p)
-    p.add_argument("--D", type=float, help="override the separation radius")
     p.set_defaults(run=_cmd_renormalize)
 
     p = sub.add_parser("diagonal", help="joint spacing/core diagonal limit")

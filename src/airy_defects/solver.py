@@ -1,8 +1,9 @@
 """Minimization of the defect functionals on a disk.
 
-The pure-trace problems (the split clamped disclination and the elastic
-correction of the renormalized energy) need a biharmonic field on the
-whole disk with prescribed value and normal derivative on r = R. Mode
+The pure-trace problems (the field of the split clamped disclination,
+whose value is a closed form, and the elastic correction of the
+zero-core dislocation profiles) need a biharmonic field on the whole
+disk with prescribed value and normal derivative on r = R. Mode
 by mode it has Almansi's closed form ``a_k r^|k| + b_k r^(|k|+2)``
 (Michell 1899): an FFT of the two traces and a 2x2 solve per mode give
 the coefficients, the plate energies are exact sums over modes, and the
@@ -50,6 +51,7 @@ from .closedform import (
     ScaledField,
     ShiftedField,
     SumField,
+    clamped_green,
 )
 from .energy import (
     _RESIDUAL_BOUND,
@@ -333,13 +335,15 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
                                disclinations, n: int = 256) -> SolveReport:
     """Minimize G(v) + sum_k s_k v(y_k) over clamped fields on the disk.
 
-    The fundamental potential of each charge is subtracted analytically:
-    the point loads then cancel exactly against the cross term of the
-    Gram form, leaving closed-form constants (pairwise potential values
-    and circle integrals) plus a pure quadratic problem for a smooth
-    biharmonic correction with prescribed boundary traces, solved
-    exactly in Fourier modes. The value does not depend on ``n``, the
-    resolution of a field dump.
+    The minimizer is v = -K sum_k s_k G_B(., y_k), with G_B Boggio's
+    clamped Green's function (``closedform.clamped_green``), so the
+    minimum is -(K/2) sum_ij s_i s_j G_B(y_i, y_j). The reported field
+    splits v as the fundamental potentials of the charges plus a smooth
+    biharmonic correction with the negated boundary traces, solved
+    exactly in Fourier modes; ``gram_objective`` is the correction's
+    plate energy (1 - nu^2)/(2E) int (Delta z)^2, and
+    ``closed_form_constant`` the rest of the value. The value does not
+    depend on ``n``, the resolution of a field dump.
     """
     disclinations = list(disclinations)
     delta = grid_for_disk(domain, n).delta
@@ -349,51 +353,30 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     E = elastic.young_E
     s_max = max((abs(d.frank_angle_s) for d in disclinations), default=1.0)
     elastic = ElasticConstants(1.0, elastic.poisson_nu)
-    fl = _gram_factor(elastic)
-    sites = [np.asarray(d.site, dtype=float) for d in disclinations]
-    charges = [float(d.frank_angle_s) / s_max for d in disclinations]
+    sites = np.array([d.site for d in disclinations], dtype=float).reshape(-1, 2)
+    charges = np.array([d.frank_angle_s for d in disclinations], dtype=float) / s_max
     for p in sites:
         if domain.boundary_distance(p) <= 0.0:
             raise ValidationError(f"disclination site {tuple(p)} outside the domain")
+    y = sites - np.asarray(domain.center)
+    G = clamped_green(np.repeat(y, len(y), axis=0), np.tile(y, (len(y), 1)),
+                      domain.radius_R).reshape(len(y), len(y))
+    value = 0.0 - 0.5 * elastic.plane_prefactor * float(charges @ G @ charges)
     fund = FundamentalAiry(elastic)
-    shifted = [ShiftedField(tuple(p), fund) for p in sites]
-    v_sing = SumField(tuple(ScaledField(-s, f) for s, f in zip(charges, shifted)))
-
-    # closed-form constant: -(1/2) sum_ij s_i s_j [vbar(y_i - y_j)
-    #   + f oint (Delta vbar_i d_n vbar_j - (d_n Delta vbar_i) vbar_j)]
-    def kernels(pts, nhat):
-        traces = [f.derivatives(pts, ("laplacian", "grad_laplacian", "value",
-                                      "gradient")) for f in shifted]
-        lap = [(l, (dl * nhat).sum(axis=-1)) for l, dl, _, _ in traces]
-        val = [(v, (g * nhat).sum(axis=-1)) for _, _, v, g in traces]
-        return np.reshape([[l * dn - dl * v for v, dn in val] for l, dl in lap],
-                          (len(sites), len(sites), len(pts)))
-
-    means, _ = circle_sums([(domain.center, domain.radius_R)], kernels)
-    Q = 2.0 * math.pi * domain.radius_R * means[..., 0]
-    # vbar(y_i - y_j): even, and 0 at i = j, so one evaluation of the pairs i < j
-    pairs = [(i, j) for i in range(len(sites)) for j in range(i + 1, len(sites))]
-    pair_pot = np.zeros((len(sites), len(sites)))
-    if pairs:
-        (i, j), y = np.transpose(pairs), np.array(sites)
-        pair_pot[i, j] = pair_pot[j, i] = fund.value(y[i] - y[j])
-    constant = 0.0
-    for i in range(len(sites)):
-        for j in range(len(sites)):
-            constant += -0.5 * charges[i] * charges[j] * (
-                pair_pot[i, j] + fl * Q[i, j])
+    v_sing = SumField(tuple(ScaledField(-s, ShiftedField(tuple(p), fund))
+                            for s, p in zip(charges, sites)))
 
     t0 = time.perf_counter()
     series = _AlmansiSeries.fit(domain, v_sing)
-    gram_value = 0.5 * fl * series.squares()[0]
+    gram_value = 0.5 * _gram_factor(elastic) * series.squares()[0]
     fit_seconds = time.perf_counter() - t0
 
     def energy(x: float) -> float:
         return x * E * s_max * s_max  # s_max^2 alone can overflow
 
     return _series_report(
-        series, n, delta, energy(constant + gram_value), fit_seconds,
-        {"closed_form_constant": energy(constant),
+        series, n, delta, energy(value), fit_seconds,
+        {"closed_form_constant": energy(value - gram_value),
          "gram_objective": energy(gram_value)},
         singular=v_sing, scale=E * s_max,
     )
@@ -959,9 +942,8 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     The correction is the biharmonic field whose boundary traces cancel
     those of the summed zero-core dislocation profiles, solved exactly
     in Fourier modes, with its plate energy as an exact mode sum; the
-    reported value adds the analytic boundary pairing terms, i.e. it is
-    the elastic part of the renormalized energy. The value does not
-    depend on ``n``, the resolution of a field dump.
+    reported value adds its boundary pairing with the profiles. The
+    value does not depend on ``n``, the resolution of a field dump.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -976,60 +958,28 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
                              radius_R=domain.radius_R, site=d.site)
         for d in dislocations
     ]
-    P, _ = _profile_pairings(elastic, domain, terms)
-    series, fit_seconds, value, energies = _elastic_correction(
-        elastic, domain, terms, -float(P.sum()))
-    return _series_report(series, n, delta, E * value, fit_seconds,
-                          {k: E * v for k, v in energies.items()}, scale=E)
-
-
-def _profile_pairings(elastic: ElasticConstants, domain: DiskDomain, terms,
-                      D: float | None = None):
-    """Boundary pairings of the zero-core profiles ``terms`` by
-    :func:`energy.circle_sums`, each profile evaluated once per level:
-    P[j, k] of j's moments with k's values on the outer circle and,
-    given ``D``, S[j] of j with itself on its circle of radius D. A
-    centred profile's P vanishes, so they settle against K |b|^2 / 8 pi."""
-    R, T = domain.radius_R, len(terms)
-    circles = [(domain.center, R)] + [(t.site, D) for t in terms if D is not None]
-    factor = 2.0 * math.pi * (1.0 + elastic.poisson_nu) / elastic.young_E
-
-    def traces(pts, nhat):
-        n = len(pts) // len(circles)
-        own = [np.r_[:n, (j + 1) * n:(j + 2) * n] if D else slice(None)
-               for j in range(T)]
-        return np.array([_pairing_traces(t, pts[i], nhat[i], elastic.poisson_nu)
-                         for t, i in zip(terms, own)])
-
-    def sums(x):  # x[j]: profile j's moments and values, (2, 4, circle, node)
-        P = [R * _pairing_means(x[j, 0, :, :1], x[:, 1, :, :1])[:, 0] for j in range(T)]
-        S = [D * _pairing_means(x[j, 0, :, 1:], x[j, 1, :, 1:])[0]
-             for j in range(len(circles) - 1)]
-        return factor * np.concatenate([np.ravel(P), S])
-
-    pairs, _ = circle_sums(circles, traces, sums,
-                           max(t.K * t.magnitude**2 for t in terms) / (8.0 * math.pi))
-    return pairs[:T * T].reshape(T, T), pairs[T * T:]
-
-
-def _elastic_correction(elastic: ElasticConstants, domain: DiskDomain, terms,
-                        boundary: float):
-    """``solve_elastic_correction`` at E = 1 (``elastic``) for the
-    zero-core profiles ``terms`` and their ``boundary`` pairing with the
-    correction (whose traces on the admissible set are the negated
-    profile traces): minus the sum of ``_profile_pairings``' P. Returns
-    the fitted series, the fit time, the value and the energies by name."""
-    W0 = SumField(tuple(terms))
+    # the correction's traces on the admissible set are the negated
+    # profile traces, so its boundary pairing is minus the sum of the
+    # outer-circle pairings of the profiles, j's moments with k's values
+    # (``_pairing_traces``), each profile evaluated once per level; a
+    # centred profile's vanish, so they settle against K |b|^2 / 8 pi
+    R, nu = domain.radius_R, elastic.poisson_nu
+    factor = 2.0 * math.pi * (1.0 + nu) / elastic.young_E
+    pairs, _ = circle_sums(
+        [(domain.center, R)],
+        lambda pts, nhat: np.array([_pairing_traces(t, pts, nhat, nu) for t in terms]),
+        lambda x: factor * (R * _pairing_means(x[:, None, 0], x[None, :, 1])[..., 0]),
+        max(t.K * t.magnitude**2 for t in terms) / (8.0 * math.pi))
+    boundary = -float(pairs.sum())
 
     t0 = time.perf_counter()
-    series = _AlmansiSeries.fit(domain, W0)
+    series = _AlmansiSeries.fit(domain, SumField(tuple(terms)))
     # Hessian-form energy of the (non-clamped) correction, with
     # |D^2 v|^2 = ((Delta v)^2 + |4 d_z^2 v|^2) / 2
-    nu = elastic.poisson_nu
     lap_square, wirt_square = series.squares()
     G_hess = (1.0 + nu) / 2.0 * ((0.5 - nu) * lap_square + 0.5 * wirt_square)
     gram_value = 0.5 * _gram_factor(elastic) * lap_square
     fit_seconds = time.perf_counter() - t0
-    return series, fit_seconds, G_hess + boundary, {
-        "gram_objective": gram_value, "hessian_energy": G_hess,
-        "boundary_pairing": boundary}
+    return _series_report(series, n, delta, E * (G_hess + boundary), fit_seconds,
+                          {"gram_objective": E * gram_value, "hessian_energy": E * G_hess,
+                           "boundary_pairing": E * boundary}, scale=E)

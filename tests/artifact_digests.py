@@ -6,8 +6,9 @@ Usage, from the repository root:
 
 It runs ``field``, ``solve --field-csv``, ``energy`` and ``check-bc`` on
 every configuration of ``test_cli.DUMP_DOCS`` at grid-n 64, 77 and 256
-(``check-bc`` takes no grid), and ``sweep-dipole --csv`` at E = 1, 1e-9
-and 1e20, in a temporary directory and with relative output paths, so
+(``check-bc`` takes no grid), ``renormalize`` on every one with
+dislocations, and ``sweep-dipole --csv`` at E = 1, 1e-9 and 1e20, in a
+temporary directory and with relative output paths, so
 that the path a JSON report names is the same on every checkout. Each
 run prints its exit code, then each artifact it wrote prints as ``name
 sha256``. Two checkouts make the same artifacts exactly when their
@@ -30,7 +31,7 @@ SWEEP_ES = ("1", "1e-9", "1e20")
 
 def runs():
     """(name, argv, artifacts) of every run, ``argv`` without outputs."""
-    for doc_id in DUMP_IDS:
+    for doc_id, doc in zip(DUMP_IDS, DUMP_DOCS):
         cfg = ["--config", f"{doc_id}.json"]
         for n in GRID_NS:
             grid = ["--grid-n", str(n)]
@@ -38,6 +39,8 @@ def runs():
             yield f"solve-{doc_id}-{n}", ["solve", *cfg, *grid], "--field-csv"
             yield f"energy-{doc_id}-{n}", ["energy", *cfg, *grid], None
         yield f"check-bc-{doc_id}", ["check-bc", *cfg], None
+        if "dislocations" in doc:
+            yield f"renormalize-{doc_id}", ["renormalize", *cfg], None
     for E in SWEEP_ES:
         yield (f"sweep-dipole-E{E}",
                ["sweep-dipole", "--E", E, "--nu", "0.3",

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from airy_defects.core import (
     ElasticConstants,
     NumericalError,
     ValidationError,
-    min_separation_D,
     rotate_burgers,
 )
 from airy_defects.closedform import DipoleAiry, DislocationLimitAiry
@@ -36,6 +34,9 @@ from airy_defects.asymptotics import (
     expansion_check,
     renormalized_energy,
     sweep_to_csv,
+)
+from renormalized_reference import (
+    renormalized_decomposition,
     vanishing_core_limit_constant,
 )
 
@@ -202,28 +203,83 @@ def near_circle_pair(r):
     return [Dislocation((r, 0.0), (0.0, 1.0)), Dislocation((-0.3, 0.2), (1.0, 0.0))]
 
 
+# the closed form against the three-term decomposition: R, E, the
+# domain centre and the dislocations, off-centre, oblique and unequal
+CLOSED_FORM_CASES = [
+    (R, E, centre, [Dislocation((centre[0] + R * x, centre[1] + R * y), b)
+                    for (x, y), b in sites])
+    for R, E, centre, sites in [
+        (1.0, 1.0, (0.0, 0.0), [((0.3, 0.1), (0.0, 1.0))]),
+        (1.5, 0.5, (0.0, 0.0), [((0.3, 0.1), (0.0, 1.0))]),
+        (2.0, 2.0, (0.0, 0.0), [((0.3, 0.1), (0.0, 1.0))]),
+        (1.0, 1.0, (0.0, 0.0), [((0.3, 0.0), (0.0, 1.0)),
+                                ((-0.3, 0.0), (0.0, -1.0))]),
+        (1.5, 1.0, (0.0, 0.0), [((0.3, 0.0), (0.0, 1.0)),
+                                ((-0.3, 0.0), (0.0, 1.0))]),
+        (2.0, 0.5, (0.0, 0.0), [((0.3, 0.0), (0.0, 1.0)),
+                                ((-0.3, 0.0), (0.0, -1.0))]),
+        (1.0, 2.0, (0.0, 0.0), [((0.2, -0.4), (0.6, 0.8)),
+                                ((-0.5, 0.1), (1.0, 0.3))]),
+        (1.0, 1.0, (0.0, 0.0), [((0.2, -0.4), (0.6, 0.8)),
+                                ((-0.5, 0.1), (1.0, 0.3)),
+                                ((0.1, 0.6), (-0.4, 2.0))]),
+        (1.5, 2.0, (0.0, 0.0), [((0.2, -0.4), (0.6, 0.8)),
+                                ((-0.5, 0.1), (1.0, 0.3)),
+                                ((0.1, 0.6), (-0.4, 2.0))]),
+        (2.0, 1.0, (0.0, 0.0), [((0.2, -0.4), (0.6, 0.8)),
+                                ((-0.5, 0.1), (1.0, 0.3)),
+                                ((0.1, 0.6), (-0.4, 2.0))]),
+        (1.5, 0.5, (0.1, -0.2), [((0.2, -0.4), (0.6, 0.8)),
+                                 ((-0.5, 0.1), (1.0, 0.3))]),
+        (1.0, 1.0, (0.0, 0.0), [((0.8, 0.0), (0.3, -1.0)),
+                                ((-0.1, 0.5), (2.0, 0.5))]),
+    ]
+]
+
+
 class TestRenormalizedEnergy:
     @pytest.mark.parametrize("r, expected", [
         (0.97, 0.1756270692222002),
         (0.99, 0.22064063142383927),
         (0.995, 0.2501852293071966),
+        (0.999, 0.31994410263669304),
     ])
     def test_site_near_the_circle(self, r, expected, elastic, unit_disk):
-        # every circle sum settles however near the site; references from
-        # fixed rules of 8192 and 32768 nodes, which agree to 1e-15 (512
-        # nodes gave 0.28403 at r = 0.995)
-        ren = renormalized_energy(near_circle_pair(r), elastic, unit_disk,
-                                  D_override=min(0.5 * (1.0 - r), 0.05))
+        # references: the three-term decomposition's circle sums, settled
+        # by fixed rules of 8192 and 32768 nodes, which agree to 1e-15
+        # (512 nodes gave 0.28403 at r = 0.995); the closed form needs none
+        ren = renormalized_energy(near_circle_pair(r), elastic, unit_disk)
         assert ren.expansion_constant == pytest.approx(expected, rel=1e-10)
 
-    def test_unsettled_circle_sums_raise(self, elastic, unit_disk):
-        # at r = 0.9999 the outer circle's sums need some 3e5 nodes, past
-        # the cap: no value comes out unsettled
-        with pytest.raises(NumericalError):
-            renormalized_energy(near_circle_pair(0.9999), elastic, unit_disk)
+    @pytest.mark.parametrize("case", range(len(CLOSED_FORM_CASES)))
+    def test_closed_form_matches_the_decomposition(self, case):
+        R, E, centre, dislocations = CLOSED_FORM_CASES[case]
+        elastic, domain = ElasticConstants(E, 0.3), DiskDomain(centre, R)
+        ren = renormalized_energy(dislocations, elastic, domain)
+        ref = renormalized_decomposition(dislocations, elastic, domain)
+        assert ren.expansion_constant == pytest.approx(ref.expansion_constant,
+                                                       rel=1e-13)
+
+    @pytest.mark.parametrize("R", [1.0, 1.5, 2.0])
+    def test_centred_dislocation(self, R, elastic):
+        # the constant of the closed-form minimum -(K |b|^2 / 8 pi)
+        # (log(R / eps) - (R^2 - eps^2) / (R^2 + eps^2)); no pair term
+        b = (0.6, -0.8)
+        ren = renormalized_energy([Dislocation((0.0, 0.0), b)], elastic,
+                                  DiskDomain((0.0, 0.0), R))
+        K = elastic.plane_prefactor
+        assert ren.interaction == 0.0
+        assert ren.expansion_constant == pytest.approx(
+            K * (1.0 - math.log(R)) / (8.0 * math.pi), rel=1e-15, abs=1e-17)
+
+    def test_coincident_and_outside_sites_raise(self, elastic, unit_disk):
+        for sites in ([(0.3, 0.0), (0.3, 0.0)], [(0.3, 0.0), (1.0, 0.0)]):
+            with pytest.raises(ValidationError):
+                renormalized_energy([Dislocation(y, (0.0, 1.0)) for y in sites],
+                                    elastic, unit_disk)
 
     def test_centered_single_decomposition(self, elastic, unit_disk):
-        ren = renormalized_energy(SINGLE, elastic, unit_disk)
+        ren = renormalized_decomposition(SINGLE, elastic, unit_disk)
         K = elastic.plane_prefactor
         assert ren.separation_D == pytest.approx(1.0)
         assert abs(ren.F_self) < 1e-12
@@ -234,15 +290,15 @@ class TestRenormalizedEnergy:
     def test_self_plus_geometry_term_is_separation_invariant(self, elastic, unit_disk):
         # the self part and the geometric constant both move with the
         # separation radius; only their sum is an invariant of the defect
-        a = renormalized_energy(SINGLE, elastic, unit_disk, D_override=1.0)
-        b = renormalized_energy(SINGLE, elastic, unit_disk, D_override=0.5)
+        a = renormalized_decomposition(SINGLE, elastic, unit_disk, D=1.0)
+        b = renormalized_decomposition(SINGLE, elastic, unit_disk, D=0.5)
         assert abs(a.F_self - b.F_self) > 1e-4  # each part genuinely moves
         assert a.F_self + a.f_DR == pytest.approx(b.F_self + b.f_DR, abs=1e-10)
 
     def test_self_energy_against_quadrature(self, elastic, unit_disk):
         # boundary-pairing route vs direct annulus quadrature of the bulk
         D = 0.5
-        ren = renormalized_energy(SINGLE, elastic, unit_disk, D_override=D)
+        ren = renormalized_decomposition(SINGLE, elastic, unit_disk, D=D)
         w = DislocationLimitAiry(elastic=elastic, burgers_b=(0.0, 1.0), radius_R=1.0)
         K = elastic.plane_prefactor
         bulk = polar_energy(w, elastic, (0.0, 0.0), 1.0, r_inner=D).energy
@@ -255,21 +311,22 @@ class TestRenormalizedEnergy:
             Dislocation((0.3, 0.0), (0.0, 1.0)),
             Dislocation((-0.3, 0.0), (0.0, 1.0)),
         ]
-        fwd = renormalized_energy(pair, elastic, unit_disk)
-        rev = renormalized_energy(list(reversed(pair)), elastic, unit_disk)
+        fwd = renormalized_decomposition(pair, elastic, unit_disk)
+        rev = renormalized_decomposition(list(reversed(pair)), elastic, unit_disk)
         assert fwd.F_int == pytest.approx(rev.F_int, rel=1e-10)
         assert fwd.renormalized == pytest.approx(rev.renormalized, rel=1e-10)
+        fwd, rev = (renormalized_energy(p, elastic, unit_disk)
+                    for p in (pair, list(reversed(pair))))
+        assert fwd.interaction == pytest.approx(rev.interaction, rel=1e-15)
 
     def test_self_term_ignores_partner_cores(self, elastic, unit_disk):
         # each profile is paired over the disk minus its own D-ball only,
         # so the pair's self term is the sum of the lone-defect ones
         pair = OFF_CENTER_CASES["opposite-sign pair"]
-        both = renormalized_energy(pair, elastic, unit_disk)
-        alone = [
-            renormalized_energy([d], elastic, unit_disk,
-                                D_override=both.separation_D)
-            for d in pair
-        ]
+        both = renormalized_decomposition(pair, elastic, unit_disk)
+        alone = [renormalized_decomposition([d], elastic, unit_disk,
+                                            D=both.separation_D)
+                 for d in pair]
         assert both.F_self == pytest.approx(sum(a.F_self for a in alone),
                                             abs=1e-12)
 
@@ -297,42 +354,14 @@ class TestRenormalizedEnergy:
             float(t.gradient(np.array([d.site]))[0] @ rotate_burgers(d.burgers_b))
             for t, d in ((tj, pair[1]), (tk, pair[0]))
         )
-        ren = renormalized_energy(pair, elastic, unit_disk)
+        ren = renormalized_decomposition(pair, elastic, unit_disk)
         assert ren.F_int == pytest.approx(cross + loads, abs=1e-7)
 
-    def test_outer_traces_evaluated_once(self, elastic, unit_disk,
-                                         monkeypatch):
-        # the self, interaction and elastic terms share one evaluation of
-        # each profile per level of the circle rule, on the outer circle
-        # and its own circle of radius D, all five traces in one call
-        pair = OFF_CENTER_CASES["same-sign pair"]
-        D = min_separation_D([d.site for d in pair], unit_disk)
-
-        def nodes(site, n):
-            return np.vstack([circle_nodes((0.0, 0.0), 1.0, n)[0],
-                              circle_nodes(site, D, n)[0]])
-
-        calls, evaluate = Counter(), DislocationLimitAiry.derivatives
-
-        def spy(self, x, names):
-            n = len(x) // 2
-            if np.shape(x) == (2 * n, 2) and np.array_equal(x, nodes(self.site, n)):
-                calls[self.site, frozenset(names), len(names), n] += 1
-            return evaluate(self, x, names)
-
-        monkeypatch.setattr(DislocationLimitAiry, "derivatives", spy)
-        renormalized_energy(pair, elastic, unit_disk)
-        levels = {n for *_, n in calls}
-        assert levels
-        five = frozenset({"value", "gradient", "hessian", "laplacian",
-                          "grad_laplacian"})
-        assert calls == Counter({(d.site, five, 5, n): 1 for d in pair for n in levels})
-
     def test_to_dict(self, elastic, unit_disk):
-        d = renormalized_energy(SINGLE, elastic, unit_disk).to_dict()
-        for key in ("F_self", "F_int", "F_elastic", "f_DR", "renormalized",
-                    "expansion_constant", "separation_D"):
-            assert key in d
+        d = renormalized_energy(OFF_CENTER_CASES["same-sign pair"], elastic,
+                                unit_disk).to_dict()
+        assert set(d) == {"self_energy", "interaction", "expansion_constant"}
+        assert d["expansion_constant"] == d["self_energy"] + d["interaction"]
 
 
 class TestExpansionFits:

@@ -80,7 +80,6 @@ FLOAT_FLAGS = {
     **{f"sweep-dipole --{flag}": (
         lambda v, flag=flag: ["sweep-dipole", "--E", "1", "--nu", "0.3", f"--{flag}", v])
        for flag in ("E", "nu", "s", "R", "h")},
-    "renormalize --D": lambda v: ["renormalize", "--config", "pair", "--D", v],
     "solve --core-radius": lambda v: ["solve", "--config", "pair", "--core-radius", v],
     "sweep-core --eps": lambda v: ["sweep-core", "--config", "pair", "--eps", f"0.2,{v}"],
 }
@@ -112,6 +111,8 @@ class TestExitCodes:
         assert main([]) == 1
         assert main(["no-such-command"]) == 1
         assert main(["constants", "--bogus-flag"]) == 1
+        # the separation radius is no input of the closed form
+        assert main(["renormalize", "--config", "c.json", "--D", "0.1"]) == 1
 
     def test_help_is_success(self):
         assert main(["--help"]) == 0
@@ -767,13 +768,13 @@ class TestReports:
             "renormalize", "--config", configs["disl"], "--grid-n", "128",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["expansion_constant"] == pytest.approx(
-            doc["renormalized"] + doc["f_DR"]
-        )
+        assert set(doc) == {"self_energy", "interaction", "expansion_constant"}
+        assert doc["expansion_constant"] == doc["self_energy"] + doc["interaction"]
 
     def test_renormalize_near_the_circle(self, tmp_path, capsys):
-        # one site at 0.995 R: the circle sums settle (512 fixed nodes
-        # printed 0.28402773891737881)
+        # one site at 0.995 R: the reference is the settled circle sums of
+        # the three-term decomposition (512 fixed nodes printed
+        # 0.28402773891737881)
         cfg = tmp_path / "near.json"
         cfg.write_text(json.dumps({
             **DISL, "core_radius": 0.001,
@@ -783,6 +784,20 @@ class TestReports:
         doc = json.loads(capsys.readouterr().out)
         assert doc["expansion_constant"] == pytest.approx(0.2501852293071966,
                                                           rel=1e-10)
+
+    def test_renormalize_next_to_the_circle(self, tmp_path, capsys):
+        # one site at 0.9999 R, where the circle sums of the three-term
+        # decomposition did not settle at 65536 nodes and the command
+        # exited 3; at 40 digits the closed form reads 0.42048412146909144
+        cfg = tmp_path / "next.json"
+        cfg.write_text(json.dumps({
+            **DISL, "core_radius": 1e-5,
+            "dislocations": [{"site": [0.9999, 0.0], "b": [0.0, 1.0]},
+                             {"site": [-0.3, 0.2], "b": [1.0, 0.0]}]}))
+        assert main(["renormalize", "--config", str(cfg)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["expansion_constant"] == pytest.approx(0.42048412146910,
+                                                          rel=1e-12)
 
     def test_renormalize_at_huge_modulus(self, tmp_path):
         # every term is linear in E: at E = 1e308 the squares of the
@@ -799,10 +814,8 @@ class TestReports:
                          "--out", str(out)]) == 0
             docs.append(json.loads(out.read_text()))
         big, unit = docs
-        for key in ("F_self", "F_int", "F_elastic", "f_DR", "renormalized",
-                    "expansion_constant"):
+        for key in ("self_energy", "interaction", "expansion_constant"):
             assert big[key] == pytest.approx(1e308 * unit[key], rel=1e-12)
-        assert big["separation_D"] == unit["separation_D"]
 
     def test_solve_core_at_huge_modulus(self, tmp_path):
         # the core fit runs at E = 1 and scales: at E = 1e308 its

@@ -2,6 +2,7 @@ import hashlib
 import math
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,8 @@ from airy_defects.closedform import (
     SingleDisclinationClamped,
     SumField,
     airy_to_stress,
+    clamped_green,
+    clamped_green_mixed,
     dipole_frame,
     strain_to_stress,
     stress_to_strain,
@@ -552,6 +555,101 @@ class TestOneEvaluation:
 
     def test_poly_grad_laplacian_matches_differences(self):
         _grad_laplacian_fd_check(_POLY, SAMPLE)
+
+
+def _green_mp(x, y, R):
+    """16 pi G_B at 40 digits, from the defining formula at exact inputs."""
+    x1, x2, y1, y2, R = (mpmath.mpf(v) for v in (*x, *y, R))
+    A = (R**2 - x1**2 - x2**2) * (R**2 - y1**2 - y2**2) / R**2
+    d2 = (x1 - y1) ** 2 + (x2 - y2) ** 2
+    return A if d2 == 0 else A - d2 * mpmath.log(1 + A / d2)
+
+
+def _mixed_mp(x, y, a, c, R):
+    """16 pi (a . grad_x)(c . grad_y) G_B at 40 digits."""
+    point = [mpmath.mpf(v) for v in (*x, *y)]
+    return sum(a[i] * c[j] * mpmath.diff(
+        lambda *p: _green_mp(p[:2], p[2:], R), point,
+        tuple(int(k in (i, 2 + j)) for k in range(4)))
+        for i in range(2) for j in range(2))
+
+
+def _green_pairs(R):
+    """Point pairs in the disk of radius R about the origin: random ones,
+    a point at 0.9999 R with a far one, and close pairs in the interior
+    and at the circle. Near the circle the points lie on an axis, where
+    |x| is exact; elsewhere the rounding of |x| alone moves 1 - |x|^2 by
+    1e-12 of itself at 0.9999 R."""
+    rng = np.random.default_rng(31)
+    r, t = R * np.sqrt(rng.uniform(0.0, 1.0, (2, 6))), rng.uniform(0.0, 6.3, (2, 6))
+    pairs = [(p, q) for p, q in zip(*(np.stack([r[k] * np.cos(t[k]),
+                                                 r[k] * np.sin(t[k])], -1)
+                                       for k in (0, 1)))]
+    return pairs + [(np.array(p) * R, np.array(q) * R) for p, q in [
+        ((0.9999, 0.0), (0.2, -0.3)), ((0.0, -0.9999), (0.0, 0.9)),
+        ((0.9999, 0.0), (0.9998, 0.0)), ((0.3, 0.1), (0.300001, 0.1))]]
+
+
+class TestClampedGreen:
+    @pytest.mark.parametrize("R", [1.0, 1.5])
+    def test_against_mpmath(self, R):
+        # errors in units of the terms: R^2 / 16 pi for G_B, and
+        # (1 + |log(|d|^2 / R^2)|) / 16 pi for the mixed derivative, whose
+        # terms cancel to O(A) near the circle
+        a, c = np.array([0.3, 1.0]), np.array([-0.7, 0.2])
+        with mpmath.workdps(40):
+            for x, y in _green_pairs(R):
+                for p, q in ((x, y), (y, y)):
+                    got = 16.0 * math.pi * clamped_green(p, q, R)[0]
+                    assert abs(got - float(_green_mp(p, q, R))) <= 1e-15 * R**2
+                scale = 1.0 + abs(math.log(float(np.sum((x - y) ** 2)) / R**2))
+                got = 16.0 * math.pi * clamped_green_mixed(x, y, a, c, R)[0]
+                assert abs(got - float(_mixed_mp(x, y, a, c, R))) <= 1e-13 * scale
+
+    def test_symmetric_in_the_points(self, rng):
+        x, y = (rng.uniform(-0.7, 0.7, (20, 2)) for _ in range(2))
+        a, c = rng.normal(size=(2, 20, 2))
+        np.testing.assert_allclose(clamped_green(x, y, 1.5), clamped_green(y, x, 1.5),
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(clamped_green_mixed(x, y, a, c, 1.5),
+                                   clamped_green_mixed(y, x, c, a, 1.5),
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_clamped_on_the_circle(self):
+        # G_B(., y) vanishes on the circle with its normal derivative, and
+        # so does every y-derivative of both: the mixed derivative is zero
+        # there along any direction of x
+        R, y = 1.5, np.array([[0.4, -0.3], [-1.2, 0.5]])
+        t = np.linspace(0.0, 2.0 * math.pi, 7)
+        on = np.repeat(R * np.stack([np.cos(t), np.sin(t)], -1), 2, axis=0)
+        y = np.tile(y, (len(t), 1))
+        assert np.abs(clamped_green(on, y, R)).max() < 1e-16
+        for a in (on / R, np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+            assert np.abs(clamped_green_mixed(on, y, a, (0.6, 0.8), R)).max() < 1e-15
+        with mpmath.workdps(40):
+            for angle, q in zip(t[:4], y[:4]):
+                # d/dr of 16 pi G_B along the ray at the angle: zero at
+                # r = R, of order one inside
+                def ray(r):
+                    return _green_mp((r * mpmath.cos(angle), r * mpmath.sin(angle)), q, R)
+
+                assert abs(mpmath.diff(ray, R)) < 1e-30
+                assert abs(mpmath.diff(ray, 0.9 * R)) > 1e-3
+
+    def test_biharmonic_off_the_pole(self):
+        # the 13-point stencil of the bilaplacian tends to zero at second
+        # order away from y (the error falls by 4 per halving of h)
+        R, y = 1.5, np.array([[0.4, -0.3]])
+        stencil = [((0, 0), 20.0)] + [
+            (o, w) for w, offsets in (
+                (-8.0, [(1, 0), (-1, 0), (0, 1), (0, -1)]),
+                (2.0, [(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+                (1.0, [(2, 0), (-2, 0), (0, 2), (0, -2)])) for o in offsets]
+        for x in ([0.9, 0.5], [-0.7, 0.2], [1.4, 0.0]):
+            bilap = [sum(w * clamped_green(np.asarray(x) + h * np.asarray(o), y, R)[0]
+                         for o, w in stencil) / h**4 for h in (2e-2, 1e-2)]
+            assert abs(bilap[1]) < 1e-4
+            assert abs(bilap[0]) > 3.5 * abs(bilap[1])
 
 
 class TestConstitutiveMaps:

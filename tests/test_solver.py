@@ -474,12 +474,41 @@ class TestDisclinationSolve:
         (0.995, -1.0876384827981922e-06),
     ])
     def test_site_near_the_circle(self, r, expected, elastic, unit_disk):
-        # the closed-form constant's circle sum settles however near the
-        # site; references from fixed rules of 8192 and 32768 nodes,
-        # which agree to 1e-15 (512 nodes were 32% off at r = 0.995)
+        # references: the Green-identity circle sums of the split
+        # solution, from fixed rules of 8192 and 32768 nodes, which agree
+        # to 1e-15 (512 nodes were 32% off at r = 0.995)
         report = solve_clamped_disclination(
             elastic, unit_disk, [Disclination((r, 0.0), 1.0)])
         assert report.value == pytest.approx(expected, rel=1e-10)
+
+    def test_boggio_value_near_the_circle(self, elastic, unit_disk):
+        # -(K/2) G_B(y, y) = -K (1 - r^2)^2 / 32 pi at r = 0.99, as the
+        # 40-digit value -4.3287739707295043e-06 reads it
+        report = solve_clamped_disclination(
+            elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)])
+        assert report.value == pytest.approx(-4.328773970729509e-06, rel=1e-14)
+
+    @pytest.mark.parametrize("R", [1.0, 1.5])
+    @pytest.mark.parametrize("charges", [
+        [((0.3, -0.2), 1.0)],
+        [((0.3, 0.2), 1.0), ((-0.4, -0.1), -0.5)],
+        [((0.3, 0.2), 1.0), ((-0.4, -0.1), -0.5), ((0.0, 0.7), 2.0)],
+    ], ids=["one", "two", "three"])
+    def test_value_is_half_the_loads_of_the_field(self, charges, R, elastic):
+        # at the minimum G(v) = -(1/2) sum_k s_k v(y_k), so the value is
+        # (1/2) sum_k s_k v(y_k) of the series field, found independently
+        # of the closed-form value
+        domain = DiskDomain((0.1, -0.2), R)
+        defects = [Disclination((0.1 + R * x, -0.2 + R * y), s)
+                   for (x, y), s in charges]
+        report = solve_clamped_disclination(elastic, domain, defects)
+        loads = report.solution.value(np.array([d.site for d in defects]))
+        assert report.value == pytest.approx(
+            0.5 * sum(d.frank_angle_s * v for d, v in zip(defects, loads)),
+            rel=1e-13)
+        assert report.value == pytest.approx(
+            report.extras["closed_form_constant"] + report.extras["gram_objective"],
+            rel=1e-15)
 
     def test_unresolvable_traces_raise(self, elastic, unit_disk, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_SAMPLES", 128)
