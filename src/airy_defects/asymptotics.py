@@ -176,7 +176,8 @@ def dipole_scaling_sweep(elastic: ElasticConstants, s: float, R: float,
     and G / (h^2 log(R/h)) against its limit K s^2 / (8 pi); with
     ``include_solver`` the minimizer value of the two-charge functional
     is added, normalized by h^2 |log h| against -K s^2 / (8 pi). The
-    solver value is an exact mode sum at every spacing. A scale K s^2 /
+    solver value is the closed form of the clamped Green's function at
+    every spacing. A scale K s^2 /
     (8 pi) that overflows or is 0 (s = 0, or an underflow) raises
     ``ValidationError``.
     """

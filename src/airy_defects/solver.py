@@ -10,14 +10,14 @@ the coefficients, the plate energies are exact sums over modes, and the
 reported solution is the summed series.
 
 The core-constrained problem lives on the punctured disk, B_R minus the
-core balls. Its smooth correction is biharmonic there, so it is a
-multi-centre Michell series: the Almansi modes about the disk centre
-plus, about each core, the exterior modes log r, r^2 log r, r log r
-(cos, sin) theta, r^-m and r^(2-m) (cos, sin) m theta. Each circle is
-fitted by its low frequencies: the interior coefficients match those of
-the outer-circle traces by the same FFT, and the core coefficients solve
-one square system that matches those of each core circle's traces.
-Green's identity on the circles turns the plate energy
+core balls. Its smooth correction is one such series, fitted once to the
+outer traces, plus clamped modes about each core: source-point
+derivatives of the clamped Green's function of the disk (Boggio 1905),
+each a Michell mode log r, r^2 log r, r log r (cos, sin) theta, r^-m or
+r^(2-m) (cos, sin) m theta plus its rational image part (Cheng &
+Greengard 1998), so that it vanishes with its normal derivative on r =
+R. One square system matches the low frequencies of each core circle's
+traces, and Green's identity on the circles turns the plate energy
 into exact circle integrals, which leave one 3K x 3K system for the
 affine parameters of the K cores.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -51,7 +52,6 @@ from .closedform import (
     ScaledField,
     ShiftedField,
     SumField,
-    clamped_green,
 )
 from .energy import (
     _RESIDUAL_BOUND,
@@ -127,19 +127,16 @@ _FIT_TARGET = 1e-13
 _TAIL_MARGIN = 16.0
 
 
-def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float,
-                 power: int) -> np.ndarray:
-    """Per radius r, the last mode k whose term bound_k r^(k - power)
-    exceeds ``floor`` (0 when none does). Mode k > power is live where
-    log r passes its threshold (log floor - log bound_k) / (k - power),
-    a mode up to ``power`` where its bound passes ``floor``; the last
-    live mode is the last whose least threshold from it on lies below
-    log r."""
+def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float) -> np.ndarray:
+    """Per radius r, the last mode k whose term bound_k r^k exceeds
+    ``floor`` (0 when none does). Mode k > 0 is live where log r passes
+    its threshold (log floor - log bound_k) / k, mode 0 where its bound
+    passes ``floor``; the last live mode is the last whose least
+    threshold from it on lies below log r."""
     k = np.arange(len(bound))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = math.log(floor) if floor > 0.0 else -math.inf
-        threshold = np.where(k > power,
-                             (gap - np.log(bound)) / np.maximum(k - power, 1),
+        threshold = np.where(k > 0, (gap - np.log(bound)) / np.maximum(k, 1),
                              np.where(bound > floor, -np.inf, np.inf))
         threshold[np.isnan(threshold)] = np.inf
         least = np.minimum.accumulate(threshold[::-1])[::-1]
@@ -147,11 +144,11 @@ def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float,
 
 
 def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
-                 floor: float, power: int = 0) -> np.ndarray:
+                 floor: float) -> np.ndarray:
     """Re sum_k c_k (A_k + B_k |w|^2) w^k at points |w| <= 1, where c_0 = 1
     and c_k = 2 for k >= 1 (the conjugate modes k < 0). Each point sums,
     by Horner's rule, the modes up to the last whose bound (|A_k| +
-    |B_k|) |w|^(k - power) exceeds ``floor`` (``_mode_counts``), so deep
+    |B_k|) |w|^k exceeds ``floor`` (``_mode_counts``), so deep
     points cost few modes and no value depends on the other points.
     Points go by growing count: the step of mode j takes those that
     sum it, which all sum the modes below it too."""
@@ -160,7 +157,7 @@ def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
     out = np.empty(len(w))
     if not len(w):
         return out
-    count = _mode_counts(np.abs(A) + np.abs(B), np.abs(w), floor, power)
+    count = _mode_counts(np.abs(A) + np.abs(B), np.abs(w), floor)
     order = np.argsort(count, kind="stable")
     w, count = w[order], count[order]
     first = np.searchsorted(count, np.arange(count[-1] + 1))
@@ -168,9 +165,10 @@ def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
     def horner(C):
         s = np.zeros(len(w), dtype=complex)
         for j in range(count[-1], -1, -1):
+            # not in place: numpy rounds an in-place complex product of
+            # one element otherwise than that of two or more
             at = slice(first[j], None)
-            np.multiply(s[at], w[at], out=s[at])
-            s[at] += C[j]
+            s[at] = s[at] * w[at] + C[j]
         return s
 
     total = horner(A)
@@ -245,6 +243,7 @@ class _AlmansiSeries:
         A, B = _almansi_modes(F, G)
         return cls(domain, A, B, np.finfo(float).eps * scale, m, residual)
 
+    @cached_property
     def squares(self) -> tuple[float, float]:
         """Integrals over the disk of (Delta z)^2 and |4 d_z^2 z|^2, d_z
         the complex derivative. Mode k of Delta z is 4 (k + 1) B_k rho^k
@@ -257,6 +256,34 @@ class _AlmansiSeries:
                     + 2.0 * (k * k - 1.0) * (A * np.conj(B)).real)
         scale = 16.0 * math.pi / self.domain.radius_R**2
         return scale * float(np.sum(lap)), scale * float(np.sum(wirt))
+
+    @cached_property
+    def _potentials(self) -> np.ndarray:
+        """Columns of the coefficients in powers of w of the Goursat
+        potentials of ``fields``: chi, phi / w, phi', chi' and phi''."""
+        k = np.arange(len(self.A))
+        cA, cB = (np.where(k > 0, 2.0, 1.0) * c for c in (self.A, self.B))
+        T = np.zeros((len(k), 5), dtype=complex)
+        T[:, 0], T[:, 1], T[:, 2] = cA, cB, (k + 1) * cB
+        T[:-1, 3], T[:-1, 4] = (k * cA)[1:], (k * (k + 1) * cB)[1:]
+        return T
+
+    def fields(self, pts: np.ndarray, nhat: np.ndarray):
+        """Value, normal derivative along ``nhat``, Laplacian and its
+        normal derivative at (N, 2) points of the disk, from the Goursat
+        potentials chi = sum c_k A_k w^k and phi = sum c_k B_k w^(k+1) of
+        z = Re(conj(w) phi + chi), w = (x - centre) / R: R d_n z = Re(phi
+        conj(nu) + (conj(w) phi' + chi') nu), Delta z = 4 Re phi' / R^2
+        and d_n Delta z = 4 Re(phi'' nu) / R^3."""
+        (cx, cy), R = self.domain.center, self.domain.radius_R
+        w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy)) / R
+        nu, cw = nhat[:, 0] + 1j * nhat[:, 1], np.conj(w)
+        chi, psi, dphi, dchi, ddphi = (
+            _powers(w[:, None], len(self.A)) @ self._potentials).T
+        phi = w * psi
+        return (np.real(cw * phi + chi),
+                np.real(phi * np.conj(nu) + (cw * dphi + dchi) * nu) / R,
+                4.0 * dphi.real / R**2, 4.0 * np.real(ddphi * nu) / R**3)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         """z at the (N, 2) points: the series inside the disk (hypot < R),
@@ -287,8 +314,11 @@ class _AlmansiSeries:
 class SeriesSolution:
     """The minimizer of a solve as a field: ``scale`` times the interior
     series (``_AlmansiSeries.value``) plus, off the core balls, the
-    closed-form part ``closed`` and the exterior Michell modes of each
-    core; on core ball k (|x - y_k| <= eps_k) it is the affine part.
+    closed-form part ``closed`` and the clamped modes of each core; on
+    core ball k (|x - y_k| <= eps_k) it is the affine part. Off the disk
+    the clamped modes, which vanish with their normal derivative on r =
+    R, take their second-order Taylor extension along the normal, as the
+    interior series does: (r - R)^2 / 2 times their Laplacian there.
 
     ``cores`` holds (site, eps) per core. ``value`` gives each point a
     value that depends on that point alone.
@@ -312,10 +342,26 @@ class SeriesSolution:
             off &= ~ball
         if self.closed is not None:
             values[off] += self.closed.value(pts[off])
+        (cx, cy), R = self.interior.domain.center, self.interior.domain.radius_R
+        Z = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy)) / R
+        # numpy rounds complex products of one element otherwise than of
+        # more, so a lone point is summed twice over
+        inside, outside = (np.resize(i, 2) if len(i) == 1 else i for i in (
+            np.flatnonzero(off & (np.abs(Z) < 1.0)), np.flatnonzero(off & (np.abs(Z) >= 1.0))))
+        # off the disk: the nearest point of r = R and half the squared
+        # distance to it
+        edge = (Z[outside] / np.abs(Z[outside]))[:, None]
+        half_square, m = 0.5 * (R * (np.abs(Z[outside]) - 1.0)) ** 2, self._m_core
         for (y, eps), c in zip(self.cores, self._modes):
-            zeta = ((pts[off, 0] - y[0]) + 1j * (pts[off, 1] - y[1])) / eps
-            values[off] += _michell_sum(c, zeta, self._m_core,
-                                        self.interior.floor / _TAIL_MARGIN)
+            W = complex(y[0] - cx, y[1] - cy) / R
+            zeta = ((pts[inside, 0] - y[0]) + 1j * (pts[inside, 1] - y[1])) / eps
+            values[inside] += _clamped_sum(c, zeta, W, eps / R, m)
+        if len(edge) and self.cores:  # the modes' Laplacians on r = R; one eps
+            W, eps = np.array([complex(*y) - complex(cx, cy) for y, _ in self.cores]) / R, self.cores[0][1]
+            planes = np.empty((4, len(edge), len(W), 4 * m - 2))
+            _michell_traces(((edge - W) * (R / eps))[..., None], edge[:, None], eps, m, planes)
+            _image_traces(edge[:, None], edge[:, None], W[:, None], eps / R, R, m, planes)
+            values[outside] += half_square * (planes[2] * self._modes).sum(axis=(1, 2))
         return self.scale * values
 
 
@@ -337,7 +383,9 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
 
     The minimizer is v = -K sum_k s_k G_B(., y_k), with G_B Boggio's
     clamped Green's function (``closedform.clamped_green``), so the
-    minimum is -(K/2) sum_ij s_i s_j G_B(y_i, y_j). The reported field
+    minimum is -(K/2) sum_ij s_i s_j G_B(y_i, y_j); its A parts sum to
+    (sum_i s_i (R^2 - |y_i|^2))^2 / R^2, which a close +- pair cancels
+    exactly, and the rest is the log1p tail of the pairs. The field
     splits v as the fundamental potentials of the charges plus a smooth
     biharmonic correction with the negated boundary traces, solved
     exactly in Fourier modes; ``gram_objective`` is the correction's
@@ -358,17 +406,19 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     for p in sites:
         if domain.boundary_distance(p) <= 0.0:
             raise ValidationError(f"disclination site {tuple(p)} outside the domain")
-    y = sites - np.asarray(domain.center)
-    G = clamped_green(np.repeat(y, len(y), axis=0), np.tile(y, (len(y), 1)),
-                      domain.radius_R).reshape(len(y), len(y))
-    value = 0.0 - 0.5 * elastic.plane_prefactor * float(charges @ G @ charges)
+    R, r = domain.radius_R, np.hypot(*(sites - np.asarray(domain.center)).T) / domain.radius_R
+    a, d2 = (1.0 - r) * (1.0 + r), (((sites[:, None] - sites) / R) ** 2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(d2 > 0.0, d2 * np.log1p(np.outer(a, a) / d2), 0.0)
+    value = 0.0 - elastic.plane_prefactor * R * R / (32.0 * math.pi) * (
+        float(charges @ a) ** 2 - float(charges @ tail @ charges))
     fund = FundamentalAiry(elastic)
     v_sing = SumField(tuple(ScaledField(-s, ShiftedField(tuple(p), fund))
                             for s, p in zip(charges, sites)))
 
     t0 = time.perf_counter()
     series = _AlmansiSeries.fit(domain, v_sing)
-    gram_value = 0.5 * _gram_factor(elastic) * series.squares()[0]
+    gram_value = 0.5 * _gram_factor(elastic) * series.squares[0]
     fit_seconds = time.perf_counter() - t0
 
     def energy(x: float) -> float:
@@ -382,188 +432,186 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     )
 
 
-# The core fit starts at the interior and per-core mode counts (M_i, M_e)
-# = (_FIRST_MODES, _FIRST_MODES / 2) and doubles each on its own block
-# residual (outer circle, core circles) under the rule of
-# ``_keeps_doubling`` with target _SERIES_TARGET, up to M_i = _MAX_MODES
-# and M_e = _MAX_MODES / 2; no rung above _MAX_RUNG_BYTES is started.
-_FIRST_MODES = 16
-_MAX_MODES = 512
+# The core fit doubles the per-core mode count M_e from _FIRST_MODES on
+# its core-circle residual under the rule of ``_keeps_doubling`` with
+# target _SERIES_TARGET, up to _MAX_MODES; no rung above _MAX_RUNG_BYTES
+# is started.
+_FIRST_MODES = 8
+_MAX_MODES = 256
 _SERIES_TARGET = 1e-12
 _MAX_RUNG_BYTES = 2**30
 # smallest gap D - eps, relative to R, that the core fit accepts
 _TOUCH_GAP = 1e-12
 
 
-def _powers(z: np.ndarray, count: int, out=None) -> np.ndarray:
-    """z^k for k = 0 .. count - 1 of an (N, 1) column, as (N, count)."""
-    out = np.empty((len(z), count), dtype=complex) if out is None else out
-    out[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(z, (len(z), count - 1)), axis=1, out=out[:, 1:])
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """z^k for k = 0 .. count - 1 of (..., N, 1) columns, as (..., N, count)."""
+    out = np.empty(z.shape[:-1] + (count,), dtype=complex)
+    out[..., 0] = 1.0
+    np.cumprod(np.broadcast_to(z, z.shape[:-1] + (count - 1,)), axis=-1, out=out[..., 1:])
     return out
 
 
-def _real_rows(C: np.ndarray) -> np.ndarray:
-    """The real matrix whose product with the float view of a complex X
-    with a contiguous last axis is Re(X @ C): that view interleaves Re X
-    and Im X, so the rows take Re C, -Im C."""
-    return np.stack([C.real, -C.imag], 1).reshape(2 * len(C), -1)
-
-
-def _real_product(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Re(X @ C) as one real product (``_real_rows``)."""
-    return X.view(float) @ _real_rows(C)
-
-
-def _interior_rows(w, nu, count: int) -> np.ndarray:
-    """The (2N, 2 count) complex X whose products give the traces of the
-    interior modes k < count at the (N, 1) column w = (x - centre) / R
-    with complex unit normals nu: rows N of the value, then N of R d_n.
-    With phi = sum c_k B_k w^(k+1) and chi = sum c_k A_k w^k, z =
-    Re(conj(w) phi + chi) and R d_n z = Re(phi conj(nu) + conj(w) phi' nu
-    + chi' nu) are both Re(X (c A; c B)); the first ``count`` columns,
-    w^k over nu d(w^k)/dw, also give the Laplacian traces."""
-    n, k1 = len(w), np.arange(1.0, count + 1.0)
-    X = np.empty((2 * n, 2 * count), dtype=complex)
-    # every block in place: P = w^k, nu dP/dw, |w|^2 P, then the d_n rows
-    P = _powers(w, count, X[:n, :count])
-    X[n:, 0] = 0.0
-    np.multiply(nu, P[:, :-1], out=X[n:, 1:count])
-    X[n:, 1:count] *= k1[:-1]
-    np.multiply(np.abs(w) ** 2, P, out=X[:n, count:])
-    d = np.multiply(np.conj(w) * nu, k1, out=X[n:, count:])
-    d += w * np.conj(nu)
-    d *= P
-    return X
-
-
-def _interior_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The real rows (``_real_rows``) of the coefficients (c A; c B) of
-    z = Re sum_k c_k (A_k + B_k |w|^2) w^k, c as in ``_almansi_sum``."""
-    c = np.where(np.arange(len(A)) > 0, 2.0, 1.0)[:, None]
-    return _real_rows(np.vstack([c * A, c * B]))
-
-
-def _interior_traces(X: np.ndarray, R: float, C: np.ndarray,
-                     nodes=slice(None)):
-    """Value and normal derivative of the z of ``_interior_columns`` C at
-    the ``nodes`` of the rows X of ``_interior_rows``, a column per
-    coefficient column."""
-    n = len(X) // 2
-    dn = X[n:][nodes].view(float) @ C
-    dn /= R  # in place: no second array of the product's size
-    return X[:n][nodes].view(float) @ C, dn
-
-
-def _interior_laplacians(X: np.ndarray, R: float, B: np.ndarray):
-    """Laplacian and its normal derivative of the z of
-    ``_interior_traces``, from B alone: 4 Re phi' / R^2 and 4 Re(phi''
-    nu) / R^3."""
-    n, k1 = len(X) // 2, np.arange(1.0, len(B) + 1.0)
-    out = _real_product(X[:, :len(B)],
-                        (4.0 * np.where(k1 > 1.0, 2.0, 1.0) * k1)[:, None] * B)
-    return out[:n] / R**2, out[n:] / R**3
-
-
-def _almansi_traces(A: np.ndarray, B: np.ndarray, n: int, R: float):
-    """Value, normal derivative, Laplacian and its normal derivative of
-    the z of ``_interior_columns`` at the n > 2 len(A) nodes of
-    ``circle_nodes`` on r = R, one inverse real FFT each: the inverse of
-    ``_almansi_modes``, mode k of the four being A_k + B_k, (k A_k +
-    (k + 2) B_k) / R, 4 (k + 1) B_k / R^2 and 4 k (k + 1) B_k / R^3."""
-    k = np.arange(len(A))[:, None]
-    return [n * np.fft.irfft(f, n, axis=0) for f in (
-        A + B, (k * A + (k + 2.0) * B) / R, 4.0 / R**2 * (k + 1.0) * B,
-        4.0 / R**3 * k * (k + 1.0) * B)]
-
-
 def _michell_traces(zeta, nu, L: float, m_core: int, out: np.ndarray):
-    """Fill the (2, N, modes) ``out`` with the value and the normal
-    derivative along the complex unit normals nu of the exterior Michell
-    modes about one core at the (N, 1) column zeta = (x - y) / L: log
-    rho, rho^2 log rho, rho log rho (cos, sin) theta, then the cosine and
-    the sine parts of rho^-m (1 <= m < M_e) and rho^(2-m) (2 <= m < M_e)
-    times e^{im theta}. Those of Re(conj(zeta) phi + chi) are the real
-    parts of conj(zeta) phi + chi and (phi conj(nu) + conj(zeta) phi' nu
-    + chi' nu) / L; the sine part of a family, from potentials times -i,
-    is their imaginary part. Returns log zeta and the powers zeta^-m
-    (1 <= m < M_e), which ``_michell_laplacians`` takes."""
+    """Fill the (4, N, modes) ``out`` with the value, the normal
+    derivative along the complex unit normals nu, the Laplacian and its
+    normal derivative of the exterior Michell modes about one core at
+    the (N, 1) column zeta = (x - y) / L (or, for K cores at once, (4, N,
+    K, modes) at the (N, K, 1) zeta): log rho, rho^2 log rho, rho log rho
+    (cos, sin) theta, then the cosine and the sine parts, side by side,
+    of rho^-m (1 <= m < M_e) and of rho^(2-m) (2 <= m < M_e) times
+    e^{im theta}. So ``out`` viewed as complex holds log rho + i rho^2
+    log rho, zeta log rho and the complex modes. Those of Re(conj(zeta)
+    phi + chi) are the real parts of conj(zeta) phi + chi, (phi conj(nu)
+    + conj(zeta) phi' nu + chi' nu) / L, 4 phi' / L^2 and 4 phi'' nu /
+    L^3; the sine part of a family, from potentials times -i, is their
+    imaginary part."""
     log, inv, cz, r2 = np.log(zeta), 1.0 / zeta, np.conj(zeta), np.abs(zeta) ** 2
     nu1, cnu1 = nu / L, np.conj(nu) / L  # the factor 1 / L of d_n
-    for j, (f, g, u) in enumerate(zip(
-            (log, inv * nu1),  # chi = log zeta
-            # phi = zeta log zeta
-            (r2 * log, zeta * log * cnu1 + cz * (log + 1.0) * nu1),
-            # rho log rho (cos, sin) theta: Re and Im of zeta log rho
-            (zeta * log.real, (log.real + 0.5) * nu1 + 0.5 * zeta / cz * cnu1))):
-        out[j, :, 0:1], out[j, :, 1:2] = np.real(f), np.real(g)
-        out[j, :, 2:3], out[j, :, 3:4] = np.real(u), np.imag(u)
-    t, m = _powers(inv, m_core)[:, 1:], np.arange(1.0, m_core)  # zeta^-m
-    tb, mb = t[:, 1:], m[1:]
-    h, b = slice(0, m_core - 1), slice(m_core - 1, None)
-    cos, sin = np.split(out[..., 4:], 2, axis=-1)
-
-    def put(j, cols, trace):  # each family as it is computed
-        cos[j, :, cols], sin[j, :, cols] = trace.real, trace.imag
-    put(0, h, t)  # chi = zeta^-m
-    put(1, h, -m * t * (inv * nu1))
-    put(0, b, r2 * tb)  # phi = zeta^(1-m)
-    put(1, b, tb * (zeta * cnu1 + (1.0 - mb) * (cz * nu1)))
-    return log, t
-
-
-def _michell_laplacians(zeta, nu, log, t, L: float, c: np.ndarray):
-    """Laplacian and its normal derivative along nu of the exterior modes
-    of one core with the coefficient columns ``c`` (rows in the order of
-    ``_michell_traces``), from the log zeta and the powers t = zeta^-m it
-    returned: 4 Re phi' / L^2 and 4 Re(phi'' nu) / L^3, each one real
-    product, where phi sums c_1 zeta log zeta, (c_2 + i c_3) (log zeta) /
-    2 and (a_m - i b_m) zeta^(1-m) over the rho^(2-m) family (a, b its
-    cosine and sine rows); the other families are harmonic."""
-    m = np.arange(2.0, t.shape[1] + 1.0)[:, None]
-    cos, sin = np.split(c[4:], 2)
-    P, head = (cos - 1j * sin)[len(m) + 1:], [c[1], c[2] - 1j * c[3]]
-    # Re((c_2 + i c_3) f) = Re((c_2 - i c_3) conj f): both products take
-    # the head rows c_1 and c_2 - i c_3
-    g, half = nu / zeta, 0.5 / np.conj(zeta)
-    lap = _real_product(np.hstack([t[:, 1:], log + 1.0, half]),
-                        np.vstack([(1.0 - m) * P, *head]))
-    dlap = _real_product(np.hstack([g * t[:, 1:], g, -half * np.conj(g)]),
-                         np.vstack([m * (m - 1.0) * P, *head]))
-    return 4.0 / L**2 * lap, 4.0 / L**3 * dlap
+    value, dn, lap, dlap = out.view(complex)
+    # chi = log zeta, phi = zeta log zeta, and zeta log rho
+    value[..., 0:1] = log.real * (1.0 + 1j * r2)
+    dn[..., 0:1] = (inv * nu1).real + 1j * (zeta * log * cnu1 + cz * (log + 1.0) * nu1).real
+    lap[..., 0:1], dlap[..., 0:1] = 4j / L**2 * (log.real + 1.0), 4j / L**2 * (inv * nu1).real
+    value[..., 1:2] = zeta * log.real
+    dn[..., 1:2] = (log.real + 0.5) * nu1 + 0.5 * zeta / cz * cnu1
+    lap[..., 1:2], dlap[..., 1:2] = 2.0 / L**2 / cz, -2.0 / L**2 * cnu1 / cz**2
+    t, m = _powers(inv, m_core)[..., 1:], np.arange(1.0, m_core)  # zeta^-m
+    h, b = slice(2, m_core + 1), slice(m_core + 1, None)
+    # in place, each family with no temporary of its size
+    value[..., h] = t  # chi = zeta^-m, harmonic
+    np.multiply(t, inv * nu1, out=dn[..., h])
+    dn[..., h] *= -m
+    lap[..., h] = dlap[..., h] = 0.0
+    np.multiply(t[..., 1:], r2, out=value[..., b])  # phi = zeta^(1-m)
+    np.multiply(cz * nu1, 1.0 - m[1:], out=dn[..., b])
+    dn[..., b] += zeta * cnu1
+    dn[..., b] *= t[..., 1:]
+    np.multiply(t[..., 1:], 4.0 / L**2 * (1.0 - m[1:]), out=lap[..., b])
+    np.multiply(t[..., 1:], inv * nu1, out=dlap[..., b])
+    dlap[..., b] *= 4.0 / L**2 * m[1:] * (m[1:] - 1.0)
 
 
-def _michell_sum(c: np.ndarray, zeta: np.ndarray, m_core: int,
-                 floor: float) -> np.ndarray:
-    """Value at the points zeta (1-D, |zeta| > 1) of the exterior modes
-    of one core with coefficients ``c`` in the order of
-    ``_michell_traces``; the power modes are Almansi sums in 1/zeta, and
-    a rho^(2-m) mode is cut by its whole term, factor rho^2 included
-    (``power`` 2)."""
-    rho2 = np.abs(zeta) ** 2
-    log = 0.5 * np.log(rho2)
-    head = (c[0] + c[1] * rho2 + c[2] * zeta.real + c[3] * zeta.imag) * log
-    cos, sin = np.split(c[4:], 2)
-    harm, bih = np.zeros((2, m_core), dtype=complex)
-    harm[1:], bih[2:] = np.split(0.5 * (cos - 1j * sin), [m_core - 1])
-    zero = np.zeros(m_core)
-    return (head + _almansi_sum(harm, zero, 1.0 / zeta, floor)
-            + rho2 * _almansi_sum(bih, zero, 1.0 / zeta, floor, power=2))
+def _image_frame(Z, W, e: float, m_core: int):
+    """The factors of the image parts of the modes about the cores at W =
+    (y - centre) / R ((K, 1)), e = eps / R, at Z = (x - centre) / R ((N,
+    1, 1)): zeta = (Z - W) / e, s = 1 / (1 - Z conj(W)), T = e s^2 =
+    dV/dZ, L = log|1 - Z conj(W)| and the powers V^k (k <= M_e) of V = e
+    Z s, singular at the Kelvin image Z = 1 / conj(W) of a core and |V|
+    <= eps / (R - |y|) < 1 in the disk."""
+    s = 1.0 / (1.0 - Z * np.conj(W))
+    return (Z - W) / e, s, e * s * s, -np.log(np.abs(s)), _powers(e * Z * s, m_core + 1)
 
 
-def _rung_bytes(m_inner: int, m_core: int, cores: int) -> int:
+def _image_heads(zeta, s, T, L, V, W, e: float, nu=None):
+    """The image parts of the complex head columns of ``_michell_traces``,
+    log rho + i rho^2 log rho and zeta log rho, at the points of a frame
+    (``_image_frame``); with the unit normals ``nu`` also their R d_n,
+    R^2 Delta and R^3 d_n Delta. 1 - |Z|^2 is taken in factored form."""
+    Z, cw, r2, lr = W + e * zeta, np.conj(W), np.abs(zeta) ** 2, math.log(e) - L
+    rest, a, Ve = (1.0 - np.abs(Z)) * (1.0 + np.abs(Z)), 1.0 - np.abs(W) ** 2, V / e
+    values = (1.0 - 0.5 * rest - np.real(np.conj(zeta) * V) + lr
+              + 1j * (r2 * lr + a / (2.0 * e * e) * rest),
+              zeta * (lr + 0.5) - 0.5 * r2 * V + W / (2.0 * e) * rest)
+    if nu is None:
+        return values
+    # of a Goursat pair R d_n = Re(conj(nu) (phi + conj(conj(Z) phi' +
+    # chi'))), R^2 Delta = 4 Re phi' and R^3 d_n Delta = 4 Re(phi'' nu);
+    # of a complex F nu d_Z F + conj(nu) d_Zbar F and 4 d_Z d_Zbar F
+    cnu, ws, ss, Wcs = np.conj(nu), cw * s, s * s, W * np.conj(s)
+    es = e * zeta * ws
+    return values, (
+        np.real(cnu * (Z - Ve - zeta * np.conj(T) + Wcs))
+        + 1j * np.real(cnu * (2.0 / e * zeta * lr + r2 * Wcs - a / e**2 * Z)),
+        nu * ((lr + 0.5) / e + 0.5 * (zeta * ws - np.conj(zeta) * Ve - r2 * T - W * np.conj(Z) / e))
+        + 0.5 * cnu * (zeta * (Wcs - Ve) - W * Z / e)), (
+        2.0 - 4.0 * ss.real + 4j / e**2 * (es.real + lr - 0.5 * a),
+        2.0 / e * (Wcs - W - Ve - e * zeta * ss)), (
+        -8.0 * np.real(ws * ss * nu) + 4j / e**2 * np.real(ws * (2.0 + es) * nu),
+        2.0 / e * (W * W * np.conj(ss) * cnu - 2.0 * ss * (1.0 + es) * nu))
+
+
+def _image_traces(Z, nu, W, e: float, R: float, m_core: int, out):
+    """Add to the planes of ``_michell_traces`` of the K cores, ``out``
+    (4, N, K, modes), those of the image parts that clamp the modes on r
+    = R, at the points Z with unit normals nu ((N, 1, 1) columns).
+
+    With G = 16 pi G_B(x, w) (``clamped_green``), w the source point, the
+    modes are G / 2 e^2, d_w d_wbar G / 2, -d_wbar G / 2 e, -e^m
+    d_w^(m+1) d_wbar G / (m - 1)! and e^(m-2) d_w^m G / (m - 2)!: rho^2
+    log rho, log rho, zeta log rho, rho^-m e^{-im theta} and rho^(2-m)
+    e^{-im theta} plus the same derivative of G's regular part and
+    polynomials. In Goursat form Re(conj(Z) phi + chi) the image of
+    a power mode is conj(g), g = conj(Z) phi + chi, with R d_n g = phi
+    conj(nu) + (conj(Z) phi' + chi') nu, R^2 Delta g = 4 phi' and R^3
+    d_n Delta g = 4 phi'' nu: phi = m V^(m+1) / e and g = m conj(zeta)
+    V^(m+1) - (m + 1) V^m for rho^-m, phi = (m - 1) zeta V^m / e and g =
+    (m - 1) |zeta|^2 V^m - m zeta V^(m-1) for rho^(2-m)."""
+    zeta, s, T, L, P = _image_frame(Z, W, e, m_core)
+    V, planes, scale = P[..., 1:2], out.view(complex), R ** -np.arange(4.0)
+    for plane, heads, r in zip(planes, _image_heads(zeta, s, T, L, V, W, e, nu), scale):
+        plane[..., 0] += r * heads[0][..., 0]
+        plane[..., 1] += r * heads[1][..., 0]
+    # a family is V^(m-1) (rho^-m) or V^(m-2) (rho^(2-m)) times a sum of
+    # terms (point factor, plane, order factor): one product per plane
+    m, cz, cnu, r2 = np.arange(1.0, m_core), np.conj(zeta), np.conj(nu), np.abs(zeta) ** 2
+    mb, a, b, dT = m[1:], cz * V - 1.0, r2 * V - zeta, 2.0 * np.conj(W) * s * T
+    k4, k5 = 4.0 / e * m * (m + 1.0), 4.0 / e * mb * (mb - 1.0)
+    for cols, order, terms in (
+            (slice(2, m_core + 1), m, [
+                (V * a, 0, m), (-V, 0, 1.0), (V * V * cnu / e, 1, m),
+                (T * nu * a, 1, m * (m + 1.0)), (T * V, 2, k4), (T * T * nu, 3, m * k4),
+                (V * dT * nu, 3, k4)]),
+            (slice(m_core + 1, None), mb, [
+                (V * b, 0, mb), (-r2 * V * V, 0, 1.0),
+                (2.0 / e * V * V * np.real(zeta * cnu), 1, mb - 1.0), (V * nu / e, 1, -mb),
+                (T * nu * b, 1, mb * (mb - 1.0)), (V * V, 2, k5 / (e * mb)), (zeta * T * V, 2, k5),
+                (V * T * nu, 3, 2.0 / e * k5), (zeta * T * T * nu, 3, (mb - 1.0) * k5),
+                (zeta * V * dT * nu, 3, k5)])):
+        F = np.concatenate([f for f, _, _ in terms], axis=-1).reshape(-1, len(terms))
+        C = np.zeros((4, len(terms), len(order)))
+        for i, (_, j, factor) in enumerate(terms):
+            C[j, i] = factor * scale[j]
+        rows = np.empty(P.shape[:2] + (len(order),), dtype=complex)
+        for plane, C_j in zip(planes, C):  # one plane at a time, in place
+            np.matmul(F, C_j, out=rows.reshape(-1, len(order)))
+            rows *= P[..., :len(order)]
+            plane[..., cols] += np.conjugate(rows, out=rows)
+
+
+def _clamped_sum(c: np.ndarray, zeta: np.ndarray, W: complex, e: float,
+                 m_core: int) -> np.ndarray:
+    """Value of one core's clamped modes with coefficients ``c`` at the
+    points zeta = (x - y) / eps (1-D, inside the disk, |zeta| > 1): Re(f
+    conj(c)) over the complex columns f of ``_michell_traces`` (powers
+    of 1 / zeta by Horner's rule) and their images (``_image_heads``,
+    and Re(conj(zeta) p_1 + p_2 + |zeta|^2 p_3 + zeta p_4), p_i in V)."""
+    zeta, q = zeta[:, None], c[0::2] + 1j * c[1::2]
+    frame = _image_frame(W + e * zeta, W, e, 1)
+    head, round_head = _image_heads(*frame[:4], frame[4][:, 1:2], W, e)
+    log, r2 = np.log(np.abs(zeta)), np.abs(zeta) ** 2
+    m, C = np.arange(1.0, m_core), np.zeros((m_core + 1, 6), dtype=complex)
+    C[2:, 0], C[1:-1, 1] = m * q[2:m_core + 1], -(m + 1.0) * q[2:m_core + 1]
+    C[2:-1, 2], C[1:-2, 3] = (m[1:] - 1.0) * q[m_core + 1:], -m[1:] * q[m_core + 1:]
+    C[1:-1, 4], C[2:-1, 5] = np.conj(q[2:m_core + 1]), np.conj(q[m_core + 1:])
+    p = np.polynomial.polynomial.polyval(frame[4][:, 1:2], C[:, :4])
+    t = np.polynomial.polynomial.polyval(1.0 / zeta, C[:, 4:])
+    return np.real((log * (1.0 + 1j * r2) + head) * np.conj(q[0])
+                   + (zeta * log + round_head) * np.conj(q[1]) + t[0] + r2 * t[1]
+                   + np.conj(zeta) * p[0] + p[1] + r2 * p[2] + zeta * p[3])[:, 0]
+
+
+def _rung_bytes(m_core: int, cores: int, outer_modes: int) -> int:
     """Bytes a ``_MichellSeries`` rung holds at most, in floats of its N
-    nodes, n exterior modes and c = n + d columns (d = 1 + 3K data sets):
-    N (10 M_e K + 2 d + 32) for the two exterior trace planes, each
-    core's powers and logarithm, and the data and node columns; 32 M_i M_e
-    K for the interior rows at the core nodes; and (14 M_i + 16 M_e + n)
-    c + n^2 for the coefficients, one core's misses and their FFT, the
-    system and LAPACK's copy of its square part."""
-    nodes, n_ext = 4 * (m_inner + m_core * cores), (4 * m_core - 2) * cores
+    nodes, n modes, d = 1 + 3K data sets and the outer series' count of
+    modes: N (4 n + 4 K M_e + 64 K + 2 d + 32) for the trace planes, the
+    powers and factors of the modes, the data and the closed forms'
+    temporaries, then the larger of 4 N count for the outer series'
+    powers and 2 n^2 + n (3 d + 4) for the system and LAPACK's copy."""
+    nodes, n_ext = 4 * m_core * cores, (4 * m_core - 2) * cores
     data = 1 + 3 * cores
-    return 8 * (nodes * (10 * m_core * cores + 2 * data + 32)
-                + 32 * m_inner * m_core * cores
-                + (14 * m_inner + 16 * m_core + n_ext) * (n_ext + data) + n_ext**2)
+    return 8 * (nodes * (4 * n_ext + 4 * cores * m_core + 64 * cores + 2 * data + 32)
+                + max(4 * nodes * outer_modes, 2 * n_ext**2 + n_ext * (3 * data + 4)))
 
 
 def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -601,151 +649,109 @@ class _MichellSeries:
 
     Data set 0 is the traces of -W_p on all circles; data set 1 + 3k + a
     those of 1, x_1 - y_k1 and x_2 - y_k2 (a = 0, 1, 2) on core k, and
-    zero elsewhere. z sums the Almansi modes k < M_i about the disk
-    centre and the exterior Michell modes of order below M_e about every
-    core. For given core coefficients the interior ones are the FFT fit
-    (``_almansi_modes``) of the outer traces the core modes leave, at
-    4 M_i nodes, which leave no miss below frequency M_i. The core
-    coefficients leave none below M_e at the 4 M_e nodes of each core
-    circle: 2 (2 M_e - 1) conditions per core, one per exterior mode.
-    This square system is written core by core into one column-major
-    array (``_system``) and solved by one LU (``_least_squares``). The
-    nodes of all circles are stacked (``_rows``): the exterior modes'
-    value and d_n traces at every node and the interior rows at the core
-    circles' nodes give the core-circle misses and, after the fit, the
-    fields at the nodes. On the outer circle the fit's interior part is
-    the inverse FFT of its coefficients (``_almansi_traces``), and the
-    Laplacians of the exterior part come from its coefficient columns
-    (``_michell_laplacians``).
+    zero elsewhere. z sums, for data set 0 only, the series ``outer``
+    with the traces of -W_p on r = R, and the modes of order below M_e
+    about every core, clamped on r = R (``_image_traces``). So only the
+    core circles are fitted: one square system (``_system``, one LU in
+    ``_least_squares``) leaves no miss below frequency M_e at the 4 M_e
+    nodes of each, 2 (2 M_e - 1) conditions per core, one per mode.
 
-    ``block_residuals`` are the largest misses of either trace, relative
-    to the largest datum, at the outer circle's nodes and at the core
-    circles' nodes, and ``residual`` is the larger; ``condition`` is the
-    fit's 1-norm condition estimate (``_least_squares``). ``Q[i, j]`` is
+    ``residual`` is the largest miss of either trace at the core
+    circles' nodes, relative to the largest datum the modes fit, and
+    ``condition`` the fit's 1-norm condition estimate. ``Q[i, j]`` is
     the integral of Delta z_i Delta z_j over the punctured disk, from
-    Green's identity on the circles against the data traces, symmetrized.
+    Green's identity on the core circles, symmetrized: only the outer
+    series' square with itself meets r = R, as its disk integral
+    (``_AlmansiSeries.squares``).
     """
 
     def __init__(self, domain: DiskDomain, sites, eps: float, W_p,
-                 m_inner: int, m_core: int):
-        R = domain.radius_R
+                 outer: _AlmansiSeries, m_core: int):
         self.domain, self.sites, self.eps = domain, sites, eps
-        self.modes = (m_inner, m_core)
-        # the nodes of all circles, the outer one first, in one stack
-        n0, nc = 4 * m_inner, 4 * m_core
-        counts = [n0, nc * len(sites)]
-        circles = [circle_nodes(domain.center, R, n0)] + [
-            circle_nodes(y, eps, nc) for y in sites]
+        self.outer, self.m_core = outer, m_core
+        nc, data = 4 * m_core, 1 + 3 * len(sites)
+        circles = [circle_nodes(y, eps, nc) for y in sites]
         pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
-        radius = np.repeat([R, eps], counts)[:, None]
-        val, der = np.zeros((2, len(pts), 1 + 3 * len(sites)))
+        # the traces the modes fit, d_n not scaled: the data less, in
+        # data set 0, the outer series
+        ext = self._rows(pts, nhat)
+        val, der = fit = np.zeros((2, len(pts), data))
         value, gradient = W_p.derivatives(pts, ("value", "gradient"))
-        val[:, 0] = -value
-        der[:, 0] = -radius[:, 0] * (gradient * nhat).sum(axis=-1)
+        s_val, s_dn, s_lap, s_dlap = outer.fields(pts, nhat)
+        val[:, 0] = -value - s_val
+        der[:, 0] = -(gradient * nhat).sum(axis=-1) - s_dn
         for k, y in enumerate(sites):
-            on, col = slice(n0 + k * nc, n0 + (k + 1) * nc), 3 * k + 1
+            on, col = slice(k * nc, (k + 1) * nc), 3 * k + 1
             val[on, col], val[on, col + 1:col + 3] = 1.0, pts[on] - y
-            der[on, col + 1:col + 3] = eps * nhat[on]
-        ext, parts, X = self._rows(pts, nhat, n0)
-        n_ext = ext.shape[-1]
-        A, B, system = self._system(ext, X, val, der)
-        self.coef, self.condition = _least_squares(system, n_ext)
-        self.A = A[:, n_ext:] - A[:, :n_ext] @ self.coef
-        self.B = B[:, n_ext:] - B[:, :n_ext] @ self.coef
+            der[on, col + 1:col + 3] = nhat[on]
+        self.coef, self.condition = _least_squares(self._system(ext, fit), ext.shape[-1])
 
-        z, dz, lap, dlap = self._fields(ext, parts, X, n0)
-        self.size = size = np.maximum(np.abs(val), np.abs(der)).max(axis=0)
-        miss = np.maximum(np.abs(z - val), np.abs(radius * dz - der)) / np.where(
-            size > 0.0, size, 1.0)
-        self.block_residuals = (float(miss[:n0].max()), float(miss[n0:].max()))
-        self.residual = max(self.block_residuals)
-        # trapezoid weights, negative on the cores, where the outward
-        # normal of the punctured disk is -nhat
-        weight = np.repeat([2.0 * math.pi * R / n0, -2.0 * math.pi * eps / nc],
-                           counts)[:, None]
-        Q = lap.T @ (weight * der / radius) - dlap.T @ (weight * val)
+        z, dz, lap, dlap = ext @ self.coef
+        self.size = size = np.maximum(np.abs(val), eps * np.abs(der)).max(axis=0)
+        miss = np.maximum(np.abs(z - val), eps * np.abs(dz - der))
+        self.residual = float((miss / np.where(size > 0.0, size, 1.0)).max())
+        # trapezoid weight, negative: the outward normal of the punctured
+        # disk is -nhat on the cores. A pair's term on r = R vanishes when
+        # its second field is clamped: every term pairs a field with a
+        # clamped one, but the outer series' own square, its disk integral
+        # less its core balls
+        weight = -2.0 * math.pi * eps / nc
+        Q = weight * (lap.T @ der - dlap.T @ val)
+        cross = weight * (s_lap @ der - s_dlap @ val)
+        Q[0] += cross
+        Q[:, 0] += cross
+        Q[0, 0] += outer.squares[0] + weight * (s_lap @ s_dn - s_dlap @ s_val)
         self.Q = 0.5 * (Q + Q.T)
 
-    def _system(self, ext, X, val, der):
-        """The interior coefficients (A, B) of every column, the core
-        modes' then the data sets', for zero core coefficients, and the
-        square system of the core coefficients, in LAPACK's column-major
-        order: on each core circle in turn, the real parts of the
-        frequencies 0 .. M_e - 1 and the imaginary parts of 1 .. M_e - 1
-        of the misses of the value, then of the eps d_n traces. ``ext``
-        are the exterior traces at all nodes, the outer circle's 4 M_i
-        first, and ``X`` the interior rows at the core circles' nodes."""
-        R, eps, (m_inner, m_core) = self.domain.radius_R, self.eps, self.modes
-        n0, nc, n_ext = 4 * m_inner, 4 * m_core, ext.shape[-1]
-        A, B = _almansi_modes(*(
-            np.fft.rfft(np.hstack(t), axis=0)[:m_inner] / n0 for t in (
-                [ext[0, :n0], val[:n0]], [R * ext[1, :n0], der[:n0]])))
-        system = np.empty((n_ext, A.shape[1]), order="F")
+    def _system(self, ext, fit):
+        """The square system of the mode coefficients, in LAPACK's
+        column-major order: on each core circle in turn, the real parts
+        of the frequencies 0 .. M_e - 1 and the imaginary parts of 1 ..
+        M_e - 1 of the value traces, then of the eps d_n traces, of the
+        modes ``ext`` and the data ``fit``."""
+        m_core, nc, n_ext = self.m_core, 4 * self.m_core, ext.shape[-1]
+        system = np.empty((n_ext, n_ext + fit.shape[-1]), order="F")
         # a view: splitting the row axis of a column-major array needs no copy
         rows = system.reshape(len(self.sites), 2, 2 * m_core - 1, -1)
-        H = np.empty((2 * m_core + 1, A.shape[1]), dtype=complex)
-        low, C = H[:m_core], _interior_columns(A, B)
-        for k in range(len(self.sites)):  # one core's misses at a time
-            on = slice(n0 + k * nc, n0 + (k + 1) * nc)
-            for j, (miss, ext_j, data) in enumerate(zip(
-                    _interior_traces(X, R, C, slice(k * nc, (k + 1) * nc)),
-                    ext[:, on], (val[on], der[on] / eps))):
-                # the misses overwrite the interior traces
-                np.subtract(ext_j, miss[:, :n_ext], out=miss[:, :n_ext])
-                np.subtract(data, miss[:, n_ext:], out=miss[:, n_ext:])
-                np.fft.rfft(miss, axis=0, out=H)
+        H = np.empty((2 * m_core + 1, system.shape[1]), dtype=complex)
+        low = H[:m_core]
+        for k in range(len(self.sites)):
+            for j in (0, 1):
+                np.fft.rfft(ext[j, k * nc:(k + 1) * nc], axis=0, out=H[:, :n_ext])
+                np.fft.rfft(fit[j, k * nc:(k + 1) * nc], axis=0, out=H[:, n_ext:])
                 rows[k, j, :m_core], rows[k, j, m_core:] = low.real, low[1:].imag
-        rows[:, 1] *= eps
-        return A, B, system
+        rows[:, 1] *= self.eps
+        return system
 
-    def _rows(self, pts, nhat, outer: int = 0):
-        """The exterior value and d_n traces at the points, per core what
-        ``_michell_laplacians`` takes, and the interior rows at the
-        points past the first ``outer``."""
-        nu, (m_inner, m_core) = (nhat[:, 0] + 1j * nhat[:, 1])[:, None], self.modes
-        ext = np.empty((2, len(pts), (4 * m_core - 2) * len(self.sites)))
-        parts = []
-        for y, part in zip(self.sites, np.split(ext, len(self.sites), axis=-1)):
-            zeta = ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None] / self.eps
-            parts.append((zeta, nu, *_michell_traces(zeta, nu, self.eps, m_core, part)))
-        (cx, cy), R = self.domain.center, self.domain.radius_R
-        w = ((pts[outer:, 0] - cx) + 1j * (pts[outer:, 1] - cy))[:, None] / R
-        return ext, parts, _interior_rows(w, nu[outer:], m_inner)
+    def _rows(self, pts, nhat):
+        """The modes' value, d_n, Laplacian and d_n Laplacian planes at
+        the points."""
+        (cx, cy), R, m_core = self.domain.center, self.domain.radius_R, self.m_core
+        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None, None]
+        ext = np.empty((4, len(pts), (4 * m_core - 2) * len(self.sites)))
+        planes = ext.reshape(4, len(pts), len(self.sites), -1)
+        x, y = pts[:, 0] + 1j * pts[:, 1], np.array([complex(*y) for y in self.sites])
+        _michell_traces((x[:, None] - y)[..., None] / self.eps, nu, self.eps, m_core, planes)
+        _image_traces((x - complex(cx, cy))[:, None, None] / R, nu,
+                      (y - complex(cx, cy))[:, None] / R, self.eps / R, R, m_core, planes)
+        return ext
 
     def fields(self, pts, nhat):
         """Value, normal derivative along ``nhat``, Laplacian and normal
         derivative of the Laplacian of every z (one column per data
         set) at points of the punctured disk."""
-        return self._fields(*self._rows(pts, nhat))
-
-    def _fields(self, ext, parts, X, outer: int = 0):
-        """``fields`` from ``_rows``; the first ``outer`` points are the
-        outer circle's nodes, where ``_almansi_traces`` gives the
-        interior part."""
-        R = self.domain.radius_R
-        inner = (*_interior_traces(X, R, _interior_columns(self.A, self.B)),
-                 *_interior_laplacians(X, R, self.B))
-        if outer:
-            inner = [np.vstack(f) for f in zip(
-                _almansi_traces(self.A, self.B, outer, R), inner)]
-        z, dz, lap, dlap = inner
-        for part, c in zip(parts, np.split(self.coef, len(parts))):
-            core_lap, core_dlap = _michell_laplacians(*part, self.eps, c)
-            lap += core_lap
-            dlap += core_dlap
-        return z + ext[0] @ self.coef, dz + ext[1] @ self.coef, lap, dlap
+        fields = self._rows(pts, nhat) @ self.coef
+        for f, outer in zip(fields, self.outer.fields(pts, nhat)):
+            f[:, 0] += outer
+        return fields
 
     def solution(self, u: np.ndarray, W_p, scale: float) -> SeriesSolution:
         """``scale`` (W_p + z) for z = z_0 + sum_j u_j z_j, affine on the
         core balls."""
-        weights = np.concatenate([[1.0], u])
-        floor = np.finfo(float).eps * float(self.size @ np.abs(weights))
-        interior = _AlmansiSeries(self.domain, self.A @ weights,
-                                  self.B @ weights, floor)
         return SeriesSolution(
-            interior, scale, W_p, [(y, self.eps) for y in self.sites],
+            self.outer, scale, W_p, [(y, self.eps) for y in self.sites],
             np.split(u, len(self.sites)),
-            np.split(self.coef @ weights, len(self.sites)), self.modes[1])
+            np.split(self.coef @ np.concatenate([[1.0], u]), len(self.sites)), self.m_core)
 
 
 def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
@@ -830,16 +836,13 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     Laplacians there.
 
     The value does not depend on ``n``, the resolution of a field dump.
-    ``extras`` gives the mode counts (interior, per core),
-    ``fit_condition`` (a lower bound on the 1-norm condition number of
-    the fit's square system, ``_least_squares``) and ``value_change``,
-    the change in value over the last rung, which doubled the interior
-    count, the core count or both (``None`` when the first fit met its
-    target). A rung whose arrays would exceed ``_MAX_RUNG_BYTES`` is not
-    started; when doubling both blocks would, only the block with the
-    larger residual doubles. The last fit stands if its residual is
-    within ``_RESIDUAL_BOUND``, and otherwise ``NumericalError`` names
-    the budget.
+    ``extras`` gives the mode count per core, ``fit_condition`` (a lower
+    bound on the 1-norm condition number of the fit's square system,
+    ``_least_squares``) and ``value_change``, the change in value over
+    the last doubling (``None`` when the first fit met its target). A
+    rung whose arrays would exceed ``_MAX_RUNG_BYTES`` is not started;
+    the last fit stands if its residual is within ``_RESIDUAL_BOUND``,
+    and otherwise ``NumericalError`` names the budget.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -862,6 +865,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)
     W_p, ball_energy, C0, load = _core_problem(elastic, domain, dislocations, eps)
+    outer = _AlmansiSeries.fit(domain, W_p)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
 
     def minimum(series: _MichellSeries):
@@ -870,41 +874,36 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
         return u, float(0.5 * fl * energy + load @ u - C0)
 
-    modes, rungs = (_FIRST_MODES, _FIRST_MODES // 2), []
-    while (need := _rung_bytes(*modes, len(sites))) <= _MAX_RUNG_BYTES:
-        series = _MichellSeries(domain, sites, eps, W_p, *modes)
-        previous = rungs[-1][0].block_residuals if rungs else (None, None)
+    m_core, rungs = _FIRST_MODES, []
+    while (need := _rung_bytes(m_core, len(sites), len(outer.A))) <= _MAX_RUNG_BYTES:
+        series = _MichellSeries(domain, sites, eps, W_p, outer, m_core)
+        previous = rungs[-1][0].residual if rungs else None
         rungs = rungs[-1:] + [(series, *minimum(series))]
-        grow = [m < cap and _keeps_doubling(r, p, _SERIES_TARGET) for m, cap, r, p
-                in zip(modes, (_MAX_MODES, _MAX_MODES // 2),
-                       series.block_residuals, previous)]
-        if not any(grow):
+        if m_core >= _MAX_MODES or not _keeps_doubling(series.residual, previous,
+                                                       _SERIES_TARGET):
             break
-        if all(grow) and (_rung_bytes(*(2 * m for m in modes), len(sites))
-                          > _MAX_RUNG_BYTES):
-            worse = series.block_residuals[1] > series.block_residuals[0]
-            grow = [not worse, worse]
-        modes = tuple(2 * m if g else m for m, g in zip(modes, grow))
+        m_core *= 2
     else:
         if not (rungs and rungs[-1][0].residual <= _RESIDUAL_BOUND):
             raise NumericalError(
-                f"core series rung {modes} needs about {need / 2**20:.0f} MiB, "
+                f"core series rung {m_core} needs about {need / 2**20:.0f} MiB, "
                 f"above the memory budget of {_MAX_RUNG_BYTES / 2**20:.0f} MiB")
     series, u, value = rungs[-1]
-    if not series.residual <= _RESIDUAL_BOUND:
-        raise NumericalError(f"core series fit residual {series.residual} "
-                             f"with modes {series.modes}")
+    residual = max(series.residual, outer.residual)
+    if not residual <= _RESIDUAL_BOUND:
+        raise NumericalError(f"core series fit residual {residual} "
+                             f"with modes {series.m_core}")
     fit_seconds = time.perf_counter() - t0
 
     affine = {f"core_{k}": [E * float(c) for c in u[3 * k:3 * k + 3]]
               for k in range(len(dislocations))}
 
     return SolveReport(
-        value=E * value, residual=series.residual, method="series", grid_n=n,
+        value=E * value, residual=residual, method="series", grid_n=n,
         delta=delta, assemble_seconds=fit_seconds,
         solution=series.solution(u, W_p, E),
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
-                "modes": list(series.modes),
+                "modes": series.m_core,
                 "fit_condition": series.condition,
                 "value_change": None if len(rungs) < 2
                 else E * abs(value - rungs[0][2])},
@@ -976,7 +975,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     series = _AlmansiSeries.fit(domain, SumField(tuple(terms)))
     # Hessian-form energy of the (non-clamped) correction, with
     # |D^2 v|^2 = ((Delta v)^2 + |4 d_z^2 v|^2) / 2
-    lap_square, wirt_square = series.squares()
+    lap_square, wirt_square = series.squares
     G_hess = (1.0 + nu) / 2.0 * ((0.5 - nu) * lap_square + 0.5 * wirt_square)
     gram_value = 0.5 * _gram_factor(elastic) * lap_square
     fit_seconds = time.perf_counter() - t0

@@ -7,7 +7,8 @@ Usage, from the repository root:
 It runs ``field``, ``solve --field-csv``, ``energy`` and ``check-bc`` on
 every configuration of ``test_cli.DUMP_DOCS`` at grid-n 64, 77 and 256
 (``check-bc`` takes no grid), ``renormalize`` on every one with
-dislocations, and ``sweep-dipole --csv`` at E = 1, 1e-9 and 1e20, in a
+dislocations, ``sweep-core`` on the ``pair`` one, and ``sweep-dipole
+--csv`` at E = 1, 1e-9 and 1e20, in a
 temporary directory and with relative output paths, so
 that the path a JSON report names is the same on every checkout. Each
 run prints its exit code, then each artifact it wrote prints as ``name
@@ -41,6 +42,8 @@ def runs():
         yield f"check-bc-{doc_id}", ["check-bc", *cfg], None
         if "dislocations" in doc:
             yield f"renormalize-{doc_id}", ["renormalize", *cfg], None
+        if doc_id == "pair":
+            yield f"sweep-core-{doc_id}", ["sweep-core", *cfg], None
     for E in SWEEP_ES:
         yield (f"sweep-dipole-E{E}",
                ["sweep-dipole", "--E", E, "--nu", "0.3",

@@ -11,6 +11,11 @@
   (``core_problem_per_ring``): the solver builds the one in place and
   evaluates the other on all rings at once, at the node count its
   circle rule settles on, and both must agree bit for bit.
+- The two-block core fit the solver used before its modes were clamped
+  (``two_block_value``): Almansi modes about the disk centre and
+  unclamped Michell modes about each core, fitted to the traces on every
+  circle, the outer one included, by least squares. Its value must agree
+  with the clamped fit's.
 """
 
 import math
@@ -21,7 +26,7 @@ import numpy as np
 from airy_defects.closedform import DislocationCoreAiry, SumField
 from airy_defects.core import NumericalError, rotate_burgers
 from airy_defects.fields import circle_nodes
-from airy_defects.solver import _gram_factor, _powers
+from airy_defects.solver import _core_problem, _gram_factor, _powers
 
 
 def goursat_fields(zeta, nu, L: float, potentials):
@@ -84,10 +89,15 @@ def interior_fields(w, nu, R: float, A, B):
 
 
 def michell_fields(zeta, nu, eps: float, m_core: int):
-    """The four traces of the exterior modes of one core, as columns."""
+    """The four traces of the exterior modes of one core, as columns in
+    the solver's order: the heads, then the cosine and the sine part of
+    each power mode side by side."""
     parts = [goursat_fields(zeta, nu, eps, p)
              for p in michell_potentials(zeta, m_core)]
-    return [np.hstack(q) for q in zip(*parts)]
+    powers = 2 * m_core - 3
+    order = np.r_[0:4, np.stack([4 + np.arange(powers), 4 + powers + np.arange(powers)],
+                                -1).ravel()]
+    return [np.hstack(q)[:, order] for q in zip(*parts)]
 
 
 def stacked_least_squares(A: np.ndarray, B: np.ndarray):
@@ -149,3 +159,48 @@ def core_problem_per_ring(elastic, domain, dislocations, eps: float, n: int):
         ball += math.pi * eps**2 * (
             H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
     return ball, C0, load
+
+
+def two_block_value(elastic, domain, dislocations, eps: float, m_inner: int,
+                    m_core: int) -> float:
+    """The core-constrained minimum with the smooth correction z as Almansi
+    modes k < m_inner about the centre (real and imaginary parts of A_k
+    and B_k) plus the exterior Michell modes below m_core about every
+    core, each data set fitted by least squares to its value and radius d_n
+    traces at 4 m_inner nodes of r = R and 4 m_core of each core circle,
+    and the plate energy from Green's identity on all circles against the
+    data traces, as the solver's ``minimum`` takes it."""
+    fl = _gram_factor(elastic)
+    W_p, ball, C0, load = _core_problem(elastic, domain, dislocations, eps)
+    (cx, cy), R, K = domain.center, domain.radius_R, len(dislocations)
+    sites = [np.asarray(d.site, dtype=float) for d in dislocations]
+    circles = [(domain.center, R, 4 * m_inner, 1.0)] + [
+        (y, eps, 4 * m_core, -1.0) for y in sites]
+    eye, zero = np.eye(m_inner), np.zeros((m_inner, m_inner))
+    A, B = np.hstack([eye, 1j * eye, zero, zero]), np.hstack([zero, zero, eye, 1j * eye])
+    planes, data, weights = [], [], []
+    for k, (centre, radius, n, sign) in enumerate(circles):
+        pts, nhat, _ = circle_nodes(centre, radius, n)
+        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+        w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
+        columns = [interior_fields(w, nu, R, A, B)] + [michell_fields(
+            ((pts[:, 0] - y[0]) + 1j * (pts[:, 1] - y[1]))[:, None] / eps, nu, eps, m_core)
+            for y in sites]
+        planes.append([np.hstack(q) for q in zip(*columns)])
+        val, der = np.zeros((2, n, 1 + 3 * K))
+        value, gradient = W_p.derivatives(pts, ("value", "gradient"))
+        val[:, 0], der[:, 0] = -value, -(gradient * nhat).sum(axis=-1)
+        if k:
+            val[:, 3 * k - 2], val[:, 3 * k - 1:3 * k + 1] = 1.0, pts - centre
+            der[:, 3 * k - 1:3 * k + 1] = nhat
+        data.append((val, der, radius))
+        weights.append(sign * 2.0 * math.pi * radius / n)
+    rows = np.vstack([np.vstack([p[0], r * p[1]]) for p, (_, _, r) in zip(planes, data)])
+    rhs = np.vstack([np.vstack([v, r * d]) for v, d, r in data])
+    coef = np.linalg.lstsq(rows, rhs, rcond=1e-14)[0]
+    Q = sum(w * ((p[2] @ coef).T @ d - (p[3] @ coef).T @ v)
+            for p, (v, d, _), w in zip(planes, data, weights))
+    Q = 0.5 * (Q + Q.T)
+    u = np.linalg.solve(Q[1:, 1:], -(Q[1:, 0] + load / fl))
+    energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball
+    return float(0.5 * fl * energy + load @ u - C0)

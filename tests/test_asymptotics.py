@@ -35,6 +35,7 @@ from airy_defects.asymptotics import (
     renormalized_energy,
     sweep_to_csv,
 )
+from airy_defects.solver import solve_core_constrained
 from renormalized_reference import (
     renormalized_decomposition,
     vanishing_core_limit_constant,
@@ -119,6 +120,19 @@ class TestDipoleSweep:
         ])
         area = float(w @ (2.0 * math.pi * r * means))
         assert _dipole_energy(elastic, 1.0, 1.0, h) == pytest.approx(area, rel=1e-7)
+
+    def test_solver_value_of_a_close_pair_keeps_its_digits(self, elastic):
+        # the +-s pair at (+-h/2, 0): -(K/2) sum s_i s_j G_B(y_i, y_j) is
+        # -K s^2 h^2 log1p(a^2 / h^2) / 16 pi, a = 1 - h^2/4, here at 40
+        # digits; summed as the matrix of G_B it lost 1.0e-12 and 2.6e-4
+        mpmath = pytest.importorskip("mpmath")
+        rows = dipole_scaling_sweep(elastic, 1.0, 1.0, [1e-3, 1e-7], include_solver=True)
+        with mpmath.workdps(40):
+            K = mpmath.mpf(1) / (1 - mpmath.mpf("0.3") ** 2)
+            for row in rows:
+                h = mpmath.mpf(row["param"])
+                exact = -K * h**2 * mpmath.log1p((1 - h**2 / 4) ** 2 / h**2) / (16 * mpmath.pi)
+                assert abs(row["solver_value"] / exact - 1) <= 1e-14
 
     @pytest.mark.parametrize("E, nu, s", [(1.0, 0.3, 2.0), (2.5, 0.1, -1.0)])
     def test_energy_quadratic_in_charge(self, E, nu, s):
@@ -365,6 +379,24 @@ class TestRenormalizedEnergy:
 
 
 class TestExpansionFits:
+    @pytest.mark.parametrize("defects, ratio", [
+        ([Dislocation((0.3, 0.0), (0.0, 1.0))], -0.0874),
+        ([Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)], -0.491),
+    ], ids=["one", "pair"])
+    def test_constant_is_the_expansion_constant(self, defects, ratio, elastic,
+                                                unit_disk):
+        # value - slope |log eps| - expansion_constant falls like eps^2:
+        # each halving of eps divides it by 4 within 2%, and rem / eps^2
+        # reads -0.0874 and -0.491 at eps 0.0125
+        slope = -elastic.plane_prefactor * sum(
+            math.hypot(*d.burgers_b) ** 2 for d in defects) / (8.0 * math.pi)
+        constant = renormalized_energy(defects, elastic, unit_disk).expansion_constant
+        rem = [solve_core_constrained(elastic, unit_disk, defects, eps).value
+               - slope * abs(math.log(eps)) - constant for eps in (0.05, 0.025, 0.0125)]
+        for coarse, fine in zip(rem, rem[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.02)
+        assert rem[-1] / 0.0125**2 == pytest.approx(ratio, rel=2e-3)
+
     def test_single_dislocation_fit_structure(self, elastic, unit_disk):
         fit = expansion_check(
             SINGLE, elastic, unit_disk, [0.2, 0.1], fit_tail=2

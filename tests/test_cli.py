@@ -976,6 +976,26 @@ class TestConfigContract:
         assert code == 3
         assert not out.exists()
 
+    def test_core_near_the_circle_solves(self, tmp_path):
+        # a core at 0.97 R with eps 0.012, whose Kelvin image lies 0.031 R
+        # beyond the circle: the two-block fit exited 3 here (residual
+        # 8.3e-5 at its cap); the clamped modes settle at 32 per core, and
+        # sweep-core returns the analytic slope (0.08% off)
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps({
+            **DISL, "dislocations": [{"site": [0.97, 0.0], "b": [0.0, 1.0]}],
+            "core_radius": 0.012,
+        }))
+        out = tmp_path / "solve.json"
+        assert main(["solve", "--config", str(cfg), "--grid-n", "64",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["extras"]["modes"] == 32
+        out = tmp_path / "sweep.json"
+        assert main(["sweep-core", "--config", str(cfg), "--eps", "0.012,0.006,0.003",
+                     "--out", str(out)]) == 0
+        fit = json.loads(out.read_text())
+        assert fit["slope"] == pytest.approx(fit["analytic_slope"], rel=1e-2)
+
     def test_rung_over_memory_budget_exits_numerical(self, configs, tmp_path,
                                                      monkeypatch, capsys):
         # no rung fits a 1-byte budget, so no fit is started

@@ -38,6 +38,7 @@ from airy_defects.closedform import (
     ShiftedField,
     SingleDisclinationClamped,
     SumField,
+    clamped_green,
 )
 from airy_defects.energy import single_dislocation_min_value
 from airy_defects.fields import OUTSIDE, circle_nodes, grid_for_disk
@@ -547,12 +548,13 @@ class TestDisclinationSolve:
 
 
 def _spy_rungs(monkeypatch) -> list:
-    """Record the mode counts of every ``_MichellSeries`` rung fitted."""
+    """Record the per-core mode count of every ``_MichellSeries`` rung
+    fitted."""
     rungs, series = [], solver._MichellSeries
 
-    def spy(domain, sites, eps, W_p, m_inner, m_core):
-        rungs.append((m_inner, m_core))
-        return series(domain, sites, eps, W_p, m_inner, m_core)
+    def spy(domain, sites, eps, W_p, outer, m_core):
+        rungs.append(m_core)
+        return series(domain, sites, eps, W_p, outer, m_core)
 
     monkeypatch.setattr(solver, "_MichellSeries", spy)
     return rungs
@@ -561,22 +563,23 @@ def _spy_rungs(monkeypatch) -> list:
 PAIR_SAME = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.3, -0.3)]
 PAIR_OPPOSITE = [Dislocation((0.3, 0.0), (0.0, 1.0)),
                  Dislocation((-0.3, 0.0), (0.0, -1.0))]
-# one core 0.2 from the circle, eps 0.2 D, and its value at modes (512, 256)
+# one core 0.2 from the circle, eps 0.2 D, and its value at modes (512,
+# 256) of the two-block fit (interior, per core) that the clamped modes
+# replaced
 NEAR_CIRCLE = [Dislocation((0.8, 0.0), (0.0, 1.0))]
 NEAR_CIRCLE_VALUE = float.fromhex("-0x1.4903bc218afd7p-4")
-# defects, eps, value and the final mode counts; the counts are pinned
-# only where the residuals of the last two fits lie 5x or more from
-# _SERIES_TARGET (the pairs at eps 0.1 end their (32, 16) fit at 1.0e-12)
+# defects, eps, value and the final per-core mode count; the counts are
+# pinned only where the residuals of the last two fits lie 5x or more from
+# _SERIES_TARGET (the pairs at eps 0.1 end their M_e = 16 fit at 1.0e-12)
 REFERENCE_CASES = [
-    ([Dislocation((0.0, 0.0), (0.0, 1.0))], 0.1, -0.057819900928390, [16, 8]),
-    ([Dislocation((0.3, 0.0), (0.0, 1.0))], 0.1, -0.057631009552692, [32, 16]),
+    ([Dislocation((0.0, 0.0), (0.0, 1.0))], 0.1, -0.057819900928390, 8),
+    ([Dislocation((0.3, 0.0), (0.0, 1.0))], 0.1, -0.057631009552692, 16),
     (PAIR_SAME, 0.1, -0.073563461626869, None),
     (PAIR_OPPOSITE, 0.1, -0.153772978797308, None),
-    # outer-circle residuals 3.1e-7 then 1.1e-13 at (16, 8), (32, 16);
-    # core-circle residuals 5.8e-7 then 1.1e-13 at (32, 16), (32, 32);
-    # and 9.5e-8 then 1.2e-13 at (16, 8), (32, 16)
-    (PAIR_SAME, 0.2, -0.0252260928470686, [32, 32]),
-    (PAIR_SAME, 0.05, -0.130657023839609, [32, 16]),
+    # residuals 5.8e-7 then 1.1e-13 at M_e = 16, 32; and 8.7e-9 then
+    # 7.0e-15 at 8, 16
+    (PAIR_SAME, 0.2, -0.0252260928470686, 32),
+    (PAIR_SAME, 0.05, -0.130657023839609, 16),
 ]
 REFERENCE_IDS = ["centered", "single", "same", "opposite", "same-eps0.2",
                  "same-eps0.05"]
@@ -639,16 +642,15 @@ class TestCoreConstrainedSolve:
         report = solve_core_constrained(elastic, unit_disk, defects, 0.2, n=64)
         assert report.method == "series"
         assert report.residual <= solver._RESIDUAL_BOUND
-        m_inner, m_core = report.extras["modes"]
-        assert m_inner >= solver._FIRST_MODES and 2 * m_core >= solver._FIRST_MODES
+        assert report.extras["modes"] >= solver._FIRST_MODES
         for key in ("eps", "core_affine", "separation_D", "value_change"):
             assert key in report.extras
         assert 1.0 <= report.extras["fit_condition"] < 1e6
 
     def test_unresolved_series_fit_raises(self, elastic, unit_disk,
                                           monkeypatch):
-        # a core near the circle needs hundreds of interior modes; the cap
-        # holds both blocks at the first rung
+        # a core near the circle needs 32 modes (residual 1.3e-4 at 8); the
+        # cap holds the ladder at the first rung
         monkeypatch.setattr(solver, "_MAX_MODES", solver._FIRST_MODES)
         rungs = _spy_rungs(monkeypatch)
         with pytest.raises(NumericalError, match="core series fit residual"):
@@ -656,23 +658,13 @@ class TestCoreConstrainedSolve:
                 elastic, unit_disk, [Dislocation((0.9, 0.0), (0.0, 1.0))],
                 0.05, n=64,
             )
-        assert rungs == [(solver._FIRST_MODES, solver._FIRST_MODES // 2)]
-
-    def test_blocks_double_on_their_own_residuals(self, elastic, unit_disk):
-        # (the eps 0.2 pair of REFERENCE_CASES needs more core modes only,
-        # and ends at M_e = M_i.) A core at distance 0.2 from the circle
-        # needs hundreds of interior modes but few core modes; the value is
-        # the coupled ladder's, which ended at (512, 256)
-        one = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
-        m_inner, m_core = one.extras["modes"]
-        assert m_core < m_inner / 2
-        assert one.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-14)
+        assert rungs == [solver._FIRST_MODES]
 
     def test_near_circle_fit_stays_small(self, elastic, unit_disk):
-        # the outer circle's interior traces come from the FFT, so its
-        # residual ends at (256, 16) (7.1e-13), within 5x of the target,
-        # and no rung tabulates interior rows there: the solve traced 74
-        # MiB when they were dense and its ladder ended at (512, 16)
+        # a core at distance 0.2 from the circle: the clamped modes need no
+        # interior block, and the ladder ends at M_e = 16 (residual 2.8e-15)
+        # with the value of the two-block ladder, which ended at (512, 256)
+        # and traced 74 MiB when its interior rows were dense
         tracemalloc.start()
         try:
             report = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04,
@@ -681,60 +673,59 @@ class TestCoreConstrainedSolve:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert report.extras["modes"] == 16
         assert report.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-14)
 
-    def test_value_converges_over_the_interior_doublings(self, elastic,
-                                                         unit_disk, monkeypatch):
-        # a value that is not exact by construction: the near-circle core
-        # at the rungs (16, 8), (32, 16) and (64, 16), where a cap on the
-        # modes ends the ladder, against the converged fit. Each interior
-        # doubling cuts the error 100-fold or brings it within 1e-12
-        # relative (2.1e-3, 4.0e-6 and 6.7e-12 relative)
+    def test_core_at_0_97_solves(self, elastic, unit_disk):
+        # its Kelvin image lies 0.031 R beyond the circle: the two-block fit
+        # needed about 900 interior modes and raised at its cap (residual
+        # 8.3e-5 at (512, 32)); the clamped modes settle at M_e = 32
+        report = solve_core_constrained(
+            elastic, unit_disk, [Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012,
+            n=64)
+        assert report.residual <= solver._SERIES_TARGET
+        assert report.extras["modes"] == 32
+        assert report.value == pytest.approx(-0.06553292372215871, rel=1e-13)
+
+    def test_value_converges_over_the_core_doublings(self, elastic, unit_disk,
+                                                     monkeypatch):
+        # a value that is not exact by construction: the eps 0.2 pair at
+        # M_e = 8, 16 and 32, where a cap on the modes ends the ladder,
+        # against the converged fit. Each doubling cuts the error 100-fold
+        # or brings it within 1e-12 relative (1.1e-6, 3.4e-13 and 0)
         monkeypatch.setattr(solver, "_RESIDUAL_BOUND", math.inf)
+        defects, eps, converged, _ = REFERENCE_CASES[4]
         errors = []
-        for cap in (16, 32, 64):
+        for cap in (8, 16, 32):
             monkeypatch.setattr(solver, "_MAX_MODES", cap)
-            report = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04,
+            report = solve_core_constrained(elastic, unit_disk, defects, eps,
                                             n=64)
-            assert report.extras["modes"][0] == cap
-            errors.append(abs(report.value / NEAR_CIRCLE_VALUE - 1.0))
+            assert report.extras["modes"] == cap
+            errors.append(abs(report.value / converged - 1.0))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= max(coarse / 100.0, 1e-12)
 
     def test_no_rung_starts_above_the_memory_budget(self, elastic, unit_disk,
                                                     monkeypatch):
         rungs = _spy_rungs(monkeypatch)
-        # the (128, 16) fit is within _RESIDUAL_BOUND (1.6e-11) but above
-        # the target, and (256, 16) is over the budget: the ladder stops
-        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(128, 16, 1))
-        report = solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
-        assert rungs == [(16, 8), (32, 16), (64, 16), (128, 16)]
-        assert report.extras["modes"] == [128, 16]
-        assert report.value == pytest.approx(NEAR_CIRCLE_VALUE, rel=1e-13)
-        # the (16, 8) fit is far from resolved when the budget ends the
-        # ladder, and no rung at all fits a 1-byte budget
-        for budget, fitted in ((solver._rung_bytes(16, 8, 1), 1), (1, 0)):
+        defects, eps = [Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012
+        W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
+        outer = len(solver._AlmansiSeries.fit(unit_disk, W_p).A)
+        # the M_e = 16 fit is within _RESIDUAL_BOUND (5.1e-11) but above
+        # the target, and 32 is over the budget: the ladder stops
+        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(16, 1, outer))
+        report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        assert rungs == [8, 16]
+        assert report.extras["modes"] == 16
+        assert report.value == pytest.approx(-0.06553292372215871, rel=1e-9)
+        # the M_e = 8 fit is far from resolved (1.7e-5) when the budget
+        # ends the ladder, and no rung at all fits a 1-byte budget
+        for budget, fitted in ((solver._rung_bytes(8, 1, outer), 1), (1, 0)):
             rungs.clear()
             monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", budget)
             with pytest.raises(NumericalError, match="memory budget"):
-                solve_core_constrained(elastic, unit_disk, NEAR_CIRCLE, 0.04, n=64)
-            assert rungs == [(16, 8)][:fitted]
-
-    def test_one_block_doubles_when_both_do_not_fit(self, elastic, unit_disk,
-                                                    monkeypatch):
-        # at (64, 32) the outer residual is 1.3e-6 and the core one
-        # 2.0e-12, so both blocks would double, but (128, 64) is over a
-        # budget of the (128, 32) rung: the outer block doubles alone and
-        # the fit settles on its roundoff floor (2.8e-12); the value is
-        # within 2e-13 of that of (256, 64), where the ladder ends
-        # without the budget
-        rungs = _spy_rungs(monkeypatch)
-        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(128, 32, 2))
-        defects = [Dislocation((x, 0.0), (0.0, 1.0)) for x in (0.7, -0.7)]
-        report = solve_core_constrained(elastic, unit_disk, defects, 0.2, n=64)
-        assert rungs == [(16, 8), (32, 16), (64, 32), (128, 32)]
-        assert report.residual <= 10.0 * solver._SERIES_TARGET
-        assert report.value == pytest.approx(-0.01974457228198591, rel=1e-12)
+                solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+            assert rungs == [8][:fitted]
 
     @pytest.mark.parametrize("cores", [1, 2, 4, 8])
     def test_rung_bytes_bound_the_traced_peak(self, cores, elastic, unit_disk):
@@ -746,26 +737,30 @@ class TestCoreConstrainedSolve:
         eps = 0.2 * min_separation_D(sites, unit_disk)
         defects = [Dislocation(tuple(y), (0.0, 1.0)) for y in sites]
         W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
-        for modes in ((32, 16), (128, 16)):
+        outer = solver._AlmansiSeries.fit(unit_disk, W_p)
+        for m_core in (16, 32):
             tracemalloc.start()
             try:
-                solver._MichellSeries(unit_disk, sites, eps, W_p, *modes)
+                solver._MichellSeries(unit_disk, sites, eps, W_p, outer, m_core)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= solver._rung_bytes(*modes, cores) <= 1.5 * peak
+            assert peak <= solver._rung_bytes(m_core, cores, len(outer.A)) <= 1.5 * peak
 
     def test_circles_fit_their_low_frequencies(self, elastic, unit_disk):
         # the misses of the value and the radius-scaled d_n traces vanish
-        # to roundoff below M_i on the outer circle and below M_e on each
-        # core circle, for every data set
-        eps, (m_inner, m_core) = 0.2, (32, 16)
+        # to roundoff below M_e on each core circle, and on the outer
+        # circle below the frequencies of the outer series (the clamped
+        # modes vanish there), for every data set
+        eps, m_core = 0.2, 16
         sites = [np.asarray(d.site, dtype=float) for d in PAIR_SAME]
         W_p, *_ = solver._core_problem(elastic, unit_disk, PAIR_SAME, eps)
-        series = solver._MichellSeries(unit_disk, sites, eps, W_p,
-                                       m_inner, m_core)
+        outer = solver._AlmansiSeries.fit(unit_disk, W_p)
+        series = solver._MichellSeries(unit_disk, sites, eps, W_p, outer,
+                                       m_core)
         for k, (y, radius, count) in enumerate(
-                [((0.0, 0.0), 1.0, m_inner)] + [(y, eps, m_core) for y in sites]):
+                [((0.0, 0.0), 1.0, len(outer.A) - 1)]
+                + [(y, eps, m_core) for y in sites]):
             pts, nhat, _ = circle_nodes(y, radius, 4 * count)
             z, dz = series.fields(pts, nhat)[:2]
             val, der = np.zeros((2, *z.shape))
@@ -789,7 +784,18 @@ class TestCoreConstrainedSolve:
         report = solve_core_constrained(elastic, unit_disk, defects, 0.04, n=64)
         assert report.value == pytest.approx(
             float.fromhex("-0x1.0da82d7568df4p-2"), rel=1e-13)
-        assert report.extras["modes"][1] <= 32
+        assert report.extras["modes"] <= 32
+
+    @pytest.mark.parametrize("case, m_inner, m_core", [(1, 32, 16), (3, 32, 32), (4, 32, 32)],
+                             ids=[REFERENCE_IDS[i] for i in (1, 3, 4)])
+    def test_matches_the_two_block_fit(self, case, m_inner, m_core, elastic,
+                                       unit_disk):
+        # the clamped fit against the interior-plus-exterior fit it
+        # replaced, kept as an oracle (agreement 1e-15 .. 7e-14)
+        defects, eps, _, _ = REFERENCE_CASES[case]
+        report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        assert report.value == pytest.approx(michell_reference.two_block_value(
+            elastic, unit_disk, defects, eps, m_inner, m_core), rel=1e-12)
 
     @pytest.mark.parametrize("defects, eps, expected, modes", REFERENCE_CASES,
                              ids=REFERENCE_IDS)
@@ -941,7 +947,8 @@ class TestCoreConstrainedSolve:
         site, eps = np.array([0.3, 0.0]), 0.1
         defects = [Dislocation(tuple(site), (0.0, 1.0))]
         W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
-        series = solver._MichellSeries(unit_disk, [site], eps, W_p, 32, 16)
+        series = solver._MichellSeries(unit_disk, [site], eps, W_p,
+                                       solver._AlmansiSeries.fit(unit_disk, W_p), 16)
         _, rays, _ = circle_nodes((0.0, 0.0), 1.0, 128)
         along = rays @ site
         r_max = -along + np.sqrt(along**2 + 1.0 - site @ site)
@@ -1000,28 +1007,33 @@ class TestSeriesTraces:
         return np.exp(2j * math.pi * rng.uniform(size=(n, 1)))
 
     def test_interior_traces_and_laplacians(self, rng):
-        m, columns, R = 24, 5, 1.7
-        A, B = (rng.standard_normal((m, columns))
-                + 1j * rng.standard_normal((m, columns)) for _ in range(2))
+        # the outer series' four fields at points of the disk
+        m, R, centre = 24, 1.7, (0.3, -0.2)
+        A, B = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                for _ in range(2))
+        series = solver._AlmansiSeries(DiskDomain(centre, R), A, B, 0.0)
         w = np.sqrt(rng.uniform(size=(60, 1))) * self._unit(rng, 60)
         nu = self._unit(rng, 60)
-        X = solver._interior_rows(w, nu, m)
-        got = (*solver._interior_traces(X, R, solver._interior_columns(A, B)),
-               *solver._interior_laplacians(X, R, B))
-        self._assert_columns_agree(got, michell_reference.interior_fields(
-            w, nu, R, A, B))
+        pts = np.column_stack([w.real, w.imag]) * R + centre
+        got = series.fields(pts, np.column_stack([nu.real, nu.imag]))
+        self._assert_columns_agree(
+            [g[:, None] for g in got],
+            michell_reference.interior_fields(w, nu, R, A[:, None], B[:, None]))
 
     def test_outer_circle_traces_by_inverse_fft(self, rng):
-        # the interior traces at the 4 M_i nodes of the fit's outer circle
-        m, columns, R, centre = 24, 5, 1.7, (0.3, -0.2)
-        A, B = (rng.standard_normal((m, columns))
-                + 1j * rng.standard_normal((m, columns)) for _ in range(2))
+        # on r = R the outer series' fields at 4 m nodes are the inverse
+        # FFT of its modes: mode k of the four is A_k + B_k, (k A_k + (k +
+        # 2) B_k) / R, 4 (k + 1) B_k / R^2 and 4 k (k + 1) B_k / R^3
+        m, R, centre = 24, 1.7, (0.3, -0.2)
+        A, B = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                for _ in range(2))
         pts, nhat, _ = circle_nodes(centre, R, 4 * m)
-        w = ((pts[:, 0] - centre[0]) + 1j * (pts[:, 1] - centre[1]))[:, None] / R
-        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
-        self._assert_columns_agree(
-            solver._almansi_traces(A, B, 4 * m, R),
-            michell_reference.interior_fields(w, nu, R, A, B))
+        got = solver._AlmansiSeries(DiskDomain(centre, R), A, B, 0.0).fields(pts, nhat)
+        k = np.arange(m)
+        ref = [4 * m * np.fft.irfft(f, 4 * m)[:, None] for f in (
+            A + B, (k * A + (k + 2.0) * B) / R, 4.0 / R**2 * (k + 1.0) * B,
+            4.0 / R**3 * k * (k + 1.0) * B)]
+        self._assert_columns_agree([g[:, None] for g in got], ref)
 
     def _core_points(self, rng):
         zeta = (1.0 + 2.0 * rng.uniform(size=(60, 1))) * self._unit(rng, 60)
@@ -1029,23 +1041,96 @@ class TestSeriesTraces:
 
     def test_paired_exterior_matches_rotated_potentials(self, rng):
         m_core, eps = 12, 0.13
-        (zeta, nu), got = self._core_points(rng), np.empty((2, 60, 4 * m_core - 2))
+        (zeta, nu), got = self._core_points(rng), np.empty((4, 60, 4 * m_core - 2))
         solver._michell_traces(zeta, nu, eps, m_core, got)
-        self._assert_columns_agree(got, michell_reference.michell_fields(
+        self._assert_columns_agree(got[:2], michell_reference.michell_fields(
             zeta, nu, eps, m_core)[:2])
 
     def test_exterior_laplacians_from_coefficients(self, rng):
         # the Laplacians of random coefficient columns against the
         # reference's Laplacian planes times the same columns
         m_core, eps = 12, 0.13
-        (zeta, nu), got = self._core_points(rng), np.empty((2, 60, 4 * m_core - 2))
+        (zeta, nu), got = self._core_points(rng), np.empty((4, 60, 4 * m_core - 2))
         c = rng.standard_normal((4 * m_core - 2, 5))
-        log, t = solver._michell_traces(zeta, nu, eps, m_core, got)
+        solver._michell_traces(zeta, nu, eps, m_core, got)
         ref = michell_reference.michell_fields(zeta, nu, eps, m_core)[2:]
-        self._assert_columns_agree(
-            solver._michell_laplacians(zeta, nu, log, t, eps, c),
-            [plane @ c for plane in ref])
+        self._assert_columns_agree(got[2:] @ c, [plane @ c for plane in ref])
 
+
+class TestClampedModes:
+    """The image parts that clamp the exterior modes on r = R: each mode
+    plus its image vanishes with its normal derivative on the circle, the
+    rho^2 log rho mode is Boggio's Green's function, and the Laplacians of
+    the fit match second differences of the summed field."""
+
+    @staticmethod
+    def _traces(pts, nhat, site, eps, R, centre, m_core):
+        """The four planes of the Michell modes, then of the clamped
+        modes."""
+        nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+        zeta = ((pts[:, 0] - site[0]) + 1j * (pts[:, 1] - site[1]))[:, None] / eps
+        Z = ((pts[:, 0] - centre[0]) + 1j * (pts[:, 1] - centre[1]))[:, None, None] / R
+        W = np.reshape(complex(site[0] - centre[0], site[1] - centre[1]) / R, (1, 1))
+        out = np.empty((4, len(pts), 1, 4 * m_core - 2))
+        solver._michell_traces(zeta, nu, eps, m_core, out[:, :, 0])
+        michell = out[:, :, 0].copy()
+        solver._image_traces(Z, nu[:, None], W, eps / R, R, m_core, out)
+        return michell, out[:, :, 0]
+
+    @pytest.mark.parametrize("site, eps, R, centre", [
+        ((0.3, 0.1), 0.1, 1.0, (0.0, 0.0)), ((0.97, 0.0), 0.012, 1.0, (0.0, 0.0)),
+        ((0.597, 0.796), 0.004, 1.0, (0.0, 0.0)), ((1.2, -0.5), 0.2, 1.7, (0.3, -0.2)),
+    ])
+    def test_modes_vanish_on_the_circle(self, site, eps, R, centre):
+        # to roundoff of each mode's size on its core circle and on r = R,
+        # for M_e = 64 and cores at 0.32, 0.97 and 0.995 R
+        m_core = 64
+        core = self._traces(*circle_nodes(site, eps, 4 * m_core)[:2], site, eps, R,
+                            centre, m_core)[1]
+        michell, rim = self._traces(*circle_nodes(centre, R, 512)[:2], site, eps,
+                                    R, centre, m_core)
+        scale = np.maximum(*(np.maximum(np.abs(t[0]), eps * np.abs(t[1])).max(axis=0)
+                             for t in (core, michell)))
+        assert np.all(np.abs(rim[0]).max(axis=0) <= 1e-13 * scale)
+        assert np.all(eps * np.abs(rim[1]).max(axis=0) <= 1e-13 * scale)
+
+    def test_rho2_log_mode_is_the_green_function(self, rng):
+        # rho^2 log rho plus its image is 8 pi G_B(x, y) / eps^2
+        site, eps, R, centre, m_core = (0.9, -0.3), 0.05, 1.5, (0.2, 0.1), 8
+        angle, radius = 2.0 * math.pi * rng.uniform(size=50), R * np.sqrt(rng.uniform(size=50))
+        pts = np.add(centre, np.column_stack([np.cos(angle), np.sin(angle)]) * radius[:, None])
+        pts = pts[np.hypot(pts[:, 0] - site[0], pts[:, 1] - site[1]) > eps]
+        got = self._traces(pts, np.tile([1.0, 0.0], (len(pts), 1)), site, eps, R,
+                           centre, m_core)[1][0][:, 1]
+        y = np.tile(np.subtract(site, centre), (len(pts), 1))
+        want = 8.0 * math.pi * clamped_green(pts - centre, y, R) / eps**2
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_laplacians_match_second_differences(self, rng):
+        # the Laplacian planes of the clamped modes and their normal
+        # derivatives, at random coefficients, against centred differences
+        # of the point sums (``_clamped_sum``); h^2 error
+        site, eps, R, centre, m_core = (0.6, 0.2), 0.1, 1.3, (0.1, 0.0), 10
+        c = rng.normal(size=4 * m_core - 2)
+        W = complex(site[0] - centre[0], site[1] - centre[1]) / R
+        pts = np.array([[0.2, -0.5], [-0.6, 0.3], [0.9, 0.6], [0.6, 0.45]])
+        nhat = np.array([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [-0.8, 0.6]])
+
+        def value(p):
+            zeta = ((p[:, 0] - site[0]) + 1j * (p[:, 1] - site[1])) / eps
+            return solver._clamped_sum(c, zeta, W, eps / R, m_core)
+
+        def laplacians(p):
+            planes = self._traces(p, nhat, site, eps, R, centre, m_core)[1]
+            return planes[2] @ c, planes[3] @ c
+
+        h = 1e-3
+        shifts = h * np.array([[1.0, 0.0], [0.0, 1.0]])
+        fd_lap = sum(value(pts + d) + value(pts - d) for d in shifts) - 4.0 * value(pts)
+        lap, dlap = laplacians(pts)
+        assert np.abs(fd_lap / h**2 - lap).max() <= 1e-4 * np.abs(lap).max()
+        fd_dlap = (laplacians(pts + h * nhat)[0] - laplacians(pts - h * nhat)[0]) / (2 * h)
+        assert np.abs(fd_dlap - dlap).max() <= 1e-4 * np.abs(dlap).max()
 
 class TestElasticCorrection:
     def test_centered_single_vanishes(self, elastic, unit_disk):
