@@ -432,16 +432,39 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     )
 
 
-# The core fit doubles the per-core mode count M_e from _FIRST_MODES on
-# its core-circle residual under the rule of ``_keeps_doubling`` with
-# target _SERIES_TARGET, up to _MAX_MODES; no rung above _MAX_RUNG_BYTES
-# is started.
+# The core fit doubles the per-core mode count M_e on its core-circle
+# residual under the rule of ``_keeps_doubling`` with target
+# _SERIES_TARGET, up to _MAX_MODES, from the rung that ``_first_modes``
+# predicts (at least _FIRST_MODES); no rung above _MAX_RUNG_BYTES is
+# started. Each rung also fits its own modes of order below M_e / 2 to
+# its frequencies below M_e / 2, and the value of that half-size fit
+# gives the report's ``value_change``.
 _FIRST_MODES = 8
 _MAX_MODES = 256
 _SERIES_TARGET = 1e-12
 _MAX_RUNG_BYTES = 2**30
 # smallest gap D - eps, relative to R, that the core fit accepts
 _TOUCH_GAP = 1e-12
+
+
+def _first_modes(domain: DiskDomain, sites, eps: float) -> int:
+    """The M_e the core ladder starts at: the least power of two from
+    _FIRST_MODES (capped at _MAX_MODES) with rho^M_e <= _SERIES_TARGET.
+    The core coefficients decay like rho^m, rho = eps / d, d the least
+    distance from a core to another core or to a core's Kelvin image
+    (Cheng & Greengard 1998), so the rungs below it miss the target; one
+    skipped by mistake costs a doubling, never a worse fit. In units of R, with W the cores about the centre, core
+    k's distance to the image 1 / conj(W_j) is |1 - W_k conj(W_j)| /
+    |W_j|, never 0 in the disk; so rho is the larger of e |W_j| / |1 -
+    W_k conj(W_j)|, which a centred core makes 0, and e / |W_k - W_j|."""
+    W = (np.array([complex(*y) for y in sites]) - complex(*domain.center)) / domain.radius_R
+    e, (k, j) = eps / domain.radius_R, np.triu_indices(len(W), 1)
+    rho = float(max((e * np.abs(W) / np.abs(1.0 - W[:, None] * np.conj(W))).max(),
+                    (e / np.abs(W[k] - W[j])).max(initial=0.0)))
+    m_core = _FIRST_MODES
+    while m_core < _MAX_MODES and rho**m_core > _SERIES_TARGET:
+        m_core *= 2
+    return m_core
 
 
 def _powers(z: np.ndarray, count: int) -> np.ndarray:
@@ -607,7 +630,10 @@ def _rung_bytes(m_core: int, cores: int, outer_modes: int) -> int:
     modes: N (4 n + 4 K M_e + 64 K + 2 d + 32) for the trace planes, the
     powers and factors of the modes, the data and the closed forms'
     temporaries, then the larger of 4 N count for the outer series'
-    powers and 2 n^2 + n (3 d + 4) for the system and LAPACK's copy."""
+    powers and 2 n^2 + n (3 d + 4) for the system and LAPACK's copy.
+    The half-size fit's block and its LU copy, of n_h = (2 M_e - 2) K <
+    n / 2 modes, are freed before that copy: with the system they hold
+    n (n + d) + 2 n_h^2 + n_h (3 d + 4), less than it."""
     nodes, n_ext = 4 * m_core * cores, (4 * m_core - 2) * cores
     data = 1 + 3 * cores
     return 8 * (nodes * (4 * n_ext + 4 * cores * m_core + 64 * cores + 2 * data + 32)
@@ -662,7 +688,10 @@ class _MichellSeries:
     the integral of Delta z_i Delta z_j over the punctured disk, from
     Green's identity on the core circles, symmetrized: only the outer
     series' square with itself meets r = R, as its disk integral
-    (``_AlmansiSeries.squares``).
+    (``_AlmansiSeries.squares``). ``half_Q`` is the same matrix for the
+    half-size fit: the modes of order below M_e / 2 alone, fitted to
+    each circle's frequencies below M_e / 2 (``_half_system``), a
+    sub-block of the system whose LU takes about 1/8 of the flops.
     """
 
     def __init__(self, domain: DiskDomain, sites, eps: float, W_p,
@@ -684,7 +713,12 @@ class _MichellSeries:
             on, col = slice(k * nc, (k + 1) * nc), 3 * k + 1
             val[on, col], val[on, col + 1:col + 3] = 1.0, pts[on] - y
             der[on, col + 1:col + 3] = nhat[on]
-        self.coef, self.condition = _least_squares(self._system(ext, fit), ext.shape[-1])
+        system, n_ext = self._system(ext, fit), ext.shape[-1]
+        # the half-size fit first, so that its block is freed before the
+        # full system's LU copy
+        half, cols = np.zeros((n_ext, data)), self._half_columns()
+        half[cols] = _least_squares(self._half_system(system, cols), len(cols))[0]
+        self.coef, self.condition = _least_squares(system, n_ext)
 
         z, dz, lap, dlap = ext @ self.coef
         self.size = size = np.maximum(np.abs(val), eps * np.abs(der)).max(axis=0)
@@ -696,12 +730,18 @@ class _MichellSeries:
         # clamped one, but the outer series' own square, its disk integral
         # less its core balls
         weight = -2.0 * math.pi * eps / nc
-        Q = weight * (lap.T @ der - dlap.T @ val)
         cross = weight * (s_lap @ der - s_dlap @ val)
-        Q[0] += cross
-        Q[:, 0] += cross
-        Q[0, 0] += outer.squares[0] + weight * (s_lap @ s_dn - s_dlap @ s_val)
-        self.Q = 0.5 * (Q + Q.T)
+        outer_square = outer.squares[0] + weight * (s_lap @ s_dn - s_dlap @ s_val)
+
+        def gram(lap, dlap):
+            Q = weight * (lap.T @ der - dlap.T @ val)
+            Q[0] += cross
+            Q[:, 0] += cross
+            Q[0, 0] += outer_square
+            return 0.5 * (Q + Q.T)
+
+        self.Q = gram(lap, dlap)
+        self.half_Q = gram(*ext[2:] @ half)
 
     def _system(self, ext, fit):
         """The square system of the mode coefficients, in LAPACK's
@@ -722,6 +762,26 @@ class _MichellSeries:
                 rows[k, j, :m_core], rows[k, j, m_core:] = low.real, low[1:].imag
         rows[:, 1] *= self.eps
         return system
+
+    def _half_columns(self) -> np.ndarray:
+        """The columns of the modes of order below M_e / 2: on each core,
+        the head columns and the first M_e / 2 - 1 of the rho^-m family
+        (complex columns 0 .. M_e / 2), and the first M_e / 2 - 2 of the
+        rho^(2-m) family (from complex column M_e + 1), real and
+        imaginary parts side by side."""
+        m, h = self.m_core, self.m_core // 2
+        core = np.r_[0:2 * h + 2, 2 * m + 2:2 * m + 2 * h - 2]
+        return (core + (4 * m - 2) * np.arange(len(self.sites))[:, None]).ravel()
+
+    def _half_system(self, system: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """A copy, column-major, of the square system of the modes
+        ``cols`` against each core's frequencies below M_e / 2 of both
+        traces (``_system``'s row order), with all the data columns."""
+        m, h, n_ext = self.m_core, self.m_core // 2, system.shape[0]
+        trace = np.r_[0:h, m:m + h - 1]
+        rows = (trace + (2 * m - 1) * np.arange(2 * len(self.sites))[:, None]).ravel()
+        # a transposed row-major copy is column-major
+        return system.T[np.ix_(np.r_[cols, n_ext:system.shape[1]], rows)].T
 
     def _rows(self, pts, nhat):
         """The modes' value, d_n, Laplacian and d_n Laplacian planes at
@@ -815,6 +875,17 @@ def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
     return W_p, float(ball), float(C0), np.array(load)
 
 
+def _core_minimum(Q: np.ndarray, fl: float, load: np.ndarray,
+                  ball_energy: float, C0: float) -> tuple[np.ndarray, float]:
+    """The minimizing affine core parameters u and the minimum of the
+    core functional (fl/2) int_{B_R} (Delta z)^2 + load . u - C0 over z
+    = z_0 + sum_j u_j z_j, from the Gram matrix Q of the data-set
+    solutions (``_MichellSeries``) and the energy on the core balls."""
+    u = np.linalg.solve(Q[1:, 1:], -(Q[1:, 0] + load / fl))
+    energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
+    return u, float(0.5 * fl * energy + load @ u - C0)
+
+
 def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
                            dislocations, eps: float, n: int = 256) -> SolveReport:
     """Minimize the core-regularized dislocation functional.
@@ -838,11 +909,14 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     The value does not depend on ``n``, the resolution of a field dump.
     ``extras`` gives the mode count per core, ``fit_condition`` (a lower
     bound on the 1-norm condition number of the fit's square system,
-    ``_least_squares``) and ``value_change``, the change in value over
-    the last doubling (``None`` when the first fit met its target). A
-    rung whose arrays would exceed ``_MAX_RUNG_BYTES`` is not started;
-    the last fit stands if its residual is within ``_RESIDUAL_BOUND``,
-    and otherwise ``NumericalError`` names the budget.
+    ``_least_squares``) and ``value_change``, never ``None``: the change
+    in value from the half-size fit inside the last rung (the modes of
+    order below M_e / 2 on the frequencies below M_e / 2) to the full
+    fit. The ladder starts at the rung ``_first_modes`` predicts, or at
+    the largest below it within ``_MAX_RUNG_BYTES``; a rung whose arrays
+    would exceed that is not started, the last fit stands if its
+    residual is within ``_RESIDUAL_BOUND``, and otherwise
+    ``NumericalError`` names the budget.
     """
     dislocations = list(dislocations)
     if not dislocations:
@@ -868,31 +942,30 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     outer = _AlmansiSeries.fit(domain, W_p)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
 
-    def minimum(series: _MichellSeries):
-        Q = series.Q
-        u = np.linalg.solve(Q[1:, 1:], -(Q[1:, 0] + load / fl))
-        energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
-        return u, float(0.5 * fl * energy + load @ u - C0)
+    def rung_bytes(m_core: int) -> int:
+        return _rung_bytes(m_core, len(sites), len(outer.A))
 
-    m_core, rungs = _FIRST_MODES, []
-    while (need := _rung_bytes(m_core, len(sites), len(outer.A))) <= _MAX_RUNG_BYTES:
+    m_core, series = _first_modes(domain, sites, eps), None
+    while m_core > _FIRST_MODES and rung_bytes(m_core) > _MAX_RUNG_BYTES:
+        m_core //= 2
+    while (need := rung_bytes(m_core)) <= _MAX_RUNG_BYTES:
+        previous = series.residual if series else None
         series = _MichellSeries(domain, sites, eps, W_p, outer, m_core)
-        previous = rungs[-1][0].residual if rungs else None
-        rungs = rungs[-1:] + [(series, *minimum(series))]
         if m_core >= _MAX_MODES or not _keeps_doubling(series.residual, previous,
                                                        _SERIES_TARGET):
             break
         m_core *= 2
     else:
-        if not (rungs and rungs[-1][0].residual <= _RESIDUAL_BOUND):
+        if not (series and series.residual <= _RESIDUAL_BOUND):
             raise NumericalError(
                 f"core series rung {m_core} needs about {need / 2**20:.0f} MiB, "
                 f"above the memory budget of {_MAX_RUNG_BYTES / 2**20:.0f} MiB")
-    series, u, value = rungs[-1]
     residual = max(series.residual, outer.residual)
     if not residual <= _RESIDUAL_BOUND:
         raise NumericalError(f"core series fit residual {residual} "
                              f"with modes {series.m_core}")
+    u, value = _core_minimum(series.Q, fl, load, ball_energy, C0)
+    half_value = _core_minimum(series.half_Q, fl, load, ball_energy, C0)[1]
     fit_seconds = time.perf_counter() - t0
 
     affine = {f"core_{k}": [E * float(c) for c in u[3 * k:3 * k + 3]]
@@ -905,8 +978,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": series.m_core,
                 "fit_condition": series.condition,
-                "value_change": None if len(rungs) < 2
-                else E * abs(value - rungs[0][2])},
+                "value_change": E * abs(value - half_value)},
     )
 
 

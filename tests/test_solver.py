@@ -585,6 +585,28 @@ REFERENCE_IDS = ["centered", "single", "same", "opposite", "same-eps0.2",
                  "same-eps0.05"]
 
 
+def _rotated(p, angle: float) -> tuple[float, float]:
+    c, s = math.cos(angle), math.sin(angle)
+    return (c * p[0] - s * p[1], s * p[0] + c * p[1])
+
+
+# eight cores on r = 0.5, as in test_rung_bytes_bound_the_traced_peak
+RING_OF_EIGHT = [Dislocation(_rotated((0.5, 0.0), 0.3 + 0.25 * math.pi * k), (0.0, 1.0))
+                 for k in range(8)]
+
+
+def _rotated_pair(seed: int) -> list:
+    """The +-0.3 pair turned and signed as seed ``seed`` (>= 1) of the
+    core_sweep benchmark draws it."""
+    rng = np.random.default_rng(seed)
+    theta, sign = rng.uniform(0.0, 0.5 * math.pi, size=2)[0], rng.choice([-1.0, 1.0], size=2)[0]
+    b = tuple(sign * v for v in _rotated((0.0, 1.0), theta))
+    return [Dislocation(_rotated((x, 0.0), theta), b) for x in (0.3, -0.3)]
+
+
+ROTATED_PAIRS = [_rotated_pair(seed) for seed in range(1, 10)]
+
+
 class TestCoreConstrainedSolve:
     def test_centered_matches_closed_form(self, elastic, unit_disk):
         defects = [Dislocation((0.0, 0.0), (0.0, 1.0))]
@@ -711,11 +733,17 @@ class TestCoreConstrainedSolve:
         defects, eps = [Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012
         W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
         outer = len(solver._AlmansiSeries.fit(unit_disk, W_p).A)
+        # rho = eps / d = 0.197 (d the gap to the Kelvin image) predicts
+        # M_e = 32, and rung 8 is skipped: rho^8 = 2.2e-6 against a
+        # residual of 1.7e-5
+        solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        assert rungs == [32]
+        rungs.clear()
         # the M_e = 16 fit is within _RESIDUAL_BOUND (5.1e-11) but above
         # the target, and 32 is over the budget: the ladder stops
         monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(16, 1, outer))
         report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
-        assert rungs == [8, 16]
+        assert rungs == [16]
         assert report.extras["modes"] == 16
         assert report.value == pytest.approx(-0.06553292372215871, rel=1e-9)
         # the M_e = 8 fit is far from resolved (1.7e-5) when the budget
@@ -726,6 +754,53 @@ class TestCoreConstrainedSolve:
             with pytest.raises(NumericalError, match="memory budget"):
                 solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
             assert rungs == [8][:fitted]
+
+    @pytest.mark.parametrize("defects, eps", [c[:2] for c in REFERENCE_CASES] + [
+        (NEAR_CIRCLE, 0.04),
+        ([Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012),
+        ([Dislocation((0.995, 0.0), (0.0, 1.0))], 0.002),
+        ([Dislocation((0.5, 0.0), (0.0, 1.0))], 0.45),
+        (RING_OF_EIGHT, 0.2 * min_separation_D([d.site for d in RING_OF_EIGHT],
+                                               DiskDomain((0.0, 0.0), 1.0))),
+    ] + [(pair, eps) for pair in ROTATED_PAIRS for eps in (0.2, 0.1, 0.05)],
+        ids=REFERENCE_IDS + ["near-circle", "at-0.97", "at-0.995", "wide-core", "ring-8"]
+        + [f"seed{s}-eps{eps}" for s in range(1, 10) for eps in (0.2, 0.1, 0.05)])
+    def test_prediction_never_skips_a_useful_rung(self, defects, eps, elastic,
+                                                  unit_disk, monkeypatch):
+        # the ladder from the predicted rung ends where the ladder from
+        # _FIRST_MODES ends, with the same value to the last bit
+        report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        monkeypatch.setattr(solver, "_first_modes", lambda *args: solver._FIRST_MODES)
+        full = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
+        assert report.extras["modes"] == full.extras["modes"]
+        assert report.value.hex() == full.value.hex()
+        assert math.isfinite(report.extras["value_change"])
+
+    @pytest.mark.parametrize("defects, eps", [
+        (PAIR_SAME, 0.2), ([Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012)],
+        ids=["same-eps0.2", "at-0.97"])
+    @pytest.mark.parametrize("m_core", [16, 32])
+    def test_half_fit_tracks_the_half_rung(self, defects, eps, m_core, elastic,
+                                           unit_disk):
+        # the fit of the modes below M_e / 2 inside rung M_e, against rung
+        # M_e / 2 itself: they differ only by the frequencies that alias
+        # onto the half rung's fewer nodes
+        W_p, ball, C0, load = solver._core_problem(elastic, unit_disk, defects, eps)
+        outer = solver._AlmansiSeries.fit(unit_disk, W_p)
+        sites = [np.asarray(d.site, dtype=float) for d in defects]
+        series, coarse = (solver._MichellSeries(unit_disk, sites, eps, W_p, outer, m)
+                          for m in (m_core, m_core // 2))
+
+        def value(Q):
+            return solver._core_minimum(Q, solver._gram_factor(elastic), load,
+                                        ball, C0)[1]
+
+        full, half, rung = value(series.Q), value(series.half_Q), value(coarse.Q)
+        change = abs(full - half)
+        if change > 1e-12 * abs(full):
+            assert abs(half - rung) <= 1e-3 * change
+        else:
+            assert abs(half - rung) <= 1e-13 * abs(full)
 
     @pytest.mark.parametrize("cores", [1, 2, 4, 8])
     def test_rung_bytes_bound_the_traced_peak(self, cores, elastic, unit_disk):
