@@ -210,22 +210,19 @@ def _dump_grid(domain, n: int, eps=None) -> Grid:
     return grid
 
 
-def _line_blocks(grid: Grid, columns: int, halo: int = 0):
+def _line_blocks(grid: Grid, columns: int):
     """The node coordinates X, Y, of shape (lines, ny), of each block of
-    whole grid lines of about ``_FIELD_BLOCK_NODES`` nodes, in order,
-    with ``halo`` more lines on either side (beyond the grid, too), and
-    a (lines, ny, ``columns``, 4) table of cells of the block's own
-    lines, its columns x and y filled. Line i lies at x0 + delta i, as
-    in ``Grid.xs``; one table serves every block, and x and y are
-    formatted once."""
+    whole grid lines of about ``_FIELD_BLOCK_NODES`` nodes, in order, and
+    a (lines, ny, ``columns``, 4) table of cells, its columns x and y
+    filled. Line i lies at x0 + delta i, as in ``Grid.xs``; one table
+    serves every block, and x and y are formatted once."""
     lines = max(1, _FIELD_BLOCK_NODES // grid.ny)
     table = np.empty((lines, grid.ny, columns, 4), np.uint64)
     table[:, :, 1] = _csv_cells(grid.ys, b",")
     xs = _csv_cells(grid.xs, b",")
     for start in range(0, grid.nx, lines):
-        i = np.arange(start - halo, min(start + lines, grid.nx) + halo)
-        x = grid.x0 + grid.delta * i
-        block = table[:len(i) - 2 * halo]
+        x = grid.x0 + grid.delta * np.arange(start, min(start + lines, grid.nx))
+        block = table[:len(x)]
         block[:, :, 0] = xs[start:start + len(block), None]
         yield *np.broadcast_arrays(x[:, None], grid.ys), block
 
@@ -275,59 +272,30 @@ def _write_field_csv(path, config: DefectConfiguration, grid: Grid,
 
 def _write_solution_csv(path, solution, domain, grid: Grid) -> None:
     """Write ``_SOLUTION_HEADER`` and one row per node of ``grid``,
-    row-major: the minimizer ``solution`` at the nodes inside the disk
-    and at ghost nodes (outside, within two cells of an inside node), 0
-    elsewhere; its central-difference Hessian where the 3x3 stencil lies
-    inside the disk, NaN elsewhere; and the node's mask code.
+    row-major: the minimizer ``solution`` and its exact Hessian at the
+    nodes inside the disk (core nodes included; NaN Hessian on a
+    charge), v = 0 and NaN Hessians outside, and the node's mask code.
 
-    The Hessians of a block of grid lines read one more line either
-    side, and the ghosts of those lines two more lines of the inside
-    test; the first two of those lines are the last two of the block
-    before, whose values it keeps. As in the field dump, each block
-    fills one table of cells: x, y, the cells that are the same for
-    every node of a kind (0, NaN and the mask codes), and the formatted
+    As in the field dump, each block of grid lines fills one table of
+    cells, with one ``derivatives`` call at its inside nodes: x, y and
+    the cells that are the same for every node of a kind (an outside
+    row and the mask codes) are formatted once, and the formatted
     numbers scattered into their rows.
     """
-    (cx, cy), R, h = domain.center, domain.radius_R, grid.delta
-    zero, nan = _csv_cells(np.array([0.0, np.nan]), b",")
+    (cx, cy), R = domain.center, domain.radius_R
+    outside = _csv_cells(np.array([0.0, np.nan, np.nan, np.nan]), b",")
     codes = _csv_cells(np.array([OUTSIDE, INTERIOR, CORE]), b"\n")
-    kept = np.zeros((2, grid.ny))
     with _rewriting(path) as f:
         f.write(_SOLUTION_HEADER.encode("ascii") + b"\n")
-        for X, Y, table in _line_blocks(grid, 7, halo=3):
-            inside = np.hypot(X - cx, Y - cy) < R
-            # lines 2 .. -2 of the block: the inside nodes and the ghosts
-            live = np.zeros_like(inside[2:-2])
-            for di in range(5):
-                for dj in range(-2, 3):
-                    live |= np.roll(inside[di:di + len(live)], dj, axis=1)
-            X, Y, inside = X[2:-2], Y[2:-2], inside[2:-2]
-            v = np.zeros(X.shape)
-            v[:2], new = kept, live.copy()
-            new[:2] = False
-            v[new] = solution.value(np.stack([X[new], Y[new]], axis=-1))
-            kept = v[-2:]
-            # the block's own lines, 1 .. -1: where the 3x3 stencil is inside
-            ok = np.zeros_like(inside[1:-1])
-            ok[:, 1:-1] = True
-            for di in range(3):
-                for dj in range(3):
-                    ok[:, 1:-1] &= inside[di:di + len(ok), dj:dj + ok.shape[1] - 2]
-            vxy, vyy = np.zeros((2,) + ok.shape)
-            vxx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-            vxy[:, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:]
-                            + v[:-2, :-2]) / (4.0 * h**2)
-            vyy[:, 1:-1] = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1]
-                            + v[1:-1, :-2]) / h**2
-            X, Y, inside, live = X[1:-1], Y[1:-1], inside[1:-1], live[1:-1]
-            core = np.zeros_like(inside)
+        for X, Y, table in _line_blocks(grid, 7):
+            inside, core = np.hypot(X - cx, Y - cy) < R, np.zeros(X.shape, dtype=bool)
             for (px, py), eps in solution.cores:
                 core |= np.hypot(X - px, Y - py) <= eps
-            table[:, :, 2] = zero
-            table[live, 2] = _csv_cells(v[1:-1][live], b",")
-            table[:, :, 3:6] = nan
-            hessians = np.stack([vxx, vxy, vyy], axis=-1)[ok]
-            table[ok, 3:6] = _csv_cells(hessians, b",").reshape(-1, 3, 4)
+            v, H = solution.derivatives(np.stack([X[inside], Y[inside]], axis=-1),
+                                        ("value", "hessian"))
+            table[~inside, 2:6] = outside
+            table[inside, 2:6] = _csv_cells(np.column_stack(
+                [v, H[:, 0, 0], H[:, 0, 1], H[:, 1, 1]]), b",").reshape(-1, 4, 4)
             table[:, :, 6] = codes[inside * (1 + core)]
             _write_rows(f, table)
 

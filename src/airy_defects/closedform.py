@@ -16,10 +16,10 @@ their coefficients: ``_RadialField`` differentiates C (u log u + p u + q)
 and ``_FrameField`` C g(u) xi_1, g(u) = a + b/u + c u + d log u.
 
 What does not depend on the points (K, |b|, the frame, the core
-coefficients) is computed once per field, on first use, and kept in the
-instance: fields are frozen, so equality, hashing and
+coefficients) is computed once per field, on first use, and cached in
+the instance: fields are frozen, so equality, hashing and
 ``dataclasses.replace`` still see only their declared fields. Nothing
-is kept between calls.
+else is cached between calls.
 """
 
 from __future__ import annotations
@@ -565,18 +565,6 @@ class DislocationLimitAiry(_FrameField):
 # ---------------------------------------------------------------------------
 
 
-def _clamped_terms(x, y, R: float):
-    """The points x, y (relative to the disk centre) in units of R, the
-    factors 1 - |x|^2 and 1 - |y|^2, each as (1 - |x|)(1 + |x|), their
-    product A, the difference d = x - y and |d|^2."""
-    x, y = _pts(x), _pts(y)
-    d = (x - y) / R  # the difference first: close points keep its direction
-    x, y = x / R, y / R
-    rx, ry = np.hypot(x[:, 0], x[:, 1]), np.hypot(y[:, 0], y[:, 1])
-    px, py = (1.0 - rx) * (1.0 + rx), (1.0 - ry) * (1.0 + ry)
-    return x, y, px, py, px * py, d, d[:, 0] ** 2 + d[:, 1] ** 2
-
-
 def clamped_green(x, y, R: float) -> np.ndarray:
     """Boggio's clamped biharmonic Green's function G_B of the disk of
     radius R at the (N, 2) point pairs x, y, taken relative to the disk
@@ -587,8 +575,11 @@ def clamped_green(x, y, R: float) -> np.ndarray:
     With A = (R^2 - |x|^2)(R^2 - |y|^2) / R^2 and d = x - y,
     16 pi G_B = A - |d|^2 log1p(A / |d|^2), and G_B(y, y) = A / 16 pi.
     G_B is homogeneous of degree 2 in (x, y, R), so it is evaluated in
-    units of R."""
-    _, _, _, _, A, _, d2 = _clamped_terms(x, y, R)
+    units of R, 1 - |x|^2 as (1 - |x|)(1 + |x|)."""
+    x, y = _pts(x), _pts(y)
+    d = (x - y) / R  # the difference first: close points keep its direction
+    rx, ry = (np.hypot(*(p / R).T) for p in (x, y))
+    A, d2 = (1.0 - rx) * (1.0 + rx) * ((1.0 - ry) * (1.0 + ry)), d[:, 0] ** 2 + d[:, 1] ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.where(d2 > 0.0, d2 * np.log1p(A / d2), 0.0)
     return R * R * (A - tail) / (16.0 * math.pi)
@@ -598,29 +589,29 @@ def clamped_green_mixed(x, y, a, c, R: float) -> np.ndarray:
     """(a . grad_x)(c . grad_y) G_B(x, y) at (N, 2) distinct point pairs
     x, y relative to the disk centre, for (N, 2) or (2,) directions a, c.
 
-    With S = |d|^2 + A, S_x = 2 d - 2 x (R^2 - |y|^2) / R^2 and S_y =
-    -2 d - 2 y (R^2 - |x|^2) / R^2 (the gradients of S), 16 pi times it
-    is 4 (a.x)(c.y) / R^2 + f - g, where f = -2 (a.c)(log|d|^2 + 1) -
-    4 (a.d)(c.d) / |d|^2 differentiates |d|^2 log|d|^2 and g = -2 (a.c)
-    log S - 2 (c.d)(a.S_x) / S + 2 (a.d)(c.S_y) / S + |d|^2 [(-2 (a.c)
-    + 4 (a.x)(c.y) / R^2) / S - (a.S_x)(c.S_y) / S^2] differentiates
-    |d|^2 log S; their logarithms meet as 2 (a.c) log1p(A / |d|^2). The
-    derivative does not scale with R, so it is evaluated in units of R."""
-    x, y, px, py, A, d, d2 = _clamped_terms(x, y, R)
+    In units of R, with p_x = 1 - |x|^2, p_y = 1 - |y|^2, A = p_x p_y, d
+    = x - y, S = |d|^2 + A and q = A / S, 16 pi times it is 2 (a.c)
+    log1p(A / |d|^2) + (4 (a.x)(c.y) - 2 (a.c)) q - 4 (a.d)(c.d) q^2 /
+    |d|^2 + 4 ((a.d)(c.y) p_x - (c.d)(a.x) p_y) q / S + 4 (a.x)(c.y)
+    |d|^2 q / S: every term carries a factor of A, so a value of order A
+    near the circle is no difference of terms of order one. p_x is
+    formed as (R - |x|)(R + |x|) / R^2, before any scaling; the
+    derivative does not scale with R."""
+    x, y = _pts(x), _pts(y)
+    rx, ry = (np.hypot(*p.T) for p in (x, y))
+    px, py, d = (R - rx) * (R + rx) / R**2, (R - ry) * (R + ry) / R**2, (x - y) / R
+    x, y = x / R, y / R
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
 
     def dot(u, v):
         return (u * v).sum(axis=-1)
 
+    d2, A = d[:, 0] ** 2 + d[:, 1] ** 2, px * py
     S = d2 + A
-    Sx, Sy = 2.0 * d - 2.0 * x * py[:, None], -2.0 * d - 2.0 * y * px[:, None]
-    ac, ad, cd = dot(a, c), dot(a, d), dot(c, d)
-    axcy = 4.0 * dot(a, x) * dot(c, y)
-    aSx, cSy = dot(a, Sx), dot(c, Sy)
-    f_minus_g = (2.0 * ac * (np.log1p(A / d2) - 1.0) - 4.0 * ad * cd / d2
-                 + (2.0 * cd * aSx - 2.0 * ad * cSy) / S
-                 - d2 * ((axcy - 2.0 * ac) / S - aSx * cSy / S**2))
-    return (axcy + f_minus_g) / (16.0 * math.pi)
+    q, ac, ad, cd, axcy = A / S, dot(a, c), dot(a, d), dot(c, d), 4.0 * dot(a, x) * dot(c, y)
+    return (2.0 * ac * np.log1p(A / d2) + (axcy - 2.0 * ac) * q - 4.0 * ad * cd * q * q / d2
+            + 4.0 * (ad * dot(c, y) * px - cd * dot(a, x) * py) * q / S
+            + axcy * d2 * q / S) / (16.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

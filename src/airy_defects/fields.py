@@ -36,7 +36,7 @@ CORE = 2
 # of grid lines hold a few MB at any resolution; the cap bounds the
 # file (about 3 GB of `field` CSV) and its run time
 MAX_GRID_NODES = 2**24
-# ghost rings of a grid beyond the disk's bounding square on each side
+# rings of grid nodes beyond the disk's bounding square on each side
 _PAD = 4
 
 # composite Gauss-Legendre radial rule: nodes per panel; width ratio of
@@ -301,7 +301,8 @@ def check_grid_n(n: int) -> None:
 
 
 def grid_for_disk(domain: DiskDomain, n: int) -> Grid:
-    """Grid with ``n`` cells across the diameter plus ``_PAD`` ghost rings."""
+    """Grid with ``n`` cells across the diameter plus ``_PAD`` rings of
+    nodes outside the disk's bounding square."""
     check_grid_n(n)
     delta = 2.0 * domain.radius_R / n
     cx, cy = domain.center

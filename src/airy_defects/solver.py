@@ -22,8 +22,9 @@ into exact circle integrals, which leave one 3K x 3K system for the
 affine parameters of the K cores.
 
 Every solve samples nothing: its report carries the minimizer as a
-``SeriesSolution``, which sums the series at any points, and the value
-does not depend on the resolution ``n`` of a field dump.
+``SeriesSolution``, an ``AiryField`` whose ``derivatives`` give its
+value and exact Hessian at any points of the closed disk (NaN off it),
+and the value does not depend on the resolution ``n`` of a field dump.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .core import (
     DiskDomain,
@@ -46,12 +48,14 @@ from .core import (
     rotate_burgers,
 )
 from .closedform import (
+    AiryField,
     DislocationCoreAiry,
     DislocationLimitAiry,
     FundamentalAiry,
     ScaledField,
     ShiftedField,
     SumField,
+    _pts,
 )
 from .energy import (
     _RESIDUAL_BOUND,
@@ -80,7 +84,8 @@ def splu(A, *args, **kwargs):
 class SolveReport:
     """Functional value, solve diagnostics and the minimizer.
 
-    ``solution`` evaluates the minimizer at any points; ``grid_n`` and
+    ``solution`` gives the minimizer's value and exact Hessian at any
+    points of the closed disk (``SeriesSolution``); ``grid_n`` and
     ``delta`` are the resolution a field dump of it takes. The times are
     attributes, not report keys, so that a report's JSON is the same on
     every run: ``assemble_seconds`` is the time of the series fit, and
@@ -120,11 +125,12 @@ _MAX_SAMPLES = 2**16
 _FIT_TARGET = 1e-13
 
 
-# A point's series sum inside the disk drops the modes past the last
-# whose term exceeds floor / _TAIL_MARGIN: at |w| near 1 the dropped
-# tail holds many terms just under the cut, and the margin keeps their
-# sum near the floor. The Taylor sums on r = R cut at the floor itself.
+# A point's series sum drops the modes past the last whose term exceeds
+# floor / _TAIL_MARGIN: at |w| near 1 the dropped tail holds many terms
+# just under the cut, and the margin keeps their sum near the floor.
 _TAIL_MARGIN = 16.0
+# points within this distance of r = R, relative to R, count as on it
+_ON_CIRCLE = 1e-15
 
 
 def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float) -> np.ndarray:
@@ -145,16 +151,13 @@ def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float) -> np.ndarray:
 
 def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
                  floor: float) -> np.ndarray:
-    """Re sum_k c_k (A_k + B_k |w|^2) w^k at points |w| <= 1, where c_0 = 1
-    and c_k = 2 for k >= 1 (the conjugate modes k < 0). Each point sums,
-    by Horner's rule, the modes up to the last whose bound (|A_k| +
-    |B_k|) |w|^k exceeds ``floor`` (``_mode_counts``), so deep
+    """sum_k (A_k + B_k |w|^2) w^k, complex, at points |w| <= 1. Each
+    point sums, by Horner's rule, the modes up to the last whose bound
+    (|A_k| + |B_k|) |w|^k exceeds ``floor`` (``_mode_counts``), so deep
     points cost few modes and no value depends on the other points.
     Points go by growing count: the step of mode j takes those that
     sum it, which all sum the modes below it too."""
-    c = np.where(np.arange(len(A)) > 0, 2.0, 1.0)
-    A, B = c * A, c * B
-    out = np.empty(len(w))
+    out = np.empty(len(w), dtype=complex)
     if not len(w):
         return out
     count = _mode_counts(np.abs(A) + np.abs(B), np.abs(w), floor)
@@ -174,7 +177,7 @@ def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
     total = horner(A)
     if B.any():
         total += np.abs(w) ** 2 * horner(B)
-    out[order] = total.real
+    out[order] = total
     return out
 
 
@@ -189,9 +192,10 @@ def _almansi_modes(F: np.ndarray, G: np.ndarray):
 
 class _AlmansiSeries:
     """Biharmonic z on the disk, z = Re sum_{k >= 0} c_k (A_k rho^k +
-    B_k rho^(k+2)) e^{ik theta} with rho = r / R (c as in
-    ``_almansi_sum``). ``floor`` is the size below which ``value`` drops
-    the tail of the sum (see ``_TAIL_MARGIN``)."""
+    B_k rho^(k+2)) e^{ik theta} with rho = r / R, c_0 = 1 and c_k = 2
+    for k >= 1 (the conjugate modes k < 0). ``floor`` is the size below
+    which its point sums drop the tail of the series (see
+    ``_TAIL_MARGIN``)."""
 
     def __init__(self, domain: DiskDomain, A: np.ndarray, B: np.ndarray,
                  floor: float, samples: int = 0, residual: float = 0.0):
@@ -285,43 +289,36 @@ class _AlmansiSeries:
                 np.real(phi * np.conj(nu) + (cw * dphi + dchi) * nu) / R,
                 4.0 * dphi.real / R**2, 4.0 * np.real(ddphi * nu) / R**3)
 
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        """z at the (N, 2) points: the series inside the disk (hypot < R),
-        and outside it the second-order Taylor extension along the
-        normal from r = R, which the dump's ghost nodes take: the series
-        itself diverges outside once a singular site is close to the
-        circle."""
-        (cx, cy), R = self.domain.center, self.domain.radius_R
-        dx, dy = pts[:, 0] - cx, pts[:, 1] - cy
-        inside = np.hypot(dx, dy) < R
-        w = (dx + 1j * dy) / R
-        values = np.zeros(len(pts))
-        values[inside] = _almansi_sum(self.A, self.B, w[inside],
-                                      self.floor / _TAIL_MARGIN)
-        out = ~inside
-        t = np.abs(w[out]) - 1.0
-        unit = w[out] / (1.0 + t)
-        k, A, B = np.arange(len(self.A)), self.A, self.B
-        for order, (ca, cb) in enumerate(
-            ((1, 1), (k, k + 2), (k * (k - 1), (k + 2) * (k + 1)))
-        ):
-            # d^order z / d rho^order on r = R, times t^order / order!
-            values[out] += t**order / math.factorial(order) * _almansi_sum(
-                ca * A + cb * B, 0.0 * A, unit, self.floor)
-        return values
+    def value(self, w: np.ndarray) -> np.ndarray:
+        """z at the points w = (x - centre) / R of the closed disk."""
+        T = self._potentials
+        return _almansi_sum(T[:, 0], T[:, 1], w, self.floor / _TAIL_MARGIN).real
+
+    def hessian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """R^2 Delta z and R^2 (z_xx - z_yy - 2i z_xy) at the points w of
+        the closed disk, by Kolosov-Muskhelishvili: 4 Re phi' and 2
+        (conj(w) phi'' + chi''), from ``_potentials``, each summed as
+        ``value`` is, with the bound of its own coefficients."""
+        T, j, floor = self._potentials, np.arange(1, len(self.A)), self.floor / _TAIL_MARGIN
+        return (_almansi_sum(4.0 * T[:, 2], 0.0 * T[:, 2], w, floor).real,
+                _almansi_sum(2.0 * j * T[1:, 3], 2.0 * T[1:, 4], w, floor)
+                + 2.0 * T[0, 4] * np.conj(w))
 
 
-class SeriesSolution:
-    """The minimizer of a solve as a field: ``scale`` times the interior
-    series (``_AlmansiSeries.value``) plus, off the core balls, the
-    closed-form part ``closed`` and the clamped modes of each core; on
-    core ball k (|x - y_k| <= eps_k) it is the affine part. Off the disk
-    the clamped modes, which vanish with their normal derivative on r =
-    R, take their second-order Taylor extension along the normal, as the
-    interior series does: (r - R)^2 / 2 times their Laplacian there.
+class SeriesSolution(AiryField):
+    """The minimizer of a solve as a field on the closed disk: ``scale``
+    times the interior series (``_AlmansiSeries``) plus, off the core
+    balls, the closed-form part ``closed`` and the clamped modes of each
+    core; on core ball k (|x - y_k| <= eps_k) it is the affine part.
 
-    ``cores`` holds (site, eps) per core. ``value`` gives each point a
-    value that depends on that point alone.
+    ``derivatives`` gives "value" and "hessian" (any other name raises),
+    each part differentiated in its own form: the series and the clamped
+    modes by Kolosov-Muskhelishvili (``_AlmansiSeries.hessian``,
+    ``_clamped_sum``), the closed part by its own ``derivatives``, an
+    affine part as a zero Hessian. Off the disk both are NaN; points
+    within ``_ON_CIRCLE`` R of r = R count as on it. ``cores`` holds
+    (site, eps) per core. Each point's numbers depend on that point
+    alone.
     """
 
     def __init__(self, interior: _AlmansiSeries, scale: float = 1.0,
@@ -330,39 +327,44 @@ class SeriesSolution:
         self.cores, self._affine = tuple(cores), tuple(affine)
         self._modes, self._m_core = tuple(modes), m_core
 
-    def value(self, pts) -> np.ndarray:
-        """The minimizer at the (N, 2) points."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        values = self.interior.value(pts)
+    def derivatives(self, x, names):
+        if not set(names) <= {"value", "hessian"}:
+            raise ValidationError(f"a solution gives value and hessian, not {tuple(names)}")
+        pts, hessian = _pts(x), "hessian" in names
+        (cx, cy), R = self.interior.domain.center, self.interior.domain.radius_R
+        disk = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= R * (1.0 + _ON_CIRCLE)
+        pts, Z = pts[disk], ((pts[disk, 0] - cx) + 1j * (pts[disk, 1] - cy)) / R
+        # the value, then R^2 Delta and R^2 (d_xx - d_yy - 2i d_xy)
+        sums = [self.interior.value(Z), *(self.interior.hessian(Z) if hessian else ())]
         off = np.ones(len(pts), dtype=bool)
         for (y, eps), (a, s1, s2) in zip(self.cores, self._affine):
             dx, dy = pts[:, 0] - y[0], pts[:, 1] - y[1]
             ball = np.hypot(dx, dy) <= eps
-            values[ball] = a + s1 * dx[ball] + s2 * dy[ball]
+            sums[0][ball] = a + s1 * dx[ball] + s2 * dy[ball]
             off &= ~ball
         if self.closed is not None:
-            values[off] += self.closed.value(pts[off])
-        (cx, cy), R = self.interior.domain.center, self.interior.domain.radius_R
-        Z = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy)) / R
+            closed = self.closed.derivatives(pts[off], ("value", "hessian")[:1 + hessian])
+            sums[0][off] += closed[0]
         # numpy rounds complex products of one element otherwise than of
         # more, so a lone point is summed twice over
-        inside, outside = (np.resize(i, 2) if len(i) == 1 else i for i in (
-            np.flatnonzero(off & (np.abs(Z) < 1.0)), np.flatnonzero(off & (np.abs(Z) >= 1.0))))
-        # off the disk: the nearest point of r = R and half the squared
-        # distance to it
-        edge = (Z[outside] / np.abs(Z[outside]))[:, None]
-        half_square, m = 0.5 * (R * (np.abs(Z[outside]) - 1.0)) ** 2, self._m_core
+        at = np.resize(np.flatnonzero(off), 2) if off.sum() == 1 else np.flatnonzero(off)
         for (y, eps), c in zip(self.cores, self._modes):
-            W = complex(y[0] - cx, y[1] - cy) / R
-            zeta = ((pts[inside, 0] - y[0]) + 1j * (pts[inside, 1] - y[1])) / eps
-            values[inside] += _clamped_sum(c, zeta, W, eps / R, m)
-        if len(edge) and self.cores:  # the modes' Laplacians on r = R; one eps
-            W, eps = np.array([complex(*y) - complex(cx, cy) for y, _ in self.cores]) / R, self.cores[0][1]
-            planes = np.empty((4, len(edge), len(W), 4 * m - 2))
-            _michell_traces(((edge - W) * (R / eps))[..., None], edge[:, None], eps, m, planes)
-            _image_traces(edge[:, None], edge[:, None], W[:, None], eps / R, R, m, planes)
-            values[outside] += half_square * (planes[2] * self._modes).sum(axis=(1, 2))
-        return self.scale * values
+            zeta = ((pts[at, 0] - y[0]) + 1j * (pts[at, 1] - y[1])) / eps
+            parts = _clamped_sum(c, zeta, complex(y[0] - cx, y[1] - cy) / R, eps / R,
+                                 self._m_core, hessian)
+            for total, part in zip(sums, parts if hessian else [parts]):
+                total[at] += part
+        out = {"value": np.full(len(disk), np.nan), "hessian": np.full((len(disk), 2, 2), np.nan)
+               if hessian else None}
+        out["value"][disk] = self.scale * sums[0]
+        if hessian:
+            lap, dd = sums[1:]
+            H = np.stack([lap + dd.real, -dd.imag, -dd.imag, lap - dd.real], -1) / (2.0 * R * R)
+            if self.closed is not None:
+                H[off] += closed[1].reshape(-1, 4)
+            H[~off] = 0.0
+            out["hessian"][disk] = self.scale * H.reshape(-1, 2, 2)
+        return tuple(out[name] for name in names)
 
 
 def _series_report(series: _AlmansiSeries, n: int, delta: float,
@@ -603,25 +605,54 @@ def _image_traces(Z, nu, W, e: float, R: float, m_core: int, out):
 
 
 def _clamped_sum(c: np.ndarray, zeta: np.ndarray, W: complex, e: float,
-                 m_core: int) -> np.ndarray:
+                 m_core: int, hessian: bool = False):
     """Value of one core's clamped modes with coefficients ``c`` at the
     points zeta = (x - y) / eps (1-D, inside the disk, |zeta| > 1): Re(f
     conj(c)) over the complex columns f of ``_michell_traces`` (powers
     of 1 / zeta by Horner's rule) and their images (``_image_heads``,
-    and Re(conj(zeta) p_1 + p_2 + |zeta|^2 p_3 + zeta p_4), p_i in V)."""
+    and Re(conj(zeta) p_1 + p_2 + |zeta|^2 p_3 + zeta p_4), p_i in V).
+    With ``hessian`` also R^2 Delta and R^2 (d_xx - d_yy - 2i d_xy), 4 Re
+    d dbar F and 2 (d^2 F + conj(dbar^2 F)) of the complex sum F, d =
+    d_Z = d_zeta / e: only the head columns have dbar^2 f != 0; the
+    polynomials in 1 / zeta = u differentiate as d_zeta^2 t(u) = u^3 (u
+    t'' + 2 t') and d_zeta^2 (|zeta|^2 t(u)) = conj(zeta) u^3 t'', those
+    in V through T = dV/dZ and dT/dZ = 2 conj(W) s T."""
     zeta, q = zeta[:, None], c[0::2] + 1j * c[1::2]
     frame = _image_frame(W + e * zeta, W, e, 1)
-    head, round_head = _image_heads(*frame[:4], frame[4][:, 1:2], W, e)
+    heads = _image_heads(*frame[:4], frame[4][:, 1:2], W, e, 1.0 if hessian else None)
+    head, round_head = heads[0] if hessian else heads
     log, r2 = np.log(np.abs(zeta)), np.abs(zeta) ** 2
     m, C = np.arange(1.0, m_core), np.zeros((m_core + 1, 6), dtype=complex)
     C[2:, 0], C[1:-1, 1] = m * q[2:m_core + 1], -(m + 1.0) * q[2:m_core + 1]
     C[2:-1, 2], C[1:-2, 3] = (m[1:] - 1.0) * q[m_core + 1:], -m[1:] * q[m_core + 1:]
     C[1:-1, 4], C[2:-1, 5] = np.conj(q[2:m_core + 1]), np.conj(q[m_core + 1:])
-    p = np.polynomial.polynomial.polyval(frame[4][:, 1:2], C[:, :4])
-    t = np.polynomial.polynomial.polyval(1.0 / zeta, C[:, 4:])
-    return np.real((log * (1.0 + 1j * r2) + head) * np.conj(q[0])
-                   + (zeta * log + round_head) * np.conj(q[1]) + t[0] + r2 * t[1]
-                   + np.conj(zeta) * p[0] + p[1] + r2 * p[2] + zeta * p[3])[:, 0]
+    p = polyval(frame[4][:, 1:2], C[:, :4])
+    t = polyval(1.0 / zeta, C[:, 4:])
+    value = np.real((log * (1.0 + 1j * r2) + head) * np.conj(q[0])
+                    + (zeta * log + round_head) * np.conj(q[1]) + t[0] + r2 * t[1]
+                    + np.conj(zeta) * p[0] + p[1] + r2 * p[2] + zeta * p[3])[:, 0]
+    if not hessian:
+        return value
+    _, s, T, L, P = frame
+    u, cz, V, ws, e2 = 1.0 / zeta, np.conj(zeta), P[:, 1:2], np.conj(W) * s, e * e
+    dT, (q0, q1) = 2.0 * ws * T, np.conj(q[:2])
+    dp, ddp = (polyval(V, polyder(C[:, :4], k)) for k in (1, 2))
+    dt, ddt = (polyval(u, polyder(C[:, 4:], k)) for k in (1, 2))
+
+    def goursat(p):
+        return cz * p[0] + p[1] + r2 * p[2] + zeta * p[3]
+
+    X, Y = 0.5 * (ws * ws - cz * dT), cz * (ws / e + 0.5 * zeta * ws * ws)
+    d2 = (q0 * ((0.5j * cz - 0.5 * u) * u / e2 + X + 1j * Y)
+          + q1 * (0.5 * u / e2 + ws / e + 0.5 * zeta * ws * ws - cz * T / e - 0.5 * r2 * dT)
+          + u**3 * (u * ddt[0] + 2.0 * dt[0] + cz * ddt[1]) / e2
+          + T * T * goursat(ddp) + dT * goursat(dp) + 2.0 * T / e * (cz * dp[2] + dp[3]))
+    dbar2 = (q0 * ((0.5j * zeta - 0.5 / cz) / (cz * e2) + np.conj(X) + 1j * np.conj(Y))
+             + q1 * (0.5 * zeta * np.conj(ws * ws) - 0.5 * zeta / (cz * cz * e2)))
+    lap0, lap1 = heads[2]
+    lap = (q0 * (4j * (log + 1.0) / e2 + lap0) + q1 * (2.0 / (cz * e2) + lap1)
+           + 4.0 * (t[1] - u * dt[1]) / e2 + 4.0 * T / e * (dp[0] + zeta * dp[2]) + 4.0 * p[2] / e2)
+    return value, lap.real[:, 0], 2.0 * (d2 + np.conj(dbar2))[:, 0]
 
 
 def _rung_bytes(m_core: int, cores: int, outer_modes: int) -> int:

@@ -5,14 +5,13 @@ field on a whole grid:
 - node coordinates and indices of a ``fields.Grid`` (``meshgrid``,
   ``points``, ``nearest_index``, ``node``);
 - ``ScalarField`` holds samples at every node of a grid with a node
-  mask, and takes their central-difference Hessians and CSV dump;
-  ``solution_field`` samples a solve's solution the way the solve dump
-  did before it streamed (the oracle of ``cli._write_solution_csv``).
+  mask, and takes their central-difference Hessians;
+- ``solution_field`` evaluates a solve's solution at every node of a
+  grid in one batch, and writes it with the reference writer (the
+  oracle of ``cli._write_solution_csv``);
 - the finite-difference oracle of ``tests/test_solver.py`` sums its
   energies over cut cells, exact area fractions of the node-centred
   cells inside a disk.
-- ``SplineField`` reads a grid field through a bicubic spline, so that
-  the boundary checks can take it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from airy_defects.core import DiskDomain, ValidationError
 from airy_defects.fields import CORE, INTERIOR, OUTSIDE, Grid, check_core_resolution
@@ -112,8 +110,9 @@ class ScalarField:
         """Raw central differences (v_xx, v_xy, v_yy) over the whole array.
 
         NaN on the array rim only: unlike :meth:`hessian_fd` this reads
-        values at masked-out nodes, where solver outputs carry ghost
-        values that boundary-adjacent cells need.
+        values at masked-out nodes, where the finite-difference oracle
+        of ``tests/test_solver.py`` carries ghost values that
+        boundary-adjacent cells need.
         """
         v = self.values
         h = self.grid.delta
@@ -141,32 +140,40 @@ class ScalarField:
         vxy[bad] = np.nan
         return vxx, vxy, vyy, ok
 
+
+@dataclass(frozen=True)
+class SolutionGrid:
+    """A solve's solution at every node of a grid: its value and exact
+    Hessian (v_xx, v_xy, v_yy) inside the disk, 0 and NaN outside, and
+    the node mask."""
+
+    grid: Grid
+    values: np.ndarray
+    hessians: np.ndarray
+    mask: np.ndarray
+
     def to_csv(self, path) -> None:
         """Header ``x,y,v,v_xx,v_xy,v_yy,mask``, row-major, 17 digits,
         by the reference writer."""
-        vxx, vxy, vyy, _ = self.hessian_fd()
         X, Y = meshgrid(self.grid)
         write_csv(path, "x,y,v,v_xx,v_xy,v_yy,mask",
-                  [a.ravel() for a in (X, Y, self.values, vxx, vxy, vyy, self.mask)])
+                  [a.ravel() for a in (X, Y, self.values, *np.moveaxis(self.hessians, -1, 0),
+                                       self.mask)])
 
 
-def solution_field(solution, domain: DiskDomain, grid: Grid) -> ScalarField:
-    """A solve's ``solution`` at the nodes of ``grid`` inside the disk and
-    at its ghost nodes (outside, within two cells of an inside node),
-    with 0 elsewhere, all nodes evaluated in one batch; masked CORE on
-    the solution's core balls."""
+def solution_field(solution, domain: DiskDomain, grid: Grid) -> SolutionGrid:
+    """A solve's ``solution`` at the nodes of ``grid`` inside the disk,
+    all in one ``derivatives`` batch, with 0 and NaN Hessians outside;
+    masked CORE on the solution's core balls."""
     mask = build_mask(grid, domain)
     inside = mask != OUTSIDE
-    live = np.zeros_like(inside)
-    for di in range(-2, 3):
-        for dj in range(-2, 3):
-            live |= np.roll(inside, (di, dj), axis=(0, 1))
     X, Y = meshgrid(grid)
     for site, eps in solution.cores:
         mask[np.hypot(X - site[0], Y - site[1]) <= eps] = CORE
-    values = np.zeros(X.shape)
-    values[live] = solution.value(points(grid)[live.ravel()])
-    return ScalarField(grid=grid, values=values, mask=mask)
+    values, hessians = np.zeros(X.shape), np.full(X.shape + (3,), np.nan)
+    v, H = solution.derivatives(points(grid)[inside.ravel()], ("value", "hessian"))
+    values[inside], hessians[inside] = v, H[:, [0, 0, 1], [0, 1, 1]]
+    return SolutionGrid(grid=grid, values=values, hessians=hessians, mask=mask)
 
 
 def _corner_area(X: float, Y: float, r: float) -> float:
@@ -250,49 +257,3 @@ def region_weights(grid: Grid, domain: DiskDomain, cores=()) -> np.ndarray:
     for site, eps in cores:
         w = w - disk_cell_fractions(grid, site, eps)
     return np.clip(w, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class SplineField:
-    """C^2 bicubic view of a grid field over its whole rectangle.
-
-    Gives value, gradient, Hessian and Laplacian over (N, 2) points, one
-    by one or by ``derivatives``, as the closed forms do.
-    """
-
-    base: ScalarField
-
-    def __post_init__(self) -> None:
-        g = self.base.grid
-        object.__setattr__(self, "_sp", RectBivariateSpline(
-            g.xs, g.ys, self.base.values, kx=3, ky=3))
-
-    def _split(self, x):
-        p = np.asarray(x, dtype=float).reshape(-1, 2)
-        return p[:, 0], p[:, 1]
-
-    def value(self, x):
-        px, py = self._split(x)
-        return self._sp.ev(px, py)
-
-    def gradient(self, x):
-        px, py = self._split(x)
-        sp = self._sp
-        return np.stack([sp.ev(px, py, dx=1), sp.ev(px, py, dy=1)], axis=-1)
-
-    def hessian(self, x):
-        px, py = self._split(x)
-        sp = self._sp
-        H = np.empty((px.shape[0], 2, 2))
-        H[:, 0, 0] = sp.ev(px, py, dx=2)
-        H[:, 1, 1] = sp.ev(px, py, dy=2)
-        H[:, 0, 1] = sp.ev(px, py, dx=1, dy=1)
-        H[:, 1, 0] = H[:, 0, 1]
-        return H
-
-    def laplacian(self, x):
-        H = self.hessian(x)
-        return H[:, 0, 0] + H[:, 1, 1]
-
-    def derivatives(self, x, names):
-        return tuple(getattr(self, name)(x) for name in names)

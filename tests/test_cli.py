@@ -296,10 +296,10 @@ class TestArtifacts:
     @pytest.mark.parametrize("doc", DUMP_DOCS, ids=DUMP_IDS)
     def test_solve_field_csv_matches_reference_writer(self, doc, tmp_path,
                                                       monkeypatch):
-        # the streamed dump against the whole-grid oracle, which samples
-        # the same solution at every node in one batch and writes with
-        # the reference writer; at n = 96 and 128 every core is resolved,
-        # and one-line blocks put a block edge beside every line
+        # the streamed dump against the whole-grid oracle, which evaluates
+        # the same solution at every inside node in one batch and writes
+        # with the reference writer; at n = 96 and 128 every core is
+        # resolved, and one-line blocks put a block edge beside every line
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         domain = DefectConfiguration.from_dict(doc).domain
@@ -327,9 +327,9 @@ class TestArtifacts:
 
     def test_solve_field_csv_rows_of_every_node_kind(self, tmp_path,
                                                     monkeypatch):
-        # a core reaching within one cell of the circle: core nodes short
-        # of a full stencil beside core nodes with one, and outside,
-        # ghost and interior nodes of both kinds
+        # a core reaching within one cell of the circle: core nodes and
+        # interior nodes beside the circle and the core circle, all with
+        # finite Hessians, and outside nodes with v = 0 and NaN ones
         doc = {**DISL, "dislocations": [{"site": [0.8, 0.0], "b": [0.6, -0.8]}],
                "core_radius": 0.19}
         cfg = tmp_path / "cfg.json"
@@ -354,10 +354,10 @@ class TestArtifacts:
         assert sha256(got) == sha256(ref)
         kinds = set()
         for row in got.read_text().splitlines()[1:]:
-            _, _, v, vxx, _, _, mask = row.split(",")
-            kinds.add((mask, v == "0") if mask == "0" else (mask, vxx == "nan"))
-        assert kinds == {("0", True), ("0", False), ("1", True), ("1", False),
-                         ("2", True), ("2", False)}
+            _, _, v, *hessian, mask = row.split(",")
+            kinds.add((mask, v == "0", *(h == "nan" for h in hessian)))
+        assert kinds == {("0", True, True, True, True), ("1", False, False, False, False),
+                         ("2", False, False, False, False)}
 
     @pytest.mark.parametrize("E", ["1", "1e-9", "1e20"])
     def test_sweep_csv_matches_reference_writer(self, E, tmp_path,

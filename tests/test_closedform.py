@@ -606,6 +606,20 @@ class TestClampedGreen:
                 got = 16.0 * math.pi * clamped_green_mixed(x, y, a, c, R)[0]
                 assert abs(got - float(_mixed_mp(x, y, a, c, R))) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("R", [1.0, 1.5])
+    def test_mixed_near_the_circle_at_roundoff(self, R):
+        # on an axis, where |x| is exact, a value of order A at x within
+        # 1e-4 R of the circle comes out to roundoff of itself: every term
+        # carries the factor A
+        a, c = np.array([0.3, 1.0]), np.array([-0.7, 0.2])
+        with mpmath.workdps(40):
+            for x, y in (((0.9999, 0.0), (0.2, -0.3)), ((0.0, 0.9999), (0.2, -0.3)),
+                         ((0.0, -0.9999), (0.0, 0.9))):
+                x, y = R * np.array(x), R * np.array(y)
+                want = float(_mixed_mp(x, y, a, c, R))
+                got = 16.0 * math.pi * clamped_green_mixed(x, y, a, c, R)[0]
+                assert abs(got - want) <= 1e-15 * abs(want)
+
     def test_symmetric_in_the_points(self, rng):
         x, y = (rng.uniform(-0.7, 0.7, (20, 2)) for _ in range(2))
         a, c = rng.normal(size=(2, 20, 2))

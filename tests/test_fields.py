@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from grid_reference import (
     ScalarField,
-    SplineField,
     build_mask,
     circle_rect_area,
     disk_cell_fractions,
@@ -289,28 +288,6 @@ class TestScalarField:
         sf = _quadratic_field(grid_for_disk(unit_disk, 32))
         with pytest.raises(ValueError):
             sf.values[0, 0] = 1.0
-
-
-class TestSplineField:
-    def test_matches_smooth_function(self, unit_disk):
-        g = grid_for_disk(unit_disk, 128)
-
-        def fn(p):
-            return np.sin(p[:, 0]) * np.cos(p[:, 1])
-
-        spline = SplineField(ScalarField.sample(fn, g))
-        pts = np.array([[0.1, 0.2], [-0.5, 0.3], [0.7, -0.6]])
-        assert np.allclose(spline.value(pts), fn(pts), atol=1e-7)
-        gx = np.cos(pts[:, 0]) * np.cos(pts[:, 1])
-        assert np.allclose(spline.gradient(pts)[:, 0], gx, atol=1e-4)
-        lap = -2.0 * fn(pts)
-        assert np.allclose(spline.laplacian(pts), lap, atol=1e-2)
-
-    def test_single_point_shape(self, unit_disk):
-        g = grid_for_disk(unit_disk, 32)
-        spline = SplineField(_quadratic_field(g))
-        assert spline.value((0.0, 0.0)).shape == (1,)
-        assert spline.hessian((0.0, 0.0)).shape == (1, 2, 2)
 
 
 RULE_CASES = [(0.0, 1.0, ()), (0.05, 1.0, ()), (0.0, 1.0, (0.3,)),

@@ -2,12 +2,14 @@ import math
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import michell_reference
+from test_closedform import _green_mp
 from grid_reference import (
     ScalarField,
     build_mask,
@@ -458,16 +460,6 @@ class TestDisclinationSolve:
         assert len(later) >= 2
         assert [names for names, _ in calls] == [("value", "gradient")] * (1 + len(later))
         assert all(np.array_equal(x, want) for (_, x), want in zip(calls, [first, *later]))
-
-    def test_site_near_boundary_has_bounded_ghosts(self, elastic, unit_disk):
-        report = solve_clamped_disclination(
-            elastic, unit_disk, [Disclination((0.99, 0.0), 1.0)], n=256
-        )
-        field = _grid_field(report, unit_disk, 256)
-        v = field.values
-        assert np.all(np.isfinite(v))
-        inside = field.mask != 0
-        assert np.abs(v[~inside]).max() <= np.abs(v[inside]).max()
 
     @pytest.mark.parametrize("r, expected", [
         (0.97, -3.817980609755606e-05),
@@ -1207,6 +1199,31 @@ class TestClampedModes:
         fd_dlap = (laplacians(pts + h * nhat)[0] - laplacians(pts - h * nhat)[0]) / (2 * h)
         assert np.abs(fd_dlap - dlap).max() <= 1e-4 * np.abs(dlap).max()
 
+    @pytest.mark.parametrize("site, eps, R, centre", [
+        ((0.6, 0.2), 0.1, 1.3, (0.1, 0.0)), ((0.92, -0.3), 0.05, 1.0, (0.0, 0.0))])
+    def test_hessian_matches_fourth_differences(self, site, eps, R, centre, rng):
+        # every column at random coefficients, the head columns and
+        # their images included, against the point sums' fourth
+        # differences (``_difference_hessian``) of step eps / 1000; bound
+        # 10 times the miss, 1.7e-9
+        m_core = 10
+        c = rng.normal(size=4 * m_core - 2)
+        W = complex(site[0] - centre[0], site[1] - centre[1]) / R
+        pts = np.add(site, 0.25 * eps * np.array([[9.0, 1.0], [-6.0, 5.0], [2.0, -7.0]]))
+
+        def parts(p, hessian=False):
+            zeta = ((p[:, 0] - site[0]) + 1j * (p[:, 1] - site[1])) / eps
+            return solver._clamped_sum(c, zeta, W, eps / R, m_core, hessian)
+
+        value, lap, dd = parts(pts, True)
+        assert np.array_equal(value, parts(pts))
+        H = np.empty((len(pts), 2, 2))
+        H[:, 0, 0], H[:, 1, 1] = 0.5 * (lap + dd.real) / R**2, 0.5 * (lap - dd.real) / R**2
+        H[:, 0, 1] = H[:, 1, 0] = -0.5 * dd.imag / R**2
+        want = _difference_hessian(parts, 1e-3 * eps)(pts)
+        assert np.abs(H - want).max() <= 1.7e-8 * np.abs(want).max()
+
+
 class TestElasticCorrection:
     def test_centered_single_vanishes(self, elastic, unit_disk):
         defects = [Dislocation((0.0, 0.0), (0.0, 1.0))]
@@ -1308,7 +1325,7 @@ SOLVE_IDS = ["disclination", "core", "dipole", "correction"]
 class TestLazyField:
     def test_values_sample_no_grid(self, elastic, unit_disk, monkeypatch):
         monkeypatch.setattr(solver._AlmansiSeries, "value", _refuse("sampling"))
-        monkeypatch.setattr(solver.SeriesSolution, "value", _refuse("sampling"))
+        monkeypatch.setattr(solver.SeriesSolution, "derivatives", _refuse("sampling"))
         for solve, defects, eps in SOLVES:
             report = solve(elastic, unit_disk, defects, *eps, n=256)
             assert np.isfinite(report.value)
@@ -1322,8 +1339,9 @@ class TestLazyField:
     def test_field_is_sampled_once(self, solve, defects, eps, elastic,
                                    unit_disk, monkeypatch):
         # the series is fitted once, by the solve; its solution then
-        # gives every node the same value in any batch, so a dump may
-        # evaluate it block by block of grid lines
+        # gives every node the same value and Hessian in any batch and
+        # any request order, so a dump may evaluate it block by block of
+        # grid lines
         report = solve(elastic, unit_disk, defects, *eps, n=64)
         monkeypatch.setattr(solver._AlmansiSeries, "fit", _refuse("the fit"))
         monkeypatch.setattr(solver, "_MichellSeries", _refuse("the fit"))
@@ -1331,10 +1349,23 @@ class TestLazyField:
         grid = grid_for_disk(unit_disk, 64)
         X, Y = meshgrid(grid)
         whole = report.solution.value(points(grid)).reshape(X.shape)
-        assert np.all(np.isfinite(whole)) and whole.shape == (64 + 9, 64 + 9)
+        value, hessian = report.solution.derivatives(points(grid), ("value", "hessian"))
+        assert np.array_equal(value.reshape(X.shape), whole, equal_nan=True)
+        inside = build_mask(grid, unit_disk) != OUTSIDE
+        assert np.all(np.isfinite(whole[inside])) and whole.shape == (64 + 9, 64 + 9)
+        hessian = hessian.reshape(X.shape + (2, 2))
         for line in range(grid.nx):
-            got = report.solution.value(np.stack([X[line], Y[line]], axis=-1))
-            assert np.array_equal(got, whole[line])
+            pts = np.stack([X[line], Y[line]], axis=-1)
+            got = report.solution.value(pts)
+            assert np.array_equal(got, whole[line], equal_nan=True)
+            H, v = report.solution.derivatives(pts, ("hessian", "value"))
+            assert np.array_equal(v, whole[line], equal_nan=True)
+            assert np.array_equal(H, hessian[line], equal_nan=True)
+        for node in np.argwhere(inside)[::97]:  # batches of one point
+            v, H = report.solution.derivatives(points(grid)[[np.ravel_multi_index(
+                node, X.shape)]], ("value", "hessian"))
+            assert v[0] == whole[tuple(node)]
+            assert np.array_equal(H[0], hessian[tuple(node)])
         assert np.array_equal(report.solution.value(np.zeros((0, 2))), [])
 
     def test_dipole_field_is_the_core_field(self, elastic, unit_disk):
@@ -1347,7 +1378,8 @@ class TestLazyField:
         pts = points(grid_for_disk(unit_disk, 64))
         for a, b in zip(dip.solution.cores, core.solution.cores):
             assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-        assert np.array_equal(dip.solution.value(pts), core.solution.value(pts))
+        assert np.array_equal(dip.solution.value(pts), core.solution.value(pts),
+                              equal_nan=True)
 
     @pytest.mark.parametrize("n", [4, 4088])  # below 8, above the node cap
     @pytest.mark.parametrize("solve, defects, eps", SOLVES, ids=SOLVE_IDS)
@@ -1358,3 +1390,112 @@ class TestLazyField:
         monkeypatch.setattr(solver, "_MichellSeries", _refuse("the fit"))
         with pytest.raises(ValidationError, match="grid resolution"):
             solve(elastic, unit_disk, defects, *eps, n=n)
+
+
+# every solver's case of ``SOLVES``, a core 0.03 R from the circle and a
+# ring of eight cores, with the bound of the Hessian test: 10 times the
+# miss measured, which the fourth differences' h^4 term sets
+HESSIAN_SOLVES = [
+    (*case, bound) for case, bound in zip(SOLVES, (1.2e-7, 6.7e-7, 4.1e-7, 1.5e-9))
+] + [
+    (solve_core_constrained, [Dislocation((0.97, 0.0), (0.0, 1.0))], (0.012,), 4e-5),
+    (solve_core_constrained, [
+        Dislocation((0.5 * math.cos(t), 0.5 * math.sin(t)), (-math.sin(t), math.cos(t)))
+        for t in np.arange(8) * math.pi / 4], (0.1,), 1.2e-6),
+]
+
+
+def _hessian_miss(field, reference, pts) -> float:
+    """Largest |entry| of the difference of the Hessians of ``field`` and
+    ``reference`` at the points, relative to the largest of the latter."""
+    ref = reference(pts)
+    return float(np.abs(field.hessian(pts) - ref).max() / np.abs(ref).max())
+
+
+def _disk_points(rng, domain, count, avoid=(), gap=0.0):
+    """``count`` random points of the disk at least ``gap`` from r = R and
+    from each circle (centre, radius) of ``avoid``."""
+    pts = np.asarray(domain.center) + rng.uniform(-1.0, 1.0, (40 * count, 2)) * domain.radius_R
+    keep = np.hypot(*(pts - domain.center).T) < domain.radius_R - gap
+    for y, r in avoid:
+        keep &= np.abs(np.hypot(*(pts - y).T) - r) > gap
+    return pts[keep][:count]
+
+
+def _difference_hessian(value, h: float):
+    """The Hessian of ``value`` by fourth-order central differences of
+    step h."""
+    def d(f, step):
+        return lambda p: (f(p - 2 * step) - 8.0 * f(p - step) + 8.0 * f(p + step)
+                          - f(p + 2 * step)) / (12.0 * h)
+
+    def hessian(p):
+        H = np.empty((len(p), 2, 2))
+        for i, step in enumerate(h * np.eye(2)):
+            H[:, i, i] = (16.0 * (value(p + step) + value(p - step)) - 30.0 * value(p)
+                          - value(p + 2 * step) - value(p - 2 * step)) / (12.0 * h * h)
+        H[:, 0, 1] = H[:, 1, 0] = d(d(value, h * np.eye(2)[0]), h * np.eye(2)[1])(p)
+        return H
+
+    return hessian
+
+
+class TestSolutionHessian:
+    @pytest.mark.parametrize("solve, defects, eps, bound", HESSIAN_SOLVES,
+                             ids=SOLVE_IDS + ["core-near-circle", "ring"])
+    def test_matches_fourth_order_differences(self, solve, defects, eps, bound,
+                                              elastic, unit_disk, rng):
+        # at points 3 h or more from r = R and from every core circle
+        solution, h = solve(elastic, unit_disk, defects, *eps).solution, 1e-3
+        pts = _disk_points(rng, unit_disk, 200, solution.cores, 3.0 * h)
+        assert _hessian_miss(solution, _difference_hessian(solution.value, h), pts) < bound
+
+    def test_centred_fields_are_the_closed_forms(self, elastic, unit_disk, rng):
+        # the centred core's solution is its profile, the centred
+        # disclination's the clamped closed form; bounds 10 times the
+        # misses, 5.9e-16 and 7.7e-15
+        pts = _disk_points(rng, unit_disk, 500, [((0.0, 0.0), 0.15)], 1e-9)
+        for field, report, bound in (
+                (DislocationCoreAiry(elastic=elastic, burgers_b=(0.6, -0.8), eps=0.15,
+                                     radius_R=1.0),
+                 solve_core_constrained(elastic, unit_disk, [
+                     Dislocation((0.0, 0.0), (0.6, -0.8))], 0.15), 5.9e-15),
+                (SingleDisclinationClamped(elastic=elastic, radius_R=1.0, charge_s=1.0),
+                 solve_clamped_disclination(elastic, unit_disk, CENTERED), 7.7e-14)):
+            assert _hessian_miss(report.solution, field.hessian, pts) < bound
+
+    def test_disclinations_match_the_green_function(self, elastic, rng):
+        # against the Hessian of -K sum_k s_k G_B(., y_k) at 40 digits;
+        # bound 10 times the miss, 4.6e-14
+        domain = DiskDomain((0.1, -0.2), 1.5)
+        charges = [((0.55, 0.1), 1.0), ((-0.5, -0.35), -0.5)]
+        report = solve_clamped_disclination(
+            elastic, domain, [Disclination(y, s) for y, s in charges])
+        K, centre = elastic.plane_prefactor, np.asarray(domain.center)
+
+        def exact(p):
+            H = np.empty((len(p), 2, 2))
+            with mpmath.workdps(40):
+                for n, x in enumerate(p - centre):
+                    for i, j in ((0, 0), (0, 1), (1, 1)):
+                        H[n, i, j] = H[n, j, i] = float(-K / (16 * mpmath.pi) * sum(
+                            s * mpmath.diff(lambda a, b: _green_mp(
+                                (a, b), np.subtract(y, centre), domain.radius_R),
+                                tuple(x), (int(i == 0) + int(j == 0), int(i == 1) + int(j == 1)))
+                            for y, s in charges))
+            return H
+
+        assert _hessian_miss(report.solution, exact, _disk_points(rng, domain, 6)) < 4.6e-13
+
+    def test_nan_off_the_closed_disk(self, elastic):
+        # circle nodes round up to 2.2e-16 R past r = R and count as on it
+        domain = DiskDomain((0.1, -0.2), 1.5)
+        solution = solve_core_constrained(
+            elastic, domain, [Dislocation((0.5, -0.1), (0.0, 1.0))], 0.1).solution
+        on = circle_nodes(domain.center, domain.radius_R, 512)[0]
+        off = np.add(domain.center, [[1.5015, 0.0], [0.0, -2.0], [1.2, 1.2]])
+        value, hessian = solution.derivatives(np.vstack([on, off]), ("value", "hessian"))
+        assert np.all(np.isfinite(value[:512])) and np.all(np.isfinite(hessian[:512]))
+        assert np.all(np.isnan(value[512:])) and np.all(np.isnan(hessian[512:]))
+        with pytest.raises(ValidationError, match="value and hessian"):
+            solution.derivatives(off, ("gradient",))
