@@ -35,6 +35,7 @@ from .core import (
     ValidationError,
     rotate_burgers,
 )
+from .fields import _SPLIT
 
 
 def _pts(x) -> np.ndarray:
@@ -585,6 +586,33 @@ def clamped_green(x, y, R: float) -> np.ndarray:
     return R * R * (A - tail) / (16.0 * math.pi)
 
 
+def _square(a):
+    """h + l = a^2 exactly, h = fl(a^2) (Dekker's product)."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    lo = a - hi
+    h = a * a
+    return h, ((hi * hi - h) + 2.0 * hi * lo) + lo * lo
+
+
+def _two_sum(a, b):
+    """s + e = a + b exactly, s = fl(a + b) (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _circle_gap(p: np.ndarray, R: float) -> np.ndarray:
+    """1 - |p|^2 / R^2 at (N, 2) points p to about an ulp of itself: the
+    squares of R, p_1 and p_2 are split exactly, and their leading parts
+    are subtracted with the rounding errors kept (Knuth's two-sum), so
+    a point near the circle loses no digits to the rounding of |p|."""
+    (r, r_lo), (h1, l1), (h2, l2) = _square(float(R)), _square(p[:, 0]), _square(p[:, 1])
+    s, e1 = _two_sum(r, -h1)
+    s, e2 = _two_sum(s, -h2)
+    return (s + ((e1 + e2) + r_lo - l1 - l2)) / r
+
+
 def clamped_green_mixed(x, y, a, c, R: float) -> np.ndarray:
     """(a . grad_x)(c . grad_y) G_B(x, y) at (N, 2) distinct point pairs
     x, y relative to the disk centre, for (N, 2) or (2,) directions a, c.
@@ -595,11 +623,11 @@ def clamped_green_mixed(x, y, a, c, R: float) -> np.ndarray:
     |d|^2 + 4 ((a.d)(c.y) p_x - (c.d)(a.x) p_y) q / S + 4 (a.x)(c.y)
     |d|^2 q / S: every term carries a factor of A, so a value of order A
     near the circle is no difference of terms of order one. p_x is
-    formed as (R - |x|)(R + |x|) / R^2, before any scaling; the
-    derivative does not scale with R."""
+    formed as (R^2 - x_1^2 - x_2^2) / R^2 from error-free squares
+    (``_circle_gap``), before any scaling; the derivative does not scale
+    with R."""
     x, y = _pts(x), _pts(y)
-    rx, ry = (np.hypot(*p.T) for p in (x, y))
-    px, py, d = (R - rx) * (R + rx) / R**2, (R - ry) * (R + ry) / R**2, (x - y) / R
+    px, py, d = _circle_gap(x, R), _circle_gap(y, R), (x - y) / R
     x, y = x / R, y / R
     a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
 

@@ -45,7 +45,6 @@ from .core import (
     NumericalError,
     ValidationError,
     min_separation_D,
-    rotate_burgers,
 )
 from .closedform import (
     AiryField,
@@ -62,7 +61,6 @@ from .energy import (
     _keeps_doubling,
     _pairing_means,
     _pairing_traces,
-    _boundary_integral,
     circle_sums,
 )
 from .fields import circle_nodes, grid_for_disk
@@ -847,74 +845,75 @@ class _MichellSeries:
 
 def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
                   dislocations, eps: float):
-    """Data of the core-constrained functional for w = W_p + z: the
-    profiles W_p, the integral of (Delta z)^2 over the core balls, the
-    constant C0 and the load on the affine core parameters u (value and
-    two slopes per core), so that the functional is
-    (fl/2) int_{B_R} (Delta z)^2 + load . u - C0.
+    """The profiles W_p, the integral of (Delta z)^2 over the core balls
+    and the constant C0 of the functional (fl/2) int_{B_R} (Delta z)^2 -
+    C0 of w = W_p + z, in closed form. No load acts on the affine core
+    data: Green's identity on ball k pairs them with Delta W_j, harmonic
+    there for j != k, to zero, and with the pole of a_k below to Pi(b_k)
+    / fl, which cancels the slope load Pi(b_k) (16 pi fl C_k = |b_k|).
 
-    All three are sums of one :func:`energy.circle_sums` on the outer
-    and the core circles: each level evaluates every closed form once."""
+    With z = x_1 + i x_2 and the sites y_j taken from the disk centre,
+    Delta W_p = Re f off the cores, f = sum_j A_j (z - y_j) + a_j / (z -
+    y_j), a_j = 8 C_j q_j = -i K b_j / 2 pi (C_j = |b_j| K / 16 pi, q_j =
+    Pi(b_j) / |b_j| as a complex number), A_j = gamma conj(a_j). About
+    y_k, f = a_k / w + c0_k + c1_k w + ..., w = z - y_k: with d_kj = y_k
+    - y_j, A = sum A_j, B = -sum A_j y_j and S = sum a_j, c0_k = sum_{j
+    != k} A_j d_kj + a_j / d_kj and c1_k = A - sum_{j != k} a_j / d_kj^2.
+    Let G_k = sum_{j,l != k} a_j conj(a_l) g(eps^2 / (d_kj conj(d_kl))),
+    g(x) = -log1p(-x) - x - x^2 / 2 (|x| < 1/4, as eps < D).
+    - ball: on ball k, Delta z = -Re(f - a_k / w - A_k w), whose Taylor
+      series integrates term by term to (pi/2) [eps^2 (|c0_k|^2 + Re
+      c0_k^2) + eps^4 |c1_k - A_k|^2 / 2 + Re G_k].
+    - C0 = (fl/4) Re(I_sq + I_abs): each area integral over the disk less
+      the balls is (1/2i) oint F dz of a d_zbar-primitive F, summed by
+      residues with zbar = R^2 / z on r = R and conj(y_k) + eps^2 / w on
+      core circle k. F = f^2 zbar gives I_sq = int f^2 = pi R^2 (B^2 + 2
+      A S) - pi sum_k 2 conj(y_k) a_k c0_k + eps^2 (2 a_k c1_k + c0_k^2).
+      F = f Psi, Psi = conj(A) zbar^2 / 2 + conj(B) zbar + sum_l conj(a_l)
+      log|z - y_l|^2 (single-valued), gives Re I_abs = Re int |f|^2 = pi
+      [|A|^2 R^4 / 2 + |B|^2 R^2 + sum_{j,l} a_j conj(a_l) L_jl] - pi
+      sum_k 2 Re conj(a_k) (A y_k^2 / 2 + B y_k) + eps^2 |c0_k|^2 + eps^4
+      |c1_k|^2 / 2 + Re G_k, with L_jl = log(1 - y_j conj(y_l) / R^2) +
+      log(R^2 / |d_jl|^2), |d_jj| = eps, and 1 - |y_j|^2 / R^2 taken as
+      (1 - |y_j| / R)(1 + |y_j| / R)."""
     fl = _gram_factor(elastic)
     W_p = SumField(tuple(
         DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
                             radius_R=domain.radius_R, site=d.site)
         for d in dislocations))
-    # the profiles' annulus branches, which the Laplacian traces on the
-    # core circles take: the limit from the annulus side
-    branches = [replace(t, annulus_branch=True) for t in W_p.terms]
-    K, circles = len(dislocations), [(domain.center, domain.radius_R)] + [
-        (d.site, eps) for d in dislocations]
-
-    def traces(pts, nhat):  # rows: W_p and d_n W_p, nhat, the Laplacians, d_n
-        value, gradient = W_p.derivatives(pts, ("value", "gradient"))
-        lap = [t.derivatives(pts, ("laplacian", "grad_laplacian")) for t in branches]
-        return np.array([value, (gradient * nhat).sum(axis=-1), *nhat.T,
-                         *[l for l, _ in lap],
-                         *[(dl * nhat).sum(axis=-1) for _, dl in lap]])
-
-    def sums(x):
-        g_val, g_dn, nh, lap, dnlap = x[0], x[1], x[2:4], x[4:4 + K], x[4 + K:]
-        # C0 = (fl/2) sum over profiles f of the boundary integral of Df
-        # d_n W_p - (d_n Df) W_p, valid for f biharmonic on the annular
-        # region
-        C0 = 0.5 * fl * sum(_boundary_integral(
-            (lap[i] * g_dn - dnlap[i] * g_val).mean(axis=-1), circles)
-            for i in range(K))
-        # linear coupling of the core affine parameters through the
-        # circle integrals, plus the slope load <grad a_k, Pi(b_k)>. On
-        # core ball k, Delta z = -Delta W_p is the Laplacian of the other
-        # profiles, both branches alike: harmonic, so the FFT of its
-        # trace integrates its square exactly, pi eps^2 (a_0^2 + sum_m
-        # (a_m^2 + b_m^2) / (2m + 2))
-        load, ball, ring, n = np.zeros(3 * K), 0.0, 2.0 * math.pi * eps, x.shape[-1]
-        for k, d in enumerate(dislocations):
-            lap_p, dnlap_p = sum(lap[:, k + 1]), sum(dnlap[:, k + 1])
-            Pi = rotate_burgers(d.burgers_b)
-            load[3 * k] = fl * ring * float(np.mean(dnlap_p))
-            for a in (0, 1):
-                load[3 * k + 1 + a] = Pi[a] - fl * ring * float(np.mean(
-                    lap_p * nh[a, k + 1] - dnlap_p * eps * nh[a, k + 1]))
-            H = np.fft.rfft(np.zeros(n) + sum(
-                f for j, f in enumerate(lap[:, k + 1]) if j != k)) / n
-            m = np.arange(1, len(H))
-            ball += math.pi * eps**2 * (
-                H[0].real ** 2 + float(np.sum(2.0 * np.abs(H[1:]) ** 2 / (m + 1.0))))
-        return np.concatenate([[C0, ball], load])
-
-    (C0, ball, *load), _ = circle_sums(circles, traces, sums)
-    return W_p, float(ball), float(C0), np.array(load)
+    R, e2, eye = domain.radius_R, eps * eps, np.eye(len(dislocations))
+    y = np.array([complex(*d.site) for d in dislocations]) - complex(*domain.center)
+    a = -0.5j / math.pi * elastic.plane_prefactor * np.array(
+        [complex(*d.burgers_b) for d in dislocations])
+    A = W_p.terms[0].coeffs.gamma * a.conj()
+    sA, B, S, d = A.sum(), -A @ y, a.sum(), y[:, None] - y
+    inv = 1.0 / (d + eye) - eye  # 1 / d_kj, 0 on the diagonal
+    c0, c1 = d @ A + inv @ a, sA - inv**2 @ a
+    x = e2 * inv[:, :, None] * inv[:, None, :].conj()
+    G = (a[:, None] * a.conj() * (-np.log1p(-x) - x - 0.5 * x * x)).sum(axis=(1, 2)).real
+    rho = np.abs(y) / R
+    L = np.log(1.0 - y[:, None] * y.conj() / R**2)
+    np.fill_diagonal(L, np.log((1.0 - rho) * (1.0 + rho)))
+    L += 2.0 * np.log(R / (np.abs(d) + eps * eye))
+    ball = 0.5 * math.pi * np.sum(e2 * (np.abs(c0)**2 + (c0 * c0).real)
+                                  + 0.5 * e2 * e2 * np.abs(c1 - A)**2 + G)
+    I_abs = 0.5 * abs(sA * R * R)**2 + abs(B * R)**2 + (a @ L @ a.conj()).real - np.sum(
+        2.0 * (a.conj() * (0.5 * sA * y * y + B * y)).real + e2 * np.abs(c0)**2
+        + 0.5 * e2 * e2 * np.abs(c1)**2 + G)
+    I_sq = (R * R * (B * B + 2.0 * sA * S) - np.sum(
+        2.0 * y.conj() * a * c0 + e2 * (2.0 * a * c1 + c0 * c0))).real
+    return W_p, float(ball), float(0.25 * math.pi * fl * (I_abs + I_sq))
 
 
-def _core_minimum(Q: np.ndarray, fl: float, load: np.ndarray,
-                  ball_energy: float, C0: float) -> tuple[np.ndarray, float]:
+def _core_minimum(Q: np.ndarray, fl: float, ball_energy: float,
+                  C0: float) -> tuple[np.ndarray, float]:
     """The minimizing affine core parameters u and the minimum of the
-    core functional (fl/2) int_{B_R} (Delta z)^2 + load . u - C0 over z
-    = z_0 + sum_j u_j z_j, from the Gram matrix Q of the data-set
-    solutions (``_MichellSeries``) and the energy on the core balls."""
-    u = np.linalg.solve(Q[1:, 1:], -(Q[1:, 0] + load / fl))
+    core functional (fl/2) int_{B_R} (Delta z)^2 - C0 over z = z_0 +
+    sum_j u_j z_j, from the Gram matrix Q of the data-set solutions
+    (``_MichellSeries``) and the energy on the core balls."""
+    u = np.linalg.solve(Q[1:, 1:], -Q[1:, 0])
     energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
-    return u, float(0.5 * fl * energy + load @ u - C0)
+    return u, float(0.5 * fl * energy - C0)
 
 
 def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
@@ -927,9 +926,10 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     every coupling of W_p with z reduces by the Green identity to circle
     integrals of closed-form kernels against the traces of z, which are
     pinned: the negated profile traces on the outer boundary and the
-    affine core parameters on the core circles. The core-circle load
-    reduces exactly to <slope of the core affine part, Pi(b_j)> on the
-    admissible class. What is left is the plate energy of z: z is
+    affine core parameters on the core circles. On core circle j that
+    coupling is <slope of the core affine part, Pi(b_j)>, which the
+    slope load cancels exactly: no load acts on the affine parameters
+    (``_core_problem``). What is left is the plate energy of z: z is
     biharmonic on the punctured disk and linear in the affine
     parameters u, so with Q the Gram matrix of the Laplacians of the
     data-set solutions (``_MichellSeries``) the energy is quadratic in
@@ -969,7 +969,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)
-    W_p, ball_energy, C0, load = _core_problem(elastic, domain, dislocations, eps)
+    W_p, ball_energy, C0 = _core_problem(elastic, domain, dislocations, eps)
     outer = _AlmansiSeries.fit(domain, W_p)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
 
@@ -995,8 +995,8 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     if not residual <= _RESIDUAL_BOUND:
         raise NumericalError(f"core series fit residual {residual} "
                              f"with modes {series.m_core}")
-    u, value = _core_minimum(series.Q, fl, load, ball_energy, C0)
-    half_value = _core_minimum(series.half_Q, fl, load, ball_energy, C0)[1]
+    u, value = _core_minimum(series.Q, fl, ball_energy, C0)
+    half_value = _core_minimum(series.half_Q, fl, ball_energy, C0)[1]
     fit_seconds = time.perf_counter() - t0
 
     affine = {f"core_{k}": [E * float(c) for c in u[3 * k:3 * k + 3]]

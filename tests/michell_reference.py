@@ -6,11 +6,12 @@
   family from potentials rotated by -i. The solver evaluates the same
   traces with fewer operations; both must agree to roundoff.
 - The LU solve of the core fit on a system stacked from copies
-  (``stacked_least_squares``) and the core problem's circle integrals
-  with the closed forms evaluated ring by ring
-  (``core_problem_per_ring``): the solver builds the one in place and
-  evaluates the other on all rings at once, at the node count its
-  circle rule settles on, and both must agree bit for bit.
+  (``stacked_least_squares``): the solver builds it in place, and both
+  must agree bit for bit.
+- The core problem's circle integrals, with the closed forms evaluated
+  ring by ring (``core_problem_per_ring``), and the load on the affine
+  core data they give: the solver takes the ball energy and C0 in
+  closed form and no load, and must agree with the rings to roundoff.
 - The two-block core fit the solver used before its modes were clamped
   (``two_block_value``): Almansi modes about the disk centre and
   unclamped Michell modes about each core, fitted to the traces on every
@@ -124,9 +125,16 @@ def stacked_least_squares(A: np.ndarray, B: np.ndarray):
 
 
 def core_problem_per_ring(elastic, domain, dislocations, eps: float, n: int):
-    """(ball, C0, load) of ``solver._core_problem`` at ``n`` nodes per
-    ring, every closed form evaluated once per ring (the outer circle,
-    then the core circles)."""
+    """The ball energy and C0 of ``solver._core_problem`` and the load
+    on the affine core data (value and two slopes per core), which
+    vanishes, by trapezoid sums at ``n`` nodes per ring, every closed
+    form evaluated once per ring (the outer circle, then the core
+    circles): C0 = (fl/2) sum over profiles f of the boundary integral
+    of Delta f d_n W_p - (d_n Delta f) W_p, the load the slope load
+    Pi(b_k) less the circle coupling of the affine data with Delta
+    W_p, and the ball energy the FFT of the other profiles' Laplacian
+    on each core circle, pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m
+    + 2))."""
     fl = _gram_factor(elastic)
     W_p = SumField(tuple(
         DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
@@ -171,7 +179,7 @@ def two_block_value(elastic, domain, dislocations, eps: float, m_inner: int,
     and the plate energy from Green's identity on all circles against the
     data traces, as the solver's ``minimum`` takes it."""
     fl = _gram_factor(elastic)
-    W_p, ball, C0, load = _core_problem(elastic, domain, dislocations, eps)
+    W_p, ball, C0 = _core_problem(elastic, domain, dislocations, eps)
     (cx, cy), R, K = domain.center, domain.radius_R, len(dislocations)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
     circles = [(domain.center, R, 4 * m_inner, 1.0)] + [
@@ -201,6 +209,6 @@ def two_block_value(elastic, domain, dislocations, eps: float, m_inner: int,
     Q = sum(w * ((p[2] @ coef).T @ d - (p[3] @ coef).T @ v)
             for p, (v, d, _), w in zip(planes, data, weights))
     Q = 0.5 * (Q + Q.T)
-    u = np.linalg.solve(Q[1:, 1:], -(Q[1:, 0] + load / fl))
+    u = np.linalg.solve(Q[1:, 1:], -Q[1:, 0])
     energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball
-    return float(0.5 * fl * energy + load @ u - C0)
+    return float(0.5 * fl * energy - C0)

@@ -608,13 +608,15 @@ class TestClampedGreen:
 
     @pytest.mark.parametrize("R", [1.0, 1.5])
     def test_mixed_near_the_circle_at_roundoff(self, R):
-        # on an axis, where |x| is exact, a value of order A at x within
-        # 1e-4 R of the circle comes out to roundoff of itself: every term
-        # carries the factor A
+        # a value of order A at x within 1e-4 R of the circle comes out to
+        # roundoff of itself: every term carries the factor A, and 1 -
+        # |x|^2 / R^2 is formed from exact squares, so a point off an axis
+        # does not inherit the rounding of |x|
         a, c = np.array([0.3, 1.0]), np.array([-0.7, 0.2])
+        oblique = (0.9999 * math.cos(0.7), 0.9999 * math.sin(0.7))
         with mpmath.workdps(40):
             for x, y in (((0.9999, 0.0), (0.2, -0.3)), ((0.0, 0.9999), (0.2, -0.3)),
-                         ((0.0, -0.9999), (0.0, 0.9))):
+                         ((0.0, -0.9999), (0.0, 0.9)), (oblique, (0.2, -0.3))):
                 x, y = R * np.array(x), R * np.array(y)
                 want = float(_mixed_mp(x, y, a, c, R))
                 got = 16.0 * math.pi * clamped_green_mixed(x, y, a, c, R)[0]

@@ -30,7 +30,7 @@ from airy_defects.core import (
     ValidationError,
     min_separation_D,
 )
-from airy_defects import closedform, solver
+from airy_defects import closedform, energy, solver
 from airy_defects.asymptotics import expansion_check, renormalized_energy
 from airy_defects.closedform import (
     DislocationCoreAiry,
@@ -310,22 +310,21 @@ def _fd_oracle(elastic, domain, trace_field, n):
 def _fd_core_value(elastic, domain, dislocations, eps, n):
     """Finite-difference value of the core-constrained functional.
 
-    Same split w = W_p + z, constant and core loads as the series solve
-    (``solver._core_problem``); the Gram form of z over the disk is the
-    cut-cell sum, minimized by one sparse LU solve of the SPD normal
-    equations. First order: the cores are staircases on the grid.
+    Same split w = W_p + z and constant as the series solve
+    (``solver._core_problem``), with no load on the core parameters; the
+    Gram form of z over the disk is the cut-cell sum, minimized by one
+    sparse LU solve of the SPD normal equations. First order: the cores
+    are staircases on the grid.
     """
-    W_p, _, C0, load = solver._core_problem(elastic, domain, dislocations, eps)
+    W_p, _, C0 = solver._core_problem(elastic, domain, dislocations, eps)
     disc = _Discretization(domain, n, W_p,
                            cores=[(d.site, eps) for d in dislocations])
-    full = np.zeros(disc.n_unknowns)
-    full[disc.n_free:] = load
     factor = solver._gram_factor(elastic) * disc.grid.delta**2
     A = factor * (disc.M.T @ (sp.diags(disc.cell_w) @ disc.M))
-    b = -factor * (disc.M.T @ (disc.cell_w * disc.Lq)) - full
+    b = -factor * (disc.M.T @ (disc.cell_w * disc.Lq))
     u = spla.splu(A.tocsc()).solve(b)
     r = disc.Lq + disc.M @ u
-    return 0.5 * factor * float(np.sum(disc.cell_w * r * r)) + float(full @ u) - C0
+    return 0.5 * factor * float(np.sum(disc.cell_w * r * r)) - C0
 
 
 def _singular_part(elastic, disclinations):
@@ -597,6 +596,27 @@ def _rotated_pair(seed: int) -> list:
 
 
 ROTATED_PAIRS = [_rotated_pair(seed) for seed in range(1, 10)]
+# the core problems whose ball energy and C0 are checked against the
+# per-ring sums: domain, defects, eps and two node counts per ring at
+# which the sums have settled (the core at (0.97, 0) has its profile's
+# pole 0.03 from the outer circle)
+_UNIT = DiskDomain((0.0, 0.0), 1.0)
+_PAIR_DISK = DiskDomain((0.1, -0.2), 1.5)
+CORE_PROBLEMS = [
+    (_UNIT, [Dislocation((0.0, 0.0), (0.0, 1.0))], eps, (64, 128)) for eps in (0.05, 0.1, 0.2)
+] + [(_UNIT, PAIR_SAME, eps, (64, 128)) for eps in (0.05, 0.1, 0.2)] + [
+    (_UNIT, PAIR_OPPOSITE, eps, (64, 128)) for eps in (0.05, 0.1, 0.2)] + [
+    (_UNIT, [Dislocation((0.3, 0.0), (0.0, 1.0))], 0.1, (64, 128)),
+    (_UNIT, [Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012, (2048, 4096)),
+    (_UNIT, [Dislocation((0.2, 0.1), (1.0, 0.3)), Dislocation((-0.3, 0.25), (-0.4, 0.8)),
+             Dislocation((0.05, -0.4), (0.6, -0.8))], 0.05, (64, 128)),
+    (_UNIT, RING_OF_EIGHT, 0.07, (64, 128)),
+    (_PAIR_DISK, [Dislocation((0.4, -0.1), (0.0, 1.0)), Dislocation((-0.3, 0.2), (1.0, 0.5))],
+     0.1, (64, 128)),
+]
+CORE_PROBLEM_IDS = [f"{eps}-{name}" for name in ("centered", "pair", "opposite")
+                    for eps in (0.05, 0.1, 0.2)] + [
+    "single", "at-0.97", "oblique-triple", "ring-8", "off-centre-R1.5"]
 
 
 class TestCoreConstrainedSolve:
@@ -777,15 +797,14 @@ class TestCoreConstrainedSolve:
         # the fit of the modes below M_e / 2 inside rung M_e, against rung
         # M_e / 2 itself: they differ only by the frequencies that alias
         # onto the half rung's fewer nodes
-        W_p, ball, C0, load = solver._core_problem(elastic, unit_disk, defects, eps)
+        W_p, ball, C0 = solver._core_problem(elastic, unit_disk, defects, eps)
         outer = solver._AlmansiSeries.fit(unit_disk, W_p)
         sites = [np.asarray(d.site, dtype=float) for d in defects]
         series, coarse = (solver._MichellSeries(unit_disk, sites, eps, W_p, outer, m)
                           for m in (m_core, m_core // 2))
 
         def value(Q):
-            return solver._core_minimum(Q, solver._gram_factor(elastic), load,
-                                        ball, C0)[1]
+            return solver._core_minimum(Q, solver._gram_factor(elastic), ball, C0)[1]
 
         full, half, rung = value(series.Q), value(series.half_Q), value(coarse.Q)
         change = abs(full - half)
@@ -955,25 +974,51 @@ class TestCoreConstrainedSolve:
             ref, ref_condition = michell_reference.stacked_least_squares(A, B)
             assert np.array_equal(X, ref) and condition == ref_condition
 
-    @pytest.mark.parametrize("defects", [REFERENCE_CASES[0][0], PAIR_SAME],
-                             ids=["centered", "pair"])
-    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
-    def test_rings_in_one_pass_match_per_ring(self, defects, eps, elastic,
-                                              unit_disk, monkeypatch):
-        nodes, rule = [], solver.circle_sums
+    @pytest.mark.parametrize("domain, defects, eps, nodes", CORE_PROBLEMS,
+                             ids=CORE_PROBLEM_IDS)
+    def test_rings_in_one_pass_match_per_ring(self, domain, defects, eps, nodes,
+                                              elastic):
+        # the ball energy and C0 in closed form, every ring at once,
+        # against the trapezoid sums ring by ring at two node counts, and
+        # the load the rings give, which the closed forms drop: it
+        # vanishes to roundoff
+        _, ball, C0 = solver._core_problem(elastic, domain, defects, eps)
+        b = max(math.hypot(*d.burgers_b) for d in defects)
+        for n in nodes:
+            ref_ball, ref_C0, load = michell_reference.core_problem_per_ring(
+                elastic, domain, defects, eps, n)
+            assert abs(C0 - ref_C0) <= 1e-13 * abs(C0)
+            assert abs(ball - ref_ball) <= 1e-13 * abs(C0)
+            assert np.abs(load).max() <= 1e-14 * b
 
-        def spy(*args):
-            sums, n = rule(*args)
-            nodes.append(n)
-            return sums, n
+    def test_core_solve_sums_no_circle(self, elastic, unit_disk, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("circle sum in a core solve")
 
-        monkeypatch.setattr(solver, "circle_sums", spy)
-        _, ball, C0, load = solver._core_problem(elastic, unit_disk, defects,
-                                                 eps)
-        ref_ball, ref_C0, ref_load = michell_reference.core_problem_per_ring(
-            elastic, unit_disk, defects, eps, *nodes)
-        assert ball == ref_ball and C0 == ref_C0
-        assert np.array_equal(load, ref_load)
+        monkeypatch.setattr(solver, "circle_sums", refuse)
+        monkeypatch.setattr(energy, "circle_sums", refuse)
+        for defects in (REFERENCE_CASES[0][0], PAIR_OPPOSITE, RING_OF_EIGHT):
+            solve_core_constrained(elastic, unit_disk, defects, 0.05, n=64)
+
+    @pytest.mark.parametrize("R", [1.0, 1.5])
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_centred_constant_is_the_polar_integral(self, R, eps, elastic):
+        # Delta W_p = 8 C cos(theta) (gamma r + 1 / r) on the annulus, so
+        # C0 = (fl/2) 64 C^2 pi int_eps^R (gamma r + 1/r)^2 r dr, a sum of
+        # three terms. At R = 1, eps 0.5 they cancel 27-fold (0.60 + 0.69
+        # - 1.20 = 0.093), and the closed form, summing its own terms, is
+        # 2.4e-15 relative off a 40-digit value (the three-term sum
+        # 1.9e-16): the bound is 1e-15 of the terms' magnitudes
+        domain = DiskDomain((0.0, 0.0), R)
+        W_p, ball, C0 = solver._core_problem(
+            elastic, domain, [Dislocation((0.0, 0.0), (0.6, -0.8))], eps)
+        (profile,) = W_p.terms
+        C, gamma = profile._profile[0], profile.coeffs.gamma
+        terms = np.array([gamma**2 * (R**4 - eps**4) / 4.0, math.log(R / eps),
+                          gamma * (R * R - eps * eps)])
+        scale = 32.0 * math.pi * solver._gram_factor(elastic) * C * C
+        assert ball == 0.0
+        assert abs(C0 - scale * terms.sum()) <= 1e-15 * scale * np.abs(terms).sum()
 
     @pytest.mark.parametrize("defects, eps, expected, modes",
                              REFERENCE_CASES[1:], ids=REFERENCE_IDS[1:])
