@@ -180,19 +180,17 @@ class DisclinationDipole:
 
 def min_separation_D(sites, domain: DiskDomain) -> float:
     """D = min over sites of half pairwise distances and distances to the boundary."""
-    pts = [np.asarray(_as_point(p)) for p in sites]
-    if not pts:
+    pts = np.array([_as_point(p) for p in sites]).reshape(-1, 2)
+    if not len(pts):
         raise ValidationError("need at least one defect site")
-    dists = []
-    for p in pts:
-        d_bdry = domain.boundary_distance(p)
-        if d_bdry <= 0.0:
-            raise ValidationError(f"site {tuple(p)} lies outside the domain")
-        dists.append(d_bdry)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dists.append(0.5 * float(np.hypot(*(pts[i] - pts[j]))))
-    return min(dists)
+    (cx, cy), (x, y) = domain.center, pts.T
+    d_bdry = domain.radius_R - np.hypot(x - cx, y - cy)
+    outside = np.flatnonzero(d_bdry <= 0.0)
+    if len(outside):
+        raise ValidationError(f"site {tuple(pts[outside[0]])} lies outside the domain")
+    # site by site against the later ones: memory linear in the sites
+    half = [0.5 * np.hypot(x[i + 1:] - x[i], y[i + 1:] - y[i]).min() for i in range(len(pts) - 1)]
+    return float(min([d_bdry.min(), *half]))
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,17 @@ the coefficients, the plate energies are exact sums over modes, and the
 reported solution is the summed series.
 
 The core-constrained problem lives on the punctured disk, B_R minus the
-core balls. Its smooth correction is one such series, fitted once to the
-outer traces, plus clamped modes about each core: source-point
-derivatives of the clamped Green's function of the disk (Boggio 1905),
-each a Michell mode log r, r^2 log r, r log r (cos, sin) theta, r^-m or
-r^(2-m) (cos, sin) m theta plus its rational image part (Cheng &
-Greengard 1998), so that it vanishes with its normal derivative on r =
-R. One square system matches the low frequencies of each core circle's
-traces, and Green's identity on the circles turns the plate energy
-into exact circle integrals, which leave one 3K x 3K system for the
-affine parameters of the K cores.
+core balls. The profiles' own correction there is exactly minus the
+profiles, which are biharmonic off the cores, so only the affine data
+of the K cores are fitted, by clamped modes about each core:
+source-point derivatives of the clamped Green's function of the disk
+(Boggio 1905), each a Michell mode log r, r^2 log r, r log r (cos, sin)
+theta, r^-m or r^(2-m) (cos, sin) m theta plus its rational image part
+(Cheng & Greengard 1998), so that it vanishes with its normal
+derivative on r = R. One square system matches the low frequencies of
+each core circle's traces, and Green's identity on the core circles
+turns the plate energy into exact circle integrals, which leave one 3K
+x 3K system for the affine parameters; no core solve samples r = R.
 
 Every solve samples nothing: its report carries the minimizer as a
 ``SeriesSolution``, an ``AiryField`` whose ``derivatives`` give its
@@ -45,10 +46,11 @@ from .core import (
     NumericalError,
     ValidationError,
     min_separation_D,
+    rotate_burgers,
 )
 from .closedform import (
     AiryField,
-    DislocationCoreAiry,
+    CoreCoefficients,
     DislocationLimitAiry,
     FundamentalAiry,
     ScaledField,
@@ -261,31 +263,16 @@ class _AlmansiSeries:
 
     @cached_property
     def _potentials(self) -> np.ndarray:
-        """Columns of the coefficients in powers of w of the Goursat
-        potentials of ``fields``: chi, phi / w, phi', chi' and phi''."""
+        """Columns of the coefficients in powers of w = (x - centre) / R
+        of the Goursat potentials chi = sum c_k A_k w^k and phi = sum c_k
+        B_k w^(k+1) of z = Re(conj(w) phi + chi): chi, phi / w, phi',
+        chi' and phi''."""
         k = np.arange(len(self.A))
         cA, cB = (np.where(k > 0, 2.0, 1.0) * c for c in (self.A, self.B))
         T = np.zeros((len(k), 5), dtype=complex)
         T[:, 0], T[:, 1], T[:, 2] = cA, cB, (k + 1) * cB
         T[:-1, 3], T[:-1, 4] = (k * cA)[1:], (k * (k + 1) * cB)[1:]
         return T
-
-    def fields(self, pts: np.ndarray, nhat: np.ndarray):
-        """Value, normal derivative along ``nhat``, Laplacian and its
-        normal derivative at (N, 2) points of the disk, from the Goursat
-        potentials chi = sum c_k A_k w^k and phi = sum c_k B_k w^(k+1) of
-        z = Re(conj(w) phi + chi), w = (x - centre) / R: R d_n z = Re(phi
-        conj(nu) + (conj(w) phi' + chi') nu), Delta z = 4 Re phi' / R^2
-        and d_n Delta z = 4 Re(phi'' nu) / R^3."""
-        (cx, cy), R = self.domain.center, self.domain.radius_R
-        w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy)) / R
-        nu, cw = nhat[:, 0] + 1j * nhat[:, 1], np.conj(w)
-        chi, psi, dphi, dchi, ddphi = (
-            _powers(w[:, None], len(self.A)) @ self._potentials).T
-        phi = w * psi
-        return (np.real(cw * phi + chi),
-                np.real(phi * np.conj(nu) + (cw * dphi + dchi) * nu) / R,
-                4.0 * dphi.real / R**2, 4.0 * np.real(ddphi * nu) / R**3)
 
     def value(self, w: np.ndarray) -> np.ndarray:
         """z at the points w = (x - centre) / R of the closed disk."""
@@ -304,10 +291,11 @@ class _AlmansiSeries:
 
 
 class SeriesSolution(AiryField):
-    """The minimizer of a solve as a field on the closed disk: ``scale``
-    times the interior series (``_AlmansiSeries``) plus, off the core
-    balls, the closed-form part ``closed`` and the clamped modes of each
-    core; on core ball k (|x - y_k| <= eps_k) it is the affine part.
+    """The minimizer of a solve as a field on the closed disk of
+    ``domain``: ``scale`` times the interior series (``_AlmansiSeries``,
+    if any) plus, off the core balls, the closed-form part ``closed`` and
+    the clamped modes of each core; on core ball k (|x - y_k| <= eps_k)
+    it is the affine part.
 
     ``derivatives`` gives "value" and "hessian" (any other name raises),
     each part differentiated in its own form: the series and the clamped
@@ -319,9 +307,10 @@ class SeriesSolution(AiryField):
     alone.
     """
 
-    def __init__(self, interior: _AlmansiSeries, scale: float = 1.0,
-                 closed=None, cores=(), affine=(), modes=(), m_core: int = 0):
-        self.interior, self.scale, self.closed = interior, scale, closed
+    def __init__(self, domain: DiskDomain, interior: _AlmansiSeries | None = None,
+                 scale: float = 1.0, closed=None, cores=(), affine=(), modes=(),
+                 m_core: int = 0):
+        self.domain, self.interior, self.scale, self.closed = domain, interior, scale, closed
         self.cores, self._affine = tuple(cores), tuple(affine)
         self._modes, self._m_core = tuple(modes), m_core
 
@@ -329,11 +318,15 @@ class SeriesSolution(AiryField):
         if not set(names) <= {"value", "hessian"}:
             raise ValidationError(f"a solution gives value and hessian, not {tuple(names)}")
         pts, hessian = _pts(x), "hessian" in names
-        (cx, cy), R = self.interior.domain.center, self.interior.domain.radius_R
+        (cx, cy), R = self.domain.center, self.domain.radius_R
         disk = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= R * (1.0 + _ON_CIRCLE)
         pts, Z = pts[disk], ((pts[disk, 0] - cx) + 1j * (pts[disk, 1] - cy)) / R
         # the value, then R^2 Delta and R^2 (d_xx - d_yy - 2i d_xy)
-        sums = [self.interior.value(Z), *(self.interior.hessian(Z) if hessian else ())]
+        if self.interior is not None:
+            sums = [self.interior.value(Z), *(self.interior.hessian(Z) if hessian else ())]
+        else:
+            sums = [np.zeros(len(Z)), *((np.zeros(len(Z)), np.zeros(len(Z), complex))
+                                        if hessian else ())]
         off = np.ones(len(pts), dtype=bool)
         for (y, eps), (a, s1, s2) in zip(self.cores, self._affine):
             dx, dy = pts[:, 0] - y[0], pts[:, 1] - y[1]
@@ -372,7 +365,7 @@ def _series_report(series: _AlmansiSeries, n: int, delta: float,
     return SolveReport(
         value=value, residual=series.residual, method="fourier", grid_n=n,
         delta=delta, assemble_seconds=fit_seconds,
-        solution=SeriesSolution(series, scale, singular),
+        solution=SeriesSolution(series.domain, series, scale, singular),
         extras={**extras, "modes": series.samples},
     )
 
@@ -653,20 +646,17 @@ def _clamped_sum(c: np.ndarray, zeta: np.ndarray, W: complex, e: float,
     return value, lap.real[:, 0], 2.0 * (d2 + np.conj(dbar2))[:, 0]
 
 
-def _rung_bytes(m_core: int, cores: int, outer_modes: int) -> int:
+def _rung_bytes(m_core: int, cores: int) -> int:
     """Bytes a ``_MichellSeries`` rung holds at most, in floats of its N
-    nodes, n modes, d = 1 + 3K data sets and the outer series' count of
-    modes: N (4 n + 4 K M_e + 64 K + 2 d + 32) for the trace planes, the
-    powers and factors of the modes, the data and the closed forms'
-    temporaries, then the larger of 4 N count for the outer series'
-    powers and 2 n^2 + n (3 d + 4) for the system and LAPACK's copy.
+    nodes, n modes and d = 3K data sets: N (4 n + 4 K M_e + 64 K + 2 d)
+    for the trace planes, the powers and factors of the modes and the
+    data, then 2 n^2 + n (3 d + 4) for the system and LAPACK's copy.
     The half-size fit's block and its LU copy, of n_h = (2 M_e - 2) K <
     n / 2 modes, are freed before that copy: with the system they hold
     n (n + d) + 2 n_h^2 + n_h (3 d + 4), less than it."""
-    nodes, n_ext = 4 * m_core * cores, (4 * m_core - 2) * cores
-    data = 1 + 3 * cores
-    return 8 * (nodes * (4 * n_ext + 4 * cores * m_core + 64 * cores + 2 * data + 32)
-                + max(4 * nodes * outer_modes, 2 * n_ext**2 + n_ext * (3 * data + 4)))
+    nodes, n_ext, data = 4 * m_core * cores, (4 * m_core - 2) * cores, 3 * cores
+    return 8 * (nodes * (4 * n_ext + 4 * cores * m_core + 64 * cores + 2 * data)
+                + 2 * n_ext**2 + n_ext * (3 * data + 4))
 
 
 def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
@@ -700,46 +690,41 @@ def _least_squares(system: np.ndarray, n: int) -> tuple[np.ndarray, float]:
 class _MichellSeries:
     """Biharmonic fields z on the punctured disk, B_R minus the core
     balls B_eps(y_k), with given value and normal derivative on every
-    circle, for 1 + 3K data sets at once.
+    circle, for the 3K affine data sets at once: data set 3k + a has the
+    traces of 1, x_1 - y_k1 and x_2 - y_k2 (a = 0, 1, 2) on core k and
+    zero on the other circles, r = R included. z sums the modes of order
+    below M_e about every core, clamped on r = R (``_image_traces``), so
+    only the core circles are fitted: one square system (``_system``, one
+    LU in ``_least_squares``) leaves no miss below frequency M_e at the 4
+    M_e nodes of each, 2 (2 M_e - 1) conditions per core, one per mode.
 
-    Data set 0 is the traces of -W_p on all circles; data set 1 + 3k + a
-    those of 1, x_1 - y_k1 and x_2 - y_k2 (a = 0, 1, 2) on core k, and
-    zero elsewhere. z sums, for data set 0 only, the series ``outer``
-    with the traces of -W_p on r = R, and the modes of order below M_e
-    about every core, clamped on r = R (``_image_traces``). So only the
-    core circles are fitted: one square system (``_system``, one LU in
-    ``_least_squares``) leaves no miss below frequency M_e at the 4 M_e
-    nodes of each, 2 (2 M_e - 1) conditions per core, one per mode.
+    The profiles' data set, the traces of -W_p on every circle, is not
+    fitted: W_p is biharmonic on the punctured disk and the biharmonic
+    field with given traces on its boundary is unique, so its solution
+    is z_0 = -W_p exactly, and its Gram entries are closed forms
+    (``solve_core_constrained``).
 
     ``residual`` is the largest miss of either trace at the core
     circles' nodes, relative to the largest datum the modes fit, and
     ``condition`` the fit's 1-norm condition estimate. ``Q[i, j]`` is
     the integral of Delta z_i Delta z_j over the punctured disk, from
-    Green's identity on the core circles, symmetrized: only the outer
-    series' square with itself meets r = R, as its disk integral
-    (``_AlmansiSeries.squares``). ``half_Q`` is the same matrix for the
-    half-size fit: the modes of order below M_e / 2 alone, fitted to
-    each circle's frequencies below M_e / 2 (``_half_system``), a
-    sub-block of the system whose LU takes about 1/8 of the flops.
+    Green's identity on the core circles (every z_j is clamped on r =
+    R), symmetrized. ``half_Q`` is the same matrix for the half-size
+    fit: the modes of order below M_e / 2 alone, fitted to each circle's
+    frequencies below M_e / 2 (``_half_system``), a sub-block of the
+    system whose LU takes about 1/8 of the flops.
     """
 
-    def __init__(self, domain: DiskDomain, sites, eps: float, W_p,
-                 outer: _AlmansiSeries, m_core: int):
-        self.domain, self.sites, self.eps = domain, sites, eps
-        self.outer, self.m_core = outer, m_core
-        nc, data = 4 * m_core, 1 + 3 * len(sites)
+    def __init__(self, domain: DiskDomain, sites, eps: float, m_core: int):
+        self.domain, self.sites, self.eps, self.m_core = domain, sites, eps, m_core
+        nc, data = 4 * m_core, 3 * len(sites)
         circles = [circle_nodes(y, eps, nc) for y in sites]
         pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
-        # the traces the modes fit, d_n not scaled: the data less, in
-        # data set 0, the outer series
+        # the traces the modes fit, d_n not scaled
         ext = self._rows(pts, nhat)
         val, der = fit = np.zeros((2, len(pts), data))
-        value, gradient = W_p.derivatives(pts, ("value", "gradient"))
-        s_val, s_dn, s_lap, s_dlap = outer.fields(pts, nhat)
-        val[:, 0] = -value - s_val
-        der[:, 0] = -(gradient * nhat).sum(axis=-1) - s_dn
         for k, y in enumerate(sites):
-            on, col = slice(k * nc, (k + 1) * nc), 3 * k + 1
+            on, col = slice(k * nc, (k + 1) * nc), 3 * k
             val[on, col], val[on, col + 1:col + 3] = 1.0, pts[on] - y
             der[on, col + 1:col + 3] = nhat[on]
         system, n_ext = self._system(ext, fit), ext.shape[-1]
@@ -748,29 +733,23 @@ class _MichellSeries:
         half, cols = np.zeros((n_ext, data)), self._half_columns()
         half[cols] = _least_squares(self._half_system(system, cols), len(cols))[0]
         self.coef, self.condition = _least_squares(system, n_ext)
+        del system
+        (z, dz, lap, dlap), half_lap = ext @ self.coef, ext[2:] @ half
+        del ext
 
-        z, dz, lap, dlap = ext @ self.coef
         self.size = size = np.maximum(np.abs(val), eps * np.abs(der)).max(axis=0)
         miss = np.maximum(np.abs(z - val), eps * np.abs(dz - der))
         self.residual = float((miss / np.where(size > 0.0, size, 1.0)).max())
         # trapezoid weight, negative: the outward normal of the punctured
-        # disk is -nhat on the cores. A pair's term on r = R vanishes when
-        # its second field is clamped: every term pairs a field with a
-        # clamped one, but the outer series' own square, its disk integral
-        # less its core balls
+        # disk is -nhat on the cores
         weight = -2.0 * math.pi * eps / nc
-        cross = weight * (s_lap @ der - s_dlap @ val)
-        outer_square = outer.squares[0] + weight * (s_lap @ s_dn - s_dlap @ s_val)
 
         def gram(lap, dlap):
             Q = weight * (lap.T @ der - dlap.T @ val)
-            Q[0] += cross
-            Q[:, 0] += cross
-            Q[0, 0] += outer_square
             return 0.5 * (Q + Q.T)
 
         self.Q = gram(lap, dlap)
-        self.half_Q = gram(*ext[2:] @ half)
+        self.half_Q = gram(*half_lap)
 
     def _system(self, ext, fit):
         """The square system of the mode coefficients, in LAPACK's
@@ -825,95 +804,57 @@ class _MichellSeries:
                       (y - complex(cx, cy))[:, None] / R, self.eps / R, R, m_core, planes)
         return ext
 
-    def fields(self, pts, nhat):
-        """Value, normal derivative along ``nhat``, Laplacian and normal
-        derivative of the Laplacian of every z (one column per data
-        set) at points of the punctured disk."""
-        fields = self._rows(pts, nhat) @ self.coef
-        for f, outer in zip(fields, self.outer.fields(pts, nhat)):
-            f[:, 0] += outer
-        return fields
-
-    def solution(self, u: np.ndarray, W_p, scale: float) -> SeriesSolution:
-        """``scale`` (W_p + z) for z = z_0 + sum_j u_j z_j, affine on the
-        core balls."""
+    def solution(self, u: np.ndarray, scale: float) -> SeriesSolution:
+        """``scale`` (W_p + z) for z = -W_p + sum_j u_j z_j: the clamped
+        modes at ``coef @ u``, affine on the core balls."""
         return SeriesSolution(
-            self.outer, scale, W_p, [(y, self.eps) for y in self.sites],
-            np.split(u, len(self.sites)),
-            np.split(self.coef @ np.concatenate([[1.0], u]), len(self.sites)), self.m_core)
+            self.domain, scale=scale, cores=[(y, self.eps) for y in self.sites],
+            affine=np.split(u, len(self.sites)),
+            modes=np.split(self.coef @ u, len(self.sites)), m_core=self.m_core)
 
 
 def _core_problem(elastic: ElasticConstants, domain: DiskDomain,
-                  dislocations, eps: float):
-    """The profiles W_p, the integral of (Delta z)^2 over the core balls
-    and the constant C0 of the functional (fl/2) int_{B_R} (Delta z)^2 -
-    C0 of w = W_p + z, in closed form. No load acts on the affine core
-    data: Green's identity on ball k pairs them with Delta W_j, harmonic
-    there for j != k, to zero, and with the pole of a_k below to Pi(b_k)
-    / fl, which cancels the slope load Pi(b_k) (16 pi fl C_k = |b_k|).
+                  dislocations, eps: float) -> float:
+    """The integral of (Delta z)^2 over the core balls, where z is the
+    affine core part less the profiles W_p, in closed form.
 
     With z = x_1 + i x_2 and the sites y_j taken from the disk centre,
     Delta W_p = Re f off the cores, f = sum_j A_j (z - y_j) + a_j / (z -
     y_j), a_j = 8 C_j q_j = -i K b_j / 2 pi (C_j = |b_j| K / 16 pi, q_j =
-    Pi(b_j) / |b_j| as a complex number), A_j = gamma conj(a_j). About
-    y_k, f = a_k / w + c0_k + c1_k w + ..., w = z - y_k: with d_kj = y_k
-    - y_j, A = sum A_j, B = -sum A_j y_j and S = sum a_j, c0_k = sum_{j
-    != k} A_j d_kj + a_j / d_kj and c1_k = A - sum_{j != k} a_j / d_kj^2.
-    Let G_k = sum_{j,l != k} a_j conj(a_l) g(eps^2 / (d_kj conj(d_kl))),
-    g(x) = -log1p(-x) - x - x^2 / 2 (|x| < 1/4, as eps < D).
-    - ball: on ball k, Delta z = -Re(f - a_k / w - A_k w), whose Taylor
-      series integrates term by term to (pi/2) [eps^2 (|c0_k|^2 + Re
-      c0_k^2) + eps^4 |c1_k - A_k|^2 / 2 + Re G_k].
-    - C0 = (fl/4) Re(I_sq + I_abs): each area integral over the disk less
-      the balls is (1/2i) oint F dz of a d_zbar-primitive F, summed by
-      residues with zbar = R^2 / z on r = R and conj(y_k) + eps^2 / w on
-      core circle k. F = f^2 zbar gives I_sq = int f^2 = pi R^2 (B^2 + 2
-      A S) - pi sum_k 2 conj(y_k) a_k c0_k + eps^2 (2 a_k c1_k + c0_k^2).
-      F = f Psi, Psi = conj(A) zbar^2 / 2 + conj(B) zbar + sum_l conj(a_l)
-      log|z - y_l|^2 (single-valued), gives Re I_abs = Re int |f|^2 = pi
-      [|A|^2 R^4 / 2 + |B|^2 R^2 + sum_{j,l} a_j conj(a_l) L_jl] - pi
-      sum_k 2 Re conj(a_k) (A y_k^2 / 2 + B y_k) + eps^2 |c0_k|^2 + eps^4
-      |c1_k|^2 / 2 + Re G_k, with L_jl = log(1 - y_j conj(y_l) / R^2) +
-      log(R^2 / |d_jl|^2), |d_jj| = eps, and 1 - |y_j|^2 / R^2 taken as
-      (1 - |y_j| / R)(1 + |y_j| / R)."""
-    fl = _gram_factor(elastic)
-    W_p = SumField(tuple(
-        DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
-                            radius_R=domain.radius_R, site=d.site)
-        for d in dislocations))
-    R, e2, eye = domain.radius_R, eps * eps, np.eye(len(dislocations))
+    Pi(b_j) / |b_j| as a complex number), A_j = gamma conj(a_j) (gamma of
+    ``CoreCoefficients``). About y_k, f = a_k / w + c0_k + c1_k w + ..., w
+    = z - y_k: with d_kj = y_k - y_j and A = sum A_j, c0_k = sum_{j != k}
+    A_j d_kj + a_j / d_kj and c1_k = A - sum_{j != k} a_j / d_kj^2. Let G_k
+    = sum_{j,l != k} a_j conj(a_l) g(eps^2 / (d_kj conj(d_kl))), g(x) =
+    -log1p(-x) - x - x^2 / 2 (|x| < 1/4, as eps < D). On ball k, Delta z
+    = -Re(f - a_k / w - A_k w), whose Taylor series integrates term by
+    term to (pi/2) [eps^2 (|c0_k|^2 + Re c0_k^2) + eps^4 |c1_k - A_k|^2 /
+    2 + Re G_k]."""
+    e2, eye = eps * eps, np.eye(len(dislocations))
     y = np.array([complex(*d.site) for d in dislocations]) - complex(*domain.center)
     a = -0.5j / math.pi * elastic.plane_prefactor * np.array(
         [complex(*d.burgers_b) for d in dislocations])
-    A = W_p.terms[0].coeffs.gamma * a.conj()
-    sA, B, S, d = A.sum(), -A @ y, a.sum(), y[:, None] - y
+    A = CoreCoefficients.for_annulus(eps, domain.radius_R).gamma * a.conj()
+    d = y[:, None] - y
     inv = 1.0 / (d + eye) - eye  # 1 / d_kj, 0 on the diagonal
-    c0, c1 = d @ A + inv @ a, sA - inv**2 @ a
+    c0, c1 = d @ A + inv @ a, A.sum() - inv**2 @ a
     x = e2 * inv[:, :, None] * inv[:, None, :].conj()
     G = (a[:, None] * a.conj() * (-np.log1p(-x) - x - 0.5 * x * x)).sum(axis=(1, 2)).real
-    rho = np.abs(y) / R
-    L = np.log(1.0 - y[:, None] * y.conj() / R**2)
-    np.fill_diagonal(L, np.log((1.0 - rho) * (1.0 + rho)))
-    L += 2.0 * np.log(R / (np.abs(d) + eps * eye))
-    ball = 0.5 * math.pi * np.sum(e2 * (np.abs(c0)**2 + (c0 * c0).real)
-                                  + 0.5 * e2 * e2 * np.abs(c1 - A)**2 + G)
-    I_abs = 0.5 * abs(sA * R * R)**2 + abs(B * R)**2 + (a @ L @ a.conj()).real - np.sum(
-        2.0 * (a.conj() * (0.5 * sA * y * y + B * y)).real + e2 * np.abs(c0)**2
-        + 0.5 * e2 * e2 * np.abs(c1)**2 + G)
-    I_sq = (R * R * (B * B + 2.0 * sA * S) - np.sum(
-        2.0 * y.conj() * a * c0 + e2 * (2.0 * a * c1 + c0 * c0))).real
-    return W_p, float(ball), float(0.25 * math.pi * fl * (I_abs + I_sq))
+    return float(0.5 * math.pi * np.sum(e2 * (np.abs(c0)**2 + (c0 * c0).real)
+                                        + 0.5 * e2 * e2 * np.abs(c1 - A)**2 + G))
 
 
-def _core_minimum(Q: np.ndarray, fl: float, ball_energy: float,
-                  C0: float) -> tuple[np.ndarray, float]:
-    """The minimizing affine core parameters u and the minimum of the
-    core functional (fl/2) int_{B_R} (Delta z)^2 - C0 over z = z_0 +
-    sum_j u_j z_j, from the Gram matrix Q of the data-set solutions
-    (``_MichellSeries``) and the energy on the core balls."""
-    u = np.linalg.solve(Q[1:, 1:], -Q[1:, 0])
-    energy = Q[0, 0] + 2.0 * Q[0, 1:] @ u + u @ Q[1:, 1:] @ u + ball_energy
-    return u, float(0.5 * fl * energy - C0)
+def _core_minimum(Q: np.ndarray, dislocations, fl: float,
+                  ball_energy: float) -> tuple[np.ndarray, float]:
+    """The minimizing affine core parameters u and the minimum (fl/2)
+    (2 q.u + u.Q u + ball) of the core functional over z = -W_p + sum_j
+    u_j z_j, from the Gram matrix Q of the affine data sets' solutions
+    (``_MichellSeries``), the energy on the core balls and the closed
+    form q of their Gram entries with -W_p: per core, 0 on the constant
+    and Pi(b_k) / fl on the two slopes (``solve_core_constrained``)."""
+    q = np.ravel([(0.0, *rotate_burgers(d.burgers_b)) for d in dislocations]) / fl
+    u = np.linalg.solve(Q, -q)
+    return u, float(0.5 * fl * (2.0 * q @ u + u @ Q @ u + ball_energy))
 
 
 def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
@@ -926,16 +867,32 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     every coupling of W_p with z reduces by the Green identity to circle
     integrals of closed-form kernels against the traces of z, which are
     pinned: the negated profile traces on the outer boundary and the
-    affine core parameters on the core circles. On core circle j that
+    affine core parameters u on the core circles. On core circle j that
     coupling is <slope of the core affine part, Pi(b_j)>, which the
-    slope load cancels exactly: no load acts on the affine parameters
-    (``_core_problem``). What is left is the plate energy of z: z is
-    biharmonic on the punctured disk and linear in the affine
-    parameters u, so with Q the Gram matrix of the Laplacians of the
-    data-set solutions (``_MichellSeries``) the energy is quadratic in
-    u, and u solves one 3K x 3K system. On the core balls z is the
-    affine part minus W_p, whose energy is that of the other profiles'
-    Laplacians there.
+    slope load cancels exactly, and what is left is (fl/2) int_{B_R}
+    (Delta z)^2 - C0, C0 = (fl/2) int_Omega (Delta W_p)^2 over the disk
+    less the core balls, Omega.
+
+    On Omega, z = z_0 + sum_j u_j z_j, with z_0 the biharmonic field
+    whose traces on every circle are those of -W_p, and z_j those of the
+    affine data sets (``_MichellSeries``). W_p is itself biharmonic on
+    Omega, and the biharmonic field with given traces on its boundary is
+    unique, so z_0 = -W_p and none of its Gram entries needs a fit:
+    - int_Omega (Delta z_0)^2 = 2 C0 / fl, so C0 cancels;
+    - int_Omega Delta z_0 Delta z_j, for z_j with core k's data, is by
+      Green's identity the integral of Delta W_p d_n z_j - (d_n Delta
+      W_p) z_j over core circle k, d_n away from the core (z_j is
+      clamped on r = R and vanishes on the other circles). Of Delta W_p
+      = Re f (``_core_problem``) the part harmonic on ball k pairs with
+      affine data to zero, and the pole Re(a_k / w) gives 0 for the
+      constant and 2 pi (Re a_k, Im a_k) = K Pi(b_k) = Pi(b_k) / fl for
+      the two slopes.
+    With Q the Gram matrix of the z_j and that row q, the functional is
+    (fl/2) (2 q.u + u.Q u + ball), ball the energy on the core balls,
+    where z is the affine part minus W_p and its energy that of the
+    other profiles' Laplacians, and u solves the 3K x 3K system Q u = -q
+    (``_core_minimum``). On Omega the minimizer w = W_p + z is sum_j u_j
+    z_j, the clamped modes alone.
 
     The value does not depend on ``n``, the resolution of a field dump.
     ``extras`` gives the mode count per core, ``fit_condition`` (a lower
@@ -969,19 +926,14 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
 
     t0 = time.perf_counter()
     fl = _gram_factor(elastic)
-    W_p, ball_energy, C0 = _core_problem(elastic, domain, dislocations, eps)
-    outer = _AlmansiSeries.fit(domain, W_p)
+    ball_energy = _core_problem(elastic, domain, dislocations, eps)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
-
-    def rung_bytes(m_core: int) -> int:
-        return _rung_bytes(m_core, len(sites), len(outer.A))
-
     m_core, series = _first_modes(domain, sites, eps), None
-    while m_core > _FIRST_MODES and rung_bytes(m_core) > _MAX_RUNG_BYTES:
+    while m_core > _FIRST_MODES and _rung_bytes(m_core, len(sites)) > _MAX_RUNG_BYTES:
         m_core //= 2
-    while (need := rung_bytes(m_core)) <= _MAX_RUNG_BYTES:
+    while (need := _rung_bytes(m_core, len(sites))) <= _MAX_RUNG_BYTES:
         previous = series.residual if series else None
-        series = _MichellSeries(domain, sites, eps, W_p, outer, m_core)
+        series = _MichellSeries(domain, sites, eps, m_core)
         if m_core >= _MAX_MODES or not _keeps_doubling(series.residual, previous,
                                                        _SERIES_TARGET):
             break
@@ -991,12 +943,12 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
             raise NumericalError(
                 f"core series rung {m_core} needs about {need / 2**20:.0f} MiB, "
                 f"above the memory budget of {_MAX_RUNG_BYTES / 2**20:.0f} MiB")
-    residual = max(series.residual, outer.residual)
+    residual = series.residual
     if not residual <= _RESIDUAL_BOUND:
         raise NumericalError(f"core series fit residual {residual} "
                              f"with modes {series.m_core}")
-    u, value = _core_minimum(series.Q, fl, ball_energy, C0)
-    half_value = _core_minimum(series.half_Q, fl, ball_energy, C0)[1]
+    u, value = _core_minimum(series.Q, dislocations, fl, ball_energy)
+    half_value = _core_minimum(series.half_Q, dislocations, fl, ball_energy)[1]
     fit_seconds = time.perf_counter() - t0
 
     affine = {f"core_{k}": [E * float(c) for c in u[3 * k:3 * k + 3]]
@@ -1005,7 +957,7 @@ def solve_core_constrained(elastic: ElasticConstants, domain: DiskDomain,
     return SolveReport(
         value=E * value, residual=residual, method="series", grid_n=n,
         delta=delta, assemble_seconds=fit_seconds,
-        solution=series.solution(u, W_p, E),
+        solution=series.solution(u, E),
         extras={"eps": eps, "core_affine": affine, "separation_D": D,
                 "modes": series.m_core,
                 "fit_condition": series.condition,

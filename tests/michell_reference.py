@@ -8,10 +8,17 @@
 - The LU solve of the core fit on a system stacked from copies
   (``stacked_least_squares``): the solver builds it in place, and both
   must agree bit for bit.
-- The core problem's circle integrals, with the closed forms evaluated
-  ring by ring (``core_problem_per_ring``), and the load on the affine
-  core data they give: the solver takes the ball energy and C0 in
-  closed form and no load, and must agree with the rings to roundoff.
+- The profiles W_p and the constant C0 of the core functional, whose
+  residue sums (``profile_problem``) the solver no longer needs: C0
+  cancels against the plate energy of the profiles' own correction
+  -W_p. The core problem's circle integrals, with the closed forms
+  evaluated ring by ring (``core_problem_per_ring``), and the load on
+  the affine core data they give: the ball energy and C0 in closed form
+  and no load must agree with the rings to roundoff.
+- The fit of the profiles' data set (``profile_gram``), the traces of
+  -W_p on every circle, by the outer Almansi series and the clamped
+  modes: its Gram entries must be the closed forms the solver takes,
+  2 C0 / fl with itself and (0, Pi(b_k) / fl) with core k's data sets.
 - The two-block core fit the solver used before its modes were clamped
   (``two_block_value``): Almansi modes about the disk centre and
   unclamped Michell modes about each core, fitted to the traces on every
@@ -27,7 +34,13 @@ import numpy as np
 from airy_defects.closedform import DislocationCoreAiry, SumField
 from airy_defects.core import NumericalError, rotate_burgers
 from airy_defects.fields import circle_nodes
-from airy_defects.solver import _core_problem, _gram_factor, _powers
+from airy_defects.solver import (
+    _AlmansiSeries,
+    _MichellSeries,
+    _core_problem,
+    _gram_factor,
+    _powers,
+)
 
 
 def goursat_fields(zeta, nu, L: float, potentials):
@@ -124,22 +137,111 @@ def stacked_least_squares(A: np.ndarray, B: np.ndarray):
     return X[:, :-2] / scale[:, None], condition
 
 
+def profile_problem(elastic, domain, dislocations, eps: float):
+    """The summed profiles W_p and the constant C0 = (fl/2) int (Delta
+    W_p)^2 over the disk less the core balls, by residue sums.
+
+    With z = x_1 + i x_2 and the sites y_j taken from the disk centre,
+    Delta W_p = Re f off the cores, f = sum_j A_j (z - y_j) + a_j / (z -
+    y_j), a_j = -i K b_j / 2 pi, A_j = gamma conj(a_j). About y_k, f =
+    a_k / w + c0_k + c1_k w + ..., w = z - y_k: with d_kj = y_k - y_j, A
+    = sum A_j, B = -sum A_j y_j and S = sum a_j, c0_k = sum_{j != k} A_j
+    d_kj + a_j / d_kj and c1_k = A - sum_{j != k} a_j / d_kj^2. Let G_k =
+    sum_{j,l != k} a_j conj(a_l) g(eps^2 / (d_kj conj(d_kl))), g(x) =
+    -log1p(-x) - x - x^2 / 2. C0 = (fl/4) Re(I_sq + I_abs): each area
+    integral over the disk less the balls is (1/2i) oint F dz of a
+    d_zbar-primitive F, summed by residues with zbar = R^2 / z on r = R
+    and conj(y_k) + eps^2 / w on core circle k. F = f^2 zbar gives I_sq
+    = int f^2 = pi R^2 (B^2 + 2 A S) - pi sum_k 2 conj(y_k) a_k c0_k +
+    eps^2 (2 a_k c1_k + c0_k^2). F = f Psi, Psi = conj(A) zbar^2 / 2 +
+    conj(B) zbar + sum_l conj(a_l) log|z - y_l|^2 (single-valued), gives
+    Re I_abs = Re int |f|^2 = pi [|A|^2 R^4 / 2 + |B|^2 R^2 + sum_{j,l}
+    a_j conj(a_l) L_jl] - pi sum_k 2 Re conj(a_k) (A y_k^2 / 2 + B y_k) +
+    eps^2 |c0_k|^2 + eps^4 |c1_k|^2 / 2 + Re G_k, with L_jl = log(1 - y_j
+    conj(y_l) / R^2) + log(R^2 / |d_jl|^2), |d_jj| = eps, and 1 - |y_j|^2
+    / R^2 taken as (1 - |y_j| / R)(1 + |y_j| / R)."""
+    fl = _gram_factor(elastic)
+    W_p = SumField(tuple(
+        DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
+                            radius_R=domain.radius_R, site=d.site)
+        for d in dislocations))
+    R, e2, eye = domain.radius_R, eps * eps, np.eye(len(dislocations))
+    y = np.array([complex(*d.site) for d in dislocations]) - complex(*domain.center)
+    a = -0.5j / math.pi * elastic.plane_prefactor * np.array(
+        [complex(*d.burgers_b) for d in dislocations])
+    A = W_p.terms[0].coeffs.gamma * a.conj()
+    sA, B, S, d = A.sum(), -A @ y, a.sum(), y[:, None] - y
+    inv = 1.0 / (d + eye) - eye  # 1 / d_kj, 0 on the diagonal
+    c0, c1 = d @ A + inv @ a, sA - inv**2 @ a
+    x = e2 * inv[:, :, None] * inv[:, None, :].conj()
+    G = (a[:, None] * a.conj() * (-np.log1p(-x) - x - 0.5 * x * x)).sum(axis=(1, 2)).real
+    rho = np.abs(y) / R
+    L = np.log(1.0 - y[:, None] * y.conj() / R**2)
+    np.fill_diagonal(L, np.log((1.0 - rho) * (1.0 + rho)))
+    L += 2.0 * np.log(R / (np.abs(d) + eps * eye))
+    I_abs = 0.5 * abs(sA * R * R)**2 + abs(B * R)**2 + (a @ L @ a.conj()).real - np.sum(
+        2.0 * (a.conj() * (0.5 * sA * y * y + B * y)).real + e2 * np.abs(c0)**2
+        + 0.5 * e2 * e2 * np.abs(c1)**2 + G)
+    I_sq = (R * R * (B * B + 2.0 * sA * S) - np.sum(
+        2.0 * y.conj() * a * c0 + e2 * (2.0 * a * c1 + c0 * c0))).real
+    return W_p, float(0.25 * math.pi * fl * (I_abs + I_sq))
+
+
+def profile_gram(elastic, domain, dislocations, eps: float, m_core: int):
+    """The profiles' data set fitted as the solver fitted it before its
+    closed form: z_0 is the Almansi series with the traces of -W_p on r
+    = R (``_AlmansiSeries.fit``) plus the clamped modes below ``m_core``
+    about every core, fitted by least squares to the rest of -W_p's
+    traces at the 4 ``m_core`` nodes of each core circle. Returns the
+    integral of (Delta z_0)^2 over the disk less the core balls (the
+    series' disk integral less its balls, and its pairing with the modes
+    and the modes' own square, on the core circles by Green's identity),
+    the row of integrals of Delta z_0 Delta z_j against the affine data
+    sets (Green's identity against their traces; each z_j is clamped on
+    r = R), C0 and the solver's ``_MichellSeries``."""
+    W_p, C0 = profile_problem(elastic, domain, dislocations, eps)
+    outer = _AlmansiSeries.fit(domain, W_p)
+    sites = [np.asarray(d.site, dtype=float) for d in dislocations]
+    series = _MichellSeries(domain, sites, eps, m_core)
+    nc, (cx, cy), R = 4 * m_core, domain.center, domain.radius_R
+    circles = [circle_nodes(y, eps, nc) for y in sites]
+    pts, nhat = (np.vstack([c[i] for c in circles]) for i in (0, 1))
+    nu = (nhat[:, 0] + 1j * nhat[:, 1])[:, None]
+    w = ((pts[:, 0] - cx) + 1j * (pts[:, 1] - cy))[:, None] / R
+    s_val, s_dn, s_lap, s_dlap = (f[:, 0] for f in interior_fields(
+        w, nu, R, outer.A[:, None], outer.B[:, None]))
+    value, gradient = W_p.derivatives(pts, ("value", "gradient"))
+    v0, d0 = -value - s_val, -(gradient * nhat).sum(axis=-1) - s_dn
+    ext = series._rows(pts, nhat)
+    rows = np.vstack([ext[0], eps * ext[1]])
+    scale = np.abs(rows).max(axis=0)
+    coef = np.linalg.lstsq(rows / scale, np.concatenate([v0, eps * d0]), rcond=None)[0] / scale
+    m_lap, m_dlap = ext[2] @ coef, ext[3] @ coef
+    val, der = np.zeros((2, len(pts), 3 * len(sites)))
+    for k, y in enumerate(sites):
+        on = slice(k * nc, (k + 1) * nc)
+        val[on, 3 * k], val[on, 3 * k + 1:3 * k + 3] = 1.0, pts[on] - y
+        der[on, 3 * k + 1:3 * k + 3] = nhat[on]
+    weight = -2.0 * math.pi * eps / nc  # the outward normal is -nhat
+    square = outer.squares[0] + weight * (
+        s_lap @ s_dn - s_dlap @ s_val + 2.0 * (s_lap @ d0 - s_dlap @ v0) + m_lap @ d0 - m_dlap @ v0)
+    row = weight * ((s_lap + m_lap) @ der - (s_dlap + m_dlap) @ val)
+    return square, row, C0, series
+
+
 def core_problem_per_ring(elastic, domain, dislocations, eps: float, n: int):
-    """The ball energy and C0 of ``solver._core_problem`` and the load
-    on the affine core data (value and two slopes per core), which
-    vanishes, by trapezoid sums at ``n`` nodes per ring, every closed
-    form evaluated once per ring (the outer circle, then the core
-    circles): C0 = (fl/2) sum over profiles f of the boundary integral
+    """The ball energy of ``solver._core_problem``, C0 of
+    ``profile_problem`` and the load on the affine core data (value and
+    two slopes per core), which vanishes, by trapezoid sums at ``n``
+    nodes per ring, every closed form evaluated once per ring (the outer
+    circle, then the core circles): C0 = (fl/2) sum over profiles f of the boundary integral
     of Delta f d_n W_p - (d_n Delta f) W_p, the load the slope load
     Pi(b_k) less the circle coupling of the affine data with Delta
     W_p, and the ball energy the FFT of the other profiles' Laplacian
     on each core circle, pi eps^2 (a_0^2 + sum_m (a_m^2 + b_m^2) / (2m
     + 2))."""
     fl = _gram_factor(elastic)
-    W_p = SumField(tuple(
-        DislocationCoreAiry(elastic=elastic, burgers_b=d.burgers_b, eps=eps,
-                            radius_R=domain.radius_R, site=d.site)
-        for d in dislocations))
+    W_p, _ = profile_problem(elastic, domain, dislocations, eps)
     branches = [replace(t, annulus_branch=True) for t in W_p.terms]
     rings = [(1.0, *circle_nodes(domain.center, domain.radius_R, n))] + [
         (-1.0, *circle_nodes(d.site, eps, n)) for d in dislocations]
@@ -179,7 +281,8 @@ def two_block_value(elastic, domain, dislocations, eps: float, m_inner: int,
     and the plate energy from Green's identity on all circles against the
     data traces, as the solver's ``minimum`` takes it."""
     fl = _gram_factor(elastic)
-    W_p, ball, C0 = _core_problem(elastic, domain, dislocations, eps)
+    W_p, C0 = profile_problem(elastic, domain, dislocations, eps)
+    ball = _core_problem(elastic, domain, dislocations, eps)
     (cx, cy), R, K = domain.center, domain.radius_R, len(dislocations)
     sites = [np.asarray(d.site, dtype=float) for d in dislocations]
     circles = [(domain.center, R, 4 * m_inner, 1.0)] + [

@@ -78,7 +78,45 @@ class TestDefects:
             DisclinationDipole((0.0, 0.0), (0.0, 1.0), 0.0)
 
 
+def _loop_min_separation_D(sites, domain):
+    """The site-by-site loop that ``min_separation_D`` replaced, kept as
+    its reference."""
+    pts = [np.asarray(p, dtype=float) for p in sites]
+    dists = []
+    for p in pts:
+        d_bdry = domain.boundary_distance(p)
+        if d_bdry <= 0.0:
+            raise ValidationError(f"site {tuple(p)} lies outside the domain")
+        dists.append(d_bdry)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dists.append(0.5 * float(np.hypot(*(pts[i] - pts[j]))))
+    return min(dists)
+
+
 class TestSeparation:
+    @pytest.mark.parametrize("domain", [DiskDomain((0.0, 0.0), 1.0),
+                                        DiskDomain((0.1, -0.2), 1.3)])
+    def test_matches_the_site_loop(self, domain):
+        # the same D bit for bit on random sites, up to 300 of them
+        rng = np.random.default_rng(7)
+        r = domain.radius_R * 0.999 * np.sqrt(rng.uniform(size=300))
+        t = rng.uniform(0.0, 2.0 * math.pi, size=300)
+        sites = np.asarray(domain.center) + np.column_stack([r * np.cos(t), r * np.sin(t)])
+        for count in (1, 2, 3, 8, 300):
+            got = min_separation_D(sites[:count], domain)
+            assert got.hex() == _loop_min_separation_D(sites[:count], domain).hex()
+
+    @pytest.mark.parametrize("sites", [
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0.3, 0.0), (0.0, -1.5)],
+        [(0.95, 0.0), (1.0000000000000002, 0.0)]])
+    def test_first_site_outside_is_named_as_by_the_loop(self, sites, unit_disk):
+        with pytest.raises(ValidationError) as want:
+            _loop_min_separation_D(sites, unit_disk)
+        with pytest.raises(ValidationError) as got:
+            min_separation_D(sites, unit_disk)
+        assert str(got.value) == str(want.value)
+
     def test_pair_and_boundary(self, unit_disk):
         sites = [(0.3, 0.0), (-0.3, 0.0)]
         assert min_separation_D(sites, unit_disk) == pytest.approx(0.3)

@@ -29,6 +29,7 @@ from airy_defects.core import (
     NumericalError,
     ValidationError,
     min_separation_D,
+    rotate_burgers,
 )
 from airy_defects import closedform, energy, solver
 from airy_defects.asymptotics import expansion_check, renormalized_energy
@@ -310,13 +311,13 @@ def _fd_oracle(elastic, domain, trace_field, n):
 def _fd_core_value(elastic, domain, dislocations, eps, n):
     """Finite-difference value of the core-constrained functional.
 
-    Same split w = W_p + z and constant as the series solve
-    (``solver._core_problem``), with no load on the core parameters; the
-    Gram form of z over the disk is the cut-cell sum, minimized by one
-    sparse LU solve of the SPD normal equations. First order: the cores
-    are staircases on the grid.
+    Same split w = W_p + z and constant as the series solve had before
+    C0 cancelled (``michell_reference.profile_problem``), with no load on
+    the core parameters; the Gram form of z over the disk is the cut-cell
+    sum, minimized by one sparse LU solve of the SPD normal equations.
+    First order: the cores are staircases on the grid.
     """
-    W_p, _, C0 = solver._core_problem(elastic, domain, dislocations, eps)
+    W_p, C0 = michell_reference.profile_problem(elastic, domain, dislocations, eps)
     disc = _Discretization(domain, n, W_p,
                            cores=[(d.site, eps) for d in dislocations])
     factor = solver._gram_factor(elastic) * disc.grid.delta**2
@@ -543,9 +544,9 @@ def _spy_rungs(monkeypatch) -> list:
     fitted."""
     rungs, series = [], solver._MichellSeries
 
-    def spy(domain, sites, eps, W_p, outer, m_core):
+    def spy(domain, sites, eps, m_core):
         rungs.append(m_core)
-        return series(domain, sites, eps, W_p, outer, m_core)
+        return series(domain, sites, eps, m_core)
 
     monkeypatch.setattr(solver, "_MichellSeries", spy)
     return rungs
@@ -743,8 +744,6 @@ class TestCoreConstrainedSolve:
                                                     monkeypatch):
         rungs = _spy_rungs(monkeypatch)
         defects, eps = [Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012
-        W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
-        outer = len(solver._AlmansiSeries.fit(unit_disk, W_p).A)
         # rho = eps / d = 0.197 (d the gap to the Kelvin image) predicts
         # M_e = 32, and rung 8 is skipped: rho^8 = 2.2e-6 against a
         # residual of 1.7e-5
@@ -753,14 +752,14 @@ class TestCoreConstrainedSolve:
         rungs.clear()
         # the M_e = 16 fit is within _RESIDUAL_BOUND (5.1e-11) but above
         # the target, and 32 is over the budget: the ladder stops
-        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(16, 1, outer))
+        monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", solver._rung_bytes(16, 1))
         report = solve_core_constrained(elastic, unit_disk, defects, eps, n=64)
         assert rungs == [16]
         assert report.extras["modes"] == 16
         assert report.value == pytest.approx(-0.06553292372215871, rel=1e-9)
         # the M_e = 8 fit is far from resolved (1.7e-5) when the budget
         # ends the ladder, and no rung at all fits a 1-byte budget
-        for budget, fitted in ((solver._rung_bytes(8, 1, outer), 1), (1, 0)):
+        for budget, fitted in ((solver._rung_bytes(8, 1), 1), (1, 0)):
             rungs.clear()
             monkeypatch.setattr(solver, "_MAX_RUNG_BYTES", budget)
             with pytest.raises(NumericalError, match="memory budget"):
@@ -797,14 +796,13 @@ class TestCoreConstrainedSolve:
         # the fit of the modes below M_e / 2 inside rung M_e, against rung
         # M_e / 2 itself: they differ only by the frequencies that alias
         # onto the half rung's fewer nodes
-        W_p, ball, C0 = solver._core_problem(elastic, unit_disk, defects, eps)
-        outer = solver._AlmansiSeries.fit(unit_disk, W_p)
+        ball = solver._core_problem(elastic, unit_disk, defects, eps)
         sites = [np.asarray(d.site, dtype=float) for d in defects]
-        series, coarse = (solver._MichellSeries(unit_disk, sites, eps, W_p, outer, m)
+        series, coarse = (solver._MichellSeries(unit_disk, sites, eps, m)
                           for m in (m_core, m_core // 2))
 
         def value(Q):
-            return solver._core_minimum(Q, solver._gram_factor(elastic), ball, C0)[1]
+            return solver._core_minimum(Q, defects, solver._gram_factor(elastic), ball)[1]
 
         full, half, rung = value(series.Q), value(series.half_Q), value(coarse.Q)
         change = abs(full - half)
@@ -821,42 +819,31 @@ class TestCoreConstrainedSolve:
         angles = 0.3 + 2.0 * math.pi * np.arange(cores) / cores
         sites = [0.5 * np.array([math.cos(t), math.sin(t)]) for t in angles]
         eps = 0.2 * min_separation_D(sites, unit_disk)
-        defects = [Dislocation(tuple(y), (0.0, 1.0)) for y in sites]
-        W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
-        outer = solver._AlmansiSeries.fit(unit_disk, W_p)
         for m_core in (16, 32):
             tracemalloc.start()
             try:
-                solver._MichellSeries(unit_disk, sites, eps, W_p, outer, m_core)
+                solver._MichellSeries(unit_disk, sites, eps, m_core)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= solver._rung_bytes(m_core, cores, len(outer.A)) <= 1.5 * peak
+            assert peak <= solver._rung_bytes(m_core, cores) <= 1.5 * peak
 
-    def test_circles_fit_their_low_frequencies(self, elastic, unit_disk):
+    def test_circles_fit_their_low_frequencies(self, unit_disk):
         # the misses of the value and the radius-scaled d_n traces vanish
         # to roundoff below M_e on each core circle, and on the outer
-        # circle below the frequencies of the outer series (the clamped
-        # modes vanish there), for every data set
+        # circle (the clamped modes vanish there), for every data set
         eps, m_core = 0.2, 16
         sites = [np.asarray(d.site, dtype=float) for d in PAIR_SAME]
-        W_p, *_ = solver._core_problem(elastic, unit_disk, PAIR_SAME, eps)
-        outer = solver._AlmansiSeries.fit(unit_disk, W_p)
-        series = solver._MichellSeries(unit_disk, sites, eps, W_p, outer,
-                                       m_core)
-        for k, (y, radius, count) in enumerate(
-                [((0.0, 0.0), 1.0, len(outer.A) - 1)]
-                + [(y, eps, m_core) for y in sites]):
-            pts, nhat, _ = circle_nodes(y, radius, 4 * count)
-            z, dz = series.fields(pts, nhat)[:2]
+        series = solver._MichellSeries(unit_disk, sites, eps, m_core)
+        for k, (y, radius) in enumerate([((0.0, 0.0), 1.0)] + [(y, eps) for y in sites]):
+            pts, nhat, _ = circle_nodes(y, radius, 4 * m_core)
+            z, dz = (series._rows(pts, nhat) @ series.coef)[:2]
             val, der = np.zeros((2, *z.shape))
-            value, gradient = W_p.derivatives(pts, ("value", "gradient"))
-            val[:, 0], der[:, 0] = -value, -radius * (gradient * nhat).sum(axis=-1)
             if k:
-                val[:, 3 * k - 2], val[:, 3 * k - 1:3 * k + 1] = 1.0, pts - y
-                der[:, 3 * k - 1:3 * k + 1] = eps * nhat
+                val[:, 3 * k - 3], val[:, 3 * k - 2:3 * k] = 1.0, pts - y
+                der[:, 3 * k - 2:3 * k] = eps * nhat
             for miss in (z - val, radius * dz - der):
-                low = np.fft.rfft(miss, axis=0)[:count] / len(pts)
+                low = np.fft.rfft(miss, axis=0)[:m_core] / len(pts)
                 assert np.all(np.abs(low) <= 1e-13 * series.size)
 
     def test_four_cores_near_the_circle(self, elastic, unit_disk):
@@ -982,7 +969,8 @@ class TestCoreConstrainedSolve:
         # against the trapezoid sums ring by ring at two node counts, and
         # the load the rings give, which the closed forms drop: it
         # vanishes to roundoff
-        _, ball, C0 = solver._core_problem(elastic, domain, defects, eps)
+        ball = solver._core_problem(elastic, domain, defects, eps)
+        _, C0 = michell_reference.profile_problem(elastic, domain, defects, eps)
         b = max(math.hypot(*d.burgers_b) for d in defects)
         for n in nodes:
             ref_ball, ref_C0, load = michell_reference.core_problem_per_ring(
@@ -1000,6 +988,37 @@ class TestCoreConstrainedSolve:
         for defects in (REFERENCE_CASES[0][0], PAIR_OPPOSITE, RING_OF_EIGHT):
             solve_core_constrained(elastic, unit_disk, defects, 0.05, n=64)
 
+    def test_core_solve_fits_no_profile(self, elastic, unit_disk, monkeypatch):
+        # the profiles' data set is -W_p in closed form: no outer series
+        # is fitted, no profile is built, and the solution has no
+        # interior series and no closed part
+        monkeypatch.setattr(solver._AlmansiSeries, "fit", _refuse("the outer fit"))
+        monkeypatch.setattr(DislocationCoreAiry, "__post_init__", _refuse("a profile build"))
+        monkeypatch.setattr(DislocationCoreAiry, "derivatives", _refuse("a profile"))
+        for defects in (REFERENCE_CASES[0][0], PAIR_OPPOSITE, RING_OF_EIGHT):
+            solution = solve_core_constrained(elastic, unit_disk, defects, 0.05, n=64).solution
+            assert solution.interior is None and solution.closed is None
+
+    @pytest.mark.parametrize("domain, defects, eps", [
+        (_UNIT, defects, eps) for defects, eps, *_ in REFERENCE_CASES] + [
+        (_UNIT, [Dislocation((0.97, 0.0), (0.0, 1.0))], 0.012),
+        (_UNIT, RING_OF_EIGHT, 0.07), CORE_PROBLEMS[-1][:3]],
+        ids=REFERENCE_IDS + ["at-0.97", "ring-8", "off-centre-R1.5"])
+    def test_profile_gram_entries_are_closed_forms(self, domain, defects, eps, elastic):
+        # the profiles' data set fitted as before its closed form, at the
+        # solve's mode count: (fl/2) int (Delta z_0)^2 is C0, and its row
+        # against core k's data sets is 0 on the constant and Pi(b_k) / fl
+        # on the slopes, each entry to 1e-13 of its Cauchy-Schwarz bound
+        # sqrt(Q_00 Q_jj) (the constant's entry is 0; at 0.97 the fit
+        # leaves 7.6e-13 on it, 6e-15 of the bound)
+        fl, modes = solver._gram_factor(elastic), solve_core_constrained(
+            elastic, domain, defects, eps).extras["modes"]
+        square, row, C0, series = michell_reference.profile_gram(
+            elastic, domain, defects, eps, modes)
+        assert abs(0.5 * fl * square - C0) <= 1e-13 * abs(C0)
+        q = np.ravel([(0.0, *rotate_burgers(d.burgers_b)) for d in defects]) / fl
+        assert np.all(np.abs(row - q) <= 1e-13 * np.sqrt(square * np.diag(series.Q)))
+
     @pytest.mark.parametrize("R", [1.0, 1.5])
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
     def test_centred_constant_is_the_polar_integral(self, R, eps, elastic):
@@ -1009,9 +1028,9 @@ class TestCoreConstrainedSolve:
         # - 1.20 = 0.093), and the closed form, summing its own terms, is
         # 2.4e-15 relative off a 40-digit value (the three-term sum
         # 1.9e-16): the bound is 1e-15 of the terms' magnitudes
-        domain = DiskDomain((0.0, 0.0), R)
-        W_p, ball, C0 = solver._core_problem(
-            elastic, domain, [Dislocation((0.0, 0.0), (0.6, -0.8))], eps)
+        domain, defects = DiskDomain((0.0, 0.0), R), [Dislocation((0.0, 0.0), (0.6, -0.8))]
+        W_p, C0 = michell_reference.profile_problem(elastic, domain, defects, eps)
+        ball = solver._core_problem(elastic, domain, defects, eps)
         (profile,) = W_p.terms
         C, gamma = profile._profile[0], profile.coeffs.gamma
         terms = np.array([gamma**2 * (R**4 - eps**4) / 4.0, math.log(R / eps),
@@ -1052,15 +1071,12 @@ class TestCoreConstrainedSolve:
             assert change is not None
             assert change <= 1e-11 * abs(report.value)
 
-    def test_green_identity_matches_area_quadrature(self, elastic, unit_disk):
+    def test_green_identity_matches_area_quadrature(self, unit_disk):
         # Q from circle integrals against a polar quadrature of the
         # Laplacians over the punctured disk, about the core centre: Gauss
         # in r from eps to the circle along each ray, trapezoid in theta
         site, eps = np.array([0.3, 0.0]), 0.1
-        defects = [Dislocation(tuple(site), (0.0, 1.0))]
-        W_p, *_ = solver._core_problem(elastic, unit_disk, defects, eps)
-        series = solver._MichellSeries(unit_disk, [site], eps, W_p,
-                                       solver._AlmansiSeries.fit(unit_disk, W_p), 16)
+        series = solver._MichellSeries(unit_disk, [site], eps, 16)
         _, rays, _ = circle_nodes((0.0, 0.0), 1.0, 128)
         along = rays @ site
         r_max = -along + np.sqrt(along**2 + 1.0 - site @ site)
@@ -1070,7 +1086,7 @@ class TestCoreConstrainedSolve:
         weights = (half * w * r * (2.0 * math.pi / len(rays))).ravel()
         pts = (site + r[..., None] * rays[:, None, :]).reshape(-1, 2)
         normals = np.repeat(rays, len(x), axis=0)
-        lap = series.fields(pts, normals)[2]
+        lap = (series._rows(pts, normals) @ series.coef)[2]
         area = lap.T @ (weights[:, None] * lap)
         assert np.abs(area - series.Q).max() <= 1e-11 * np.abs(series.Q).max()
 
@@ -1117,35 +1133,6 @@ class TestSeriesTraces:
     @staticmethod
     def _unit(rng, n):
         return np.exp(2j * math.pi * rng.uniform(size=(n, 1)))
-
-    def test_interior_traces_and_laplacians(self, rng):
-        # the outer series' four fields at points of the disk
-        m, R, centre = 24, 1.7, (0.3, -0.2)
-        A, B = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                for _ in range(2))
-        series = solver._AlmansiSeries(DiskDomain(centre, R), A, B, 0.0)
-        w = np.sqrt(rng.uniform(size=(60, 1))) * self._unit(rng, 60)
-        nu = self._unit(rng, 60)
-        pts = np.column_stack([w.real, w.imag]) * R + centre
-        got = series.fields(pts, np.column_stack([nu.real, nu.imag]))
-        self._assert_columns_agree(
-            [g[:, None] for g in got],
-            michell_reference.interior_fields(w, nu, R, A[:, None], B[:, None]))
-
-    def test_outer_circle_traces_by_inverse_fft(self, rng):
-        # on r = R the outer series' fields at 4 m nodes are the inverse
-        # FFT of its modes: mode k of the four is A_k + B_k, (k A_k + (k +
-        # 2) B_k) / R, 4 (k + 1) B_k / R^2 and 4 k (k + 1) B_k / R^3
-        m, R, centre = 24, 1.7, (0.3, -0.2)
-        A, B = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                for _ in range(2))
-        pts, nhat, _ = circle_nodes(centre, R, 4 * m)
-        got = solver._AlmansiSeries(DiskDomain(centre, R), A, B, 0.0).fields(pts, nhat)
-        k = np.arange(m)
-        ref = [4 * m * np.fft.irfft(f, 4 * m)[:, None] for f in (
-            A + B, (k * A + (k + 2.0) * B) / R, 4.0 / R**2 * (k + 1.0) * B,
-            4.0 / R**3 * k * (k + 1.0) * B)]
-        self._assert_columns_agree([g[:, None] for g in got], ref)
 
     def _core_points(self, rng):
         zeta = (1.0 + 2.0 * rng.uniform(size=(60, 1))) * self._unit(rng, 60)
