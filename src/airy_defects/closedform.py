@@ -642,6 +642,51 @@ def clamped_green_mixed(x, y, a, c, R: float) -> np.ndarray:
             + axcy * d2 * q / S) / (16.0 * math.pi)
 
 
+def clamped_regular(z, w, s=None, alpha=None, log_R2: float = 0.0, hessian: bool = False):
+    """Smooth part of a pure-trace minimizer in units of the radius R, at
+    z = (x - c) / R (1-D complex): the sum over the sources w_k = (y_k -
+    c) / R of s_k 16 pi H(x, y_k) / R^2 (charges) and of 16 pi / K R times
+    K (Jb . grad_y) G_B less ``DislocationLimitAiry`` (dislocations, Jb =
+    (Re, Im) alpha_k); with ``hessian`` also its Laplacian and dd = 4
+    d_z^2 in z (H_xx, H_yy = (Delta +- Re dd) / 2, H_xy = -Im dd / 2).
+
+    H = G_B - Phi (``clamped_green``, Phi = |x - y|^2 log|x - y|^2 / 16 pi)
+    is R^2 H_1(z, w) - |x - y|^2 log R^2 / 16 pi. With D = z - w, P = 1 -
+    z conj(w), l = log|P|^2, 1 - |z|^2 as (1 - |z|)(1 + |z|) and Q = 2 / P
+    + D conj(w) / P^2, 16 pi H_1 = (1 - |z|^2)(1 - |w|^2) - |D|^2 l has
+    Delta = 4 (2 Re(D conj(w) / P) - (1 - |w|^2) - l), dd = 4 conj(D w) Q.
+    As (a . grad_y) R^2 H_1 = R (a . grad_w) H_1, whose log R^2 term
+    cancels the profile's, a dislocation member is (a . grad_w) 16 pi H_1
+    - 2 (a . D) |D|^2, a . D = Re(conj(alpha) D); a real f has (a . grad_w)
+    f = 2 Re(alpha d_w f), and dd takes alpha d_w dd + conj(alpha) d_wbar dd:
+      d_w 16 pi H_1 = conj(D) l + |D|^2 conj(z / P) - conj(w) (1 - |z|^2),
+      d_w Delta 16 pi H_1 = 4 conj(w + (z + D) / P + D conj(w) z / P^2 - w / conj(P)),
+      d_w dd = -4 conj(D) conj(w)^2 / P^2,
+      d_wbar dd = 4 ((conj(D) - conj(w)) Q + conj(D w) (2 z + D) / P^2
+                     + 2 |D|^2 conj(w)^2 z / P^3),
+    and (a . D) |D|^2 has Delta = 8 a . D and dd = 4 conj(alpha D)."""
+    # numpy rounds a lone complex product, or one into a large temporary on
+    # its right (operands swapped), otherwise: two points, temporaries left
+    n, z, w = len(z), np.resize(z, max(len(z), 2))[:, None], np.asarray(w)
+    D, cw, cz, r, rw = z - w, np.conj(w), np.conj(z), np.abs(z), np.abs(w)
+    P, D2, gz, gw = 1.0 - z * cw, np.abs(D) ** 2, (1.0 - r) * (1.0 + r), (1.0 - rw) * (1.0 + rw)
+    iP, cD, log, value, lap, dd = 1.0 / P, np.conj(D), np.log(np.abs(P) ** 2), 0.0, 0.0, 0.0
+    Q, iP2 = ((2.0 + D * cw * iP) * iP, iP * iP) if hessian else (None, None)
+    if s is not None:
+        value = s * (gz * gw - D2 * (log + log_R2))
+        if hessian:
+            lap, dd = 4.0 * s * (2.0 * (D * cw * iP).real - gw - log - log_R2), 4.0 * s * cD * cw * Q
+    if alpha is not None:
+        dot, icP = (np.conj(alpha) * D).real, np.conj(iP)
+        value = value + 2.0 * ((cD * log + D2 * cz * icP - cw * gz) * alpha).real - 2.0 * dot * D2
+        if hessian:
+            lap = lap + 8.0 * ((cw + (cz + cD + cD * w * cz * icP) * icP - cw * iP)
+                               * alpha).real - 16.0 * dot
+            dd = dd + ((cD - cw) * Q - 2.0 * cD + cD * cw * iP2 * (2.0 * z + D + 2.0 * D * cw
+                       * z * iP)) * (4.0 * np.conj(alpha)) - 4.0 * alpha * cD * cw**2 * iP2
+    return [np.broadcast_to(t, D.shape).sum(axis=-1)[:n] for t in (value, lap, dd)[:1 + 2 * hessian]]
+
+
 # ---------------------------------------------------------------------------
 # stress / strain maps
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Minimization of the defect functionals on a disk.
 
-The pure-trace problems (the field of the split clamped disclination,
-whose value is a closed form, and the elastic correction of the
-zero-core dislocation profiles) need a biharmonic field on the whole
-disk with prescribed value and normal derivative on r = R. Mode
-by mode it has Almansi's closed form ``a_k r^|k| + b_k r^(|k|+2)``
-(Michell 1899): an FFT of the two traces and a 2x2 solve per mode give
-the coefficients, the plate energies are exact sums over modes, and the
-reported solution is the summed series.
+The pure-trace problems (the clamped disclinations, whose value is a
+closed form, and the elastic correction of the zero-core dislocation
+profiles) have minimizers in closed form: singular parts plus the
+regular part of Boggio's clamped Green's function and its source
+derivatives (``clamped_regular``). Their plate energies are exact sums
+over the modes ``a_k r^|k| + b_k r^(|k|+2)`` of Almansi's series
+(Michell 1899), from an FFT of the traces on r = R.
 
 The core-constrained problem lives on the punctured disk, B_R minus the
 core balls. The profiles' own correction there is exactly minus the
@@ -33,7 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import ClassVar
 
 import numpy as np
@@ -57,6 +56,7 @@ from .closedform import (
     ShiftedField,
     SumField,
     _pts,
+    clamped_regular,
 )
 from .energy import (
     _RESIDUAL_BOUND,
@@ -125,81 +125,19 @@ _MAX_SAMPLES = 2**16
 _FIT_TARGET = 1e-13
 
 
-# A point's series sum drops the modes past the last whose term exceeds
-# floor / _TAIL_MARGIN: at |w| near 1 the dropped tail holds many terms
-# just under the cut, and the margin keeps their sum near the floor.
-_TAIL_MARGIN = 16.0
 # points within this distance of r = R, relative to R, count as on it
 _ON_CIRCLE = 1e-15
-
-
-def _mode_counts(bound: np.ndarray, r: np.ndarray, floor: float) -> np.ndarray:
-    """Per radius r, the last mode k whose term bound_k r^k exceeds
-    ``floor`` (0 when none does). Mode k > 0 is live where log r passes
-    its threshold (log floor - log bound_k) / k, mode 0 where its bound
-    passes ``floor``; the last live mode is the last whose least
-    threshold from it on lies below log r."""
-    k = np.arange(len(bound))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = math.log(floor) if floor > 0.0 else -math.inf
-        threshold = np.where(k > 0, (gap - np.log(bound)) / np.maximum(k, 1),
-                             np.where(bound > floor, -np.inf, np.inf))
-        threshold[np.isnan(threshold)] = np.inf
-        least = np.minimum.accumulate(threshold[::-1])[::-1]
-        return np.maximum(np.searchsorted(least, np.log(r)) - 1, 0)
-
-
-def _almansi_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray,
-                 floor: float) -> np.ndarray:
-    """sum_k (A_k + B_k |w|^2) w^k, complex, at points |w| <= 1. Each
-    point sums, by Horner's rule, the modes up to the last whose bound
-    (|A_k| + |B_k|) |w|^k exceeds ``floor`` (``_mode_counts``), so deep
-    points cost few modes and no value depends on the other points.
-    Points go by growing count: the step of mode j takes those that
-    sum it, which all sum the modes below it too."""
-    out = np.empty(len(w), dtype=complex)
-    if not len(w):
-        return out
-    count = _mode_counts(np.abs(A) + np.abs(B), np.abs(w), floor)
-    order = np.argsort(count, kind="stable")
-    w, count = w[order], count[order]
-    first = np.searchsorted(count, np.arange(count[-1] + 1))
-
-    def horner(C):
-        s = np.zeros(len(w), dtype=complex)
-        for j in range(count[-1], -1, -1):
-            # not in place: numpy rounds an in-place complex product of
-            # one element otherwise than that of two or more
-            at = slice(first[j], None)
-            s[at] = s[at] * w[at] + C[j]
-        return s
-
-    total = horner(A)
-    if B.any():
-        total += np.abs(w) ** 2 * horner(B)
-    out[order] = total
-    return out
-
-
-def _almansi_modes(F: np.ndarray, G: np.ndarray):
-    """Coefficients (A_k, B_k) of the modes whose value trace on r = R
-    has FFT coefficient F_k and whose R d_n trace has G_k: they solve
-    A_k + B_k = F_k and k A_k + (k + 2) B_k = G_k (determinant 2).
-    Mode k is row k; further axes are independent traces."""
-    k = np.arange(len(F)).reshape((-1,) + (1,) * (F.ndim - 1))
-    return 0.5 * ((k + 2.0) * F - G), 0.5 * (G - k * F)
 
 
 class _AlmansiSeries:
     """Biharmonic z on the disk, z = Re sum_{k >= 0} c_k (A_k rho^k +
     B_k rho^(k+2)) e^{ik theta} with rho = r / R, c_0 = 1 and c_k = 2
-    for k >= 1 (the conjugate modes k < 0). ``floor`` is the size below
-    which its point sums drop the tail of the series (see
-    ``_TAIL_MARGIN``)."""
+    for k >= 1 (the conjugate modes k < 0), fitted for its plate
+    energies (``squares``)."""
 
     def __init__(self, domain: DiskDomain, A: np.ndarray, B: np.ndarray,
-                 floor: float, samples: int = 0, residual: float = 0.0):
-        self.domain, self.A, self.B, self.floor = domain, A, B, floor
+                 samples: int = 0, residual: float = 0.0):
+        self.domain, self.A, self.B = domain, A, B
         self.samples, self.residual = samples, residual
 
     @classmethod
@@ -244,8 +182,9 @@ class _AlmansiSeries:
             fs, gs = traces(*trace_field.derivatives(half, members), half_nhat)
         if not residual <= _RESIDUAL_BOUND:
             raise NumericalError(f"trace fit residual {residual} with {m} samples")
-        A, B = _almansi_modes(F, G)
-        return cls(domain, A, B, np.finfo(float).eps * scale, m, residual)
+        # traces F_k of the value and G_k of R d_n: A_k + B_k = F_k, k A_k + (k + 2) B_k = G_k
+        k = np.arange(len(F))
+        return cls(domain, 0.5 * ((k + 2.0) * F - G), 0.5 * (G - k * F), m, residual)
 
     @cached_property
     def squares(self) -> tuple[float, float]:
@@ -261,53 +200,25 @@ class _AlmansiSeries:
         scale = 16.0 * math.pi / self.domain.radius_R**2
         return scale * float(np.sum(lap)), scale * float(np.sum(wirt))
 
-    @cached_property
-    def _potentials(self) -> np.ndarray:
-        """Columns of the coefficients in powers of w = (x - centre) / R
-        of the Goursat potentials chi = sum c_k A_k w^k and phi = sum c_k
-        B_k w^(k+1) of z = Re(conj(w) phi + chi): chi, phi / w, phi',
-        chi' and phi''."""
-        k = np.arange(len(self.A))
-        cA, cB = (np.where(k > 0, 2.0, 1.0) * c for c in (self.A, self.B))
-        T = np.zeros((len(k), 5), dtype=complex)
-        T[:, 0], T[:, 1], T[:, 2] = cA, cB, (k + 1) * cB
-        T[:-1, 3], T[:-1, 4] = (k * cA)[1:], (k * (k + 1) * cB)[1:]
-        return T
-
-    def value(self, w: np.ndarray) -> np.ndarray:
-        """z at the points w = (x - centre) / R of the closed disk."""
-        T = self._potentials
-        return _almansi_sum(T[:, 0], T[:, 1], w, self.floor / _TAIL_MARGIN).real
-
-    def hessian(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """R^2 Delta z and R^2 (z_xx - z_yy - 2i z_xy) at the points w of
-        the closed disk, by Kolosov-Muskhelishvili: 4 Re phi' and 2
-        (conj(w) phi'' + chi''), from ``_potentials``, each summed as
-        ``value`` is, with the bound of its own coefficients."""
-        T, j, floor = self._potentials, np.arange(1, len(self.A)), self.floor / _TAIL_MARGIN
-        return (_almansi_sum(4.0 * T[:, 2], 0.0 * T[:, 2], w, floor).real,
-                _almansi_sum(2.0 * j * T[1:, 3], 2.0 * T[1:, 4], w, floor)
-                + 2.0 * T[0, 4] * np.conj(w))
-
 
 class SeriesSolution(AiryField):
     """The minimizer of a solve as a field on the closed disk of
-    ``domain``: ``scale`` times the interior series (``_AlmansiSeries``,
-    if any) plus, off the core balls, the closed-form part ``closed`` and
-    the clamped modes of each core; on core ball k (|x - y_k| <= eps_k)
-    it is the affine part.
+    ``domain``: ``scale`` times the smooth part ``interior`` (if any, a
+    ``clamped_regular`` with its sources bound) plus, off the core balls,
+    the closed-form part ``closed`` and the clamped modes of each core;
+    on core ball k (|x - y_k| <= eps_k) it is the affine part.
 
     ``derivatives`` gives "value" and "hessian" (any other name raises),
-    each part differentiated in its own form: the series and the clamped
-    modes by Kolosov-Muskhelishvili (``_AlmansiSeries.hessian``,
-    ``_clamped_sum``), the closed part by its own ``derivatives``, an
+    each part differentiated in its own form: the smooth part by its
+    Laplacian and 4 d_z^2, the clamped modes by Kolosov-Muskhelishvili
+    (``_clamped_sum``), the closed part by its own ``derivatives``, an
     affine part as a zero Hessian. Off the disk both are NaN; points
     within ``_ON_CIRCLE`` R of r = R count as on it. ``cores`` holds
     (site, eps) per core. Each point's numbers depend on that point
     alone.
     """
 
-    def __init__(self, domain: DiskDomain, interior: _AlmansiSeries | None = None,
+    def __init__(self, domain: DiskDomain, interior=None,
                  scale: float = 1.0, closed=None, cores=(), affine=(), modes=(),
                  m_core: int = 0):
         self.domain, self.interior, self.scale, self.closed = domain, interior, scale, closed
@@ -322,11 +233,8 @@ class SeriesSolution(AiryField):
         disk = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) <= R * (1.0 + _ON_CIRCLE)
         pts, Z = pts[disk], ((pts[disk, 0] - cx) + 1j * (pts[disk, 1] - cy)) / R
         # the value, then R^2 Delta and R^2 (d_xx - d_yy - 2i d_xy)
-        if self.interior is not None:
-            sums = [self.interior.value(Z), *(self.interior.hessian(Z) if hessian else ())]
-        else:
-            sums = [np.zeros(len(Z)), *((np.zeros(len(Z)), np.zeros(len(Z), complex))
-                                        if hessian else ())]
+        sums = (self.interior(Z, hessian=hessian) if self.interior is not None else
+                [np.zeros(len(Z)), np.zeros(len(Z)), np.zeros(len(Z), complex)][:1 + 2 * hessian])
         off = np.ones(len(pts), dtype=bool)
         for (y, eps), (a, s1, s2) in zip(self.cores, self._affine):
             dx, dy = pts[:, 0] - y[0], pts[:, 1] - y[1]
@@ -358,14 +266,18 @@ class SeriesSolution(AiryField):
         return tuple(out[name] for name in names)
 
 
-def _series_report(series: _AlmansiSeries, n: int, delta: float,
-                   value: float, fit_seconds: float, extras: dict,
-                   singular=None, scale: float = 1.0) -> SolveReport:
-    """Report whose solution is ``scale (singular + z)``."""
+def _series_report(series: _AlmansiSeries, n: int, delta: float, value: float,
+                   fit_seconds: float, extras: dict, sites: np.ndarray,
+                   singular=None, scale: float = 1.0, **weights) -> SolveReport:
+    """Report whose solution is ``scale (singular + clamped_regular)`` of
+    the sources at the (K, 2) ``sites`` with ``weights`` s or alpha."""
+    (cx, cy), R = series.domain.center, series.domain.radius_R
+    w = ((sites[:, 0] - cx) + 1j * (sites[:, 1] - cy)) / R
     return SolveReport(
         value=value, residual=series.residual, method="fourier", grid_n=n,
         delta=delta, assemble_seconds=fit_seconds,
-        solution=SeriesSolution(series.domain, series, scale, singular),
+        solution=SeriesSolution(series.domain, partial(
+            clamped_regular, w=w, log_R2=math.log(R * R), **weights), scale, singular),
         extras={**extras, "modes": series.samples},
     )
 
@@ -379,10 +291,10 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     minimum is -(K/2) sum_ij s_i s_j G_B(y_i, y_j); its A parts sum to
     (sum_i s_i (R^2 - |y_i|^2))^2 / R^2, which a close +- pair cancels
     exactly, and the rest is the log1p tail of the pairs. The field
-    splits v as the fundamental potentials of the charges plus a smooth
-    biharmonic correction with the negated boundary traces, solved
-    exactly in Fourier modes; ``gram_objective`` is the correction's
-    plate energy (1 - nu^2)/(2E) int (Delta z)^2, and
+    splits v as the fundamental potentials of the charges plus the smooth
+    z = -K sum_k s_k H(., y_k), H = G_B - Phi (``clamped_regular``);
+    ``gram_objective`` is its plate energy (1 - nu^2)/(2E) int (Delta
+    z)^2, a sum over the Fourier modes of its traces, and
     ``closed_form_constant`` the rest of the value. The value does not
     depend on ``n``, the resolution of a field dump.
     """
@@ -420,9 +332,8 @@ def solve_clamped_disclination(elastic: ElasticConstants, domain: DiskDomain,
     return _series_report(
         series, n, delta, energy(value), fit_seconds,
         {"closed_form_constant": energy(value - gram_value),
-         "gram_objective": energy(gram_value)},
-        singular=v_sing, scale=E * s_max,
-    )
+         "gram_objective": energy(gram_value)}, sites, singular=v_sing, scale=E * s_max,
+        s=-elastic.plane_prefactor * R * R / (16.0 * math.pi) * charges)
 
 
 # The core fit doubles the per-core mode count M_e on its core-circle
@@ -994,9 +905,10 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     """Biharmonic boundary-relaxation solve.
 
     The correction is the biharmonic field whose boundary traces cancel
-    those of the summed zero-core dislocation profiles, solved exactly
-    in Fourier modes, with its plate energy as an exact mode sum; the
-    reported value adds its boundary pairing with the profiles. The
+    those of the summed zero-core dislocation profiles: sum_k K (Jb_k .
+    grad_y) G_B(., y_k) less the profiles (``clamped_regular``), with its
+    plate energy a sum over the Fourier modes of its traces; the reported
+    value adds its boundary pairing with the profiles. The
     value does not depend on ``n``, the resolution of a field dump.
     """
     dislocations = list(dislocations)
@@ -1036,4 +948,7 @@ def solve_elastic_correction(elastic: ElasticConstants, domain: DiskDomain,
     fit_seconds = time.perf_counter() - t0
     return _series_report(series, n, delta, E * (G_hess + boundary), fit_seconds,
                           {"gram_objective": E * gram_value, "hessian_energy": E * G_hess,
-                           "boundary_pairing": E * boundary}, scale=E)
+                           "boundary_pairing": E * boundary},
+                          np.array([d.site for d in dislocations]), scale=E,
+                          alpha=elastic.plane_prefactor * R / (16.0 * math.pi) * np.array(
+                              [complex(-d.burgers_b[1], d.burgers_b[0]) for d in dislocations]))

@@ -819,6 +819,10 @@ class TestCoreConstrainedSolve:
         angles = 0.3 + 2.0 * math.pi * np.arange(cores) / cores
         sites = [0.5 * np.array([math.cos(t), math.sin(t)]) for t in angles]
         eps = 0.2 * min_separation_D(sites, unit_disk)
+        # a small rung first: its lazy imports of numpy.fft and
+        # numpy.linalg (0.13 MiB) are not the rung's arrays, and a first
+        # rung in a fresh interpreter would trace them
+        solver._MichellSeries(unit_disk, sites, eps, 8)
         for m_core in (16, 32):
             tracemalloc.start()
             try:
@@ -1356,7 +1360,7 @@ SOLVE_IDS = ["disclination", "core", "dipole", "correction"]
 
 class TestLazyField:
     def test_values_sample_no_grid(self, elastic, unit_disk, monkeypatch):
-        monkeypatch.setattr(solver._AlmansiSeries, "value", _refuse("sampling"))
+        monkeypatch.setattr(solver, "clamped_regular", _refuse("sampling"))
         monkeypatch.setattr(solver.SeriesSolution, "derivatives", _refuse("sampling"))
         for solve, defects, eps in SOLVES:
             report = solve(elastic, unit_disk, defects, *eps, n=256)
@@ -1399,6 +1403,25 @@ class TestLazyField:
             assert v[0] == whole[tuple(node)]
             assert np.array_equal(H[0], hessian[tuple(node)])
         assert np.array_equal(report.solution.value(np.zeros((0, 2))), [])
+
+    @pytest.mark.parametrize("solve, defects", [
+        (solve_clamped_disclination, [Disclination((0.3, 0.2), 1.0),
+                                      Disclination((-0.4, -0.1), -0.5)]),
+        (solve_elastic_correction, PAIR_OPPOSITE),
+    ], ids=["disclinations", "correction"])
+    def test_large_batches_round_as_small_ones(self, solve, defects, elastic,
+                                               unit_disk):
+        # numpy writes a complex product into a temporary operand of 256
+        # KiB or more in place, and into a right one with the operands
+        # swapped, which rounds otherwise: the 51k inside nodes of a 256
+        # grid in one call give every node the numbers of a batch of seven
+        solution = solve(elastic, unit_disk, defects).solution
+        pts = _inside_nodes(unit_disk, 256)
+        value, hessian = solution.derivatives(pts, ("value", "hessian"))
+        for i in range(0, len(pts), 997):
+            v, H = solution.derivatives(pts[i:i + 7], ("value", "hessian"))
+            assert np.array_equal(v, value[i:i + 7])
+            assert np.array_equal(H, hessian[i:i + 7])
 
     def test_dipole_field_is_the_core_field(self, elastic, unit_disk):
         dip = solve_dipole_core(elastic, unit_disk, DIPOLE, 0.1, n=64)
@@ -1531,3 +1554,69 @@ class TestSolutionHessian:
         assert np.all(np.isnan(value[512:])) and np.all(np.isnan(hessian[512:]))
         with pytest.raises(ValidationError, match="value and hessian"):
             solution.derivatives(off, ("gradient",))
+
+
+def _exact_trace_minimizer(domain, defects, K):
+    """The minimizer of a pure-trace solve at 40 digits, a function of
+    mpf coordinates relative to the disk centre: -K sum_k s_k G_B(., y_k)
+    for disclinations, and for dislocations sum_k K (Jb_k . grad_y)
+    G_B(., y_k) less the zero-core profiles (K / 8 pi) (1 - log R^2 -
+    |d|^2 / R^2 + log|d|^2) Pi(b_k) . d, d = x - y_k."""
+    R = mpmath.mpf(domain.radius_R)
+    c = [mpmath.mpf(v) for v in domain.center]
+
+    def term(defect):
+        y = [mpmath.mpf(v) - cv for v, cv in zip(defect.site, c)]
+        if isinstance(defect, Disclination):
+            s = mpmath.mpf(defect.frank_angle_s)
+            return lambda x1, x2: -K * s * _green_mp((x1, x2), y, R) / (16 * mpmath.pi)
+        b1, b2 = (mpmath.mpf(v) for v in defect.burgers_b)
+
+        def clamped_less_profile(x1, x2):
+            grad = [mpmath.diff(lambda u: _green_mp((x1, x2), (u, y[1]), R), y[0]),
+                    mpmath.diff(lambda u: _green_mp((x1, x2), (y[0], u), R), y[1])]
+            d1, d2 = x1 - y[0], x2 - y[1]
+            u = d1**2 + d2**2
+            profile = K / (8 * mpmath.pi) * (1 - mpmath.log(R**2) - u / R**2
+                                             + mpmath.log(u)) * (b2 * d1 - b1 * d2)
+            return K * (b1 * grad[1] - b2 * grad[0]) / (16 * mpmath.pi) - profile
+
+        return clamped_less_profile
+
+    terms = [term(d) for d in defects]
+    return lambda x1, x2: sum(t(x1, x2) for t in terms)
+
+
+class TestTraceSolutionsExact:
+    # the solutions of both pure-trace solves, value and Hessian, against
+    # 40-digit values at random points and at r = 0.9999 R (two on the
+    # axes, one oblique), to 1e-14 of the largest |entry| of each; seen:
+    # at most 3.6e-15 on values (an ulp of the singular part, which the
+    # smooth part cancels at the rim) and 5e-16 on Hessians
+    @pytest.mark.parametrize("domain", [_UNIT, _PAIR_DISK], ids=["unit", "shifted"])
+    @pytest.mark.parametrize("kind, defects", [
+        (Disclination, [((0.0, 0.0), 1.0)]),
+        (Disclination, [((0.55, 0.1), 1.0), ((-0.5, -0.35), -0.5)]),
+        (Dislocation, [((0.4, 0.3), (0.6, -0.8)), ((-0.2, -0.5), (-1.5, 0.4))]),
+    ], ids=["centred-charge", "mixed-charges", "oblique-pair"])
+    def test_matches_40_digits(self, kind, defects, domain, elastic, rng):
+        c, R = np.asarray(domain.center), domain.radius_R
+        defects = [kind(tuple(c + R * np.asarray(p)), q) for p, q in defects]
+        solve = (solve_clamped_disclination if kind is Disclination
+                 else solve_elastic_correction)
+        solution = solve(elastic, domain, defects).solution
+        r, t = np.sqrt(rng.uniform(0.0, 0.9, 6)), rng.uniform(0.0, 2.0 * math.pi, 6)
+        rim = 0.9999 * np.array([(1.0, 0.0), (0.0, -1.0), (math.cos(2.0), math.sin(2.0))])
+        pts = c + R * np.vstack([np.stack([r * np.cos(t), r * np.sin(t)], -1), rim])
+        value, hessian = solution.derivatives(pts, ("value", "hessian"))
+        exact = np.empty((len(pts), 4))
+        with mpmath.workdps(40):
+            f = _exact_trace_minimizer(domain, defects, mpmath.mpf(elastic.plane_prefactor))
+            for n, x in enumerate(pts):
+                x = [mpmath.mpf(v) - mpmath.mpf(cv) for v, cv in zip(x, domain.center)]
+                exact[n] = [float(f(*x)), *(float(mpmath.diff(f, x, order))
+                                            for order in ((2, 0), (1, 1), (0, 2)))]
+        got = np.stack([hessian[:, 0, 0], hessian[:, 0, 1], hessian[:, 1, 1]], -1)
+        assert np.array_equal(hessian[:, 0, 1], hessian[:, 1, 0])
+        assert np.abs(value - exact[:, 0]).max() <= 1e-14 * np.abs(exact[:, 0]).max()
+        assert np.abs(got - exact[:, 1:]).max() <= 1e-14 * np.abs(exact[:, 1:]).max()
